@@ -6,6 +6,9 @@
 //!
 //! * square `matmul` 128–1024: blocked/SIMD kernel vs. the naive reference triple loop
 //!   ([`Matrix::matmul_naive`]);
+//! * the `A * Bᵀ` similarity kernel at 256 x 4096 x 64 (one query block against one
+//!   shard) on one core, in GFLOP/s next to that core's measured FMA peak and next to
+//!   the frozen row-at-a-time reference — **gated** on its share of the peak;
 //! * `embed_all` over 4k records, for **both** encoder architectures: the batched,
 //!   tape-free, rayon-chunked inference path vs. the seed's per-row tape graphs
 //!   (reconstructed via `encode_text` + `stack_rows` per 64-item chunk, which is exactly
@@ -148,6 +151,25 @@ struct MemoryDensityRow {
     regression: bool,
 }
 
+/// The `A * Bᵀ` kernel in absolute units, on one core: GFLOP/s of the dispatched
+/// register-tiled kernel, of the frozen row-at-a-time reference, and of back-to-back
+/// FMAs on the widest vector unit the kernels use. The **gate** is the kernel's share
+/// of that peak, which — unlike a speedup over the reference — is comparable between an
+/// AVX2 and an AVX-512 runner (this box, AVX-512 8x4 tile: 97–98 GFLOP/s against a peak
+/// that reads 179–198 from run to run = 0.49–0.55, 3.3–3.9x the reference).
+#[derive(Clone, Debug, Serialize)]
+struct AbtKernelRow {
+    case: String,
+    vector_tier: String,
+    abt_256x4096x64_gflops: f64,
+    reference_gflops: f64,
+    speedup_vs_reference: f64,
+    fma_peak_gflops: f64,
+    share_of_peak: f64,
+    floor_share_of_peak: f64,
+    regression: bool,
+}
+
 /// The served load-shed measurement: clients at 2x the admission capacity, unique
 /// (cache-defeating) batches. Recorded for trend-watching only — shed rate depends on
 /// runner timing, so this row is intentionally NOT in [`SPEEDUP_FLOORS`] and never
@@ -222,6 +244,7 @@ struct PerfReport {
     rows: Vec<SpeedupRow>,
     gate: Vec<GateRow>,
     any_regression: bool,
+    abt_kernel: AbtKernelRow,
     quantized_memory_density: MemoryDensityRow,
     serve_load_shed: LoadShedRow,
     scatter_gather: ScatterGatherRow,
@@ -282,6 +305,119 @@ fn matmul_rows(rows: &mut Vec<SpeedupRow>) {
             0,
             size * size, // output cells per product
         ));
+    }
+}
+
+const FMA_CHAINS: usize = 10;
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fma_chains_avx512(iters: usize) -> f32 {
+    use std::arch::x86_64::*;
+    let (a, b) = (_mm512_set1_ps(1.000_001), _mm512_set1_ps(1e-9));
+    let mut acc = [_mm512_set1_ps(1.0); FMA_CHAINS];
+    for _ in 0..iters {
+        for chain in acc.iter_mut() {
+            *chain = _mm512_fmadd_ps(*chain, a, b);
+        }
+    }
+    acc.iter().map(|&chain| _mm512_reduce_add_ps(chain)).sum()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fma_chains_avx2(iters: usize) -> f32 {
+    use std::arch::x86_64::*;
+    let (a, b) = (_mm256_set1_ps(1.000_001), _mm256_set1_ps(1e-9));
+    let mut acc = [_mm256_set1_ps(1.0); FMA_CHAINS];
+    for _ in 0..iters {
+        for chain in acc.iter_mut() {
+            *chain = _mm256_fmadd_ps(*chain, a, b);
+        }
+    }
+    let mut lanes = [0.0f32; 8];
+    let mut total = 0.0;
+    for chain in &acc {
+        _mm256_storeu_ps(lanes.as_mut_ptr(), *chain);
+        total += lanes.iter().sum::<f32>();
+    }
+    total
+}
+
+fn fma_chains_scalar(iters: usize) -> f32 {
+    let mut acc = [1.0f32; FMA_CHAINS];
+    for _ in 0..iters {
+        for chain in acc.iter_mut() {
+            *chain = *chain * 1.000_001 + 1e-9;
+        }
+    }
+    acc.iter().sum()
+}
+
+/// One core's fused-multiply-add peak on the widest vector unit the f32 kernels
+/// dispatch to: ten independent dependency chains, 2 FLOPs per lane per FMA. Returns
+/// the tier's name and GFLOP/s.
+fn fma_peak_gflops() -> (&'static str, f64) {
+    const ITERS: usize = 2_000_000;
+    let (tier, lanes, run): (_, usize, fn(usize) -> f32) = {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was just detected; the function touches only locals.
+                ("avx512f", 16, |n| unsafe { fma_chains_avx512(n) })
+            } else if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: AVX2 and FMA were just detected; the function touches only locals.
+                ("avx2+fma", 8, |n| unsafe { fma_chains_avx2(n) })
+            } else {
+                ("scalar", 1, fma_chains_scalar)
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            ("scalar", 1, fma_chains_scalar)
+        }
+    };
+    let secs = time(5, || run(std::hint::black_box(ITERS)));
+    (tier, (2 * lanes * FMA_CHAINS * ITERS) as f64 / secs / 1e9)
+}
+
+/// The `A * Bᵀ` kernel at the join's shape — a 256-query block against a 4096-row,
+/// 64-wide shard — on one core (`RAYON_NUM_THREADS=1` for the duration: above its FLOP
+/// threshold the kernel would otherwise fan out and stop being comparable with a
+/// one-core peak).
+fn abt_kernel_row() -> AbtKernelRow {
+    let (m, n, k) = (256usize, 4096usize, 64usize);
+    let mut rng = StdRng::seed_from_u64(6);
+    let a = Matrix::random_normal(m, k, 1.0, &mut rng);
+    let b = Matrix::random_normal(n, k, 1.0, &mut rng);
+    let threads = std::env::var_os("RAYON_NUM_THREADS");
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let fast = time(20, || a.matmul_transpose_b(&b));
+    let reference = time(5, || a.matmul_transpose_b_reference(&b.view()));
+    match threads {
+        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    let (vector_tier, fma_peak_gflops) = fma_peak_gflops();
+    let gflops = |secs: f64| (2 * m * n * k) as f64 / secs / 1e9;
+    let share_of_peak = gflops(fast) / fma_peak_gflops;
+    // ~0.7x of the 0.49–0.55 this box measures, like the speedup floors.
+    let floor_share_of_peak = 0.35;
+    AbtKernelRow {
+        case: format!("matmul_transpose_b {m}x{n}x{k}, one core"),
+        vector_tier: vector_tier.into(),
+        abt_256x4096x64_gflops: gflops(fast),
+        reference_gflops: gflops(reference),
+        speedup_vs_reference: reference / fast,
+        fma_peak_gflops,
+        share_of_peak,
+        floor_share_of_peak,
+        // A NaN share counts as a regression, like the speedup gate.
+        regression: !matches!(
+            share_of_peak.partial_cmp(&floor_share_of_peak),
+            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+        ),
     }
 }
 
@@ -1084,6 +1220,24 @@ fn connection_sweep_rows() -> (Vec<sudowoodo_bench::connsweep::SweepLevel>, Conn
 fn main() {
     let mut rows = Vec::new();
     matmul_rows(&mut rows);
+    let abt_kernel = abt_kernel_row();
+    println!(
+        "A*B^T kernel {}: {:.1} GFLOP/s = {:.2} of the {} FMA peak ({:.1} GFLOP/s, floor \
+         {:.2}), {:.2}x the row-at-a-time reference ({:.1} GFLOP/s) — {}",
+        abt_kernel.case,
+        abt_kernel.abt_256x4096x64_gflops,
+        abt_kernel.share_of_peak,
+        abt_kernel.vector_tier,
+        abt_kernel.fma_peak_gflops,
+        abt_kernel.floor_share_of_peak,
+        abt_kernel.speedup_vs_reference,
+        abt_kernel.reference_gflops,
+        if abt_kernel.regression {
+            "REGRESSION"
+        } else {
+            "ok"
+        }
+    );
     embed_rows(&mut rows);
     transformer_batching_rows(&mut rows);
     knn_rows(&mut rows);
@@ -1187,6 +1341,7 @@ fn main() {
     let (gate, mut any_regression) = build_gate(&rows);
     any_regression |= connection_gate.regression;
     any_regression |= quantized_memory_density.regression;
+    any_regression |= abt_kernel.regression;
     let gate_printable: Vec<Vec<String>> = gate
         .iter()
         .map(|g| {
@@ -1212,6 +1367,7 @@ fn main() {
             rows,
             gate,
             any_regression,
+            abt_kernel,
             quantized_memory_density,
             serve_load_shed,
             scatter_gather,

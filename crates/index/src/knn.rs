@@ -3,34 +3,49 @@
 //! Sudowoodo's blocking stage vectorizes every data item with the learned embedding model
 //! and retrieves, for each left-table item, the `k` nearest right-table items as the
 //! candidate set (§II-C step 2). The search is exact: the corpus is stored as **one
-//! row-major matrix** of L2-normalized rows, and [`CosineIndex::knn_join`] computes
-//! query-block × corpusᵀ similarity tiles through the fused
-//! [`Matrix::matmul_transpose_b`] GEMM kernel — parallel over query blocks — followed by
-//! per-row top-k heap selection. Single-query [`CosineIndex::top_k`] uses the same dot
-//! kernel without the tiling.
+//! row-major matrix** of L2-normalized rows, and [`CosineIndex::knn_join`] walks it in
+//! cache-sized strips: each query block (parallel over blocks) is scored against one
+//! strip at a time through the fused `A * Bᵀ` kernel
+//! ([`MatrixView::matmul_transpose_b_into`]) into one reused `block x strip` tile, and
+//! every tile row is offered to that query's persistent [`TopK`] selector before the
+//! next strip is touched — the corpus streams through cache once per block and no
+//! `block x n` score matrix ever exists. Single-query [`CosineIndex::top_k`] is the
+//! same walk with a one-row block.
 //!
 //! Neighbor selection is **deterministic**: ties on score break toward the smaller id, so
 //! blocking candidate sets are bit-for-bit reproducible regardless of thread count.
 //!
-//! The corpus matrix is zero-padded to a multiple of the SIMD row-quad width so that
-//! every real row is scored by the same microkernel whatever the corpus size; this keeps
-//! per-row scores bit-identical to [`crate::ShardedCosineIndex`] (which pads its shards
-//! the same way), so the two layouts return identical neighbors even on exact ties.
+//! The corpus matrix is zero-padded to a multiple of the SIMD row-quad width, and strips
+//! are whole row-quads, so every real row is scored in the kernel's `dot4` order whatever
+//! the corpus size and wherever a strip boundary falls; this keeps per-row scores
+//! bit-identical to [`crate::ShardedCosineIndex`] (which pads its shards the same way),
+//! so the two layouts return identical neighbors even on exact ties.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
-use sudowoodo_nn::matrix::Matrix;
+use sudowoodo_nn::matrix::{Matrix, MatrixView};
 
-/// Number of query rows per GEMM tile in [`CosineIndex::knn_join`]. Each tile produces a
-/// `TILE x n` similarity block that stays cache-resident during selection.
+/// Number of query rows per block in [`CosineIndex::knn_join`]: the unit of
+/// parallelism, and how many times each corpus strip is reused while it is hot.
 const QUERY_TILE: usize = 256;
 
-/// Row-group width of the `A * B^T` microkernel (`dot4`). The corpus matrix is padded
-/// with zero rows to a multiple of this so every real row is scored by the same SIMD
-/// kernel regardless of corpus size — which keeps scores bit-identical to the sharded
-/// index (whose shards are padded the same way) and independent of where a row sits.
+/// Corpus bytes per strip of the dense walk — the kernel's own strip length, so one call
+/// is one pass over an L2-resident strip. At dim 64 that is 1024 rows and a 1 MiB
+/// `256 x strip` score tile per block. Measured on the benchmark host (2 MiB L2, 100k x
+/// 64 corpus, 512-query batches) 64 KiB to 2 MiB strips are within run-to-run noise of
+/// each other and 32 KiB is slower; the constant is not a tuning knob.
+const STRIP_BYTES: usize = 256 << 10;
+
+/// Row-group width of the `A * B^T` microkernel: it scores corpus rows four at a time
+/// (`dot4` order) and a trailing `n % 4` rows in a different order (`dot`). The corpus
+/// matrix is padded with zero rows to a multiple of this so every real row is scored in
+/// the four-at-a-time order regardless of corpus size — which keeps scores bit-identical
+/// to the sharded index (whose shards are padded the same way) and independent of where
+/// a row sits. It stays 4 however tall the kernel's register tiles get: it is the
+/// *corpus-side* width of every tile, and changing it would change which rows fall in
+/// the differently-rounded tail.
 pub(crate) const ROW_GROUP: usize = 4;
 
 /// A searchable collection of L2-normalized dense vectors.
@@ -127,6 +142,42 @@ impl TopK {
         }
     }
 
+    /// Offers one row of raw kernel scores: candidate `i` has id `id_of(i)` and score
+    /// `scores[i] * inv`, and is skipped when `deleted` marks it. Exactly the per-score
+    /// [`TopK::offer`] loop — same survivors, same heap — but once the selector is full
+    /// a score is first compared with a local copy of the current worst, sixteen at a
+    /// time without branches, and only a chunk holding a score that reaches it goes on
+    /// to the heap; in a long scan that is almost no chunk. A NaN score, or a NaN worst,
+    /// fails `>=` and is rejected, exactly as [`TopK::offer`] rejects it.
+    pub(crate) fn offer_scaled_row(
+        &mut self,
+        scores: &[f32],
+        inv: f32,
+        id_of: impl Fn(usize) -> usize,
+        deleted: Option<&[bool]>,
+    ) {
+        const CHUNK: usize = 16;
+        if self.k == 0 {
+            return;
+        }
+        let mut worst = self.worst_score_when_full();
+        for (chunk_idx, chunk) in scores.chunks(CHUNK).enumerate() {
+            if let Some(w) = worst {
+                if !chunk.iter().fold(false, |hit, &raw| hit | (raw * inv >= w)) {
+                    continue;
+                }
+            }
+            for (j, &raw) in chunk.iter().enumerate() {
+                let i = chunk_idx * CHUNK + j;
+                let score = raw * inv;
+                if worst.is_none_or(|w| score >= w) && !deleted.is_some_and(|d| d[i]) {
+                    self.offer(id_of(i), score);
+                    worst = self.worst_score_when_full();
+                }
+            }
+        }
+    }
+
     /// The retention capacity `k` this selector was created with.
     pub fn capacity(&self) -> usize {
         self.k
@@ -145,7 +196,9 @@ impl TopK {
     }
 
     /// Consumes the selector, returning the survivors sorted by descending score
-    /// (ascending id on ties).
+    /// (ascending id on ties). NaN scores — retained only while fewer than `k`
+    /// candidates were offered — sort after every number, so the comparison stays a
+    /// total order (`sort_by` may panic on one that is not).
     pub fn into_sorted(self) -> Vec<Neighbor> {
         let mut hits: Vec<Neighbor> = self
             .heap
@@ -158,20 +211,11 @@ impl TopK {
         hits.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
+                .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
                 .then_with(|| a.id.cmp(&b.id))
         });
         hits
     }
-}
-
-/// Top-k selection over one row of similarity scores, deterministic on ties.
-fn select_top_k(scores: impl Iterator<Item = f32>, k: usize) -> Vec<Neighbor> {
-    let mut selector = TopK::new(k);
-    for (id, score) in scores.enumerate() {
-        selector.offer(id, score);
-    }
-    selector.into_sorted()
 }
 
 /// Validates that row `index` of a vector collection has the expected dimension, panicking
@@ -314,20 +358,57 @@ impl CosineIndex {
         check_row_dim("CosineIndex::top_k (query)", 0, query.len(), self.dim());
         let qnorm: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
         let inv = if qnorm > 1e-12 { 1.0 / qnorm } else { 0.0 };
-        // Score through the same fused GEMM kernel as `knn_join` (a 1-row tile), so both
-        // APIs accumulate in the same order and return identical neighbors on near-ties.
-        let q = Matrix::from_vec(1, self.dim(), query.to_vec());
-        let sims = q.matmul_transpose_b(&self.matrix);
-        select_top_k(sims.row(0)[..self.len].iter().map(|&s| s * inv), k)
+        // The strip walk of `knn_join` with a one-row block: same kernel order per
+        // score, so both APIs return identical neighbors on near-ties.
+        let mut selector = [TopK::new(k)];
+        self.offer_strips(
+            &MatrixView::new(1, self.dim(), query),
+            &[inv],
+            &mut selector,
+        );
+        let [selector] = selector;
+        selector.into_sorted()
+    }
+
+    /// Scores the query block `q` against the corpus strip by strip and offers every
+    /// real row to the per-query `selectors` (`inv_norms[r]` scales query `r`'s scores).
+    fn offer_strips(&self, q: &MatrixView<'_>, inv_norms: &[f32], selectors: &mut [TopK]) {
+        let dim = self.dim();
+        let padded = self.matrix.rows();
+        let strip = (STRIP_BYTES / 4 / dim.max(1))
+            .max(1)
+            .next_multiple_of(ROW_GROUP);
+        let mut tile = vec![0.0f32; q.rows() * strip.min(padded)];
+        for start in (0..self.len).step_by(strip) {
+            // Strips end on a row-quad (or on the padded end), so the kernel sees no
+            // `n % 4` tail and scores every real row in the same order.
+            let rows = strip.min(padded - start);
+            let corpus = MatrixView::new(
+                rows,
+                dim,
+                &self.matrix.data()[start * dim..(start + rows) * dim],
+            );
+            let tile = &mut tile[..q.rows() * rows];
+            q.matmul_transpose_b_into(&corpus, tile);
+            let real = rows.min(self.len - start);
+            for ((selector, &inv), scores) in selectors
+                .iter_mut()
+                .zip(inv_norms)
+                .zip(tile.chunks_exact(rows))
+            {
+                selector.offer_scaled_row(&scores[..real], inv, |i| start + i, None);
+            }
+        }
     }
 
     /// Retrieves, for every query vector, its `k` nearest indexed vectors, returning the
     /// candidate pair list `(query_index, indexed_index, score)`.
     ///
-    /// Queries are processed as `QUERY_TILE` (256)-row blocks: each block is one fused
-    /// `Q_block * corpusᵀ` GEMM tile followed by per-row heap selection, and blocks fan
-    /// out across threads. Results are ordered by query index, then descending score
-    /// (ascending id on ties) — identical to running [`CosineIndex::top_k`] per query.
+    /// Queries are processed as `QUERY_TILE` (256)-row blocks that fan out across
+    /// threads; each block walks the corpus in cache-sized strips, scoring
+    /// `Q_block * stripᵀ` and offering the scores to one persistent selector per query.
+    /// Results are ordered by query index, then descending score (ascending id on
+    /// ties) — identical to running [`CosineIndex::top_k`] per query.
     ///
     /// # Examples
     /// ```
@@ -352,10 +433,11 @@ impl CosineIndex {
                 let base = block_idx * QUERY_TILE;
                 let (q_block, inv_norms) =
                     pack_query_block("CosineIndex::knn_join (query)", base, block, dim);
-                let sims = q_block.matmul_transpose_b(&self.matrix); // block x n tile
+                let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
+                self.offer_strips(&q_block.view(), &inv_norms, &mut selectors);
                 let mut pairs = Vec::with_capacity(block.len() * k);
-                for (r, &inv) in inv_norms.iter().enumerate() {
-                    let hits = select_top_k(sims.row(r)[..self.len].iter().map(|&s| s * inv), k);
+                for (r, selector) in selectors.into_iter().enumerate() {
+                    let hits = selector.into_sorted();
                     pairs.extend(hits.into_iter().map(|h| (base + r, h.id, h.score)));
                 }
                 pairs
@@ -502,6 +584,61 @@ mod tests {
         assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![0, 1]);
         let pairs = index.knn_join(&[v], 2);
         assert_eq!(pairs.iter().map(|p| p.1).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    /// `into_sorted` output as comparable (id, score bits) pairs.
+    fn sorted_bits(selector: TopK) -> Vec<(usize, u32)> {
+        let hits = selector.into_sorted();
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn bulk_offer_selects_exactly_what_per_score_offers_select() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for case in 0..400 {
+            let n = rng.gen_range(1usize..90);
+            // Scores from a handful of values: heavy exact ties, some NaN, -0.0 vs 0.0.
+            let palette = [0.25f32, 0.5, 0.5, -0.0, 0.0, 0.75, f32::NAN, -1.0, 1.0];
+            let rows: Vec<Vec<f32>> = (0..rng.gen_range(1usize..5))
+                .map(|_| {
+                    (0..n)
+                        .map(|_| {
+                            if case % 3 == 0 {
+                                rng.gen_range(-1.0f32..1.0)
+                            } else {
+                                palette[rng.gen_range(0..palette.len())]
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            // Ids in no particular order (a gathered rescore set), distinct per row.
+            let mut ids: Vec<usize> = (0..n * rows.len()).map(|i| i * 3 + 1).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            let deleted: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4) == 0).collect();
+            let mask = (case % 2 == 0).then_some(deleted.as_slice());
+            let inv = [1.0f32, 0.37, 0.0][case % 3];
+            for k in [0usize, 1, 20, n * rows.len() + 5] {
+                let mut bulk = TopK::new(k);
+                let mut single = TopK::new(k);
+                // Several rows into one selector, like the strips of a corpus: later
+                // rows meet a full heap and take the pre-filtered path.
+                for (r, row) in rows.iter().enumerate() {
+                    let row_ids = &ids[r * n..(r + 1) * n];
+                    bulk.offer_scaled_row(row, inv, |i| row_ids[i], mask);
+                    for (i, &raw) in row.iter().enumerate() {
+                        if !mask.is_some_and(|d| d[i]) {
+                            single.offer(row_ids[i], raw * inv);
+                        }
+                    }
+                }
+                assert_eq!(sorted_bits(bulk), sorted_bits(single), "case {case}, k {k}");
+            }
+        }
     }
 
     #[test]

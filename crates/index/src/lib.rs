@@ -7,10 +7,10 @@
 //! size ratio (CSSR). This crate provides two exact indexes with identical search
 //! semantics plus the blocking-quality evaluator:
 //!
-//! * [`knn::CosineIndex`] — the whole corpus as **one** row-major matrix; batch joins run
-//!   query-tile × corpusᵀ similarity blocks through the fused GEMM kernels of
-//!   `sudowoodo-nn` (parallel over tiles, deterministic top-k selection). Fastest when
-//!   the corpus is static and fits one allocation.
+//! * [`knn::CosineIndex`] — the whole corpus as **one** row-major matrix; batch joins
+//!   walk it in cache-sized strips, scoring query-block × stripᵀ tiles through the fused
+//!   `A * Bᵀ` kernel of `sudowoodo-nn` (parallel over query blocks, deterministic top-k
+//!   selection). Fastest when the corpus is static and fits one allocation.
 //! * [`sharded::ShardedCosineIndex`] — the corpus partitioned into fixed-capacity shards
 //!   scored in parallel and merged through the same bounded-heap selector, with streaming
 //!   ingestion (`add_batch` / `remove` / `compact`) and stable row ids. Same results as

@@ -318,13 +318,8 @@ impl Shard {
         let payload = self.storage.query_payload()?;
         let sims = q_block.matmul_transpose_b_view(&payload.view());
         for (r, selector) in selectors.iter_mut().enumerate() {
-            let inv = inv_norms[r];
-            let row = sims.row(r);
-            for (row_idx, &id) in self.ids.iter().enumerate() {
-                if !self.deleted[row_idx] {
-                    selector.offer(id, row[row_idx] * inv);
-                }
-            }
+            let scores = &sims.row(r)[..self.ids.len()];
+            selector.offer_scaled_row(scores, inv_norms[r], |i| self.ids[i], Some(&self.deleted));
         }
         Ok(())
     }
@@ -1649,11 +1644,8 @@ impl ShardedCosineIndex {
         let gathered = Matrix::from_vec(padded, dim, data);
         let sims = q_block.matmul_transpose_b_view(&gathered.view());
         for (r, selector) in selectors.iter_mut().enumerate() {
-            let inv = inv_norms[r];
-            let srow = sims.row(r);
-            for (j, &row) in rescore.iter().enumerate() {
-                selector.offer(shard.ids[row], srow[j] * inv);
-            }
+            let scores = &sims.row(r)[..rescore.len()];
+            selector.offer_scaled_row(scores, inv_norms[r], |j| shard.ids[rescore[j]], None);
         }
         Ok(())
     }

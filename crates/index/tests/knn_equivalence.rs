@@ -9,7 +9,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sudowoodo_index::CosineIndex;
+use sudowoodo_index::{CosineIndex, TopK};
+use sudowoodo_nn::matrix::Matrix;
 
 fn random_vectors(n: usize, d: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     (0..n)
@@ -123,4 +124,97 @@ fn knn_join_is_deterministic_across_runs() {
     for _ in 0..3 {
         assert_eq!(index.knn_join(&queries, 5), first);
     }
+}
+
+/// The retired dense join, kept as the oracle of the strip walk: one full
+/// `queries x corpus` score matrix through the frozen row-at-a-time kernel reference,
+/// then one `TopK::offer` per score.
+fn full_tile_join(index: &CosineIndex, queries: &[Vec<f32>], k: usize) -> Vec<(usize, usize, f32)> {
+    let q = Matrix::from_rows(queries);
+    let sims = q.matmul_transpose_b_reference(&index.matrix().view());
+    let mut pairs = Vec::new();
+    for (qi, query) in queries.iter().enumerate() {
+        let norm: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let inv = if norm > 1e-12 { 1.0 / norm } else { 0.0 };
+        let mut selector = TopK::new(k);
+        for (id, &s) in sims.row(qi)[..index.len()].iter().enumerate() {
+            selector.offer(id, s * inv);
+        }
+        pairs.extend(
+            selector
+                .into_sorted()
+                .into_iter()
+                .map(|h| (qi, h.id, h.score)),
+        );
+    }
+    pairs
+}
+
+fn bits(pairs: &[(usize, usize, f32)]) -> Vec<(usize, usize, u32)> {
+    pairs
+        .iter()
+        .map(|&(q, id, s)| (q, id, s.to_bits()))
+        .collect()
+}
+
+#[test]
+fn strip_walk_matches_the_full_tile_join_with_a_tie_across_a_strip_boundary() {
+    // dim 64 makes a strip 1024 rows; 2 x 1024 + 3 rows is a multiple of neither the
+    // strip nor the row group, so the walk ends in a short, zero-padded strip.
+    let mut rng = StdRng::seed_from_u64(8);
+    let (dim, n, k) = (64, 2 * 1024 + 3, 6);
+    let mut corpus = random_vectors(n, dim, &mut rng);
+    // Ten copies of one vector straddling the first strip boundary, and three in the
+    // padded tail: every query near it ties on score, and the k = 6 smallest ids must
+    // survive whichever strip or tile scored them.
+    let twin = corpus[0].clone();
+    for id in (1019..1029).chain(n - 3..n) {
+        corpus[id] = twin.clone();
+    }
+    let mut queries = random_vectors(270, dim, &mut rng); // 256-query block + remainder
+    queries[3] = twin.clone();
+    queries[260] = twin.iter().map(|x| x * 2.5).collect();
+    let index = CosineIndex::build(corpus);
+
+    let joined = index.knn_join(&queries, k);
+    assert_eq!(bits(&joined), bits(&full_tile_join(&index, &queries, k)));
+    let tied: Vec<usize> = joined.iter().filter(|p| p.0 == 3).map(|p| p.1).collect();
+    assert_eq!(tied, vec![0, 1019, 1020, 1021, 1022, 1023]);
+
+    for (qi, q) in queries.iter().enumerate() {
+        let from_join: Vec<(usize, u32)> = joined
+            .iter()
+            .filter(|p| p.0 == qi)
+            .map(|p| (p.1, p.2.to_bits()))
+            .collect();
+        let single: Vec<(usize, u32)> = index
+            .top_k(q, k)
+            .into_iter()
+            .map(|h| (h.id, h.score.to_bits()))
+            .collect();
+        assert_eq!(
+            from_join, single,
+            "query {qi}: top_k diverged from knn_join"
+        );
+    }
+}
+
+#[test]
+fn top_k_equals_knn_join_bit_for_bit_on_a_10k_corpus() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let corpus = random_vectors(10_000, 32, &mut rng);
+    let queries = random_vectors(40, 32, &mut rng);
+    let index = CosineIndex::build(corpus);
+    let joined = index.knn_join(&queries, 20);
+    let singles: Vec<(usize, usize, f32)> = queries
+        .iter()
+        .enumerate()
+        .flat_map(|(qi, q)| {
+            index
+                .top_k(q, 20)
+                .into_iter()
+                .map(move |h| (qi, h.id, h.score))
+        })
+        .collect();
+    assert_eq!(bits(&joined), bits(&singles));
 }

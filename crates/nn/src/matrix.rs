@@ -14,10 +14,17 @@
 //!   in registers across the contraction, detected at runtime, with a 4-way k-unrolled
 //!   AXPY fallback for small/odd shapes and rayon row-band parallelism above a FLOP
 //!   threshold;
-//! * [`Matrix::matmul_transpose_b`] — fused `A * B^T` (dot-product microkernel over pairs
-//!   of contiguous rows, 4 output columns per pass) — exactly the shape of the SimCLR /
-//!   Barlow Twins similarity matrices and of batched cosine scoring, without ever
-//!   materializing the transpose;
+//! * [`Matrix::matmul_transpose_b`] — fused `A * B^T`, every output a dot product of two
+//!   contiguous rows — exactly the shape of the SimCLR / Barlow Twins similarity
+//!   matrices and of batched cosine scoring, without ever materializing the transpose.
+//!   Register-tiled: 8×4 (AVX-512F) or 2×4 (AVX2+FMA) tiles of 8-lane accumulators
+//!   share each operand load between outputs, and the tiles walk `B` in L2-sized strips
+//!   so a large corpus streams from memory once per band of `A`. Every tile computes
+//!   each output in exactly the order of the row-at-a-time reference
+//!   ([`Matrix::matmul_transpose_b_reference`]), so results are bit-identical across
+//!   tiles, strips, thread bands and every CPU with AVX2+FMA (the scalar fallback rounds
+//!   each product separately);
+//!   [`MatrixView::matmul_transpose_b_into`] is the same kernel into a reused buffer;
 //! * [`Matrix::matmul_transpose_a`] — fused `A^T * B` for the backward pass of `matmul`;
 //! * [`Matrix::scale_mut`] / [`Matrix::add_scaled`] / [`Matrix::add_hadamard`] — in-place
 //!   accumulation primitives used by the tape's gradient accumulation so the backward
@@ -37,6 +44,13 @@ const PAR_FLOPS: usize = 1 << 20;
 /// of B once; below this the plain AXPY row kernel wins because the training graphs are
 /// full of tiny products where a per-op pack allocation would dominate.
 const TILE_FLOPS: usize = 1 << 14;
+
+/// Bytes of `B` one strip of the `A * B^T` kernel covers: every row tile of `A` is run
+/// against a strip before the next strip is touched, so `B` comes from L2 for all but
+/// the first tile of a band instead of streaming from memory once per tile. Measured on
+/// the benchmark host (2 MiB L2) at 256 x 100k x 64: 32 KiB strips 59 GFLOP/s, 256 KiB
+/// 84, 1 MiB 71, unblocked 60–66.
+const ABT_STRIP_BYTES: usize = 256 << 10;
 
 pub(crate) mod kernels {
     //! SIMD microkernels with runtime feature detection.
@@ -629,6 +643,200 @@ pub(crate) mod kernels {
         _mm_cvtss_f32(sum1)
     }
 
+    /// The register-tile arms of the `A * B^T` kernel, slowest first. Every arm
+    /// produces the same bits per output element (see [`abt_tile`]); they differ only in
+    /// how many dot products share each operand load.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum AbtArm {
+        /// One query row at a time through [`dot4`] — the frozen reference order, and
+        /// the only arm without AVX2+FMA.
+        Rows,
+        /// 2×4 tiles: eight 8-lane accumulators, all an AVX2 register file holds
+        /// beside the operands.
+        Avx2,
+        /// 8×4 tiles: sixteen `zmm` accumulators, each carrying the 8-lane sums of two
+        /// query rows; leftover row pairs fall to the 2×4 tile.
+        Avx512,
+    }
+
+    impl AbtArm {
+        /// Every arm this CPU can run; the last one is what the product dispatches to.
+        pub fn supported() -> &'static [AbtArm] {
+            const ALL: [AbtArm; 3] = [AbtArm::Rows, AbtArm::Avx2, AbtArm::Avx512];
+            &ALL[..1 + usize::from(use_avx2_fma()) + usize::from(use_avx2_fma() && use_avx512())]
+        }
+
+        /// How many of an operand's `m` rows the tiles cover (row pairs); the rest go
+        /// through the row-at-a-time path.
+        pub fn tiled_rows(self, m: usize) -> usize {
+            match self {
+                AbtArm::Rows => 0,
+                AbtArm::Avx2 | AbtArm::Avx512 => m - m % 2,
+            }
+        }
+
+        /// Height of the tile starting at row `i` of `tiled` tiled rows, `i < tiled`.
+        pub fn tile_rows(self, i: usize, tiled: usize) -> usize {
+            if self == AbtArm::Avx512 && i + 8 <= tiled {
+                8
+            } else {
+                2
+            }
+        }
+    }
+
+    /// One `mr x 4` tile of `A * B^T`: `out[r * ldo + c] = a_r · b_c` for the `mr`
+    /// (8 or 2, see [`AbtArm::tile_rows`]) rows of `a` and the 4 rows of `b`, all of
+    /// length `k` and contiguous.
+    ///
+    /// Each output is computed exactly as [`dot4`] computes it: one 8-lane accumulator
+    /// per output, fused multiply-adds over the 8-wide chunks of `k` in ascending order,
+    /// the `hsum256` reduction tree (`(l0+l4 + l2+l6) + (l1+l5 + l3+l7)`, same operand
+    /// order at every add), then the `k % 8` tail as unfused multiply and add. The tile
+    /// only shares operand loads between outputs and reduces four accumulators per
+    /// shuffle sequence; no output's arithmetic changes, so results are bit-identical
+    /// to the row-at-a-time path.
+    ///
+    /// # Panics
+    /// Panics when a slice is shorter than the tile, or when this CPU lacks the
+    /// instructions of the requested tile height.
+    pub fn abt_tile(mr: usize, a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        assert!(
+            a.len() >= mr * k && b.len() >= 4 * k && out.len() >= (mr - 1) * ldo + 4,
+            "abt_tile: slices shorter than a {mr}x4 tile of {k}-wide rows"
+        );
+        match mr {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: AVX-512F, AVX2 and FMA were detected; the assert above proves
+            // the reads of 8 (resp. 4) rows of `k` floats and the writes of 4 floats
+            // at each `r * ldo`, `r < 8`, are in bounds.
+            8 if use_avx512() && use_avx2_fma() => unsafe {
+                abt_tile8x4_avx512(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above for AVX2 and FMA and a tile of 2 rows.
+            2 if use_avx2_fma() => unsafe {
+                abt_tile2x4_avx2(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
+            },
+            _ => panic!("abt_tile: no {mr}x4 tile on this CPU"),
+        }
+        for j in k - k % 8..k {
+            for r in 0..mr {
+                for c in 0..4 {
+                    out[r * ldo + c] += a[r * k + j] * b[c * k + j];
+                }
+            }
+        }
+    }
+
+    /// Four [`hsum256`] reductions at once: lane `c` of the result is `hsum256(v[c])`,
+    /// add for add (low half + high half, then lanes `0,1` + lanes `2,3`, then lane 0 +
+    /// lane 1 — first operand first each time).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum256x4(v: [__m256; 4]) -> __m128 {
+        let mut s = [_mm_setzero_ps(); 4];
+        for (half_sum, x) in s.iter_mut().zip(v) {
+            *half_sum = _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps(x, 1));
+        }
+        let p01 = _mm_add_ps(_mm_movelh_ps(s[0], s[1]), _mm_movehl_ps(s[1], s[0]));
+        let p23 = _mm_add_ps(_mm_movelh_ps(s[2], s[3]), _mm_movehl_ps(s[3], s[2]));
+        _mm_add_ps(
+            _mm_shuffle_ps(p01, p23, 0b10_00_10_00),
+            _mm_shuffle_ps(p01, p23, 0b11_01_11_01),
+        )
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `a` is readable for `2 * k` floats, `b` for
+    /// `4 * k`, and `out` writable for 4 floats at offsets `0` and `ldo`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn abt_tile2x4_avx2(a: *const f32, b: *const f32, k: usize, out: *mut f32, ldo: usize) {
+        let mut acc = [[_mm256_setzero_ps(); 4]; 2];
+        let mut j = 0;
+        while j + 8 <= k {
+            let mut vb = [_mm256_setzero_ps(); 4];
+            for (c, vbc) in vb.iter_mut().enumerate() {
+                *vbc = _mm256_loadu_ps(b.add(c * k + j));
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let va = _mm256_loadu_ps(a.add(r * k + j));
+                for (sum, &vbc) in acc_row.iter_mut().zip(&vb) {
+                    *sum = _mm256_fmadd_ps(va, vbc, *sum);
+                }
+            }
+            j += 8;
+        }
+        for (r, acc_row) in acc.into_iter().enumerate() {
+            _mm_storeu_ps(out.add(r * ldo), hsum256x4(acc_row));
+        }
+    }
+
+    /// # Safety
+    /// The CPU supports AVX-512F, AVX2 and FMA; `a` is readable for `8 * k` floats, `b`
+    /// for `4 * k`, and `out` writable for 4 floats at each offset `r * ldo`, `r < 8`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn abt_tile8x4_avx512(
+        a: *const f32,
+        b: *const f32,
+        k: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        // acc[p][c]: low 256 bits = the 8-lane accumulator of (row 2p, col c), high 256
+        // bits = that of (row 2p+1, col c). A 512-bit FMA is two independent 8-lane FMAs,
+        // so each half accumulates exactly as `dot4` does.
+        let mut acc = [[_mm512_setzero_ps(); 4]; 4];
+        let mut j = 0;
+        while j + 8 <= k {
+            let mut vb = [_mm512_setzero_ps(); 4];
+            for (c, vbc) in vb.iter_mut().enumerate() {
+                let chunk = _mm256_castps_pd(_mm256_loadu_ps(b.add(c * k + j)));
+                *vbc = _mm512_castpd_ps(_mm512_broadcast_f64x4(chunk));
+            }
+            for (p, acc_pair) in acc.iter_mut().enumerate() {
+                let lo = _mm256_castps_pd(_mm256_loadu_ps(a.add(2 * p * k + j)));
+                let hi = _mm256_castps_pd(_mm256_loadu_ps(a.add((2 * p + 1) * k + j)));
+                let va = _mm512_castpd_ps(_mm512_insertf64x4(_mm512_castpd256_pd512(lo), hi, 1));
+                for (sum, &vbc) in acc_pair.iter_mut().zip(&vb) {
+                    *sum = _mm512_fmadd_ps(va, vbc, *sum);
+                }
+            }
+            j += 8;
+        }
+        // `hsum256x4` on sixteen accumulators at a time, one per 128-bit lane: lane `q`
+        // of every vector below belongs to row `4h + q`.
+        for h in 0..2 {
+            let mut s = [_mm512_setzero_ps(); 4];
+            for (c, half_sum) in s.iter_mut().enumerate() {
+                let (x, y) = (acc[2 * h][c], acc[2 * h + 1][c]);
+                *half_sum = _mm512_add_ps(
+                    _mm512_shuffle_f32x4(x, y, 0b10_00_10_00), // low halves of 4 rows
+                    _mm512_shuffle_f32x4(x, y, 0b11_01_11_01), // high halves
+                );
+            }
+            let p01 = _mm512_add_ps(
+                _mm512_shuffle_ps(s[0], s[1], 0b01_00_01_00),
+                _mm512_shuffle_ps(s[0], s[1], 0b11_10_11_10),
+            );
+            let p23 = _mm512_add_ps(
+                _mm512_shuffle_ps(s[2], s[3], 0b01_00_01_00),
+                _mm512_shuffle_ps(s[2], s[3], 0b11_10_11_10),
+            );
+            let sums = _mm512_add_ps(
+                _mm512_shuffle_ps(p01, p23, 0b10_00_10_00),
+                _mm512_shuffle_ps(p01, p23, 0b11_01_11_01),
+            );
+            let row = out.add(4 * h * ldo);
+            _mm_storeu_ps(row, _mm512_castps512_ps128(sums));
+            _mm_storeu_ps(row.add(ldo), _mm512_extractf32x4_ps(sums, 1));
+            _mm_storeu_ps(row.add(2 * ldo), _mm512_extractf32x4_ps(sums, 2));
+            _mm_storeu_ps(row.add(3 * ldo), _mm512_extractf32x4_ps(sums, 3));
+        }
+    }
+
     /// `true` when the AVX-512BW widening i8 kernels are usable (checked once).
     /// BW implies the 512-bit integer `madd`; F is needed for the lane extracts.
     #[inline]
@@ -809,6 +1017,91 @@ impl<'a> MatrixView<'a> {
     /// Copies the viewed data into an owned [`Matrix`].
     pub fn to_matrix(&self) -> Matrix {
         Matrix::from_vec(self.rows, self.cols, self.data.to_vec())
+    }
+
+    /// Fused product `self * other^T` written into a caller-owned row-major
+    /// `self.rows() x other.rows()` buffer — [`Matrix::matmul_transpose_b_view`] without
+    /// the allocation, for callers that score one operand against many (the strips of a
+    /// corpus) and reuse the tile. Every element of `out` is overwritten.
+    ///
+    /// # Panics
+    /// Panics when the column counts disagree or `out` has the wrong length.
+    pub fn matmul_transpose_b_into(&self, other: &MatrixView<'_>, out: &mut [f32]) {
+        let arm = *kernels::AbtArm::supported()
+            .last()
+            .expect("the row arm is always supported");
+        abt(arm, self, other, out);
+    }
+}
+
+/// `out = a * b^T` on one kernel arm, parallel over bands of `a` above `PAR_FLOPS`.
+fn abt(arm: kernels::AbtArm, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    assert_eq!(
+        a.cols, b.cols,
+        "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
+        a.rows, a.cols, b.rows, b.cols
+    );
+    let (m, k, n) = (a.rows, a.cols, b.rows);
+    assert_eq!(
+        out.len(),
+        m * n,
+        "matmul_transpose_b: output is not {m}x{n}"
+    );
+    let threads = if m * k * n >= PAR_FLOPS && m > 1 {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    if threads > 1 {
+        // One band per thread, a whole number of the tallest tile.
+        let band = m.div_ceil(threads).next_multiple_of(8);
+        out.par_chunks_mut(band * n)
+            .enumerate()
+            .for_each(|(band_idx, out_band)| {
+                let rows = out_band.len() / n;
+                let a_band = &a.data[band_idx * band * k..][..rows * k];
+                abt_band(arm, a_band, rows, b, out_band);
+            });
+    } else {
+        abt_band(arm, a.data, m, b, out);
+    }
+}
+
+/// One band of [`abt`]: the `m` rows of `a` against all of `b`, strip by strip.
+///
+/// Output `(i, j)` is `dot4` of its two rows when `j` falls in a full group of four
+/// corpus rows and `dot` in the `n % 4` tail, whichever tile computes it — so the result
+/// does not depend on the arm, the band split or the strip length.
+fn abt_band(arm: kernels::AbtArm, a: &[f32], m: usize, b: &MatrixView<'_>, out: &mut [f32]) {
+    let (n, k) = (b.rows, b.cols);
+    let full = n - n % 4;
+    let strip = (ABT_STRIP_BYTES / 4 / k.max(1)).max(1).next_multiple_of(4);
+    let tiled = arm.tiled_rows(m);
+    for strip_start in (0..full).step_by(strip) {
+        let strip_end = (strip_start + strip).min(full);
+        let mut i = 0;
+        while i < tiled {
+            let mr = arm.tile_rows(i, tiled);
+            for j in (strip_start..strip_end).step_by(4) {
+                kernels::abt_tile(
+                    mr,
+                    &a[i * k..(i + mr) * k],
+                    &b.data[j * k..(j + 4) * k],
+                    k,
+                    &mut out[i * n + j..(i + mr - 1) * n + j + 4],
+                    n,
+                );
+            }
+            i += mr;
+        }
+    }
+    for i in 0..tiled {
+        for j in full..n {
+            out[i * n + j] = kernels::dot(&a[i * k..(i + 1) * k], b.row(j));
+        }
+    }
+    for i in tiled..m {
+        Matrix::dot_row(&a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
     }
 }
 
@@ -1253,30 +1546,45 @@ impl Matrix {
     /// # Panics
     /// Panics when the column counts disagree.
     pub fn matmul_transpose_b_view(&self, other: &MatrixView<'_>) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.rows());
+        self.view().matmul_transpose_b_into(other, &mut out.data);
+        out
+    }
+
+    /// Reference `self * other^T`: the original row-at-a-time `dot_row` loop,
+    /// single-threaded and untiled. Kept frozen as the ground truth the tiled kernel
+    /// must match **bit for bit** (`crates/nn/tests/kernel_props.rs`) and as the
+    /// baseline of the speedup report, like [`Matrix::matmul_naive`] for `matmul`.
+    ///
+    /// # Panics
+    /// Panics when the column counts disagree.
+    pub fn matmul_transpose_b_reference(&self, other: &MatrixView<'_>) -> Matrix {
         assert_eq!(
             self.cols,
             other.cols(),
-            "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
-            self.rows,
-            self.cols,
-            other.rows(),
-            other.cols()
+            "matmul_transpose_b: contraction mismatch"
         );
         let mut out = Matrix::zeros(self.rows, other.rows());
-        let flops = self.rows * self.cols * other.rows();
-        if flops >= PAR_FLOPS && self.rows > 1 && rayon::current_num_threads() > 1 {
-            out.data
-                .par_chunks_mut(other.rows().max(1))
-                .enumerate()
-                .for_each(|(i, out_row)| Self::dot_row(self.row(i), other, out_row));
-        } else {
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let out_row = &mut out.data[i * other.rows()..(i + 1) * other.rows()];
-                Self::dot_row(a_row, other, out_row);
-            }
+        for i in 0..self.rows {
+            let out_row = &mut out.data[i * other.rows()..(i + 1) * other.rows()];
+            Self::dot_row(self.row(i), other, out_row);
         }
         out
+    }
+
+    /// Test hook: `self * other^T` once per kernel arm this CPU supports, with the
+    /// arm's name — so the equivalence tests exercise every dispatch arm, not only the
+    /// widest one production picks.
+    #[doc(hidden)]
+    pub fn matmul_transpose_b_arms(&self, other: &MatrixView<'_>) -> Vec<(String, Matrix)> {
+        kernels::AbtArm::supported()
+            .iter()
+            .map(|&arm| {
+                let mut out = Matrix::zeros(self.rows, other.rows());
+                abt(arm, &self.view(), other, &mut out.data);
+                (format!("{arm:?}"), out)
+            })
+            .collect()
     }
 
     /// This matrix as a borrowed [`MatrixView`].
@@ -1285,7 +1593,8 @@ impl Matrix {
     }
 
     /// One output row of `matmul_transpose_b`: dots of `a_row` against all rows of `other`,
-    /// four at a time.
+    /// four at a time. This is the order every tile of the kernel reproduces per element;
+    /// it stays the path of single and leftover rows and the frozen reference.
     #[inline]
     fn dot_row(a_row: &[f32], other: &MatrixView<'_>, out_row: &mut [f32]) {
         let n = other.rows();

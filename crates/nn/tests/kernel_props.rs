@@ -6,11 +6,16 @@
 //! cases and shapes large enough to cross the parallel threshold — every entry agrees
 //! within a tolerance of `1e-5` scaled by the contraction magnitude (the FMA kernels
 //! round less than the reference, so exact bit equality is not the contract).
+//!
+//! `A * B^T` is held to a stricter contract: its register-tiled arms must match the
+//! frozen row-at-a-time reference (`Matrix::matmul_transpose_b_reference`) **bit for
+//! bit**, because the dense, sharded and distributed joins are proven identical on
+//! the assumption that a score does not depend on which tile computed it.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use sudowoodo_nn::matrix::Matrix;
+use sudowoodo_nn::matrix::{Matrix, MatrixView};
 
 /// Absolute tolerance for one output entry of a `k`-term contraction of values bounded
 /// by `amax * bmax`: `1e-5` relative to the worst-case accumulated magnitude.
@@ -82,6 +87,111 @@ fn fused_transpose_b_matches_naive_reference_across_shapes() {
             &format!("matmul_transpose_b {m}x{k}*({n}x{k})^T"),
         );
     }
+}
+
+/// Asserts every kernel arm's `a * b^T` equals the frozen reference bit for bit. NaN
+/// outputs must be NaN on both sides; their payload and sign are not compared, since
+/// neither Rust nor LLVM fixes which operand's NaN an add or a fused multiply-add
+/// propagates.
+fn assert_arms_match_reference(a: &Matrix, b: &MatrixView<'_>, what: &str) {
+    let reference = a.matmul_transpose_b_reference(b);
+    let mut arms = a.matmul_transpose_b_arms(b);
+    arms.push(("dispatched".to_string(), a.matmul_transpose_b_view(b)));
+    for (arm, result) in &arms {
+        assert_eq!(result.shape(), reference.shape(), "{what} [{arm}]: shape");
+        for (idx, (x, y)) in result.data().iter().zip(reference.data()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what} [{arm}]: entry ({}, {}) is {x:e} ({:#010x}), reference {y:e} ({:#010x})",
+                idx / b.rows().max(1),
+                idx % b.rows().max(1),
+                x.to_bits(),
+                y.to_bits(),
+            );
+        }
+    }
+}
+
+/// A `rows x cols` operand stored at a 4-byte-aligned offset that is **not**
+/// 32-byte-aligned inside a larger buffer — how an mmap'd shard payload reaches the
+/// kernel. Returns the backing buffer and the element offset of the view.
+fn offset_operand(rows: usize, cols: usize, rng: &mut StdRng) -> (Vec<f32>, usize) {
+    let mut buf: Vec<f32> = (0..rows * cols + 16)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let offset = (1..9)
+        .find(|o| !(buf[*o..].as_ptr() as usize).is_multiple_of(32))
+        .expect("eight consecutive floats cannot all be 32-byte aligned");
+    // Sprinkle exact zeros and a repeated value so ties and cancellations occur.
+    for v in buf.iter_mut().step_by(7) {
+        *v = 0.0;
+    }
+    for v in buf.iter_mut().step_by(11) {
+        *v = 0.5;
+    }
+    (buf, offset)
+}
+
+#[test]
+fn tiled_transpose_b_is_bit_identical_to_the_row_reference_on_every_arm() {
+    // Every tile-height remainder (8, 2, 1 rows), every corpus-row remainder mod 4,
+    // and contraction lengths on both sides of each 8-lane chunk boundary.
+    let mut rng = StdRng::seed_from_u64(13);
+    for &k in &[1usize, 7, 8, 9, 31, 32, 64, 65, 130] {
+        let (a_buf, a_off) = offset_operand(37, k, &mut rng);
+        let (b_buf, b_off) = offset_operand(67, k, &mut rng);
+        for m in 1..=37 {
+            let a = MatrixView::new(m, k, &a_buf[a_off..a_off + m * k]).to_matrix();
+            for n in 1..=67 {
+                let b = MatrixView::new(n, k, &b_buf[b_off..b_off + n * k]);
+                assert_arms_match_reference(&a, &b, &format!("{m}x{k} * ({n}x{k})^T"));
+            }
+        }
+    }
+}
+
+#[test]
+fn tiled_transpose_b_matches_the_reference_across_strips_and_bands() {
+    // Wide enough for several 256 KiB strips (k = 64: 1024 rows each) and, on a
+    // multi-core host, for the band-parallel split; sizes off every tile multiple.
+    let mut rng = StdRng::seed_from_u64(14);
+    for &(m, n, k) in &[
+        (37usize, 2_503usize, 64usize),
+        (9, 4_099, 32),
+        (130, 1_030, 72),
+    ] {
+        let (a_buf, a_off) = offset_operand(m, k, &mut rng);
+        let (b_buf, b_off) = offset_operand(n, k, &mut rng);
+        let a = MatrixView::new(m, k, &a_buf[a_off..a_off + m * k]).to_matrix();
+        let b = MatrixView::new(n, k, &b_buf[b_off..b_off + n * k]);
+        assert_arms_match_reference(&a, &b, &format!("{m}x{k} * ({n}x{k})^T"));
+    }
+}
+
+#[test]
+fn tiled_transpose_b_matches_the_reference_on_non_finite_and_denormal_rows() {
+    let mut rng = StdRng::seed_from_u64(15);
+    let (m, n, k) = (19usize, 23usize, 21usize);
+    let specials = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 4.0, // denormal
+        -f32::MIN_POSITIVE / 8.0,
+        f32::MAX,
+        -0.0,
+    ];
+    let mut a = Matrix::random_uniform(m, k, 1.0, &mut rng);
+    let mut b = Matrix::random_uniform(n, k, 1.0, &mut rng);
+    // Whole rows of each special value, plus single special entries in otherwise
+    // ordinary rows, in both the 8-lane body and the k % 8 tail of the contraction.
+    for (i, &v) in specials.iter().enumerate() {
+        a.row_mut(2 * i).fill(v);
+        b.row_mut(3 * i).fill(v);
+        a.set(2 * i + 1, i, v);
+        b.set(3 * i + 1, k - 1 - i % 5, v);
+    }
+    assert_arms_match_reference(&a, &b.view(), "non-finite rows");
 }
 
 #[test]
