@@ -9,6 +9,9 @@
 //! * the `A * Bᵀ` similarity kernel at 256 x 4096 x 64 (one query block against one
 //!   shard) on one core, in GFLOP/s next to that core's measured FMA peak and next to
 //!   the frozen row-at-a-time reference — **gated** on its share of the peak;
+//! * the i8 tile kernel (`I8Tile`, first stage of the quantized scan) at the same
+//!   shape on one core, next to one `Matrix::dot_i8` per pair and the f32 kernel's row
+//!   — **gated**: the cheap pass must score pairs at least as fast as the exact one;
 //! * `embed_all` over 4k records, for **both** encoder architectures: the batched,
 //!   tape-free, rayon-chunked inference path vs. the seed's per-row tape graphs
 //!   (reconstructed via `encode_text` + `stack_rows` per 64-item chunk, which is exactly
@@ -48,7 +51,7 @@ use sudowoodo_bench::ResultWriter;
 use sudowoodo_core::config::{EncoderConfig, EncoderKind};
 use sudowoodo_core::encoder::Encoder;
 use sudowoodo_index::{CosineIndex, QuantSpec, ShardedCosineIndex};
-use sudowoodo_nn::matrix::Matrix;
+use sudowoodo_nn::matrix::{I8Tile, Matrix};
 use sudowoodo_nn::tape::Tape;
 
 #[derive(Clone, Debug, Serialize)]
@@ -170,6 +173,25 @@ struct AbtKernelRow {
     regression: bool,
 }
 
+/// The i8 tile kernel at the join's shape, on one core: Gop/s (two integer operations
+/// per code pair) of the dispatched arm walking the shard in the 512-row strips the
+/// index uses, of one `Matrix::dot_i8` per (query, row) pair — what the scan did before
+/// the tile — and the pairs per second both reach next to the f32 `A * Bᵀ` kernel's.
+/// The **gate** is the reason the i8 tier exists: its first stage must score pairs at
+/// least as fast as the exact kernel it spares (this box, VNNI arm: 415–475 Gop/s,
+/// 17–22x the per-pair loop, 4–5x the f32 kernel's pairs per second).
+#[derive(Clone, Debug, Serialize)]
+struct I8TileRow {
+    case: String,
+    arm: String,
+    i8_256x4096x64_gops: f64,
+    dot_i8_reference_gops: f64,
+    speedup_vs_reference: f64,
+    pairs_per_sec: f64,
+    f32_abt_pairs_per_sec: f64,
+    regression: bool,
+}
+
 /// The served load-shed measurement: clients at 2x the admission capacity, unique
 /// (cache-defeating) batches. Recorded for trend-watching only — shed rate depends on
 /// runner timing, so this row is intentionally NOT in [`SPEEDUP_FLOORS`] and never
@@ -245,6 +267,7 @@ struct PerfReport {
     gate: Vec<GateRow>,
     any_regression: bool,
     abt_kernel: AbtKernelRow,
+    i8_tile: I8TileRow,
     quantized_memory_density: MemoryDensityRow,
     serve_load_shed: LoadShedRow,
     scatter_gather: ScatterGatherRow,
@@ -416,6 +439,49 @@ fn abt_kernel_row() -> AbtKernelRow {
         // A NaN share counts as a regression, like the speedup gate.
         regression: !matches!(
             share_of_peak.partial_cmp(&floor_share_of_peak),
+            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+        ),
+    }
+}
+
+/// The i8 tile at the shape of [`abt_kernel_row`] (whose pairs per second it is gated
+/// against); the kernel is single-threaded by construction.
+fn i8_tile_row(abt_kernel: &AbtKernelRow) -> I8TileRow {
+    let (m, n, k, strip) = (256usize, 4096usize, 64usize, 512usize);
+    let mut rng = StdRng::seed_from_u64(7);
+    let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-127i8..=127)).collect();
+    let b: Vec<i8> = (0..n * k).map(|_| rng.gen_range(-127i8..=127)).collect();
+    let (arm, mut tile) = I8Tile::new_arms(&a, k)
+        .pop()
+        .expect("the scalar arm is always supported");
+    let fast = time(20, || {
+        b.chunks(strip * k)
+            .map(|codes| tile.multiply_transpose_b(codes)[0] as i64)
+            .sum::<i64>()
+    });
+    let reference = time(3, || {
+        let mut sum = 0i64;
+        for q in a.chunks_exact(k) {
+            for row in b.chunks_exact(k) {
+                sum += Matrix::dot_i8(q, row);
+            }
+        }
+        sum
+    });
+    let gops = |secs: f64| (2 * m * n * k) as f64 / secs / 1e9;
+    let pairs_per_sec = (m * n) as f64 / fast;
+    let f32_abt_pairs_per_sec = abt_kernel.abt_256x4096x64_gflops * 1e9 / (2 * k) as f64;
+    I8TileRow {
+        case: format!("I8Tile {m}x{n}x{k} in {strip}-row strips, one core"),
+        arm,
+        i8_256x4096x64_gops: gops(fast),
+        dot_i8_reference_gops: gops(reference),
+        speedup_vs_reference: reference / fast,
+        pairs_per_sec,
+        f32_abt_pairs_per_sec,
+        // A NaN rate counts as a regression, like the speedup gate.
+        regression: !matches!(
+            pairs_per_sec.partial_cmp(&f32_abt_pairs_per_sec),
             Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
         ),
     }
@@ -1238,6 +1304,23 @@ fn main() {
             "ok"
         }
     );
+    let i8_tile = i8_tile_row(&abt_kernel);
+    println!(
+        "i8 tile {} [{}]: {:.1} Gop/s, {:.1}x one dot_i8 per pair ({:.1} Gop/s); {:.2e} pairs/s \
+         against the f32 kernel's {:.2e} — {}",
+        i8_tile.case,
+        i8_tile.arm,
+        i8_tile.i8_256x4096x64_gops,
+        i8_tile.speedup_vs_reference,
+        i8_tile.dot_i8_reference_gops,
+        i8_tile.pairs_per_sec,
+        i8_tile.f32_abt_pairs_per_sec,
+        if i8_tile.regression {
+            "REGRESSION"
+        } else {
+            "ok"
+        }
+    );
     embed_rows(&mut rows);
     transformer_batching_rows(&mut rows);
     knn_rows(&mut rows);
@@ -1342,6 +1425,7 @@ fn main() {
     any_regression |= connection_gate.regression;
     any_regression |= quantized_memory_density.regression;
     any_regression |= abt_kernel.regression;
+    any_regression |= i8_tile.regression;
     let gate_printable: Vec<Vec<String>> = gate
         .iter()
         .map(|g| {
@@ -1368,6 +1452,7 @@ fn main() {
             gate,
             any_regression,
             abt_kernel,
+            i8_tile,
             quantized_memory_density,
             serve_load_shed,
             scatter_gather,

@@ -35,16 +35,18 @@
 //!   `Once`, `Times`) are never suppressed: a test arming `Always` wants the
 //!   durable fault (and the quarantine path behind it).
 //!
-//! The registry is process-global. Tests that arm failpoints which other tests must
-//! not observe (e.g. snapshot crash points) should serialize on a shared mutex and
-//! [`disarm`] in a drop guard.
+//! The registry is process-global and `cargo test` runs a binary's tests on parallel
+//! threads, so tests share it through two scopes: a test that arms failpoints holds
+//! [`arm_scope`] (exclusive; everything is disarmed when it drops), and a test whose
+//! code path crosses a failpoint another test of the same binary arms holds
+//! [`quiet_scope`] (shared) — it then never runs while one of them is armed.
 
 #![deny(missing_docs)]
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How an armed failpoint decides whether a given evaluation fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,6 +198,48 @@ pub fn disarm_all() {
     });
 }
 
+/// What the test scopes lock. A test that panics poisons nothing worth keeping — the
+/// lock guards no data — so poison is ignored.
+static SCOPE: RwLock<()> = RwLock::new(());
+
+/// Exclusive hold on the registry for a test that arms failpoints — see [`arm_scope`].
+#[must_use = "the scope ends, and disarms, when this is dropped"]
+pub struct ArmScope {
+    _held: RwLockWriteGuard<'static, ()>,
+}
+
+impl Drop for ArmScope {
+    fn drop(&mut self) {
+        // Runs before `_held` is released: nobody observes the leftovers.
+        disarm_all();
+    }
+}
+
+/// Shared hold on the registry for a test that must not observe failpoints armed by
+/// other tests — see [`quiet_scope`].
+#[must_use = "the scope ends when this is dropped"]
+pub struct QuietScope {
+    _held: RwLockReadGuard<'static, ()>,
+}
+
+/// Enters the scope of a test that arms failpoints: waits until no other
+/// [`ArmScope`] or [`QuietScope`] is held in this process, and calls [`disarm_all`]
+/// when dropped (still holding the scope), pass or panic.
+pub fn arm_scope() -> ArmScope {
+    ArmScope {
+        _held: SCOPE.write().unwrap_or_else(|e| e.into_inner()),
+    }
+}
+
+/// Enters the scope of a test that runs code with planted failpoints and expects none
+/// of them to fire: any number of these overlap, none overlaps an [`ArmScope`].
+/// Failpoints armed from `SUDOWOODO_FAILPOINTS` still fire — that is the chaos run.
+pub fn quiet_scope() -> QuietScope {
+    QuietScope {
+        _held: SCOPE.read().unwrap_or_else(|e| e.into_inner()),
+    }
+}
+
 /// Names of the currently armed failpoints (diagnostics / test assertions).
 pub fn armed() -> Vec<String> {
     arm_from_env_once();
@@ -330,26 +374,10 @@ fn xorshift(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// The registry is process-global and `cargo test` is multithreaded; every test
-    /// here serializes on this lock and disarms on drop.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    struct DisarmGuard;
-    impl Drop for DisarmGuard {
-        fn drop(&mut self) {
-            disarm_all();
-        }
-    }
 
     #[test]
     fn disarmed_failpoints_never_fire() {
-        let _s = serial();
-        let _g = DisarmGuard;
+        let _scope = arm_scope();
         assert!(!fires("test.never.armed"));
         arm("test.other", Policy::Always);
         assert!(!fires("test.never.armed"), "arming one point must not leak");
@@ -357,8 +385,7 @@ mod tests {
 
     #[test]
     fn counting_policies_are_exact() {
-        let _s = serial();
-        let _g = DisarmGuard;
+        let _scope = arm_scope();
         arm("test.once", Policy::Once);
         assert!(fires("test.once"));
         assert!(!fires("test.once"));
@@ -373,8 +400,7 @@ mod tests {
 
     #[test]
     fn rearming_resets_and_off_disarms() {
-        let _s = serial();
-        let _g = DisarmGuard;
+        let _scope = arm_scope();
         arm("test.reset", Policy::Once);
         assert!(fires("test.reset"));
         arm("test.reset", Policy::Once);
@@ -386,8 +412,7 @@ mod tests {
 
     #[test]
     fn probabilistic_policies_are_deterministic_and_suppress_retries() {
-        let _s = serial();
-        let _g = DisarmGuard;
+        let _scope = arm_scope();
         let run = || {
             arm(
                 "test.prob",
@@ -419,8 +444,7 @@ mod tests {
 
     #[test]
     fn spec_parsing_arms_and_skips_garbage() {
-        let _s = serial();
-        let _g = DisarmGuard;
+        let _scope = arm_scope();
         arm_from_spec("test.a=always; test.b = times:2 ;garbage;test.c=1in4;test.d=prob:1/5:9;;");
         // Filter to this test's namespace: a chaos CI run arms extra env-driven
         // failpoints that legitimately show up in `armed()` alongside ours.
@@ -433,5 +457,27 @@ mod tests {
         assert_eq!((0..5).filter(|_| fires("test.b")).count(), 2);
         arm_from_spec("test.a=off");
         assert!(!fires("test.a"));
+    }
+
+    #[test]
+    fn arm_scope_holds_quiet_scopes_back_and_disarms_before_letting_them_in() {
+        let scope = arm_scope();
+        arm("test.scope", Policy::Always);
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let observer = std::thread::spawn(move || {
+            let _quiet = quiet_scope();
+            seen_tx.send(fires("test.scope")).unwrap();
+        });
+        assert!(fires("test.scope"));
+        assert!(
+            seen_rx.try_recv().is_err(),
+            "a quiet scope cannot begin inside an arm scope"
+        );
+        drop(scope);
+        assert!(
+            !seen_rx.recv().unwrap(),
+            "the observer got in only after the scope disarmed"
+        );
+        observer.join().unwrap();
     }
 }

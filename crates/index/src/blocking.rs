@@ -326,6 +326,7 @@ mod tests {
 
     #[test]
     fn budgeted_build_spills_and_still_matches_dense() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus: Vec<Vec<f32>> = (0..41)
             .map(|i| {
                 let a = (i as f32 * 0.23).sin();

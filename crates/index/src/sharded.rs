@@ -62,13 +62,13 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use sudowoodo_nn::matrix::Matrix;
+use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView};
 
 use crate::cache::{fingerprint, QueryCache};
 use crate::knn::{check_row_dim, pack_query_block, padded_rows, Neighbor, TopK};
 use crate::routing::RoutingStats;
 use crate::snapshot;
-use crate::storage::{QuantizedMatrix, QuantizedRow, ShardStorage, SpillDir};
+use crate::storage::{QuantizedBlock, QuantizedMatrix, ShardStorage, SpillDir};
 
 /// Number of query rows per GEMM tile in [`ShardedCosineIndex::knn_join`] — the same tile
 /// height as the dense index so both paths have identical cache behavior per shard.
@@ -325,14 +325,15 @@ impl Shard {
     }
 }
 
-/// Lazily quantized copies of one query tile's normalized rows, computed at most once
-/// per tile and only when a quantized shard is actually scanned — a fully dense index
-/// never pays for query quantization. Shared across the tile's shard visits (including
-/// the rayon-parallel merge groups of the unrouted path) through the `OnceLock`.
+/// One query tile as the shard scans see it: the packed f32 block, its inverse norms,
+/// and the tile's i8 codes — quantized at most once per tile and only when a quantized
+/// shard is actually scanned, so a fully dense index never pays for them. Shared across
+/// the tile's shard visits (including the rayon-parallel merge groups of the unrouted
+/// path) through the `OnceLock`.
 struct QuantQueries<'a> {
     q_block: &'a Matrix,
     inv_norms: &'a [f32],
-    rows: OnceLock<Vec<QuantizedRow>>,
+    codes: OnceLock<QuantizedBlock>,
 }
 
 impl<'a> QuantQueries<'a> {
@@ -340,22 +341,216 @@ impl<'a> QuantQueries<'a> {
         QuantQueries {
             q_block,
             inv_norms,
-            rows: OnceLock::new(),
+            codes: OnceLock::new(),
         }
     }
 
-    /// One [`QuantizedRow`] per tile query, quantizing `q * inv_norm` — the normalized
-    /// vector whose dot against a corpus row is the exact score being approximated.
-    fn get(&self) -> &[QuantizedRow] {
-        self.rows.get_or_init(|| {
-            (0..self.q_block.rows())
-                .map(|r| {
-                    let inv = self.inv_norms[r];
-                    let row: Vec<f32> = self.q_block.row(r).iter().map(|&x| x * inv).collect();
-                    QuantizedRow::from_row(&row)
-                })
-                .collect()
-        })
+    /// The tile's rows quantized as `q * inv_norm` — the normalized vectors whose dots
+    /// against corpus rows are the exact scores being approximated.
+    fn codes(&self) -> &QuantizedBlock {
+        self.codes
+            .get_or_init(|| QuantizedBlock::from_scaled_rows(self.q_block, self.inv_norms))
+    }
+}
+
+/// Shard rows per strip of the quantized first stage: the `256 x strip` i32 tile
+/// (512 KiB) and the strip's packed codes stay in L2 while every query sweeps its row.
+/// Measured on the benchmark host, 256 x 4096 x 64 on the VNNI arm: 256 and 512 rows
+/// 0.29 ms, 1024 0.32, 2048 0.45.
+const QUANT_STRIP_ROWS: usize = 512;
+
+/// Kept rows below which a [`QuantLane`] does not re-select. Re-selecting is linear in
+/// the kept rows and doubles its own trigger, so this only bounds how often it runs
+/// while few rows are kept; the join's throughput is flat from 48 to 512 on the
+/// benchmark host.
+const QUANT_MIN_KEPT: usize = 128;
+
+/// One query's streaming candidate filter over one quantized shard visit.
+///
+/// The candidate rule needs `a_ref`, the `k_wide`-th best approximate score of the
+/// whole shard, which is only known after the last strip. The lane therefore keeps every
+/// live row whose approximate score reaches a *running* threshold computed from the
+/// rows seen so far; the `k_wide`-th best of a prefix can only rise as more rows arrive,
+/// so the running threshold never exceeds the final one and no survivor is lost. `kept`
+/// always holds exactly the seen live rows at or above the running threshold — an upper
+/// set of the approximate scores, so whenever it holds `k_wide` rows its `k_wide`-th
+/// best *is* the `k_wide`-th best of everything seen, ties included.
+#[derive(Debug, Default)]
+struct QuantLane {
+    /// The query's reconstruction scale.
+    scale: f64,
+    /// The admissible error band of this (query, shard) pair.
+    eps: f64,
+    /// `worst − eps` of the query's selector when the visit began, else `−∞`.
+    floor: f64,
+    /// Running threshold: `max(floor, a_ref − 2·eps)` over the rows seen so far.
+    threshold: f64,
+    /// `(approximate score, shard row)` of every seen live row at or above `threshold`.
+    kept: Vec<(f64, usize)>,
+    /// `kept.len()` at which the next [`QuantLane::tighten`] runs.
+    tighten_at: usize,
+}
+
+impl QuantLane {
+    /// The candidate threshold given the `k_wide`-th best approximate score `a_ref`.
+    fn threshold_for(&self, a_ref: f64) -> f64 {
+        self.floor.max(a_ref - 2.0 * self.eps)
+    }
+
+    fn begin(&mut self, scale: f32, eps: f64, worst: Option<f32>) {
+        self.scale = scale as f64;
+        self.eps = eps;
+        self.floor = worst.map_or(f64::NEG_INFINITY, |w| w as f64 - eps);
+        self.threshold = self.threshold_for(f64::NEG_INFINITY);
+        self.kept.clear();
+        self.tighten_at = QUANT_MIN_KEPT;
+    }
+
+    /// Offers shard rows `base..base + dots.len()`: `dots[j]` is the integer dot of the
+    /// query's codes with row `base + j`'s, `row_scales[j]` that row's scale. A row's
+    /// approximate score is `scale · row_scale · dot` in f64, as the rule specifies;
+    /// the kernel layer's vectorised scan lists the rows that reach the running
+    /// threshold into `hits`, and only those are looked at one by one (tombstones
+    /// drop out there).
+    fn sweep(
+        &mut self,
+        dots: &[i32],
+        row_scales: &[f64],
+        deleted: &[bool],
+        base: usize,
+        k_wide: Option<usize>,
+        hits: &mut Vec<usize>,
+    ) {
+        // While nothing filters yet every row is a hit: take the strip in pieces so
+        // `kept` is re-selected before it holds a strip's worth of rows per query.
+        let piece = if self.threshold == f64::NEG_INFINITY {
+            QUANT_MIN_KEPT
+        } else {
+            dots.len()
+        };
+        for start in (0..dots.len()).step_by(piece.max(1)) {
+            let end = dots.len().min(start + piece);
+            hits.clear();
+            I8Tile::scaled_at_least(
+                &dots[start..end],
+                &row_scales[start..end],
+                self.scale,
+                self.threshold,
+                hits,
+            );
+            for j in hits
+                .iter()
+                .map(|&j| start + j)
+                .filter(|&j| !deleted[base + j])
+            {
+                let approx = self.scale * row_scales[j] * dots[j] as f64;
+                self.kept.push((approx, base + j));
+            }
+            if self.kept.len() >= self.tighten_at {
+                self.tighten(k_wide);
+            }
+        }
+    }
+
+    /// Raises the threshold to what the rows seen so far justify and drops the kept
+    /// rows below it. `k_wide` is `None` when the shard has no surplus to select from
+    /// (`a_ref = −∞`). Called after the last strip, this leaves exactly the survivors.
+    fn tighten(&mut self, k_wide: Option<usize>) {
+        let a_ref = match k_wide {
+            Some(k_wide) if self.kept.len() >= k_wide => {
+                let (_, nth, _) = self.kept.select_nth_unstable_by(k_wide - 1, |a, b| {
+                    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
+                });
+                nth.0
+            }
+            _ => f64::NEG_INFINITY,
+        };
+        let threshold = self.threshold_for(a_ref);
+        self.threshold = threshold;
+        self.kept.retain(|&(approx, _)| approx >= threshold);
+        self.tighten_at = (2 * self.kept.len()).max(QUANT_MIN_KEPT);
+    }
+}
+
+/// Scratch of the quantized scan owned by one worker for one query tile and reused
+/// across its shard visits, so a visit allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+struct QuantScratch {
+    /// The tile's codes prepared for the i8 kernel, and its `queries x strip` tile.
+    tile: Option<I8Tile>,
+    /// The current strip's row scales, widened once for every query's sweep.
+    row_scales: Vec<f64>,
+    /// One filter per query of the tile.
+    lanes: Vec<QuantLane>,
+    /// Strip positions one query's sweep has to look at.
+    hits: Vec<usize>,
+    /// Per shard row: some query kept it.
+    candidate: Vec<bool>,
+    /// The candidate rows, ascending — the second stage's gather list.
+    rescore: Vec<usize>,
+    /// The candidates' exact rows, zero-padded to the kernel row group.
+    gathered: Vec<f32>,
+    /// The `queries x gathered` tile of exact kernel scores.
+    exact: Vec<f32>,
+}
+
+/// Stage 1 of the quantized scan (the rule is on
+/// [`ShardedCosineIndex::offer_shard_quantized`]): leaves in `scratch.lanes[r].kept`
+/// exactly the live rows of `shard` that query `r` must rescore.
+///
+/// The shard's codes are walked in strips of [`QUANT_STRIP_ROWS`]: one i8 tile product
+/// per strip gives every (query, row) integer dot, and each query's [`QuantLane`]
+/// sweeps its row of the tile. Tombstoned rows are scored with the strip (their codes
+/// sit between live ones) and dropped by the sweep; `k_wide` is `alpha * k`.
+fn quant_survivors(
+    shard: &Shard,
+    quant: &QuantizedMatrix,
+    queries: &QuantizedBlock,
+    selectors: &[TopK],
+    k_wide: usize,
+    scratch: &mut QuantScratch,
+) {
+    let (rows, dim) = (shard.ids.len(), quant.cols());
+    // No surplus to select from: every live row passes the `a_ref` half of the rule.
+    let k_wide = (k_wide > 0 && shard.live > k_wide).then_some(k_wide);
+    scratch
+        .lanes
+        .resize_with(selectors.len(), QuantLane::default);
+    for (r, (lane, selector)) in scratch.lanes.iter_mut().zip(selectors).enumerate() {
+        let eps = RoutingStats::quant_scan_epsilon(
+            queries.norms[r],
+            queries.err_norms[r],
+            quant.max_err_norm(),
+            quant.max_row_norm(),
+            dim,
+        );
+        lane.begin(queries.scales[r], eps, selector.worst_score_when_full());
+    }
+    let tile = scratch
+        .tile
+        .get_or_insert_with(|| I8Tile::new(&queries.codes, dim));
+    for start in (0..rows).step_by(QUANT_STRIP_ROWS) {
+        let strip = QUANT_STRIP_ROWS.min(rows - start);
+        let dots = tile.multiply_transpose_b(&quant.codes()[start * dim..(start + strip) * dim]);
+        scratch.row_scales.clear();
+        scratch.row_scales.extend(
+            quant.scales()[start..start + strip]
+                .iter()
+                .map(|&s| s as f64),
+        );
+        for (lane, dots) in scratch.lanes.iter_mut().zip(dots.chunks_exact(strip)) {
+            lane.sweep(
+                dots,
+                &scratch.row_scales,
+                &shard.deleted,
+                start,
+                k_wide,
+                &mut scratch.hits,
+            );
+        }
+    }
+    for lane in &mut scratch.lanes {
+        lane.tighten(k_wide);
     }
 }
 
@@ -1303,8 +1498,6 @@ impl ShardedCosineIndex {
                     let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
                     self.offer_shards_routed(
                         block,
-                        &q_block,
-                        &inv_norms,
                         &quant_queries,
                         &mut selectors,
                         stamp,
@@ -1321,6 +1514,7 @@ impl ShardedCosineIndex {
                         .map(|(group_idx, group)| {
                             let mut selectors: Vec<TopK> =
                                 (0..block.len()).map(|_| TopK::new(k)).collect();
+                            let mut scratch = QuantScratch::default();
                             for (j, shard) in group.iter().enumerate() {
                                 if shard.live > 0 && !shard.is_quarantined() {
                                     self.counters.visited.fetch_add(1, Ordering::Relaxed);
@@ -1329,10 +1523,9 @@ impl ShardedCosineIndex {
                                     }
                                     if let Err(e) = self.offer_shard(
                                         shard,
-                                        &q_block,
-                                        &inv_norms,
                                         &quant_queries,
                                         &mut selectors,
+                                        &mut scratch,
                                     ) {
                                         self.quarantine(group_idx * group_size + j, e);
                                     }
@@ -1440,16 +1633,9 @@ impl ShardedCosineIndex {
                 if self.routing {
                     // Same best-bound-first pruning scan as the whole-index join,
                     // considering only the subset.
-                    self.offer_shards_routed(
-                        block,
-                        &q_block,
-                        &inv_norms,
-                        &quant_queries,
-                        &mut selectors,
-                        stamp,
-                        &subset,
-                    );
+                    self.offer_shards_routed(block, &quant_queries, &mut selectors, stamp, &subset);
                 } else {
+                    let mut scratch = QuantScratch::default();
                     for &i in &subset {
                         let shard = &self.shards[i];
                         if shard.live > 0 && !shard.is_quarantined() {
@@ -1459,10 +1645,9 @@ impl ShardedCosineIndex {
                             }
                             if let Err(e) = self.offer_shard(
                                 shard,
-                                &q_block,
-                                &inv_norms,
                                 &quant_queries,
                                 &mut selectors,
+                                &mut scratch,
                             ) {
                                 self.quarantine(i, e);
                             }
@@ -1519,34 +1704,30 @@ impl ShardedCosineIndex {
     fn offer_shard(
         &self,
         shard: &Shard,
-        q_block: &Matrix,
-        inv_norms: &[f32],
-        quant_queries: &QuantQueries<'_>,
+        queries: &QuantQueries<'_>,
         selectors: &mut [TopK],
+        scratch: &mut QuantScratch,
     ) -> Result<(), crate::storage::StorageError> {
         if shard.live == 0 {
             return Ok(());
         }
         match shard.storage.quant() {
-            None => shard.offer_into(q_block, inv_norms, selectors),
             Some(Err(e)) => Err(e),
-            Some(Ok(quant)) => self.offer_shard_quantized(
-                shard,
-                quant,
-                q_block,
-                inv_norms,
-                quant_queries,
-                selectors,
-            ),
+            // Rows too wide for the i8 kernel's i32 sums are scored from the exact
+            // tier alone, which quantized storage serves like dense storage does.
+            Some(Ok(quant)) if self.dim <= I8Tile::MAX_K => {
+                self.offer_shard_quantized(shard, quant, queries, selectors, scratch)
+            }
+            _ => shard.offer_into(queries.q_block, queries.inv_norms, selectors),
         }
     }
 
     /// The two-stage quantized scan for one (shard, query tile) visit.
     ///
-    /// **Stage 1** scores every live row against every tile query with an exact i8
-    /// integer dot (`approx = t·s·(c_q·c_r)`, evaluated in f64) and keeps, per query,
-    /// every row whose approximate score reaches the higher of two thresholds, each
-    /// padded by the admissible error band `eps` of
+    /// **Stage 1** ([`quant_survivors`]) scores every live row against every tile
+    /// query with an exact i8 integer dot (`approx = t·s·(c_q·c_r)`, evaluated in f64)
+    /// and keeps, per query, every row whose approximate score reaches the higher of
+    /// two thresholds, each padded by the admissible error band `eps` of
     /// [`RoutingStats::quant_scan_epsilon`]:
     ///
     /// * `worst − eps` — a row further below the query's current `k`-th best exact
@@ -1564,66 +1745,42 @@ impl ShardedCosineIndex {
     /// bit-identical scores), and offers the exact scores to every selector. Offering
     /// the cross-query union is superset-safe: extra exact-scored rows are exactly
     /// what the dense path offers anyway.
-    #[allow(clippy::too_many_arguments)]
     fn offer_shard_quantized(
         &self,
         shard: &Shard,
         quant: &QuantizedMatrix,
-        q_block: &Matrix,
-        inv_norms: &[f32],
-        quant_queries: &QuantQueries<'_>,
+        queries: &QuantQueries<'_>,
         selectors: &mut [TopK],
+        scratch: &mut QuantScratch,
     ) -> Result<(), crate::storage::StorageError> {
         let dim = self.dim;
         let k = selectors.first().map_or(0, TopK::capacity);
         let alpha = self.quantization.unwrap_or_default().alpha.max(1);
-        let k_wide = k.saturating_mul(alpha);
-        let qq = quant_queries.get();
-        let live_rows: Vec<usize> = (0..shard.ids.len())
-            .filter(|&row| !shard.deleted[row])
-            .collect();
-        let mut approx = vec![0.0f64; live_rows.len()];
-        let mut order_scratch = vec![0.0f64; live_rows.len()];
-        let mut candidate = vec![false; live_rows.len()];
-        for (r, selector) in selectors.iter().enumerate() {
-            let q = &qq[r];
-            let eps = RoutingStats::quant_scan_epsilon(
-                q.norm,
-                q.err_norm,
-                quant.max_err_norm(),
-                quant.max_row_norm(),
-                dim,
-            );
-            for (j, &row) in live_rows.iter().enumerate() {
-                let idot = Matrix::dot_i8(&q.codes, quant.code_row(row));
-                approx[j] = q.scale as f64 * quant.scale(row) as f64 * idot as f64;
-            }
-            let a_ref = if k_wide == 0 || live_rows.len() <= k_wide {
-                // No surplus to filter: every live row is a candidate.
-                f64::NEG_INFINITY
-            } else {
-                order_scratch.copy_from_slice(&approx);
-                let (_, nth, _) = order_scratch.select_nth_unstable_by(k_wide - 1, |a, b| {
-                    b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                *nth
-            };
-            let worst = selector
-                .worst_score_when_full()
-                .map_or(f64::NEG_INFINITY, |w| w as f64 - eps);
-            let threshold = worst.max(a_ref - 2.0 * eps);
-            for (j, &a) in approx.iter().enumerate() {
-                if a >= threshold {
-                    candidate[j] = true;
-                }
+        quant_survivors(
+            shard,
+            quant,
+            queries.codes(),
+            selectors,
+            k.saturating_mul(alpha),
+            scratch,
+        );
+        let QuantScratch {
+            lanes,
+            candidate,
+            rescore,
+            gathered,
+            exact,
+            ..
+        } = scratch;
+        candidate.clear();
+        candidate.resize(shard.ids.len(), false);
+        for lane in lanes.iter() {
+            for &(_, row) in &lane.kept {
+                candidate[row] = true;
             }
         }
-        let rescore: Vec<usize> = live_rows
-            .iter()
-            .zip(candidate.iter())
-            .filter(|(_, &c)| c)
-            .map(|(&row, _)| row)
-            .collect();
+        rescore.clear();
+        rescore.extend((0..candidate.len()).filter(|&row| candidate[row]));
         self.counters.quant_scans.fetch_add(1, Ordering::Relaxed);
         self.counters
             .rescored_rows
@@ -1636,16 +1793,29 @@ impl ShardedCosineIndex {
         let payload = shard.storage.query_payload()?;
         let view = payload.view();
         let padded = padded_rows(rescore.len());
-        let mut data = Vec::with_capacity(padded * dim);
-        for &row in &rescore {
-            data.extend_from_slice(view.row(row));
+        gathered.clear();
+        for &row in rescore.iter() {
+            gathered.extend_from_slice(view.row(row));
         }
-        data.resize(padded * dim, 0.0);
-        let gathered = Matrix::from_vec(padded, dim, data);
-        let sims = q_block.matmul_transpose_b_view(&gathered.view());
-        for (r, selector) in selectors.iter_mut().enumerate() {
-            let scores = &sims.row(r)[..rescore.len()];
-            selector.offer_scaled_row(scores, inv_norms[r], |j| shard.ids[rescore[j]], None);
+        gathered.resize(padded * dim, 0.0);
+        // Every element is overwritten by the product; only the length matters.
+        exact.resize(selectors.len() * padded, 0.0);
+        queries
+            .q_block
+            .view()
+            .matmul_transpose_b_into(&MatrixView::new(padded, dim, gathered), exact);
+        for ((r, selector), scores) in selectors
+            .iter_mut()
+            .enumerate()
+            .zip(exact.chunks_exact(padded))
+        {
+            let scores = &scores[..rescore.len()];
+            selector.offer_scaled_row(
+                scores,
+                queries.inv_norms[r],
+                |j| shard.ids[rescore[j]],
+                None,
+            );
         }
         Ok(())
     }
@@ -1656,13 +1826,10 @@ impl ShardedCosineIndex {
     /// query's retained `k`-th best score (minus the float slack) is skipped without
     /// touching its matrix. The whole-index join passes every position; the
     /// scatter-gather subset join passes its subset.
-    #[allow(clippy::too_many_arguments)]
     fn offer_shards_routed(
         &self,
         block: &[Vec<f32>],
-        q_block: &Matrix,
-        inv_norms: &[f32],
-        quant_queries: &QuantQueries<'_>,
+        queries: &QuantQueries<'_>,
         selectors: &mut [TopK],
         stamp: u64,
         candidates: &[usize],
@@ -1676,7 +1843,7 @@ impl ShardedCosineIndex {
             .map(|(i, shard)| {
                 let bounds: Vec<f32> = block
                     .iter()
-                    .zip(inv_norms.iter())
+                    .zip(queries.inv_norms.iter())
                     .map(|(q, &inv)| shard.stats.upper_bound(q, inv))
                     .collect();
                 let best = bounds.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -1691,6 +1858,7 @@ impl ShardedCosineIndex {
                 .then_with(|| a.0.cmp(&b.0))
         });
         let slack = RoutingStats::prune_slack(self.dim);
+        let mut scratch = QuantScratch::default();
         for (i, _, bounds) in order {
             let prunable = selectors.iter().zip(bounds.iter()).all(|(selector, &b)| {
                 match selector.worst_score_when_full() {
@@ -1709,7 +1877,7 @@ impl ShardedCosineIndex {
             if !shard.storage.is_resident() {
                 self.counters.faults.fetch_add(1, Ordering::Relaxed);
             }
-            if let Err(e) = self.offer_shard(shard, q_block, inv_norms, quant_queries, selectors) {
+            if let Err(e) = self.offer_shard(shard, queries, selectors, &mut scratch) {
                 self.quarantine(i, e);
             }
             shard.last_used.store(stamp, Ordering::Relaxed);
@@ -1954,6 +2122,7 @@ mod tests {
 
     #[test]
     fn memory_budget_spills_cold_shards_without_changing_results() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(60, 8, 15);
         let queries = vectors(12, 8, 16);
         let resident = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -1979,6 +2148,7 @@ mod tests {
 
     #[test]
     fn raising_or_removing_the_budget_restores_residency_on_compact() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(40, 8, 27);
         let queries = vectors(6, 8, 28);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2004,6 +2174,7 @@ mod tests {
 
     #[test]
     fn spilled_tail_shard_faults_back_for_ingestion() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let mut index = ShardedCosineIndex::from_vectors(&vectors(5, 4, 18), 4);
         index.set_memory_budget(Some(0));
         index.compact();
@@ -2028,6 +2199,7 @@ mod tests {
 
     #[test]
     fn routing_prunes_far_shards_and_spares_their_disk_reads() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         // Shard 0 carries rows aligned with the query; later shards are orthogonal.
         let mut corpus: Vec<Vec<f32>> = (0..8)
             .map(|i| vec![1.0, 0.001 * i as f32, 0.0, 0.0])
@@ -2073,6 +2245,7 @@ mod tests {
 
     #[test]
     fn clone_of_a_spilled_index_is_resident_and_identical() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(30, 6, 23);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 4);
         index.set_memory_budget(Some(0));
@@ -2096,6 +2269,7 @@ mod tests {
 
     #[test]
     fn unreadable_shard_quarantines_degrades_and_compact_drops_it() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(24, 6, 31);
         let queries = vectors(5, 6, 32);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2165,8 +2339,7 @@ mod tests {
 
     #[test]
     fn transient_read_faults_recover_without_degrading() {
-        let _s = crate::storage::tests::fault_lock();
-        let _g = crate::storage::tests::DisarmGuard;
+        let _faults = sudowoodo_faults::arm_scope();
         let corpus = vectors(24, 6, 33);
         let queries = vectors(5, 6, 34);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2185,8 +2358,7 @@ mod tests {
 
     #[test]
     fn durable_faults_quarantine_everything_and_compact_recovers() {
-        let _s = crate::storage::tests::fault_lock();
-        let _g = crate::storage::tests::DisarmGuard;
+        let _faults = sudowoodo_faults::arm_scope();
         let corpus = vectors(24, 6, 35);
         let queries = vectors(5, 6, 36);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2216,6 +2388,7 @@ mod tests {
     /// tallies. They are per-join now; cache hit/miss tallies stay cumulative.
     #[test]
     fn scan_counters_describe_one_join_cache_counters_accumulate() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(48, 8, 61);
         let queries = vectors(6, 8, 62);
         let mut index = ShardedCosineIndex::from_vectors(&corpus, 8);
@@ -2247,6 +2420,7 @@ mod tests {
 
     #[test]
     fn quantized_join_is_bit_identical_and_counts_its_scans() {
+        let _quiet = sudowoodo_faults::quiet_scope();
         let corpus = vectors(100, 16, 71);
         let queries = vectors(9, 16, 72);
         let dense = ShardedCosineIndex::from_vectors(&corpus, 16);
@@ -2289,5 +2463,249 @@ mod tests {
         assert_eq!(quantized.num_quantized_shards(), 0);
         assert_eq!(quantized.knn_join(&queries, 5), pairs);
         assert_eq!(quantized.routing_report().quant_scans, 0);
+    }
+
+    /// The candidate rule as first written — one `dot_i8` per (query, live row), the
+    /// approximate scores of the whole shard materialised, `a_ref` by `select_nth` on
+    /// a copy — kept as the oracle of [`quant_survivors`]: per query, the live rows
+    /// that must be rescored, ascending.
+    fn quant_survivors_oracle(
+        shard: &Shard,
+        quant: &QuantizedMatrix,
+        queries: &QuantizedBlock,
+        selectors: &[TopK],
+        k_wide: usize,
+    ) -> Vec<Vec<usize>> {
+        let dim = quant.cols();
+        let live_rows: Vec<usize> = (0..shard.ids.len())
+            .filter(|&row| !shard.deleted[row])
+            .collect();
+        let mut approx = vec![0.0f64; live_rows.len()];
+        let mut order_scratch = vec![0.0f64; live_rows.len()];
+        let mut survivors = Vec::with_capacity(selectors.len());
+        for (r, selector) in selectors.iter().enumerate() {
+            let eps = RoutingStats::quant_scan_epsilon(
+                queries.norms[r],
+                queries.err_norms[r],
+                quant.max_err_norm(),
+                quant.max_row_norm(),
+                dim,
+            );
+            for (j, &row) in live_rows.iter().enumerate() {
+                let idot =
+                    Matrix::dot_i8(&queries.codes[r * dim..(r + 1) * dim], quant.code_row(row));
+                approx[j] = queries.scales[r] as f64 * quant.scale(row) as f64 * idot as f64;
+            }
+            let a_ref = if k_wide == 0 || live_rows.len() <= k_wide {
+                // No surplus to filter: every live row is a candidate.
+                f64::NEG_INFINITY
+            } else {
+                order_scratch.copy_from_slice(&approx);
+                let (_, nth, _) = order_scratch.select_nth_unstable_by(k_wide - 1, |a, b| {
+                    b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
+                });
+                *nth
+            };
+            let worst = selector
+                .worst_score_when_full()
+                .map_or(f64::NEG_INFINITY, |w| w as f64 - eps);
+            let threshold = worst.max(a_ref - 2.0 * eps);
+            survivors.push(
+                live_rows
+                    .iter()
+                    .zip(&approx)
+                    .filter(|(_, &a)| a >= threshold)
+                    .map(|(&row, _)| row)
+                    .collect(),
+            );
+        }
+        survivors
+    }
+
+    /// [`quant_survivors`] per query, ascending, for comparison with the oracle.
+    fn quant_survivor_rows(
+        shard: &Shard,
+        queries: &QuantizedBlock,
+        selectors: &[TopK],
+        k_wide: usize,
+        scratch: &mut QuantScratch,
+    ) -> Vec<Vec<usize>> {
+        let quant = shard.storage.quant().unwrap().unwrap();
+        quant_survivors(shard, quant, queries, selectors, k_wide, scratch);
+        scratch.lanes[..selectors.len()]
+            .iter()
+            .map(|lane| {
+                let mut rows: Vec<usize> = lane.kept.iter().map(|&(_, row)| row).collect();
+                rows.sort_unstable();
+                rows
+            })
+            .collect()
+    }
+
+    /// A one-shard quantized index over `rows` vectors drawn from `distinct` distinct
+    /// ones (so approximate scores tie exactly, at `a_ref` included), the packed codes
+    /// of `n_queries` queries, and selectors in every fill state: empty, part-full,
+    /// full with a worst score nothing in the shard reaches, full with one everything
+    /// reaches, and full at the exact score of a corpus row.
+    fn quant_fixture(
+        rows: usize,
+        distinct: usize,
+        dim: usize,
+        k: usize,
+    ) -> (ShardedCosineIndex, Vec<Vec<f32>>, QuantizedBlock, Vec<TopK>) {
+        let base = vectors(distinct, dim, 91);
+        let corpus: Vec<Vec<f32>> = (0..rows)
+            .map(|i| base[(i * 7 + i / 5) % distinct].clone())
+            .collect();
+        let mut index = ShardedCosineIndex::from_vectors(&corpus, rows);
+        index.set_quantization(Some(QuantSpec::default()));
+        index.compact();
+        assert_eq!((index.num_shards(), index.num_quantized_shards()), (1, 1));
+        let queries = vectors(5, dim, 92);
+        let (q_block, inv_norms) = pack_query_block("quant_fixture", 0, &queries, dim);
+        let codes = QuantizedBlock::from_scaled_rows(&q_block, &inv_norms);
+        let mut selectors: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
+        let exact = CosineIndex::build(corpus.clone()).top_k(&queries[4], 3)[2].score;
+        for i in 0..k {
+            if i < k / 2 {
+                selectors[1].offer(usize::MAX - i, 0.5);
+            }
+            selectors[2].offer(usize::MAX - i, 2.0);
+            selectors[3].offer(usize::MAX - i, -2.0);
+            selectors[4].offer(usize::MAX - i, exact);
+        }
+        (index, corpus, codes, selectors)
+    }
+
+    #[test]
+    fn lane_keeps_rows_tied_with_either_threshold() {
+        // Unit scales and integer dots make the approximate scores small integers, and
+        // `eps = 0.5` is exact: both `a_ref − 2·eps` and `worst − eps` land exactly on
+        // other rows' scores, so `>=` against `>` decides rows in every case below.
+        let dots: Vec<i32> = (0..700).map(|i| (i * 37) % 23 - 4).collect();
+        let row_scales = vec![1.0f64; dots.len()];
+        let deleted: Vec<bool> = (0..dots.len()).map(|i| i % 11 == 3).collect();
+        let live: Vec<(f64, usize)> = (0..dots.len())
+            .filter(|&row| !deleted[row])
+            .map(|row| (dots[row] as f64, row))
+            .collect();
+        let mut descending: Vec<f64> = live.iter().map(|&(approx, _)| approx).collect();
+        descending.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let cases: [(Option<usize>, Option<f32>); 6] = [
+            (Some(5), None),
+            (Some(40), None),
+            (Some(5), Some(15.5)),
+            (Some(200), Some(-3.5)),
+            (None, Some(10.5)),
+            (None, None),
+        ];
+        for (k_wide, worst) in cases {
+            let mut lane = QuantLane::default();
+            let mut hits = Vec::new();
+            lane.begin(1.0, 0.5, worst);
+            for (strip, chunk) in dots.chunks(150).enumerate() {
+                let scales = &row_scales[..chunk.len()];
+                lane.sweep(chunk, scales, &deleted, strip * 150, k_wide, &mut hits);
+            }
+            lane.tighten(k_wide);
+            let a_ref = k_wide.map_or(f64::NEG_INFINITY, |k_wide| descending[k_wide - 1]);
+            let floor = worst.map_or(f64::NEG_INFINITY, |w| w as f64 - 0.5);
+            let threshold = floor.max(a_ref - 1.0);
+            let expected: Vec<usize> = live
+                .iter()
+                .filter(|&&(approx, _)| approx >= threshold)
+                .map(|&(_, row)| row)
+                .collect();
+            assert!(
+                threshold == f64::NEG_INFINITY || live.iter().any(|&(a, _)| a == threshold),
+                "the case must put rows exactly on the threshold"
+            );
+            let mut got: Vec<usize> = lane.kept.iter().map(|&(_, row)| row).collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "k_wide {k_wide:?}, worst {worst:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_candidate_filter_keeps_exactly_what_the_select_nth_rule_keeps() {
+        // More rows than two strips, few distinct vectors: every approximate score is
+        // shared by dozens of rows, so `a_ref` always sits on a tie.
+        let (rows, k) = (2 * QUANT_STRIP_ROWS + 77, 6);
+        let (index, _, codes, selectors) = quant_fixture(rows, 40, 12, k);
+        let shard = &index.shards[0];
+        let quant = shard.storage.quant().unwrap().unwrap();
+        let mut scratch = QuantScratch::default();
+        // alpha 1, 2 (the default) and 50, then `k_wide` beyond the live rows.
+        for k_wide in [k, 2 * k, 50 * k, rows, rows + 1, usize::MAX] {
+            let expected = quant_survivors_oracle(shard, quant, &codes, &selectors, k_wide);
+            let got = quant_survivor_rows(shard, &codes, &selectors, k_wide, &mut scratch);
+            assert_eq!(got, expected, "k_wide = {k_wide}");
+            if k_wide >= rows {
+                assert_eq!(
+                    got[0].len(),
+                    rows,
+                    "no surplus: an empty selector keeps every row"
+                );
+            }
+            assert!(got[2].is_empty(), "nothing reaches a worst score of 2");
+            assert!(
+                !got[4].is_empty(),
+                "rows at the retained exact score stay candidates"
+            );
+        }
+    }
+
+    #[test]
+    fn quantized_scan_skips_tombstones_across_a_strip_boundary() {
+        let (rows, k) = (QUANT_STRIP_ROWS + 40, 4);
+        let (mut index, corpus, codes, selectors) = quant_fixture(rows, 300, 8, k);
+        // Tombstones on both sides of the first strip's last row, the strip's first
+        // and the shard's last row among them.
+        let mut removed: Vec<usize> = (QUANT_STRIP_ROWS - 9..QUANT_STRIP_ROWS + 9).collect();
+        removed.extend([0, 17, rows - 1]);
+        for &id in &removed {
+            index.remove(id).unwrap();
+        }
+        let mut scratch = QuantScratch::default();
+        let compare = |index: &ShardedCosineIndex, scratch: &mut QuantScratch, k_wide: usize| {
+            let shard = &index.shards[0];
+            let quant = shard.storage.quant().unwrap().unwrap();
+            let expected = quant_survivors_oracle(shard, quant, &codes, &selectors, k_wide);
+            let got = quant_survivor_rows(shard, &codes, &selectors, k_wide, scratch);
+            assert_eq!(got, expected, "k_wide = {k_wide}, {} live", shard.live);
+            assert!(got.iter().flatten().all(|&row| !shard.deleted[row]));
+            got
+        };
+        for k_wide in [k, 2 * k, 50 * k] {
+            compare(&index, &mut scratch, k_wide);
+        }
+        // The whole join agrees with a dense index over the surviving rows.
+        let survivors: Vec<usize> = (0..rows).filter(|id| !removed.contains(id)).collect();
+        let queries = vectors(5, 8, 92);
+        let dense = CosineIndex::build(survivors.iter().map(|&id| corpus[id].clone()).collect());
+        let expected: Vec<(usize, usize, u32)> = dense
+            .knn_join(&queries, k)
+            .into_iter()
+            .map(|(q, row, score)| (q, survivors[row], score.to_bits()))
+            .collect();
+        let got: Vec<(usize, usize, u32)> = index
+            .knn_join(&queries, k)
+            .into_iter()
+            .map(|(q, id, score)| (q, id, score.to_bits()))
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(index.routing_report().quant_scans, 1);
+
+        // Few enough live rows that `a_ref = −∞`: with an empty selector every live
+        // row is a candidate, tombstones still are not.
+        for id in (0..rows).filter(|id| !removed.contains(id)).skip(2 * k) {
+            index.remove(id).unwrap();
+        }
+        assert_eq!(index.len(), 2 * k);
+        let got = compare(&index, &mut scratch, 2 * k);
+        let live: Vec<usize> = (0..rows)
+            .filter(|&row| !index.shards[0].deleted[row])
+            .collect();
+        assert_eq!(got[0], live);
     }
 }

@@ -981,6 +981,46 @@ impl QuantizedRow {
     }
 }
 
+/// A query tile quantized row by row exactly as [`QuantizedRow::from_row`] would, but
+/// packed for the tile kernel: one contiguous `rows x cols` code matrix and one vector
+/// per measured quantity instead of a heap row per query.
+#[derive(Clone, Debug)]
+pub(crate) struct QuantizedBlock {
+    /// i8 codes, row-major.
+    pub(crate) codes: Vec<i8>,
+    /// Reconstruction scale per row.
+    pub(crate) scales: Vec<f32>,
+    /// Measured `‖row − scale·codes‖₂` per row, rounded up.
+    pub(crate) err_norms: Vec<f32>,
+    /// Measured `‖row‖₂` per row, rounded up.
+    pub(crate) norms: Vec<f32>,
+}
+
+impl QuantizedBlock {
+    /// Quantizes `block.row(r) * inv_norms[r]` for every row — the unit query vectors
+    /// whose dots against corpus rows are the exact scores being approximated.
+    pub(crate) fn from_scaled_rows(block: &Matrix, inv_norms: &[f32]) -> QuantizedBlock {
+        let (rows, cols) = (block.rows(), block.cols());
+        let mut quantized = QuantizedBlock {
+            codes: vec![0i8; rows * cols],
+            scales: Vec::with_capacity(rows),
+            err_norms: Vec::with_capacity(rows),
+            norms: Vec::with_capacity(rows),
+        };
+        let mut unit = vec![0f32; cols];
+        for (r, codes) in quantized.codes.chunks_exact_mut(cols).enumerate() {
+            for (u, &x) in unit.iter_mut().zip(block.row(r)) {
+                *u = x * inv_norms[r];
+            }
+            let (scale, err_sq, norm_sq) = quantize_row_into(&unit, codes);
+            quantized.scales.push(scale);
+            quantized.err_norms.push(round_up_to_f32(err_sq.sqrt()));
+            quantized.norms.push(round_up_to_f32(norm_sq.sqrt()));
+        }
+        quantized
+    }
+}
+
 /// Serializes a quantized shard (both tiers) into the `SWSHARDQ1` format at `path` —
 /// see the module docs for the layout. Streams the f32 payload in bounded chunks like
 /// [`write_matrix_file`] and appends the CRC-32 trailer.
@@ -1766,23 +1806,8 @@ impl ShardStorage {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Failpoints are process-global; tests arming them serialize here and disarm on
-    /// drop so parallel test threads never observe each other's faults.
-    pub(crate) fn fault_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) struct DisarmGuard;
-    impl Drop for DisarmGuard {
-        fn drop(&mut self) {
-            faults::disarm_all();
-        }
-    }
 
     fn fixture_matrix() -> Matrix {
         // Values chosen to catch any lossy serialization: negatives, -0.0, subnormals,
@@ -1805,6 +1830,7 @@ pub(crate) mod tests {
 
     #[test]
     fn spill_round_trip_is_byte_identical() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
@@ -1824,6 +1850,7 @@ pub(crate) mod tests {
 
     #[test]
     fn storage_transitions_preserve_the_matrix_and_account_bytes() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let bytes = matrix.data().len() * 4;
@@ -1854,6 +1881,7 @@ pub(crate) mod tests {
 
     #[test]
     fn files_and_directory_are_cleaned_up_on_drop() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let dir_path = dir.path().to_path_buf();
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
@@ -1874,6 +1902,7 @@ pub(crate) mod tests {
 
     #[test]
     fn open_is_non_owning_and_validates_length() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let owned = SpilledShard::write(&dir, &matrix).expect("spill");
@@ -1909,6 +1938,7 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupted_magic_is_rejected() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         let mut bytes = fs::read(&spilled.path).unwrap();
@@ -1921,6 +1951,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_flipped_payload_bit_fails_the_crc() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         let mut bytes = fs::read(&spilled.path).unwrap();
@@ -1943,6 +1974,7 @@ pub(crate) mod tests {
 
     #[test]
     fn vanished_spill_file_is_a_typed_io_error_with_the_path() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
         fs::remove_file(&spilled.path).unwrap();
@@ -1955,8 +1987,7 @@ pub(crate) mod tests {
 
     #[test]
     fn injected_read_faults_fail_then_recover_within_the_retry_budget() {
-        let _s = fault_lock();
-        let _g = DisarmGuard;
+        let _faults = faults::arm_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
         let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
@@ -1976,6 +2007,7 @@ pub(crate) mod tests {
 
     #[test]
     fn quantized_spill_round_trip_is_byte_identical_on_both_tiers() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let quant = QuantizedMatrix::quantize(&exact);
@@ -2023,7 +2055,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn quantized_block_packs_exactly_what_from_row_measures() {
+        let block = fixture_matrix();
+        let inv_norms: Vec<f32> = (0..block.rows())
+            .map(|r| [0.5, 1.0, 0.0, 3.0e-8][r % 4])
+            .collect();
+        let packed = QuantizedBlock::from_scaled_rows(&block, &inv_norms);
+        for (r, &inv) in inv_norms.iter().enumerate() {
+            let unit: Vec<f32> = block.row(r).iter().map(|&x| x * inv).collect();
+            let row = QuantizedRow::from_row(&unit);
+            let cols = block.cols();
+            assert_eq!(&packed.codes[r * cols..(r + 1) * cols], &row.codes[..]);
+            assert_eq!(
+                [packed.scales[r], packed.err_norms[r], packed.norms[r]].map(f32::to_bits),
+                [row.scale, row.err_norm, row.norm].map(f32::to_bits),
+                "row {r}"
+            );
+        }
+    }
+
+    #[test]
     fn quantized_storage_transitions_account_both_tiers() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let bytes = exact.data().len() * 4;
@@ -2069,6 +2122,7 @@ pub(crate) mod tests {
 
     #[test]
     fn corrupt_quantized_payloads_fail_typed_like_dense_ones() {
+        let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let exact = fixture_matrix();
         let quant = QuantizedMatrix::quantize(&exact);
@@ -2098,8 +2152,7 @@ pub(crate) mod tests {
 
     #[test]
     fn injected_write_faults_keep_the_shard_resident() {
-        let _s = fault_lock();
-        let _g = DisarmGuard;
+        let _faults = faults::arm_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let mut storage = ShardStorage::Resident(fixture_matrix());
         faults::arm("spill.write.io_err", faults::Policy::Once);

@@ -5,28 +5,12 @@
 //! shape — torn manifest, republished base, geometry drift — must reject with a
 //! typed error instead of serving a stitched-together corpus.
 //!
-//! Failpoints are process-global; the tests that arm them serialize on one mutex
-//! and disarm on exit via a guard (same discipline as `crash_consistency.rs`).
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! Failpoints are process-global: the test that arms one holds `faults::arm_scope`,
+//! and every other test that publishes a delta holds `faults::quiet_scope`, so none
+//! of them can spend (or be failed by) the armed crash point.
 
 use sudowoodo_faults as faults;
 use sudowoodo_index::{BlockingIndex, ShardedCosineIndex, DELTA_MANIFEST_FILE};
-
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-struct DisarmGuard;
-
-impl Drop for DisarmGuard {
-    fn drop(&mut self) {
-        faults::disarm_all();
-    }
-}
 
 fn vectors(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -77,6 +61,7 @@ fn assert_bit_identical(
 /// rewrites **zero** payloads, an append-only delta rewrites only the tail.
 #[test]
 fn a_delta_chain_of_adds_removes_and_compact_loads_like_a_full_snapshot() {
+    let _quiet = faults::quiet_scope();
     let dims = 8;
     let base_dir = delta_dir("chain-base");
     let adds_dir = delta_dir("chain-adds");
@@ -166,8 +151,7 @@ fn a_delta_chain_of_adds_removes_and_compact_loads_like_a_full_snapshot() {
 /// CRC diagnostic — it can never pass for a whole epoch.
 #[test]
 fn a_torn_delta_manifest_is_rejected_typed() {
-    let _serial = fault_lock();
-    let _disarm = DisarmGuard;
+    let _faults = faults::arm_scope();
     let base_dir = delta_dir("torn-base");
     let head_dir = delta_dir("torn-head");
     let _cleanup = DirCleanup(vec![base_dir.clone(), head_dir.clone()]);
@@ -197,6 +181,7 @@ fn a_torn_delta_manifest_is_rejected_typed() {
 /// says so instead of pairing the delta's shard table with foreign payloads.
 #[test]
 fn a_republished_base_invalidates_the_chain_with_a_typed_error() {
+    let _quiet = faults::quiet_scope();
     let base_dir = delta_dir("repub-base");
     let head_dir = delta_dir("repub-head");
     let _cleanup = DirCleanup(vec![base_dir.clone(), head_dir.clone()]);
@@ -228,6 +213,7 @@ fn a_republished_base_invalidates_the_chain_with_a_typed_error() {
 /// all `InvalidInput` — caught before any byte is written.
 #[test]
 fn delta_publish_misuse_is_rejected_before_writing() {
+    let _quiet = faults::quiet_scope();
     let base_dir = delta_dir("misuse-base");
     let full_dir = delta_dir("misuse-full");
     let _cleanup = DirCleanup(vec![base_dir.clone(), full_dir.clone()]);
@@ -269,6 +255,7 @@ fn delta_publish_misuse_is_rejected_before_writing() {
 /// (`save_snapshot` over a former delta dir must not leave a stale chain).
 #[test]
 fn full_saves_clean_up_stale_delta_manifests() {
+    let _quiet = faults::quiet_scope();
     let base_dir = delta_dir("stale-base");
     let head_dir = delta_dir("stale-head");
     let _cleanup = DirCleanup(vec![base_dir.clone(), head_dir.clone()]);

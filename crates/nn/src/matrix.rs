@@ -25,6 +25,16 @@
 //!   tiles, strips, thread bands and every CPU with AVX2+FMA (the scalar fallback rounds
 //!   each product separately);
 //!   [`MatrixView::matmul_transpose_b_into`] is the same kernel into a reused buffer;
+//! * [`I8Tile`] — the integer sibling of `matmul_transpose_b`: i8 codes times i8
+//!   codesᵀ into a reused `i32` tile, the first stage of the quantized index scan. The
+//!   right operand is packed into 64-row panels so a vector holds one lane group of
+//!   sixteen rows and a broadcast group of the left operand feeds sixteen outputs — 6×64
+//!   register tiles of AVX-512 VNNI `vpdpbusd` (AVX-512BW / AVX2 `madd_epi16`, scalar),
+//!   no horizontal reduction. Integer sums do not round, so every arm equals
+//!   [`Matrix::dot_i8`] per output with no accumulation order to preserve. Measured on
+//!   the benchmark host at 256 x 4096 x 64 on one core: 415–475 Gop/s, 17–22× one
+//!   `dot_i8` per pair, 4–5× the pairs per second of the f32 kernel above.
+//!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row;
 //! * [`Matrix::matmul_transpose_a`] — fused `A^T * B` for the backward pass of `matmul`;
 //! * [`Matrix::scale_mut`] / [`Matrix::add_scaled`] / [`Matrix::add_hadamard`] — in-place
 //!   accumulation primitives used by the tape's gradient accumulation so the backward
@@ -954,6 +964,361 @@ pub(crate) mod kernels {
         let sum1 = _mm_add_epi32(sum2, _mm_shuffle_epi32(sum2, 0b01));
         _mm_cvtsi128_si32(sum1) as i64
     }
+
+    /// Longest contraction the i8 tile kernel accepts ([`super::I8Tile::MAX_K`]). A
+    /// product of two i8 codes is at most `(-128)² = 2¹⁴`, so `k ≤ 2¹⁷ − 1` keeps every
+    /// true sum inside `i32`; the vector arms accumulate with wrapping 32-bit adds,
+    /// which are exact modulo `2³²`, so no intermediate (the `+128` bias of the VNNI
+    /// arm included) can perturb a result whose true value fits. Where `dot_i8` flushes
+    /// its lanes into an `i64` every [`I8_CHUNK`] elements, the tile has nothing to
+    /// flush.
+    pub const I8_TILE_MAX_K: usize = (1 << 17) - 1;
+
+    /// `true` when the AVX-512 VNNI `vpdpbusd` i8 tile is usable (checked once).
+    #[inline]
+    pub fn use_avx512vnni() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::sync::OnceLock;
+            static AVAILABLE: OnceLock<bool> = OnceLock::new();
+            *AVAILABLE.get_or_init(|| use_avx512bw() && std::is_x86_feature_detected!("avx512vnni"))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// The dispatch arms of the i8 tile kernel ([`super::I8Tile`]), slowest first. Every
+    /// arm sums the same integer products, so all produce identical tiles.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum I8Arm {
+        /// One `i32` sum per output straight off the row-major operands.
+        Scalar,
+        /// 4×16 register tiles of `madd_epi16` over sign-extended code pairs.
+        Avx2,
+        /// 6×64 register tiles of 512-bit `madd_epi16`.
+        Avx512Bw,
+        /// 6×64 register tiles of `vpdpbusd`: four products per lane per instruction
+        /// where `madd` + `add` give two. Measured on the benchmark host at
+        /// 256 x 4096 x 64 in 512-row strips, packing included: 0.29 ms against the
+        /// 0.84 ms of [`I8Arm::Avx512Bw`] (AVX2 1.16, scalar 14.3, one `dot_i8` per
+        /// pair 5.4, the f32 `abt_tile` kernel 1.37).
+        Avx512Vnni,
+    }
+
+    impl I8Arm {
+        /// Every arm this CPU can run; the last one is what [`super::I8Tile::new`] picks.
+        pub fn supported() -> &'static [I8Arm] {
+            const ALL: [I8Arm; 4] = [
+                I8Arm::Scalar,
+                I8Arm::Avx2,
+                I8Arm::Avx512Bw,
+                I8Arm::Avx512Vnni,
+            ];
+            let bw = use_avx2_fma() && use_avx512bw();
+            &ALL[..1
+                + usize::from(use_avx2_fma())
+                + usize::from(bw)
+                + usize::from(bw && use_avx512vnni())]
+        }
+
+        /// Codes of one row that share a 32-bit lane group: two sign-extended to `i16`
+        /// for `madd_epi16`, four bytes for `vpdpbusd`.
+        pub fn group(self) -> usize {
+            match self {
+                I8Arm::Avx512Vnni => 4,
+                _ => 2,
+            }
+        }
+    }
+
+    /// Appends to `hits`, ascending, every `j` whose `scale * scales[j] * dots[j] as f64`
+    /// is `>= threshold` (evaluated left to right in f64, so a NaN on either side never
+    /// matches). The vector arms evaluate the same two IEEE multiplications and the
+    /// same ordered comparison per element, sixteen (AVX-512F) or eight (AVX2) per
+    /// step, so every arm appends the same indices.
+    #[inline]
+    pub fn scaled_ge_indices(
+        dots: &[i32],
+        scales: &[f64],
+        scale: f64,
+        threshold: f64,
+        hits: &mut Vec<usize>,
+    ) {
+        let n = dots.len().min(scales.len());
+        let (dots, scales) = (&dots[..n], &scales[..n]);
+        #[cfg(target_arch = "x86_64")]
+        let scanned = if use_avx512() {
+            // SAFETY: AVX-512F was detected; both slices hold `n` elements.
+            unsafe { scaled_ge_indices_avx512(dots, scales, scale, threshold, hits) }
+        } else if use_avx2_fma() {
+            // SAFETY: AVX2 was detected; both slices hold `n` elements.
+            unsafe { scaled_ge_indices_avx2(dots, scales, scale, threshold, hits) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let scanned = 0;
+        scaled_ge_indices_scalar(dots, scales, scale, threshold, scanned, hits);
+    }
+
+    /// The definition of [`scaled_ge_indices`] from element `from` on — the whole scan
+    /// without vector units, the `n % 16` tail with them.
+    pub fn scaled_ge_indices_scalar(
+        dots: &[i32],
+        scales: &[f64],
+        scale: f64,
+        threshold: f64,
+        from: usize,
+        hits: &mut Vec<usize>,
+    ) {
+        for (j, (&dot, &s)) in dots.iter().zip(scales).enumerate().skip(from) {
+            if scale * s * dot as f64 >= threshold {
+                hits.push(j);
+            }
+        }
+    }
+
+    /// Appends the set bits of `mask`, lowest first, as indices from `base`.
+    #[inline(always)]
+    fn push_mask_bits(mut mask: u32, base: usize, hits: &mut Vec<usize>) {
+        while mask != 0 {
+            hits.push(base + mask.trailing_zeros() as usize);
+            mask &= mask - 1;
+        }
+    }
+
+    /// [`scaled_ge_indices`] over the whole 16-element blocks; returns how many
+    /// elements that covered.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `scales` is at least as long as `dots`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn scaled_ge_indices_avx512(
+        dots: &[i32],
+        scales: &[f64],
+        scale: f64,
+        threshold: f64,
+        hits: &mut Vec<usize>,
+    ) -> usize {
+        let (vs, vt) = (_mm512_set1_pd(scale), _mm512_set1_pd(threshold));
+        let mut j = 0;
+        while j + 16 <= dots.len() {
+            let mut mask = 0u32;
+            for half in 0..2 {
+                let at = j + 8 * half;
+                let d = _mm256_loadu_si256(dots.as_ptr().add(at) as *const __m256i);
+                let s = _mm512_loadu_pd(scales.as_ptr().add(at));
+                let approx = _mm512_mul_pd(_mm512_mul_pd(vs, s), _mm512_cvtepi32_pd(d));
+                mask |= (_mm512_cmp_pd_mask::<_CMP_GE_OQ>(approx, vt) as u32) << (8 * half);
+            }
+            push_mask_bits(mask, j, hits);
+            j += 16;
+        }
+        j
+    }
+
+    /// As [`scaled_ge_indices_avx512`] on 8-element blocks.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2; `scales` is at least as long as `dots`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn scaled_ge_indices_avx2(
+        dots: &[i32],
+        scales: &[f64],
+        scale: f64,
+        threshold: f64,
+        hits: &mut Vec<usize>,
+    ) -> usize {
+        let (vs, vt) = (_mm256_set1_pd(scale), _mm256_set1_pd(threshold));
+        let mut j = 0;
+        while j + 8 <= dots.len() {
+            let mut mask = 0u32;
+            for half in 0..2 {
+                let at = j + 4 * half;
+                let d = _mm_loadu_si128(dots.as_ptr().add(at) as *const __m128i);
+                let s = _mm256_loadu_pd(scales.as_ptr().add(at));
+                let approx = _mm256_mul_pd(_mm256_mul_pd(vs, s), _mm256_cvtepi32_pd(d));
+                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(approx, vt);
+                mask |= (_mm256_movemask_pd(ge) as u32) << (4 * half);
+            }
+            push_mask_bits(mask, j, hits);
+            j += 8;
+        }
+        j
+    }
+
+    /// Packs the row-major `n x k` codes `b` into panels of `w` rows: panel `p`, lane
+    /// group `g`, row `l` holds codes `g*G .. g*G+G` of row `p*w + l` at byte
+    /// `((p*kg + g)*w + l)*G` — one vector load per 16 (or 8) rows per group, no
+    /// horizontal reduction afterwards. `flip` is XORed into every code (`0x80` turns a
+    /// signed code into the biased unsigned operand of `vpdpbusd`). Bytes past `n` and
+    /// past `k` keep whatever `out` held: padding rows are never stored, and padding
+    /// codes meet the zero padding of the prepared `A`.
+    pub fn pack_i8_panels<const G: usize>(
+        b: &[i8],
+        n: usize,
+        k: usize,
+        w: usize,
+        flip: u8,
+        out: &mut Vec<i8>,
+    ) {
+        let kg = k.div_ceil(G);
+        out.resize(n.div_ceil(w) * kg * w * G, 0);
+        let flip = [flip as i8; G];
+        for (p, panel) in out.chunks_exact_mut(kg * w * G).enumerate() {
+            let (groups, _) = panel.as_chunks_mut::<G>();
+            for l in 0..w.min(n - p * w) {
+                let row = &b[(p * w + l) * k..][..k];
+                let (full, tail) = row.as_chunks::<G>();
+                for (g, codes) in full.iter().enumerate() {
+                    groups[g * w + l] = std::array::from_fn(|t| codes[t] ^ flip[t]);
+                }
+                for (t, &code) in tail.iter().enumerate() {
+                    groups[full.len() * w + l][t] = code ^ flip[t];
+                }
+            }
+        }
+    }
+
+    /// One `MR x W` register tile of an i8 arm (6×64, AVX2 4×16): `out[r * ldo + c] =
+    /// init[r] + Σ_g a[r][g] ⊙ panel[g][c]`, `⊙` being the arm's lane-group dot product.
+    ///
+    /// # Safety
+    /// The CPU supports the arm's instructions; every `a[r]` is readable for `kg`
+    /// words, `panel` for `kg * W` lane groups, and `out` writable for `W` words at
+    /// each offset `r * ldo`.
+    #[cfg(target_arch = "x86_64")]
+    pub type I8Micro<const MR: usize> = unsafe fn(
+        a: &[*const i32; MR],
+        init: &[i32; MR],
+        panel: *const i8,
+        kg: usize,
+        out: *mut i32,
+        ldo: usize,
+    );
+
+    /// [`I8Micro`] of [`I8Arm::Avx512Vnni`]: `panel` holds biased unsigned code quads.
+    ///
+    /// # Safety
+    /// See [`I8Micro`]; needs AVX-512F, BW and VNNI.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512vnni")]
+    pub unsafe fn i8_micro_vnni(
+        a: &[*const i32; 6],
+        init: &[i32; 6],
+        panel: *const i8,
+        kg: usize,
+        out: *mut i32,
+        ldo: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_si512(); 4]; 6];
+        for (row, &bias) in acc.iter_mut().zip(init) {
+            *row = [_mm512_set1_epi32(bias); 4];
+        }
+        for g in 0..kg {
+            let p = panel.add(g * 256) as *const __m512i;
+            let b = [
+                _mm512_loadu_si512(p),
+                _mm512_loadu_si512(p.add(1)),
+                _mm512_loadu_si512(p.add(2)),
+                _mm512_loadu_si512(p.add(3)),
+            ];
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let quad = _mm512_set1_epi32(*ar.add(g));
+                for (sum, &bc) in row.iter_mut().zip(&b) {
+                    *sum = _mm512_dpbusd_epi32(*sum, bc, quad);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &sum) in row.iter().enumerate() {
+                _mm512_storeu_si512(out.add(r * ldo + c * 16) as *mut __m512i, sum);
+            }
+        }
+    }
+
+    /// [`I8Micro`] of [`I8Arm::Avx512Bw`]: `panel` holds signed code pairs, `a` pairs of
+    /// sign-extended `i16`.
+    ///
+    /// # Safety
+    /// See [`I8Micro`]; needs AVX-512F and BW.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f", enable = "avx512bw")]
+    pub unsafe fn i8_micro_avx512bw(
+        a: &[*const i32; 6],
+        init: &[i32; 6],
+        panel: *const i8,
+        kg: usize,
+        out: *mut i32,
+        ldo: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_si512(); 4]; 6];
+        for (row, &bias) in acc.iter_mut().zip(init) {
+            *row = [_mm512_set1_epi32(bias); 4];
+        }
+        for g in 0..kg {
+            let p = panel.add(g * 128) as *const __m256i;
+            let b = [
+                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p)),
+                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(1))),
+                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(2))),
+                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(3))),
+            ];
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let pair = _mm512_set1_epi32(*ar.add(g));
+                for (sum, &bc) in row.iter_mut().zip(&b) {
+                    *sum = _mm512_add_epi32(*sum, _mm512_madd_epi16(pair, bc));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &sum) in row.iter().enumerate() {
+                _mm512_storeu_si512(out.add(r * ldo + c * 16) as *mut __m512i, sum);
+            }
+        }
+    }
+
+    /// [`I8Micro`] of [`I8Arm::Avx2`]: as [`i8_micro_avx512bw`] on a 4×16 tile.
+    ///
+    /// # Safety
+    /// See [`I8Micro`]; needs AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn i8_micro_avx2(
+        a: &[*const i32; 4],
+        init: &[i32; 4],
+        panel: *const i8,
+        kg: usize,
+        out: *mut i32,
+        ldo: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; 4];
+        for (row, &bias) in acc.iter_mut().zip(init) {
+            *row = [_mm256_set1_epi32(bias); 2];
+        }
+        for g in 0..kg {
+            let p = panel.add(g * 32) as *const __m128i;
+            let b = [
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(p)),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(1))),
+            ];
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let pair = _mm256_set1_epi32(*ar.add(g));
+                for (sum, &bc) in row.iter_mut().zip(&b) {
+                    *sum = _mm256_add_epi32(*sum, _mm256_madd_epi16(pair, bc));
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &sum) in row.iter().enumerate() {
+                _mm256_storeu_si256(out.add(r * ldo + c * 8) as *mut __m256i, sum);
+            }
+        }
+    }
 }
 
 /// A borrowed, row-major `f32` matrix view — the shape of a [`Matrix`] without the
@@ -1102,6 +1467,235 @@ fn abt_band(arm: kernels::AbtArm, a: &[f32], m: usize, b: &MatrixView<'_>, out: 
     }
     for i in tiled..m {
         Matrix::dot_row(&a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
+    }
+}
+
+/// The integer-exact `A * B^T` of i8 code matrices into a reused `i32` tile — the first
+/// stage of the quantized index scan, where `A` is one query tile's codes and `B` walks
+/// a shard's codes strip by strip.
+///
+/// `A` is prepared once for the arm dispatched at runtime (AVX-512 VNNI `vpdpbusd`,
+/// AVX-512BW or AVX2 `madd_epi16`, scalar): its codes are regrouped into the 32-bit
+/// lane groups the arm broadcasts (zero-padded to a whole group), and for `vpdpbusd` —
+/// whose first operand is unsigned — each row's `-128 * Σ a` is kept as the
+/// accumulator's initial value, cancelling the `+128` bias packed into `B`. Each
+/// [`I8Tile::multiply_transpose_b`] packs its `B` into panels of 64 (AVX2: 16) rows,
+/// lane group by lane group, and runs 6×64 (4×16) register tiles that keep sixteen
+/// (eight) rows of `B` per vector, so no output needs a horizontal reduction.
+///
+/// Integer sums have no rounding: every arm returns, for every output, exactly
+/// [`Matrix::dot_i8`] of the two rows (`crates/nn/tests/kernel_props.rs`).
+///
+/// # Examples
+/// ```
+/// use sudowoodo_nn::matrix::I8Tile;
+///
+/// let queries: [i8; 4] = [1, -2, 3, 4]; // 2 x 2
+/// let shard: [i8; 6] = [5, 6, -7, 8, 127, -128]; // 3 x 2
+/// let mut tile = I8Tile::new(&queries, 2);
+/// assert_eq!(tile.multiply_transpose_b(&shard), &[-7, -23, 383, 39, 11, -131]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct I8Tile {
+    arm: kernels::I8Arm,
+    m: usize,
+    k: usize,
+    /// `A` itself (scalar arm) or nothing.
+    a: Vec<i8>,
+    /// `A` regrouped for the vector arms: `k.div_ceil(group)` words per row.
+    a_words: Vec<i32>,
+    /// Initial accumulator value per row of `A`.
+    a_init: Vec<i32>,
+    packed: Vec<i8>,
+    out: Vec<i32>,
+}
+
+impl I8Tile {
+    /// Longest contraction accepted: a product of two codes is at most `(-128)² = 2¹⁴`,
+    /// so `k ≤ 2¹⁷ − 1` keeps every true sum inside `i32`.
+    pub const MAX_K: usize = kernels::I8_TILE_MAX_K;
+
+    /// Prepares the row-major `a.len() / k x k` left operand for the fastest arm this
+    /// CPU supports.
+    ///
+    /// # Panics
+    /// Panics when `k` is zero or above [`I8Tile::MAX_K`], or does not divide `a.len()`.
+    pub fn new(a: &[i8], k: usize) -> I8Tile {
+        let arm = *kernels::I8Arm::supported()
+            .last()
+            .expect("the scalar arm is always supported");
+        I8Tile::with_arm(arm, a, k)
+    }
+
+    /// Test hook: the left operand prepared once per kernel arm this CPU supports, with
+    /// the arm's name (see [`Matrix::matmul_transpose_b_arms`]).
+    #[doc(hidden)]
+    pub fn new_arms(a: &[i8], k: usize) -> Vec<(String, I8Tile)> {
+        kernels::I8Arm::supported()
+            .iter()
+            .map(|&arm| (format!("{arm:?}"), I8Tile::with_arm(arm, a, k)))
+            .collect()
+    }
+
+    fn with_arm(arm: kernels::I8Arm, a: &[i8], k: usize) -> I8Tile {
+        assert!(
+            (1..=Self::MAX_K).contains(&k) && a.len().is_multiple_of(k),
+            "I8Tile: {} codes are not rows of 1..={} codes (k = {k})",
+            a.len(),
+            Self::MAX_K
+        );
+        let m = a.len() / k;
+        let mut tile = I8Tile {
+            arm,
+            m,
+            k,
+            a: Vec::new(),
+            a_words: Vec::new(),
+            a_init: vec![0; m],
+            packed: Vec::new(),
+            out: Vec::new(),
+        };
+        if arm == kernels::I8Arm::Scalar {
+            tile.a = a.to_vec();
+            return tile;
+        }
+        if arm == kernels::I8Arm::Avx512Vnni {
+            for (init, row) in tile.a_init.iter_mut().zip(a.chunks_exact(k)) {
+                *init = -128 * row.iter().map(|&x| x as i32).sum::<i32>();
+            }
+        }
+        // One little-endian word per lane group: four code bytes, or two codes
+        // sign-extended to `i16`; a short last group is zero-padded.
+        let group = arm.group();
+        tile.a_words.reserve(m * k.div_ceil(group));
+        for row in a.chunks_exact(k) {
+            tile.a_words.extend(row.chunks(group).map(|codes| {
+                let mut word = [0u8; 4];
+                for (t, &code) in codes.iter().enumerate() {
+                    let bytes = 4 / group;
+                    word[bytes * t..bytes * (t + 1)]
+                        .copy_from_slice(&(code as i16).to_le_bytes()[..bytes]);
+                }
+                i32::from_le_bytes(word)
+            }));
+        }
+        tile
+    }
+
+    /// Rows of the prepared left operand — the height of every tile.
+    pub fn rows(&self) -> usize {
+        self.m
+    }
+
+    /// `A * b^T` for the row-major `b.len() / k x k` codes `b`: the row-major
+    /// `rows() x n` tile of exact `i32` dot products, valid until the next call (the
+    /// buffer, like the packing scratch, is reused).
+    ///
+    /// # Panics
+    /// Panics when `k` does not divide `b.len()`.
+    pub fn multiply_transpose_b(&mut self, b: &[i8]) -> &[i32] {
+        let (m, k) = (self.m, self.k);
+        assert!(
+            b.len().is_multiple_of(k),
+            "I8Tile: {} codes are not rows of {k}",
+            b.len()
+        );
+        let n = b.len() / k;
+        self.out.resize(m * n, 0);
+        match self.arm {
+            kernels::I8Arm::Scalar => {
+                for (a_row, out_row) in self.a.chunks_exact(k).zip(self.out.chunks_exact_mut(n)) {
+                    for (b_row, out) in b.chunks_exact(k).zip(out_row) {
+                        *out = a_row
+                            .iter()
+                            .zip(b_row)
+                            .map(|(&x, &y)| x as i32 * y as i32)
+                            .sum();
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            kernels::I8Arm::Avx2 => {
+                kernels::pack_i8_panels::<2>(b, n, k, 16, 0, &mut self.packed);
+                self.run_tiles::<4, 16>(n, kernels::i8_micro_avx2);
+            }
+            #[cfg(target_arch = "x86_64")]
+            kernels::I8Arm::Avx512Bw => {
+                kernels::pack_i8_panels::<2>(b, n, k, 64, 0, &mut self.packed);
+                self.run_tiles::<6, 64>(n, kernels::i8_micro_avx512bw);
+            }
+            #[cfg(target_arch = "x86_64")]
+            kernels::I8Arm::Avx512Vnni => {
+                kernels::pack_i8_panels::<4>(b, n, k, 64, 0x80, &mut self.packed);
+                self.run_tiles::<6, 64>(n, kernels::i8_micro_vnni);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only the scalar arm is supported off x86-64"),
+        }
+        &self.out
+    }
+
+    /// Appends to `hits`, ascending, every position `j` of one tile row whose scaled
+    /// value reaches a threshold: `scale * scales[j] * dots[j] as f64 >= threshold`,
+    /// both products and the comparison in f64 in that order (a NaN never reaches
+    /// anything). How a scan over approximate scores skips the rows that cannot
+    /// matter: vectorised, and the same positions on every CPU.
+    ///
+    /// Only the first `min(dots.len(), scales.len())` entries are looked at.
+    pub fn scaled_at_least(
+        dots: &[i32],
+        scales: &[f64],
+        scale: f64,
+        threshold: f64,
+        hits: &mut Vec<usize>,
+    ) {
+        kernels::scaled_ge_indices(dots, scales, scale, threshold, hits);
+    }
+
+    /// Runs `micro` over every `MR x W` register tile of the packed product. A tile
+    /// that overhangs the `m x n` output repeats the last row of `A`, lands in a
+    /// scratch tile, and only its real part is copied out.
+    #[cfg(target_arch = "x86_64")]
+    fn run_tiles<const MR: usize, const W: usize>(
+        &mut self,
+        n: usize,
+        micro: kernels::I8Micro<MR>,
+    ) {
+        let (m, kg) = (self.m, self.k.div_ceil(self.arm.group()));
+        let mut edge = [[0i32; W]; MR];
+        for (p, panel) in self
+            .packed
+            .chunks_exact(kg * W * self.arm.group())
+            .enumerate()
+        {
+            let cols = W.min(n - p * W);
+            for i in (0..m).step_by(MR) {
+                let rows = MR.min(m - i);
+                let row_of = |r: usize| i + r.min(rows - 1);
+                let a: [*const i32; MR] =
+                    std::array::from_fn(|r| self.a_words[row_of(r) * kg..][..kg].as_ptr());
+                let init: [i32; MR] = std::array::from_fn(|r| self.a_init[row_of(r)]);
+                let full = rows == MR && cols == W;
+                let (dst, ldo) = if full {
+                    (
+                        self.out[i * n + p * W..][..(MR - 1) * n + W].as_mut_ptr(),
+                        n,
+                    )
+                } else {
+                    (edge.as_mut_ptr() as *mut i32, W)
+                };
+                // SAFETY: the arm was chosen from `I8Arm::supported`, so its
+                // instructions exist; each `a[r]` is a `kg`-word row of `a_words`,
+                // `panel` is `kg * W` lane groups, and `dst` is either the
+                // `MR x W` window of `out` sliced above (row stride `n`) or `edge`.
+                unsafe { micro(&a, &init, panel.as_ptr(), kg, dst, ldo) };
+                if !full {
+                    for (r, edge_row) in edge.iter().enumerate().take(rows) {
+                        self.out[(i + r) * n + p * W..][..cols].copy_from_slice(&edge_row[..cols]);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -2094,6 +2688,62 @@ mod tests {
         }
         let worst = vec![-128i8; 4096];
         assert_eq!(kernels::dot_i8(&worst, &worst), 4096 * 128 * 128);
+    }
+
+    #[test]
+    fn scaled_ge_arms_agree_with_the_scalar_definition() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let dots: Vec<i32> = (0..70).map(|_| rng.gen_range(-40_000i32..40_000)).collect();
+        let scales: Vec<f64> = (0..70).map(|_| rng.gen_range(0.0f64..0.01)).collect();
+        let scale = 0.003f64;
+        let approx: Vec<f64> = dots
+            .iter()
+            .zip(&scales)
+            .map(|(&d, &s)| scale * s * d as f64)
+            .collect();
+        // Thresholds that tie an entry exactly, that nothing reaches, that everything
+        // reaches, and NaN — from every start so each block and tail position is hit.
+        let mut thresholds = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0];
+        thresholds.extend(approx.iter().copied());
+        for &threshold in &thresholds {
+            for start in 0..dots.len() {
+                let (d, s) = (&dots[start..], &scales[start..]);
+                let expected: Vec<usize> = (0..d.len())
+                    .filter(|&j| approx[start + j] >= threshold)
+                    .collect();
+                let mut hits = vec![usize::MAX]; // appended to, not cleared
+                kernels::scaled_ge_indices(d, s, scale, threshold, &mut hits);
+                assert_eq!(
+                    hits[1..],
+                    expected,
+                    "dispatched from {start} at {threshold}"
+                );
+                hits.clear();
+                kernels::scaled_ge_indices_scalar(d, s, scale, threshold, 0, &mut hits);
+                assert_eq!(hits, expected, "scalar from {start} at {threshold}");
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if kernels::use_avx512() {
+                        hits.clear();
+                        // SAFETY: AVX-512F detected; equal-length slices.
+                        let at = unsafe {
+                            kernels::scaled_ge_indices_avx512(d, s, scale, threshold, &mut hits)
+                        };
+                        kernels::scaled_ge_indices_scalar(d, s, scale, threshold, at, &mut hits);
+                        assert_eq!(hits, expected, "avx512 from {start} at {threshold}");
+                    }
+                    if kernels::use_avx2_fma() {
+                        hits.clear();
+                        // SAFETY: AVX2 detected; equal-length slices.
+                        let at = unsafe {
+                            kernels::scaled_ge_indices_avx2(d, s, scale, threshold, &mut hits)
+                        };
+                        kernels::scaled_ge_indices_scalar(d, s, scale, threshold, at, &mut hits);
+                        assert_eq!(hits, expected, "avx2 from {start} at {threshold}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

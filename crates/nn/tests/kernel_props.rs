@@ -11,11 +11,14 @@
 //! frozen row-at-a-time reference (`Matrix::matmul_transpose_b_reference`) **bit for
 //! bit**, because the dense, sharded and distributed joins are proven identical on
 //! the assumption that a score does not depend on which tile computed it.
+//!
+//! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
+//! every arm returns `Matrix::dot_i8` of the two rows for every output.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sudowoodo_nn::matrix::{Matrix, MatrixView};
+use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView};
 
 /// Absolute tolerance for one output entry of a `k`-term contraction of values bounded
 /// by `amax * bmax`: `1e-5` relative to the worst-case accumulated magnitude.
@@ -192,6 +195,91 @@ fn tiled_transpose_b_matches_the_reference_on_non_finite_and_denormal_rows() {
         b.set(3 * i + 1, k - 1 - i % 5, v);
     }
     assert_arms_match_reference(&a, &b.view(), "non-finite rows");
+}
+
+/// `rows x k` random codes (both extremes included) starting at an odd address inside
+/// a larger buffer — a shard's mmap'd codes section starts wherever its f32 payload
+/// ends. Returns the backing buffer; the codes start at byte 1.
+fn offset_codes(rows: usize, k: usize, rng: &mut StdRng) -> Vec<i8> {
+    let mut buf: Vec<i8> = (0..rows * k + 1)
+        .map(|_| rng.gen_range(-128i8..=127))
+        .collect();
+    for v in buf.iter_mut().step_by(13) {
+        *v = -128;
+    }
+    for v in buf.iter_mut().step_by(17) {
+        *v = 127;
+    }
+    buf
+}
+
+#[test]
+fn i8_tile_equals_dot_i8_on_every_arm() {
+    // Every register-tile remainder in both directions, and contraction lengths on
+    // both sides of the 2- and 4-code lane groups and of a 64-byte row. `n` descends,
+    // so each product after the first packs into a buffer holding stale panels.
+    let mut rng = StdRng::seed_from_u64(16);
+    let (max_m, max_n) = (37usize, 67usize);
+    for &k in &[1usize, 7, 31, 32, 33, 63, 64, 65, 130, 4096] {
+        let a_buf = offset_codes(max_m, k, &mut rng);
+        let b_buf = offset_codes(max_n, k, &mut rng);
+        let (a, b) = (&a_buf[1..], &b_buf[1..]);
+        let reference: Vec<i64> = (0..max_m * max_n)
+            .map(|idx| {
+                let (i, j) = (idx / max_n, idx % max_n);
+                Matrix::dot_i8(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
+            })
+            .collect();
+        // The long contraction visits the tile edges only: the full grid would take
+        // minutes unoptimized and adds no new remainder.
+        let edges = |max: usize, around: &[usize]| -> Vec<usize> {
+            if k <= 130 {
+                (1..=max).rev().collect()
+            } else {
+                around.iter().copied().filter(|&x| x <= max).rev().collect()
+            }
+        };
+        for m in edges(max_m, &[1, 3, 4, 5, 6, 7, 12, 13, 37]) {
+            let mut tiles = I8Tile::new_arms(&a[..m * k], k);
+            tiles.push(("dispatched".to_string(), I8Tile::new(&a[..m * k], k)));
+            for (arm, tile) in &mut tiles {
+                assert_eq!(tile.rows(), m);
+                for n in edges(max_n, &[1, 15, 16, 17, 63, 64, 65, 67]) {
+                    let out = tile.multiply_transpose_b(&b[..n * k]);
+                    assert_eq!(out.len(), m * n, "{m}x{k} * ({n}x{k})^T [{arm}]: shape");
+                    for (idx, &got) in out.iter().enumerate() {
+                        let (i, j) = (idx / n, idx % n);
+                        assert_eq!(
+                            got as i64,
+                            reference[i * max_n + j],
+                            "{m}x{k} * ({n}x{k})^T [{arm}]: entry ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn i8_tile_is_exact_at_the_code_extremes() {
+    // All-(-128) against all-(-128) is the largest sum a contraction can reach
+    // (k * 2^14); the biased VNNI operand additionally meets 255 * -128 per product.
+    for &k in &[64usize, 4096] {
+        for &(x, y) in &[(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
+            let (a, b) = (vec![x; 7 * k], vec![y; 70 * k]);
+            let mut tiles = I8Tile::new_arms(&a, k);
+            tiles.push(("dispatched".to_string(), I8Tile::new(&a, k)));
+            for (arm, tile) in &mut tiles {
+                let expected = k as i32 * x as i32 * y as i32;
+                assert_eq!(expected as i64, Matrix::dot_i8(&a[..k], &b[..k]));
+                assert!(
+                    tile.multiply_transpose_b(&b).iter().all(|&v| v == expected),
+                    "{x} x {y}, k = {k} [{arm}]"
+                );
+            }
+        }
+    }
 }
 
 #[test]
