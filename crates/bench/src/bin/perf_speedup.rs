@@ -14,11 +14,17 @@
 //!   — **gated**: the cheap pass must score pairs at least as fast as the exact one;
 //! * `embed_all` over 4k records, for **both** encoder architectures: the batched,
 //!   tape-free, rayon-chunked inference path vs. the seed's per-row tape graphs
-//!   (reconstructed via `encode_text` + `stack_rows` per 64-item chunk, which is exactly
-//!   what the seed's `embed_all` executed);
+//!   (reconstructed by [`SeedEncoder`]: one graph per text and `stack_rows` per 64-item
+//!   chunk, every graph binding the whole embedding table, which is exactly what the
+//!   seed's `embed_all` executed);
 //! * the Transformer batched-masked-attention tentpole in isolation: `infer_chunk` vs.
 //!   the frozen per-sequence inference oracle (`infer_chunk_reference`) and the batched
-//!   `encode_batch` tape graph vs. one per-row graph per text;
+//!   `encode_batch` tape graph vs. one [`SeedEncoder`] graph per text;
+//! * the weight-gradient product `Aᵀ·B` at a training step's shape next to `matmul` on
+//!   a pre-transposed operand — **gated** at half of it — and one 16-item Transformer
+//!   pretraining step in milliseconds, split forward / backward / optimizer — **gated**
+//!   on the share of the FMA peak its forward + backward reach and on the optimizer's
+//!   share of the step;
 //! * `knn_join`: the GEMM-tiled join vs. a per-query scalar scan without kernels — in
 //!   the dense layout, the sharded layout (routing on and off), the sharded layout
 //!   with every shard spilled to disk under a zero residency budget (routed + spilled),
@@ -45,14 +51,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use sudowoodo_augment::CutoffPlan;
+use sudowoodo_augment::{CutoffKind, CutoffPlan};
 use sudowoodo_bench::harness::print_table;
 use sudowoodo_bench::ResultWriter;
 use sudowoodo_core::config::{EncoderConfig, EncoderKind};
 use sudowoodo_core::encoder::Encoder;
+use sudowoodo_core::loss::combined_loss;
 use sudowoodo_index::{CosineIndex, QuantSpec, ShardedCosineIndex};
+use sudowoodo_nn::layers::{
+    Embedding, FeedForward, Layer, LayerNorm, Linear, PositionalEmbedding, TransformerBlock,
+};
 use sudowoodo_nn::matrix::{I8Tile, Matrix};
-use sudowoodo_nn::tape::Tape;
+use sudowoodo_nn::optim::AdamW;
+use sudowoodo_nn::tape::{Tape, VarId};
 
 #[derive(Clone, Debug, Serialize)]
 struct SpeedupRow {
@@ -100,6 +111,9 @@ impl SpeedupRow {
 const SPEEDUP_FLOORS: &[(&str, f64)] = &[
     // ROADMAP: ~6.3x on 512x512 matmul.
     ("matmul 512x512", 4.0),
+    // The baseline of the next four rows is the seed's per-row graph, frozen in
+    // `SeedEncoder` (it binds the whole embedding table per graph; the in-tree
+    // `encode_text` stopped doing that in PR 19 and is no baseline any more).
     // ROADMAP: ~72x MeanPool embed_all vs the seed's per-row tape graphs.
     ("embed_all 4k records (MeanPool", 45.0),
     // ROADMAP: ~10x Transformer embed_all (this box measures ~7.8x; floor set below
@@ -192,6 +206,53 @@ struct I8TileRow {
     regression: bool,
 }
 
+/// The weight-gradient product `Aᵀ·B` at a training step's shape (`[1024 x 32]ᵀ ·
+/// [1024 x 96]`: 32 sequences of 32 tokens into the fused Q/K/V width) in absolute units,
+/// next to `matmul` on an already transposed `A` — the same arithmetic through the same
+/// register tile minus the transpose. The **gate** is the ratio: `matmul_transpose_a`
+/// must reach at least half of it (this box: 64–74 against 79–98 GFLOP/s = 0.75–0.81;
+/// the rank-1 update loop it replaced reached 22, a quarter).
+#[derive(Clone, Debug, Serialize)]
+struct AtbKernelRow {
+    case: String,
+    atb_1024x32_t_1024x96_gflops: f64,
+    matmul_same_shape_gflops: f64,
+    share_of_matmul: f64,
+    floor_share_of_matmul: f64,
+    regression: bool,
+}
+
+/// One pretraining step in absolute units: 16 items, two views, the benchmark's
+/// Transformer (dim 32, 1 layer, 2 heads, ff 64, max_len 32) over the perf fixture's
+/// ~12k-token vocabulary — ~406k parameters, 96 % of them the embedding table.
+/// Milliseconds per step (mean over the timed steps) split into building the graph,
+/// `Tape::backward` and `AdamW::step`. Milliseconds are not comparable between runners,
+/// so both **gates** are ratios. Forward + backward: the multiply-adds of the step's
+/// dense products ([`transformer_forward_flops`], backward doing each product twice) per
+/// second, as a share of the core's measured FMA peak like `abt_kernel` (this box:
+/// 15 of 166 GFLOP/s = 0.09 — the products are small, `k` = 32, and half the step is
+/// softmax, layer norms and allocation; floor 0.05). The optimizer: its share of the step — the update touches every
+/// parameter once and must stay the small part of a step whose forward and backward
+/// touch every activation several times (this box: 3.0–3.7 ms a step, optimizer
+/// 0.54–0.64 ms = 0.17–0.18, i.e. 1.3–1.6 ns a parameter; the clone-sum-and-index loop
+/// it replaced cost 12.6 ns a parameter, which on this fixture is 5 ms, more than the
+/// rest of the step).
+#[derive(Clone, Debug, Serialize)]
+struct TrainStepRow {
+    case: String,
+    train_step_ms: f64,
+    forward_ms: f64,
+    backward_ms: f64,
+    optimizer_ms: f64,
+    forward_backward_gflops: f64,
+    fma_peak_gflops: f64,
+    share_of_peak: f64,
+    floor_share_of_peak: f64,
+    optimizer_share: f64,
+    ceiling_optimizer_share: f64,
+    regression: bool,
+}
+
 /// The served load-shed measurement: clients at 2x the admission capacity, unique
 /// (cache-defeating) batches. Recorded for trend-watching only — shed rate depends on
 /// runner timing, so this row is intentionally NOT in [`SPEEDUP_FLOORS`] and never
@@ -267,6 +328,8 @@ struct PerfReport {
     gate: Vec<GateRow>,
     any_regression: bool,
     abt_kernel: AbtKernelRow,
+    atb_kernel: AtbKernelRow,
+    train_step: TrainStepRow,
     i8_tile: I8TileRow,
     quantized_memory_density: MemoryDensityRow,
     serve_load_shed: LoadShedRow,
@@ -444,6 +507,117 @@ fn abt_kernel_row() -> AbtKernelRow {
     }
 }
 
+/// `Aᵀ·B` at the weight-gradient shape against `matmul` on a pre-transposed `A` (both
+/// below the parallel threshold, so both run on one core).
+fn atb_kernel_row() -> AtbKernelRow {
+    let (k, m, n) = (1024usize, 32usize, 96usize);
+    let mut rng = StdRng::seed_from_u64(8);
+    let a = Matrix::random_normal(k, m, 1.0, &mut rng);
+    let b = Matrix::random_normal(k, n, 1.0, &mut rng);
+    let a_t = a.transpose();
+    let fused = time(200, || a.matmul_transpose_a(&b));
+    let plain = time(200, || a_t.matmul(&b));
+    let gflops = |secs: f64| (2 * m * n * k) as f64 / secs / 1e9;
+    let share_of_matmul = plain / fused;
+    let floor_share_of_matmul = 0.5;
+    AtbKernelRow {
+        case: format!("matmul_transpose_a ({k}x{m})^T * {k}x{n}, one core"),
+        atb_1024x32_t_1024x96_gflops: gflops(fused),
+        matmul_same_shape_gflops: gflops(plain),
+        share_of_matmul,
+        floor_share_of_matmul,
+        regression: !matches!(
+            share_of_matmul.partial_cmp(&floor_share_of_matmul),
+            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
+        ),
+    }
+}
+
+/// FLOPs (two per multiply-add) of the dense products in one forward pass of a
+/// Transformer encoder over `n` sequences padded to `len` tokens: per token and layer the
+/// four `d x d` projections, the two feed-forward products, and scores + context against
+/// `len` keys over all heads.
+fn transformer_forward_flops(config: &EncoderConfig, n: usize, len: usize) -> f64 {
+    let (d, f) = (config.dim, config.ff_hidden);
+    let per_token = 2 * (4 * d * d + 2 * d * f) + 4 * len * d;
+    (config.layers * n * len * per_token) as f64
+}
+
+/// One 16-item Transformer pretraining step (the loop body of `core::pretrain`, without
+/// sampling and augmentation), timed stage by stage over the perf fixture.
+fn train_step_row(fma_peak_gflops: f64) -> TrainStepRow {
+    let corpus = perf_corpus();
+    let config = EncoderConfig {
+        kind: EncoderKind::Transformer,
+        dim: 32,
+        layers: 1,
+        heads: 2,
+        ff_hidden: 64,
+        max_len: 32,
+    };
+    let encoder = Encoder::from_corpus(config, &corpus, 7);
+    let mut rng = StdRng::seed_from_u64(9);
+    let projector = Linear::new("projector", config.dim, 32, &mut rng);
+    let mut optimizer = AdamW::new(1e-3);
+    let plan = CutoffPlan::sample(CutoffKind::Span, 0.05, config.dim, &mut rng);
+    let (warmup, steps) = (20usize, 200usize);
+    let mut stages = [0.0f64; 3];
+    let mut flops = 0.0f64;
+    for step in 0..warmup + steps {
+        let batch: Vec<&str> = (0..16)
+            .map(|i| corpus[(step * 16 + i) % corpus.len()].as_str())
+            .collect();
+        let start = Instant::now();
+        let mut tape = Tape::new();
+        let z_ori = encoder.encode_batch(&mut tape, &batch, &CutoffPlan::noop());
+        let z_ori = projector.forward(&mut tape, z_ori);
+        let z_aug = encoder.encode_batch(&mut tape, &batch, &plan);
+        let z_aug = projector.forward(&mut tape, z_aug);
+        let loss = combined_loss(&mut tape, z_ori, z_aug, 0.07, 3.9e-3, 0.5);
+        let built = Instant::now();
+        let grads = tape.backward(loss);
+        let differentiated = Instant::now();
+        optimizer.step(&tape, &grads);
+        let stepped = Instant::now();
+        if step >= warmup {
+            stages[0] += (built - start).as_secs_f64();
+            stages[1] += (differentiated - built).as_secs_f64();
+            stages[2] += (stepped - differentiated).as_secs_f64();
+            // Two views forward, and backward is two products per forward product.
+            let tokens = |t: &&str| encoder.vocab().encode(t, config.max_len).len();
+            let padded = batch.iter().map(tokens).max().unwrap_or(0);
+            flops += 2.0 * 3.0 * transformer_forward_flops(&config, batch.len(), padded);
+        }
+    }
+    let [forward_ms, backward_ms, optimizer_ms] = stages.map(|s| s * 1e3 / steps as f64);
+    let train_step_ms = forward_ms + backward_ms + optimizer_ms;
+    let forward_backward_gflops = flops / (stages[0] + stages[1]) / 1e9;
+    let share_of_peak = forward_backward_gflops / fma_peak_gflops;
+    let floor_share_of_peak = 0.05;
+    let optimizer_share = optimizer_ms / train_step_ms;
+    let ceiling_optimizer_share = 0.3;
+    TrainStepRow {
+        case: format!(
+            "pretrain step, 16 items x 2 views, Transformer dim {} ({} parameters)",
+            config.dim,
+            encoder.num_parameters()
+        ),
+        train_step_ms,
+        forward_ms,
+        backward_ms,
+        optimizer_ms,
+        forward_backward_gflops,
+        fma_peak_gflops,
+        share_of_peak,
+        floor_share_of_peak,
+        optimizer_share,
+        ceiling_optimizer_share,
+        // A NaN on either side counts as a regression.
+        regression: !(share_of_peak >= floor_share_of_peak
+            && optimizer_share <= ceiling_optimizer_share),
+    }
+}
+
 /// The i8 tile at the shape of [`abt_kernel_row`] (whose pairs per second it is gated
 /// against); the kernel is single-threaded by construction.
 fn i8_tile_row(abt_kernel: &AbtKernelRow) -> I8TileRow {
@@ -487,24 +661,93 @@ fn i8_tile_row(abt_kernel: &AbtKernelRow) -> I8TileRow {
     }
 }
 
-/// The seed's `embed_all`: chunks of 64, one tape per chunk, one *per-row* graph per text
-/// (`encode_text`), stacked. Reconstructed here as the baseline.
-fn embed_all_seed_style(encoder: &Encoder, texts: &[String]) -> Vec<Vec<f32>> {
-    let mut out = Vec::with_capacity(texts.len());
-    for chunk in texts.chunks(64) {
-        let mut tape = Tape::new();
-        let noop = CutoffPlan::noop();
-        let rows: Vec<_> = chunk
-            .iter()
-            .map(|t| encoder.encode_text(&mut tape, t, &noop))
-            .collect();
-        let batch = tape.stack_rows(&rows);
-        let values = tape.value(batch);
-        for r in 0..values.rows() {
-            out.push(values.row(r).to_vec());
+/// The seed's per-sequence encoder graph, frozen as the baseline of the four
+/// `... vs per-row` rows. The layers are built in the order of `Encoder::with_vocab` from
+/// the same seed, so the weights are the encoder's (the sanity check in [`embed_rows`]
+/// holds it to that), but the lookup is `Tape::param` + `Tape::gather_rows` as it was
+/// until PR 19: every graph copies the whole table onto its tape, and backward gives each
+/// copy a dense `vocab x dim` gradient. `Encoder::encode_text` no longer pays either, and
+/// a baseline that speeds up with the code under test gates nothing.
+struct SeedEncoder<'a> {
+    encoder: &'a Encoder,
+    embedding: Embedding,
+    positional: PositionalEmbedding,
+    blocks: Vec<TransformerBlock>,
+    pool_mlp: FeedForward,
+    output_norm: LayerNorm,
+}
+
+impl<'a> SeedEncoder<'a> {
+    /// The per-row twin of `encoder`, which must have been built with `seed`.
+    fn of(encoder: &'a Encoder, seed: u64) -> Self {
+        let config = encoder.config;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let vocab_size = encoder.vocab().size();
+        SeedEncoder {
+            encoder,
+            embedding: Embedding::new("seed.embedding", vocab_size, config.dim, &mut rng),
+            positional: PositionalEmbedding::new("seed", config.max_len, config.dim, &mut rng),
+            blocks: (0..config.layers)
+                .map(|i| {
+                    let name = format!("seed.block{i}");
+                    TransformerBlock::new(
+                        &name,
+                        config.dim,
+                        config.heads,
+                        config.ff_hidden,
+                        &mut rng,
+                    )
+                })
+                .collect(),
+            pool_mlp: FeedForward::new("seed.pool_mlp", config.dim, config.ff_hidden, &mut rng),
+            output_norm: LayerNorm::new("seed.output_norm", config.dim),
         }
     }
-    out
+
+    /// One text (not empty: the perf corpus has none) as a `1 x dim` graph, no cutoff.
+    fn encode_text(&self, tape: &mut Tape, text: &str) -> VarId {
+        let config = self.encoder.config;
+        let ids = self.encoder.vocab().encode(text, config.max_len);
+        let table = tape.param(&self.embedding.params()[0]);
+        let embedded = tape.gather_rows(table, &ids);
+        // The seed multiplied by the cutoff mask even when it was all ones.
+        let mask = tape.constant(Matrix::full(ids.len(), config.dim, 1.0));
+        let masked = tape.mul(embedded, mask);
+        let pooled = match config.kind {
+            EncoderKind::MeanPool => {
+                let mean = tape.mean_rows(masked);
+                let lifted = self.pool_mlp.forward(tape, mean);
+                tape.add(mean, lifted)
+            }
+            EncoderKind::Transformer => {
+                let mut x = self.positional.forward(tape, masked, ids.len());
+                for block in &self.blocks {
+                    x = block.forward(tape, x);
+                }
+                tape.mean_rows(x)
+            }
+        };
+        let normed = self.output_norm.forward(tape, pooled);
+        tape.l2_normalize_rows(normed)
+    }
+
+    /// One tape per 64-text chunk holding one graph per text, stacked: the seed's batch.
+    fn stacked_chunk(&self, tape: &mut Tape, chunk: &[String]) -> VarId {
+        let rows: Vec<VarId> = chunk.iter().map(|t| self.encode_text(tape, t)).collect();
+        tape.stack_rows(&rows)
+    }
+
+    /// The seed's `embed_all`.
+    fn embed_all(&self, texts: &[String]) -> Vec<Vec<f32>> {
+        let mut out = Vec::with_capacity(texts.len());
+        for chunk in texts.chunks(64) {
+            let mut tape = Tape::new();
+            let batch = self.stacked_chunk(&mut tape, chunk);
+            let values = tape.value(batch);
+            out.extend((0..values.rows()).map(|r| values.row(r).to_vec()));
+        }
+        out
+    }
 }
 
 fn perf_corpus() -> Vec<String> {
@@ -558,8 +801,9 @@ fn embed_rows(rows: &mut Vec<SpeedupRow>) {
             max_len: 32,
         };
         let encoder = Encoder::from_corpus(config, &corpus, 7);
+        let seed = SeedEncoder::of(&encoder, 7);
 
-        let naive = time(2, || embed_all_seed_style(&encoder, &corpus));
+        let naive = time(2, || seed.embed_all(&corpus));
         let fast = time(2, || encoder.embed_all(&corpus));
         rows.push(SpeedupRow::new(
             format!("embed_all 4k records ({kind:?} d=32) vs seed per-row tape"),
@@ -570,7 +814,7 @@ fn embed_rows(rows: &mut Vec<SpeedupRow>) {
         ));
 
         // Sanity: both paths agree numerically (cosine of matched rows ~ 1).
-        let a = embed_all_seed_style(&encoder, &corpus[..64]);
+        let a = seed.embed_all(&corpus[..64]);
         let b = encoder.embed_all(&corpus[..64]);
         for (x, y) in a.iter().zip(b.iter()) {
             let cos = Matrix::cosine(x, y);
@@ -580,8 +824,8 @@ fn embed_rows(rows: &mut Vec<SpeedupRow>) {
 }
 
 /// Batched masked attention vs. the retained per-sequence oracle, both tape-free and on
-/// the tape (the PR-3 tentpole). The oracle (`infer_chunk_reference`, per-row
-/// `encode_text` graphs) is frozen, exactly like `matmul_naive` for the kernels.
+/// the tape (the PR-3 tentpole). The oracles (`infer_chunk_reference`, [`SeedEncoder`]'s
+/// per-row graphs) are frozen, exactly like `matmul_naive` for the kernels.
 fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
     let corpus = perf_corpus();
     let config = EncoderConfig {
@@ -593,6 +837,7 @@ fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
         max_len: 32,
     };
     let encoder = Encoder::from_corpus(config, &corpus, 7);
+    let seed = SeedEncoder::of(&encoder, 7);
 
     // Tape-free inference: padded batched masked attention vs the per-sequence loop.
     let naive = time(2, || {
@@ -621,11 +866,7 @@ fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
         let mut nodes = 0usize;
         for chunk in corpus.chunks(64) {
             let mut tape = Tape::new();
-            let tape_rows: Vec<_> = chunk
-                .iter()
-                .map(|t| encoder.encode_text(&mut tape, t, &noop))
-                .collect();
-            let batch = tape.stack_rows(&tape_rows);
+            let batch = seed.stacked_chunk(&mut tape, chunk);
             nodes += tape.value(batch).rows();
         }
         nodes
@@ -656,11 +897,7 @@ fn transformer_batching_rows(rows: &mut Vec<SpeedupRow>) {
         let mut total = 0.0f32;
         for chunk in corpus.chunks(64) {
             let mut tape = Tape::new();
-            let tape_rows: Vec<_> = chunk
-                .iter()
-                .map(|t| encoder.encode_text(&mut tape, t, &noop))
-                .collect();
-            let batch = tape.stack_rows(&tape_rows);
+            let batch = seed.stacked_chunk(&mut tape, chunk);
             let sq = tape.pow2(batch);
             let loss = tape.mean_all(sq);
             let grads = tape.backward(loss);
@@ -1304,6 +1541,21 @@ fn main() {
             "ok"
         }
     );
+    let atb_kernel = atb_kernel_row();
+    println!(
+        "A^T*B kernel {}: {:.1} GFLOP/s = {:.2} of matmul on a transposed A ({:.1} GFLOP/s, \
+         floor {:.2}) — {}",
+        atb_kernel.case,
+        atb_kernel.atb_1024x32_t_1024x96_gflops,
+        atb_kernel.share_of_matmul,
+        atb_kernel.matmul_same_shape_gflops,
+        atb_kernel.floor_share_of_matmul,
+        if atb_kernel.regression {
+            "REGRESSION"
+        } else {
+            "ok"
+        }
+    );
     let i8_tile = i8_tile_row(&abt_kernel);
     println!(
         "i8 tile {} [{}]: {:.1} Gop/s, {:.1}x one dot_i8 per pair ({:.1} Gop/s); {:.2e} pairs/s \
@@ -1323,6 +1575,31 @@ fn main() {
     );
     embed_rows(&mut rows);
     transformer_batching_rows(&mut rows);
+    // After the per-row baselines, not before: with this step measured ahead of them the
+    // baselines ran 0.5 -> 3.7 s under 20 s of system time (the allocator handing back
+    // and re-faulting each 64-graph tape's 96 MB of table copies), which inflated every
+    // `vs per-row` ratio 2-4x.
+    let train_step = train_step_row(abt_kernel.fma_peak_gflops);
+    println!(
+        "{}: {:.2} ms = forward {:.2} + backward {:.2} + optimizer {:.2}; forward + backward \
+         {:.1} GFLOP/s = {:.3} of the FMA peak (floor {:.3}), optimizer share {:.2} (ceiling \
+         {:.2}) — {}",
+        train_step.case,
+        train_step.train_step_ms,
+        train_step.forward_ms,
+        train_step.backward_ms,
+        train_step.optimizer_ms,
+        train_step.forward_backward_gflops,
+        train_step.share_of_peak,
+        train_step.floor_share_of_peak,
+        train_step.optimizer_share,
+        train_step.ceiling_optimizer_share,
+        if train_step.regression {
+            "REGRESSION"
+        } else {
+            "ok"
+        }
+    );
     knn_rows(&mut rows);
     snapshot_and_serve_rows(&mut rows);
     let serve_load_shed = serve_load_shed_row();
@@ -1425,6 +1702,8 @@ fn main() {
     any_regression |= connection_gate.regression;
     any_regression |= quantized_memory_density.regression;
     any_regression |= abt_kernel.regression;
+    any_regression |= atb_kernel.regression;
+    any_regression |= train_step.regression;
     any_regression |= i8_tile.regression;
     let gate_printable: Vec<Vec<String>> = gate
         .iter()
@@ -1452,6 +1731,8 @@ fn main() {
             gate,
             any_regression,
             abt_kernel,
+            atb_kernel,
+            train_step,
             i8_tile,
             quantized_memory_density,
             serve_load_shed,

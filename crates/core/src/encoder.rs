@@ -122,7 +122,7 @@ impl Encoder {
     ///
     /// This is the **per-sequence reference path**: [`Encoder::encode_batch`] must stay
     /// numerically equivalent to stacking `encode_ids` outputs (it is the frozen oracle of
-    /// `crates/nn/tests/attention_equivalence.rs` and the `perf_speedup` baseline, the same
+    /// `crates/nn/tests/attention_equivalence.rs` and of the matcher's unit tests, the same
     /// role [`Matrix::matmul_naive`] plays for the GEMM kernels). An item that tokenizes to
     /// nothing pools to the zero row instead of panicking.
     pub fn encode_ids(&self, tape: &mut Tape, token_ids: &[usize], cutoff: &CutoffPlan) -> VarId {

@@ -5,6 +5,15 @@
 //! from `Linear(Z_xy ⊕ |Z_x − Z_y|)` followed by a softmax. The `use_diff_head = false`
 //! variant drops the similarity-aware part and uses only `Z_xy`, which is the default
 //! sequence-pair fine-tuning of pre-trained LMs (used by the Ditto-like baseline).
+//!
+//! Both directions run on the encoder's batched path. A mini-batch of `n` pairs is laid
+//! out as the `3n` texts `[xy | x | y]` (`n` without the diff head) and encoded **once**:
+//! fine-tuning through one [`Encoder::encode_batch`] tape graph whose rows are then
+//! selected with `gather_rows`, prediction through the tape-free [`Encoder::infer_chunk`]
+//! and `Linear::infer`. Prediction works in 32-pair chunks, one after the other; a chunk's
+//! scores depend only on that chunk, so the chunk size is part of the bit-identity
+//! contract between a served `MATCH` and the in-process call. The per-sequence
+//! `Encoder::encode_text` graphs this replaced survive only as the test oracle below.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -12,8 +21,9 @@ use rand::SeedableRng;
 
 use sudowoodo_augment::CutoffPlan;
 use sudowoodo_nn::layers::{Layer, Linear};
+use sudowoodo_nn::matrix::Matrix;
 use sudowoodo_nn::optim::AdamW;
-use sudowoodo_nn::tape::{Tape, VarId};
+use sudowoodo_nn::tape::{row_softmax, Tape, VarId};
 use sudowoodo_text::serialize::serialize_pair;
 
 use crate::encoder::Encoder;
@@ -95,29 +105,56 @@ impl PairMatcher {
         self.use_diff_head
     }
 
-    /// Builds the feature row (`1 x input_dim`) of one pair on the tape.
-    fn pair_features(&self, tape: &mut Tape, left: &str, right: &str) -> VarId {
-        let noop = CutoffPlan::noop();
-        let pair_text = serialize_pair(left, right);
-        let z_xy = self.encoder.encode_text(tape, &pair_text, &noop);
-        if !self.use_diff_head {
-            return z_xy;
+    /// The texts one encoder pass embeds for a batch of pairs: every `xy` serialization,
+    /// then (with the diff head) every left item, then every right item.
+    fn encoder_inputs(&self, pairs: &[(&str, &str)]) -> Vec<String> {
+        let mut texts: Vec<String> = pairs.iter().map(|(l, r)| serialize_pair(l, r)).collect();
+        if self.use_diff_head {
+            texts.extend(pairs.iter().map(|(l, _)| l.to_string()));
+            texts.extend(pairs.iter().map(|(_, r)| r.to_string()));
         }
-        let z_x = self.encoder.encode_text(tape, left, &noop);
-        let z_y = self.encoder.encode_text(tape, right, &noop);
-        let diff = tape.sub(z_x, z_y);
-        let abs_diff = tape.abs(diff);
-        tape.concat_cols(z_xy, abs_diff)
+        texts
     }
 
-    /// Builds the logits (`n x 2`) of a batch of pairs on the tape.
+    /// Builds the logits (`n x 2`) of a batch of pairs on the tape: one batched encoder
+    /// graph over `[xy | x | y]`, then `Linear(Z_xy ⊕ |Z_x − Z_y|)`.
     fn batch_logits(&self, tape: &mut Tape, pairs: &[(&str, &str)]) -> VarId {
-        let rows: Vec<VarId> = pairs
-            .iter()
-            .map(|(l, r)| self.pair_features(tape, l, r))
-            .collect();
-        let features = tape.stack_rows(&rows);
+        let n = pairs.len();
+        let texts = self.encoder_inputs(pairs);
+        let refs: Vec<&str> = texts.iter().map(|t| t.as_str()).collect();
+        let z = self.encoder.encode_batch(tape, &refs, &CutoffPlan::noop());
+        let features = if self.use_diff_head {
+            let block = |b: usize| (b * n..(b + 1) * n).collect::<Vec<usize>>();
+            let z_xy = tape.gather_rows(z, &block(0));
+            let z_x = tape.gather_rows(z, &block(1));
+            let z_y = tape.gather_rows(z, &block(2));
+            let diff = tape.sub(z_x, z_y);
+            let abs_diff = tape.abs(diff);
+            tape.concat_cols(z_xy, abs_diff)
+        } else {
+            z
+        };
         self.head.forward(tape, features)
+    }
+
+    /// Match probabilities of one chunk of pairs, tape-free: the same layout and the same
+    /// arithmetic as [`PairMatcher::batch_logits`], then a two-way softmax.
+    fn chunk_scores(&self, chunk: &[(String, String)]) -> Vec<f32> {
+        let n = chunk.len();
+        let refs: Vec<(&str, &str)> = chunk
+            .iter()
+            .map(|(l, r)| (l.as_str(), r.as_str()))
+            .collect();
+        let z = self.encoder.infer_chunk(&self.encoder_inputs(&refs));
+        let features = if self.use_diff_head {
+            let abs_diff = z
+                .slice_rows(n, 2 * n)
+                .zip_map(&z.slice_rows(2 * n, 3 * n), |x, y| (x - y).abs());
+            Matrix::hstack(&[&z.slice_rows(0, n), &abs_diff])
+        } else {
+            z
+        };
+        row_softmax(&self.head.infer(&features)).col(1)
     }
 
     /// Fine-tunes the matcher (encoder + head) on labeled pairs; returns the mean loss per
@@ -159,27 +196,12 @@ impl PairMatcher {
         self.predict_scores(&[(left.to_string(), right.to_string())])[0]
     }
 
-    /// Match probabilities for many pairs (processed in chunks).
+    /// Match probabilities for many pairs, scored in 32-pair chunks.
     pub fn predict_scores(&self, pairs: &[(String, String)]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(pairs.len());
-        for chunk in pairs.chunks(32) {
-            let refs: Vec<(&str, &str)> = chunk
-                .iter()
-                .map(|(l, r)| (l.as_str(), r.as_str()))
-                .collect();
-            let mut tape = Tape::new();
-            let logits = self.batch_logits(&mut tape, &refs);
-            let values = tape.value(logits);
-            for r in 0..values.rows() {
-                let l0 = values.get(r, 0);
-                let l1 = values.get(r, 1);
-                let max = l0.max(l1);
-                let e0 = (l0 - max).exp();
-                let e1 = (l1 - max).exp();
-                out.push(e1 / (e0 + e1));
-            }
-        }
-        out
+        pairs
+            .chunks(32)
+            .flat_map(|chunk| self.chunk_scores(chunk))
+            .collect()
     }
 
     /// Hard predictions at a given probability threshold.
@@ -214,7 +236,7 @@ impl PairMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EncoderConfig;
+    use crate::config::{EncoderConfig, EncoderKind};
 
     /// A tiny matching task: items are "<brand> <model>" strings; a pair matches iff the
     /// model number token is identical.
@@ -301,6 +323,154 @@ mod tests {
         let single = matcher.predict_proba(&corpus[0], &corpus[1]);
         let batch = matcher.predict_scores(&[(corpus[0].clone(), corpus[1].clone())]);
         assert!((single - batch[0]).abs() < 1e-6);
+    }
+
+    /// The per-sequence graphs `batch_logits` replaced, rebuilt as its oracle: three
+    /// `encode_text` graphs per pair, stacked, through the same head.
+    fn oracle_logits(matcher: &PairMatcher, tape: &mut Tape, pairs: &[(&str, &str)]) -> VarId {
+        let noop = CutoffPlan::noop();
+        let rows: Vec<VarId> = pairs
+            .iter()
+            .map(|(left, right)| {
+                let z_xy = matcher
+                    .encoder
+                    .encode_text(tape, &serialize_pair(left, right), &noop);
+                if !matcher.use_diff_head {
+                    return z_xy;
+                }
+                let z_x = matcher.encoder.encode_text(tape, left, &noop);
+                let z_y = matcher.encoder.encode_text(tape, right, &noop);
+                let diff = tape.sub(z_x, z_y);
+                let abs_diff = tape.abs(diff);
+                tape.concat_cols(z_xy, abs_diff)
+            })
+            .collect();
+        let features = tape.stack_rows(&rows);
+        matcher.head.forward(tape, features)
+    }
+
+    /// Ragged pairs: a long pair whose `xy` truncates at `max_len`, an empty right side,
+    /// a one-token side, and ordinary ones.
+    fn ragged_pairs(corpus: &[String]) -> Vec<(String, String)> {
+        let long = format!("{} {}", corpus[0], corpus[1]);
+        vec![
+            (corpus[0].clone(), corpus[1].clone()),
+            (long.clone(), long),
+            (corpus[2].clone(), String::new()),
+            ("canon".to_string(), corpus[3].clone()),
+            (corpus[4].clone(), corpus[4].clone()),
+        ]
+    }
+
+    #[test]
+    fn batched_logits_and_gradients_match_the_per_pair_graphs() {
+        use sudowoodo_nn::gradcheck::param_gradient;
+        let (corpus, _) = toy_pairs(6);
+        let owned = ragged_pairs(&corpus);
+        let pairs: Vec<(&str, &str)> = owned
+            .iter()
+            .map(|(l, r)| (l.as_str(), r.as_str()))
+            .collect();
+        let targets = [1usize, 0, 0, 1, 1];
+        for kind in [EncoderKind::MeanPool, EncoderKind::Transformer] {
+            for use_diff_head in [true, false] {
+                let config = EncoderConfig {
+                    kind,
+                    ..EncoderConfig::tiny()
+                };
+                let encoder = Encoder::from_corpus(config, &corpus, 3);
+                let matcher = PairMatcher::new(encoder, use_diff_head, 3);
+                let xy_len = |(l, r): &(&str, &str)| {
+                    let vocab = matcher.encoder.vocab();
+                    vocab.encode(&serialize_pair(l, r), usize::MAX).len()
+                };
+                assert!(xy_len(&pairs[1]) > config.max_len, "one pair must truncate");
+
+                let mut batched = Tape::new();
+                let logits = matcher.batch_logits(&mut batched, &pairs);
+                let loss = batched.softmax_cross_entropy(logits, &targets);
+                let batched_grads = batched.backward(loss);
+
+                let mut oracle = Tape::new();
+                let oracle_out = oracle_logits(&matcher, &mut oracle, &pairs);
+                let oracle_loss = oracle.softmax_cross_entropy(oracle_out, &targets);
+                let oracle_grads = oracle.backward(oracle_loss);
+
+                let what = format!("{kind:?}, diff head {use_diff_head}");
+                assert!(
+                    batched
+                        .value(logits)
+                        .approx_eq(oracle.value(oracle_out), 1e-4),
+                    "{what}: logits diverged"
+                );
+                for param in matcher.params() {
+                    let got = param_gradient(&batched, &batched_grads, &param);
+                    let expected = param_gradient(&oracle, &oracle_grads, &param);
+                    assert!(
+                        got.approx_eq(&expected, 1e-4),
+                        "{what}: gradient of {} diverged",
+                        param.name()
+                    );
+                    // Every parameter the oracle trains, the batched graph trains too.
+                    assert_eq!(
+                        got.max_abs() > 0.0,
+                        expected.max_abs() > 0.0,
+                        "{what}: {}",
+                        param.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tape_free_scores_match_the_tape_path() {
+        let (corpus, train) = toy_pairs(6);
+        let mut pairs = ragged_pairs(&corpus);
+        // Past one 32-pair chunk, so the chunk boundaries are exercised.
+        pairs.extend((0..40).map(|i| {
+            (
+                corpus[i % corpus.len()].clone(),
+                corpus[(i * 7 + 1) % corpus.len()].clone(),
+            )
+        }));
+        for kind in [EncoderKind::MeanPool, EncoderKind::Transformer] {
+            for use_diff_head in [true, false] {
+                let config = EncoderConfig {
+                    kind,
+                    ..EncoderConfig::tiny()
+                };
+                let encoder = Encoder::from_corpus(config, &corpus, 5);
+                let mut matcher = PairMatcher::new(encoder, use_diff_head, 5);
+                // Move the weights off their initialisation (zero biases, unit gains).
+                matcher.fine_tune(
+                    &train,
+                    &FineTuneConfig {
+                        epochs: 1,
+                        ..FineTuneConfig::default()
+                    },
+                );
+                let scores = matcher.predict_scores(&pairs);
+                assert_eq!(scores.len(), pairs.len());
+                for (chunk, got) in pairs.chunks(32).zip(scores.chunks(32)) {
+                    let refs: Vec<(&str, &str)> = chunk
+                        .iter()
+                        .map(|(l, r)| (l.as_str(), r.as_str()))
+                        .collect();
+                    let mut tape = Tape::new();
+                    let logits = matcher.batch_logits(&mut tape, &refs);
+                    let probs = row_softmax(tape.value(logits));
+                    for (r, &score) in got.iter().enumerate() {
+                        assert!(
+                            (score - probs.get(r, 1)).abs() < 1e-5,
+                            "{kind:?}, diff head {use_diff_head}: pair {r} scored {score} vs {}",
+                            probs.get(r, 1)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(tiny_matcher(&corpus, true).predict_scores(&[]).is_empty());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Used by the test-suite (including property tests) to validate the hand-written backward
 //! passes of the fused ops in [`crate::tape`].
 
+use crate::matrix::Matrix;
 use crate::param::Param;
-use crate::tape::{Tape, VarId};
+use crate::tape::{Gradients, Tape, VarId};
 
 /// Result of checking one parameter.
 #[derive(Debug, Clone)]
@@ -15,6 +16,30 @@ pub struct GradCheckReport {
     pub max_abs_diff: f32,
     /// Maximum relative difference (normalized by the larger magnitude, floored at 1e-3).
     pub max_rel_diff: f32,
+}
+
+/// The dense gradient of `param`: the sum over every binding of it on `tape`, whole
+/// ([`Tape::param`]) or by rows ([`Tape::param_rows`], scatter-added), in binding order;
+/// zeros when no binding reached the loss. The plain definition the optimizer's
+/// accumulation is tested against.
+pub fn param_gradient(tape: &Tape, grads: &Gradients, param: &Param) -> Matrix {
+    let (rows, cols) = param.shape();
+    let mut acc = Matrix::zeros(rows, cols);
+    for (node, bound) in tape.bindings() {
+        if let (true, Some(g)) = (bound.same_storage(param), grads.get(*node)) {
+            acc.add_assign(g);
+        }
+    }
+    for (node, bound, indices) in tape.row_bindings() {
+        if let (true, Some(g)) = (bound.same_storage(param), grads.get(*node)) {
+            for (i, &r) in indices.iter().enumerate() {
+                for (a, b) in acc.row_mut(r).iter_mut().zip(g.row(i)) {
+                    *a += *b;
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Compares analytic gradients against central finite differences for every element of
@@ -31,22 +56,10 @@ pub fn check_gradients(
     let mut tape = Tape::new();
     let loss = build_loss(&mut tape);
     let grads = tape.backward(loss);
-    let mut analytic: Vec<(Param, Vec<f32>)> = Vec::new();
-    for p in params {
-        let (rows, cols) = p.shape();
-        // Sum gradients over all bindings of this parameter.
-        let mut acc = vec![0.0f32; rows * cols];
-        for (node, bound) in tape.bindings() {
-            if bound.same_storage(p) {
-                if let Some(g) = grads.get(*node) {
-                    for (a, b) in acc.iter_mut().zip(g.data()) {
-                        *a += *b;
-                    }
-                }
-            }
-        }
-        analytic.push((p.clone(), acc));
-    }
+    let analytic: Vec<(Param, Matrix)> = params
+        .iter()
+        .map(|p| (p.clone(), param_gradient(&tape, &grads, p)))
+        .collect();
 
     // Numeric gradients via central differences.
     let mut reports = Vec::new();
@@ -69,7 +82,7 @@ pub fn check_gradients(
                 p.nudge(r, c, epsilon); // restore
 
                 let numeric = (f_plus - f_minus) / (2.0 * epsilon);
-                let a = analytic_grad[r * cols + c];
+                let a = analytic_grad.get(r, c);
                 let abs_diff = (numeric - a).abs();
                 let denom = numeric.abs().max(a.abs()).max(1e-3);
                 max_abs = max_abs.max(abs_diff);
@@ -111,7 +124,6 @@ pub fn assert_gradients_close(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
 
     #[test]
     fn detects_correct_gradient_of_quadratic() {

@@ -150,10 +150,11 @@ impl Embedding {
         self.table.shape().1
     }
 
-    /// Looks up the embeddings for a sequence of token ids, producing `len x dim`.
+    /// Looks up the embeddings for a sequence of token ids, producing `len x dim`. The
+    /// table is bound by rows ([`Tape::param_rows`]): it is not copied onto the tape and
+    /// its gradient stays `len x dim`.
     pub fn forward(&self, tape: &mut Tape, token_ids: &[usize]) -> VarId {
-        let table = tape.param(&self.table);
-        tape.gather_rows(table, token_ids)
+        tape.param_rows(&self.table, token_ids)
     }
 
     /// Embedding lookup without recording gradients for the table (used at inference time).
@@ -545,8 +546,7 @@ impl PositionalEmbedding {
     pub fn forward(&self, tape: &mut Tape, x: VarId, len: usize) -> VarId {
         let max = self.max_len();
         let indices: Vec<usize> = (0..len).map(|i| i.min(max - 1)).collect();
-        let table = tape.param(&self.table);
-        let pos = tape.gather_rows(table, &indices);
+        let pos = tape.param_rows(&self.table, &indices);
         tape.add(x, pos)
     }
 
@@ -574,8 +574,7 @@ impl PositionalEmbedding {
     /// row-block.
     pub fn forward_batch(&self, tape: &mut Tape, x: VarId, batch: usize, max_len: usize) -> VarId {
         let indices = self.padded_indices(batch, max_len);
-        let table = tape.param(&self.table);
-        let pos = tape.gather_rows(table, &indices);
+        let pos = tape.param_rows(&self.table, &indices);
         tape.add(x, pos)
     }
 

@@ -35,7 +35,8 @@
 //!   the benchmark host at 256 x 4096 x 64 on one core: 415–475 Gop/s, 17–22× one
 //!   `dot_i8` per pair, 4–5× the pairs per second of the f32 kernel above.
 //!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row;
-//! * [`Matrix::matmul_transpose_a`] — fused `A^T * B` for the backward pass of `matmul`;
+//! * [`Matrix::matmul_transpose_a`] — `A^T * B`, the weight gradient of `matmul`: a blocked
+//!   [`Matrix::transpose`] feeding the same register-tiled `matmul`;
 //! * [`Matrix::scale_mut`] / [`Matrix::add_scaled`] / [`Matrix::add_hadamard`] — in-place
 //!   accumulation primitives used by the tape's gradient accumulation so the backward
 //!   pass does not allocate one matrix per op;
@@ -45,10 +46,43 @@
 use rand::Rng;
 use rayon::prelude::*;
 
-/// FLOP threshold (`m * k * n`) above which GEMM kernels fan out across threads.
-/// Below it the sequential microkernel wins because task distribution costs more than
-/// the multiply itself (the models here are small, most products are tiny).
-const PAR_FLOPS: usize = 1 << 20;
+/// Multiply-adds (`m * k * n`) from which [`Matrix::matmul`] and the `A * B^T` driver split
+/// their output rows across threads — the one "go parallel?" rule, see [`fans_out`].
+///
+/// The arithmetic, measured on the benchmark host (2 vCPUs that are siblings of one
+/// core): the rayon shim has no pool, so a fan-out is a `thread::scope` that spawns and
+/// joins its workers — 75 µs for two threads that do nothing, 100–125 µs through the
+/// shim's item cells and result slots; the tiled kernels retire 45–60 G multiply-adds a
+/// second on one thread; and two busy sibling threads finish a split product in about
+/// 0.8 of the one-thread time, not 0.5. Splitting pays when `0.2 * work / 55e9 > 110e-6`,
+/// i.e. `work > 3e7 ≈ 2^24.8`, and that is where the crossover was measured: 2^24
+/// (`2048x64` by `64x128`) 266 µs inline against 410–510 split, 2^25 (`4096x64` by
+/// `64x128`) 800 against 665–790, 2^27 (`512^3`) 2 160 against 1 610–1 920. At the old
+/// 2^20 a `1024x32` by `32x32` product — 24 µs of arithmetic, and most of a training
+/// step's products are this size — took 99–190 µs, and every 16-query tile of a served
+/// join paid one spawn per 1 024-row corpus strip.
+const PAR_FLOPS: usize = 1 << 25;
+
+/// The rule itself: a product of `m` output rows and `m * k * n` multiply-adds is worth
+/// splitting across threads from `PAR_FLOPS` up, a single row never. Both GEMM drivers
+/// ask [`par_threads`], which asks this; the row bands they hand out compute every output
+/// in the same order as the inline loop, so crossing the threshold never changes a bit of
+/// the result. Public only so `tests/kernel_props.rs` can find shapes on either side of
+/// it on any host.
+#[doc(hidden)]
+pub fn fans_out(m: usize, k: usize, n: usize) -> bool {
+    m > 1 && m * k * n >= PAR_FLOPS
+}
+
+/// How many threads a product fans out over: the rayon thread count when [`fans_out`]
+/// says so, else 1 (run inline).
+fn par_threads(m: usize, k: usize, n: usize) -> usize {
+    if fans_out(m, k, n) {
+        rayon::current_num_threads()
+    } else {
+        1
+    }
+}
 
 /// FLOP threshold above which `matmul` takes the pack-and-tile path. Packing copies all
 /// of B once; below this the plain AXPY row kernel wins because the training graphs are
@@ -1399,7 +1433,7 @@ impl<'a> MatrixView<'a> {
     }
 }
 
-/// `out = a * b^T` on one kernel arm, parallel over bands of `a` above `PAR_FLOPS`.
+/// `out = a * b^T` on one kernel arm, parallel over bands of `a` when [`fans_out`] says so.
 fn abt(arm: kernels::AbtArm, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     assert_eq!(
         a.cols, b.cols,
@@ -1412,11 +1446,7 @@ fn abt(arm: kernels::AbtArm, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [
         m * n,
         "matmul_transpose_b: output is not {m}x{n}"
     );
-    let threads = if m * k * n >= PAR_FLOPS && m > 1 {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
+    let threads = par_threads(m, k, n);
     if threads > 1 {
         // One band per thread, a whole number of the tallest tile.
         let band = m.div_ceil(threads).next_multiple_of(8);
@@ -1957,7 +1987,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`, via the register-blocked microkernel
-    /// (see the module docs), parallel over output rows above `PAR_FLOPS`.
+    /// (see the module docs), parallel over output rows when [`fans_out`] says so.
     ///
     /// # Panics
     /// Panics when inner dimensions disagree.
@@ -1983,7 +2013,7 @@ impl Matrix {
             return out;
         }
         let flops = m * self.cols * n;
-        let parallel = flops >= PAR_FLOPS && rayon::current_num_threads() > 1;
+        let parallel = par_threads(m, self.cols, n) > 1;
         if kernels::has_gemm_tile() && m >= 4 && flops >= TILE_FLOPS {
             // Register-tiled path: B is packed into streaming column panels once, then
             // row bands (8 with AVX-512, else 4) run with the accumulator tile held in
@@ -2039,7 +2069,7 @@ impl Matrix {
                     run_band(bi, band_out);
                 }
             }
-        } else if parallel && m > 1 {
+        } else if parallel {
             out.data
                 .par_chunks_mut(n)
                 .enumerate()
@@ -2114,7 +2144,7 @@ impl Matrix {
     /// Both operands are row-major with the contraction over their *columns*, so every
     /// output entry is a dot product of two contiguous rows — the natural layout for
     /// similarity matrices (`Z * Z^T`), cosine scoring against an embedding corpus, and
-    /// the `A`-gradient of `matmul`. Parallel over output rows above `PAR_FLOPS`.
+    /// the `A`-gradient of `matmul`. Parallel over output rows when [`fans_out`] says so.
     ///
     /// # Panics
     /// Panics when the column counts disagree.
@@ -2210,11 +2240,18 @@ impl Matrix {
         }
     }
 
-    /// Fused product `self^T * other` without materializing the transpose.
+    /// Product `self^T * other`: the contraction runs over the *rows* of both operands
+    /// (`self: k x m`, `other: k x n`, result `m x n`), which is the shape of every weight
+    /// gradient (`A^T * dC`, tall-skinny: `k` is the batch's token count).
     ///
-    /// The contraction runs over the *rows* of both operands (`self: k x m`,
-    /// `other: k x n`, result `m x n`), which is the shape of the `B`-gradient of
-    /// `matmul` (`A^T * dC`). The k-outer loop streams both operands row-by-row.
+    /// It is a blocked [`Matrix::transpose`] feeding [`Matrix::matmul`], so it runs on the
+    /// register-tiled GEMM kernel: copying the `k x m` operand once is a few percent of
+    /// the product, where the rank-1 update loop this replaced re-read and re-wrote the
+    /// whole `m x n` output `k` times (22 vs 100 GFLOP/s at `[1024 x 32]^T * [1024 x 96]`).
+    ///
+    /// Like `matmul` and `matmul_transpose_b` it multiplies every entry, zeros included
+    /// (that loop skipped them): a zero row of `self` against a non-finite row of `other`
+    /// yields NaN (`0 * inf`), not 0 — a padding row does not hide a diverged gradient.
     ///
     /// # Panics
     /// Panics when the row counts disagree.
@@ -2224,27 +2261,30 @@ impl Matrix {
             "matmul_transpose_a: contraction mismatch (({}x{})^T * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        // k-outer: out[i] += self[kk][i] * other[kk] — both operands stream row-major.
-        for kk in 0..self.rows {
-            let a_row = self.row(kk);
-            let b_row = other.row(kk);
-            for (i, &a_ki) in a_row.iter().enumerate() {
-                if a_ki != 0.0 {
-                    let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                    kernels::axpy1(out_row, a_ki, b_row);
+        self.transpose().matmul(other)
+    }
+
+    /// Transpose, copied in panels of sixteen source rows: every step writes one whole
+    /// 64-byte line of a destination row while the sixteen read streams advance together,
+    /// so neither side is touched one element per cache line as a plain row sweep does
+    /// (7 vs 50 µs at `512 x 32`; allocation is the rest).
+    pub fn transpose(&self) -> Matrix {
+        const PANEL: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        let paneled = rows - rows % PANEL;
+        for r0 in (0..paneled).step_by(PANEL) {
+            let panel = &self.data[r0 * cols..(r0 + PANEL) * cols];
+            for c in 0..cols {
+                let dst = &mut out.data[c * rows + r0..][..PANEL];
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = panel[i * cols + c];
                 }
             }
         }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        for r in paneled..rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                out.data[c * rows + r] = v;
             }
         }
         out
@@ -2601,9 +2641,41 @@ mod tests {
 
     #[test]
     fn transpose_roundtrip() {
+        // Empty, vector, off-panel and tall shapes: every element lands at (c, r), and
+        // transposing back restores the matrix exactly.
         let mut rng = StdRng::seed_from_u64(2);
-        let a = Matrix::random_normal(4, 7, 1.0, &mut rng);
-        assert!(a.transpose().transpose().approx_eq(&a, 0.0));
+        for (rows, cols) in [(0, 5), (5, 0), (1, 9), (9, 1), (4, 7), (17, 33), (1024, 32)] {
+            let a = Matrix::random_normal(rows, cols, 1.0, &mut rng);
+            let t = a.transpose();
+            assert_eq!(t.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), a.get(r, c), "{rows}x{cols} at ({r},{c})");
+                }
+            }
+            assert_eq!(t.transpose(), a, "{rows}x{cols} round trip");
+        }
+    }
+
+    #[test]
+    fn the_parallel_rule_is_monotone_in_every_dimension() {
+        // More work never moves a product back below the threshold, and a single output
+        // row never fans out.
+        let sizes = [1usize, 2, 16, 255, 1024, 4096, 1 << 16];
+        for &m in &sizes {
+            for &k in &sizes {
+                for &n in &sizes {
+                    assert!(!fans_out(1, k, n));
+                    assert_eq!(par_threads(1, k, n), 1);
+                    if fans_out(m, k, n) {
+                        assert!(m * k * n >= PAR_FLOPS);
+                        for (m2, k2, n2) in [(m * 2, k, n), (m, k * 2, n), (m, k, n * 2)] {
+                            assert!(fans_out(m2, k2, n2), "{m2}x{k2}x{n2}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -140,15 +140,14 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// `(leaf node, parameter)` bindings recorded by [`Tape::param`].
     bindings: Vec<(VarId, Param)>,
+    /// `(leaf node, parameter, gathered rows)` bindings recorded by [`Tape::param_rows`].
+    row_bindings: Vec<(VarId, Param, Vec<usize>)>,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Tape {
-            nodes: Vec::new(),
-            bindings: Vec::new(),
-        }
+        Tape::default()
     }
 
     /// Number of recorded nodes.
@@ -173,9 +172,16 @@ impl Tape {
         v.get(0, 0)
     }
 
-    /// Parameter bindings recorded so far (leaf id, parameter handle).
+    /// Whole-parameter bindings recorded so far (leaf id, parameter handle).
     pub fn bindings(&self) -> &[(VarId, Param)] {
         &self.bindings
+    }
+
+    /// Row bindings recorded so far by [`Tape::param_rows`]: (leaf id, parameter handle,
+    /// the parameter row behind each row of the leaf). The leaf's gradient, read with
+    /// these indices, is the parameter's row-sparse gradient.
+    pub fn row_bindings(&self) -> &[(VarId, Param, Vec<usize>)] {
+        &self.row_bindings
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> VarId {
@@ -194,6 +200,18 @@ impl Tape {
     pub fn param(&mut self, param: &Param) -> VarId {
         let id = self.push(param.value(), Op::Leaf);
         self.bindings.push((id, param.clone()));
+        id
+    }
+
+    /// Binds rows `indices` of a trainable table (an embedding lookup) as an
+    /// `indices.len() x dim` leaf. Unlike [`Tape::param`] followed by
+    /// [`Tape::gather_rows`], the table is neither copied onto the tape nor given a dense
+    /// `rows x dim` gradient: the leaf's own gradient together with `indices` (see
+    /// [`Tape::row_bindings`]) is what the optimizer scatter-adds.
+    pub fn param_rows(&mut self, param: &Param, indices: &[usize]) -> VarId {
+        let id = self.push(param.with_value(|t| t.gather_rows(indices)), Op::Leaf);
+        self.row_bindings
+            .push((id, param.clone(), indices.to_vec()));
         id
     }
 
@@ -755,14 +773,12 @@ impl Tape {
             }
             Op::GatherRows(a, indices) => {
                 let av = &self.nodes[*a].value;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
+                let slot = grads[*a].get_or_insert_with(|| Matrix::zeros(av.rows(), av.cols()));
                 for (i, &idx) in indices.iter().enumerate() {
-                    for c in 0..av.cols() {
-                        let v = out.get(idx, c) + grad.get(i, c);
-                        out.set(idx, c, v);
+                    for (o, &g) in slot.row_mut(idx).iter_mut().zip(grad.row(i)) {
+                        *o += g;
                     }
                 }
-                add_to(grads, *a, out);
             }
             Op::SliceCols(a, start, end) => {
                 let av = &self.nodes[*a].value;

@@ -40,8 +40,8 @@ fn assert_matrices_match(result: &Matrix, reference: &Matrix, tol: f32, what: &s
     }
 }
 
-/// Shape grid: degenerate vectors, odd sizes around the 4/8-wide kernel boundaries, and
-/// one shape past the parallel FLOP threshold (1M).
+/// Shape grid: degenerate vectors and odd sizes around the 4/8-wide kernel boundaries.
+/// Shapes past the parallel threshold have their own bit-identity test below.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -56,7 +56,7 @@ fn shape_grid() -> Vec<(usize, usize, usize)> {
         (64, 64, 64),
         (128, 96, 112),
         (112, 128, 96),
-        (160, 144, 150), // > 1M flops: crosses the rayon threshold on multicore hosts
+        (160, 144, 150), // > 1M flops: the largest full-grid shape
     ]
 }
 
@@ -155,13 +155,16 @@ fn tiled_transpose_b_is_bit_identical_to_the_row_reference_on_every_arm() {
 
 #[test]
 fn tiled_transpose_b_matches_the_reference_across_strips_and_bands() {
-    // Wide enough for several 256 KiB strips (k = 64: 1024 rows each) and, on a
-    // multi-core host, for the band-parallel split; sizes off every tile multiple.
+    // Wide enough for several 256 KiB strips (k = 64: 1024 rows each); sizes off every
+    // tile multiple. The last shape is the first odd row count past the parallel
+    // threshold, so on a multi-core host it runs the band-parallel split.
     let mut rng = StdRng::seed_from_u64(14);
+    let banded = (1..).find(|&m| sudowoodo_nn::matrix::fans_out(m, 72, 1_030));
     for &(m, n, k) in &[
         (37usize, 2_503usize, 64usize),
         (9, 4_099, 32),
         (130, 1_030, 72),
+        (banded.expect("some row count fans out") | 1, 1_030, 72),
     ] {
         let (a_buf, a_off) = offset_operand(m, k, &mut rng);
         let (b_buf, b_off) = offset_operand(n, k, &mut rng);
@@ -296,6 +299,83 @@ fn fused_transpose_a_matches_naive_reference_across_shapes() {
             &format!("matmul_transpose_a ({k}x{m})^T*{k}x{n}"),
         );
     }
+}
+
+#[test]
+fn fused_transpose_a_matches_naive_reference_on_tall_skinny_shapes() {
+    // The weight-gradient shape: a long contraction (the batch's token count) into a
+    // small `m x n` output, including a zero-row and a zero-length contraction.
+    let mut case = 0u64;
+    for k in [0usize, 1, 7, 512, 1536] {
+        for m in [1usize, 3, 32, 64, 96] {
+            for n in [1usize, 3, 32, 64, 96] {
+                case += 1;
+                let mut rng = StdRng::seed_from_u64(3500 + case);
+                let mut a = Matrix::random_normal(k, m, 1.0, &mut rng);
+                let b = Matrix::random_normal(k, n, 1.0, &mut rng);
+                if k > 2 {
+                    a.row_mut(k / 2).fill(0.0); // a padding row
+                }
+                let tol = contraction_tol(k, a.max_abs(), b.max_abs());
+                assert_matrices_match(
+                    &a.matmul_transpose_a(&b),
+                    &a.transpose().matmul_naive(&b),
+                    tol,
+                    &format!("matmul_transpose_a ({k}x{m})^T*{k}x{n}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn transpose_a_does_not_hide_a_non_finite_row_behind_a_zero_row() {
+    // IEEE semantics, like `matmul` on the transposed operand: a zero (padding) row of A
+    // against an infinite row of B poisons the product (0 * inf = NaN) instead of being
+    // skipped, as the rank-1 loop this kernel replaced did.
+    let mut rng = StdRng::seed_from_u64(3900);
+    let (k, m, n) = (512, 32, 96);
+    let mut a = Matrix::random_normal(k, m, 1.0, &mut rng);
+    let mut b = Matrix::random_normal(k, n, 1.0, &mut rng);
+    a.row_mut(k / 2).fill(0.0);
+    b.row_mut(k / 2).fill(f32::INFINITY);
+    let fused = a.matmul_transpose_a(&b);
+    let plain = a.transpose().matmul(&b);
+    assert!(fused.data().iter().all(|v| v.is_nan()));
+    assert!(plain.data().iter().all(|v| v.is_nan()));
+}
+
+#[test]
+fn products_are_bit_identical_on_either_side_of_the_parallel_threshold() {
+    // A product big enough to fan out must equal, bit for bit, its two halves computed
+    // below the threshold and stacked: the row bands run the same kernels either way.
+    // (On a one-thread host both sides run inline and the test checks only the split.)
+    use sudowoodo_nn::matrix::fans_out;
+    let (k, n) = (64, 128);
+    let mut m = 16;
+    while !fans_out(m, k, n) {
+        m *= 2;
+    }
+    assert!(!fans_out(m / 2, k, n), "the halves must run inline");
+    let mut rng = StdRng::seed_from_u64(4100);
+    let a = Matrix::random_normal(m, k, 1.0, &mut rng);
+    let b = Matrix::random_normal(k, n, 1.0, &mut rng);
+    let bt = b.transpose();
+    let (top, bottom) = (a.slice_rows(0, m / 2), a.slice_rows(m / 2, m));
+    let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(&a.matmul(&b)),
+        bits(&Matrix::vstack(&[&top.matmul(&b), &bottom.matmul(&b)])),
+        "matmul"
+    );
+    assert_eq!(
+        bits(&a.matmul_transpose_b(&bt)),
+        bits(&Matrix::vstack(&[
+            &top.matmul_transpose_b(&bt),
+            &bottom.matmul_transpose_b(&bt)
+        ])),
+        "matmul_transpose_b"
+    );
 }
 
 #[test]
