@@ -1001,19 +1001,6 @@ fn knn_rows(rows: &mut Vec<SpeedupRow>) {
         scored_pairs,
     ));
 
-    // Routing off: the A/B baseline for the routing layer (parallel shard-group merge,
-    // no pruning).
-    let mut unrouted = ShardedCosineIndex::from_vectors(&corpus, 1024);
-    unrouted.set_routing_enabled(false);
-    let fast_unrouted = time(2, || unrouted.knn_join(&queries, k));
-    rows.push(SpeedupRow::new(
-        format!("knn_join sharded cap=1024 routing off (d={dim}, k={k})"),
-        naive,
-        fast_unrouted,
-        queries.len(),
-        scored_pairs,
-    ));
-
     // Routed + spilled: a zero residency budget puts every shard on disk, so each
     // non-pruned shard is faulted back per query tile. Routing keeps pruned shards
     // from ever touching disk; the remaining fault cost is what this row tracks.
@@ -1081,7 +1068,6 @@ fn knn_rows(rows: &mut Vec<SpeedupRow>) {
     let expected = index.knn_join(&queries[..64], k);
     for (name, variant) in [
         ("routed", &sharded),
-        ("unrouted", &unrouted),
         ("spilled", &spilled),
         ("quantized", &quantized),
         ("quantized spilled", &quant_spilled),

@@ -45,27 +45,16 @@ impl BlockingIndex {
     /// sharded index assigns stable insertion ids `0..n`, which coincide with dense row
     /// positions.
     pub fn build(vectors: Vec<Vec<f32>>, shard_capacity: Option<usize>) -> Self {
-        Self::build_with_budget(vectors, shard_capacity, None)
+        Self::build_with_options(vectors, shard_capacity, None, None)
     }
 
-    /// Like [`BlockingIndex::build`], but additionally applies a resident-memory budget
-    /// (bytes of shard matrix payload) to the sharded layout: cold shards beyond the
-    /// budget are spilled to disk before this returns, and routing statistics keep
-    /// pruned shards from ever being read back during searches. The budget is ignored
-    /// by the dense layout (one monolithic matrix cannot partially spill).
-    pub fn build_with_budget(
-        vectors: Vec<Vec<f32>>,
-        shard_capacity: Option<usize>,
-        memory_budget: Option<usize>,
-    ) -> Self {
-        Self::build_with_options(vectors, shard_capacity, memory_budget, None)
-    }
-
-    /// Like [`BlockingIndex::build_with_budget`], additionally enabling the i8
-    /// quantized shard tier on the sharded layout — see
-    /// [`ShardedCosineIndex::set_quantization`] for the two-stage scan and the
-    /// bit-identical-results contract. The dense layout ignores `quantization` exactly
-    /// like it ignores the budget (one monolithic matrix has neither tier).
+    /// Like [`BlockingIndex::build`], additionally applying a resident-memory budget
+    /// (bytes of shard matrix payload) and the i8 quantized shard tier to the sharded
+    /// layout. Cold shards beyond the budget are spilled to disk before this returns,
+    /// and routing statistics keep pruned shards from ever being read back during
+    /// searches; see [`ShardedCosineIndex::set_quantization`] for the two-stage scan
+    /// and the bit-identical-results contract. The dense layout ignores both (one
+    /// monolithic matrix can neither partially spill nor carry a second tier).
     pub fn build_with_options(
         vectors: Vec<Vec<f32>>,
         shard_capacity: Option<usize>,
@@ -336,7 +325,7 @@ mod tests {
             .collect();
         let queries: Vec<Vec<f32>> = corpus.iter().take(7).cloned().collect();
         let dense = BlockingIndex::build(corpus.clone(), None);
-        let spilled = BlockingIndex::build_with_budget(corpus, Some(4), Some(0));
+        let spilled = BlockingIndex::build_with_options(corpus, Some(4), Some(0), None);
         if let BlockingIndex::Sharded(index) = &spilled {
             assert_eq!(index.num_spilled_shards(), index.num_shards());
         } else {

@@ -71,7 +71,7 @@ use crate::snapshot::{
     corrupt_at, open_payload_quarantining, r_usize, read_shard_record, shard_payload, w_u64,
     write_file_atomic, write_shard_record, MANIFEST_FILE,
 };
-use crate::storage::{crc32, same_file, write_matrix_file, write_quant_matrix_file, ShardStorage};
+use crate::storage::{crc32, same_file};
 
 /// File name of the delta manifest inside a delta-snapshot directory. Its presence is
 /// what routes [`crate::ShardedCosineIndex::load_snapshot`] through the chain loader.
@@ -194,12 +194,7 @@ pub(crate) fn save_delta(
     // `index` still spilled onto one of these files is unchanged and inherits.
     let mut base_payloads: HashMap<PathBuf, usize> = HashMap::new();
     for (j, shard) in base.shards.iter().enumerate() {
-        let backing = match &shard.storage {
-            ShardStorage::Spilled(spilled) => Some(spilled.file_path()),
-            ShardStorage::QuantSpilled(spilled) => Some(spilled.file_path()),
-            _ => None,
-        };
-        if let Some(Ok(canonical)) = backing.map(fs::canonicalize) {
+        if let Some(Ok(canonical)) = shard.storage.backing_file().map(fs::canonicalize) {
             base_payloads.insert(canonical, j);
         }
     }
@@ -208,65 +203,16 @@ pub(crate) fn save_delta(
     for (i, shard) in index.shards.iter().enumerate() {
         // A shard still spilled onto a chain-resolved base payload (either format) is
         // unchanged and inherits; resident shards always write locally.
-        let backing = match &shard.storage {
-            ShardStorage::Spilled(spilled) => Some(spilled.file_path()),
-            ShardStorage::QuantSpilled(spilled) => Some(spilled.file_path()),
-            ShardStorage::Resident(_) | ShardStorage::QuantResident { .. } => None,
-        };
-        let inherited = backing
+        let inherited = shard
+            .storage
+            .backing_file()
             .and_then(|p| fs::canonicalize(p).ok())
             .and_then(|canonical| base_payloads.get(&canonical).copied());
         if let Some(j) = inherited {
             sources.push(Some(j));
             continue;
         }
-        let dest = dir.join(shard_payload(i));
-        // Same refusal as the full-snapshot saver: overwriting a different file
-        // inside the target directory would corrupt our own handles.
-        let refuse_same_dir = |backing: &Path| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "delta snapshot into {}: shard {i} is backed by {} inside the \
-                     same directory; publish into a fresh directory instead",
-                    dir.display(),
-                    backing.display()
-                ),
-            )
-        };
-        match &shard.storage {
-            ShardStorage::Resident(matrix) => {
-                write_file_atomic(&dest, |tmp| write_matrix_file(tmp, matrix))?;
-            }
-            ShardStorage::QuantResident { quant, exact } => {
-                write_file_atomic(&dest, |tmp| write_quant_matrix_file(tmp, quant, exact))?;
-            }
-            ShardStorage::Spilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                    // Re-publishing into the same delta directory: already in place.
-                } else if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                } else {
-                    write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
-                }
-            }
-            ShardStorage::QuantSpilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                } else if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                } else {
-                    write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
-                }
-            }
-        }
+        shard.storage.persist(dir, &dir.join(shard_payload(i)))?;
         written += 1;
         sources.push(None);
     }
@@ -516,20 +462,19 @@ fn load_delta_depth(dir: &Path, depth: usize) -> io::Result<ShardedCosineIndex> 
         live_seen += record.live;
         let payload = match inherited_from {
             None => dir.join(shard_payload(i)),
-            Some(j) => match &base.shards[j].storage {
-                ShardStorage::Spilled(spilled) => spilled.file_path().to_path_buf(),
-                ShardStorage::QuantSpilled(spilled) => spilled.file_path().to_path_buf(),
-                // Cold loads always come up spilled; defensive rather than reachable.
-                ShardStorage::Resident(_) | ShardStorage::QuantResident { .. } => {
-                    return Err(corrupt_at(
+            // Cold loads always come up spilled; defensive rather than reachable.
+            Some(j) => base.shards[j]
+                .storage
+                .backing_file()
+                .ok_or_else(|| {
+                    corrupt_at(
                         &manifest,
                         format!("shard {i}: base shard {j} has no payload file to inherit"),
-                    ));
-                }
-            },
+                    )
+                })?
+                .to_path_buf(),
         };
-        let (storage, quarantined) =
-            open_payload_quarantining(dir, i, payload, record.rows, record.cols, record.quantized);
+        let (storage, quarantined) = open_payload_quarantining(dir, i, payload, &record);
         shards.push(Shard {
             storage,
             ids: record.ids,
@@ -559,7 +504,6 @@ fn load_delta_depth(dir: &Path, depth: usize) -> io::Result<ShardedCosineIndex> 
         live,
         shards,
         memory_budget: None,
-        routing: true,
         spill_dir: None,
         clock: AtomicU64::new(0),
         counters: RoutingCounters::default(),

@@ -16,9 +16,10 @@
 //!   ingestion (`add_batch` / `remove` / `compact`) and stable row ids. Same results as
 //!   the dense index over the same rows; built for corpora that grow, shrink, or exceed
 //!   one matrix.
-//! * [`storage::ShardStorage`] — where a shard's matrix lives: resident in memory, or
-//!   spilled to a compact on-disk format under the index's least-recently-used residency
-//!   budget, faulted back only when a query actually needs the shard.
+//! * [`storage`] — where a shard's matrix lives: resident in memory, or spilled under
+//!   the index's least-recently-used residency budget to one payload file type in two
+//!   formats (`SWSHARD1` exact, `SWSHARDQ1` with the i8 tier), validated once and read
+//!   through a shared memory mapping only when a query actually needs the shard.
 //! * [`routing::RoutingStats`] — per-shard centroid/radius statistics giving an
 //!   admissible upper bound on any row's cosine score, used to skip (and never fault in)
 //!   shards that provably cannot enter the current top-k.
@@ -52,7 +53,4 @@ pub use knn::{evaluate_blocking, BlockingQuality, CosineIndex, Neighbor, TopK};
 pub use routing::RoutingStats;
 pub use sharded::{JoinOutcome, QuantSpec, RemoveError, RoutingReport, ShardedCosineIndex};
 pub use snapshot::MANIFEST_FILE;
-pub use storage::{
-    QuantSpilledShard, QuantizedMatrix, QuantizedRow, ShardStorage, SpillDir, SpilledShard,
-    StorageError, StorageErrorKind,
-};
+pub use storage::{QuantizedMatrix, QuantizedRow, SpillDir, StorageError, StorageErrorKind};

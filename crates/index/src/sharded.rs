@@ -43,9 +43,9 @@
 //!    per-row independent, so grouping does not affect the value — only which kernel
 //!    runs does); spilling preserves the matrix bit-for-bit, so a faulted shard scores
 //!    identically to a resident one;
-//! 3. all candidates — per-shard, per-group, and the cross-group merge — flow through
-//!    the crate's single top-k selector, whose (score descending, id ascending) total
-//!    order is insertion-order independent; routing skips only shards whose best
+//! 3. all candidates flow through the crate's single top-k selector, whose (score
+//!    descending, id ascending) total order is insertion-order independent, so the
+//!    order shards are visited in cannot matter; routing skips only shards whose best
 //!    possible score is *strictly* below every query's currently retained `k`-th best
 //!    (see [`crate::routing`] for the admissibility argument), so pruning never changes
 //!    the selected set.
@@ -73,11 +73,6 @@ use crate::storage::{QuantizedBlock, QuantizedMatrix, ShardStorage, SpillDir};
 /// Number of query rows per GEMM tile in [`ShardedCosineIndex::knn_join`] — the same tile
 /// height as the dense index so both paths have identical cache behavior per shard.
 const QUERY_TILE: usize = 256;
-
-/// Maximum number of shard groups a single query tile fans out over. Bounds the
-/// merge-buffer memory at `MERGE_GROUPS x tile_rows x k` candidates while still keeping
-/// every core busy when the query set fits one tile.
-const MERGE_GROUPS: usize = 8;
 
 /// Why a [`ShardedCosineIndex::remove`] (or [`crate::BlockingIndex::remove`]) failed.
 ///
@@ -137,10 +132,9 @@ impl std::error::Error for RemoveError {}
 ///   scan happens.
 ///
 /// Shard counts are per *visit opportunity*: one shard scored (or skipped) for one
-/// query tile (with routing disabled, for one query tile in one merge group). Cache
-/// counts are per `knn_join` call while the cache is enabled. Quarantine fields are
-/// the failure-model half of the report: which shards have been taken out of service
-/// because their storage could not be read (see [`JoinOutcome`]).
+/// query tile. Cache counts are per `knn_join` call while the cache is enabled.
+/// Quarantine fields are the failure-model half of the report: which shards have been
+/// taken out of service because their storage could not be read (see [`JoinOutcome`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoutingReport {
     /// Shards actually scored against a query tile.
@@ -315,8 +309,9 @@ impl Shard {
         // The query path borrows the payload (resident memory or the shared CRC-
         // verified mapping) instead of faulting a heap copy per tile; the kernels
         // are identical either way, so scores stay bit-identical.
-        let payload = self.storage.query_payload()?;
-        let sims = q_block.matmul_transpose_b_view(&payload.view());
+        let sims = self
+            .storage
+            .with_exact(|payload| q_block.matmul_transpose_b_view(&payload))?;
         for (r, selector) in selectors.iter_mut().enumerate() {
             let scores = &sims.row(r)[..self.ids.len()];
             selector.offer_scaled_row(scores, inv_norms[r], |i| self.ids[i], Some(&self.deleted));
@@ -328,8 +323,7 @@ impl Shard {
 /// One query tile as the shard scans see it: the packed f32 block, its inverse norms,
 /// and the tile's i8 codes — quantized at most once per tile and only when a quantized
 /// shard is actually scanned, so a fully dense index never pays for them. Shared across
-/// the tile's shard visits (including the rayon-parallel merge groups of the unrouted
-/// path) through the `OnceLock`.
+/// the tile's shard visits through the `OnceLock`.
 struct QuantQueries<'a> {
     q_block: &'a Matrix,
     inv_norms: &'a [f32],
@@ -610,8 +604,6 @@ pub struct ShardedCosineIndex {
     /// Resident-memory budget (bytes of shard matrix payload) applied after `compact`;
     /// `None` keeps everything resident.
     pub(crate) memory_budget: Option<usize>,
-    /// Whether routing-statistics shard skipping is active.
-    pub(crate) routing: bool,
     /// Spill-file directory, created lazily the first time a shard spills.
     pub(crate) spill_dir: Option<SpillDir>,
     /// Logical clock stamping shard use (searches and ingestion).
@@ -643,7 +635,6 @@ impl Clone for ShardedCosineIndex {
             live: self.live,
             shards: self.shards.clone(),
             memory_budget: self.memory_budget,
-            routing: self.routing,
             spill_dir: None,
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
             counters: RoutingCounters::default(),
@@ -657,8 +648,8 @@ impl Clone for ShardedCosineIndex {
 impl ShardedCosineIndex {
     /// Creates an empty index whose shards hold at most `shard_capacity` vectors each.
     ///
-    /// Routing-statistics shard skipping is enabled by default (it never changes
-    /// results); no memory budget is set, so nothing spills until
+    /// Routing-statistics shard skipping is always on (it never changes results); no
+    /// memory budget is set, so nothing spills until
     /// [`ShardedCosineIndex::set_memory_budget`] is called.
     ///
     /// # Panics
@@ -675,7 +666,6 @@ impl ShardedCosineIndex {
             live: 0,
             shards: Vec::new(),
             memory_budget: None,
-            routing: true,
             spill_dir: None,
             clock: AtomicU64::new(0),
             counters: RoutingCounters::default(),
@@ -758,19 +748,6 @@ impl ShardedCosineIndex {
     /// `None` — previously spilled shards are faulted back, most recently used first.
     pub fn set_memory_budget(&mut self, memory_budget: Option<usize>) {
         self.memory_budget = memory_budget;
-    }
-
-    /// Enables or disables routing-statistics shard skipping (enabled by default).
-    ///
-    /// Skipping never changes results (see [`crate::routing`]); disabling it exists for
-    /// A/B measurement and for the equivalence test suite.
-    pub fn set_routing_enabled(&mut self, enabled: bool) {
-        self.routing = enabled;
-    }
-
-    /// `true` when routing-statistics shard skipping is active.
-    pub fn routing_enabled(&self) -> bool {
-        self.routing
     }
 
     /// Pruning/fault/quantization counters: the scan fields describe **the most recent
@@ -1024,9 +1001,9 @@ impl ShardedCosineIndex {
     ///
     /// To warm up, set a residency budget (or none) and [`ShardedCosineIndex::compact`]
     /// — the regular LRU policy then faults the hot shards resident. The loaded index
-    /// starts with routing enabled, no memory budget, a disabled query cache, and fresh
-    /// counters/epoch; search results are id- and score-identical to the saved index in
-    /// every configuration.
+    /// starts with no memory budget, a disabled query cache, and fresh counters/epoch;
+    /// search results are id- and score-identical to the saved index in every
+    /// configuration.
     ///
     /// A directory published by [`ShardedCosineIndex::save_delta_snapshot`] loads
     /// through its base chain automatically ([`crate::delta`]) — still cold, still
@@ -1094,7 +1071,10 @@ impl ShardedCosineIndex {
                 Some(s) if s.ids.len() < self.shard_capacity => self.shard_capacity - s.ids.len(),
                 _ => {
                     self.shards.push(Shard {
-                        storage: ShardStorage::Resident(Matrix::zeros(0, dim)),
+                        storage: ShardStorage::Resident {
+                            exact: Matrix::zeros(0, dim),
+                            quant: None,
+                        },
                         ids: Vec::new(),
                         deleted: Vec::new(),
                         live: 0,
@@ -1110,13 +1090,14 @@ impl ShardedCosineIndex {
             let old_filled = shard.ids.len();
             let new_filled = old_filled + take;
             let needed = padded_rows(new_filled);
-            // Ingestion mutates the buffer, so a spilled tail shard returns to memory.
+            // Ingestion mutates the buffer, so a spilled tail shard returns to memory
+            // (and a quantized one loses its now-stale codes until the next compact).
             // Mutation has no degraded mode (dropping ingested rows would be silent
             // data loss), so an unreadable tail shard — after the storage layer's
             // retries — still panics, with the typed error naming the file.
             let matrix = shard
                 .storage
-                .make_resident()
+                .matrix_mut()
                 .unwrap_or_else(|e| panic!("ShardedCosineIndex::add_batch: {e}"));
             if needed > matrix.rows() {
                 // Grow geometrically (capped at the shard capacity) so per-row appends
@@ -1141,14 +1122,8 @@ impl ShardedCosineIndex {
             }
             shard.live += take;
             // New rows move the centroid, so the old radius alone is no longer a
-            // bound; the incremental update folds just the new rows in (the resident
-            // matrix is at hand — `make_resident` above — and re-borrowing it here is
-            // free).
-            let resident = shard
-                .storage
-                .make_resident()
-                .expect("made resident above; a resident shard cannot fault");
-            shard.stats.append(resident, old_filled..new_filled);
+            // bound; the incremental update folds just the new rows in.
+            shard.stats.append(matrix, old_filled..new_filled);
             shard.last_used.store(stamp, Ordering::Relaxed);
             offset += take;
         }
@@ -1276,7 +1251,10 @@ impl ShardedCosineIndex {
             let stats = RoutingStats::compute(&matrix, &deleted);
             let recency = chunk.iter().map(|&(_, _, r)| r).max().unwrap_or(0);
             self.shards.push(Shard {
-                storage: ShardStorage::Resident(matrix),
+                storage: ShardStorage::Resident {
+                    exact: matrix,
+                    quant: None,
+                },
                 ids: chunk.iter().map(|(id, _, _)| *id).collect(),
                 deleted,
                 live: chunk.len(),
@@ -1302,8 +1280,7 @@ impl ShardedCosineIndex {
             if !shard.storage.is_resident() {
                 self.counters.faults.fetch_add(1, Ordering::Relaxed);
             }
-            // `make_resident` lands on the plain dense state from every variant.
-            if let Err(e) = shard.storage.make_resident() {
+            if let Err(e) = shard.storage.fault_in() {
                 let e = e.with_shard(i);
                 eprintln!(
                     "warning: ShardedCosineIndex: cannot re-encode shard storage, \
@@ -1311,9 +1288,7 @@ impl ShardedCosineIndex {
                 );
                 continue;
             }
-            if want {
-                shard.storage.quantize_resident();
-            }
+            shard.storage.set_quantized(want);
         }
     }
 
@@ -1330,7 +1305,7 @@ impl ShardedCosineIndex {
             for (i, shard) in self.shards.iter_mut().enumerate() {
                 if !shard.storage.is_resident() {
                     self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = shard.storage.make_resident() {
+                    if let Err(e) = shard.storage.fault_in() {
                         let e = e.with_shard(i);
                         eprintln!(
                             "warning: ShardedCosineIndex: cannot fault shard back, \
@@ -1361,7 +1336,7 @@ impl ShardedCosineIndex {
                     // The budget leaves room for this hot shard: fault it back. An
                     // unreadable shard stays spilled (queries retry it lazily).
                     self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = shard.storage.make_resident() {
+                    if let Err(e) = shard.storage.fault_in() {
                         let e = e.with_shard(i);
                         eprintln!(
                             "warning: ShardedCosineIndex: cannot fault shard back, \
@@ -1417,26 +1392,18 @@ impl ShardedCosineIndex {
     /// Retrieves, for every query vector, its `k` nearest live vectors, returning the
     /// candidate pair list `(query_index, stable_id, score)`.
     ///
-    /// Queries fan out across threads in `QUERY_TILE` (256)-row blocks. Within a block,
-    /// the shard scan depends on the routing switch:
+    /// Queries fan out across threads in `QUERY_TILE` (256)-row blocks. Each block visits
+    /// the shards *sequentially* in decreasing order of their cosine upper bound, sharing
+    /// one set of per-query bounded heaps, and skips every shard that provably cannot
+    /// place a row in any query's top-k. A skipped shard's matrix is never touched — a
+    /// spilled one is never read from disk. Sequential scanning is what makes the bound
+    /// effective: the heaps tighten after the most promising shard, so cold shards
+    /// prune. Query tiles (the dominant axis of join workloads) run in parallel.
     ///
-    /// * **Routing enabled** (the default) — the block visits all shards *sequentially*
-    ///   in decreasing order of their cosine upper bound, sharing one set of per-query
-    ///   bounded heaps, and skips every shard that provably cannot place a row in any
-    ///   query's top-k. A skipped shard's matrix is never touched — a spilled one is
-    ///   never read from disk. Sequential scanning is what makes the bound effective:
-    ///   the heaps tighten after the most promising shard, so cold shards prune. Query
-    ///   tiles (the dominant axis of join workloads) still run in parallel.
-    /// * **Routing disabled** — shards fan out in up to `MERGE_GROUPS` contiguous
-    ///   groups scored in parallel, each with its own heaps (memory: groups x block
-    ///   rows x k candidates); the group-local top-k lists then merge through the same
-    ///   selector. This is the layout-throughput mode for workloads where nothing can
-    ///   prune (and the A/B baseline for the routing tests).
-    ///
-    /// Output ordering matches the dense [`crate::CosineIndex::knn_join`] either way:
-    /// query index, then descending score (ascending id on ties) — selection is a total
-    /// order, so neither the grouping nor the pruning is visible in results (see
-    /// [`crate::routing`] for the admissibility argument).
+    /// Output ordering matches the dense [`crate::CosineIndex::knn_join`]: query index,
+    /// then descending score (ascending id on ties) — selection is a total order, so
+    /// pruning is not visible in results (see [`crate::routing`] for the admissibility
+    /// argument).
     ///
     /// # Panics
     /// Panics when a query's dimension disagrees with the index dimension.
@@ -1481,103 +1448,14 @@ impl ShardedCosineIndex {
         } else {
             None
         };
-        let dim = self.dim;
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let group_size = self.shards.len().div_ceil(MERGE_GROUPS).max(1);
         let all_shards: Vec<usize> = (0..self.shards.len()).collect();
-        let per_block: Vec<Vec<(usize, usize, f32)>> = queries
-            .par_chunks(QUERY_TILE)
-            .enumerate()
-            .map(|(block_idx, block)| {
-                let base = block_idx * QUERY_TILE;
-                let (q_block, inv_norms) =
-                    pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
-                let quant_queries = QuantQueries::new(&q_block, &inv_norms);
-                let selectors = if self.routing {
-                    // One shared selector set, best-bound-first scan with pruning.
-                    let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                    self.offer_shards_routed(
-                        block,
-                        &quant_queries,
-                        &mut selectors,
-                        stamp,
-                        &all_shards,
-                    );
-                    selectors
-                } else {
-                    // Rayon-parallel per-shard-group products, each with its own bounded
-                    // heaps, merged deterministically.
-                    let per_group: Vec<Vec<Vec<Neighbor>>> = self
-                        .shards
-                        .par_chunks(group_size)
-                        .enumerate()
-                        .map(|(group_idx, group)| {
-                            let mut selectors: Vec<TopK> =
-                                (0..block.len()).map(|_| TopK::new(k)).collect();
-                            let mut scratch = QuantScratch::default();
-                            for (j, shard) in group.iter().enumerate() {
-                                if shard.live > 0 && !shard.is_quarantined() {
-                                    self.counters.visited.fetch_add(1, Ordering::Relaxed);
-                                    if !shard.storage.is_resident() {
-                                        self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    if let Err(e) = self.offer_shard(
-                                        shard,
-                                        &quant_queries,
-                                        &mut selectors,
-                                        &mut scratch,
-                                    ) {
-                                        self.quarantine(group_idx * group_size + j, e);
-                                    }
-                                }
-                                shard.last_used.store(stamp, Ordering::Relaxed);
-                            }
-                            selectors.into_iter().map(TopK::into_sorted).collect()
-                        })
-                        .collect();
-                    let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                    for group_hits in per_group {
-                        for (r, hits) in group_hits.into_iter().enumerate() {
-                            for hit in hits {
-                                selectors[r].offer(hit.id, hit.score);
-                            }
-                        }
-                    }
-                    selectors
-                };
-                let mut pairs = Vec::with_capacity(block.len() * k);
-                for (r, selector) in selectors.into_iter().enumerate() {
-                    pairs.extend(
-                        selector
-                            .into_sorted()
-                            .into_iter()
-                            .map(|h| (base + r, h.id, h.score)),
-                    );
-                }
-                pairs
-            })
-            .collect();
-        let pairs: Vec<(usize, usize, f32)> = per_block.into_iter().flatten().collect();
-        // Shards that were skipped as quarantined — whether they entered the join that
-        // way or failed during it — made this answer incomplete.
-        let quarantined_shards: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.live > 0 && s.is_quarantined())
-            .map(|(i, _)| i)
-            .collect();
-        let degraded = !quarantined_shards.is_empty();
+        let outcome = self.join_shards(queries, k, &all_shards);
         if let Some(key) = cache_key {
-            if !degraded {
-                self.cache.insert(key, self.epoch(), pairs.clone());
+            if !outcome.degraded {
+                self.cache.insert(key, self.epoch(), outcome.pairs.clone());
             }
         }
-        JoinOutcome {
-            pairs,
-            degraded,
-            quarantined_shards,
-        }
+        outcome
     }
 
     /// [`Self::knn_join_report`] restricted to a subset of **shard positions** — the
@@ -1619,6 +1497,13 @@ impl ShardedCosineIndex {
         if k == 0 || self.is_empty() || queries.is_empty() || subset.is_empty() {
             return JoinOutcome::default();
         }
+        self.join_shards(queries, k, &subset)
+    }
+
+    /// The join both entry points run: query tiles in parallel, each scanning the
+    /// `shards` positions best-bound-first ([`Self::offer_shards_routed`]); the outcome is
+    /// degraded when any of `shards` is quarantined.
+    fn join_shards(&self, queries: &[Vec<f32>], k: usize, shards: &[usize]) -> JoinOutcome {
         let dim = self.dim;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let per_block: Vec<Vec<(usize, usize, f32)>> = queries
@@ -1630,31 +1515,7 @@ impl ShardedCosineIndex {
                     pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
                 let quant_queries = QuantQueries::new(&q_block, &inv_norms);
                 let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                if self.routing {
-                    // Same best-bound-first pruning scan as the whole-index join,
-                    // considering only the subset.
-                    self.offer_shards_routed(block, &quant_queries, &mut selectors, stamp, &subset);
-                } else {
-                    let mut scratch = QuantScratch::default();
-                    for &i in &subset {
-                        let shard = &self.shards[i];
-                        if shard.live > 0 && !shard.is_quarantined() {
-                            self.counters.visited.fetch_add(1, Ordering::Relaxed);
-                            if !shard.storage.is_resident() {
-                                self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if let Err(e) = self.offer_shard(
-                                shard,
-                                &quant_queries,
-                                &mut selectors,
-                                &mut scratch,
-                            ) {
-                                self.quarantine(i, e);
-                            }
-                        }
-                        shard.last_used.store(stamp, Ordering::Relaxed);
-                    }
-                }
+                self.offer_shards_routed(block, &quant_queries, &mut selectors, stamp, shards);
                 let mut pairs = Vec::with_capacity(block.len() * k);
                 for (r, selector) in selectors.into_iter().enumerate() {
                     pairs.extend(
@@ -1668,15 +1529,16 @@ impl ShardedCosineIndex {
             })
             .collect();
         let pairs: Vec<(usize, usize, f32)> = per_block.into_iter().flatten().collect();
-        let quarantined_shards: Vec<usize> = subset
+        // Shards that were skipped as quarantined — whether they entered the join that
+        // way or failed during it — made this answer incomplete.
+        let quarantined_shards: Vec<usize> = shards
             .iter()
             .copied()
             .filter(|&i| self.shards[i].live > 0 && self.shards[i].is_quarantined())
             .collect();
-        let degraded = !quarantined_shards.is_empty();
         JoinOutcome {
             pairs,
-            degraded,
+            degraded: !quarantined_shards.is_empty(),
             quarantined_shards,
         }
     }
@@ -1790,13 +1652,13 @@ impl ShardedCosineIndex {
         }
         // For a spilled shard this faults exact rows through the shared mapping (page
         // cache, not heap) — the resident scanning footprint stays the i8 tier.
-        let payload = shard.storage.query_payload()?;
-        let view = payload.view();
         let padded = padded_rows(rescore.len());
         gathered.clear();
-        for &row in rescore.iter() {
-            gathered.extend_from_slice(view.row(row));
-        }
+        shard.storage.with_exact(|view| {
+            for &row in rescore.iter() {
+                gathered.extend_from_slice(view.row(row));
+            }
+        })?;
         gathered.resize(padded * dim, 0.0);
         // Every element is overwritten by the product; only the length matters.
         exact.resize(selectors.len() * padded, 0.0);
@@ -2231,15 +2093,15 @@ mod tests {
         );
         assert!(report.spill_faults < 4, "pruning must save disk reads");
 
-        // Same query with routing disabled: identical results, zero pruning.
-        index.set_routing_enabled(false);
+        // Same query at k >= len(): no selector fills, so nothing can prune — the same
+        // best rows lead, and every shard faults.
         index.reset_routing_report();
-        assert_eq!(index.knn_join(&query, 4), hits);
-        let unrouted = index.routing_report();
-        assert_eq!(unrouted.shards_pruned, 0);
+        assert_eq!(index.knn_join(&query, index.len())[..4], hits[..]);
+        let unpruned = index.routing_report();
+        assert_eq!(unpruned.shards_pruned, 0);
         assert_eq!(
-            unrouted.spill_faults, 4,
-            "without routing every shard faults"
+            unpruned.spill_faults, 4,
+            "without pruning every shard faults"
         );
     }
 
@@ -2260,11 +2122,8 @@ mod tests {
     /// Deletes the spill file backing shard `i` out from under the index — the
     /// durable-fault fixture (retries cannot help; the shard must quarantine).
     fn destroy_spill_file(index: &ShardedCosineIndex, i: usize) {
-        match &index.shards[i].storage {
-            ShardStorage::Spilled(s) => std::fs::remove_file(s.file_path()).unwrap(),
-            ShardStorage::QuantSpilled(s) => std::fs::remove_file(s.file_path()).unwrap(),
-            _ => panic!("shard {i} is not spilled"),
-        }
+        let file = index.shards[i].storage.backing_file();
+        std::fs::remove_file(file.expect("shard is spilled")).unwrap();
     }
 
     #[test]
@@ -2279,9 +2138,10 @@ mod tests {
         assert_eq!(index.num_spilled_shards(), 3);
         destroy_spill_file(&index, 1);
 
-        // Routing must not hide the fault: force every shard to be visited.
-        index.set_routing_enabled(false);
-        let outcome = index.knn_join_report(&queries, 4);
+        // Routing must not hide the fault: at k >= len() no selector fills, so every
+        // shard is visited.
+        let k = index.len();
+        let outcome = index.knn_join_report(&queries, k);
         assert!(outcome.degraded, "a lost shard must flag the join degraded");
         assert_eq!(outcome.quarantined_shards, vec![1]);
         assert!(
@@ -2307,7 +2167,7 @@ mod tests {
         // A repeated degraded join skips the quarantined shard without re-quarantining:
         // the per-join quarantine counter is 0 (no new event this join), while the
         // quarantine *state* still lists the shard.
-        let again = index.knn_join_report(&queries, 4);
+        let again = index.knn_join_report(&queries, k);
         assert_eq!(again, outcome);
         assert_eq!(index.routing_report().shards_quarantined, 0);
         assert_eq!(index.routing_report().quarantined_shards, vec![1]);
@@ -2463,6 +2323,29 @@ mod tests {
         assert_eq!(quantized.num_quantized_shards(), 0);
         assert_eq!(quantized.knn_join(&queries, 5), pairs);
         assert_eq!(quantized.routing_report().quant_scans, 0);
+    }
+
+    /// Regression: faulting quantized shards back for residency used to drop their i8
+    /// tier, so it took a second `compact()` to quantize them again.
+    #[test]
+    fn lifting_the_budget_faults_quantized_shards_back_with_their_codes() {
+        let _quiet = sudowoodo_faults::quiet_scope();
+        let corpus = vectors(64, 8, 81);
+        let queries = vectors(6, 8, 82);
+        let mut index = ShardedCosineIndex::from_vectors(&corpus, 16);
+        let expected = index.knn_join(&queries, 5);
+        index.set_quantization(Some(QuantSpec::default()));
+        index.set_memory_budget(Some(0));
+        index.compact();
+        assert_eq!(index.num_spilled_shards(), 4);
+        assert_eq!(index.num_quantized_shards(), 4);
+
+        index.set_memory_budget(None);
+        index.compact();
+        assert_eq!(index.num_spilled_shards(), 0);
+        assert_eq!(index.num_quantized_shards(), index.num_shards());
+        assert_eq!(index.knn_join(&queries, 5), expected);
+        assert!(index.routing_report().quant_scans > 0);
     }
 
     /// The candidate rule as first written — one `dot_i8` per (query, live row), the

@@ -10,10 +10,10 @@
 //!   (centroid, radius, *and* the `f64` running sum, so post-load appends stay as tight
 //!   as they would have been without the round trip);
 //! * **one payload file per shard** (`shard-<i>.bin`, or `dense.bin` for the dense
-//!   layout) in the exact [`crate::storage`] `SWSHARD1` spill format — so a shard that
-//!   is already spilled to disk snapshots with a plain file copy, never deserialized,
-//!   and a resident shard is written by the same streaming serializer the spill path
-//!   uses.
+//!   layout) in the exact [`crate::storage`] spill format (`SWSHARD1`, or `SWSHARDQ1`
+//!   for a quantized shard) — so a shard that is already spilled to disk snapshots with
+//!   a plain file copy, never deserialized, and a resident shard is written by the same
+//!   streaming writer the spill path uses.
 //!
 //! ## Cold loads: warm-start is O(manifest), not O(corpus)
 //!
@@ -70,9 +70,9 @@
 //! pointing at missing payloads, and it carries a **CRC-32 trailer** over every
 //! preceding byte — a manifest torn by a crash mid-write (or bit-rotted on disk) is
 //! rejected with a typed error instead of being half-parsed. Payload file lengths are
-//! validated against the manifest at load time
-//! ([`crate::storage::SpilledShard::open`]), the `SWSHARD1` header and payload CRC are
-//! re-verified on every fault, and a shard whose payload fails validation is loaded
+//! validated against the manifest at load time (with checked arithmetic — a recorded
+//! shape no file can have is corruption), the payload header and CRC when the file is
+//! first read, and a shard whose payload fails validation is loaded
 //! **quarantined** (see [`crate::JoinOutcome`]) so one corrupt file degrades — not
 //! aborts — the snapshot: the readable shards serve while the quarantined ones wait
 //! for a `compact()` to recover or drop them.
@@ -83,17 +83,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 
 use sudowoodo_faults as faults;
-use sudowoodo_nn::matrix::Matrix;
 
 use crate::blocking::BlockingIndex;
 use crate::cache::QueryCache;
 use crate::knn::CosineIndex;
 use crate::routing::RoutingStats;
 use crate::sharded::{QuantSpec, RoutingCounters, Shard, ShardedCosineIndex};
-use crate::storage::{
-    crc32, same_file, write_matrix_file, write_quant_matrix_file, QuantSpilledShard, ShardStorage,
-    SpilledShard,
-};
+use crate::storage::{crc32, write_payload, Format, PayloadFile, ShardStorage};
 
 /// File name of the snapshot manifest inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.swidx";
@@ -227,8 +223,8 @@ pub(crate) struct ShardRecord {
     pub rows: usize,
     /// Payload matrix column count (== the index dimension).
     pub cols: usize,
-    /// `true` when the payload is a quantized `SWSHARDQ1` file, `false` for `SWSHARD1`.
-    pub quantized: bool,
+    /// Which payload format backs the shard.
+    pub format: Format,
     /// Stable ids of the shard's slots, ascending.
     pub ids: Vec<usize>,
     /// Tombstone per slot.
@@ -266,7 +262,11 @@ pub(crate) fn read_shard_record(
             format!("shard {i} has unknown storage kind {}", kind[0]),
         ));
     }
-    let quantized = kind[0] == 1;
+    let format = if kind[0] == 1 {
+        Format::Quantized
+    } else {
+        Format::Exact
+    };
     let n = r_usize(r)?;
     if n > rows || n > shard_capacity || n > next_id {
         return Err(corrupt_at(
@@ -279,7 +279,7 @@ pub(crate) fn read_shard_record(
     }
     // `n` is now bounded by next_id (ids are distinct and below it), so this
     // preallocation cannot be driven huge by a corrupt count alone; the payload
-    // length check in `SpilledShard::open` catches inflated `rows`.
+    // length check at open time catches inflated `rows`.
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r_usize(r)?;
@@ -336,7 +336,7 @@ pub(crate) fn read_shard_record(
     Ok(ShardRecord {
         rows,
         cols,
-        quantized,
+        format,
         ids,
         deleted,
         live,
@@ -353,36 +353,22 @@ pub(crate) fn open_payload_quarantining(
     dir: &Path,
     i: usize,
     payload: PathBuf,
-    rows: usize,
-    cols: usize,
-    quantized: bool,
+    record: &ShardRecord,
 ) -> (ShardStorage, bool) {
-    let warn = |e: crate::StorageError| {
-        eprintln!(
-            "warning: snapshot load {}: quarantining shard with invalid \
-             payload (degraded results until compact): {e}",
-            dir.display()
-        );
+    let file = PayloadFile::open(payload, record.format, record.rows, record.cols);
+    let quarantined = match file.check_length() {
+        Ok(()) => false,
+        Err(e) => {
+            eprintln!(
+                "warning: snapshot load {}: quarantining shard with invalid \
+                 payload (degraded results until compact): {}",
+                dir.display(),
+                e.with_shard(i)
+            );
+            true
+        }
     };
-    if quantized {
-        match QuantSpilledShard::open(payload.clone(), rows, cols) {
-            Ok(opened) => (ShardStorage::QuantSpilled(opened), false),
-            Err(e) => {
-                warn(e.with_shard(i));
-                let unchecked = QuantSpilledShard::open_unchecked(payload, rows, cols);
-                (ShardStorage::QuantSpilled(unchecked), true)
-            }
-        }
-    } else {
-        match SpilledShard::open(payload.clone(), rows, cols) {
-            Ok(opened) => (ShardStorage::Spilled(opened), false),
-            Err(e) => {
-                warn(e.with_shard(i));
-                let unchecked = SpilledShard::open_unchecked(payload, rows, cols);
-                (ShardStorage::Spilled(unchecked), true)
-            }
-        }
-    }
+    (ShardStorage::Spilled(file), quarantined)
 }
 
 // ---- save ---------------------------------------------------------------------------
@@ -392,59 +378,7 @@ pub(crate) fn open_payload_quarantining(
 pub(crate) fn save_sharded(index: &ShardedCosineIndex, dir: &Path) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     for (i, shard) in index.shards.iter().enumerate() {
-        let dest = dir.join(shard_payload(i));
-        // A shard backed by a *different* file inside the target directory moved
-        // position since this snapshot was loaded. Overwriting files out from under
-        // our own live handles would corrupt this index, so refuse; a fresh
-        // directory is always safe.
-        let refuse_same_dir = |backing: &Path| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "snapshot save into {}: shard {i} is backed by {} inside the \
-                     same directory; save a mutated snapshot-loaded index into a \
-                     fresh directory instead",
-                    dir.display(),
-                    backing.display()
-                ),
-            )
-        };
-        match &shard.storage {
-            ShardStorage::Resident(matrix) => {
-                write_file_atomic(&dest, |tmp| write_matrix_file(tmp, matrix))?;
-            }
-            ShardStorage::QuantResident { quant, exact } => {
-                write_file_atomic(&dest, |tmp| write_quant_matrix_file(tmp, quant, exact))?;
-            }
-            ShardStorage::Spilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                    // Saving a snapshot-loaded index back into its own directory: the
-                    // payload is already exactly this file.
-                    continue;
-                }
-                if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                }
-                write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
-            }
-            ShardStorage::QuantSpilled(spilled) => {
-                if same_file(spilled.file_path(), &dest) {
-                    continue;
-                }
-                if spilled
-                    .file_path()
-                    .parent()
-                    .is_some_and(|p| same_file(p, dir))
-                {
-                    return Err(refuse_same_dir(spilled.file_path()));
-                }
-                write_file_atomic(&dest, |tmp| spilled.copy_to(tmp))?;
-            }
-        }
+        shard.storage.persist(dir, &dir.join(shard_payload(i)))?;
     }
     // The manifest body is built in memory (it is O(shards), small next to the
     // payloads) so the CRC-32 trailer covers exactly the bytes written and a torn
@@ -479,7 +413,7 @@ pub(crate) fn save_sharded(index: &ShardedCosineIndex, dir: &Path) -> io::Result
 pub(crate) fn save_dense(index: &CosineIndex, dir: &Path) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     write_file_atomic(&dir.join(DENSE_PAYLOAD), |tmp| {
-        write_matrix_file(tmp, index.matrix())
+        write_payload(tmp, index.matrix(), None)
     })?;
     let mut w: Vec<u8> = Vec::new();
     w.write_all(MAGIC)?;
@@ -598,9 +532,8 @@ fn read_sharded_body(dir: &Path, r: &mut impl Read) -> io::Result<ShardedCosineI
         let record =
             read_shard_record(&manifest, r, i, dim, shard_capacity, next_id, &mut prev_id)?;
         live_seen += record.live;
-        let payload = dir.join(shard_payload(i));
         let (storage, quarantined) =
-            open_payload_quarantining(dir, i, payload, record.rows, record.cols, record.quantized);
+            open_payload_quarantining(dir, i, dir.join(shard_payload(i)), &record);
         shards.push(Shard {
             storage,
             ids: record.ids,
@@ -630,7 +563,6 @@ fn read_sharded_body(dir: &Path, r: &mut impl Read) -> io::Result<ShardedCosineI
         live,
         shards,
         memory_budget: None,
-        routing: true,
         spill_dir: None,
         clock: AtomicU64::new(0),
         counters: RoutingCounters::default(),
@@ -661,8 +593,8 @@ pub(crate) fn load_blocking(dir: &Path) -> io::Result<BlockingIndex> {
             // starts cold). There is also nothing to degrade around: a single corrupt
             // payload *is* the whole index, so it fails the load with a typed error
             // (with the storage layer's retry backoff for transient faults).
-            let payload: PathBuf = dir.join(DENSE_PAYLOAD);
-            let matrix: Matrix = SpilledShard::open(payload, rows, dim)?.load_retrying()?;
+            let payload = PayloadFile::open(dir.join(DENSE_PAYLOAD), Format::Exact, rows, dim);
+            let matrix = ShardStorage::Spilled(payload).matrix()?.into_owned();
             Ok(BlockingIndex::Dense(CosineIndex::from_normalized_parts(
                 matrix, len,
             )))

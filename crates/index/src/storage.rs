@@ -1,25 +1,19 @@
 //! Disk-spill storage for shards of the blocking index.
 //!
-//! ROADMAP names "spill cold shards to disk / mmap" as the next scale step after the
-//! in-memory sharded layout: a streaming corpus eventually exceeds RAM, but most shards
-//! are *cold* — they hold old rows that rarely win a top-k slot. This module gives every
-//! shard matrix a [`ShardStorage`] home with two states:
+//! A streaming corpus eventually exceeds RAM, but most shards are *cold* — they hold old
+//! rows that rarely win a top-k slot. Every shard payload therefore has two states: in
+//! memory (the row-major exact f32 [`Matrix`], plus its i8 [`QuantizedMatrix`] tier when
+//! the shard is quantized), or spilled to a payload file that is read back only when a
+//! query needs the shard. Which shards spill is decided by
+//! [`crate::ShardedCosineIndex`]'s residency budget after `compact()` (least recently used
+//! first); which spilled shards are ever *read* is decided by the routing statistics of
+//! [`crate::routing`] — a pruned shard never touches disk, which is what makes spilling
+//! and routing multiplicative.
 //!
-//! * [`ShardStorage::Resident`] — the row-major [`Matrix`] in memory (the only state
-//!   that existed before this layer);
-//! * [`ShardStorage::Spilled`] — the same matrix serialized to a compact on-disk file
-//!   ([`SpilledShard`]), read back on demand when a query actually needs the shard.
+//! ## On-disk formats
 //!
-//! Which shards spill is decided by [`crate::ShardedCosineIndex`]'s residency budget
-//! after `compact()` (least-recently-used shards go first); which spilled shards are
-//! ever *read back* is decided by the routing statistics of [`crate::routing`] — a shard
-//! whose cosine upper bound cannot enter the current top-k is skipped without touching
-//! disk, which is what makes spilling and routing multiplicative.
-//!
-//! ## On-disk format
-//!
-//! A spill file is the shard matrix and nothing else, laid out for a single sequential
-//! read:
+//! Spill files and snapshot payloads are the same file type in one of two formats,
+//! chosen by whether the shard carries the i8 tier. `SWSHARD1` holds the exact rows:
 //!
 //! ```text
 //! offset  size           field
@@ -30,27 +24,8 @@
 //! end-4   4              CRC-32 (ISO-HDLC) of every preceding byte, little endian
 //! ```
 //!
-//! The payload is the matrix buffer bit-for-bit (including the zero padding rows up to
-//! the SIMD row-quad width), so a spilled-then-faulted shard scores queries **bit
-//! identically** to its resident twin — the dense/sharded equivalence contract survives
-//! spilling. The CRC trailer is verified on every fault, so silent on-disk corruption
-//! (a flipped bit, a truncated-then-padded file) surfaces as a typed [`StorageError`]
-//! instead of wrong similarity scores. Files live in a per-index temporary directory
-//! ([`SpillDir`]) that is removed when the index is dropped; individual files are
-//! removed as soon as their shard is repacked or faulted back to residency.
-//!
-//! The same format doubles as the per-shard **payload format of persistent snapshots**
-//! ([`crate::snapshot`]): a snapshot shard file is byte-identical to a spill file, so a
-//! spilled shard is snapshotted with a plain file copy (no deserialization), and a
-//! snapshot-loaded shard is served through the exact same fault path — just via a
-//! non-owning handle ([`SpilledShard::open`]) that never deletes the snapshot.
-//!
-//! ## Quantized payloads (`SWSHARDQ1`)
-//!
-//! A shard quantized by [`QuantizedMatrix::quantize`] (i8 codes with one f32 scale per
-//! row) spills and snapshots into a second format that carries **both tiers** of the
-//! two-stage scan — the i8 codes the approximate scan reads and the exact f32 rows the
-//! rescore tier reads, so a quantized shard still answers queries bit-identically:
+//! `SWSHARDQ1` carries **both tiers** of the two-stage scan — the i8 codes the
+//! approximate scan reads and the exact f32 rows the rescore reads:
 //!
 //! ```text
 //! offset            size           field
@@ -66,28 +41,41 @@
 //! end-4             4              CRC-32 (ISO-HDLC) of every preceding byte
 //! ```
 //!
-//! The exact payload sits at a 4-byte-aligned offset so the mmap query path
-//! ([`MappedQuantShard`]) reinterprets it in place exactly like `SWSHARD1`; the codes
-//! and scales are decoded into a small heap copy once per handle ([`QuantSpilledShard`])
-//! — a quarter the bytes of the f32 payload, which is the whole memory-density point.
-//! Torn or corrupt `SWSHARDQ1` files fail with the same typed [`StorageError`]s as
-//! `SWSHARD1`, so snapshot loads quarantine them identically.
+//! Both are header, scales, exact rows, codes, trailer in that order — `SWSHARD1` just has
+//! no scales and no codes — so one layout computation, one writer and one validator serve
+//! both. Every section starts at a multiple of 4 bytes. The exact rows are the matrix
+//! buffer bit for bit, zero padding rows included, so a spilled shard scores queries
+//! **bit-identically** to its resident twin. A snapshot shard file ([`crate::snapshot`])
+//! is byte-identical to a spill file: a spilled shard snapshots with a plain file copy,
+//! and a snapshot-loaded shard is served through the same read path by a non-owning
+//! handle that never deletes the snapshot.
+//!
+//! ## Reads
+//!
+//! A payload file is validated once — length against the recorded shape, magic, header
+//! shape, and the CRC-32 trailer over every preceding byte — when it is first read, and
+//! the validated bytes are kept for the handle's lifetime: a shared read-only `mmap(2)` on
+//! Unix (the page cache is the working set, once for every process serving the file), a
+//! heap read elsewhere. The query path borrows the exact section in place; compaction,
+//! ingestion, cloning and the dense-snapshot load copy out of it. A quantized file's codes
+//! and scales are decoded into a heap cache once per handle — a quarter of the exact
+//! bytes, which is the whole memory-density point. The layout arithmetic is checked, so a
+//! recorded shape no file can have is corruption, never an overflow.
 //!
 //! ## Failure model
 //!
-//! Every fault path returns a typed [`StorageError`] naming the file (and, one layer
-//! up, the shard id) instead of panicking: a vanished spill file or a corrupt payload
-//! degrades the query that needed it, never the process. [`SpilledShard::load_retrying`]
-//! wraps the single-attempt read with a short exponential backoff for transient
-//! failures; callers that still fail after the retries quarantine the shard (see
+//! Every read returns a typed [`StorageError`] naming the file (and, one layer up, the
+//! shard) instead of panicking: a vanished spill file or a corrupt payload degrades the
+//! query that needed it, never the process. Transient I/O faults are retried with a short
+//! exponential backoff; corruption is not, and the caller quarantines the shard (see
 //! [`crate::ShardedCosineIndex`]). The fault-injection points of this module
-//! (`spill.read.io_err`, `spill.write.io_err`, `snapshot.payload.torn`) are armed
-//! through [`sudowoodo_faults`] and compile to one relaxed atomic load when disarmed.
+//! (`spill.read.io_err`, `spill.write.io_err`, `snapshot.payload.torn`) are armed through
+//! [`sudowoodo_faults`] and compile to one relaxed atomic load when disarmed.
 
 use std::borrow::Cow;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -96,13 +84,7 @@ use std::time::Duration;
 use sudowoodo_faults as faults;
 use sudowoodo_nn::matrix::{Matrix, MatrixView};
 
-/// Magic prefix of a spill file; the trailing `1` is the format version.
-const MAGIC: &[u8; 8] = b"SWSHARD1";
-
-/// Byte length of the spill-file header (magic + rows + cols).
-const HEADER_LEN: usize = 8 + 8 + 8;
-
-/// Byte length of the CRC-32 trailer at the end of a spill file.
+/// Byte length of the CRC-32 trailer at the end of a payload file.
 const TRAILER_LEN: usize = 4;
 
 /// Read attempts a retrying fault makes in total (1 initial + 3 backoff retries).
@@ -141,7 +123,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// Incremental CRC-32/ISO-HDLC (the zlib/PNG checksum) — std-only, table-driven.
-/// Shared by the spill-file payloads and the snapshot manifest.
+/// Shared by the payload files and the snapshot manifests.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Crc32 {
     state: u32,
@@ -338,435 +320,9 @@ impl SpillDir {
     }
 }
 
-/// One shard matrix serialized to disk (see the module docs for the format).
-///
-/// Comes in two ownership flavours:
-///
-/// * **Owning** ([`SpilledShard::write`]) — a spill file under a [`SpillDir`]; the file
-///   is deleted when the `SpilledShard` drops (shard repacked, faulted back to
-///   residency, or index dropped).
-/// * **Non-owning** ([`SpilledShard::open`]) — a payload file of a persistent snapshot
-///   ([`crate::snapshot`]); the handle reads it on demand but never deletes it, so one
-///   snapshot directory can back any number of loaded indexes (across processes).
-#[derive(Debug)]
-pub struct SpilledShard {
-    /// Keeps the spill directory alive as long as any owned file in it exists (never
-    /// read — the handle's `Drop` ordering is its whole job). `None` for non-owning
-    /// snapshot-backed handles.
-    _dir: Option<SpillDir>,
-    path: PathBuf,
-    /// Whether the file is deleted when this handle drops.
-    owns_file: bool,
-    rows: usize,
-    cols: usize,
-    /// The query-path memory mapping, established (and CRC-verified) once on first
-    /// use. A failed map is never cached — the next query retries from scratch, so a
-    /// transient fault costs retries, never a permanently broken shard.
-    #[cfg(all(unix, target_endian = "little"))]
-    map: OnceLock<MappedShard>,
-}
-
-impl Drop for SpilledShard {
-    fn drop(&mut self) {
-        if self.owns_file {
-            remove_quietly(&self.path, false);
-        }
-    }
-}
-
-/// Serializes `matrix` into the spill-file format at `path` (see the module docs),
-/// streaming in bounded chunks so writing a large shard never doubles its memory
-/// footprint, and appending the CRC-32 trailer. Shared by the transient spill path and
-/// the snapshot writer.
-///
-/// Failpoint `snapshot.payload.torn`: writes the header plus roughly half the payload
-/// and errors out without the trailer — the on-disk shape of a crash mid-write.
-pub(crate) fn write_matrix_file(path: &Path, matrix: &Matrix) -> io::Result<()> {
-    let torn = faults::fires("snapshot.payload.torn");
-    let mut file = io::BufWriter::new(fs::File::create(path)?);
-    let mut crc = Crc32::new();
-    let mut put = |file: &mut io::BufWriter<fs::File>, bytes: &[u8]| -> io::Result<()> {
-        crc.update(bytes);
-        file.write_all(bytes)
-    };
-    put(&mut file, MAGIC)?;
-    put(&mut file, &(matrix.rows() as u64).to_le_bytes())?;
-    put(&mut file, &(matrix.cols() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(16 * 1024);
-    let data = matrix.data();
-    let keep = if torn { data.len() / 2 } else { data.len() };
-    for chunk in data[..keep].chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        put(&mut file, &buf)?;
-    }
-    if torn {
-        file.flush()?;
-        return Err(io::Error::other(
-            "failpoint snapshot.payload.torn: simulated crash mid-payload",
-        ));
-    }
-    file.write_all(&crc.finish().to_le_bytes())?;
-    file.flush()
-}
-
-impl SpilledShard {
-    /// Serializes `matrix` into a fresh file under `dir`. The returned handle owns the
-    /// file and deletes it on drop.
-    ///
-    /// Failpoint `spill.write.io_err`: fails before touching the filesystem (the shard
-    /// simply stays resident — spilling is an optimization).
-    pub fn write(dir: &SpillDir, matrix: &Matrix) -> io::Result<SpilledShard> {
-        if faults::fires("spill.write.io_err") {
-            return Err(io::Error::other(
-                "failpoint spill.write.io_err: injected spill-write failure",
-            ));
-        }
-        let path = dir.next_path();
-        write_matrix_file(&path, matrix)?;
-        Ok(SpilledShard {
-            _dir: Some(dir.clone()),
-            path,
-            owns_file: true,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        })
-    }
-
-    /// Opens an existing payload file (a snapshot shard) **without taking ownership**:
-    /// the file is read back on demand exactly like a spill file, but never deleted by
-    /// this handle.
-    ///
-    /// `rows`/`cols` are the shape recorded in the snapshot manifest; the file's own
-    /// header and CRC are verified against them on every [`SpilledShard::load`]. The
-    /// file length is checked here so a truncated snapshot fails at load time, not
-    /// mid-query.
-    pub fn open(path: PathBuf, rows: usize, cols: usize) -> Result<SpilledShard, StorageError> {
-        let expected = (HEADER_LEN + rows * cols * 4 + TRAILER_LEN) as u64;
-        let actual = fs::metadata(&path)
-            .map_err(|e| StorageError::io(&path, e))?
-            .len();
-        if actual != expected {
-            return Err(StorageError::corrupt(
-                &path,
-                format!("{actual} bytes on disk, expected {expected} for a {rows}x{cols} shard"),
-            ));
-        }
-        Ok(Self::open_unchecked(path, rows, cols))
-    }
-
-    /// Like [`SpilledShard::open`] but without touching the filesystem — for building
-    /// a **quarantined** shard over a payload that already failed validation, so the
-    /// rest of a snapshot can load and serve around it.
-    pub(crate) fn open_unchecked(path: PathBuf, rows: usize, cols: usize) -> SpilledShard {
-        SpilledShard {
-            _dir: None,
-            path,
-            owns_file: false,
-            rows,
-            cols,
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        }
-    }
-
-    /// Copies the serialized payload to `dest` without deserializing it — how a spilled
-    /// shard snapshots without faulting into memory. Copying a file onto itself (saving
-    /// a snapshot-loaded index back into its own directory) is a no-op.
-    pub(crate) fn copy_to(&self, dest: &Path) -> io::Result<()> {
-        if same_file(&self.path, dest) {
-            return Ok(());
-        }
-        fs::copy(&self.path, dest).map(|_| ())
-    }
-
-    /// Reads the shard matrix back, verifying the header against the recorded shape and
-    /// the CRC-32 trailer against every preceding byte.
-    ///
-    /// The returned matrix is bit-for-bit the one passed to [`SpilledShard::write`].
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file (the
-    /// transient-fault shape: NFS hiccup, EINTR storm, evicted page).
-    pub fn load(&self) -> Result<Matrix, StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let mut file = io::BufReader::new(fs::File::open(&self.path).map_err(ioerr)?);
-        let mut crc = Crc32::new();
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact(&mut header).map_err(ioerr)?;
-        crc.update(&header);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        if &header[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo shard spill file)"));
-        }
-        let rows = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let mut bytes = vec![0u8; rows * cols * 4];
-        file.read_exact(&mut bytes).map_err(ioerr)?;
-        crc.update(&bytes);
-        let mut trailer = [0u8; TRAILER_LEN];
-        file.read_exact(&mut trailer).map_err(ioerr)?;
-        if u32::from_le_bytes(trailer) != crc.finish() {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)",
-            ));
-        }
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    /// [`SpilledShard::load`] with a short exponential backoff (1/2/4 ms) for transient
-    /// I/O faults. Corruption ([`StorageError::is_corrupt`]) is **not** retried — the
-    /// bytes will not improve; the caller should quarantine the shard.
-    pub fn load_retrying(&self) -> Result<Matrix, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.load() {
-                Ok(matrix) => return Ok(matrix),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Rows of the serialized matrix (including zero padding rows).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of the serialized matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The on-disk location of the payload (diagnostics; the file is managed by this
-    /// handle when owned, by the snapshot directory otherwise).
-    pub fn file_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The shared, validated memory mapping of this payload, established on first
-    /// use (see [`MappedShard`]). Failures are **never cached**: a transiently
-    /// unmappable file is retried from scratch by the next query, exactly like the
-    /// copying fault path.
-    #[cfg(all(unix, target_endian = "little"))]
-    pub fn mapped(&self) -> Result<&MappedShard, StorageError> {
-        if let Some(mapped) = self.map.get() {
-            return Ok(mapped);
-        }
-        let fresh = self.map_retrying()?;
-        // A concurrent query may have won the race; the loser's mapping is munmapped
-        // harmlessly (read-only, MAP_SHARED — dropping a duplicate changes nothing).
-        Ok(self.map.get_or_init(|| fresh))
-    }
-
-    /// [`SpilledShard::map_file`] with the shared fault-retry backoff (mirroring
-    /// [`SpilledShard::load_retrying`]); corruption is not retried.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_retrying(&self) -> Result<MappedShard, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.map_file() {
-                Ok(mapped) => return Ok(mapped),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Maps the payload file read-only and validates it **once**: length against the
-    /// recorded shape, magic, header shape, and the CRC-32 trailer over every
-    /// preceding byte — the same checks [`SpilledShard::load`] performs per fault,
-    /// paid a single time for the lifetime of the mapping.
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file,
-    /// exactly like the copying read path, so the chaos suites exercise both.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_file(&self) -> Result<MappedShard, StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        let file = fs::File::open(&self.path).map_err(ioerr)?;
-        let expected = HEADER_LEN + self.rows * self.cols * 4 + TRAILER_LEN;
-        let actual = file.metadata().map_err(ioerr)?.len();
-        if actual != expected as u64 {
-            return Err(corrupt(&format!(
-                "{actual} bytes on disk, expected {expected} for a {}x{} shard",
-                self.rows, self.cols
-            )));
-        }
-        let mapped = MappedShard::map(&file, expected, self.rows, self.cols).map_err(ioerr)?;
-        let bytes = mapped.bytes();
-        if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo shard spill file)"));
-        }
-        let rows = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)",
-            ));
-        }
-        Ok(mapped)
-    }
-}
-
-/// A read-only `mmap(2)` of one `SWSHARD1` payload file, shared across every index
-/// (and every *process*) serving the same snapshot: the faulted pages live in the OS
-/// page cache once, instead of one heap copy per process per query tile. The header,
-/// shape, and CRC-32 trailer are verified a single time when the mapping is
-/// established ([`SpilledShard::mapped`]); after that a query borrows the `f32`
-/// payload directly out of the mapping with zero copies.
-///
-/// Only built on little-endian Unix — the on-disk floats are little-endian, so the
-/// bytes can be reinterpreted in place; elsewhere the query path transparently falls
-/// back to the copying [`SpilledShard::load_retrying`] fault.
-///
-/// The payload offset (`HEADER_LEN` = 24) is 4-byte aligned from the page-aligned
-/// mapping base, so the `f32` reinterpretation is always aligned.
-#[cfg(all(unix, target_endian = "little"))]
-#[derive(Debug)]
-pub struct MappedShard {
-    ptr: *const u8,
-    len: usize,
-    rows: usize,
-    cols: usize,
-}
-
-// SAFETY: the mapping is immutable (PROT_READ) for its whole lifetime and the
-// backing snapshot/spill files are never rewritten in place (spill paths are never
-// reused; snapshots are write-once), so concurrent reads from any thread are safe.
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Send for MappedShard {}
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Sync for MappedShard {}
-
-#[cfg(all(unix, target_endian = "little"))]
-mod sys {
-    //! The two `mmap(2)` symbols this module needs, declared directly against libc
-    //! (which `std` already links) — no new dependency, per the workspace's offline
-    //! build constraint.
-    use std::os::raw::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_SHARED: c_int = 0x01;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl MappedShard {
-    /// Maps `len` bytes of `file` read-only and shared. `len` is never 0 here (every
-    /// payload carries at least its 28 header + trailer bytes).
-    fn map(file: &fs::File, len: usize, rows: usize, cols: usize) -> io::Result<MappedShard> {
-        use std::os::unix::io::AsRawFd;
-        // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold open; the
-        // kernel validates the fd and length, and failure is reported via MAP_FAILED.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MappedShard {
-            ptr: ptr as *const u8,
-            len,
-            rows,
-            cols,
-        })
-    }
-
-    /// The whole mapped file, header and trailer included.
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live mapping of exactly `len` bytes (established in
-        // `map`, released only in `Drop`).
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// The row-major `f32` payload, borrowed straight out of the page cache.
-    pub fn data(&self) -> &[f32] {
-        // SAFETY: the payload spans `rows * cols` little-endian f32s starting at the
-        // 4-byte-aligned HEADER_LEN offset of the `len`-byte mapping (length was
-        // validated at map time); every bit pattern is a valid f32.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.ptr.add(HEADER_LEN) as *const f32,
-                self.rows * self.cols,
-            )
-        }
-    }
-
-    /// The payload as a borrowed matrix view for the scoring kernels.
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.rows, self.cols, self.data())
-    }
-}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl Drop for MappedShard {
-    fn drop(&mut self) {
-        // SAFETY: unmapping the exact region `map` established; the pointer is never
-        // used again (self is being dropped).
-        unsafe {
-            sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
-        }
-    }
-}
-
 /// `true` when the two paths resolve to the same existing file or directory (a path
-/// that does not exist yet is never "the same"). Shared with [`crate::snapshot`] so
-/// the canonicalize-and-compare logic cannot drift between the spill and save paths.
+/// that does not exist yet is never "the same"). Shared with [`crate::delta`] so the
+/// canonicalize-and-compare logic cannot drift between the save paths.
 pub(crate) fn same_file(a: &Path, b: &Path) -> bool {
     match (fs::canonicalize(a), fs::canonicalize(b)) {
         (Ok(ca), Ok(cb)) => ca == cb,
@@ -774,20 +330,729 @@ pub(crate) fn same_file(a: &Path, b: &Path) -> bool {
     }
 }
 
-// ---- i8 quantization -----------------------------------------------------------------
+// ---- the payload file ----------------------------------------------------------------
 
-/// Magic prefix of a quantized payload file; the trailing `1` is the format version.
-const QMAGIC: &[u8; 9] = b"SWSHARDQ1";
-
-/// Byte length of the quantized-file header: magic (9) + zero pad (7) + rows (8) +
-/// cols (8) + max_err_norm (4) + max_row_norm (4). A multiple of 4, so the scales and
-/// the exact f32 payload that follow are 4-byte aligned from the page-aligned mmap base.
-const QHEADER_LEN: usize = 9 + 7 + 8 + 8 + 4 + 4;
-
-/// Total on-disk length of a quantized payload for a `rows x cols` shard.
-fn quant_file_len(rows: usize, cols: usize) -> u64 {
-    (QHEADER_LEN + rows * 4 + rows * cols * 4 + rows * cols + TRAILER_LEN) as u64
+/// Which of the two payload formats a file holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Format {
+    /// `SWSHARD1`: the exact f32 rows.
+    Exact,
+    /// `SWSHARDQ1`: the exact rows plus the i8 tier (norms, scales, codes).
+    Quantized,
 }
+
+impl Format {
+    /// The format a shard with this i8 tier (or none) is written in.
+    fn of(quant: Option<&QuantizedMatrix>) -> Format {
+        match quant {
+            Some(_) => Format::Quantized,
+            None => Format::Exact,
+        }
+    }
+}
+
+/// Where each section of a `rows x cols` payload file starts, per the module-doc
+/// tables. An `Exact` file's scale and code sections are empty.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    format: Format,
+    rows: usize,
+    cols: usize,
+    /// Offset of the `rows` field: the magic, zero-padded to a multiple of 8.
+    shape_at: usize,
+    scales_at: usize,
+    exact_at: usize,
+    codes_at: usize,
+    trailer_at: usize,
+}
+
+impl Layout {
+    /// The layout of a `rows x cols` payload, or `None` when the file length does not
+    /// fit a `usize` — a recorded shape no file can have.
+    fn new(format: Format, rows: usize, cols: usize) -> Option<Layout> {
+        let quantized = format == Format::Quantized;
+        let shape_at: usize = if quantized { 16 } else { 8 };
+        // rows + cols, then a quantized header's two f32 norms.
+        let scales_at = shape_at + 16 + if quantized { 8 } else { 0 };
+        let cells = rows.checked_mul(cols)?;
+        let exact_at = scales_at.checked_add(if quantized { rows.checked_mul(4)? } else { 0 })?;
+        let codes_at = exact_at.checked_add(cells.checked_mul(4)?)?;
+        let trailer_at = codes_at.checked_add(if quantized { cells } else { 0 })?;
+        trailer_at.checked_add(TRAILER_LEN)?;
+        Some(Layout {
+            format,
+            rows,
+            cols,
+            shape_at,
+            scales_at,
+            exact_at,
+            codes_at,
+            trailer_at,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.trailer_at + TRAILER_LEN
+    }
+
+    fn magic(&self) -> &'static [u8] {
+        match self.format {
+            Format::Exact => b"SWSHARD1",
+            Format::Quantized => b"SWSHARDQ1",
+        }
+    }
+
+    /// The header bytes: magic, zero padding, shape, and a quantized tier's norms.
+    fn header(&self, quant: Option<&QuantizedMatrix>) -> Vec<u8> {
+        let mut header = self.magic().to_vec();
+        header.resize(self.shape_at, 0);
+        header.extend_from_slice(&(self.rows as u64).to_le_bytes());
+        header.extend_from_slice(&(self.cols as u64).to_le_bytes());
+        if let Some(q) = quant {
+            header.extend_from_slice(&q.max_err_norm().to_le_bytes());
+            header.extend_from_slice(&q.max_row_norm().to_le_bytes());
+        }
+        header
+    }
+
+    fn check_len(&self, actual: u64, path: &Path) -> Result<(), StorageError> {
+        if actual == self.len() as u64 {
+            return Ok(());
+        }
+        Err(StorageError::corrupt(
+            path,
+            format!(
+                "{actual} bytes on disk, expected {} for a {}x{} shard",
+                self.len(),
+                self.rows,
+                self.cols
+            ),
+        ))
+    }
+
+    /// Validates a whole payload file: length, magic, header shape, and the CRC-32
+    /// trailer over every preceding byte.
+    fn validate(&self, bytes: &[u8], path: &Path) -> Result<(), StorageError> {
+        self.check_len(bytes.len() as u64, path)?;
+        let corrupt = |what: &str| StorageError::corrupt(path, what);
+        if !bytes.starts_with(self.magic()) {
+            return Err(corrupt(
+                "bad magic (not a Sudowoodo shard payload of this format)",
+            ));
+        }
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        if (field(self.shape_at), field(self.shape_at + 8)) != (self.rows as u64, self.cols as u64)
+        {
+            return Err(corrupt("header shape disagrees with the index metadata"));
+        }
+        let (body, trailer) = bytes.split_at(self.trailer_at);
+        if u32::from_le_bytes(trailer.try_into().unwrap()) != crc32(body) {
+            return Err(corrupt(
+                "CRC-32 mismatch (the payload bytes changed since they were written)",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The i8 tier of a validated `Quantized` file.
+    fn decode_quant(&self, bytes: &[u8]) -> QuantizedMatrix {
+        let norm = |at: usize| f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        QuantizedMatrix::from_parts(
+            self.rows,
+            self.cols,
+            bytes[self.codes_at..self.trailer_at]
+                .iter()
+                .map(|&b| b as i8)
+                .collect(),
+            f32s(&bytes[self.scales_at..self.exact_at]).into_owned(),
+            norm(self.scales_at - 8),
+            norm(self.scales_at - 4),
+        )
+    }
+}
+
+/// A section of little-endian f32s: borrowed in place on a little-endian host when the
+/// bytes are 4-byte aligned (always, for a mapping: the base is page-aligned and every
+/// section offset a multiple of 4), decoded into a copy otherwise.
+fn f32s(bytes: &[u8]) -> Cow<'_, [f32]> {
+    if cfg!(target_endian = "little") {
+        // SAFETY: every bit pattern is a valid f32, and `align_to` only reinterprets
+        // the aligned middle of the slice.
+        let (head, floats, tail) = unsafe { bytes.align_to::<f32>() };
+        if head.is_empty() && tail.is_empty() {
+            return Cow::Borrowed(floats);
+        }
+    }
+    Cow::Owned(
+        bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect(),
+    )
+}
+
+/// A buffered payload writer that folds every byte into the running CRC-32.
+struct PayloadWriter {
+    file: io::BufWriter<fs::File>,
+    crc: Crc32,
+    buf: Vec<u8>,
+}
+
+impl PayloadWriter {
+    /// Writes `xs` encoded by `le`, converted in bounded chunks so that writing a large
+    /// shard never doubles its memory footprint.
+    fn put<T: Copy, const N: usize>(
+        &mut self,
+        xs: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        for chunk in xs.chunks(16 * 1024 / N) {
+            self.buf.resize(chunk.len() * N, 0);
+            for (out, &x) in self.buf.chunks_exact_mut(N).zip(chunk) {
+                out.copy_from_slice(&le(x));
+            }
+            self.crc.update(&self.buf);
+            self.file.write_all(&self.buf)?;
+        }
+        Ok(())
+    }
+}
+
+/// Writes `exact` (and `quant`, in the `SWSHARDQ1` format, when given) as a payload
+/// file at `path`: the sections in format order, then the CRC-32 trailer. The one writer
+/// of both formats, for the spill and the snapshot paths alike.
+///
+/// Failpoint `snapshot.payload.torn`: writes the header, the scales and roughly half the
+/// exact rows, then errors out without codes or trailer — the on-disk shape of a crash
+/// mid-write.
+pub(crate) fn write_payload(
+    path: &Path,
+    exact: &Matrix,
+    quant: Option<&QuantizedMatrix>,
+) -> io::Result<()> {
+    let layout = Layout::new(Format::of(quant), exact.rows(), exact.cols())
+        .expect("an in-memory matrix has a representable payload length");
+    let torn = faults::fires("snapshot.payload.torn");
+    let mut w = PayloadWriter {
+        file: io::BufWriter::new(fs::File::create(path)?),
+        crc: Crc32::new(),
+        buf: Vec::new(),
+    };
+    w.put(&layout.header(quant), u8::to_le_bytes)?;
+    if let Some(q) = quant {
+        w.put(q.scales(), f32::to_le_bytes)?;
+    }
+    let data = exact.data();
+    w.put(
+        &data[..if torn { data.len() / 2 } else { data.len() }],
+        f32::to_le_bytes,
+    )?;
+    if torn {
+        w.file.flush()?;
+        return Err(io::Error::other(
+            "failpoint snapshot.payload.torn: simulated crash mid-payload",
+        ));
+    }
+    if let Some(q) = quant {
+        w.put(q.codes(), i8::to_le_bytes)?;
+    }
+    let crc = w.crc.finish();
+    w.file.write_all(&crc.to_le_bytes())?;
+    w.file.flush()
+}
+
+#[cfg(unix)]
+mod sys {
+    //! A read-only `mmap(2)`, declared directly against libc (which `std` already links)
+    //! — no new dependency, per the workspace's offline build constraint.
+    use std::fs;
+    use std::io;
+    use std::os::raw::{c_int, c_void};
+    use std::os::unix::io::AsRawFd;
+
+    const PROT_READ: c_int = 1;
+    const MAP_SHARED: c_int = 0x01;
+    const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// A shared read-only mapping of a file's first `len` bytes, unmapped on drop.
+    #[derive(Debug)]
+    pub(super) struct Mmap {
+        ptr: *const u8,
+        len: usize,
+    }
+
+    // SAFETY: the mapping is PROT_READ for its whole lifetime and payload files are never
+    // rewritten in place (spill paths are never reused; snapshots are write-once), so
+    // reads from any thread are safe.
+    unsafe impl Send for Mmap {}
+    unsafe impl Sync for Mmap {}
+
+    impl Mmap {
+        /// Maps `len` bytes of `file`. The caller checked that the file is exactly that
+        /// long, and `len` is never 0 (every payload carries its header and trailer).
+        pub(super) fn map(file: &fs::File, len: usize) -> io::Result<Mmap> {
+            debug_assert!(len > 0);
+            // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold open; the
+            // kernel validates the fd and length and reports failure as MAP_FAILED.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ,
+                    MAP_SHARED,
+                    file.as_raw_fd(),
+                    0,
+                )
+            };
+            if ptr == MAP_FAILED {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Mmap {
+                ptr: ptr as *const u8,
+                len,
+            })
+        }
+    }
+
+    impl std::ops::Deref for Mmap {
+        type Target = [u8];
+
+        fn deref(&self) -> &[u8] {
+            // SAFETY: `ptr` is a live mapping of exactly `len` bytes until `drop`.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+    }
+
+    impl Drop for Mmap {
+        fn drop(&mut self) {
+            // SAFETY: unmaps exactly the region `map` established; the pointer is never
+            // used again.
+            unsafe {
+                munmap(self.ptr as *mut c_void, self.len);
+            }
+        }
+    }
+}
+
+/// The validated bytes of a payload file: a shared mapping on Unix, a heap copy elsewhere.
+#[cfg(unix)]
+type FileBytes = sys::Mmap;
+#[cfg(not(unix))]
+type FileBytes = Vec<u8>;
+
+/// Maps (or, without `mmap(2)`, reads) the first `len` bytes of `file` — the only
+/// platform-dependent step of a payload read.
+fn read_bytes(file: &fs::File, len: usize) -> io::Result<FileBytes> {
+    #[cfg(unix)]
+    let bytes = sys::Mmap::map(file, len)?;
+    #[cfg(not(unix))]
+    let bytes = {
+        let mut bytes = vec![0u8; len];
+        io::Read::read_exact(&mut &*file, &mut bytes)?;
+        bytes
+    };
+    Ok(bytes)
+}
+
+/// One payload file on disk, in either format. An owning handle (a spill file) deletes
+/// the file on drop; a non-owning one ([`PayloadFile::open`], a snapshot payload) never
+/// does, so one snapshot directory can back any number of loaded indexes.
+#[derive(Debug)]
+pub(crate) struct PayloadFile {
+    /// The spill directory an owned file lives in, kept alive while the file exists;
+    /// `None` for a snapshot payload.
+    dir: Option<SpillDir>,
+    path: PathBuf,
+    format: Format,
+    rows: usize,
+    cols: usize,
+    /// The validated file bytes, established on first read. Failures are never cached:
+    /// the next read starts over, so a transient fault costs retries, never a
+    /// permanently broken shard.
+    bytes: OnceLock<FileBytes>,
+    /// The decoded i8 tier of a `Quantized` file: seeded by the spill that wrote it,
+    /// decoded from `bytes` on first scan after a cold load.
+    quant: OnceLock<QuantizedMatrix>,
+}
+
+impl Drop for PayloadFile {
+    fn drop(&mut self) {
+        if self.dir.is_some() {
+            remove_quietly(&self.path, false);
+        }
+    }
+}
+
+impl PayloadFile {
+    /// A non-owning handle on the payload file at `path` with the recorded shape. Nothing
+    /// is read until [`PayloadFile::check_length`] or the first payload read.
+    pub(crate) fn open(path: PathBuf, format: Format, rows: usize, cols: usize) -> PayloadFile {
+        PayloadFile {
+            dir: None,
+            path,
+            format,
+            rows,
+            cols,
+            bytes: OnceLock::new(),
+            quant: OnceLock::new(),
+        }
+    }
+
+    fn layout(&self) -> Result<Layout, StorageError> {
+        Layout::new(self.format, self.rows, self.cols).ok_or_else(|| {
+            StorageError::corrupt(
+                &self.path,
+                format!(
+                    "a {}x{} shard has no representable payload length",
+                    self.rows, self.cols
+                ),
+            )
+        })
+    }
+
+    /// Checks the file length against the recorded shape without reading the file, so
+    /// a truncated or mis-shaped snapshot fails at load time rather than mid-query.
+    pub(crate) fn check_length(&self) -> Result<(), StorageError> {
+        let layout = self.layout()?;
+        let meta = fs::metadata(&self.path).map_err(|e| StorageError::io(&self.path, e))?;
+        layout.check_len(meta.len(), &self.path)
+    }
+
+    /// The validated file bytes, with the shared retry backoff for transient I/O faults.
+    /// Corruption is not retried — the bytes will not improve.
+    fn bytes(&self) -> Result<&[u8], StorageError> {
+        if let Some(bytes) = self.bytes.get() {
+            return Ok(bytes);
+        }
+        let mut last = None;
+        for retry in 0..FAULT_ATTEMPTS {
+            if retry > 0 {
+                fault_backoff(retry - 1);
+            }
+            match self.read_validated() {
+                // A concurrent reader may have won the race; the loser's copy is dropped
+                // harmlessly (read-only — a duplicate changes nothing).
+                Ok(fresh) => return Ok(self.bytes.get_or_init(|| fresh)),
+                Err(e) if e.is_corrupt() => return Err(e),
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(last.expect("at least one attempt ran"))
+    }
+
+    /// One read attempt: length check, map (or read), validation.
+    ///
+    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file (the
+    /// transient-fault shape: NFS hiccup, EINTR storm, evicted page).
+    fn read_validated(&self) -> Result<FileBytes, StorageError> {
+        if faults::fires("spill.read.io_err") {
+            return Err(StorageError::io(
+                &self.path,
+                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
+            ));
+        }
+        let layout = self.layout()?;
+        let ioerr = |e| StorageError::io(&self.path, e);
+        let file = fs::File::open(&self.path).map_err(ioerr)?;
+        layout.check_len(file.metadata().map_err(ioerr)?.len(), &self.path)?;
+        let bytes = read_bytes(&file, layout.len()).map_err(ioerr)?;
+        layout.validate(&bytes, &self.path)?;
+        Ok(bytes)
+    }
+
+    /// The exact f32 rows, borrowed out of the validated bytes.
+    fn exact(&self) -> Result<Cow<'_, [f32]>, StorageError> {
+        let layout = self.layout()?;
+        Ok(f32s(&self.bytes()?[layout.exact_at..layout.codes_at]))
+    }
+
+    /// The i8 tier (`None` for an `Exact` file), decoded into the heap cache on first use.
+    fn quant(&self) -> Option<Result<&QuantizedMatrix, StorageError>> {
+        (self.format == Format::Quantized).then(|| {
+            if let Some(quant) = self.quant.get() {
+                return Ok(quant);
+            }
+            let fresh = self.layout()?.decode_quant(self.bytes()?);
+            // A concurrent scan may have won the race; both decoded the same bytes.
+            Ok(self.quant.get_or_init(|| fresh))
+        })
+    }
+}
+
+/// Where a shard's payload currently lives.
+///
+/// The surrounding shard metadata (stable ids, tombstones, routing statistics) always
+/// stays resident — only the `rows x dim` payload spills, because that is where
+/// virtually all of a shard's memory goes.
+#[derive(Debug)]
+pub(crate) enum ShardStorage {
+    /// In memory: the exact matrix — the bit-identical source of truth for scoring,
+    /// mutation and snapshots — and its i8 tier when the shard is quantized.
+    Resident {
+        exact: Matrix,
+        quant: Option<QuantizedMatrix>,
+    },
+    /// On disk in either payload format, read through the validated bytes of the file.
+    Spilled(PayloadFile),
+}
+
+impl Clone for ShardStorage {
+    /// Cloning copies a spilled payload back into memory, both tiers: spill files are
+    /// single-owner (deleted on drop), so the clone gets an independent resident copy.
+    ///
+    /// # Panics
+    /// `Clone` has no error channel, so a payload that stays unreadable through the
+    /// retries panics here — with the typed [`StorageError`] message. Query paths never
+    /// clone storage; this is only reachable through an explicit index clone.
+    fn clone(&self) -> Self {
+        self.to_resident()
+            .unwrap_or_else(|e| panic!("ShardStorage::clone: {e}"))
+    }
+}
+
+impl ShardStorage {
+    /// Rows of the stored matrix (including zero padding rows).
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            ShardStorage::Resident { exact, .. } => exact.rows(),
+            ShardStorage::Spilled(file) => file.rows,
+        }
+    }
+
+    /// Columns of the stored matrix.
+    pub(crate) fn cols(&self) -> usize {
+        match self {
+            ShardStorage::Resident { exact, .. } => exact.cols(),
+            ShardStorage::Spilled(file) => file.cols,
+        }
+    }
+
+    /// Bytes the **exact f32** payload occupies (or would occupy) in memory, wherever it
+    /// lives — what the residency budget weighs.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.rows()
+            .saturating_mul(self.cols())
+            .saturating_mul(std::mem::size_of::<f32>())
+    }
+
+    /// `true` when the exact payload is in memory.
+    pub(crate) fn is_resident(&self) -> bool {
+        matches!(self, ShardStorage::Resident { .. })
+    }
+
+    /// `true` when this storage carries the i8 tier (resident or spilled).
+    pub(crate) fn is_quantized(&self) -> bool {
+        match self {
+            ShardStorage::Resident { quant, .. } => quant.is_some(),
+            ShardStorage::Spilled(file) => file.format == Format::Quantized,
+        }
+    }
+
+    /// Bytes of exact payload held in memory (0 when spilled) — the quantity the
+    /// residency budget is accounted in. The i8 tier is metadata-sized and deliberately
+    /// outside the budget, like the routing statistics (see
+    /// [`ShardStorage::quantized_payload_bytes`]).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        match self {
+            ShardStorage::Resident { exact, .. } => std::mem::size_of_val(exact.data()),
+            ShardStorage::Spilled(_) => 0,
+        }
+    }
+
+    /// Heap bytes of the i8 tier (codes + scales): 0 for plain storage and for a spilled
+    /// quantized shard whose cache is not decoded yet.
+    pub(crate) fn quantized_payload_bytes(&self) -> usize {
+        match self {
+            ShardStorage::Resident { quant, .. } => quant.as_ref(),
+            ShardStorage::Spilled(file) => file.quant.get(),
+        }
+        .map_or(0, QuantizedMatrix::heap_bytes)
+    }
+
+    /// The payload file of a spilled shard, `None` when resident.
+    pub(crate) fn backing_file(&self) -> Option<&Path> {
+        match self {
+            ShardStorage::Resident { .. } => None,
+            ShardStorage::Spilled(file) => Some(&file.path),
+        }
+    }
+
+    /// The i8 tier for the first-stage scan: `None` for plain storage.
+    ///
+    /// # Errors
+    /// The inner `Result` fails like [`ShardStorage::matrix`]: a spilled payload that
+    /// stayed unreadable through the retries, which the caller quarantines.
+    pub(crate) fn quant(&self) -> Option<Result<&QuantizedMatrix, StorageError>> {
+        match self {
+            ShardStorage::Resident { quant, .. } => quant.as_ref().map(Ok),
+            ShardStorage::Spilled(file) => file.quant(),
+        }
+    }
+
+    fn exact(&self) -> Result<Cow<'_, [f32]>, StorageError> {
+        match self {
+            ShardStorage::Resident { exact, .. } => Ok(Cow::Borrowed(exact.data())),
+            ShardStorage::Spilled(file) => file.exact(),
+        }
+    }
+
+    /// The exact matrix: borrowed when resident, copied out of the file's validated bytes
+    /// when spilled (compaction).
+    ///
+    /// # Errors
+    /// A spilled payload that stayed unreadable through the retries — the caller decides
+    /// whether that degrades one query (quarantine) or the whole operation.
+    pub(crate) fn matrix(&self) -> Result<Cow<'_, Matrix>, StorageError> {
+        match self {
+            ShardStorage::Resident { exact, .. } => Ok(Cow::Borrowed(exact)),
+            ShardStorage::Spilled(_) => Ok(Cow::Owned(Matrix::from_vec(
+                self.rows(),
+                self.cols(),
+                self.exact()?.into_owned(),
+            ))),
+        }
+    }
+
+    /// Runs `f` over the exact rows — the query path. A resident matrix and a spilled
+    /// shard's validated bytes are both borrowed, never copied (except on a big-endian
+    /// host), so a spilled shard's working set is the page cache shared by every process
+    /// serving the file.
+    ///
+    /// # Errors
+    /// Same contract as [`ShardStorage::matrix`].
+    pub(crate) fn with_exact<R>(
+        &self,
+        f: impl FnOnce(MatrixView<'_>) -> R,
+    ) -> Result<R, StorageError> {
+        let data = self.exact()?;
+        Ok(f(MatrixView::new(self.rows(), self.cols(), &data)))
+    }
+
+    fn to_resident(&self) -> Result<ShardStorage, StorageError> {
+        Ok(ShardStorage::Resident {
+            exact: self.matrix()?.into_owned(),
+            quant: self.quant().transpose()?.cloned(),
+        })
+    }
+
+    /// Spills both tiers to a fresh file under `dir`; no-op when already spilled. On I/O
+    /// failure the storage stays resident (spilling is an optimization; the error is
+    /// returned for reporting).
+    ///
+    /// Failpoint `spill.write.io_err`: fails before touching the filesystem.
+    pub(crate) fn spill(&mut self, dir: &SpillDir) -> io::Result<()> {
+        let ShardStorage::Resident { exact, quant } = self else {
+            return Ok(());
+        };
+        if faults::fires("spill.write.io_err") {
+            return Err(io::Error::other(
+                "failpoint spill.write.io_err: injected spill-write failure",
+            ));
+        }
+        let path = dir.next_path();
+        write_payload(&path, exact, quant.as_ref())?;
+        let mut file =
+            PayloadFile::open(path, Format::of(quant.as_ref()), exact.rows(), exact.cols());
+        file.dir = Some(dir.clone());
+        // The i8 tier moves into the handle's cache: spilling never reads its own file.
+        if let Some(quant) = quant.take() {
+            let _ = file.quant.set(quant);
+        }
+        *self = ShardStorage::Spilled(file);
+        Ok(())
+    }
+
+    /// Faults a spilled payload back into memory with both tiers — the codes are in the
+    /// file, so residency never costs the i8 tier. An owned spill file is deleted; a
+    /// snapshot payload stays on disk for other loads. No-op when resident.
+    ///
+    /// # Errors
+    /// A payload unreadable after the retries; the storage stays spilled.
+    pub(crate) fn fault_in(&mut self) -> Result<(), StorageError> {
+        if let ShardStorage::Spilled(file) = self {
+            let exact = Matrix::from_vec(file.rows, file.cols, file.exact()?.into_owned());
+            file.quant().transpose()?; // decodes the i8 tier into the cache it moves out of
+            let quant = file.quant.take();
+            *self = ShardStorage::Resident { exact, quant };
+        }
+        Ok(())
+    }
+
+    /// The exact matrix for mutation (ingestion into the tail shard): faulted in, with the
+    /// i8 tier dropped because the change invalidates it — the next `compact()`
+    /// re-quantizes under the index's setting.
+    ///
+    /// # Errors
+    /// As [`ShardStorage::fault_in`].
+    pub(crate) fn matrix_mut(&mut self) -> Result<&mut Matrix, StorageError> {
+        self.fault_in()?;
+        let ShardStorage::Resident { exact, quant } = self else {
+            unreachable!("faulted in above")
+        };
+        *quant = None;
+        Ok(exact)
+    }
+
+    /// Builds (`true`) or drops (`false`) the i8 tier of a resident shard. Spilled storage
+    /// is left as it is — compaction faults a mismatched shard in first.
+    pub(crate) fn set_quantized(&mut self, on: bool) {
+        if let ShardStorage::Resident { exact, quant } = self {
+            if quant.is_some() != on {
+                *quant = on.then(|| QuantizedMatrix::quantize(exact));
+            }
+        }
+    }
+
+    /// Persists the payload as the snapshot file `dest` inside `dir`: a resident shard is
+    /// written, a spilled one copied without decoding — or left alone when its file
+    /// already *is* `dest` (an unmutated loaded index saved back into its own directory).
+    ///
+    /// # Errors
+    /// Any I/O failure; [`io::ErrorKind::InvalidInput`] when the payload is a *different*
+    /// file inside `dir`: the shard moved position since the snapshot was loaded, and
+    /// overwriting files under the index's own handles would corrupt it.
+    pub(crate) fn persist(&self, dir: &Path, dest: &Path) -> io::Result<()> {
+        match self {
+            ShardStorage::Resident { exact, quant } => {
+                crate::snapshot::write_file_atomic(dest, |tmp| {
+                    write_payload(tmp, exact, quant.as_ref())
+                })
+            }
+            ShardStorage::Spilled(file) if same_file(&file.path, dest) => Ok(()),
+            ShardStorage::Spilled(file)
+                if file.path.parent().is_some_and(|p| same_file(p, dir)) =>
+            {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "saving {}: the shard is backed by {}, another file in the same \
+                         directory; save a mutated snapshot-loaded index into a fresh \
+                         directory instead",
+                        dest.display(),
+                        file.path.display()
+                    ),
+                ))
+            }
+            ShardStorage::Spilled(file) => {
+                crate::snapshot::write_file_atomic(dest, |tmp| fs::copy(&file.path, tmp).map(drop))
+            }
+        }
+    }
+}
+
+// ---- i8 quantization -----------------------------------------------------------------
 
 /// Rounds a non-negative f64 up into an f32 that is **guaranteed ≥ the true value** —
 /// the `as f32` cast rounds to nearest, so a measured error bound could otherwise
@@ -1021,790 +1286,6 @@ impl QuantizedBlock {
     }
 }
 
-/// Serializes a quantized shard (both tiers) into the `SWSHARDQ1` format at `path` —
-/// see the module docs for the layout. Streams the f32 payload in bounded chunks like
-/// [`write_matrix_file`] and appends the CRC-32 trailer.
-///
-/// Failpoint `snapshot.payload.torn`: writes the header, the scales, and roughly half
-/// the exact payload, then errors out without codes or trailer — the on-disk shape of
-/// a crash mid-write, shared with the `SWSHARD1` writer so the chaos suites exercise
-/// both formats through one switch.
-pub(crate) fn write_quant_matrix_file(
-    path: &Path,
-    quant: &QuantizedMatrix,
-    exact: &Matrix,
-) -> io::Result<()> {
-    debug_assert_eq!((quant.rows(), quant.cols()), (exact.rows(), exact.cols()));
-    let torn = faults::fires("snapshot.payload.torn");
-    let mut file = io::BufWriter::new(fs::File::create(path)?);
-    let mut crc = Crc32::new();
-    let mut put = |file: &mut io::BufWriter<fs::File>, bytes: &[u8]| -> io::Result<()> {
-        crc.update(bytes);
-        file.write_all(bytes)
-    };
-    put(&mut file, QMAGIC)?;
-    put(&mut file, &[0u8; 7])?;
-    put(&mut file, &(exact.rows() as u64).to_le_bytes())?;
-    put(&mut file, &(exact.cols() as u64).to_le_bytes())?;
-    put(&mut file, &quant.max_err_norm().to_le_bytes())?;
-    put(&mut file, &quant.max_row_norm().to_le_bytes())?;
-    let mut buf = Vec::with_capacity(16 * 1024);
-    for chunk in quant.scales().chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        put(&mut file, &buf)?;
-    }
-    let data = exact.data();
-    let keep = if torn { data.len() / 2 } else { data.len() };
-    for chunk in data[..keep].chunks(4 * 1024) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        put(&mut file, &buf)?;
-    }
-    if torn {
-        file.flush()?;
-        return Err(io::Error::other(
-            "failpoint snapshot.payload.torn: simulated crash mid-payload",
-        ));
-    }
-    for chunk in quant.codes().chunks(16 * 1024) {
-        // SAFETY-free reinterpret: i8 and u8 have identical layout; iterate instead
-        // of transmuting to stay in safe code.
-        buf.clear();
-        buf.extend(chunk.iter().map(|&c| c as u8));
-        put(&mut file, &buf)?;
-    }
-    file.write_all(&crc.finish().to_le_bytes())?;
-    file.flush()
-}
-
-/// A quantized shard serialized to disk in the `SWSHARDQ1` format — the quantized twin
-/// of [`SpilledShard`], with the same two ownership flavours (owning spill file vs
-/// non-owning snapshot payload), the same typed-error fault model, and the same
-/// validate-once mmap query path.
-///
-/// Two lazily established caches live on the handle:
-///
-/// * `quant` — the heap copy of codes + scales (a quarter of the f32 payload bytes)
-///   that the first-stage scan reads; seeded for free when the handle was produced by
-///   spilling a resident quantized shard, decoded from the mapping (or the copying
-///   fallback) on first scan after a cold snapshot load.
-/// * `map` — the shared read-only mapping serving the **exact** f32 tier with zero
-///   copies, exactly like [`SpilledShard`]'s.
-#[derive(Debug)]
-pub struct QuantSpilledShard {
-    /// Keeps the spill directory alive as long as any owned file in it exists; `None`
-    /// for non-owning snapshot-backed handles.
-    _dir: Option<SpillDir>,
-    path: PathBuf,
-    owns_file: bool,
-    rows: usize,
-    cols: usize,
-    quant: OnceLock<QuantizedMatrix>,
-    #[cfg(all(unix, target_endian = "little"))]
-    map: OnceLock<MappedQuantShard>,
-}
-
-impl Drop for QuantSpilledShard {
-    fn drop(&mut self) {
-        if self.owns_file {
-            remove_quietly(&self.path, false);
-        }
-    }
-}
-
-impl QuantSpilledShard {
-    /// Serializes both tiers into a fresh file under `dir`. The returned handle owns
-    /// the file and deletes it on drop, and its `quant` cache is seeded from the
-    /// in-memory copy — spilling never has to read its own file back.
-    ///
-    /// Failpoint `spill.write.io_err`: fails before touching the filesystem (the shard
-    /// stays resident — spilling is an optimization).
-    pub fn write(
-        dir: &SpillDir,
-        quant: &QuantizedMatrix,
-        exact: &Matrix,
-    ) -> io::Result<QuantSpilledShard> {
-        if faults::fires("spill.write.io_err") {
-            return Err(io::Error::other(
-                "failpoint spill.write.io_err: injected spill-write failure",
-            ));
-        }
-        let path = dir.next_path();
-        write_quant_matrix_file(&path, quant, exact)?;
-        let seeded = OnceLock::new();
-        let _ = seeded.set(quant.clone());
-        Ok(QuantSpilledShard {
-            _dir: Some(dir.clone()),
-            path,
-            owns_file: true,
-            rows: exact.rows(),
-            cols: exact.cols(),
-            quant: seeded,
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        })
-    }
-
-    /// Opens an existing `SWSHARDQ1` payload (a snapshot shard) without taking
-    /// ownership, checking the file length against the manifest shape so a truncated
-    /// snapshot fails at load time, not mid-query.
-    pub fn open(
-        path: PathBuf,
-        rows: usize,
-        cols: usize,
-    ) -> Result<QuantSpilledShard, StorageError> {
-        let expected = quant_file_len(rows, cols);
-        let actual = fs::metadata(&path)
-            .map_err(|e| StorageError::io(&path, e))?
-            .len();
-        if actual != expected {
-            return Err(StorageError::corrupt(
-                &path,
-                format!(
-                    "{actual} bytes on disk, expected {expected} for a {rows}x{cols} quantized shard"
-                ),
-            ));
-        }
-        Ok(Self::open_unchecked(path, rows, cols))
-    }
-
-    /// Like [`QuantSpilledShard::open`] but without touching the filesystem — for
-    /// building a **quarantined** shard over a payload that already failed validation.
-    pub(crate) fn open_unchecked(path: PathBuf, rows: usize, cols: usize) -> QuantSpilledShard {
-        QuantSpilledShard {
-            _dir: None,
-            path,
-            owns_file: false,
-            rows,
-            cols,
-            quant: OnceLock::new(),
-            #[cfg(all(unix, target_endian = "little"))]
-            map: OnceLock::new(),
-        }
-    }
-
-    /// Copies the serialized payload to `dest` without deserializing it (snapshot
-    /// save path); copying a file onto itself is a no-op.
-    pub(crate) fn copy_to(&self, dest: &Path) -> io::Result<()> {
-        if same_file(&self.path, dest) {
-            return Ok(());
-        }
-        fs::copy(&self.path, dest).map(|_| ())
-    }
-
-    /// Rows of the serialized shard (including zero padding rows).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of the serialized shard.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The on-disk location of the payload.
-    pub fn file_path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Reads both tiers back, verifying magic, shape, and the CRC-32 trailer. The
-    /// returned exact matrix is bit-for-bit the one passed to
-    /// [`QuantSpilledShard::write`]; the quantized tier round-trips exactly too
-    /// (integer codes, f32 scales and norms).
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file.
-    pub fn load_all(&self) -> Result<(QuantizedMatrix, Matrix), StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let bytes = fs::read(&self.path).map_err(|e| StorageError::io(&self.path, e))?;
-        let corrupt = |what: String| StorageError::corrupt(&self.path, what);
-        let expected = quant_file_len(self.rows, self.cols) as usize;
-        if bytes.len() != expected {
-            return Err(corrupt(format!(
-                "{} bytes on disk, expected {expected} for a {}x{} quantized shard",
-                bytes.len(),
-                self.rows,
-                self.cols
-            )));
-        }
-        if &bytes[..QMAGIC.len()] != QMAGIC {
-            return Err(corrupt(
-                "bad magic (not a Sudowoodo quantized shard file)".into(),
-            ));
-        }
-        let rows = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt(
-                "header shape disagrees with the index metadata".into(),
-            ));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)".into(),
-            ));
-        }
-        let max_err_norm = f32::from_le_bytes(bytes[32..36].try_into().unwrap());
-        let max_row_norm = f32::from_le_bytes(bytes[36..40].try_into().unwrap());
-        let scales_at = QHEADER_LEN;
-        let exact_at = scales_at + rows * 4;
-        let codes_at = exact_at + rows * cols * 4;
-        let scales: Vec<f32> = bytes[scales_at..exact_at]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let data: Vec<f32> = bytes[exact_at..codes_at]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let codes: Vec<i8> = bytes[codes_at..expected - TRAILER_LEN]
-            .iter()
-            .map(|&b| b as i8)
-            .collect();
-        Ok((
-            QuantizedMatrix::from_parts(rows, cols, codes, scales, max_err_norm, max_row_norm),
-            Matrix::from_vec(rows, cols, data),
-        ))
-    }
-
-    /// [`QuantSpilledShard::load_all`] with the shared fault-retry backoff;
-    /// corruption is not retried.
-    pub fn load_all_retrying(&self) -> Result<(QuantizedMatrix, Matrix), StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.load_all() {
-                Ok(parts) => return Ok(parts),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// The quantized tier (codes + scales + norms), decoded into the heap cache on
-    /// first use: from the validated mapping where available, through the copying
-    /// loader otherwise. Failures are never cached — the next scan retries.
-    pub fn quant(&self) -> Result<&QuantizedMatrix, StorageError> {
-        if let Some(q) = self.quant.get() {
-            return Ok(q);
-        }
-        let fresh;
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            let mapped = self.mapped()?;
-            fresh = QuantizedMatrix::from_parts(
-                self.rows,
-                self.cols,
-                mapped.codes().to_vec(),
-                mapped.scales().to_vec(),
-                mapped.max_err_norm(),
-                mapped.max_row_norm(),
-            );
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            fresh = self.load_all_retrying()?.0;
-        }
-        // A concurrent scan may have won the race; both decoded the same bytes.
-        Ok(self.quant.get_or_init(|| fresh))
-    }
-
-    /// The **exact** f32 tier for the rescore stage and the legacy full-scan path:
-    /// borrowed from the shared mapping where available, a copying fault otherwise.
-    pub fn exact_payload(&self) -> Result<ShardData<'_>, StorageError> {
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            self.mapped().map(|m| ShardData::Borrowed(m.view()))
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            self.load_all_retrying().map(|(_, m)| ShardData::Owned(m))
-        }
-    }
-
-    /// The shared, validated memory mapping (see [`SpilledShard::mapped`] — same
-    /// never-cache-failures contract).
-    #[cfg(all(unix, target_endian = "little"))]
-    pub(crate) fn mapped(&self) -> Result<&MappedQuantShard, StorageError> {
-        if let Some(mapped) = self.map.get() {
-            return Ok(mapped);
-        }
-        let fresh = self.map_retrying()?;
-        Ok(self.map.get_or_init(|| fresh))
-    }
-
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_retrying(&self) -> Result<MappedQuantShard, StorageError> {
-        let mut last = None;
-        for retry in 0..FAULT_ATTEMPTS {
-            if retry > 0 {
-                fault_backoff(retry - 1);
-            }
-            match self.map_file() {
-                Ok(mapped) => return Ok(mapped),
-                Err(e) if e.is_corrupt() => return Err(e),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Maps the payload read-only and validates it **once** (length, magic, shape,
-    /// CRC over every preceding byte), mirroring [`SpilledShard::map_file`].
-    ///
-    /// Failpoint `spill.read.io_err`: fails the attempt before opening the file.
-    #[cfg(all(unix, target_endian = "little"))]
-    fn map_file(&self) -> Result<MappedQuantShard, StorageError> {
-        if faults::fires("spill.read.io_err") {
-            return Err(StorageError::io(
-                &self.path,
-                io::Error::other("failpoint spill.read.io_err: injected spill-read failure"),
-            ));
-        }
-        let ioerr = |e| StorageError::io(&self.path, e);
-        let corrupt = |what: &str| StorageError::corrupt(&self.path, what);
-        let file = fs::File::open(&self.path).map_err(ioerr)?;
-        let expected = quant_file_len(self.rows, self.cols) as usize;
-        let actual = file.metadata().map_err(ioerr)?.len();
-        if actual != expected as u64 {
-            return Err(corrupt(&format!(
-                "{actual} bytes on disk, expected {expected} for a {}x{} quantized shard",
-                self.rows, self.cols
-            )));
-        }
-        let mapped = MappedQuantShard::map(&file, expected, self.rows, self.cols).map_err(ioerr)?;
-        let bytes = mapped.bytes();
-        if &bytes[..QMAGIC.len()] != QMAGIC {
-            return Err(corrupt("bad magic (not a Sudowoodo quantized shard file)"));
-        }
-        let rows = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let cols = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        if (rows, cols) != (self.rows, self.cols) {
-            return Err(corrupt("header shape disagrees with the index metadata"));
-        }
-        let body = &bytes[..expected - TRAILER_LEN];
-        let trailer: [u8; TRAILER_LEN] = bytes[expected - TRAILER_LEN..].try_into().unwrap();
-        if u32::from_le_bytes(trailer) != crc32(body) {
-            return Err(corrupt(
-                "CRC-32 mismatch (the payload bytes changed since they were written)",
-            ));
-        }
-        Ok(mapped)
-    }
-}
-
-/// A read-only `mmap(2)` of one `SWSHARDQ1` payload file — [`MappedShard`]'s quantized
-/// twin. Validated once at map time; after that the exact f32 tier is borrowed
-/// straight out of the page cache (its offset is 4-byte aligned by the format's header
-/// padding) and the i8 codes/scales are copied out once into the handle's heap cache.
-#[cfg(all(unix, target_endian = "little"))]
-#[derive(Debug)]
-pub struct MappedQuantShard {
-    ptr: *const u8,
-    len: usize,
-    rows: usize,
-    cols: usize,
-}
-
-// SAFETY: same argument as `MappedShard` — PROT_READ for the whole lifetime, backing
-// files are write-once, so concurrent reads from any thread are safe.
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Send for MappedQuantShard {}
-#[cfg(all(unix, target_endian = "little"))]
-unsafe impl Sync for MappedQuantShard {}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl MappedQuantShard {
-    fn map(file: &fs::File, len: usize, rows: usize, cols: usize) -> io::Result<MappedQuantShard> {
-        use std::os::unix::io::AsRawFd;
-        // SAFETY: a fresh PROT_READ/MAP_SHARED mapping of a file we hold open; failure
-        // is reported via MAP_FAILED.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MappedQuantShard {
-            ptr: ptr as *const u8,
-            len,
-            rows,
-            cols,
-        })
-    }
-
-    /// The whole mapped file, header and trailer included.
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live mapping of exactly `len` bytes.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// Worst-row reconstruction error norm recorded in the header.
-    fn max_err_norm(&self) -> f32 {
-        f32::from_le_bytes(self.bytes()[32..36].try_into().unwrap())
-    }
-
-    /// Worst-row magnitude recorded in the header.
-    fn max_row_norm(&self) -> f32 {
-        f32::from_le_bytes(self.bytes()[36..40].try_into().unwrap())
-    }
-
-    /// The per-row scales section.
-    fn scales(&self) -> &[f32] {
-        // SAFETY: the scales span `rows` little-endian f32s at the 4-byte-aligned
-        // QHEADER_LEN offset of the validated `len`-byte mapping.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(QHEADER_LEN) as *const f32, self.rows) }
-    }
-
-    /// The i8 codes section, row-major.
-    fn codes(&self) -> &[i8] {
-        let at = QHEADER_LEN + self.rows * 4 + self.rows * self.cols * 4;
-        // SAFETY: the codes span `rows * cols` bytes at offset `at` of the validated
-        // mapping; i8 has alignment 1 and every bit pattern is valid.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(at) as *const i8, self.rows * self.cols) }
-    }
-
-    /// The exact row-major f32 tier, borrowed straight out of the page cache.
-    pub fn data(&self) -> &[f32] {
-        let at = QHEADER_LEN + self.rows * 4;
-        // SAFETY: the exact payload spans `rows * cols` little-endian f32s at the
-        // 4-byte-aligned offset `at` (header and scales are both multiples of 4);
-        // every bit pattern is a valid f32.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(at) as *const f32, self.rows * self.cols) }
-    }
-
-    /// The exact tier as a borrowed matrix view for the scoring kernels.
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.rows, self.cols, self.data())
-    }
-}
-
-#[cfg(all(unix, target_endian = "little"))]
-impl Drop for MappedQuantShard {
-    fn drop(&mut self) {
-        // SAFETY: unmapping the exact region `map` established.
-        unsafe {
-            sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
-        }
-    }
-}
-
-/// What [`ShardStorage::query_payload`] hands the scoring kernels: a zero-copy view
-/// whenever the payload has a stable home (resident matrix, established mapping), an
-/// owned fault only on targets without the mapping.
-#[derive(Debug)]
-pub enum ShardData<'a> {
-    /// Borrowed straight from resident memory or the shared mapping.
-    Borrowed(MatrixView<'a>),
-    /// A copying fault (non-Unix / big-endian fallback).
-    Owned(Matrix),
-}
-
-impl ShardData<'_> {
-    /// The payload as a [`MatrixView`], whichever arm holds it.
-    pub fn view(&self) -> MatrixView<'_> {
-        match self {
-            ShardData::Borrowed(v) => *v,
-            ShardData::Owned(m) => m.view(),
-        }
-    }
-}
-
-/// Where a shard's row matrix currently lives.
-///
-/// The surrounding shard metadata (stable ids, tombstones, routing statistics) always
-/// stays resident — only the `rows x dim` float payload spills, because that is where
-/// virtually all of a shard's memory goes.
-#[derive(Debug)]
-pub enum ShardStorage {
-    /// The matrix is in memory (the hot state; also the only state the pre-spill index
-    /// ever had).
-    Resident(Matrix),
-    /// The matrix is on disk and is read back per use.
-    Spilled(SpilledShard),
-    /// Both tiers of a quantized shard are in memory: the i8 codes the first-stage
-    /// scan reads and the exact f32 matrix the rescore tier reads.
-    QuantResident {
-        /// The i8 codes + per-row scales + measured error norms.
-        quant: QuantizedMatrix,
-        /// The exact f32 payload — the bit-identical source of truth for rescoring,
-        /// mutation, and snapshots.
-        exact: Matrix,
-    },
-    /// A quantized shard on disk in the `SWSHARDQ1` format; the small quantized tier
-    /// is decoded into a heap cache on first scan, the exact tier is served through
-    /// the shared mapping.
-    QuantSpilled(QuantSpilledShard),
-}
-
-impl Clone for ShardStorage {
-    /// Cloning faults spilled storage back into memory: spill files are single-owner
-    /// (deleted on drop), so the clone gets an independent resident copy (quantized
-    /// storage stays quantized — both tiers are cloned or loaded).
-    ///
-    /// # Panics
-    /// `Clone` has no error channel, so an unreadable spill file (after the retry
-    /// backoff) still panics here — with the typed [`StorageError`] message. Query
-    /// paths never clone storage; this is only reachable through an explicit
-    /// [`crate::ShardedCosineIndex`] clone.
-    fn clone(&self) -> Self {
-        match self {
-            ShardStorage::Resident(m) => ShardStorage::Resident(m.clone()),
-            ShardStorage::Spilled(s) => ShardStorage::Resident(
-                s.load_retrying()
-                    .unwrap_or_else(|e| panic!("ShardStorage::clone: {e}")),
-            ),
-            ShardStorage::QuantResident { quant, exact } => ShardStorage::QuantResident {
-                quant: quant.clone(),
-                exact: exact.clone(),
-            },
-            ShardStorage::QuantSpilled(s) => {
-                let (quant, exact) = s
-                    .load_all_retrying()
-                    .unwrap_or_else(|e| panic!("ShardStorage::clone: {e}"));
-                ShardStorage::QuantResident { quant, exact }
-            }
-        }
-    }
-}
-
-impl ShardStorage {
-    /// Rows of the stored matrix (including zero padding rows).
-    pub fn rows(&self) -> usize {
-        match self {
-            ShardStorage::Resident(m) => m.rows(),
-            ShardStorage::Spilled(s) => s.rows(),
-            ShardStorage::QuantResident { exact, .. } => exact.rows(),
-            ShardStorage::QuantSpilled(s) => s.rows(),
-        }
-    }
-
-    /// Columns of the stored matrix.
-    pub fn cols(&self) -> usize {
-        match self {
-            ShardStorage::Resident(m) => m.cols(),
-            ShardStorage::Spilled(s) => s.cols(),
-            ShardStorage::QuantResident { exact, .. } => exact.cols(),
-            ShardStorage::QuantSpilled(s) => s.cols(),
-        }
-    }
-
-    /// Bytes the **exact f32** payload occupies (or would occupy) in memory, regardless
-    /// of where it currently lives — the per-shard quantity the residency budget weighs
-    /// when deciding what to keep resident and what to fault back.
-    pub fn payload_bytes(&self) -> usize {
-        self.rows() * self.cols() * std::mem::size_of::<f32>()
-    }
-
-    /// `true` when the exact payload is in memory.
-    pub fn is_resident(&self) -> bool {
-        matches!(
-            self,
-            ShardStorage::Resident(_) | ShardStorage::QuantResident { .. }
-        )
-    }
-
-    /// `true` when this storage carries a quantized tier (resident or spilled).
-    pub fn is_quantized(&self) -> bool {
-        matches!(
-            self,
-            ShardStorage::QuantResident { .. } | ShardStorage::QuantSpilled(_)
-        )
-    }
-
-    /// Bytes of **exact f32** payload currently held in memory (0 when spilled) — the
-    /// quantity the residency budget is accounted in. The quantized tier is tracked
-    /// separately by [`ShardStorage::quantized_payload_bytes`]: it is metadata-sized
-    /// (a quarter of the payload) and deliberately outside the budget, like the
-    /// routing statistics.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            ShardStorage::Resident(m) => std::mem::size_of_val(m.data()),
-            ShardStorage::Spilled(_) => 0,
-            ShardStorage::QuantResident { exact, .. } => std::mem::size_of_val(exact.data()),
-            ShardStorage::QuantSpilled(_) => 0,
-        }
-    }
-
-    /// Heap bytes of the quantized tier (codes + scales), 0 for plain f32 storage and
-    /// for quantized spills whose cache has not been decoded yet — what the
-    /// memory-density bench sums against [`ShardStorage::payload_bytes`].
-    pub fn quantized_payload_bytes(&self) -> usize {
-        match self {
-            ShardStorage::QuantResident { quant, .. } => quant.heap_bytes(),
-            ShardStorage::QuantSpilled(s) => s.quant.get().map_or(0, |q| q.heap_bytes()),
-            _ => 0,
-        }
-    }
-
-    /// The quantized tier for the first-stage scan: `None` for plain f32 storage,
-    /// otherwise the codes/scales (decoding the spilled cache on first use).
-    ///
-    /// # Errors
-    /// The inner `Result` carries the same contract as [`ShardStorage::matrix`]: a
-    /// spilled quantized payload that stayed unreadable through the retries — the
-    /// caller quarantines the shard exactly like an exact-tier fault.
-    pub fn quant(&self) -> Option<Result<&QuantizedMatrix, StorageError>> {
-        match self {
-            ShardStorage::QuantResident { quant, .. } => Some(Ok(quant)),
-            ShardStorage::QuantSpilled(s) => Some(s.quant()),
-            _ => None,
-        }
-    }
-
-    /// The **exact** matrix, borrowed when resident and transiently loaded (with the
-    /// retry backoff) when spilled. Quantized storage hands out its exact tier —
-    /// mutation and legacy paths never see codes.
-    ///
-    /// # Errors
-    /// A spilled shard whose file cannot be read back even after
-    /// [`SpilledShard::load_retrying`] — the caller decides whether that degrades one
-    /// query (quarantine) or the whole operation.
-    pub fn matrix(&self) -> Result<Cow<'_, Matrix>, StorageError> {
-        match self {
-            ShardStorage::Resident(m) => Ok(Cow::Borrowed(m)),
-            ShardStorage::Spilled(s) => s.load_retrying().map(Cow::Owned),
-            ShardStorage::QuantResident { exact, .. } => Ok(Cow::Borrowed(exact)),
-            ShardStorage::QuantSpilled(s) => s.load_all_retrying().map(|(_, m)| Cow::Owned(m)),
-        }
-    }
-
-    /// The **query-path** payload: a borrowed view for resident shards, the shared
-    /// validated memory mapping for spilled ones ([`SpilledShard::mapped`]) — so a
-    /// spilled shard's working set is OS page cache shared across every process
-    /// serving the same snapshot, not a fresh heap copy per query tile. On targets
-    /// without the mapping (non-Unix or big-endian) the spilled arm transparently
-    /// falls back to the copying fault, bit-identically. Quantized storage serves its
-    /// **exact** tier here — this is what the rescore stage (and any full scan)
-    /// scores against.
-    ///
-    /// Mutating paths (compaction, ingestion, cloning) keep using
-    /// [`ShardStorage::matrix`] / [`ShardStorage::make_resident`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardStorage::matrix`]: the shard stayed unreadable (or
-    /// unmappable) through the retries.
-    pub fn query_payload(&self) -> Result<ShardData<'_>, StorageError> {
-        match self {
-            ShardStorage::Resident(m) => Ok(ShardData::Borrowed(m.view())),
-            #[cfg(all(unix, target_endian = "little"))]
-            ShardStorage::Spilled(s) => s.mapped().map(|m| ShardData::Borrowed(m.view())),
-            #[cfg(not(all(unix, target_endian = "little")))]
-            ShardStorage::Spilled(s) => s.load_retrying().map(ShardData::Owned),
-            ShardStorage::QuantResident { exact, .. } => Ok(ShardData::Borrowed(exact.view())),
-            ShardStorage::QuantSpilled(s) => s.exact_payload(),
-        }
-    }
-
-    /// Spills the matrix (both tiers when quantized) to a fresh file under `dir`.
-    /// No-op when already spilled. On I/O failure the matrix simply stays resident
-    /// (spilling is an optimization; the error is returned for reporting).
-    pub fn spill(&mut self, dir: &SpillDir) -> io::Result<()> {
-        match self {
-            ShardStorage::Resident(matrix) => {
-                let spilled = SpilledShard::write(dir, matrix)?;
-                *self = ShardStorage::Spilled(spilled);
-            }
-            ShardStorage::QuantResident { quant, exact } => {
-                let spilled = QuantSpilledShard::write(dir, quant, exact)?;
-                *self = ShardStorage::QuantSpilled(spilled);
-            }
-            ShardStorage::Spilled(_) | ShardStorage::QuantSpilled(_) => {}
-        }
-        Ok(())
-    }
-
-    /// Faults the exact matrix back into memory for mutation (ingestion into a
-    /// partially filled tail shard). An owned spill file is deleted; a non-owning
-    /// snapshot payload is left on disk for other loads of the same snapshot. No-op
-    /// when already plain-resident.
-    ///
-    /// Quantized storage degrades to plain [`ShardStorage::Resident`] here: mutation
-    /// invalidates the codes, and the next `compact()` re-quantizes under the index's
-    /// current quantization setting.
-    ///
-    /// # Errors
-    /// An unreadable spill file (after the retry backoff); the storage is left
-    /// spilled and untouched.
-    pub fn make_resident(&mut self) -> Result<&mut Matrix, StorageError> {
-        match self {
-            ShardStorage::Spilled(s) => {
-                let matrix = s.load_retrying()?;
-                *self = ShardStorage::Resident(matrix);
-            }
-            ShardStorage::QuantSpilled(s) => {
-                let (_, exact) = s.load_all_retrying()?;
-                *self = ShardStorage::Resident(exact);
-            }
-            ShardStorage::QuantResident { .. } => {
-                let ShardStorage::QuantResident { exact, .. } =
-                    std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-                else {
-                    unreachable!("matched above")
-                };
-                *self = ShardStorage::Resident(exact);
-            }
-            ShardStorage::Resident(_) => {}
-        }
-        match self {
-            ShardStorage::Resident(m) => Ok(m),
-            _ => unreachable!("made resident above"),
-        }
-    }
-
-    /// Quantizes a plain-resident shard in place (builds the i8 tier next to the
-    /// untouched exact matrix). No-op for already-quantized or spilled storage —
-    /// spilled shards are re-quantized when compaction rebuilds them resident.
-    pub(crate) fn quantize_resident(&mut self) {
-        if matches!(self, ShardStorage::Resident(_)) {
-            let ShardStorage::Resident(exact) =
-                std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-            else {
-                unreachable!("matched above")
-            };
-            let quant = QuantizedMatrix::quantize(&exact);
-            *self = ShardStorage::QuantResident { quant, exact };
-        }
-    }
-
-    /// Drops the quantized tier of a quant-resident shard, keeping the exact matrix
-    /// (the reverse of [`ShardStorage::quantize_resident`]). No-op otherwise. The
-    /// non-test path goes through [`ShardStorage::make_resident`], which lands on the
-    /// plain dense state from every variant.
-    #[cfg(test)]
-    pub(crate) fn dequantize_resident(&mut self) {
-        if matches!(self, ShardStorage::QuantResident { .. }) {
-            let ShardStorage::QuantResident { exact, .. } =
-                std::mem::replace(self, ShardStorage::Resident(Matrix::zeros(0, 0)))
-            else {
-                unreachable!("matched above")
-            };
-            *self = ShardStorage::Resident(exact);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1828,66 +1309,108 @@ mod tests {
         Matrix::from_vec(12, 5, data)
     }
 
+    fn resident(exact: Matrix, quantized: bool) -> ShardStorage {
+        let mut storage = ShardStorage::Resident { exact, quant: None };
+        storage.set_quantized(quantized);
+        storage
+    }
+
+    fn file_of(storage: &ShardStorage) -> &PayloadFile {
+        match storage {
+            ShardStorage::Spilled(file) => file,
+            ShardStorage::Resident { .. } => panic!("storage is resident"),
+        }
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn spill_round_trip_is_byte_identical() {
+    fn spill_round_trip_is_byte_identical_on_both_tiers() {
         let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
-        let matrix = fixture_matrix();
-        let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
-        let loaded = spilled.load().expect("fault");
-        assert_eq!(
-            (loaded.rows(), loaded.cols()),
-            (matrix.rows(), matrix.cols())
-        );
-        for (i, (a, b)) in matrix.data().iter().zip(loaded.data().iter()).enumerate() {
+        let exact = fixture_matrix();
+        for quantized in [false, true] {
+            let mut storage = resident(exact.clone(), quantized);
+            let quant = storage.quant().map(|q| q.unwrap().clone());
+            storage.spill(&dir).expect("spill");
+            // A fresh non-owning handle reads both tiers from the file alone.
+            let file = file_of(&storage);
+            let cold = ShardStorage::Spilled(PayloadFile::open(
+                file.path.clone(),
+                file.format,
+                file.rows,
+                file.cols,
+            ));
             assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "element {i} changed bits across the spill round trip"
+                bits(cold.matrix().expect("read").data()),
+                bits(exact.data())
             );
+            let viewed = cold
+                .with_exact(|view| bits(view.to_matrix().data()))
+                .unwrap();
+            assert_eq!(
+                viewed,
+                bits(exact.data()),
+                "the query path serves the same bits"
+            );
+            assert_eq!(cold.quant().map(|q| q.unwrap().clone()), quant);
         }
     }
 
     #[test]
-    fn storage_transitions_preserve_the_matrix_and_account_bytes() {
+    fn storage_transitions_preserve_both_tiers_and_account_bytes() {
         let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
-        let matrix = fixture_matrix();
-        let bytes = matrix.data().len() * 4;
-        let mut storage = ShardStorage::Resident(matrix.clone());
-        assert!(storage.is_resident());
-        assert_eq!(storage.resident_bytes(), bytes);
+        let exact = fixture_matrix();
+        let bytes = exact.data().len() * 4;
+        let qbytes = exact.rows() * exact.cols() + exact.rows() * 4;
+        for quantized in [false, true] {
+            let mut storage = resident(exact.clone(), quantized);
+            assert!(storage.is_resident() && storage.is_quantized() == quantized);
+            assert_eq!(storage.resident_bytes(), bytes);
+            assert_eq!(
+                storage.quantized_payload_bytes(),
+                if quantized { qbytes } else { 0 }
+            );
 
-        storage.spill(&dir).expect("spill");
-        assert!(!storage.is_resident());
-        assert_eq!(storage.resident_bytes(), 0);
-        assert_eq!(storage.rows(), matrix.rows());
-        assert_eq!(
-            *storage.matrix().expect("transient fault"),
-            matrix,
-            "transient fault must match"
-        );
+            storage.spill(&dir).expect("spill");
+            assert!(!storage.is_resident() && storage.is_quantized() == quantized);
+            assert_eq!(storage.resident_bytes(), 0);
+            assert_eq!(storage.payload_bytes(), bytes);
+            // The spill moved the i8 tier into the handle's cache: still in memory.
+            assert_eq!(
+                storage.quantized_payload_bytes(),
+                if quantized { qbytes } else { 0 }
+            );
+            assert_eq!(*storage.matrix().expect("copied out"), exact);
 
-        // Cloning a spilled storage produces an independent resident copy.
-        let cloned = storage.clone();
-        assert!(cloned.is_resident());
-        assert_eq!(*cloned.matrix().expect("resident"), matrix);
+            // Cloning a spilled storage produces an independent resident copy.
+            let cloned = storage.clone();
+            assert!(cloned.is_resident() && cloned.is_quantized() == quantized);
+            assert_eq!(*cloned.matrix().expect("resident"), exact);
 
-        let faulted = storage.make_resident().expect("fault back");
-        assert_eq!(*faulted, matrix);
-        assert!(storage.is_resident());
-        assert_eq!(storage.resident_bytes(), bytes);
+            // Faulting back for residency keeps the i8 tier; mutation drops it.
+            storage.fault_in().expect("fault back");
+            assert!(storage.is_resident() && storage.is_quantized() == quantized);
+            assert_eq!(storage.resident_bytes(), bytes);
+            assert_eq!(*storage.matrix_mut().expect("resident"), exact);
+            assert!(!storage.is_quantized());
+        }
     }
 
     #[test]
-    fn files_and_directory_are_cleaned_up_on_drop() {
+    fn owned_files_and_directory_are_cleaned_up_on_drop() {
         let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let dir_path = dir.path().to_path_buf();
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        let file_path = spilled.path.clone();
+        let mut storage = resident(fixture_matrix(), false);
+        storage.spill(&dir).expect("spill");
+        let file_path = storage.backing_file().unwrap().to_path_buf();
         assert!(file_path.exists());
-        drop(spilled);
+        // Faulting back drops the owning handle, and with it the spill file.
+        storage.fault_in().expect("fault back");
         assert!(
             !file_path.exists(),
             "spill file must be removed with its shard"
@@ -1901,68 +1424,187 @@ mod tests {
     }
 
     #[test]
-    fn open_is_non_owning_and_validates_length() {
+    fn snapshot_payloads_are_non_owning_and_persist_by_copy() {
         let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
-        let owned = SpilledShard::write(&dir, &matrix).expect("spill");
-        let path = owned.path.clone();
-        // Detach the file from the owning handle by copying it aside.
+        let mut spilled = resident(matrix.clone(), false);
+        spilled.spill(&dir).expect("spill");
+        // Persisting a spilled shard copies its file; a spill file inside the target
+        // directory is refused, since the shard moved position.
         let snapshot_path = dir.path().join("snapshot-copy.bin");
-        owned.copy_to(&snapshot_path).expect("copy payload");
+        let err = spilled.persist(dir.path(), &snapshot_path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let elsewhere = SpillDir::create().expect("second dir");
+        spilled
+            .persist(elsewhere.path(), &snapshot_path)
+            .expect("copy");
 
-        let opened = SpilledShard::open(snapshot_path.clone(), matrix.rows(), matrix.cols())
-            .expect("open snapshot payload");
-        assert_eq!(opened.load().expect("load"), matrix);
-        assert_eq!(opened.file_path(), snapshot_path.as_path());
+        let open = || PayloadFile::open(snapshot_path.clone(), Format::Exact, 12, 5);
+        let opened = ShardStorage::Spilled(open());
+        opened
+            .persist(dir.path(), &snapshot_path)
+            .expect("self-persist is a no-op");
+        assert_eq!(*opened.matrix().expect("read"), matrix);
+        assert_eq!(opened.backing_file(), Some(snapshot_path.as_path()));
         drop(opened);
         assert!(
             snapshot_path.exists(),
-            "a non-owning handle must leave the file on disk"
+            "a non-owning handle leaves the file on disk"
         );
 
-        // Copying a file onto itself (snapshot re-saved into its own dir) is a no-op.
-        let reopened =
-            SpilledShard::open(snapshot_path.clone(), matrix.rows(), matrix.cols()).unwrap();
-        reopened.copy_to(&snapshot_path).expect("self-copy");
-        assert_eq!(reopened.load().expect("load after self-copy"), matrix);
-
-        // A wrong manifest shape is caught at open time, before any query faults.
-        let err = SpilledShard::open(snapshot_path, matrix.rows() + 4, matrix.cols())
+        // A wrong manifest shape is caught by the length check, before any read.
+        let err = PayloadFile::open(snapshot_path.clone(), Format::Exact, 16, 5)
+            .check_length()
             .expect_err("bad shape must fail fast");
         assert!(err.is_corrupt(), "length mismatch is corruption: {err}");
         assert!(err.to_string().contains("bytes on disk"), "got: {err}");
-        drop(dir);
-        let _ = path;
+        open().check_length().expect("the recorded shape matches");
+    }
+
+    /// One validator for both formats: truncating, extending, or flipping any byte of a
+    /// payload — header, scales, exact rows, codes or trailer — is a typed corruption
+    /// error naming what failed, never a panic and never wrong bytes.
+    #[test]
+    fn seeded_corruption_sweep_fails_typed_on_both_formats() {
+        let _quiet = faults::quiet_scope();
+        let dir = SpillDir::create().expect("create spill dir");
+        let path = dir.path().join("mutant.bin");
+        let exact = fixture_matrix();
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for format in [Format::Exact, Format::Quantized] {
+            let quant = (format == Format::Quantized).then(|| QuantizedMatrix::quantize(&exact));
+            write_payload(&path, &exact, quant.as_ref()).unwrap();
+            let original = fs::read(&path).unwrap();
+            let layout = Layout::new(format, 12, 5).unwrap();
+            for case in 0..100 {
+                let mut bytes = original.clone();
+                let expected = match case % 4 {
+                    0 => {
+                        bytes.truncate(next(bytes.len()));
+                        "bytes on disk"
+                    }
+                    1 => {
+                        bytes.extend((0..1 + next(16)).map(|_| next(256) as u8));
+                        "bytes on disk"
+                    }
+                    _ => {
+                        // Every other flip lands in the header or the trailer.
+                        let at = match case % 8 {
+                            2 => next(layout.scales_at),
+                            3 => layout.trailer_at + next(TRAILER_LEN),
+                            _ => next(bytes.len()),
+                        };
+                        bytes[at] ^= 1 + next(255) as u8;
+                        if at < layout.magic().len() {
+                            "bad magic"
+                        } else if (layout.shape_at..layout.shape_at + 16).contains(&at) {
+                            "header shape"
+                        } else {
+                            "CRC-32"
+                        }
+                    }
+                };
+                fs::write(&path, &bytes).unwrap();
+                let file = PayloadFile::open(path.clone(), format, 12, 5);
+                let err = file
+                    .check_length()
+                    .and_then(|()| file.exact().map(drop))
+                    .expect_err("a corrupt payload must not read");
+                assert!(err.is_corrupt(), "case {case}: {err}");
+                assert!(err.to_string().contains(expected), "case {case}: {err}");
+                if let Some(read) = file.quant() {
+                    assert!(read.expect_err("codes must not decode").is_corrupt());
+                }
+            }
+        }
+    }
+
+    /// Regression: a recorded shape whose payload length overflows used to panic (debug)
+    /// or wrap (release) in the length arithmetic.
+    #[test]
+    fn shapes_whose_payload_length_overflows_are_corrupt() {
+        let _quiet = faults::quiet_scope();
+        let dir = SpillDir::create().expect("create spill dir");
+        let path = dir.path().join("tiny.bin");
+        write_payload(&path, &fixture_matrix(), None).unwrap();
+        for format in [Format::Exact, Format::Quantized] {
+            for (rows, cols) in [(usize::MAX / 4, 8), (2, usize::MAX / 2), (usize::MAX, 1)] {
+                let file = PayloadFile::open(path.clone(), format, rows, cols);
+                assert!(file.check_length().unwrap_err().is_corrupt());
+                assert!(file.exact().unwrap_err().is_corrupt());
+                let storage = ShardStorage::Spilled(file);
+                assert!(storage.matrix().unwrap_err().is_corrupt());
+                assert_eq!(storage.payload_bytes(), usize::MAX);
+            }
+        }
+    }
+
+    /// The same regression through a snapshot whose manifest records an absurd shard
+    /// shape under a valid CRC: the shard is quarantined (sharded layout) or the load
+    /// fails typed (dense layout), never a panic.
+    #[test]
+    fn manifest_shapes_that_overflow_quarantine_or_fail_typed() {
+        let _quiet = faults::quiet_scope();
+        let rows: Vec<Vec<f32>> = (0..12).map(|i| vec![i as f32, 1.0, -2.0, 0.5]).collect();
+        let dir = std::env::temp_dir().join(format!("swshard-overflow-{}", std::process::id()));
+        // Rewrites the u64 at `at` and re-seals the manifest's CRC-32 trailer.
+        let rewrite = |at: usize| {
+            let manifest = dir.join(crate::MANIFEST_FILE);
+            let mut bytes = fs::read(&manifest).unwrap();
+            bytes[at..at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&manifest, &bytes).unwrap();
+        };
+        for quantized in [false, true] {
+            let mut index = crate::ShardedCosineIndex::from_vectors(&rows, 4);
+            index.set_quantization(quantized.then(crate::QuantSpec::default));
+            index.compact();
+            index.save_snapshot(&dir).unwrap();
+            // magic 8 · layout 1 · dim, capacity, next_id, live, num_shards — then shard
+            // 0's `rows`.
+            rewrite(8 + 1 + 5 * 8);
+            let mut loaded = crate::ShardedCosineIndex::load_snapshot(&dir).expect("loads");
+            assert_eq!(loaded.quarantined_shards(), vec![0]);
+            let outcome = loaded.knn_join_report(&rows[..2], 12);
+            assert!(outcome.degraded && outcome.pairs.len() == 2 * 8);
+            loaded.compact();
+            assert_eq!((loaded.len(), loaded.num_shards()), (8, 2));
+        }
+        // The dense layout: magic 8 · layout 1 · dim · len — then the payload `rows`.
+        crate::BlockingIndex::build(rows.clone(), None)
+            .save_snapshot(&dir)
+            .unwrap();
+        rewrite(8 + 1 + 2 * 8);
+        let err = crate::BlockingIndex::load_snapshot(&dir).expect_err("typed failure");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupted_magic_is_rejected() {
-        let _quiet = faults::quiet_scope();
-        let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        bytes[0] ^= 0xFF;
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = spilled.load().expect_err("corrupted magic must fail");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("bad magic"), "got: {err}");
-    }
-
-    #[test]
-    fn single_flipped_payload_bit_fails_the_crc() {
-        let _quiet = faults::quiet_scope();
-        let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - TRAILER_LEN) / 2;
-        bytes[mid] ^= 0x01; // one bit, deep in the float payload
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = spilled.load().expect_err("bit rot must not load");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("CRC-32"), "got: {err}");
-        // Corruption is not retried — the retry wrapper fails identically and fast.
-        assert!(spilled.load_retrying().unwrap_err().is_corrupt());
+    fn f32_sections_decode_when_unaligned() {
+        let floats = [1.5f32, -0.0, f32::NAN, 1.0e-40];
+        let mut bytes = vec![0u8];
+        for x in floats {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        // One of the two offsets is misaligned whatever the buffer's own alignment.
+        for offset in [0, 1] {
+            let section = &bytes[offset..offset + 16];
+            let decoded: Vec<f32> = section
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            assert_eq!(bits(&f32s(section)), bits(&decoded));
+        }
     }
 
     #[test]
@@ -1976,9 +1618,10 @@ mod tests {
     fn vanished_spill_file_is_a_typed_io_error_with_the_path() {
         let _quiet = faults::quiet_scope();
         let dir = SpillDir::create().expect("create spill dir");
-        let spilled = SpilledShard::write(&dir, &fixture_matrix()).expect("spill");
-        fs::remove_file(&spilled.path).unwrap();
-        let err = spilled.load_retrying().expect_err("missing file must fail");
+        let mut storage = resident(fixture_matrix(), false);
+        storage.spill(&dir).expect("spill");
+        fs::remove_file(storage.backing_file().unwrap()).unwrap();
+        let err = storage.matrix().expect_err("missing file must fail");
         assert!(!err.is_corrupt(), "a vanished file is an I/O fault");
         let msg = err.with_shard(3).to_string();
         assert!(msg.contains("shard 3"), "got: {msg}");
@@ -1990,42 +1633,21 @@ mod tests {
         let _faults = faults::arm_scope();
         let dir = SpillDir::create().expect("create spill dir");
         let matrix = fixture_matrix();
-        let spilled = SpilledShard::write(&dir, &matrix).expect("spill");
+        let mut storage = resident(matrix.clone(), false);
+        storage.spill(&dir).expect("spill");
 
-        // A bounded transient fault: the single-attempt read fails, the retry loop
-        // rides it out.
+        // A bounded transient fault: a single attempt fails, the retry loop rides it out.
         faults::arm("spill.read.io_err", faults::Policy::Times(2));
-        assert!(spilled.load().is_err());
-        assert_eq!(spilled.load_retrying().expect("retries recover"), matrix);
+        assert!(file_of(&storage).read_validated().is_err());
+        assert_eq!(*storage.matrix().expect("retries recover"), matrix);
         faults::disarm("spill.read.io_err");
 
-        // A durable fault exhausts the retries and surfaces the injected error.
+        // A durable fault exhausts the retries of a fresh handle and surfaces the error.
         faults::arm("spill.read.io_err", faults::Policy::Always);
-        let err = spilled.load_retrying().expect_err("durable fault");
+        let file = file_of(&storage);
+        let fresh = PayloadFile::open(file.path.clone(), file.format, file.rows, file.cols);
+        let err = fresh.exact().expect_err("durable fault");
         assert!(err.to_string().contains("spill.read.io_err"), "got: {err}");
-    }
-
-    #[test]
-    fn quantized_spill_round_trip_is_byte_identical_on_both_tiers() {
-        let _quiet = faults::quiet_scope();
-        let dir = SpillDir::create().expect("create spill dir");
-        let exact = fixture_matrix();
-        let quant = QuantizedMatrix::quantize(&exact);
-        let spilled = QuantSpilledShard::write(&dir, &quant, &exact).expect("spill");
-        let (q2, e2) = spilled.load_all().expect("fault");
-        assert_eq!(q2, quant, "quantized tier must round-trip exactly");
-        for (i, (a, b)) in exact.data().iter().zip(e2.data().iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "exact element {i} changed bits across the quantized round trip"
-            );
-        }
-        // The seeded cache answers without re-reading the file.
-        assert_eq!(spilled.quant().expect("seeded"), &quant);
-        // The mmap'd exact tier serves the same bits.
-        let view = spilled.exact_payload().expect("map").view().to_matrix();
-        assert_eq!(view, exact);
     }
 
     #[test]
@@ -2074,87 +1696,87 @@ mod tests {
         }
     }
 
+    /// Pins both payload formats byte for byte. The expected bytes are assembled from
+    /// the layout tables in the module docs, not by the writer: a snapshot save must
+    /// write exactly them, and a cold load must read both tiers back bit for bit.
     #[test]
-    fn quantized_storage_transitions_account_both_tiers() {
+    fn both_payload_formats_match_the_documented_layout_byte_for_byte() {
         let _quiet = faults::quiet_scope();
-        let dir = SpillDir::create().expect("create spill dir");
-        let exact = fixture_matrix();
-        let bytes = exact.data().len() * 4;
-        let mut storage = ShardStorage::Resident(exact.clone());
-        assert_eq!(storage.quantized_payload_bytes(), 0);
+        // Six rows pad to an 8x3 shard matrix. Normalization leaves a NaN row as it is
+        // and divides unit rows by exactly 1.0, so -0.0 and the denormal survive.
+        let rows = vec![
+            vec![1.0, -0.0, 1.0e-40],
+            vec![f32::NAN, 0.5, -2.0],
+            vec![0.0, 0.6, 0.8],
+            vec![-0.0, -1.0, 0.0],
+            vec![3.0, 4.0, 12.0],
+            vec![0.25, -0.5, f32::MIN_POSITIVE],
+        ];
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let put_f32s = |out: &mut Vec<u8>, xs: &[f32]| {
+            for x in xs {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        };
+        for quantized in [false, true] {
+            let mut index = crate::ShardedCosineIndex::from_vectors(&rows, 8);
+            if quantized {
+                index.set_quantization(Some(crate::QuantSpec::default()));
+                index.compact();
+            }
+            let exact = index.shards[0].storage.matrix().unwrap().into_owned();
+            assert_eq!((exact.rows(), exact.cols()), (8, 3));
+            assert!(exact.data().iter().any(|x| x.is_nan()));
+            assert!(bits(&exact).contains(&(-0.0f32).to_bits()));
+            assert!(bits(&exact).contains(&1.0e-40f32.to_bits()));
 
-        storage.quantize_resident();
-        assert!(storage.is_resident() && storage.is_quantized());
-        assert_eq!(storage.resident_bytes(), bytes);
-        let qbytes = exact.rows() * exact.cols() + exact.rows() * 4;
-        assert_eq!(storage.quantized_payload_bytes(), qbytes);
-        assert_eq!(*storage.matrix().expect("exact tier"), exact);
+            let quant = quantized.then(|| QuantizedMatrix::quantize(&exact));
+            let mut expected = Vec::new();
+            match &quant {
+                None => expected.extend_from_slice(b"SWSHARD1"),
+                Some(_) => {
+                    expected.extend_from_slice(b"SWSHARDQ1");
+                    expected.extend_from_slice(&[0u8; 7]);
+                }
+            }
+            expected.extend_from_slice(&8u64.to_le_bytes());
+            expected.extend_from_slice(&3u64.to_le_bytes());
+            if let Some(q) = &quant {
+                put_f32s(&mut expected, &[q.max_err_norm(), q.max_row_norm()]);
+                put_f32s(&mut expected, q.scales());
+            }
+            put_f32s(&mut expected, exact.data());
+            if let Some(q) = &quant {
+                expected.extend(q.codes().iter().map(|&c| c as u8));
+            }
+            let crc = crc32(&expected);
+            expected.extend_from_slice(&crc.to_le_bytes());
 
-        storage.spill(&dir).expect("spill");
-        assert!(!storage.is_resident() && storage.is_quantized());
-        assert_eq!(storage.resident_bytes(), 0);
-        // The spill seeded the quantized cache, so its bytes are still resident.
-        assert_eq!(storage.quantized_payload_bytes(), qbytes);
-        assert_eq!(
-            storage
-                .query_payload()
-                .expect("exact view")
-                .view()
-                .to_matrix(),
-            exact
-        );
+            let dir = std::env::temp_dir()
+                .join(format!("swshard-golden-{}-{quantized}", std::process::id()));
+            index.save_snapshot(&dir).unwrap();
+            assert_eq!(fs::read(dir.join("shard-0.bin")).unwrap(), expected);
 
-        // Cloning a quantized spill produces an independent quant-resident copy.
-        let cloned = storage.clone();
-        assert!(cloned.is_resident() && cloned.is_quantized());
-        assert_eq!(*cloned.matrix().expect("resident"), exact);
-
-        // Faulting back for mutation drops the (soon stale) quantized tier.
-        let faulted = storage.make_resident().expect("fault back");
-        assert_eq!(*faulted, exact);
-        assert!(storage.is_resident() && !storage.is_quantized());
-
-        storage.quantize_resident();
-        storage.dequantize_resident();
-        assert!(!storage.is_quantized());
-        assert_eq!(*storage.matrix().expect("still exact"), exact);
-    }
-
-    #[test]
-    fn corrupt_quantized_payloads_fail_typed_like_dense_ones() {
-        let _quiet = faults::quiet_scope();
-        let dir = SpillDir::create().expect("create spill dir");
-        let exact = fixture_matrix();
-        let quant = QuantizedMatrix::quantize(&exact);
-        let spilled = QuantSpilledShard::write(&dir, &quant, &exact).expect("spill");
-
-        // A single flipped bit deep in the codes section fails the CRC.
-        let mut bytes = fs::read(&spilled.path).unwrap();
-        let codes_at = QHEADER_LEN + exact.rows() * 4 + exact.rows() * exact.cols() * 4;
-        bytes[codes_at + 3] ^= 0x01;
-        fs::write(&spilled.path, &bytes).unwrap();
-        let fresh =
-            QuantSpilledShard::open_unchecked(spilled.path.clone(), exact.rows(), exact.cols());
-        let err = fresh.load_all().expect_err("bit rot must not load");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("CRC-32"), "got: {err}");
-        let err = fresh.quant().expect_err("mapped path rejects it too");
-        assert!(err.is_corrupt());
-
-        // A truncated (torn) file is caught by the open-time length check.
-        bytes.truncate(bytes.len() / 2);
-        fs::write(&spilled.path, &bytes).unwrap();
-        let err = QuantSpilledShard::open(spilled.path.clone(), exact.rows(), exact.cols())
-            .expect_err("torn file must fail fast");
-        assert!(err.is_corrupt());
-        assert!(err.to_string().contains("bytes on disk"), "got: {err}");
+            let loaded = crate::ShardedCosineIndex::load_snapshot(&dir).unwrap();
+            let storage = &loaded.shards[0].storage;
+            assert!(!storage.is_resident());
+            assert_eq!(storage.is_quantized(), quantized);
+            assert_eq!(
+                bits(&storage.matrix().expect("reader accepts")),
+                bits(&exact)
+            );
+            if let Some(q) = &quant {
+                assert_eq!(storage.quant().unwrap().expect("reader accepts"), q);
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
     fn injected_write_faults_keep_the_shard_resident() {
         let _faults = faults::arm_scope();
         let dir = SpillDir::create().expect("create spill dir");
-        let mut storage = ShardStorage::Resident(fixture_matrix());
+        let mut storage = resident(fixture_matrix(), false);
         faults::arm("spill.write.io_err", faults::Policy::Once);
         assert!(storage.spill(&dir).is_err(), "injected write fault");
         assert!(storage.is_resident(), "a failed spill must not lose data");

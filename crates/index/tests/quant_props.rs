@@ -172,7 +172,6 @@ fn clustered_corpus_with_spill_and_routing_is_bit_identical() {
 
     let index = quantized_index(&corpus, 32, Some(0), 2);
     assert_eq!(index.num_spilled_shards(), index.num_shards());
-    assert!(index.routing_enabled());
     let got = index.knn_join(&queries, 10);
     assert_bit_identical(&got, &expected, "clustered + spilled + routed");
     let report = index.routing_report();

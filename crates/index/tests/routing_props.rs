@@ -5,9 +5,9 @@
 //! proof over adversarial corpora — duplicate rows (radius ~0, bounds tying true
 //! scores), near-tie scores (1-ulp neighborhoods around the pruning threshold),
 //! clustered corpora (the case routing is built for), and the all-pruned / none-pruned
-//! extremes — across shard capacities and residency budgets, always comparing four
-//! configurations that must agree exactly: dense, sharded+routing, sharded−routing,
-//! and sharded+routing with every shard spilled to disk.
+//! extremes — across shard capacities and residency budgets, always comparing three
+//! configurations that must agree exactly: dense, sharded+routing, and sharded+routing
+//! with every shard spilled to disk.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,8 +43,8 @@ fn clustered_vectors(
     out
 }
 
-/// Asserts that every sharded configuration (routing on / off / on+fully-spilled)
-/// answers `knn_join` **identically** — ids and scores — to the dense build.
+/// Asserts that every sharded configuration (routed / routed+fully-spilled) answers
+/// `knn_join` **identically** — ids and scores — to the dense build.
 fn assert_all_configurations_agree(
     corpus: &[Vec<f32>],
     queries: &[Vec<f32>],
@@ -56,19 +56,10 @@ fn assert_all_configurations_agree(
     let expected = dense.knn_join(queries, k);
 
     let routed = ShardedCosineIndex::from_vectors(corpus, capacity);
-    assert!(routed.routing_enabled(), "routing must default on");
     assert_eq!(
         routed.knn_join(queries, k),
         expected,
         "{label}: routed sharded diverged from dense"
-    );
-
-    let mut unrouted = ShardedCosineIndex::from_vectors(corpus, capacity);
-    unrouted.set_routing_enabled(false);
-    assert_eq!(
-        unrouted.knn_join(queries, k),
-        expected,
-        "{label}: unrouted sharded diverged from dense"
     );
 
     let spilled = ShardedCosineIndex::from_vectors_with_budget(corpus, capacity, Some(0));

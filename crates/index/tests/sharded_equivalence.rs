@@ -84,7 +84,6 @@ fn spilled_and_routed_knn_join_matches_dense_2k_x_10k() {
             sharded.num_shards(),
             "capacity {capacity}: the zero budget must spill every shard"
         );
-        assert!(sharded.routing_enabled());
         let got = sharded.knn_join(&queries, k);
         assert_eq!(
             got, expected,
@@ -130,7 +129,6 @@ fn quantized_spilled_and_routed_knn_join_matches_dense_2k_x_10k() {
             sharded.num_shards(),
             "capacity {capacity}: the zero budget must spill every shard"
         );
-        assert!(sharded.routing_enabled());
         let got = sharded.knn_join(&queries, k);
         assert_eq!(
             got, expected,

@@ -55,7 +55,6 @@ fn acceptance_spilled_routed_2k_x_10k_round_trip_is_bit_identical() {
     // Spill forced (zero residency budget), routing on (the default).
     let built = ShardedCosineIndex::from_vectors_with_budget(&corpus, 1024, Some(0));
     assert_eq!(built.num_spilled_shards(), built.num_shards());
-    assert!(built.routing_enabled());
     let expected = built.knn_join(&queries, 20);
 
     let dir = snapshot_dir("acceptance");
