@@ -61,7 +61,7 @@ use sudowoodo_index::{CosineIndex, QuantSpec, ShardedCosineIndex};
 use sudowoodo_nn::layers::{
     Embedding, FeedForward, Layer, LayerNorm, Linear, PositionalEmbedding, TransformerBlock,
 };
-use sudowoodo_nn::matrix::{I8Tile, Matrix};
+use sudowoodo_nn::matrix::{for_each_supported_arm, I8Tile, Matrix};
 use sudowoodo_nn::optim::AdamW;
 use sudowoodo_nn::tape::{Tape, VarId};
 
@@ -625,9 +625,9 @@ fn i8_tile_row(abt_kernel: &AbtKernelRow) -> I8TileRow {
     let mut rng = StdRng::seed_from_u64(7);
     let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-127i8..=127)).collect();
     let b: Vec<i8> = (0..n * k).map(|_| rng.gen_range(-127i8..=127)).collect();
-    let (arm, mut tile) = I8Tile::new_arms(&a, k)
-        .pop()
-        .expect("the scalar arm is always supported");
+    let mut arm = String::new();
+    for_each_supported_arm(|supported| arm = format!("{supported:?}"));
+    let mut tile = I8Tile::new(&a, k);
     let fast = time(20, || {
         b.chunks(strip * k)
             .map(|codes| tile.multiply_transpose_b(codes)[0] as i64)

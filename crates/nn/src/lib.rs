@@ -6,17 +6,18 @@
 //! this crate provides the equivalent building blocks implemented from scratch in Rust:
 //!
 //! * [`matrix::Matrix`] — a dense row-major `f32` matrix, the only tensor type, backed
-//!   by register-tiled GEMM microkernels (AVX-512F / AVX2+FMA, detected at runtime, with
-//!   a scalar fallback), fused `A·Bᵀ` / `Aᵀ·B` products, and rayon row-band parallelism
-//!   above a FLOP threshold. `matmul_naive` is kept as the reference implementation for
-//!   the kernel-equivalence property tests.
+//!   by register-tiled kernels that dispatch on one runtime-detected [`matrix::Arm`]
+//!   (scalar, AVX2+FMA, AVX-512, AVX-512 VNNI): one GEMM loop nest, fused `A·Bᵀ` / `Aᵀ·B`
+//!   products, an i8 tile, and rayon row-band parallelism above a FLOP threshold.
+//!   `matmul_naive` is kept as the reference implementation for the kernel-equivalence
+//!   property tests.
 //! * [`tape::Tape`] — reverse-mode automatic differentiation with a compact op set
 //!   (dense algebra, fused transpose matmul, softmax, layer norm, L2 normalization,
 //!   softmax cross-entropy); gradient accumulation is in-place.
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head self-attention,
 //!   Transformer blocks, positional embeddings — each with a tape-free, thread-safe
 //!   `infer()` fast path for batched inference.
-//! * [`optim`] — AdamW (as used in the paper) and SGD.
+//! * [`optim`] — AdamW (as used in the paper).
 //! * [`gradcheck`] — finite-difference validation used extensively in tests.
 //!
 //! The crate is CPU-only. A tape is single-threaded, but parameters are `Arc<RwLock<..>>`
@@ -51,6 +52,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod gradcheck;
 pub mod init;

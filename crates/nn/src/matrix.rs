@@ -5,43 +5,34 @@
 //!
 //! ## Kernel layer
 //!
-//! Encoder forward/backward, blocking, matching, and clustering all bottom out in a
-//! handful of GEMM-shaped products, so those are implemented as real kernels rather than
-//! textbook loops:
+//! Encoder forward/backward, blocking, matching and clustering all bottom out in a few
+//! GEMM-shaped products. Every kernel dispatches on one [`Arm`] (`Scalar < Avx2 < Avx512
+//! < Avx512Vnni`), detected once per process: a public entry reads it once and hands it
+//! down, and row bands on other threads receive it as an argument.
 //!
-//! * [`Matrix::matmul`] — register-tiled `A * B`: B is packed into streaming column
-//!   panels and multiplied in 8×32 (AVX-512F) or 4×16 (AVX2+FMA) accumulator tiles held
-//!   in registers across the contraction, detected at runtime, with a 4-way k-unrolled
-//!   AXPY fallback for small/odd shapes and rayon row-band parallelism above a FLOP
-//!   threshold;
-//! * [`Matrix::matmul_transpose_b`] — fused `A * B^T`, every output a dot product of two
-//!   contiguous rows — exactly the shape of the SimCLR / Barlow Twins similarity
-//!   matrices and of batched cosine scoring, without ever materializing the transpose.
-//!   Register-tiled: 8×4 (AVX-512F) or 2×4 (AVX2+FMA) tiles of 8-lane accumulators
-//!   share each operand load between outputs, and the tiles walk `B` in L2-sized strips
-//!   so a large corpus streams from memory once per band of `A`. Every tile computes
-//!   each output in exactly the order of the row-at-a-time reference
-//!   ([`Matrix::matmul_transpose_b_reference`]), so results are bit-identical across
-//!   tiles, strips, thread bands and every CPU with AVX2+FMA (the scalar fallback rounds
-//!   each product separately);
-//!   [`MatrixView::matmul_transpose_b_into`] is the same kernel into a reused buffer;
-//! * [`I8Tile`] — the integer sibling of `matmul_transpose_b`: i8 codes times i8
-//!   codesᵀ into a reused `i32` tile, the first stage of the quantized index scan. The
-//!   right operand is packed into 64-row panels so a vector holds one lane group of
-//!   sixteen rows and a broadcast group of the left operand feeds sixteen outputs — 6×64
-//!   register tiles of AVX-512 VNNI `vpdpbusd` (AVX-512BW / AVX2 `madd_epi16`, scalar),
-//!   no horizontal reduction. Integer sums do not round, so every arm equals
-//!   [`Matrix::dot_i8`] per output with no accumulation order to preserve. Measured on
-//!   the benchmark host at 256 x 4096 x 64 on one core: 415–475 Gop/s, 17–22× one
-//!   `dot_i8` per pair, 4–5× the pairs per second of the f32 kernel above.
-//!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row;
-//! * [`Matrix::matmul_transpose_a`] — `A^T * B`, the weight gradient of `matmul`: a blocked
-//!   [`Matrix::transpose`] feeding the same register-tiled `matmul`;
-//! * [`Matrix::scale_mut`] / [`Matrix::add_scaled`] / [`Matrix::add_hadamard`] — in-place
-//!   accumulation primitives used by the tape's gradient accumulation so the backward
-//!   pass does not allocate one matrix per op;
-//! * [`Matrix::matmul_naive`] — the original triple loop, kept as the reference
-//!   implementation for the kernel-equivalence property tests and the speedup benches.
+//! * [`Matrix::matmul`] — one register-tile family (`8×32` AVX-512, `4×16` AVX2, `4×16`
+//!   scalar) behind one loop nest: row bands × column panels of `B`, packed from a size
+//!   threshold up. Edge rows and columns run the same tile into a spare tile, so on
+//!   every FMA arm each output is one fused multiply-add chain over `k`, ascending, from
+//!   zero — the same bits whatever the arm, the output's position or the thread split.
+//!   [`Matrix::matmul_transpose_a`] (`Aᵀ·B`) is a blocked transpose feeding it.
+//! * [`Matrix::matmul_transpose_b`] — fused `A·Bᵀ` (similarity matrices, cosine scoring):
+//!   `8×4` (AVX-512) or `2×4` (AVX2) tiles of 8-lane accumulators walking `B` in
+//!   L2-sized strips, bit-identical per element to the row-at-a-time
+//!   [`Matrix::matmul_transpose_b_reference`] on the same arm;
+//!   [`MatrixView::matmul_transpose_b_into`] is the same kernel into a reused buffer.
+//! * [`I8Tile`] — i8 codes × codesᵀ into a reused `i32` tile, the first stage of the
+//!   quantized index scan: `6×64` AVX-512 VNNI `vpdpbusd` / AVX-512 `madd_epi16`, `4×16`
+//!   AVX2, scalar — integer-exact, so every arm equals [`Matrix::dot_i8`];
+//!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row.
+//! * AXPY (`kernels::axpy4` / `axpy1`) for attention and the optimizer, and the GELU and
+//!   softmax maps of [`crate::tape`], on the same arm.
+//!
+//! `matmul_naive`, `matmul_transpose_b_reference` and `dot_i8` are the frozen references
+//! the tests compare against. New work slots in as a tile in `kernels` and one more
+//! `match` arm on [`Arm`]; a new product reuses the band split and the edge handling.
+
+use std::cell::Cell;
 
 use rand::Rng;
 use rayon::prelude::*;
@@ -65,29 +56,22 @@ const PAR_FLOPS: usize = 1 << 25;
 
 /// The rule itself: a product of `m` output rows and `m * k * n` multiply-adds is worth
 /// splitting across threads from `PAR_FLOPS` up, a single row never. Both GEMM drivers
-/// ask [`par_threads`], which asks this; the row bands they hand out compute every output
-/// in the same order as the inline loop, so crossing the threshold never changes a bit of
-/// the result. Public only so `tests/kernel_props.rs` can find shapes on either side of
-/// it on any host.
+/// ask it through [`for_each_band`], whose bands compute every output in the same order
+/// as the inline loop, so crossing the threshold never changes a bit of the result.
+/// Public only so `tests/kernel_props.rs` can find shapes on either side of it on any
+/// host.
 #[doc(hidden)]
 pub fn fans_out(m: usize, k: usize, n: usize) -> bool {
     m > 1 && m * k * n >= PAR_FLOPS
 }
 
-/// How many threads a product fans out over: the rayon thread count when [`fans_out`]
-/// says so, else 1 (run inline).
-fn par_threads(m: usize, k: usize, n: usize) -> usize {
-    if fans_out(m, k, n) {
-        rayon::current_num_threads()
-    } else {
-        1
-    }
-}
-
-/// FLOP threshold above which `matmul` takes the pack-and-tile path. Packing copies all
-/// of B once; below this the plain AXPY row kernel wins because the training graphs are
-/// full of tiny products where a per-op pack allocation would dominate.
-const TILE_FLOPS: usize = 1 << 14;
+/// Multiply-adds from which `matmul` packs all of `B` into contiguous column panels
+/// (one copy that turns the tile's stride-`n` walk, catastrophic for power-of-two `n`
+/// through cache-set aliasing, into streaming). Below it, and whenever one row tile
+/// covers `A`, the full panels are read in place and only the ragged last one is
+/// copied: the training graphs are full of tiny products where a whole-`B` copy and its
+/// allocation would dominate.
+const PACK_FLOPS: usize = 1 << 14;
 
 /// Bytes of `B` one strip of the `A * B^T` kernel covers: every row tile of `A` is run
 /// against a strip before the next strip is touched, so `B` comes from L2 for all but
@@ -96,421 +80,262 @@ const TILE_FLOPS: usize = 1 << 14;
 /// 84, 1 MiB 71, unblocked 60–66.
 const ABT_STRIP_BYTES: usize = 256 << 10;
 
-pub(crate) mod kernels {
-    //! SIMD microkernels with runtime feature detection.
-    //!
-    //! Every kernel has a scalar fallback with the same accumulation order; the AVX2+FMA
-    //! variants differ only by fused multiply-adds (which are *more* accurate, not less).
-    //! Callers must slice arguments consistently; the kernels themselves are safe wrappers
-    //! around `target_feature` internals.
+/// The instruction set a kernel runs on, slowest first; every kernel of this module is
+/// a `match` on it.
+///
+/// `Avx2` means AVX2 + FMA. `Avx512` means AVX-512 F + BW: every AVX-512 server core
+/// since Skylake-SP has both, and a core with F alone runs the `Avx2` arm. `Avx512Vnni`
+/// adds `vpdpbusd`, which only the i8 kernel uses; the f32 kernels run their `Avx512`
+/// tiles on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Arm {
+    /// The baseline ISA only.
+    Scalar,
+    /// AVX2 and FMA.
+    Avx2,
+    /// AVX-512 F and BW (and everything `Avx2` has).
+    Avx512,
+    /// AVX-512 F, BW and VNNI.
+    Avx512Vnni,
+}
 
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
+thread_local! {
+    /// The highest arm kernel entries on this thread dispatch to; lowered only by
+    /// [`for_each_supported_arm`].
+    static CEILING: Cell<Arm> = const { Cell::new(Arm::Avx512Vnni) };
+}
 
-    /// `true` when AVX2+FMA microkernels are usable on this CPU (checked once).
-    #[inline]
-    pub fn use_avx2_fma() -> bool {
+impl Arm {
+    /// The widest arm this CPU supports, detected once per process.
+    pub(crate) fn detected() -> Arm {
         #[cfg(target_arch = "x86_64")]
         {
-            use std::sync::OnceLock;
-            static AVAILABLE: OnceLock<bool> = OnceLock::new();
-            *AVAILABLE.get_or_init(|| {
-                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            use std::is_x86_feature_detected as has;
+            static DETECTED: std::sync::OnceLock<Arm> = std::sync::OnceLock::new();
+            *DETECTED.get_or_init(|| {
+                if !(has!("avx2") && has!("fma")) {
+                    Arm::Scalar
+                } else if !(has!("avx512f") && has!("avx512bw")) {
+                    Arm::Avx2
+                } else if !has!("avx512vnni") {
+                    Arm::Avx512
+                } else {
+                    Arm::Avx512Vnni
+                }
             })
         }
         #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
+        Arm::Scalar
     }
 
-    /// `out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]` — the 4-way k-unrolled AXPY
-    /// at the heart of `matmul`: four B rows are consumed per pass over the output row,
-    /// quartering the load/store traffic on `out`.
-    #[inline]
-    pub fn axpy4(out: &mut [f32], a: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-        debug_assert!(
-            b0.len() >= out.len()
-                && b1.len() >= out.len()
-                && b2.len() >= out.len()
-                && b3.len() >= out.len()
-        );
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2_fma() {
-            // SAFETY: feature presence checked above; slice lengths checked above.
-            unsafe { axpy4_avx2(out, a, b0, b1, b2, b3) };
-            return;
-        }
-        for (j, o) in out.iter_mut().enumerate() {
-            *o += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
+    /// The arm a kernel entry on this thread dispatches to: the detected one, or lower
+    /// inside [`for_each_supported_arm`].
+    pub(crate) fn current() -> Arm {
+        Arm::detected().min(CEILING.get())
+    }
+}
+
+/// Test hook: runs `f` once per arm this CPU supports, slowest first, with every kernel
+/// entered on the calling thread lowered to that arm (products it splits carry the arm
+/// to their bands). The last call runs the arm production dispatches to.
+#[doc(hidden)]
+pub fn for_each_supported_arm(mut f: impl FnMut(Arm)) {
+    let ceiling = CEILING.get();
+    let all = [Arm::Scalar, Arm::Avx2, Arm::Avx512, Arm::Avx512Vnni];
+    for arm in all.into_iter().filter(|&arm| arm <= Arm::detected()) {
+        CEILING.set(arm);
+        f(arm);
+    }
+    CEILING.set(ceiling);
+}
+
+/// Runs `run(rows, band)` over the `m x n` row-major `out`: as one band per thread, each
+/// a whole number of `tile`-row tiles, when [`fans_out`] says so, else as one band
+/// inline. The band split of `matmul` and `A * B^T`.
+fn for_each_band(
+    (m, k, n): (usize, usize, usize),
+    tile: usize,
+    out: &mut [f32],
+    run: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+) {
+    if fans_out(m, k, n) {
+        let band = m
+            .div_ceil(rayon::current_num_threads())
+            .next_multiple_of(tile);
+        out.par_chunks_mut(band * n)
+            .enumerate()
+            .for_each(|(b, out)| run(b * band..b * band + out.len() / n, out));
+    } else {
+        run(0..m, out);
+    }
+}
+
+/// Runs `tile(dst, ldo)` for the `MR x W` window at row `i`, column `j` of the row-major
+/// `m x n` `out`: in place when the window fits, else into `edge`, of which only the part
+/// inside `out` is copied out. Either way `dst` is writable for `W` elements at each
+/// offset `r * ldo`, `r < MR` — the edge handling of every register-tile family.
+fn tile_window<T: Copy, const MR: usize, const W: usize>(
+    out: &mut [T],
+    (m, n): (usize, usize),
+    (i, j): (usize, usize),
+    edge: &mut [[T; W]; MR],
+    tile: impl FnOnce(*mut T, usize),
+) {
+    let (rows, cols) = (MR.min(m - i), W.min(n - j));
+    if rows == MR && cols == W {
+        tile(out[i * n + j..][..(MR - 1) * n + W].as_mut_ptr(), n);
+    } else {
+        tile(edge.as_mut_ptr().cast(), W);
+        for (r, edge_row) in edge.iter().enumerate().take(rows) {
+            out[(i + r) * n + j..][..cols].copy_from_slice(&edge_row[..cols]);
         }
     }
+}
 
-    /// `true` when AVX-512F single-precision kernels are usable (checked once).
-    #[inline]
-    pub fn use_avx512() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::sync::OnceLock;
-            static AVAILABLE: OnceLock<bool> = OnceLock::new();
-            *AVAILABLE.get_or_init(|| std::is_x86_feature_detected!("avx512f"))
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
+pub(crate) mod kernels {
+    //! Register tiles and SIMD microkernels, one per [`Arm`].
+    //!
+    //! The safe wrappers take the caller's arm and assert that this CPU supports it
+    //! ([`Arm::current`] never returns another arm), and assert the slice lengths their
+    //! `unsafe` callees rely on. The `unsafe` functions state their preconditions in a
+    //! `# Safety` section.
 
-    /// `true` when the register-tiled GEMM band kernel is available.
-    #[inline]
-    pub fn has_gemm_tile() -> bool {
-        use_avx2_fma()
-    }
+    use super::Arm;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
 
-    /// Column-panel width of the packed-B layout: 32 with AVX-512 (two zmm per row of
-    /// the accumulator tile), 16 with AVX2 (two ymm).
-    #[inline]
-    pub fn panel_width() -> usize {
-        if use_avx512() {
-            32
-        } else {
-            16
-        }
-    }
+    /// One `MR x W` register tile of `A * B`: `out[r * ldo + c] = Σ_kk a[r][kk] * b[kk *
+    /// ldb + c]`, each output one accumulator that starts at zero and takes the products
+    /// in ascending `kk` — fused multiply-adds on the vector arms, multiply then add on
+    /// the scalar one.
+    ///
+    /// # Safety
+    /// The CPU supports the tile's instructions; every `a[r]` is readable for `k` floats,
+    /// `b` for `W` floats at each offset `kk * ldb`, `kk < k`, and `out` writable for `W`
+    /// floats at each offset `r * ldo`, `r < MR`.
+    pub type GemmTile<const MR: usize> = unsafe fn(
+        a: &[*const f32; MR],
+        k: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldo: usize,
+    );
 
-    /// Packs row-major `b` (`k x n`) into contiguous column panels of [`panel_width`]:
-    /// panel `p` holds columns `[p*w, p*w+w)` as `k` consecutive groups of `w` floats.
-    /// One extra pass over B that turns the band kernel's column walk (stride `4n` bytes,
-    /// catastrophic for power-of-two `n` due to cache-set aliasing) into pure streaming.
-    pub fn pack_b_panels(b: &[f32], k: usize, n: usize, width: usize) -> Vec<f32> {
-        debug_assert_eq!(b.len(), k * n);
-        let mut packed = Vec::with_capacity(k * n);
-        let mut j = 0;
-        while j < n {
-            let w = width.min(n - j);
-            for kk in 0..k {
-                packed.extend_from_slice(&b[kk * n + j..kk * n + j + w]);
+    /// [`GemmTile`] of [`Arm::Scalar`], `W` columns wide.
+    ///
+    /// # Safety
+    /// See [`GemmTile`].
+    pub unsafe fn gemm_tile_scalar<const MR: usize, const W: usize>(
+        a: &[*const f32; MR],
+        k: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let mut acc = [[0.0f32; W]; MR];
+        for kk in 0..k {
+            let brow = std::slice::from_raw_parts(b.add(kk * ldb), W);
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let x = *ar.add(kk);
+                for (sum, &y) in row.iter_mut().zip(brow) {
+                    *sum += x * y;
+                }
             }
-            j += w;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            std::ptr::copy_nonoverlapping(row.as_ptr(), out.add(r * ldo), W);
+        }
+    }
+
+    /// [`GemmTile`] of [`Arm::Avx2`]: `MR x 16`, two `ymm` accumulators per row.
+    ///
+    /// # Safety
+    /// See [`GemmTile`]; needs AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_tile_avx2<const MR: usize>(
+        a: &[*const f32; MR],
+        k: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        for kk in 0..k {
+            let brow = b.add(kk * ldb);
+            let bv = [_mm256_loadu_ps(brow), _mm256_loadu_ps(brow.add(8))];
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let x = _mm256_set1_ps(*ar.add(kk));
+                for (sum, &y) in row.iter_mut().zip(&bv) {
+                    *sum = _mm256_fmadd_ps(x, y, *sum);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &sum) in row.iter().enumerate() {
+                _mm256_storeu_ps(out.add(r * ldo + 8 * c), sum);
+            }
+        }
+    }
+
+    /// [`GemmTile`] of [`Arm::Avx512`]: `MR x 32`, two `zmm` accumulators per row — at
+    /// `MR = 8` sixteen of them, which halves the re-streaming of `B` against four rows.
+    ///
+    /// # Safety
+    /// See [`GemmTile`]; needs AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_tile_avx512<const MR: usize>(
+        a: &[*const f32; MR],
+        k: usize,
+        b: *const f32,
+        ldb: usize,
+        out: *mut f32,
+        ldo: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+        for kk in 0..k {
+            let brow = b.add(kk * ldb);
+            let bv = [_mm512_loadu_ps(brow), _mm512_loadu_ps(brow.add(16))];
+            for (row, &ar) in acc.iter_mut().zip(a) {
+                let x = _mm512_set1_ps(*ar.add(kk));
+                for (sum, &y) in row.iter_mut().zip(&bv) {
+                    *sum = _mm512_fmadd_ps(x, y, *sum);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &sum) in row.iter().enumerate() {
+                _mm512_storeu_ps(out.add(r * ldo + 16 * c), sum);
+            }
+        }
+    }
+
+    /// Packs columns `from..` of the row-major `k x n` matrix `b` into contiguous
+    /// `W`-column panels, the last one zero-padded: panel `p` holds columns
+    /// `from + p*W ..` as `k` consecutive groups of `W` floats.
+    pub fn pack_b_panels<const W: usize>(b: &[f32], k: usize, n: usize, from: usize) -> Vec<f32> {
+        debug_assert_eq!(b.len(), k * n);
+        let mut packed = vec![0.0; (n - from).div_ceil(W) * W * k];
+        for (p, panel) in packed.chunks_exact_mut(k * W).enumerate() {
+            let j = from + p * W;
+            let w = W.min(n - j);
+            for (kk, dst) in panel.chunks_exact_mut(W).enumerate() {
+                dst[..w].copy_from_slice(&b[kk * n + j..][..w]);
+            }
         }
         packed
     }
 
-    /// Register-tiled GEMM band over packed B: computes 4 output rows at once, holding
-    /// the accumulator tile (4 x panel) in registers through the whole k-loop — zero
-    /// loads/stores on the output inside the contraction, so the kernel runs at FMA
-    /// throughput instead of saturating the load ports like AXPY does.
-    ///
-    /// `a0..a3` are the four A rows (length `k`), `packed` is [`pack_b_panels`] output
-    /// for the full `k x n` B, and `out0..out3` are the four output rows (overwritten).
-    #[allow(clippy::too_many_arguments)] // a GEMM microkernel signature is wide by nature
-    pub fn gemm_band4_packed(
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        packed: &[f32],
-        n: usize,
-        width: usize,
-        out0: &mut [f32],
-        out1: &mut [f32],
-        out2: &mut [f32],
-        out3: &mut [f32],
-    ) {
-        let k = a0.len();
-        debug_assert_eq!(packed.len(), k * n);
-        debug_assert!(out0.len() == n && out1.len() == n && out2.len() == n && out3.len() == n);
-        let mut j = 0;
-        let mut panel_base = 0;
-        while j < n {
-            let w = width.min(n - j);
-            let panel = &packed[panel_base..panel_base + k * w];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if w == 32 && use_avx512() {
-                    // SAFETY: feature checked; panel/out slice bounds checked above.
-                    unsafe {
-                        gemm_tile4x32_avx512(
-                            a0,
-                            a1,
-                            a2,
-                            a3,
-                            panel,
-                            &mut out0[j..j + 32],
-                            &mut out1[j..j + 32],
-                            &mut out2[j..j + 32],
-                            &mut out3[j..j + 32],
-                        )
-                    };
-                    j += w;
-                    panel_base += k * w;
-                    continue;
-                }
-            }
-            // AVX2 16-wide tile, or the scalar accumulator tile for partial panels.
-            gemm_band4_panel(
-                a0,
-                a1,
-                a2,
-                a3,
-                panel,
-                w,
-                &mut out0[j..j + w],
-                &mut out1[j..j + w],
-                &mut out2[j..j + w],
-                &mut out3[j..j + w],
-            );
-            j += w;
-            panel_base += k * w;
-        }
-    }
-
-    /// Preferred number of output rows per GEMM band: 8 with AVX-512 (a full 8x32 tile is
-    /// 16 zmm accumulators, halving packed-B re-streaming vs 4-row bands), else 4.
+    /// `out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]` — the 4-way k-unrolled AXPY
+    /// of the attention kernels: four rows are consumed per pass over the output row,
+    /// quartering the load/store traffic on `out`.
     #[inline]
-    pub fn band_rows() -> usize {
-        if use_avx512() {
-            8
-        } else {
-            4
-        }
-    }
-
-    /// 8-row variant of [`gemm_band4_packed`] (AVX-512 only): `rows` holds the eight A
-    /// rows and `outs` the eight output rows. Falls back to two 4-row bands when the
-    /// panel width is not the full 32 columns.
-    pub fn gemm_band8_packed(
-        rows: [&[f32]; 8],
-        packed: &[f32],
-        n: usize,
-        width: usize,
-        outs: &mut [&mut [f32]; 8],
-    ) {
-        let k = rows[0].len();
-        debug_assert_eq!(packed.len(), k * n);
-        let mut j = 0;
-        let mut panel_base = 0;
-        while j < n {
-            let w = width.min(n - j);
-            let panel = &packed[panel_base..panel_base + k * w];
-            #[cfg(target_arch = "x86_64")]
-            if w == 32 && use_avx512() {
-                // SAFETY: feature checked; slice bounds established above.
-                unsafe { gemm_tile8x32_avx512(rows, panel, outs, j) };
-                j += w;
-                panel_base += k * w;
-                continue;
-            }
-            // Partial panel: two 4-row scalar/AVX2 tiles via the 4-row band on this panel
-            // slice alone (width w, sub-packed layout is identical).
-            let (top, bottom) = outs.split_at_mut(4);
-            let [o0, o1, o2, o3] = top else {
-                unreachable!()
-            };
-            let [o4, o5, o6, o7] = bottom else {
-                unreachable!()
-            };
-            gemm_band4_panel(
-                rows[0],
-                rows[1],
-                rows[2],
-                rows[3],
-                panel,
-                w,
-                &mut o0[j..j + w],
-                &mut o1[j..j + w],
-                &mut o2[j..j + w],
-                &mut o3[j..j + w],
-            );
-            gemm_band4_panel(
-                rows[4],
-                rows[5],
-                rows[6],
-                rows[7],
-                panel,
-                w,
-                &mut o4[j..j + w],
-                &mut o5[j..j + w],
-                &mut o6[j..j + w],
-                &mut o7[j..j + w],
-            );
-            j += w;
-            panel_base += k * w;
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn gemm_tile8x32_avx512(
-        rows: [&[f32]; 8],
-        panel: &[f32], // k x 32, contiguous
-        outs: &mut [&mut [f32]; 8],
-        j: usize,
-    ) {
-        let k = rows[0].len();
-        let p = panel.as_ptr();
-        let mut lo = [_mm512_setzero_ps(); 8];
-        let mut hi = [_mm512_setzero_ps(); 8];
-        for kk in 0..k {
-            let brow = p.add(kk * 32);
-            let bl = _mm512_loadu_ps(brow);
-            let bh = _mm512_loadu_ps(brow.add(16));
-            for (i, row) in rows.iter().enumerate() {
-                let v = _mm512_set1_ps(*row.get_unchecked(kk));
-                lo[i] = _mm512_fmadd_ps(v, bl, lo[i]);
-                hi[i] = _mm512_fmadd_ps(v, bh, hi[i]);
-            }
-        }
-        for (i, out) in outs.iter_mut().enumerate() {
-            _mm512_storeu_ps(out.as_mut_ptr().add(j), lo[i]);
-            _mm512_storeu_ps(out.as_mut_ptr().add(j + 16), hi[i]);
-        }
-    }
-
-    /// One panel of the 4-row band: the AVX2 16-wide tile when it fits, otherwise a
-    /// scalar accumulator tile. Shared by [`gemm_band4_packed`] (its non-AVX-512 panel
-    /// body) and the partial-panel fallback of [`gemm_band8_packed`].
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_band4_panel(
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        panel: &[f32],
-        w: usize,
-        out0: &mut [f32],
-        out1: &mut [f32],
-        out2: &mut [f32],
-        out3: &mut [f32],
-    ) {
-        let k = a0.len();
-        #[cfg(target_arch = "x86_64")]
-        if w == 16 && use_avx2_fma() {
-            // SAFETY: feature checked; slices are w wide by construction.
-            unsafe { gemm_tile4x16_avx2(a0, a1, a2, a3, panel, out0, out1, out2, out3) };
-            return;
-        }
-        let mut acc = [[0.0f32; 32]; 4];
-        for kk in 0..k {
-            let brow = &panel[kk * w..(kk + 1) * w];
-            let a = [a0[kk], a1[kk], a2[kk], a3[kk]];
-            for (ai, acc_row) in a.iter().zip(acc.iter_mut()) {
-                for (c, &bv) in brow.iter().enumerate() {
-                    acc_row[c] += ai * bv;
-                }
-            }
-        }
-        out0.copy_from_slice(&acc[0][..w]);
-        out1.copy_from_slice(&acc[1][..w]);
-        out2.copy_from_slice(&acc[2][..w]);
-        out3.copy_from_slice(&acc[3][..w]);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_tile4x16_avx2(
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        panel: &[f32], // k x 16, contiguous
-        out0: &mut [f32],
-        out1: &mut [f32],
-        out2: &mut [f32],
-        out3: &mut [f32],
-    ) {
-        let k = a0.len();
-        let p = panel.as_ptr();
-        let mut c00 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c20 = _mm256_setzero_ps();
-        let mut c21 = _mm256_setzero_ps();
-        let mut c30 = _mm256_setzero_ps();
-        let mut c31 = _mm256_setzero_ps();
-        for kk in 0..k {
-            let brow = p.add(kk * 16);
-            let bl = _mm256_loadu_ps(brow);
-            let bh = _mm256_loadu_ps(brow.add(8));
-            let v0 = _mm256_set1_ps(*a0.get_unchecked(kk));
-            c00 = _mm256_fmadd_ps(v0, bl, c00);
-            c01 = _mm256_fmadd_ps(v0, bh, c01);
-            let v1 = _mm256_set1_ps(*a1.get_unchecked(kk));
-            c10 = _mm256_fmadd_ps(v1, bl, c10);
-            c11 = _mm256_fmadd_ps(v1, bh, c11);
-            let v2 = _mm256_set1_ps(*a2.get_unchecked(kk));
-            c20 = _mm256_fmadd_ps(v2, bl, c20);
-            c21 = _mm256_fmadd_ps(v2, bh, c21);
-            let v3 = _mm256_set1_ps(*a3.get_unchecked(kk));
-            c30 = _mm256_fmadd_ps(v3, bl, c30);
-            c31 = _mm256_fmadd_ps(v3, bh, c31);
-        }
-        _mm256_storeu_ps(out0.as_mut_ptr(), c00);
-        _mm256_storeu_ps(out0.as_mut_ptr().add(8), c01);
-        _mm256_storeu_ps(out1.as_mut_ptr(), c10);
-        _mm256_storeu_ps(out1.as_mut_ptr().add(8), c11);
-        _mm256_storeu_ps(out2.as_mut_ptr(), c20);
-        _mm256_storeu_ps(out2.as_mut_ptr().add(8), c21);
-        _mm256_storeu_ps(out3.as_mut_ptr(), c30);
-        _mm256_storeu_ps(out3.as_mut_ptr().add(8), c31);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_tile4x32_avx512(
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        panel: &[f32], // k x 32, contiguous
-        out0: &mut [f32],
-        out1: &mut [f32],
-        out2: &mut [f32],
-        out3: &mut [f32],
-    ) {
-        let k = a0.len();
-        let p = panel.as_ptr();
-        let mut c00 = _mm512_setzero_ps();
-        let mut c01 = _mm512_setzero_ps();
-        let mut c10 = _mm512_setzero_ps();
-        let mut c11 = _mm512_setzero_ps();
-        let mut c20 = _mm512_setzero_ps();
-        let mut c21 = _mm512_setzero_ps();
-        let mut c30 = _mm512_setzero_ps();
-        let mut c31 = _mm512_setzero_ps();
-        for kk in 0..k {
-            let brow = p.add(kk * 32);
-            let bl = _mm512_loadu_ps(brow);
-            let bh = _mm512_loadu_ps(brow.add(16));
-            let v0 = _mm512_set1_ps(*a0.get_unchecked(kk));
-            c00 = _mm512_fmadd_ps(v0, bl, c00);
-            c01 = _mm512_fmadd_ps(v0, bh, c01);
-            let v1 = _mm512_set1_ps(*a1.get_unchecked(kk));
-            c10 = _mm512_fmadd_ps(v1, bl, c10);
-            c11 = _mm512_fmadd_ps(v1, bh, c11);
-            let v2 = _mm512_set1_ps(*a2.get_unchecked(kk));
-            c20 = _mm512_fmadd_ps(v2, bl, c20);
-            c21 = _mm512_fmadd_ps(v2, bh, c21);
-            let v3 = _mm512_set1_ps(*a3.get_unchecked(kk));
-            c30 = _mm512_fmadd_ps(v3, bl, c30);
-            c31 = _mm512_fmadd_ps(v3, bh, c31);
-        }
-        _mm512_storeu_ps(out0.as_mut_ptr(), c00);
-        _mm512_storeu_ps(out0.as_mut_ptr().add(16), c01);
-        _mm512_storeu_ps(out1.as_mut_ptr(), c10);
-        _mm512_storeu_ps(out1.as_mut_ptr().add(16), c11);
-        _mm512_storeu_ps(out2.as_mut_ptr(), c20);
-        _mm512_storeu_ps(out2.as_mut_ptr().add(16), c21);
-        _mm512_storeu_ps(out3.as_mut_ptr(), c30);
-        _mm512_storeu_ps(out3.as_mut_ptr().add(16), c31);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn axpy4_avx2(
+    pub fn axpy4(
+        arm: Arm,
         out: &mut [f32],
         a: [f32; 4],
         b0: &[f32],
@@ -519,33 +344,51 @@ pub(crate) mod kernels {
         b3: &[f32],
     ) {
         let n = out.len();
-        let va0 = _mm256_set1_ps(a[0]);
-        let va1 = _mm256_set1_ps(a[1]);
-        let va2 = _mm256_set1_ps(a[2]);
-        let va3 = _mm256_set1_ps(a[3]);
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(out.as_ptr().add(j));
-            acc = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j)), acc);
-            acc = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j)), acc);
-            acc = _mm256_fmadd_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j)), acc);
-            acc = _mm256_fmadd_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j)), acc);
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            j += 8;
+        assert!(b0.len() >= n && b1.len() >= n && b2.len() >= n && b3.len() >= n);
+        assert!(arm <= Arm::detected());
+        #[cfg(target_arch = "x86_64")]
+        if arm >= Arm::Avx2 {
+            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
+            // supported; each `b` holds at least `out.len()` floats (both asserted above).
+            unsafe { axpy4_avx2(out, a, [b0, b1, b2, b3]) };
+            return;
         }
-        while j < n {
-            out[j] += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
-            j += 1;
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
         }
     }
 
-    /// `out[j] += a * b[j]` — the remainder AXPY for k % 4 tail rows.
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; every `b` holds at least `out.len()` floats.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn axpy4_avx2(out: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
+        let n = out.len();
+        let va = a.map(|x| _mm256_set1_ps(x));
+        let mut j = 0;
+        while j + 8 <= n {
+            let mut acc = _mm256_loadu_ps(out.as_ptr().add(j));
+            for (&x, row) in va.iter().zip(b) {
+                acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(row.as_ptr().add(j)), acc);
+            }
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
+            j += 8;
+        }
+        for (j, o) in out.iter_mut().enumerate().skip(j) {
+            *o += a[0] * b[0][j] + a[1] * b[1][j] + a[2] * b[2][j] + a[3] * b[3][j];
+        }
+    }
+
+    /// `out[j] += a * b[j]` — the remainder AXPY for `k % 4` tail rows, and gradient
+    /// accumulation.
     #[inline]
-    pub fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
-        debug_assert!(b.len() >= out.len());
+    pub fn axpy1(arm: Arm, out: &mut [f32], a: f32, b: &[f32]) {
+        assert!(b.len() >= out.len());
+        assert!(arm <= Arm::detected());
         #[cfg(target_arch = "x86_64")]
-        if use_avx2_fma() {
-            // SAFETY: feature presence checked above; slice length checked above.
+        if arm >= Arm::Avx2 {
+            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
+            // supported; `b` holds at least `out.len()` floats (both asserted above).
             unsafe { axpy1_avx2(out, a, b) };
             return;
         }
@@ -554,6 +397,8 @@ pub(crate) mod kernels {
         }
     }
 
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `b` holds at least `out.len()` floats.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn axpy1_avx2(out: &mut [f32], a: f32, b: &[f32]) {
@@ -569,25 +414,22 @@ pub(crate) mod kernels {
             _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
             j += 8;
         }
-        while j < n {
-            out[j] += a * b[j];
-            j += 1;
+        for (o, &bj) in out[j..].iter_mut().zip(&b[j..]) {
+            *o += a * bj;
         }
     }
 
-    /// Four simultaneous dot products of `a` against `b0..b3` — the `A * B^T` microkernel:
-    /// one pass over `a` feeds four output columns, quartering the `a` load traffic.
+    /// Four simultaneous dot products of `a` against `b0..b3` — the row-at-a-time
+    /// `A * B^T` kernel and the per-element order every `A * B^T` tile reproduces.
     #[inline]
-    pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        debug_assert!(
-            b0.len() >= a.len()
-                && b1.len() >= a.len()
-                && b2.len() >= a.len()
-                && b3.len() >= a.len()
-        );
+    pub fn dot4(arm: Arm, a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
+        let k = a.len();
+        assert!(b0.len() >= k && b1.len() >= k && b2.len() >= k && b3.len() >= k);
+        assert!(arm <= Arm::detected());
         #[cfg(target_arch = "x86_64")]
-        if use_avx2_fma() {
-            // SAFETY: feature presence checked above; slice lengths checked above.
+        if arm >= Arm::Avx2 {
+            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
+            // supported; each `b` holds at least `a.len()` floats (both asserted above).
             return unsafe { dot4_avx2(a, b0, b1, b2, b3) };
         }
         let mut acc = [0.0f32; 4];
@@ -600,6 +442,8 @@ pub(crate) mod kernels {
         acc
     }
 
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; every `b` holds at least `a.len()` floats.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dot4_avx2(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
@@ -630,16 +474,20 @@ pub(crate) mod kernels {
 
     /// Single dot product (tail columns of the `A * B^T` kernel).
     #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert!(b.len() >= a.len());
+    pub fn dot(arm: Arm, a: &[f32], b: &[f32]) -> f32 {
+        assert!(b.len() >= a.len());
+        assert!(arm <= Arm::detected());
         #[cfg(target_arch = "x86_64")]
-        if use_avx2_fma() {
-            // SAFETY: feature presence checked above; slice length checked above.
+        if arm >= Arm::Avx2 {
+            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
+            // supported; `b` holds at least `a.len()` floats (both asserted above).
             return unsafe { dot_avx2(a, b) };
         }
         a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
     }
 
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `b` holds at least `a.len()` floats.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
@@ -676,6 +524,8 @@ pub(crate) mod kernels {
         sum
     }
 
+    /// # Safety
+    /// The CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn hsum256(v: __m256) -> f32 {
@@ -687,51 +537,9 @@ pub(crate) mod kernels {
         _mm_cvtss_f32(sum1)
     }
 
-    /// The register-tile arms of the `A * B^T` kernel, slowest first. Every arm
-    /// produces the same bits per output element (see [`abt_tile`]); they differ only in
-    /// how many dot products share each operand load.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum AbtArm {
-        /// One query row at a time through [`dot4`] — the frozen reference order, and
-        /// the only arm without AVX2+FMA.
-        Rows,
-        /// 2×4 tiles: eight 8-lane accumulators, all an AVX2 register file holds
-        /// beside the operands.
-        Avx2,
-        /// 8×4 tiles: sixteen `zmm` accumulators, each carrying the 8-lane sums of two
-        /// query rows; leftover row pairs fall to the 2×4 tile.
-        Avx512,
-    }
-
-    impl AbtArm {
-        /// Every arm this CPU can run; the last one is what the product dispatches to.
-        pub fn supported() -> &'static [AbtArm] {
-            const ALL: [AbtArm; 3] = [AbtArm::Rows, AbtArm::Avx2, AbtArm::Avx512];
-            &ALL[..1 + usize::from(use_avx2_fma()) + usize::from(use_avx2_fma() && use_avx512())]
-        }
-
-        /// How many of an operand's `m` rows the tiles cover (row pairs); the rest go
-        /// through the row-at-a-time path.
-        pub fn tiled_rows(self, m: usize) -> usize {
-            match self {
-                AbtArm::Rows => 0,
-                AbtArm::Avx2 | AbtArm::Avx512 => m - m % 2,
-            }
-        }
-
-        /// Height of the tile starting at row `i` of `tiled` tiled rows, `i < tiled`.
-        pub fn tile_rows(self, i: usize, tiled: usize) -> usize {
-            if self == AbtArm::Avx512 && i + 8 <= tiled {
-                8
-            } else {
-                2
-            }
-        }
-    }
-
-    /// One `mr x 4` tile of `A * B^T`: `out[r * ldo + c] = a_r · b_c` for the `mr`
-    /// (8 or 2, see [`AbtArm::tile_rows`]) rows of `a` and the 4 rows of `b`, all of
-    /// length `k` and contiguous.
+    /// One `mr x 4` tile of `A * B^T`: `out[r * ldo + c] = a_r · b_c` for the `mr` (8 on
+    /// the AVX-512 arms, else 2) rows of `a` and the 4 rows of `b`, all of length `k` and
+    /// contiguous.
     ///
     /// Each output is computed exactly as [`dot4`] computes it: one 8-lane accumulator
     /// per output, fused multiply-adds over the 8-wide chunks of `k` in ascending order,
@@ -742,27 +550,36 @@ pub(crate) mod kernels {
     /// to the row-at-a-time path.
     ///
     /// # Panics
-    /// Panics when a slice is shorter than the tile, or when this CPU lacks the
-    /// instructions of the requested tile height.
-    pub fn abt_tile(mr: usize, a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+    /// Panics when a slice is shorter than the tile, or when `arm` has no `mr x 4` tile.
+    pub fn abt_tile(
+        arm: Arm,
+        mr: usize,
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        out: &mut [f32],
+        ldo: usize,
+    ) {
         assert!(
             a.len() >= mr * k && b.len() >= 4 * k && out.len() >= (mr - 1) * ldo + 4,
             "abt_tile: slices shorter than a {mr}x4 tile of {k}-wide rows"
         );
-        match mr {
+        assert!(arm <= Arm::detected());
+        match (mr, arm) {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: AVX-512F, AVX2 and FMA were detected; the assert above proves
-            // the reads of 8 (resp. 4) rows of `k` floats and the writes of 4 floats
-            // at each `r * ldo`, `r < 8`, are in bounds.
-            8 if use_avx512() && use_avx2_fma() => unsafe {
+            // SAFETY: the AVX-512 arms have AVX-512F, AVX2 and FMA, and the asserts above
+            // prove the caller's arm is supported, the reads of 8 rows of `k` floats of
+            // `a` and 4 of `b`, and the writes of 4 floats at each `r * ldo`, `r < 8`.
+            (8, Arm::Avx512 | Arm::Avx512Vnni) => unsafe {
                 abt_tile8x4_avx512(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
             },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above for AVX2 and FMA and a tile of 2 rows.
-            2 if use_avx2_fma() => unsafe {
+            // SAFETY: as above for AVX2 and FMA, which every arm from `Avx2` up has,
+            // and a tile of 2 rows.
+            (2, Arm::Avx2 | Arm::Avx512 | Arm::Avx512Vnni) => unsafe {
                 abt_tile2x4_avx2(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
             },
-            _ => panic!("abt_tile: no {mr}x4 tile on this CPU"),
+            _ => panic!("abt_tile: no {mr}x4 tile on the {arm:?} arm"),
         }
         for j in k - k % 8..k {
             for r in 0..mr {
@@ -776,6 +593,9 @@ pub(crate) mod kernels {
     /// Four [`hsum256`] reductions at once: lane `c` of the result is `hsum256(v[c])`,
     /// add for add (low half + high half, then lanes `0,1` + lanes `2,3`, then lane 0 +
     /// lane 1 — first operand first each time).
+    ///
+    /// # Safety
+    /// The CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn hsum256x4(v: [__m256; 4]) -> __m128 {
@@ -881,199 +701,14 @@ pub(crate) mod kernels {
         }
     }
 
-    /// `true` when the AVX-512BW widening i8 kernels are usable (checked once).
-    /// BW implies the 512-bit integer `madd`; F is needed for the lane extracts.
-    #[inline]
-    pub fn use_avx512bw() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::sync::OnceLock;
-            static AVAILABLE: OnceLock<bool> = OnceLock::new();
-            *AVAILABLE.get_or_init(|| {
-                std::is_x86_feature_detected!("avx512f")
-                    && std::is_x86_feature_detected!("avx512bw")
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// Elements between flushes of the i8 kernels' `i32` lane accumulators into the
-    /// `i64` total. Each `madd` lane gains at most two `127*127` products per 16 (AVX2)
-    /// or 32 (AVX-512) elements, so a lane stays below `32768 * 16129 ≈ 5.3e8 << i32::MAX`
-    /// within one chunk on every path. Must stay a multiple of 32.
-    #[cfg(target_arch = "x86_64")]
-    const I8_CHUNK: usize = 32768;
-
-    /// Exact integer dot product of two i8 code vectors.
-    ///
-    /// Every path — scalar, AVX2 (`cvtepi8_epi16` + `madd_epi16`), AVX-512BW — sums the
-    /// same integer products, so all return bit-identical results by construction:
-    /// integer arithmetic has no rounding for vectorization order to perturb. This is
-    /// what lets the quantized index scan promise exactness downstream.
-    #[inline]
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i64 {
-        debug_assert!(b.len() >= a.len());
-        #[cfg(target_arch = "x86_64")]
-        {
-            if use_avx512bw() {
-                // SAFETY: feature presence checked above; slice lengths checked above.
-                return unsafe { dot_i8_avx512bw(a, b) };
-            }
-            if use_avx2_fma() {
-                // SAFETY: feature presence checked above; slice lengths checked above.
-                return unsafe { dot_i8_avx2(a, b) };
-            }
-        }
-        a.iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x as i64 * y as i64)
-            .sum()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i64 {
-        let n = a.len();
-        let mut total: i64 = 0;
-        let mut j = 0;
-        while j + 16 <= n {
-            // One overflow-safe chunk of 16-wide madd accumulation.
-            let block_end = n.min(j + I8_CHUNK);
-            let mut acc = _mm256_setzero_si256();
-            while j + 16 <= block_end {
-                let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(j) as *const __m128i));
-                let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(j) as *const __m128i));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-                j += 16;
-            }
-            total += hsum256_epi32(acc);
-        }
-        while j < n {
-            total += *a.get_unchecked(j) as i64 * *b.get_unchecked(j) as i64;
-            j += 1;
-        }
-        total
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    unsafe fn dot_i8_avx512bw(a: &[i8], b: &[i8]) -> i64 {
-        let n = a.len();
-        let mut total: i64 = 0;
-        let mut j = 0;
-        while j + 32 <= n {
-            let block_end = n.min(j + I8_CHUNK);
-            let mut acc = _mm512_setzero_si512();
-            while j + 32 <= block_end {
-                let va =
-                    _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.as_ptr().add(j) as *const __m256i));
-                let vb =
-                    _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.as_ptr().add(j) as *const __m256i));
-                acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb));
-                j += 32;
-            }
-            let hi = _mm512_extracti64x4_epi64(acc, 1);
-            let lo = _mm512_castsi512_si256(acc);
-            total += hsum256_epi32(_mm256_add_epi32(lo, hi));
-        }
-        while j < n {
-            total += *a.get_unchecked(j) as i64 * *b.get_unchecked(j) as i64;
-            j += 1;
-        }
-        total
-    }
-
-    /// Sums the eight i32 lanes into an i64. Lane magnitudes are bounded by the chunked
-    /// accumulation (see [`I8_CHUNK`]), so the 32-bit horizontal adds cannot wrap.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256_epi32(v: __m256i) -> i64 {
-        let hi = _mm256_extracti128_si256(v, 1);
-        let lo = _mm256_castsi256_si128(v);
-        let sum4 = _mm_add_epi32(lo, hi);
-        let sum2 = _mm_add_epi32(sum4, _mm_unpackhi_epi64(sum4, sum4));
-        let sum1 = _mm_add_epi32(sum2, _mm_shuffle_epi32(sum2, 0b01));
-        _mm_cvtsi128_si32(sum1) as i64
-    }
-
-    /// Longest contraction the i8 tile kernel accepts ([`super::I8Tile::MAX_K`]). A
-    /// product of two i8 codes is at most `(-128)² = 2¹⁴`, so `k ≤ 2¹⁷ − 1` keeps every
-    /// true sum inside `i32`; the vector arms accumulate with wrapping 32-bit adds,
-    /// which are exact modulo `2³²`, so no intermediate (the `+128` bias of the VNNI
-    /// arm included) can perturb a result whose true value fits. Where `dot_i8` flushes
-    /// its lanes into an `i64` every [`I8_CHUNK`] elements, the tile has nothing to
-    /// flush.
-    pub const I8_TILE_MAX_K: usize = (1 << 17) - 1;
-
-    /// `true` when the AVX-512 VNNI `vpdpbusd` i8 tile is usable (checked once).
-    #[inline]
-    pub fn use_avx512vnni() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::sync::OnceLock;
-            static AVAILABLE: OnceLock<bool> = OnceLock::new();
-            *AVAILABLE.get_or_init(|| use_avx512bw() && std::is_x86_feature_detected!("avx512vnni"))
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-
-    /// The dispatch arms of the i8 tile kernel ([`super::I8Tile`]), slowest first. Every
-    /// arm sums the same integer products, so all produce identical tiles.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum I8Arm {
-        /// One `i32` sum per output straight off the row-major operands.
-        Scalar,
-        /// 4×16 register tiles of `madd_epi16` over sign-extended code pairs.
-        Avx2,
-        /// 6×64 register tiles of 512-bit `madd_epi16`.
-        Avx512Bw,
-        /// 6×64 register tiles of `vpdpbusd`: four products per lane per instruction
-        /// where `madd` + `add` give two. Measured on the benchmark host at
-        /// 256 x 4096 x 64 in 512-row strips, packing included: 0.29 ms against the
-        /// 0.84 ms of [`I8Arm::Avx512Bw`] (AVX2 1.16, scalar 14.3, one `dot_i8` per
-        /// pair 5.4, the f32 `abt_tile` kernel 1.37).
-        Avx512Vnni,
-    }
-
-    impl I8Arm {
-        /// Every arm this CPU can run; the last one is what [`super::I8Tile::new`] picks.
-        pub fn supported() -> &'static [I8Arm] {
-            const ALL: [I8Arm; 4] = [
-                I8Arm::Scalar,
-                I8Arm::Avx2,
-                I8Arm::Avx512Bw,
-                I8Arm::Avx512Vnni,
-            ];
-            let bw = use_avx2_fma() && use_avx512bw();
-            &ALL[..1
-                + usize::from(use_avx2_fma())
-                + usize::from(bw)
-                + usize::from(bw && use_avx512vnni())]
-        }
-
-        /// Codes of one row that share a 32-bit lane group: two sign-extended to `i16`
-        /// for `madd_epi16`, four bytes for `vpdpbusd`.
-        pub fn group(self) -> usize {
-            match self {
-                I8Arm::Avx512Vnni => 4,
-                _ => 2,
-            }
-        }
-    }
-
     /// Appends to `hits`, ascending, every `j` whose `scale * scales[j] * dots[j] as f64`
     /// is `>= threshold` (evaluated left to right in f64, so a NaN on either side never
     /// matches). The vector arms evaluate the same two IEEE multiplications and the
-    /// same ordered comparison per element, sixteen (AVX-512F) or eight (AVX2) per
-    /// step, so every arm appends the same indices.
+    /// same ordered comparison per element, sixteen (AVX-512) or eight (AVX2) per step,
+    /// so every arm appends the same indices.
     #[inline]
     pub fn scaled_ge_indices(
+        arm: Arm,
         dots: &[i32],
         scales: &[f64],
         scale: f64,
@@ -1082,18 +717,19 @@ pub(crate) mod kernels {
     ) {
         let n = dots.len().min(scales.len());
         let (dots, scales) = (&dots[..n], &scales[..n]);
-        #[cfg(target_arch = "x86_64")]
-        let scanned = if use_avx512() {
-            // SAFETY: AVX-512F was detected; both slices hold `n` elements.
-            unsafe { scaled_ge_indices_avx512(dots, scales, scale, threshold, hits) }
-        } else if use_avx2_fma() {
-            // SAFETY: AVX2 was detected; both slices hold `n` elements.
-            unsafe { scaled_ge_indices_avx2(dots, scales, scale, threshold, hits) }
-        } else {
-            0
+        assert!(arm <= Arm::detected());
+        let scanned = match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the AVX-512 arms have AVX-512F and the caller's arm is supported
+            // (asserted above); both slices hold `n` elements.
+            Arm::Avx512 | Arm::Avx512Vnni => unsafe {
+                scaled_ge_indices_avx512(dots, scales, scale, threshold, hits)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above for AVX2.
+            Arm::Avx2 => unsafe { scaled_ge_indices_avx2(dots, scales, scale, threshold, hits) },
+            _ => 0,
         };
-        #[cfg(not(target_arch = "x86_64"))]
-        let scanned = 0;
         scaled_ge_indices_scalar(dots, scales, scale, threshold, scanned, hits);
     }
 
@@ -1130,7 +766,7 @@ pub(crate) mod kernels {
     /// The CPU supports AVX-512F; `scales` is at least as long as `dots`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn scaled_ge_indices_avx512(
+    unsafe fn scaled_ge_indices_avx512(
         dots: &[i32],
         scales: &[f64],
         scale: f64,
@@ -1160,7 +796,7 @@ pub(crate) mod kernels {
     /// The CPU supports AVX2; `scales` is at least as long as `dots`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scaled_ge_indices_avx2(
+    unsafe fn scaled_ge_indices_avx2(
         dots: &[i32],
         scales: &[f64],
         scale: f64,
@@ -1235,7 +871,10 @@ pub(crate) mod kernels {
         ldo: usize,
     );
 
-    /// [`I8Micro`] of [`I8Arm::Avx512Vnni`]: `panel` holds biased unsigned code quads.
+    /// [`I8Micro`] of [`Arm::Avx512Vnni`]: `panel` holds biased unsigned code quads.
+    /// Measured on the benchmark host at 256 x 4096 x 64 in 512-row strips, packing
+    /// included: 0.29 ms against 0.84 for the `madd` tile of [`Arm::Avx512`] (AVX2 1.16,
+    /// scalar 14.3, the f32 `abt_tile` kernel 1.37).
     ///
     /// # Safety
     /// See [`I8Micro`]; needs AVX-512F, BW and VNNI.
@@ -1275,7 +914,7 @@ pub(crate) mod kernels {
         }
     }
 
-    /// [`I8Micro`] of [`I8Arm::Avx512Bw`]: `panel` holds signed code pairs, `a` pairs of
+    /// [`I8Micro`] of [`Arm::Avx512`]: `panel` holds signed code pairs, `a` pairs of
     /// sign-extended `i16`.
     ///
     /// # Safety
@@ -1316,7 +955,7 @@ pub(crate) mod kernels {
         }
     }
 
-    /// [`I8Micro`] of [`I8Arm::Avx2`]: as [`i8_micro_avx512bw`] on a 4×16 tile.
+    /// [`I8Micro`] of [`Arm::Avx2`]: as [`i8_micro_avx512bw`] on a 4×16 tile.
     ///
     /// # Safety
     /// See [`I8Micro`]; needs AVX2.
@@ -1426,59 +1065,55 @@ impl<'a> MatrixView<'a> {
     /// # Panics
     /// Panics when the column counts disagree or `out` has the wrong length.
     pub fn matmul_transpose_b_into(&self, other: &MatrixView<'_>, out: &mut [f32]) {
-        let arm = *kernels::AbtArm::supported()
-            .last()
-            .expect("the row arm is always supported");
-        abt(arm, self, other, out);
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let (m, k, n) = (self.rows, self.cols, other.rows);
+        assert_eq!(
+            out.len(),
+            m * n,
+            "matmul_transpose_b: output is not {m}x{n}"
+        );
+        let arm = Arm::current();
+        for_each_band((m, k, n), 8, out, |rows, band| {
+            abt_band(
+                arm,
+                &self.data[rows.start * k..rows.end * k],
+                rows.len(),
+                other,
+                band,
+            );
+        });
     }
 }
 
-/// `out = a * b^T` on one kernel arm, parallel over bands of `a` when [`fans_out`] says so.
-fn abt(arm: kernels::AbtArm, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
-    assert_eq!(
-        a.cols, b.cols,
-        "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    let (m, k, n) = (a.rows, a.cols, b.rows);
-    assert_eq!(
-        out.len(),
-        m * n,
-        "matmul_transpose_b: output is not {m}x{n}"
-    );
-    let threads = par_threads(m, k, n);
-    if threads > 1 {
-        // One band per thread, a whole number of the tallest tile.
-        let band = m.div_ceil(threads).next_multiple_of(8);
-        out.par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(band_idx, out_band)| {
-                let rows = out_band.len() / n;
-                let a_band = &a.data[band_idx * band * k..][..rows * k];
-                abt_band(arm, a_band, rows, b, out_band);
-            });
-    } else {
-        abt_band(arm, a.data, m, b, out);
-    }
-}
-
-/// One band of [`abt`]: the `m` rows of `a` against all of `b`, strip by strip.
+/// One band of `A * B^T`: the `m` rows of `a` against all of `b`, strip by strip. Row
+/// pairs run through the register tiles — eight rows at a time on the AVX-512 arms —
+/// and the rest, and every row on the scalar arm, through `dot_row`.
 ///
 /// Output `(i, j)` is `dot4` of its two rows when `j` falls in a full group of four
 /// corpus rows and `dot` in the `n % 4` tail, whichever tile computes it — so the result
-/// does not depend on the arm, the band split or the strip length.
-fn abt_band(arm: kernels::AbtArm, a: &[f32], m: usize, b: &MatrixView<'_>, out: &mut [f32]) {
+/// does not depend on the tile, the band split or the strip length, only on whether the
+/// arm has FMA.
+fn abt_band(arm: Arm, a: &[f32], m: usize, b: &MatrixView<'_>, out: &mut [f32]) {
     let (n, k) = (b.rows, b.cols);
     let full = n - n % 4;
     let strip = (ABT_STRIP_BYTES / 4 / k.max(1)).max(1).next_multiple_of(4);
-    let tiled = arm.tiled_rows(m);
+    let (tiled, tallest) = match arm {
+        Arm::Scalar => (0, 2),
+        Arm::Avx2 => (m - m % 2, 2),
+        Arm::Avx512 | Arm::Avx512Vnni => (m - m % 2, 8),
+    };
     for strip_start in (0..full).step_by(strip) {
         let strip_end = (strip_start + strip).min(full);
         let mut i = 0;
         while i < tiled {
-            let mr = arm.tile_rows(i, tiled);
+            let mr = if i + tallest <= tiled { tallest } else { 2 };
             for j in (strip_start..strip_end).step_by(4) {
                 kernels::abt_tile(
+                    arm,
                     mr,
                     &a[i * k..(i + mr) * k],
                     &b.data[j * k..(j + 4) * k],
@@ -1492,21 +1127,71 @@ fn abt_band(arm: kernels::AbtArm, a: &[f32], m: usize, b: &MatrixView<'_>, out: 
     }
     for i in 0..tiled {
         for j in full..n {
-            out[i * n + j] = kernels::dot(&a[i * k..(i + 1) * k], b.row(j));
+            out[i * n + j] = kernels::dot(arm, &a[i * k..(i + 1) * k], b.row(j));
         }
     }
     for i in tiled..m {
-        Matrix::dot_row(&a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
+        Matrix::dot_row(arm, &a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
     }
+}
+
+/// The one GEMM loop nest: `out = a * b` for the row-major `a` (`out.len() / n x k`), `b`
+/// (`k x n`) and `out`, through `tile` in row bands of whole `MR`-row tiles
+/// ([`for_each_band`]) and `W`-column panels of `b`. From [`PACK_FLOPS`] up, with more
+/// than one row tile, every panel is packed contiguous; otherwise the full panels are
+/// read in place and only the ragged last one is packed. Rows and columns past the
+/// edge run on a spare tile ([`tile_window`]), so every output is computed by the
+/// same tile in the same order, wherever it sits.
+///
+/// # Safety
+/// The CPU supports `tile`'s instructions.
+unsafe fn gemm<const MR: usize, const W: usize>(
+    tile: kernels::GemmTile<MR>,
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    out: &mut [f32],
+) {
+    let n = b.len() / k;
+    let m = out.len() / n;
+    let from = if m > MR && m * k * n >= PACK_FLOPS {
+        0
+    } else {
+        n - n % W
+    };
+    let packed = kernels::pack_b_panels::<W>(b, k, n, from);
+    for_each_band((m, k, n), MR, out, |rows, band| {
+        let mut edge = [[0.0f32; W]; MR];
+        for i in (0..rows.len()).step_by(MR) {
+            let a_rows: [*const f32; MR] = std::array::from_fn(|r| {
+                a[(rows.start + (i + r).min(rows.len() - 1)) * k..].as_ptr()
+            });
+            for j in (0..n).step_by(W) {
+                let (panel, ldb) = if j < from {
+                    (b[j..].as_ptr(), n)
+                } else {
+                    (packed[(j - from) * k..].as_ptr(), W)
+                };
+                tile_window(band, (rows.len(), n), (i, j), &mut edge, |dst, ldo| {
+                    // SAFETY: the caller guarantees `tile`'s instructions; each
+                    // `a_rows[r]` starts a `k`-float row of `a`; an in-place panel has
+                    // `W` columns of `b` left in each of its `k` rows (`j + W <= from <=
+                    // n`), a packed one `k * W` floats; and `tile_window` hands out `W`
+                    // writable floats at each `r * ldo`, `r < MR`.
+                    unsafe { tile(&a_rows, k, panel, ldb, dst, ldo) }
+                });
+            }
+        }
+    });
 }
 
 /// The integer-exact `A * B^T` of i8 code matrices into a reused `i32` tile — the first
 /// stage of the quantized index scan, where `A` is one query tile's codes and `B` walks
 /// a shard's codes strip by strip.
 ///
-/// `A` is prepared once for the arm dispatched at runtime (AVX-512 VNNI `vpdpbusd`,
-/// AVX-512BW or AVX2 `madd_epi16`, scalar): its codes are regrouped into the 32-bit
-/// lane groups the arm broadcasts (zero-padded to a whole group), and for `vpdpbusd` —
+/// `A` is prepared once for the arm [`I8Tile::new`] dispatches to (AVX-512 VNNI
+/// `vpdpbusd`, AVX-512 or AVX2 `madd_epi16`, scalar): its codes are regrouped into the
+/// 32-bit lane groups the arm broadcasts (zero-padded to a whole group), and for `vpdpbusd` —
 /// whose first operand is unsigned — each row's `-128 * Σ a` is kept as the
 /// accumulator's initial value, cancelling the `+128` bias packed into `B`. Each
 /// [`I8Tile::multiply_transpose_b`] packs its `B` into panels of 64 (AVX2: 16) rows,
@@ -1527,7 +1212,7 @@ fn abt_band(arm: kernels::AbtArm, a: &[f32], m: usize, b: &MatrixView<'_>, out: 
 /// ```
 #[derive(Clone, Debug)]
 pub struct I8Tile {
-    arm: kernels::I8Arm,
+    arm: Arm,
     m: usize,
     k: usize,
     /// `A` itself (scalar arm) or nothing.
@@ -1542,32 +1227,18 @@ pub struct I8Tile {
 
 impl I8Tile {
     /// Longest contraction accepted: a product of two codes is at most `(-128)² = 2¹⁴`,
-    /// so `k ≤ 2¹⁷ − 1` keeps every true sum inside `i32`.
-    pub const MAX_K: usize = kernels::I8_TILE_MAX_K;
+    /// so `k ≤ 2¹⁷ − 1` keeps every true sum inside `i32`. The vector arms accumulate
+    /// with wrapping 32-bit adds, which are exact modulo `2³²`, so no intermediate (the
+    /// `+128` bias of the VNNI arm included) can perturb a result whose true value fits.
+    pub const MAX_K: usize = (1 << 17) - 1;
 
-    /// Prepares the row-major `a.len() / k x k` left operand for the fastest arm this
-    /// CPU supports.
+    /// Prepares the row-major `a.len() / k x k` left operand for this thread's [`Arm`],
+    /// which every product of the tile then runs on.
     ///
     /// # Panics
     /// Panics when `k` is zero or above [`I8Tile::MAX_K`], or does not divide `a.len()`.
     pub fn new(a: &[i8], k: usize) -> I8Tile {
-        let arm = *kernels::I8Arm::supported()
-            .last()
-            .expect("the scalar arm is always supported");
-        I8Tile::with_arm(arm, a, k)
-    }
-
-    /// Test hook: the left operand prepared once per kernel arm this CPU supports, with
-    /// the arm's name (see [`Matrix::matmul_transpose_b_arms`]).
-    #[doc(hidden)]
-    pub fn new_arms(a: &[i8], k: usize) -> Vec<(String, I8Tile)> {
-        kernels::I8Arm::supported()
-            .iter()
-            .map(|&arm| (format!("{arm:?}"), I8Tile::with_arm(arm, a, k)))
-            .collect()
-    }
-
-    fn with_arm(arm: kernels::I8Arm, a: &[i8], k: usize) -> I8Tile {
+        let arm = Arm::current();
         assert!(
             (1..=Self::MAX_K).contains(&k) && a.len().is_multiple_of(k),
             "I8Tile: {} codes are not rows of 1..={} codes (k = {k})",
@@ -1585,18 +1256,18 @@ impl I8Tile {
             packed: Vec::new(),
             out: Vec::new(),
         };
-        if arm == kernels::I8Arm::Scalar {
+        if arm == Arm::Scalar {
             tile.a = a.to_vec();
             return tile;
         }
-        if arm == kernels::I8Arm::Avx512Vnni {
+        if arm == Arm::Avx512Vnni {
             for (init, row) in tile.a_init.iter_mut().zip(a.chunks_exact(k)) {
                 *init = -128 * row.iter().map(|&x| x as i32).sum::<i32>();
             }
         }
         // One little-endian word per lane group: four code bytes, or two codes
         // sign-extended to `i16`; a short last group is zero-padded.
-        let group = arm.group();
+        let group = i8_group(arm);
         tile.a_words.reserve(m * k.div_ceil(group));
         for row in a.chunks_exact(k) {
             tile.a_words.extend(row.chunks(group).map(|codes| {
@@ -1633,7 +1304,7 @@ impl I8Tile {
         let n = b.len() / k;
         self.out.resize(m * n, 0);
         match self.arm {
-            kernels::I8Arm::Scalar => {
+            Arm::Scalar => {
                 for (a_row, out_row) in self.a.chunks_exact(k).zip(self.out.chunks_exact_mut(n)) {
                     for (b_row, out) in b.chunks_exact(k).zip(out_row) {
                         *out = a_row
@@ -1645,20 +1316,19 @@ impl I8Tile {
                 }
             }
             #[cfg(target_arch = "x86_64")]
-            kernels::I8Arm::Avx2 => {
-                kernels::pack_i8_panels::<2>(b, n, k, 16, 0, &mut self.packed);
-                self.run_tiles::<4, 16>(n, kernels::i8_micro_avx2);
-            }
+            // SAFETY: `self.arm` came from `Arm::current` in `new`, so this CPU supports
+            // it, and the micro-kernel is that arm's.
+            Arm::Avx2 => unsafe { self.run_tiles::<2, 4, 16>(b, n, 0, kernels::i8_micro_avx2) },
             #[cfg(target_arch = "x86_64")]
-            kernels::I8Arm::Avx512Bw => {
-                kernels::pack_i8_panels::<2>(b, n, k, 64, 0, &mut self.packed);
-                self.run_tiles::<6, 64>(n, kernels::i8_micro_avx512bw);
-            }
+            // SAFETY: as above.
+            Arm::Avx512 => unsafe {
+                self.run_tiles::<2, 6, 64>(b, n, 0, kernels::i8_micro_avx512bw)
+            },
             #[cfg(target_arch = "x86_64")]
-            kernels::I8Arm::Avx512Vnni => {
-                kernels::pack_i8_panels::<4>(b, n, k, 64, 0x80, &mut self.packed);
-                self.run_tiles::<6, 64>(n, kernels::i8_micro_vnni);
-            }
+            // SAFETY: as above; `vpdpbusd` takes the codes of `b` biased by `0x80`.
+            Arm::Avx512Vnni => unsafe {
+                self.run_tiles::<4, 6, 64>(b, n, 0x80, kernels::i8_micro_vnni)
+            },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("only the scalar arm is supported off x86-64"),
         }
@@ -1679,53 +1349,53 @@ impl I8Tile {
         threshold: f64,
         hits: &mut Vec<usize>,
     ) {
-        kernels::scaled_ge_indices(dots, scales, scale, threshold, hits);
+        kernels::scaled_ge_indices(Arm::current(), dots, scales, scale, threshold, hits);
     }
 
-    /// Runs `micro` over every `MR x W` register tile of the packed product. A tile
-    /// that overhangs the `m x n` output repeats the last row of `A`, lands in a
-    /// scratch tile, and only its real part is copied out.
+    /// Packs the `n` rows of `b` into `W`-row panels of `G`-code lane groups (`G` being
+    /// the group `new` prepared `A` in; each code XORed with `flip`) and runs `micro`
+    /// over every `MR x W` register tile of the product. A tile that overhangs the `m x
+    /// n` output repeats the last row of `A` and lands in a spare tile
+    /// ([`tile_window`]).
+    ///
+    /// # Safety
+    /// The CPU supports `micro`'s instructions.
     #[cfg(target_arch = "x86_64")]
-    fn run_tiles<const MR: usize, const W: usize>(
+    unsafe fn run_tiles<const G: usize, const MR: usize, const W: usize>(
         &mut self,
+        b: &[i8],
         n: usize,
+        flip: u8,
         micro: kernels::I8Micro<MR>,
     ) {
-        let (m, kg) = (self.m, self.k.div_ceil(self.arm.group()));
+        debug_assert_eq!(G, i8_group(self.arm));
+        let (m, kg) = (self.m, self.k.div_ceil(G));
+        kernels::pack_i8_panels::<G>(b, n, self.k, W, flip, &mut self.packed);
         let mut edge = [[0i32; W]; MR];
-        for (p, panel) in self
-            .packed
-            .chunks_exact(kg * W * self.arm.group())
-            .enumerate()
-        {
-            let cols = W.min(n - p * W);
+        for (p, panel) in self.packed.chunks_exact(kg * W * G).enumerate() {
             for i in (0..m).step_by(MR) {
-                let rows = MR.min(m - i);
-                let row_of = |r: usize| i + r.min(rows - 1);
+                let row_of = |r: usize| (i + r).min(m - 1);
                 let a: [*const i32; MR] =
                     std::array::from_fn(|r| self.a_words[row_of(r) * kg..][..kg].as_ptr());
                 let init: [i32; MR] = std::array::from_fn(|r| self.a_init[row_of(r)]);
-                let full = rows == MR && cols == W;
-                let (dst, ldo) = if full {
-                    (
-                        self.out[i * n + p * W..][..(MR - 1) * n + W].as_mut_ptr(),
-                        n,
-                    )
-                } else {
-                    (edge.as_mut_ptr() as *mut i32, W)
-                };
-                // SAFETY: the arm was chosen from `I8Arm::supported`, so its
-                // instructions exist; each `a[r]` is a `kg`-word row of `a_words`,
-                // `panel` is `kg * W` lane groups, and `dst` is either the
-                // `MR x W` window of `out` sliced above (row stride `n`) or `edge`.
-                unsafe { micro(&a, &init, panel.as_ptr(), kg, dst, ldo) };
-                if !full {
-                    for (r, edge_row) in edge.iter().enumerate().take(rows) {
-                        self.out[(i + r) * n + p * W..][..cols].copy_from_slice(&edge_row[..cols]);
-                    }
-                }
+                tile_window(&mut self.out, (m, n), (i, p * W), &mut edge, |dst, ldo| {
+                    // SAFETY: the caller guarantees `micro`'s instructions; each `a[r]` is
+                    // a `kg`-word row of `a_words`, `panel` holds `kg * W` lane groups,
+                    // and `tile_window` hands out `W` writable words at each `r * ldo`,
+                    // `r < MR`.
+                    unsafe { micro(&a, &init, panel.as_ptr(), kg, dst, ldo) }
+                });
             }
         }
+    }
+}
+
+/// Codes of one row that share a 32-bit lane group of `arm`'s i8 tile: two
+/// sign-extended to `i16` for `madd_epi16`, four bytes for `vpdpbusd`.
+fn i8_group(arm: Arm) -> usize {
+    match arm {
+        Arm::Avx512Vnni => 4,
+        _ => 2,
     }
 }
 
@@ -1968,7 +1638,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add_scaled(&mut self, other: &Matrix, s: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
-        kernels::axpy1(&mut self.data, s, &other.data);
+        kernels::axpy1(Arm::current(), &mut self.data, s, &other.data);
     }
 
     /// In-place fused element-wise accumulation: `self += a ⊙ b` (no temporary).
@@ -1986,8 +1656,12 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self * other`, via the register-blocked microkernel
-    /// (see the module docs), parallel over output rows when [`fans_out`] says so.
+    /// Matrix product `self * other` on this thread's [`Arm`]: one register tile per arm
+    /// behind one loop nest (see the module docs), parallel over row bands when
+    /// [`fans_out`] says so. On the FMA arms every output is one fused multiply-add
+    /// chain over `k`, ascending, from zero, so a row or column of the product has the
+    /// same bits whichever product it is computed in. Every entry is multiplied, zeros
+    /// included: `0 * inf` makes the output NaN.
     ///
     /// # Panics
     /// Panics when inner dimensions disagree.
@@ -2007,105 +1681,26 @@ impl Matrix {
             "matmul: inner dimension mismatch ({}x{} * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.cols);
+        let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        if m == 0 || n == 0 || self.cols == 0 {
+        if m == 0 || k == 0 || n == 0 {
             return out;
         }
-        let flops = m * self.cols * n;
-        let parallel = par_threads(m, self.cols, n) > 1;
-        if kernels::has_gemm_tile() && m >= 4 && flops >= TILE_FLOPS {
-            // Register-tiled path: B is packed into streaming column panels once, then
-            // row bands (8 with AVX-512, else 4) run with the accumulator tile held in
-            // registers across the whole contraction.
-            let width = kernels::panel_width();
-            let band = kernels::band_rows();
-            let packed = kernels::pack_b_panels(&other.data, self.cols, n, width);
-            let run_band = |band_idx: usize, band_out: &mut [f32]| {
-                let i0 = band_idx * band;
-                let rows_here = band_out.len() / n;
-                let mut r = 0;
-                while band == 8 && rows_here - r >= 8 {
-                    let a_rows: [&[f32]; 8] = std::array::from_fn(|t| self.row(i0 + r + t));
-                    let sub = &mut band_out[r * n..(r + 8) * n];
-                    let mut chunks = sub.chunks_mut(n);
-                    let mut outs: [&mut [f32]; 8] =
-                        std::array::from_fn(|_| chunks.next().expect("8 rows"));
-                    kernels::gemm_band8_packed(a_rows, &packed, n, width, &mut outs);
-                    r += 8;
+        let (a, b, c) = (&self.data, &other.data, &mut out.data);
+        // SAFETY: each tile is the one of the arm it is matched on, and `Arm::current`
+        // only returns arms this CPU supports.
+        unsafe {
+            match Arm::current() {
+                #[cfg(target_arch = "x86_64")]
+                Arm::Avx512 | Arm::Avx512Vnni => {
+                    gemm::<8, 32>(kernels::gemm_tile_avx512::<8>, a, b, k, c)
                 }
-                while rows_here - r >= 4 {
-                    let sub = &mut band_out[r * n..(r + 4) * n];
-                    let (o0, rest) = sub.split_at_mut(n);
-                    let (o1, rest) = rest.split_at_mut(n);
-                    let (o2, o3) = rest.split_at_mut(n);
-                    kernels::gemm_band4_packed(
-                        self.row(i0 + r),
-                        self.row(i0 + r + 1),
-                        self.row(i0 + r + 2),
-                        self.row(i0 + r + 3),
-                        &packed,
-                        n,
-                        width,
-                        o0,
-                        o1,
-                        o2,
-                        o3,
-                    );
-                    r += 4;
-                }
-                while r < rows_here {
-                    Self::matmul_row(self.row(i0 + r), other, &mut band_out[r * n..(r + 1) * n]);
-                    r += 1;
-                }
-            };
-            if parallel {
-                out.data
-                    .par_chunks_mut(band * n)
-                    .enumerate()
-                    .for_each(|(bi, band_out)| run_band(bi, band_out));
-            } else {
-                for (bi, band_out) in out.data.chunks_mut(band * n).enumerate() {
-                    run_band(bi, band_out);
-                }
-            }
-        } else if parallel {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, out_row)| Self::matmul_row(self.row(i), other, out_row));
-        } else {
-            for i in 0..m {
-                let a_row = self.row(i);
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                Self::matmul_row(a_row, other, out_row);
+                #[cfg(target_arch = "x86_64")]
+                Arm::Avx2 => gemm::<4, 16>(kernels::gemm_tile_avx2::<4>, a, b, k, c),
+                _ => gemm::<4, 16>(kernels::gemm_tile_scalar::<4, 16>, a, b, k, c),
             }
         }
         out
-    }
-
-    /// One output row of `matmul`: `out_row += a_row * other`, k-unrolled by 4.
-    #[inline]
-    fn matmul_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        let k = a_row.len();
-        let mut kk = 0;
-        while kk + 4 <= k {
-            kernels::axpy4(
-                out_row,
-                [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]],
-                other.row(kk),
-                other.row(kk + 1),
-                other.row(kk + 2),
-                other.row(kk + 3),
-            );
-            kk += 4;
-        }
-        while kk < k {
-            if a_row[kk] != 0.0 {
-                kernels::axpy1(out_row, a_row[kk], other.row(kk));
-            }
-            kk += 1;
-        }
     }
 
     /// Reference matrix product: the original cache-aware triple loop, single-threaded and
@@ -2188,27 +1783,13 @@ impl Matrix {
             other.cols(),
             "matmul_transpose_b: contraction mismatch"
         );
+        let arm = Arm::current();
         let mut out = Matrix::zeros(self.rows, other.rows());
         for i in 0..self.rows {
             let out_row = &mut out.data[i * other.rows()..(i + 1) * other.rows()];
-            Self::dot_row(self.row(i), other, out_row);
+            Self::dot_row(arm, self.row(i), other, out_row);
         }
         out
-    }
-
-    /// Test hook: `self * other^T` once per kernel arm this CPU supports, with the
-    /// arm's name — so the equivalence tests exercise every dispatch arm, not only the
-    /// widest one production picks.
-    #[doc(hidden)]
-    pub fn matmul_transpose_b_arms(&self, other: &MatrixView<'_>) -> Vec<(String, Matrix)> {
-        kernels::AbtArm::supported()
-            .iter()
-            .map(|&arm| {
-                let mut out = Matrix::zeros(self.rows, other.rows());
-                abt(arm, &self.view(), other, &mut out.data);
-                (format!("{arm:?}"), out)
-            })
-            .collect()
     }
 
     /// This matrix as a borrowed [`MatrixView`].
@@ -2220,11 +1801,12 @@ impl Matrix {
     /// four at a time. This is the order every tile of the kernel reproduces per element;
     /// it stays the path of single and leftover rows and the frozen reference.
     #[inline]
-    fn dot_row(a_row: &[f32], other: &MatrixView<'_>, out_row: &mut [f32]) {
+    fn dot_row(arm: Arm, a_row: &[f32], other: &MatrixView<'_>, out_row: &mut [f32]) {
         let n = other.rows();
         let mut j = 0;
         while j + 4 <= n {
             let d = kernels::dot4(
+                arm,
                 a_row,
                 other.row(j),
                 other.row(j + 1),
@@ -2235,7 +1817,7 @@ impl Matrix {
             j += 4;
         }
         while j < n {
-            out_row[j] = kernels::dot(a_row, other.row(j));
+            out_row[j] = kernels::dot(arm, a_row, other.row(j));
             j += 1;
         }
     }
@@ -2495,25 +2077,15 @@ impl Matrix {
         }
     }
 
-    /// Dot product of two equal-length slices through the SIMD kernel.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot: dimension mismatch");
-        kernels::dot(a, b)
-    }
-
-    /// Exact integer dot product of two equal-length i8 code vectors through the SIMD
-    /// kernel (AVX-512BW / AVX2 `madd`, scalar fallback). All paths return bit-identical
-    /// results — integer accumulation has no rounding — which is what lets the quantized
-    /// index scan stay exact end to end.
+    /// Exact integer dot product of two equal-length i8 code vectors: the definition
+    /// every arm of [`I8Tile`] is tested against. Integer sums have no rounding, so no
+    /// summation order could give another result.
     ///
     /// # Panics
     /// Panics on length mismatch.
     pub fn dot_i8(a: &[i8], b: &[i8]) -> i64 {
         assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
-        kernels::dot_i8(a, b)
+        a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum()
     }
 
     /// Cosine similarity between two rows of (possibly different) matrices.
@@ -2666,7 +2238,6 @@ mod tests {
             for &k in &sizes {
                 for &n in &sizes {
                     assert!(!fans_out(1, k, n));
-                    assert_eq!(par_threads(1, k, n), 1);
                     if fans_out(m, k, n) {
                         assert!(m * k * n >= PAR_FLOPS);
                         for (m2, k2, n2) in [(m * 2, k, n), (m, k * 2, n), (m, k, n * 2)] {
@@ -2739,30 +2310,6 @@ mod tests {
     }
 
     #[test]
-    fn i8_dot_kernel_matches_scalar_reference_exactly() {
-        let mut rng = StdRng::seed_from_u64(77);
-        use rand::Rng;
-        // Odd lengths exercise every tail path; extreme codes probe madd saturation
-        // headroom (none should occur: products are at most 127*127).
-        for &len in &[0usize, 1, 3, 15, 16, 17, 31, 32, 33, 64, 257, 1000] {
-            let a: Vec<i8> = (0..len)
-                .map(|_| rng.gen_range(-128i16..=127) as i8)
-                .collect();
-            let b: Vec<i8> = (0..len)
-                .map(|_| rng.gen_range(-128i16..=127) as i8)
-                .collect();
-            let reference: i64 = a
-                .iter()
-                .zip(b.iter())
-                .map(|(&x, &y)| x as i64 * y as i64)
-                .sum();
-            assert_eq!(kernels::dot_i8(&a, &b), reference, "len {len}");
-        }
-        let worst = vec![-128i8; 4096];
-        assert_eq!(kernels::dot_i8(&worst, &worst), 4096 * 128 * 128);
-    }
-
-    #[test]
     fn scaled_ge_arms_agree_with_the_scalar_definition() {
         let mut rng = StdRng::seed_from_u64(9);
         let dots: Vec<i32> = (0..70).map(|_| rng.gen_range(-40_000i32..40_000)).collect();
@@ -2783,37 +2330,14 @@ mod tests {
                 let expected: Vec<usize> = (0..d.len())
                     .filter(|&j| approx[start + j] >= threshold)
                     .collect();
-                let mut hits = vec![usize::MAX]; // appended to, not cleared
-                kernels::scaled_ge_indices(d, s, scale, threshold, &mut hits);
-                assert_eq!(
-                    hits[1..],
-                    expected,
-                    "dispatched from {start} at {threshold}"
-                );
-                hits.clear();
+                let mut hits = Vec::new();
                 kernels::scaled_ge_indices_scalar(d, s, scale, threshold, 0, &mut hits);
                 assert_eq!(hits, expected, "scalar from {start} at {threshold}");
-                #[cfg(target_arch = "x86_64")]
-                {
-                    if kernels::use_avx512() {
-                        hits.clear();
-                        // SAFETY: AVX-512F detected; equal-length slices.
-                        let at = unsafe {
-                            kernels::scaled_ge_indices_avx512(d, s, scale, threshold, &mut hits)
-                        };
-                        kernels::scaled_ge_indices_scalar(d, s, scale, threshold, at, &mut hits);
-                        assert_eq!(hits, expected, "avx512 from {start} at {threshold}");
-                    }
-                    if kernels::use_avx2_fma() {
-                        hits.clear();
-                        // SAFETY: AVX2 detected; equal-length slices.
-                        let at = unsafe {
-                            kernels::scaled_ge_indices_avx2(d, s, scale, threshold, &mut hits)
-                        };
-                        kernels::scaled_ge_indices_scalar(d, s, scale, threshold, at, &mut hits);
-                        assert_eq!(hits, expected, "avx2 from {start} at {threshold}");
-                    }
-                }
+                for_each_supported_arm(|arm| {
+                    let mut hits = vec![usize::MAX]; // appended to, not cleared
+                    I8Tile::scaled_at_least(d, s, scale, threshold, &mut hits);
+                    assert_eq!(hits[1..], expected, "{arm:?} from {start} at {threshold}");
+                });
             }
         }
     }

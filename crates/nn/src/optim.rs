@@ -94,7 +94,7 @@ fn sum_sources<'a>(sources: &[Source<'a>]) -> Summed<'a> {
 /// `acc += g` (an AXPY with factor 1: the fused multiply-add rounds exactly like the sum).
 fn add_into(acc: &mut [f32], g: &[f32]) {
     assert_eq!(acc.len(), g.len(), "AdamW: gradient shape mismatch");
-    crate::matrix::kernels::axpy1(acc, 1.0, g);
+    crate::matrix::kernels::axpy1(crate::matrix::Arm::current(), acc, 1.0, g);
 }
 
 /// Sum of squares in eight interleaved partial sums: a fixed order, so the value is the

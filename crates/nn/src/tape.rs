@@ -14,7 +14,7 @@
 //! by the property tests in `tests/gradcheck_props.rs` and the checks in
 //! [`crate::gradcheck`].
 
-use crate::matrix::Matrix;
+use crate::matrix::{kernels, Arm, Matrix};
 use crate::param::Param;
 
 /// Index of a node in a [`Tape`].
@@ -866,6 +866,7 @@ impl Tape {
                 // dQ_bh = scale * dS_bh K_bh ; dK_bh = scale * dS_bh^T Q_bh — both as
                 // row-wise AXPY accumulation against a scaled (and, for dK, transposed)
                 // scratch copy of the dS tile, mirroring the forward kernels.
+                let arm = Arm::current();
                 let mut srow = vec![0.0f32; seq];
                 let mut st = vec![0.0f32; seq * seq];
                 for b in 0..batch {
@@ -880,6 +881,7 @@ impl Tape {
                                 st[s * seq + t] = g;
                             }
                             context_row(
+                                arm,
                                 &srow,
                                 kv,
                                 b * seq,
@@ -890,6 +892,7 @@ impl Tape {
                         }
                         for s in 0..seq {
                             context_row(
+                                arm,
                                 &st[s * seq..(s + 1) * seq],
                                 qv,
                                 b * seq,
@@ -938,6 +941,7 @@ impl Tape {
                 let mut dv = Matrix::zeros(vv.rows(), vv.cols());
                 // dA_bh = dC_bh V_bh^T (score-shaped, via the transposed-value pack) and
                 // dV_bh = A_bh^T dC_bh (context-shaped, via a transposed attention tile).
+                let arm = Arm::current();
                 let mut vt = vec![0.0f32; head_dim * seq];
                 let mut at = vec![0.0f32; seq * seq];
                 for b in 0..batch {
@@ -947,7 +951,7 @@ impl Tape {
                         pack_kt(vv, b * seq, c0, head_dim, seq, 1.0, &mut vt);
                         for t in 0..seq {
                             let g_slice = &grad.row(b * seq + t)[c0..c0 + head_dim];
-                            score_row_kt(g_slice, &vt, seq, da.row_mut(r0 + t));
+                            score_row_kt(arm, g_slice, &vt, seq, da.row_mut(r0 + t));
                             let a_row = av.row(r0 + t);
                             for s in 0..seq {
                                 at[s * seq + t] = a_row[s];
@@ -955,6 +959,7 @@ impl Tape {
                         }
                         for s in 0..seq {
                             context_row(
+                                arm,
                                 &at[s * seq..(s + 1) * seq],
                                 grad,
                                 b * seq,
@@ -1083,8 +1088,9 @@ pub fn gelu(x: f32) -> f32 {
 /// feed-forward pass.
 pub fn gelu_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::matrix::kernels::use_avx2_fma() {
-        // SAFETY: feature presence checked above.
+    if Arm::current() >= Arm::Avx2 {
+        // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and `Arm::current` only
+        // returns arms this CPU supports.
         unsafe { gelu_slice_avx2(xs) };
         return;
     }
@@ -1093,13 +1099,15 @@ pub fn gelu_slice(xs: &mut [f32]) {
     }
 }
 
+/// [`gelu`] over a slice, compiled for AVX2 + FMA so LLVM can vectorize it. Rust never
+/// contracts `a * b + c` into a fused multiply-add, so every element has the bits of
+/// the scalar expression (`tests::vector_maps_have_the_bits_of_their_scalar_expression`).
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn gelu_slice_avx2(xs: &mut [f32]) {
-    // Same scalar expression; the target_feature attribute lets LLVM auto-vectorize it
-    // with AVX2+FMA (like the GEMM kernels, FMA contraction only changes rounding by
-    // making intermediates *more* accurate; every caller goes through this one dispatch,
-    // so all forward paths stay mutually consistent).
     for v in xs.iter_mut() {
         *v = gelu(*v);
     }
@@ -1158,6 +1166,7 @@ pub fn attention_scores(q: &Matrix, k: &Matrix, heads: usize, seq: usize, scale:
     );
     let batch = q.rows() / seq;
     let head_dim = q.cols() / heads;
+    let arm = Arm::current();
     let mut out = Matrix::zeros(batch * heads * seq, seq);
     let mut kt = vec![0.0f32; head_dim * seq];
     for b in 0..batch {
@@ -1167,7 +1176,7 @@ pub fn attention_scores(q: &Matrix, k: &Matrix, heads: usize, seq: usize, scale:
             for t in 0..seq {
                 let q_slice = &q.row(b * seq + t)[c0..c0 + head_dim];
                 let dst = out.row_mut((b * heads + h) * seq + t);
-                score_row_kt(q_slice, &kt, seq, dst);
+                score_row_kt(arm, q_slice, &kt, seq, dst);
             }
         }
     }
@@ -1198,11 +1207,12 @@ fn pack_kt(
 /// One score row against a packed transposed key tile:
 /// `dst[s] = sum_j q_slice[j] * kt[j][s]` via the 4-way k-unrolled AXPY kernel. `dst`
 /// must be zeroed by the caller.
-fn score_row_kt(q_slice: &[f32], kt: &[f32], keys: usize, dst: &mut [f32]) {
+fn score_row_kt(arm: Arm, q_slice: &[f32], kt: &[f32], keys: usize, dst: &mut [f32]) {
     let head_dim = q_slice.len();
     let mut j = 0;
     while j + 4 <= head_dim {
-        crate::matrix::kernels::axpy4(
+        kernels::axpy4(
+            arm,
             dst,
             [q_slice[j], q_slice[j + 1], q_slice[j + 2], q_slice[j + 3]],
             &kt[j * keys..(j + 1) * keys],
@@ -1213,14 +1223,22 @@ fn score_row_kt(q_slice: &[f32], kt: &[f32], keys: usize, dst: &mut [f32]) {
         j += 4;
     }
     while j < head_dim {
-        crate::matrix::kernels::axpy1(dst, q_slice[j], &kt[j * keys..(j + 1) * keys]);
+        kernels::axpy1(arm, dst, q_slice[j], &kt[j * keys..(j + 1) * keys]);
         j += 1;
     }
 }
 
 /// One context row: `dst += sum_s attn[s] * v[row0 + s][c0..c0+head_dim]` through the
 /// 4-way k-unrolled AXPY kernel.
-fn context_row(attn: &[f32], v: &Matrix, row0: usize, c0: usize, head_dim: usize, dst: &mut [f32]) {
+fn context_row(
+    arm: Arm,
+    attn: &[f32],
+    v: &Matrix,
+    row0: usize,
+    c0: usize,
+    head_dim: usize,
+    dst: &mut [f32],
+) {
     let seq = attn.len();
     let mut s = 0;
     while s + 4 <= seq {
@@ -1228,7 +1246,8 @@ fn context_row(attn: &[f32], v: &Matrix, row0: usize, c0: usize, head_dim: usize
         let v1 = &v.row(row0 + s + 1)[c0..c0 + head_dim];
         let v2 = &v.row(row0 + s + 2)[c0..c0 + head_dim];
         let v3 = &v.row(row0 + s + 3)[c0..c0 + head_dim];
-        crate::matrix::kernels::axpy4(
+        kernels::axpy4(
+            arm,
             dst,
             [attn[s], attn[s + 1], attn[s + 2], attn[s + 3]],
             v0,
@@ -1240,7 +1259,7 @@ fn context_row(attn: &[f32], v: &Matrix, row0: usize, c0: usize, head_dim: usize
     }
     while s < seq {
         let vs = &v.row(row0 + s)[c0..c0 + head_dim];
-        crate::matrix::kernels::axpy1(dst, attn[s], vs);
+        kernels::axpy1(arm, dst, attn[s], vs);
         s += 1;
     }
 }
@@ -1257,6 +1276,7 @@ pub fn masked_row_softmax(x: &Matrix, valid: &[usize]) -> Matrix {
         x.rows(),
         "masked_row_softmax: one valid count per row required"
     );
+    let arm = Arm::current();
     let mut out = Matrix::zeros(x.rows(), x.cols());
     for (r, &n) in valid.iter().enumerate() {
         assert!(
@@ -1268,16 +1288,11 @@ pub fn masked_row_softmax(x: &Matrix, valid: &[usize]) -> Matrix {
         if n == 0 {
             continue;
         }
-        softmax_into(&x.row(r)[..n], &mut out.row_mut(r)[..n]);
+        let dst = &mut out.row_mut(r)[..n];
+        dst.copy_from_slice(&x.row(r)[..n]);
+        softmax_in_place(arm, dst);
     }
     out
-}
-
-/// Stable softmax of `src` written into `dst` (same length), using the fast exponential —
-/// the shifted arguments are never positive by construction.
-fn softmax_into(src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
-    softmax_in_place(dst);
 }
 
 /// Fused tape-free masked multi-head attention: scores, masked softmax, and context of
@@ -1320,6 +1335,7 @@ pub fn masked_attention_infer(
         "masked_attention_infer: one valid-key count per sequence required"
     );
     let head_dim = dim / heads;
+    let arm = Arm::current();
     let mut out = Matrix::zeros(q.rows(), dim);
     let mut row = vec![0.0f32; seq];
     let mut kt = vec![0.0f32; head_dim * seq];
@@ -1334,9 +1350,10 @@ pub fn masked_attention_infer(
             for t in 0..seq {
                 let q_slice = &q.row(b * seq + t)[c0..c0 + head_dim];
                 row[..n].fill(0.0);
-                score_row_kt(q_slice, &kt[..head_dim * n], n, &mut row[..n]);
-                softmax_in_place(&mut row[..n]);
+                score_row_kt(arm, q_slice, &kt[..head_dim * n], n, &mut row[..n]);
+                softmax_in_place(arm, &mut row[..n]);
                 context_row(
+                    arm,
                     &row[..n],
                     v,
                     b * seq,
@@ -1350,24 +1367,34 @@ pub fn masked_attention_infer(
     out
 }
 
-/// In-place stable softmax over a score row.
-fn softmax_in_place(row: &mut [f32]) {
+/// In-place stable softmax over a score row, using the fast exponential — the shifted
+/// arguments are never positive by construction.
+fn softmax_in_place(arm: Arm, row: &mut [f32]) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    exp_shift(arm, row, max);
+    normalize_in_place(row);
+}
+
+/// `row[i] = fast_exp_neg(row[i] - max)` on `arm`.
+fn exp_shift(arm: Arm, row: &mut [f32], max: f32) {
+    assert!(arm <= Arm::detected());
     #[cfg(target_arch = "x86_64")]
-    if crate::matrix::kernels::use_avx2_fma() {
-        // SAFETY: feature presence checked above.
+    if arm >= Arm::Avx2 {
+        // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
+        // one this CPU supports (asserted above).
         unsafe { exp_shift_avx2(row, max) };
-        normalize_in_place(row);
         return;
     }
     for v in row.iter_mut() {
         *v = fast_exp_neg(*v - max);
     }
-    normalize_in_place(row);
 }
 
-/// `row[i] = fast_exp_neg(row[i] - max)`, auto-vectorized under AVX2+FMA (the exponential
-/// is branchless: clamp, `vroundps`, polynomial, exponent-bit reconstruction).
+/// [`exp_shift`] compiled for AVX2 + FMA, so LLVM vectorizes the branchless exponential
+/// (clamp, `vroundps`, polynomial, exponent-bit reconstruction) with the scalar bits.
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn exp_shift_avx2(row: &mut [f32], max: f32) {
@@ -1408,6 +1435,7 @@ pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) ->
         "attention_context: attention tile stack has the wrong shape"
     );
     let head_dim = v.cols() / heads;
+    let arm = Arm::current();
     let mut out = Matrix::zeros(v.rows(), v.cols());
     for b in 0..batch {
         for h in 0..heads {
@@ -1416,6 +1444,7 @@ pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) ->
                 let a_row = attn.row((b * heads + h) * seq + t);
                 let (dst_row, dst_range) = (b * seq + t, c0..c0 + head_dim);
                 context_row(
+                    arm,
                     a_row,
                     v,
                     b * seq,
@@ -1514,6 +1543,51 @@ pub fn standardize_rows(x: &Matrix, eps: f32) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::for_each_supported_arm;
+
+    #[test]
+    fn vector_maps_have_the_bits_of_their_scalar_expression() {
+        // `gelu_slice_avx2` and `exp_shift_avx2` are the scalar expressions compiled for
+        // AVX2 + FMA. Rust never contracts `a * b + c` into a fused multiply-add, so the
+        // vectorized loops must return the scalar bits — over a dense sweep, the clamp
+        // boundaries and the IEEE specials.
+        let mut xs: Vec<f32> = (-2000..=2000).map(|i| i as f32 / 100.0).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            4.97,
+            -4.97,
+            1e-30,
+            -1e-30,
+            f32::MIN_POSITIVE,
+            87.0,
+            -87.0,
+            -100.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for_each_supported_arm(|arm| {
+            let mut got = xs.clone();
+            gelu_slice(&mut got);
+            for (&x, &y) in xs.iter().zip(&got) {
+                assert!(same(y, gelu(x)), "gelu({x}) is {y} [{arm:?}]");
+            }
+            let finite: Vec<f32> = xs.iter().copied().filter(|x| x.is_finite()).collect();
+            let max = finite.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut got = finite.clone();
+            exp_shift(arm, &mut got, max);
+            for (&x, &y) in finite.iter().zip(&got) {
+                assert!(
+                    same(y, fast_exp_neg(x - max)),
+                    "exp({x} - {max}) is {y} [{arm:?}]"
+                );
+            }
+        });
+    }
 
     fn scalar_tape(f: impl Fn(&mut Tape, VarId) -> VarId, x: Matrix) -> (f32, Matrix) {
         let mut tape = Tape::new();

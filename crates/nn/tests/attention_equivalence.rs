@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sudowoodo_nn::layers::{padded_row_validity, Layer, MultiHeadSelfAttention, TransformerBlock};
-use sudowoodo_nn::matrix::Matrix;
+use sudowoodo_nn::matrix::{for_each_supported_arm, Matrix};
 use sudowoodo_nn::param::Param;
 use sudowoodo_nn::tape::{Gradients, Tape, VarId};
 
@@ -97,201 +97,209 @@ fn oracle_loss(tape: &mut Tape, outputs: &[Option<VarId>]) -> VarId {
 
 #[test]
 fn batched_attention_forward_matches_per_sequence_oracle() {
-    for (case, &batch) in BATCH_SIZES.iter().enumerate() {
-        for &heads in &HEAD_COUNTS {
-            let mut rng = StdRng::seed_from_u64(100 + case as u64);
-            let mut layer_rng = StdRng::seed_from_u64(7);
-            let attn = MultiHeadSelfAttention::new("a", DIM, heads, &mut layer_rng);
-            let lens = ragged_lens(batch, &mut rng);
-            let (seqs, packed) = ragged_batch(&lens, &mut rng);
+    for_each_supported_arm(|_| {
+        for (case, &batch) in BATCH_SIZES.iter().enumerate() {
+            for &heads in &HEAD_COUNTS {
+                let mut rng = StdRng::seed_from_u64(100 + case as u64);
+                let mut layer_rng = StdRng::seed_from_u64(7);
+                let attn = MultiHeadSelfAttention::new("a", DIM, heads, &mut layer_rng);
+                let lens = ragged_lens(batch, &mut rng);
+                let (seqs, packed) = ragged_batch(&lens, &mut rng);
 
-            // Batched tape forward.
-            let mut tape = Tape::new();
-            let x = tape.constant(packed.clone());
-            let y = attn.forward_batch(&mut tape, x, &lens, MAX_LEN);
-            let batched = tape.value(y).clone();
+                // Batched tape forward.
+                let mut tape = Tape::new();
+                let x = tape.constant(packed.clone());
+                let y = attn.forward_batch(&mut tape, x, &lens, MAX_LEN);
+                let batched = tape.value(y).clone();
 
-            // Tape-free batched inference.
-            let inferred = attn.infer_batch(&packed, &lens, MAX_LEN);
-            assert!(
-                batched.approx_eq(&inferred, TOL),
-                "batch {batch} heads {heads}: forward_batch and infer_batch diverged"
-            );
-
-            // Per-sequence oracle, one graph per sequence.
-            for (b, seq) in seqs.iter().enumerate() {
-                if lens[b] == 0 {
-                    continue;
-                }
-                let mut oracle_tape = Tape::new();
-                let xs = oracle_tape.constant(seq.clone());
-                let ys = attn.forward(&mut oracle_tape, xs);
-                let expected = oracle_tape.value(ys);
-                let got = unpack_rows(&batched, b, lens[b]);
+                // Tape-free batched inference.
+                let inferred = attn.infer_batch(&packed, &lens, MAX_LEN);
                 assert!(
-                    got.approx_eq(expected, TOL),
-                    "batch {batch} heads {heads} seq {b} (len {}): batched rows diverged \
-                     from the per-sequence oracle",
-                    lens[b]
+                    batched.approx_eq(&inferred, TOL),
+                    "batch {batch} heads {heads}: forward_batch and infer_batch diverged"
                 );
+
+                // Per-sequence oracle, one graph per sequence.
+                for (b, seq) in seqs.iter().enumerate() {
+                    if lens[b] == 0 {
+                        continue;
+                    }
+                    let mut oracle_tape = Tape::new();
+                    let xs = oracle_tape.constant(seq.clone());
+                    let ys = attn.forward(&mut oracle_tape, xs);
+                    let expected = oracle_tape.value(ys);
+                    let got = unpack_rows(&batched, b, lens[b]);
+                    assert!(
+                        got.approx_eq(expected, TOL),
+                        "batch {batch} heads {heads} seq {b} (len {}): batched rows diverged \
+                         from the per-sequence oracle",
+                        lens[b]
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn batched_attention_backward_matches_per_sequence_oracle() {
-    for (case, &batch) in BATCH_SIZES.iter().enumerate() {
+    for_each_supported_arm(|_| {
+        for (case, &batch) in BATCH_SIZES.iter().enumerate() {
+            for &heads in &HEAD_COUNTS {
+                let mut rng = StdRng::seed_from_u64(200 + case as u64);
+                let mut layer_rng = StdRng::seed_from_u64(13);
+                let attn = MultiHeadSelfAttention::new("a", DIM, heads, &mut layer_rng);
+                let lens = ragged_lens(batch, &mut rng);
+                let (seqs, packed) = ragged_batch(&lens, &mut rng);
+
+                // Batched graph: pack -> attention -> padding-aware pooling -> sum.
+                let mut tape = Tape::new();
+                let x = tape.constant(packed.clone());
+                let y = attn.forward_batch(&mut tape, x, &lens, MAX_LEN);
+                let loss = packed_loss(&mut tape, y, &lens);
+                let grads = tape.backward(loss);
+
+                // Oracle graph: one per-sequence sub-graph per non-empty sequence, same loss.
+                let mut oracle_tape = Tape::new();
+                let mut oracle_inputs = Vec::new();
+                let outputs: Vec<Option<VarId>> = seqs
+                    .iter()
+                    .map(|seq| {
+                        if seq.rows() == 0 {
+                            oracle_inputs.push(None);
+                            return None;
+                        }
+                        let xs = oracle_tape.constant(seq.clone());
+                        oracle_inputs.push(Some(xs));
+                        Some(attn.forward(&mut oracle_tape, xs))
+                    })
+                    .collect();
+                let oracle_loss_node = oracle_loss(&mut oracle_tape, &outputs);
+                let oracle_grads = oracle_tape.backward(oracle_loss_node);
+
+                assert!(
+                    (tape.scalar(loss) - oracle_tape.scalar(oracle_loss_node)).abs() < TOL,
+                    "batch {batch} heads {heads}: losses diverged"
+                );
+
+                // Every parameter gradient must agree.
+                for p in attn.params() {
+                    let got = param_grad(&tape, &grads, &p);
+                    let expected = param_grad(&oracle_tape, &oracle_grads, &p);
+                    assert!(
+                        got.approx_eq(&expected, TOL),
+                        "batch {batch} heads {heads}: gradient of {} diverged",
+                        p.name()
+                    );
+                }
+
+                // Input gradients: valid rows match the oracle, padding rows are exactly zero
+                // (garbage never receives — or propagates — gradient).
+                let dx = grads.get(x).expect("input must receive gradient");
+                for (b, input) in oracle_inputs.iter().enumerate() {
+                    let got = unpack_rows(dx, b, lens[b]);
+                    if let Some(xs) = input {
+                        let expected = oracle_grads.get(*xs).expect("oracle input gradient");
+                        assert!(
+                            got.approx_eq(expected, TOL),
+                            "batch {batch} heads {heads} seq {b}: input gradient diverged"
+                        );
+                    }
+                    let pad = dx.slice_rows(b * MAX_LEN + lens[b], (b + 1) * MAX_LEN);
+                    assert!(
+                        pad.data().iter().all(|&g| g == 0.0),
+                        "batch {batch} heads {heads} seq {b}: padding rows received gradient"
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn batched_transformer_block_matches_per_sequence_oracle() {
+    for_each_supported_arm(|_| {
+        for (case, &batch) in [2usize, 17].iter().enumerate() {
+            for &heads in &HEAD_COUNTS {
+                let mut rng = StdRng::seed_from_u64(300 + case as u64);
+                let mut layer_rng = StdRng::seed_from_u64(19);
+                let block = TransformerBlock::new("b", DIM, heads, 2 * DIM, &mut layer_rng);
+                let lens = ragged_lens(batch, &mut rng);
+                let (seqs, packed) = ragged_batch(&lens, &mut rng);
+
+                let mut tape = Tape::new();
+                let x = tape.constant(packed.clone());
+                let y = block.forward_batch(&mut tape, x, &lens, MAX_LEN);
+                let batched = tape.value(y).clone();
+
+                let inferred = block.infer_batch(&packed, &lens, MAX_LEN);
+                assert!(
+                    batched.approx_eq(&inferred, TOL),
+                    "batch {batch} heads {heads}: block forward_batch and infer_batch diverged"
+                );
+
+                for (b, seq) in seqs.iter().enumerate() {
+                    if lens[b] == 0 {
+                        continue;
+                    }
+                    let mut oracle_tape = Tape::new();
+                    let xs = oracle_tape.constant(seq.clone());
+                    let ys = block.forward(&mut oracle_tape, xs);
+                    assert!(
+                        unpack_rows(&batched, b, lens[b]).approx_eq(oracle_tape.value(ys), TOL),
+                        "batch {batch} heads {heads} seq {b}: block output diverged"
+                    );
+                    assert!(
+                        unpack_rows(&inferred, b, lens[b]).approx_eq(&block.infer(seq), TOL),
+                        "batch {batch} heads {heads} seq {b}: block inference diverged"
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn batched_transformer_block_backward_matches_per_sequence_oracle() {
+    for_each_supported_arm(|_| {
         for &heads in &HEAD_COUNTS {
-            let mut rng = StdRng::seed_from_u64(200 + case as u64);
-            let mut layer_rng = StdRng::seed_from_u64(13);
-            let attn = MultiHeadSelfAttention::new("a", DIM, heads, &mut layer_rng);
-            let lens = ragged_lens(batch, &mut rng);
+            let mut rng = StdRng::seed_from_u64(400);
+            let mut layer_rng = StdRng::seed_from_u64(23);
+            let block = TransformerBlock::new("b", DIM, heads, 2 * DIM, &mut layer_rng);
+            let lens = ragged_lens(5, &mut rng);
             let (seqs, packed) = ragged_batch(&lens, &mut rng);
 
-            // Batched graph: pack -> attention -> padding-aware pooling -> sum.
             let mut tape = Tape::new();
-            let x = tape.constant(packed.clone());
-            let y = attn.forward_batch(&mut tape, x, &lens, MAX_LEN);
+            let x = tape.constant(packed);
+            let y = block.forward_batch(&mut tape, x, &lens, MAX_LEN);
             let loss = packed_loss(&mut tape, y, &lens);
             let grads = tape.backward(loss);
 
-            // Oracle graph: one per-sequence sub-graph per non-empty sequence, same loss.
             let mut oracle_tape = Tape::new();
-            let mut oracle_inputs = Vec::new();
             let outputs: Vec<Option<VarId>> = seqs
                 .iter()
                 .map(|seq| {
                     if seq.rows() == 0 {
-                        oracle_inputs.push(None);
                         return None;
                     }
                     let xs = oracle_tape.constant(seq.clone());
-                    oracle_inputs.push(Some(xs));
-                    Some(attn.forward(&mut oracle_tape, xs))
+                    Some(block.forward(&mut oracle_tape, xs))
                 })
                 .collect();
             let oracle_loss_node = oracle_loss(&mut oracle_tape, &outputs);
             let oracle_grads = oracle_tape.backward(oracle_loss_node);
 
-            assert!(
-                (tape.scalar(loss) - oracle_tape.scalar(oracle_loss_node)).abs() < TOL,
-                "batch {batch} heads {heads}: losses diverged"
-            );
-
-            // Every parameter gradient must agree.
-            for p in attn.params() {
+            for p in block.params() {
                 let got = param_grad(&tape, &grads, &p);
                 let expected = param_grad(&oracle_tape, &oracle_grads, &p);
                 assert!(
                     got.approx_eq(&expected, TOL),
-                    "batch {batch} heads {heads}: gradient of {} diverged",
+                    "heads {heads}: block gradient of {} diverged",
                     p.name()
                 );
             }
-
-            // Input gradients: valid rows match the oracle, padding rows are exactly zero
-            // (garbage never receives — or propagates — gradient).
-            let dx = grads.get(x).expect("input must receive gradient");
-            for (b, input) in oracle_inputs.iter().enumerate() {
-                let got = unpack_rows(dx, b, lens[b]);
-                if let Some(xs) = input {
-                    let expected = oracle_grads.get(*xs).expect("oracle input gradient");
-                    assert!(
-                        got.approx_eq(expected, TOL),
-                        "batch {batch} heads {heads} seq {b}: input gradient diverged"
-                    );
-                }
-                let pad = dx.slice_rows(b * MAX_LEN + lens[b], (b + 1) * MAX_LEN);
-                assert!(
-                    pad.data().iter().all(|&g| g == 0.0),
-                    "batch {batch} heads {heads} seq {b}: padding rows received gradient"
-                );
-            }
         }
-    }
-}
-
-#[test]
-fn batched_transformer_block_matches_per_sequence_oracle() {
-    for (case, &batch) in [2usize, 17].iter().enumerate() {
-        for &heads in &HEAD_COUNTS {
-            let mut rng = StdRng::seed_from_u64(300 + case as u64);
-            let mut layer_rng = StdRng::seed_from_u64(19);
-            let block = TransformerBlock::new("b", DIM, heads, 2 * DIM, &mut layer_rng);
-            let lens = ragged_lens(batch, &mut rng);
-            let (seqs, packed) = ragged_batch(&lens, &mut rng);
-
-            let mut tape = Tape::new();
-            let x = tape.constant(packed.clone());
-            let y = block.forward_batch(&mut tape, x, &lens, MAX_LEN);
-            let batched = tape.value(y).clone();
-
-            let inferred = block.infer_batch(&packed, &lens, MAX_LEN);
-            assert!(
-                batched.approx_eq(&inferred, TOL),
-                "batch {batch} heads {heads}: block forward_batch and infer_batch diverged"
-            );
-
-            for (b, seq) in seqs.iter().enumerate() {
-                if lens[b] == 0 {
-                    continue;
-                }
-                let mut oracle_tape = Tape::new();
-                let xs = oracle_tape.constant(seq.clone());
-                let ys = block.forward(&mut oracle_tape, xs);
-                assert!(
-                    unpack_rows(&batched, b, lens[b]).approx_eq(oracle_tape.value(ys), TOL),
-                    "batch {batch} heads {heads} seq {b}: block output diverged"
-                );
-                assert!(
-                    unpack_rows(&inferred, b, lens[b]).approx_eq(&block.infer(seq), TOL),
-                    "batch {batch} heads {heads} seq {b}: block inference diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_transformer_block_backward_matches_per_sequence_oracle() {
-    for &heads in &HEAD_COUNTS {
-        let mut rng = StdRng::seed_from_u64(400);
-        let mut layer_rng = StdRng::seed_from_u64(23);
-        let block = TransformerBlock::new("b", DIM, heads, 2 * DIM, &mut layer_rng);
-        let lens = ragged_lens(5, &mut rng);
-        let (seqs, packed) = ragged_batch(&lens, &mut rng);
-
-        let mut tape = Tape::new();
-        let x = tape.constant(packed);
-        let y = block.forward_batch(&mut tape, x, &lens, MAX_LEN);
-        let loss = packed_loss(&mut tape, y, &lens);
-        let grads = tape.backward(loss);
-
-        let mut oracle_tape = Tape::new();
-        let outputs: Vec<Option<VarId>> = seqs
-            .iter()
-            .map(|seq| {
-                if seq.rows() == 0 {
-                    return None;
-                }
-                let xs = oracle_tape.constant(seq.clone());
-                Some(block.forward(&mut oracle_tape, xs))
-            })
-            .collect();
-        let oracle_loss_node = oracle_loss(&mut oracle_tape, &outputs);
-        let oracle_grads = oracle_tape.backward(oracle_loss_node);
-
-        for p in block.params() {
-            let got = param_grad(&tape, &grads, &p);
-            let expected = param_grad(&oracle_tape, &oracle_grads, &p);
-            assert!(
-                got.approx_eq(&expected, TOL),
-                "heads {heads}: block gradient of {} diverged",
-                p.name()
-            );
-        }
-    }
+    });
 }
 
 #[test]

@@ -14,11 +14,16 @@
 //!
 //! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
 //! every arm returns `Matrix::dot_i8` of the two rows for every output.
+//!
+//! `matmul` is held to position invariance: on every arm a row or a column block of a
+//! product has the same bits as the product of that row or block alone, and the FMA
+//! arms return the same bits as each other. Every bit-identity test runs once per arm
+//! the host supports (`for_each_supported_arm`), not only on the arm production picks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView};
+use sudowoodo_nn::matrix::{for_each_supported_arm, Arm, I8Tile, Matrix, MatrixView};
 
 /// Absolute tolerance for one output entry of a `k`-term contraction of values bounded
 /// by `amax * bmax`: `1e-5` relative to the worst-case accumulated magnitude.
@@ -92,27 +97,41 @@ fn fused_transpose_b_matches_naive_reference_across_shapes() {
     }
 }
 
-/// Asserts every kernel arm's `a * b^T` equals the frozen reference bit for bit. NaN
-/// outputs must be NaN on both sides; their payload and sign are not compared, since
-/// neither Rust nor LLVM fixes which operand's NaN an add or a fused multiply-add
-/// propagates.
-fn assert_arms_match_reference(a: &Matrix, b: &MatrixView<'_>, what: &str) {
-    let reference = a.matmul_transpose_b_reference(b);
-    let mut arms = a.matmul_transpose_b_arms(b);
-    arms.push(("dispatched".to_string(), a.matmul_transpose_b_view(b)));
-    for (arm, result) in &arms {
-        assert_eq!(result.shape(), reference.shape(), "{what} [{arm}]: shape");
-        for (idx, (x, y)) in result.data().iter().zip(reference.data()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                "{what} [{arm}]: entry ({}, {}) is {x:e} ({:#010x}), reference {y:e} ({:#010x})",
-                idx / b.rows().max(1),
-                idx % b.rows().max(1),
-                x.to_bits(),
-                y.to_bits(),
-            );
-        }
+/// Asserts `result` equals `reference` bit for bit. NaN outputs must be NaN on both
+/// sides; their payload and sign are not compared, since neither Rust nor LLVM fixes
+/// which operand's NaN an add or a fused multiply-add propagates.
+fn assert_bits_match(result: &Matrix, reference: &Matrix, what: &str) {
+    assert_eq!(result.shape(), reference.shape(), "{what}: shape");
+    for (idx, (x, y)) in result.data().iter().zip(reference.data()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what}: entry ({}, {}) is {x:e} ({:#010x}), reference {y:e} ({:#010x})",
+            idx / result.cols().max(1),
+            idx % result.cols().max(1),
+            x.to_bits(),
+            y.to_bits(),
+        );
     }
+}
+
+/// Asserts every kernel arm's `a * b^T` equals the frozen reference computed on the same
+/// arm bit for bit, and that the FMA arms agree with each other.
+fn assert_arms_match_reference(a: &Matrix, b: &MatrixView<'_>, what: &str) {
+    let mut fma: Option<Matrix> = None;
+    for_each_supported_arm(|arm| {
+        let result = a.matmul_transpose_b_view(b);
+        let what = format!("{what} [{arm:?}]");
+        assert_bits_match(&result, &a.matmul_transpose_b_reference(b), &what);
+        if arm >= Arm::Avx2 {
+            assert_bits_match(&result, fma.get_or_insert_with(|| result.clone()), &what);
+        }
+    });
+    let reference = a.matmul_transpose_b_reference(b);
+    assert_bits_match(
+        &a.matmul_transpose_b_view(b),
+        &reference,
+        &format!("{what} [dispatched]"),
+    );
 }
 
 /// A `rows x cols` operand stored at a 4-byte-aligned offset that is **not**
@@ -243,7 +262,10 @@ fn i8_tile_equals_dot_i8_on_every_arm() {
             }
         };
         for m in edges(max_m, &[1, 3, 4, 5, 6, 7, 12, 13, 37]) {
-            let mut tiles = I8Tile::new_arms(&a[..m * k], k);
+            let mut tiles = Vec::new();
+            for_each_supported_arm(|arm| {
+                tiles.push((format!("{arm:?}"), I8Tile::new(&a[..m * k], k)))
+            });
             tiles.push(("dispatched".to_string(), I8Tile::new(&a[..m * k], k)));
             for (arm, tile) in &mut tiles {
                 assert_eq!(tile.rows(), m);
@@ -271,7 +293,8 @@ fn i8_tile_is_exact_at_the_code_extremes() {
     for &k in &[64usize, 4096] {
         for &(x, y) in &[(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
             let (a, b) = (vec![x; 7 * k], vec![y; 70 * k]);
-            let mut tiles = I8Tile::new_arms(&a, k);
+            let mut tiles = Vec::new();
+            for_each_supported_arm(|arm| tiles.push((format!("{arm:?}"), I8Tile::new(&a, k))));
             tiles.push(("dispatched".to_string(), I8Tile::new(&a, k)));
             for (arm, tile) in &mut tiles {
                 let expected = k as i32 * x as i32 * y as i32;
@@ -427,5 +450,99 @@ fn matmul_associativity_sanity_against_double_precision() {
                 "entry ({r},{c}) drifted from f64 ground truth"
             );
         }
+    }
+}
+
+#[test]
+fn matmul_multiplies_every_entry_whatever_the_row_count() {
+    // IEEE semantics on every arm and at every height: a zero in `A` against an infinite
+    // row of `B` is `0 * inf = NaN`, alone as in an 8-row product. The AXPY row path this
+    // loop nest replaced skipped zeros in its `k % 4` tail and returned 512 finite values
+    // for the single row.
+    let b = Matrix::from_fn(5, 512, |r, c| {
+        if r == 4 {
+            f32::INFINITY
+        } else {
+            (c % 7) as f32 - 3.0
+        }
+    });
+    let row = [1.0, 1.0, 1.0, 1.0, 0.0];
+    for_each_supported_arm(|arm| {
+        for m in [1, 8] {
+            let a = Matrix::from_fn(m, 5, |_, c| row[c]);
+            let nans = a.matmul(&b).data().iter().filter(|v| v.is_nan()).count();
+            assert_eq!(nans, m * 512, "{m}-row product [{arm:?}]");
+        }
+    });
+}
+
+#[test]
+fn matmul_is_position_invariant_and_its_fma_arms_agree_bit_for_bit() {
+    // Shapes on both sides of every tile height (4, 8), panel width (16, 32), the packing
+    // threshold and the parallel threshold. Row `i` of `A * B` must have the bits of
+    // `A[i..i+1] * B`, and the left half of `A * B` those of `A * B[:, ..n/2]`.
+    let fan_out_rows = (1..).find(|&m| sudowoodo_nn::matrix::fans_out(m, 64, 128));
+    let shapes = [
+        (1, 1, 1),
+        (1, 64, 33),
+        (3, 7, 15),
+        (4, 16, 16),
+        (5, 9, 17),
+        (7, 128, 31),
+        (8, 32, 32),
+        (9, 33, 33),
+        (13, 1, 47),
+        (32, 64, 40),
+        (16, 128, 2),
+        (64, 64, 64),
+        (1024, 32, 96),
+        (fan_out_rows.expect("some row count fans out") | 1, 64, 128),
+    ];
+    let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for (case, &(m, k, n)) in shapes.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(4200 + case as u64);
+        let a = Matrix::random_normal(m, k, 1.0, &mut rng);
+        let b = Matrix::random_normal(k, n, 1.0, &mut rng);
+        let tol = contraction_tol(k, a.max_abs(), b.max_abs());
+        // Every row of the small shapes; a spread of rows, the band edges among them, of
+        // the large ones.
+        let rows: Vec<usize> = if m <= 64 {
+            (0..m).collect()
+        } else {
+            (0..m)
+                .step_by(97)
+                .chain([m / 2 - 1, m / 2, m / 2 + 1, m - 1])
+                .collect()
+        };
+        let mut fma: Option<Vec<u32>> = None;
+        for_each_supported_arm(|arm| {
+            let what = format!("{m}x{k} * {k}x{n} [{arm:?}]");
+            let full = a.matmul(&b);
+            for &i in &rows {
+                let alone = a.slice_rows(i, i + 1).matmul(&b);
+                assert_eq!(
+                    bits(&full.slice_rows(i, i + 1)),
+                    bits(&alone),
+                    "{what}: row {i}"
+                );
+            }
+            if n >= 2 {
+                let left = a.matmul(&b.slice_cols(0, n / 2));
+                assert_eq!(
+                    bits(&full.slice_cols(0, n / 2)),
+                    bits(&left),
+                    "{what}: left half"
+                );
+            }
+            if arm == Arm::Scalar {
+                assert_matrices_match(&full, &a.matmul_naive(&b), tol, &what);
+            } else {
+                let first = fma.get_or_insert_with(|| bits(&full));
+                assert!(
+                    *first == bits(&full),
+                    "{what}: differs from the first FMA arm"
+                );
+            }
+        });
     }
 }
