@@ -5,10 +5,9 @@
 //! old thread-per-connection server each idle connection cost a handler thread
 //! polling on a read timeout; under the reactor they are parked descriptors, so
 //! per-request latency (p50/p99) should hold roughly flat from a handful of
-//! connections to ten thousand. `serve_bench` prints the sweep and
-//! `perf_speedup` gates on it (structurally — the sweep must attach its clamped
-//! connection target and report finite percentiles; latency itself is
-//! runner-dependent and never floored).
+//! connections to ten thousand. `perf_speedup` gates on it structurally: the
+//! sweep must attach its clamped connection target and report finite
+//! percentiles; latency itself is runner-dependent and never floored.
 //!
 //! An in-process sweep pays **two** file descriptors per connection (client end
 //! and server end live in the same process), so targets are clamped against the

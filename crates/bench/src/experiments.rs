@@ -1,8 +1,8 @@
 //! One function per table / figure of the paper's evaluation section.
 //!
-//! Every function prints the table to stdout and returns a [`TableResult`] that the binary
-//! wrappers persist as JSON. The functions honour [`HarnessConfig::quick`] by restricting
-//! sweeps to representative subsets.
+//! Every function returns a [`TableResult`] that the `paper` binary prints and persists as
+//! JSON. The functions honour [`HarnessConfig::quick`] by restricting sweeps to
+//! representative subsets.
 
 use serde::Serialize;
 
@@ -670,14 +670,17 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
         let (encoder, _) = pipeline.pretrain_encoder(&dataset);
         let (candidates, _) = pipeline.block(&encoder, &dataset, base.blocking_k);
         let labeled = pipeline.sample_labels(&dataset, budget);
-        let gold: std::collections::HashSet<(usize, usize)> =
-            dataset.gold_matches.iter().copied().collect();
         let pseudo = sudowoodo_core::generate_pseudo_labels(
             &candidates,
             base.pseudo_positive_ratio,
             labeled.len() * base.pseudo_multiplier.saturating_sub(1),
         );
-        let _ = &gold;
+        let fine_tune = sudowoodo_core::FineTuneConfig {
+            epochs: base.finetune_epochs,
+            batch_size: base.finetune_batch_size,
+            learning_rate: base.finetune_lr,
+            seed: base.seed,
+        };
         let texts_a: Vec<String> = dataset
             .table_a
             .iter()
@@ -688,45 +691,20 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
             .iter()
             .map(sudowoodo_text::serialize_record)
             .collect();
-        let mut train_pairs: Vec<sudowoodo_core::TrainPair> = labeled
-            .iter()
-            .map(|p| {
-                sudowoodo_core::TrainPair::new(texts_a[p.a].clone(), texts_b[p.b].clone(), p.label)
-            })
-            .collect();
-        train_pairs.extend(pseudo.labels.iter().map(|p| {
-            sudowoodo_core::TrainPair::new(texts_a[p.a].clone(), texts_b[p.b].clone(), p.label)
-        }));
+        let pair = |a: usize, b: usize, label: bool| {
+            sudowoodo_core::TrainPair::new(texts_a[a].clone(), texts_b[b].clone(), label)
+        };
+        let labeled_pairs: Vec<_> = labeled.iter().map(|p| pair(p.a, p.b, p.label)).collect();
+        let mut train_pairs = labeled_pairs.clone();
+        train_pairs.extend(pseudo.labels.iter().map(|p| pair(p.a, p.b, p.label)));
         let mut sudowoodo_matcher =
             sudowoodo_core::PairMatcher::new(encoder, base.use_diff_head, base.seed);
-        sudowoodo_matcher.fine_tune(
-            &train_pairs,
-            &sudowoodo_core::FineTuneConfig {
-                epochs: base.finetune_epochs,
-                batch_size: base.finetune_batch_size,
-                learning_rate: base.finetune_lr,
-                seed: base.seed,
-            },
-        );
+        sudowoodo_matcher.fine_tune(&train_pairs, &fine_tune);
         // Ditto-like: random-init encoder, labeled pairs only, concat head.
         let ditto_encoder =
             sudowoodo_core::Encoder::from_corpus(base.encoder, &dataset.corpus(), base.seed);
         let mut ditto_matcher = sudowoodo_core::PairMatcher::new(ditto_encoder, false, base.seed);
-        let labeled_pairs: Vec<sudowoodo_core::TrainPair> = labeled
-            .iter()
-            .map(|p| {
-                sudowoodo_core::TrainPair::new(texts_a[p.a].clone(), texts_b[p.b].clone(), p.label)
-            })
-            .collect();
-        ditto_matcher.fine_tune(
-            &labeled_pairs,
-            &sudowoodo_core::FineTuneConfig {
-                epochs: base.finetune_epochs,
-                batch_size: base.finetune_batch_size,
-                learning_rate: base.finetune_lr,
-                seed: base.seed,
-            },
-        );
+        ditto_matcher.fine_tune(&labeled_pairs, &fine_tune);
 
         for level in difficulty_levels(&dataset, &dataset.test, 5) {
             let sw = sudowoodo_core::pipeline::em::evaluate_matcher(

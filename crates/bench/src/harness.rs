@@ -32,28 +32,34 @@ impl Default for HarnessConfig {
 
 impl HarnessConfig {
     /// Builds the configuration from the environment (`SUDOWOODO_SCALE`, `SUDOWOODO_QUICK`,
-    /// `SUDOWOODO_SEED`, `SUDOWOODO_LABELS`).
-    pub fn from_env() -> Self {
-        let mut config = HarnessConfig::default();
-        if let Ok(scale) = std::env::var("SUDOWOODO_SCALE") {
-            if let Ok(v) = scale.parse() {
-                config.scale = v;
-            }
+    /// `SUDOWOODO_SEED`, `SUDOWOODO_LABELS`); an unset variable keeps its default.
+    ///
+    /// # Errors
+    /// A variable that is set but does not parse, named in the message.
+    /// `SUDOWOODO_QUICK` takes `1`, `0`, `true` or `false`.
+    pub fn from_env() -> Result<Self, String> {
+        fn var<T>(name: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<Option<T>, String> {
+            let Some(raw) = std::env::var_os(name) else {
+                return Ok(None);
+            };
+            raw.to_str()
+                .and_then(parse)
+                .map(Some)
+                .ok_or_else(|| format!("{name}={raw:?} does not parse"))
         }
-        if let Ok(quick) = std::env::var("SUDOWOODO_QUICK") {
-            config.quick = quick == "1" || quick.eq_ignore_ascii_case("true");
-        }
-        if let Ok(seed) = std::env::var("SUDOWOODO_SEED") {
-            if let Ok(v) = seed.parse() {
-                config.seed = v;
-            }
-        }
-        if let Ok(labels) = std::env::var("SUDOWOODO_LABELS") {
-            if let Ok(v) = labels.parse() {
-                config.label_budget = v;
-            }
-        }
-        config
+        let quick = |s: &str| match s.to_ascii_lowercase().as_str() {
+            "1" | "true" => Some(true),
+            "0" | "false" => Some(false),
+            _ => None,
+        };
+        let defaults = HarnessConfig::default();
+        Ok(HarnessConfig {
+            scale: var("SUDOWOODO_SCALE", |s| s.parse().ok())?.unwrap_or(defaults.scale),
+            quick: var("SUDOWOODO_QUICK", quick)?.unwrap_or(defaults.quick),
+            seed: var("SUDOWOODO_SEED", |s| s.parse().ok())?.unwrap_or(defaults.seed),
+            label_budget: var("SUDOWOODO_LABELS", |s| s.parse().ok())?
+                .unwrap_or(defaults.label_budget),
+        })
     }
 
     /// A Sudowoodo configuration sized for harness runs (small encoder, few epochs) so a
@@ -80,61 +86,6 @@ impl HarnessConfig {
         c.seed = self.seed;
         c
     }
-}
-
-/// Wall-clock throughput of one pipeline stage, persisted alongside experiment tables so
-/// successive `BENCH_*.json` files track the performance trajectory of the hot path.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct Throughput {
-    /// Wall-clock seconds of the stage.
-    pub seconds: f64,
-    /// Records processed (0 when not applicable).
-    pub records: usize,
-    /// Candidate/similarity pairs processed (0 when not applicable).
-    pub pairs: usize,
-    /// `records / seconds` (0 when no records).
-    pub records_per_sec: f64,
-    /// `pairs / seconds` (0 when no pairs).
-    pub pairs_per_sec: f64,
-}
-
-impl Throughput {
-    /// Builds a throughput record from raw counts; rates are 0 when `seconds` is 0.
-    pub fn from_counts(seconds: f64, records: usize, pairs: usize) -> Self {
-        let rate = |count: usize| {
-            if seconds > 0.0 {
-                count as f64 / seconds
-            } else {
-                0.0
-            }
-        };
-        Throughput {
-            seconds,
-            records,
-            pairs,
-            records_per_sec: rate(records),
-            pairs_per_sec: rate(pairs),
-        }
-    }
-
-    /// Times `f` over `records` records / `pairs` pairs and builds the record.
-    pub fn measure<T>(records: usize, pairs: usize, f: impl FnOnce() -> T) -> (T, Self) {
-        let start = std::time::Instant::now();
-        let out = f();
-        let t = Self::from_counts(start.elapsed().as_secs_f64(), records, pairs);
-        (out, t)
-    }
-}
-
-/// A labeled throughput measurement (`stage` names the pipeline step).
-#[derive(Clone, Debug, Serialize)]
-pub struct StageThroughput {
-    /// Pipeline step, e.g. `embed_all` or `knn_join`.
-    pub stage: String,
-    /// Dataset or workload label.
-    pub workload: String,
-    /// The measurement.
-    pub throughput: Throughput,
 }
 
 /// Prints an aligned text table (header + rows) to stdout.
@@ -232,17 +183,28 @@ mod tests {
         assert_eq!(pct(1.0), "100.0");
     }
 
+    /// The only test that sets these process-wide variables, so it runs them one at a time.
     #[test]
-    fn throughput_rates_follow_counts() {
-        let t = Throughput::from_counts(2.0, 4_000, 40_000);
-        assert_eq!(t.records_per_sec, 2_000.0);
-        assert_eq!(t.pairs_per_sec, 20_000.0);
-        let zero = Throughput::from_counts(0.0, 10, 10);
-        assert_eq!(zero.records_per_sec, 0.0);
-        let (value, m) = Throughput::measure(8, 0, || 42);
-        assert_eq!(value, 42);
-        assert_eq!(m.records, 8);
-        assert!(m.seconds >= 0.0);
+    fn from_env_rejects_malformed_values_naming_the_variable() {
+        let malformed = [
+            ("SUDOWOODO_SCALE", "O.5"),
+            ("SUDOWOODO_QUICK", "yes"),
+            ("SUDOWOODO_SEED", "-1"),
+            ("SUDOWOODO_LABELS", "1e3"),
+        ];
+        for (name, value) in malformed {
+            std::env::set_var(name, value);
+            let error = HarnessConfig::from_env().expect_err(name);
+            std::env::remove_var(name);
+            assert!(error.contains(name) && error.contains(value), "{error}");
+        }
+        std::env::set_var("SUDOWOODO_SCALE", "0.5");
+        std::env::set_var("SUDOWOODO_QUICK", "TRUE");
+        let config = HarnessConfig::from_env();
+        std::env::remove_var("SUDOWOODO_SCALE");
+        std::env::remove_var("SUDOWOODO_QUICK");
+        let config = config.expect("well-formed values parse");
+        assert_eq!((config.scale, config.quick), (0.5, true));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! # sudowoodo-bench
 //!
-//! The experiment harness: one function (and one binary under `src/bin/`) per table and
-//! figure of the paper's evaluation section. Every function prints the same rows/series the
-//! paper reports and writes a machine-readable JSON copy under `target/experiments/`.
+//! The experiment harness: one function per table and figure of the paper's evaluation
+//! section ([`experiments`]), run by id through the `paper` binary, which prints the rows
+//! the paper reports and writes a JSON copy under `target/experiments/`. The crate's other
+//! binary, `perf_speedup`, is the CI perf gate; `benches/` holds the microbenchmarks.
 //!
-//! Runtime is controlled by two environment variables:
+//! Runtime is controlled by environment variables (a malformed value is an error):
 //!
 //! * `SUDOWOODO_SCALE` — dataset scale factor (default 0.2; the paper's datasets are larger
 //!   but the synthetic generators preserve their relative difficulty at any scale);
-//! * `SUDOWOODO_QUICK` — when set to `1`, restricts sweeps to fewer datasets / variants so a
-//!   full pass of all binaries completes in minutes on a laptop.
+//! * `SUDOWOODO_QUICK` — when `1` or `true`, restricts sweeps to fewer datasets / variants
+//!   so every table completes in minutes on a laptop;
+//! * `SUDOWOODO_SEED` and `SUDOWOODO_LABELS` — the base seed and the label budget.
 
 #![warn(missing_docs)]
 
