@@ -12,8 +12,8 @@
 //!   against a rebuild, and a warm-cache served batch against a direct cold join;
 //! * **host-normalised shares**: the `A * Bᵀ` kernel and a training step's forward +
 //!   backward as shares of one core's measured FMA peak, `Aᵀ·B` as a share of `matmul`,
-//!   the i8 tile's pairs per second over the f32 kernel's, and the optimizer's share of a
-//!   step;
+//!   the i8 tile's pairs per second over the f32 kernel's, the spilled i8 join's speed
+//!   over the spilled f32 join's, and the optimizer's share of a step;
 //! * **structural rows**: the quantized scan payload's density, and the connections the
 //!   idle-crowd sweep holds.
 //!
@@ -199,6 +199,15 @@ const PROBES: &[Probe] = &[
             assert_eq!(spilled.num_spilled_shards(), spilled.num_shards());
             knn_speedup(v, |queries| spilled.knn_join(queries, K))
         },
+    },
+    // The i8 tier beside the f32 tier it sits on, both spilled: never slower, the same rule
+    // as `i8_tile`.
+    Probe {
+        name: "knn_join 2k x 10k spilled+quantized cap=1024",
+        unit: "x spilled f32 join",
+        better: Higher,
+        floor: Some(1.0),
+        measure: spilled_quantized_join,
     },
     // A cold load reads the manifest only (O(shards)) but verifies its CRC-32 and every
     // payload's length, a few syscalls on a sub-millisecond measurement: ~3x here.
@@ -930,6 +939,36 @@ fn knn_speedup(v: &Vectors, join: impl Fn(&[Vec<f32>]) -> Vec<(usize, usize, f32
     )
 }
 
+/// The join over every shard spilled with the i8 tier against the same join without it,
+/// once the quantized join has answered the 64-query probe exactly like the dense index.
+fn spilled_quantized_join(f: &mut Fixtures) -> f64 {
+    let v = f.vectors();
+    let spilled = ShardedCosineIndex::from_vectors_with_budget(&v.corpus, 1024, Some(0));
+    let mut quantized = ShardedCosineIndex::from_vectors(&v.corpus, 1024);
+    quantized.set_quantization(Some(QuantSpec::default()));
+    quantized.set_memory_budget(Some(0));
+    quantized.compact();
+    let shards = quantized.num_shards();
+    assert_eq!(
+        (
+            quantized.num_spilled_shards(),
+            quantized.num_quantized_shards()
+        ),
+        (shards, shards)
+    );
+    let probe = &v.queries[..64];
+    assert_eq!(
+        quantized.knn_join(probe, K),
+        v.dense.knn_join(probe, K),
+        "quantized join diverged from dense"
+    );
+    best_ratio(
+        5,
+        || spilled.knn_join(&v.queries, K),
+        || quantized.knn_join(&v.queries, K),
+    )
+}
+
 /// The shared corpus, sharded with every shard spilled (what a memory-pressured builder
 /// writes), saved as a snapshot in a fresh directory.
 fn saved_snapshot(v: &Vectors, name: &str) -> (ShardedCosineIndex, PathBuf) {
@@ -1023,9 +1062,10 @@ mod tests {
         }
     }
 
-    /// Every gate the report had before its rows became data, with the same floor. The
-    /// first ten were `SPEEDUP_FLOORS`; `connections held` stands for "attached >=
-    /// clamp_idle_target(5000) with finite p50 / p99" (it reads NaN otherwise).
+    /// Every gate, with its floor: those the report had before its rows became data keep
+    /// theirs. The first ten were `SPEEDUP_FLOORS`; `connections held` stands for
+    /// "attached >= clamp_idle_target(5000) with finite p50 / p99" (it reads NaN
+    /// otherwise).
     #[test]
     fn every_gate_keeps_its_floor() {
         let gates = [
@@ -1037,6 +1077,7 @@ mod tests {
             ("knn_join 2k x 10k dense", Higher, 10.0),
             ("knn_join 2k x 10k sharded cap=1024", Higher, 7.0),
             ("knn_join 2k x 10k spilled+routed cap=1024", Higher, 2.0),
+            ("knn_join 2k x 10k spilled+quantized cap=1024", Higher, 1.0),
             ("snapshot load 10k corpus", Higher, 2.0),
             ("served knn_join warm cache 2k x 10k", Higher, 2.0),
             ("abt_kernel 256x4096x64, one core", Higher, 0.35),

@@ -388,7 +388,7 @@ impl Encoder {
     }
 
     /// The retired per-sequence inference loop, kept verbatim as the frozen oracle for the
-    /// batched-attention equivalence tests and the `perf_speedup` baseline (the role
+    /// batched-attention equivalence tests and the `microbench` baseline (the role
     /// [`Matrix::matmul_naive`] plays for the GEMM kernels). Do not optimize this.
     pub fn infer_chunk_reference(&self, texts: &[String]) -> Matrix {
         let n = texts.len();

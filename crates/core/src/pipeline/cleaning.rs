@@ -284,4 +284,18 @@ mod tests {
         // expansion must stop once the cap is hit.
         assert!(corpus.len() <= dataset.dirty.num_rows() + 53);
     }
+
+    /// Regression: the candidates were a `HashMap`, whose iteration order is seeded per
+    /// instance, so the capped corpus (and every cleaning result) changed run to run.
+    #[test]
+    fn corpus_is_the_same_for_the_same_dataset_seed() {
+        let pipeline = CleaningPipeline::new(tiny_config());
+        let dataset = || CleaningProfile::beers().generate(0.06, 11);
+        let first = pipeline.build_corpus(&dataset());
+        assert!(
+            first.len() > dataset().dirty.num_rows(),
+            "the cap must leave room for candidates"
+        );
+        assert_eq!(first, pipeline.build_corpus(&dataset()));
+    }
 }

@@ -7,7 +7,7 @@
 //! candidate-correction generator emulating Baran's external error-correction tools with a
 //! controllable coverage and candidate-set size (the facets reported in Tables III and XIV).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -72,7 +72,8 @@ pub struct CleaningDataset {
     pub errors: Vec<CellError>,
     /// Candidate corrections per cell `(row, col)`. Every erroneous cell has an entry;
     /// a fraction of clean cells also has (distractor) candidates, as Baran's generators do.
-    pub candidates: HashMap<(usize, usize), Vec<String>>,
+    /// Ordered by cell, so every walk over it is the same from one process to the next.
+    pub candidates: BTreeMap<(usize, usize), Vec<String>>,
 }
 
 /// Summary statistics in the layout of Tables III / XIV.
@@ -333,7 +334,7 @@ impl CleaningProfile {
         // Candidate corrections: for erroneous cells, include the truth with prob `coverage`
         // plus distractors; a fraction of clean cells also receive (pure-distractor)
         // candidate sets so that the matcher must learn to reject corrections on clean cells.
-        let mut candidates: HashMap<(usize, usize), Vec<String>> = HashMap::new();
+        let mut candidates: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
         let error_lookup: HashMap<(usize, usize), &CellError> =
             errors.iter().map(|e| ((e.row, e.col), e)).collect();
         for (row, col) in cells.iter().copied() {

@@ -614,7 +614,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // Ids in no particular order (a gathered rescore set), distinct per row.
+            // Ids in no particular order (a query's rescore list), distinct per row.
             let mut ids: Vec<usize> = (0..n * rows.len()).map(|i| i * 3 + 1).collect();
             for i in (1..ids.len()).rev() {
                 ids.swap(i, rng.gen_range(0..=i));

@@ -62,7 +62,7 @@ use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView};
+use sudowoodo_nn::matrix::{I8Tile, Matrix};
 
 use crate::cache::{fingerprint, QueryCache};
 use crate::knn::{check_row_dim, pack_query_block, padded_rows, Neighbor, TopK};
@@ -153,8 +153,9 @@ pub struct RoutingReport {
     /// Quantized first-stage scans that actually ran: one per (quantized shard, query
     /// tile) visit. Zero means every visited shard was scored on the dense path.
     pub quant_scans: u64,
-    /// Rows gathered for the exact f32 rescore by quantized scans — the second-stage
-    /// work. Compare against `live x tiles` to see what the i8 stage filtered out.
+    /// Distinct exact f32 rows read by the rescore of quantized scans, summed over
+    /// visits — rows some query of the tile kept. Compare against `live x tiles` to see
+    /// what the i8 stage filtered out.
     pub rescored_rows: u64,
     /// Positions of the shards **currently** quarantined — live state, not a counter:
     /// populated while the index is serving degraded results and emptied when
@@ -478,13 +479,11 @@ struct QuantScratch {
     lanes: Vec<QuantLane>,
     /// Strip positions one query's sweep has to look at.
     hits: Vec<usize>,
-    /// Per shard row: some query kept it.
+    /// Per shard row: some query kept it (counts the distinct rows rescored).
     candidate: Vec<bool>,
-    /// The candidate rows, ascending — the second stage's gather list.
-    rescore: Vec<usize>,
-    /// The candidates' exact rows, zero-padded to the kernel row group.
-    gathered: Vec<f32>,
-    /// The `queries x gathered` tile of exact kernel scores.
+    /// One query's kept rows, the second stage's rescore list.
+    rows: Vec<usize>,
+    /// Their exact kernel scores.
     exact: Vec<f32>,
 }
 
@@ -1601,12 +1600,12 @@ impl ShardedCosineIndex {
     ///
     /// Ties with the threshold are kept (`>=`), and all comparisons run in f64.
     ///
-    /// **Stage 2** gathers the union of survivors from the exact f32 tier, zero-pads
-    /// the gather to the kernel row-group width (so every gathered row is scored by
-    /// the same per-row-independent `dot4` microkernel as in a full-shard scan —
-    /// bit-identical scores), and offers the exact scores to every selector. Offering
-    /// the cross-query union is superset-safe: extra exact-scored rows are exactly
-    /// what the dense path offers anyway.
+    /// **Stage 2** scores each query against its own survivors only, straight from the
+    /// exact f32 tier, and offers them to that query's selector. The scores come from
+    /// [`dot4_rows`](sudowoodo_nn::matrix::MatrixView::dot4_rows), the per-row-independent
+    /// `dot4` microkernel of a full-shard scan, so they are bit-identical. A row the
+    /// query dropped cannot be in its top-k after this visit, so every selector ends the
+    /// visit holding what the dense path leaves in it.
     fn offer_shard_quantized(
         &self,
         shard: &Shard,
@@ -1615,7 +1614,6 @@ impl ShardedCosineIndex {
         selectors: &mut [TopK],
         scratch: &mut QuantScratch,
     ) -> Result<(), crate::storage::StorageError> {
-        let dim = self.dim;
         let k = selectors.first().map_or(0, TopK::capacity);
         let alpha = self.quantization.unwrap_or_default().alpha.max(1);
         quant_survivors(
@@ -1629,57 +1627,39 @@ impl ShardedCosineIndex {
         let QuantScratch {
             lanes,
             candidate,
-            rescore,
-            gathered,
+            rows,
             exact,
             ..
         } = scratch;
         candidate.clear();
         candidate.resize(shard.ids.len(), false);
-        for lane in lanes.iter() {
-            for &(_, row) in &lane.kept {
-                candidate[row] = true;
-            }
+        let mut distinct = 0;
+        for &(_, row) in lanes.iter().flat_map(|lane| &lane.kept) {
+            distinct += u64::from(!std::mem::replace(&mut candidate[row], true));
         }
-        rescore.clear();
-        rescore.extend((0..candidate.len()).filter(|&row| candidate[row]));
         self.counters.quant_scans.fetch_add(1, Ordering::Relaxed);
         self.counters
             .rescored_rows
-            .fetch_add(rescore.len() as u64, Ordering::Relaxed);
-        if rescore.is_empty() {
+            .fetch_add(distinct, Ordering::Relaxed);
+        if distinct == 0 {
             return Ok(());
         }
-        // For a spilled shard this faults exact rows through the shared mapping (page
+        // For a spilled shard this reads exact rows through the shared mapping (page
         // cache, not heap) — the resident scanning footprint stays the i8 tier.
-        let padded = padded_rows(rescore.len());
-        gathered.clear();
         shard.storage.with_exact(|view| {
-            for &row in rescore.iter() {
-                gathered.extend_from_slice(view.row(row));
+            for ((r, selector), lane) in selectors.iter_mut().enumerate().zip(lanes.iter()) {
+                rows.clear();
+                rows.extend(lane.kept.iter().map(|&(_, row)| row));
+                exact.resize(rows.len(), 0.0);
+                view.dot4_rows(queries.q_block.row(r), rows, exact);
+                selector.offer_scaled_row(
+                    exact,
+                    queries.inv_norms[r],
+                    |j| shard.ids[rows[j]],
+                    None,
+                );
             }
-        })?;
-        gathered.resize(padded * dim, 0.0);
-        // Every element is overwritten by the product; only the length matters.
-        exact.resize(selectors.len() * padded, 0.0);
-        queries
-            .q_block
-            .view()
-            .matmul_transpose_b_into(&MatrixView::new(padded, dim, gathered), exact);
-        for ((r, selector), scores) in selectors
-            .iter_mut()
-            .enumerate()
-            .zip(exact.chunks_exact(padded))
-        {
-            let scores = &scores[..rescore.len()];
-            selector.offer_scaled_row(
-                scores,
-                queries.inv_norms[r],
-                |j| shard.ids[rescore[j]],
-                None,
-            );
-        }
-        Ok(())
+        })
     }
 
     /// Scores the `candidates` shard positions against one query tile with
@@ -2536,6 +2516,30 @@ mod tests {
                 "rows at the retained exact score stay candidates"
             );
         }
+    }
+
+    #[test]
+    fn rescored_rows_counts_the_union_of_the_survivor_lists() {
+        // One shard and one query tile: every selector is empty when the shard is
+        // visited, and the rescore reads each row some query kept exactly once.
+        let (rows, k) = (QUANT_STRIP_ROWS + 40, 4);
+        let (index, _, codes, _) = quant_fixture(rows, 300, 8, k);
+        let shard = &index.shards[0];
+        let quant = shard.storage.quant().unwrap().unwrap();
+        let empty: Vec<TopK> = (0..codes.scales.len()).map(|_| TopK::new(k)).collect();
+        let lists = quant_survivors_oracle(shard, quant, &codes, &empty, 2 * k);
+        let mut union = lists.concat();
+        union.sort_unstable();
+        union.dedup();
+        assert!(lists.iter().map(Vec::len).sum::<usize>() > union.len());
+        assert!(union.len() < rows);
+
+        let _ = index.knn_join(&vectors(codes.scales.len(), 8, 92), k);
+        let report = index.routing_report();
+        assert_eq!(
+            (report.quant_scans, report.rescored_rows),
+            (1, union.len() as u64)
+        );
     }
 
     #[test]

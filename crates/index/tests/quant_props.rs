@@ -180,6 +180,28 @@ fn clustered_corpus_with_spill_and_routing_is_bit_identical() {
         report.spill_faults > 0,
         "spilled shards must have faulted in"
     );
+
+    // Every selector holds after every shard what it holds without the i8 tier, so
+    // routing visits, prunes and faults exactly the shards it does on f32 shards.
+    let mut exact = ShardedCosineIndex::from_vectors(&corpus, 32);
+    exact.set_memory_budget(Some(0));
+    exact.compact();
+    assert_eq!(exact.num_spilled_shards(), exact.num_shards());
+    assert_bit_identical(&exact.knn_join(&queries, 10), &expected, "spilled f32");
+    let exact_report = exact.routing_report();
+    assert_eq!(
+        (
+            report.shards_visited,
+            report.shards_pruned,
+            report.spill_faults
+        ),
+        (
+            exact_report.shards_visited,
+            exact_report.shards_pruned,
+            exact_report.spill_faults
+        ),
+        "quantized {report:?} vs f32 {exact_report:?}"
+    );
 }
 
 #[test]

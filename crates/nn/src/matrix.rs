@@ -1087,6 +1087,30 @@ impl<'a> MatrixView<'a> {
             );
         });
     }
+
+    /// Scores one row `a` against the listed rows of this view, `out[i] = a · row(rows[i])`,
+    /// four rows at a time through the `A * B^T` kernel's `dot4`; a short last group
+    /// repeats its last row (`dot4`'s lanes are independent). Every score therefore has
+    /// the bits [`Self::matmul_transpose_b_into`] gives that row in a product against a
+    /// matrix padded to whole row quads, while only the listed rows are read. Rows may be
+    /// listed in any order and more than once.
+    ///
+    /// # Panics
+    /// Panics when `a` is not `cols()` long, `out` is not `rows.len()` long, or a listed
+    /// row is out of range.
+    pub fn dot4_rows(&self, a: &[f32], rows: &[usize], out: &mut [f32]) {
+        assert!(
+            a.len() == self.cols && out.len() == rows.len(),
+            "dot4_rows: expected a {}-wide row and one output per listed row",
+            self.cols
+        );
+        let arm = Arm::current();
+        for (group, out) in rows.chunks(4).zip(out.chunks_mut(4)) {
+            let row = |i: usize| self.row(group[i.min(group.len() - 1)]);
+            let scores = kernels::dot4(arm, a, row(0), row(1), row(2), row(3));
+            out.copy_from_slice(&scores[..group.len()]);
+        }
+    }
 }
 
 /// One band of `A * B^T`: the `m` rows of `a` against all of `b`, strip by strip. Row

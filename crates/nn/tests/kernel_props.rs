@@ -10,7 +10,9 @@
 //! `A * B^T` is held to a stricter contract: its register-tiled arms must match the
 //! frozen row-at-a-time reference (`Matrix::matmul_transpose_b_reference`) **bit for
 //! bit**, because the dense, sharded and distributed joins are proven identical on
-//! the assumption that a score does not depend on which tile computed it.
+//! the assumption that a score does not depend on which tile computed it. For the same
+//! reason `MatrixView::dot4_rows`, which scores a list of rows, gives each row the bits
+//! of the whole product.
 //!
 //! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
 //! every arm returns `Matrix::dot_i8` of the two rows for every output.
@@ -217,6 +219,44 @@ fn tiled_transpose_b_matches_the_reference_on_non_finite_and_denormal_rows() {
         b.set(3 * i + 1, k - 1 - i % 5, v);
     }
     assert_arms_match_reference(&a, &b.view(), "non-finite rows");
+}
+
+#[test]
+fn dot4_rows_has_the_bits_of_the_padded_product_on_every_arm() {
+    // The per-query rescore: each listed row must score exactly as it does in a product
+    // against the whole matrix padded to row quads, for a query alone and for each
+    // query of a 9-row block (the 8-row tile and a leftover row). Every list length up
+    // to 9 (each short last group), rows unsorted and repeated, at contraction lengths
+    // on both sides of the 8-lane chunk.
+    let mut rng = StdRng::seed_from_u64(17);
+    let (n, padded) = (23usize, 24usize);
+    let list = [17usize, 3, 3, 22, 0, 9, 17, 5, 21];
+    for &k in &[1usize, 7, 8, 31, 64, 67] {
+        let (mut b_buf, b_off) = offset_operand(padded, k, &mut rng);
+        b_buf[b_off + n * k..b_off + padded * k].fill(0.0);
+        let b = MatrixView::new(padded, k, &b_buf[b_off..b_off + padded * k]);
+        let block = Matrix::random_uniform(9, k, 1.0, &mut rng);
+        for_each_supported_arm(|arm| {
+            for a in [block.slice_rows(0, 1), block.clone()] {
+                let full = a.matmul_transpose_b_view(&b);
+                for r in 0..a.rows() {
+                    for len in 1..=list.len() {
+                        let rows = &list[..len];
+                        let mut out = vec![f32::NAN; len];
+                        b.dot4_rows(a.row(r), rows, &mut out);
+                        let want: Vec<u32> =
+                            rows.iter().map(|&j| full.get(r, j).to_bits()).collect();
+                        let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                        let m = a.rows();
+                        assert_eq!(
+                            got, want,
+                            "k = {k}, query {r} of {m}, rows {rows:?} [{arm:?}]"
+                        );
+                    }
+                }
+            }
+        });
+    }
 }
 
 /// `rows x k` random codes (both extremes included) starting at an odd address inside
