@@ -10,7 +10,7 @@ use std::io;
 use std::path::Path;
 
 use crate::knn::{CosineIndex, Neighbor};
-use crate::sharded::{JoinOutcome, QuantSpec, RemoveError, ShardedCosineIndex};
+use crate::sharded::{join_concatenated, JoinOutcome, QuantSpec, RemoveError, ShardedCosineIndex};
 use crate::snapshot;
 
 /// An exact cosine kNN index in either layout, behind the common search API.
@@ -183,14 +183,9 @@ impl BlockingIndex {
     /// corpus in memory and has no storage faults to degrade around, so its outcome
     /// is always complete (`degraded == false`).
     pub fn knn_join_report(&self, queries: &[Vec<f32>], k: usize) -> JoinOutcome {
-        match self {
-            BlockingIndex::Dense(index) => JoinOutcome {
-                pairs: index.knn_join(queries, k),
-                degraded: false,
-                quarantined_shards: Vec::new(),
-            },
-            BlockingIndex::Sharded(index) => index.knn_join_report(queries, k),
-        }
+        self.knn_join_batches(&[queries], k, None)
+            .pop()
+            .expect("one batch, one outcome")
     }
 
     /// Number of shard positions a scatter-gather coordinator can address: the shard
@@ -216,52 +211,41 @@ impl BlockingIndex {
         k: usize,
         shard_subset: &[usize],
     ) -> JoinOutcome {
-        match self {
-            BlockingIndex::Dense(index) => {
-                if let Some(&bad) = shard_subset.iter().find(|&&s| s >= 1) {
-                    panic!(
-                        "BlockingIndex::knn_join_subset_report: shard position {bad} out \
-                         of range (dense layout has 1 shard)"
-                    );
-                }
-                JoinOutcome {
-                    pairs: if shard_subset.is_empty() {
-                        Vec::new()
-                    } else {
-                        index.knn_join(queries, k)
-                    },
-                    degraded: false,
-                    quarantined_shards: Vec::new(),
-                }
-            }
-            BlockingIndex::Sharded(index) => index.knn_join_subset_report(queries, k, shard_subset),
-        }
+        self.knn_join_batches(&[queries], k, Some(shard_subset))
+            .pop()
+            .expect("one batch, one outcome")
     }
 
-    /// Pure query-cache peek — see [`ShardedCosineIndex::cached_knn_join`]. Always
-    /// `None` on the dense layout (no cache).
-    pub fn cached_knn_join(
+    /// Several query batches sharing `k` and one shard scope, answered as one job —
+    /// see [`ShardedCosineIndex::knn_join_batches`]. The dense layout has no cache: it
+    /// runs one join over the concatenated batches, or none for a subset without
+    /// position `0`.
+    ///
+    /// # Panics
+    /// As [`BlockingIndex::knn_join_subset_report`].
+    pub fn knn_join_batches(
         &self,
-        queries: &[Vec<f32>],
+        batches: &[&[Vec<f32>]],
         k: usize,
-    ) -> Option<Vec<(usize, usize, f32)>> {
-        match self {
-            BlockingIndex::Dense(_) => None,
-            BlockingIndex::Sharded(index) => index.cached_knn_join(queries, k),
+        shards: Option<&[usize]>,
+    ) -> Vec<JoinOutcome> {
+        let index = match self {
+            BlockingIndex::Dense(index) => index,
+            BlockingIndex::Sharded(index) => return index.knn_join_batches(batches, k, shards),
+        };
+        if let Some(&bad) = shards.unwrap_or_default().iter().find(|&&s| s >= 1) {
+            panic!(
+                "BlockingIndex::knn_join_subset_report: shard position {bad} out of range \
+                 (dense layout has 1 shard)"
+            );
         }
-    }
-
-    /// Records a batch's `knn_join` result in the query cache — see
-    /// [`ShardedCosineIndex::cache_join_result`]. No-op on the dense layout.
-    pub fn cache_join_result(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        results: Vec<(usize, usize, f32)>,
-    ) {
-        if let BlockingIndex::Sharded(index) = self {
-            index.cache_join_result(queries, k, results);
+        if shards.is_some_and(<[usize]>::is_empty) {
+            return vec![JoinOutcome::default(); batches.len()];
         }
+        join_concatenated(batches, |queries| JoinOutcome {
+            pairs: index.knn_join(queries, k),
+            ..JoinOutcome::default()
+        })
     }
 }
 

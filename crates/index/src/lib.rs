@@ -27,9 +27,9 @@
 //!   per-shard payloads in the spill format, saved by one process and loaded **cold**
 //!   (O(manifest)) by any number of others — the durable half of the serving story
 //!   (the network half is the `sudowoodo-serve` crate).
-//! * [`cache`] — the query-batch result cache consulted by the sharded `knn_join`
-//!   ahead of routing: normalized-query fingerprints, LRU capacity, invalidated by the
-//!   index's mutation epoch.
+//! * [`cache`] — the query-batch result cache every sharded join consults ahead of
+//!   routing: fingerprints of the normalized queries and the scored shard positions,
+//!   LRU capacity, invalidated by the index's mutation epoch.
 //! * [`blocking::BlockingIndex`] — both layouts behind one search API, so pipelines pick
 //!   the corpus layout (and memory budget) with configuration values.
 //! * [`knn::evaluate_blocking`] — recall / candidate-set-size-ratio scoring of a

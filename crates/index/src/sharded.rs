@@ -124,15 +124,18 @@ impl std::error::Error for RemoveError {}
 ///
 /// * **Scan counters** (`shards_visited`, `shards_pruned`, `spill_faults`,
 ///   `shards_quarantined`, `quant_scans`, `rescored_rows`) are **per join**: every
-///   [`ShardedCosineIndex::knn_join_report`] / subset join zeroes them on entry, so a
-///   report read after a join describes exactly that join on a reused handle.
+///   join entry ([`ShardedCosineIndex::knn_join_batches`] and the calls built on it)
+///   zeroes them on entry, so a report read after a join describes exactly that join
+///   on a reused handle.
 /// * **Cache counters** (`cache_hits`, `cache_misses`) are **cumulative** since
 ///   construction or the last [`ShardedCosineIndex::reset_routing_report`] — hit-rate
 ///   over a serving window is their whole point, and a cache hit returns before any
 ///   scan happens.
 ///
 /// Shard counts are per *visit opportunity*: one shard scored (or skipped) for one
-/// query tile. Cache counts are per `knn_join` call while the cache is enabled.
+/// query tile. Cache counts are per query batch while the cache is enabled: one lookup
+/// per `knn_join` call, and one per batch of a [`ShardedCosineIndex::knn_join_batches`]
+/// job.
 /// Quarantine fields are the failure-model half of the report: which shards have been
 /// taken out of service because their storage could not be read (see [`JoinOutcome`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -143,9 +146,9 @@ pub struct RoutingReport {
     pub shards_pruned: u64,
     /// Spilled shards read back from disk (pruned shards never count here).
     pub spill_faults: u64,
-    /// `knn_join` calls answered from the query-batch cache (no shard was touched).
+    /// Query batches answered from the query-batch cache (no shard was touched).
     pub cache_hits: u64,
-    /// `knn_join` calls that missed the enabled query-batch cache and were computed.
+    /// Query batches that missed the enabled query-batch cache and were computed.
     pub cache_misses: u64,
     /// Shard-quarantine events (a shard whose storage stayed unreadable through the
     /// retry backoff and was taken out of service).
@@ -161,6 +164,38 @@ pub struct RoutingReport {
     /// populated while the index is serving degraded results and emptied when
     /// [`ShardedCosineIndex::compact`] recovers or drops the shards.
     pub quarantined_shards: Vec<usize>,
+}
+
+/// Runs `join` once over the concatenation of `batches` and splits its pairs back per
+/// batch, with query indices local to each batch; a lone batch runs without a copy.
+/// `join` returns its pairs ordered by query index, as every join here does, and each
+/// batch shares the whole join's degraded status.
+pub(crate) fn join_concatenated(
+    batches: &[&[Vec<f32>]],
+    join: impl FnOnce(&[Vec<f32>]) -> JoinOutcome,
+) -> Vec<JoinOutcome> {
+    let whole = match batches {
+        [] => return Vec::new(),
+        [batch] => return vec![join(batch)],
+        _ => join(&batches.concat()),
+    };
+    let mut pairs = whole.pairs.into_iter().peekable();
+    let mut base = 0;
+    batches
+        .iter()
+        .map(|batch| {
+            let end = base + batch.len();
+            let own = std::iter::from_fn(|| pairs.next_if(|&(q, _, _)| q < end))
+                .map(|(q, id, score)| (q - base, id, score))
+                .collect();
+            base = end;
+            JoinOutcome {
+                pairs: own,
+                degraded: whole.degraded,
+                quarantined_shards: whole.quarantined_shards.clone(),
+            }
+        })
+        .collect()
 }
 
 #[derive(Debug, Default)]
@@ -857,52 +892,6 @@ impl ShardedCosineIndex {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Pure cache peek: the cached [`Self::knn_join`] result for exactly this batch,
-    /// if one was computed under the current epoch. **Never computes anything** and
-    /// never touches a shard. Request coalescers (the `sudowoodo-serve` join worker)
-    /// use this to answer cache-hitting requests individually and merge only the
-    /// misses — merging a hit into a bigger batch would change the fingerprint and
-    /// waste the cached work.
-    pub fn cached_knn_join(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-    ) -> Option<Vec<(usize, usize, f32)>> {
-        if !self.cache.is_enabled() || k == 0 || self.is_empty() || queries.is_empty() {
-            return None;
-        }
-        let hit = self
-            .cache
-            .lookup(fingerprint(queries, k, self.dim), self.epoch());
-        if hit.is_some() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Records `results` as the cached [`Self::knn_join`] answer for `(queries, k)`
-    /// under the current epoch — the insert half of [`Self::cached_knn_join`], for
-    /// request coalescers that computed a batch *inside a merged join* and want the
-    /// individual batch to hit next time (caching only the merged fingerprint would
-    /// miss every per-client repeat).
-    ///
-    /// `results` must be exactly what `knn_join(queries, k)` returns right now; per-
-    /// query scoring is batch-composition-independent (each query row is scored and
-    /// selected on its own), so a faithfully split merged result satisfies that.
-    /// No-op when the cache is disabled or the request is degenerate.
-    pub fn cache_join_result(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        results: Vec<(usize, usize, f32)>,
-    ) {
-        if !self.cache.is_enabled() || k == 0 || self.is_empty() || queries.is_empty() {
-            return;
-        }
-        self.cache
-            .insert(fingerprint(queries, k, self.dim), self.epoch(), results);
-    }
-
     /// Persists the whole index into `dir` (created if missing): a versioned manifest
     /// (dims, shard capacity, id maps, tombstones, routing statistics) plus one payload
     /// file per shard in the [`crate::storage`] spill format — see [`crate::snapshot`]
@@ -1421,40 +1410,9 @@ impl ShardedCosineIndex {
     /// later non-degraded join repairs the answer. [`Self::compact`] retries and then
     /// recovers or drops quarantined shards.
     pub fn knn_join_report(&self, queries: &[Vec<f32>], k: usize) -> JoinOutcome {
-        // Scan counters describe one join at a time on a reused handle; cache counters
-        // keep accumulating (see `RoutingReport`).
-        self.counters.reset_scan();
-        if k == 0 || self.is_empty() || queries.is_empty() {
-            return JoinOutcome::default();
-        }
-        // Query-batch cache, consulted ahead of routing: a repeated batch answers
-        // without touching a single shard (see `crate::cache` for keying and the
-        // epoch-invalidation argument). Disabled (capacity 0) by default. Only
-        // non-degraded results are ever inserted, so a hit is always a complete
-        // answer (computed while every shard it covered was readable).
-        let cache_key = if self.cache.is_enabled() {
-            let key = fingerprint(queries, k, self.dim);
-            if let Some(hit) = self.cache.lookup(key, self.epoch()) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return JoinOutcome {
-                    pairs: hit,
-                    degraded: false,
-                    quarantined_shards: Vec::new(),
-                };
-            }
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            Some(key)
-        } else {
-            None
-        };
-        let all_shards: Vec<usize> = (0..self.shards.len()).collect();
-        let outcome = self.join_shards(queries, k, &all_shards);
-        if let Some(key) = cache_key {
-            if !outcome.degraded {
-                self.cache.insert(key, self.epoch(), outcome.pairs.clone());
-            }
-        }
-        outcome
+        self.knn_join_batches(&[queries], k, None)
+            .pop()
+            .expect("one batch, one outcome")
     }
 
     /// [`Self::knn_join_report`] restricted to a subset of **shard positions** — the
@@ -1466,9 +1424,9 @@ impl ShardedCosineIndex {
     ///
     /// Shard positions refer to the current shard layout (stable for a cold-loaded
     /// snapshot, which is the distributed deployment model). Duplicates in
-    /// `shard_subset` are ignored. The query-batch cache is **bypassed** in both
-    /// directions: its fingerprint does not include the subset, so a subset answer
-    /// must never be served from — or inserted as — a whole-index result.
+    /// `shard_subset` are ignored. The query-batch cache keys the subset, so a subset
+    /// answer is cached like a whole-index one and can never alias one (a subset that
+    /// names every shard *is* the whole index and shares its entry).
     ///
     /// `degraded` / `quarantined_shards` report quarantined shards *within the
     /// subset* only, so a coordinator can attribute the loss to the owning process.
@@ -1482,24 +1440,90 @@ impl ShardedCosineIndex {
         k: usize,
         shard_subset: &[usize],
     ) -> JoinOutcome {
-        self.counters.reset_scan();
-        let mut subset: Vec<usize> = shard_subset.to_vec();
-        subset.sort_unstable();
-        subset.dedup();
-        if let Some(&bad) = subset.iter().find(|&&s| s >= self.shards.len()) {
-            panic!(
-                "ShardedCosineIndex::knn_join_subset_report: shard position {bad} out of \
-                 range (index has {} shards)",
-                self.shards.len()
-            );
-        }
-        if k == 0 || self.is_empty() || queries.is_empty() || subset.is_empty() {
-            return JoinOutcome::default();
-        }
-        self.join_shards(queries, k, &subset)
+        self.knn_join_batches(&[queries], k, Some(shard_subset))
+            .pop()
+            .expect("one batch, one outcome")
     }
 
-    /// The join both entry points run: query tiles in parallel, each scanning the
+    /// Answers several query batches that share `k` and one shard scope (`None` for
+    /// the whole index, else a subset as in [`Self::knn_join_subset_report`]) as one
+    /// job — the entry a request coalescer, such as the `sudowoodo-serve` join
+    /// worker, hands every queued request that can share a join.
+    ///
+    /// Each batch is looked up in the query cache on its own and counts one hit or
+    /// one miss. The batches that miss are concatenated into **one** join, split
+    /// back, and cached under their own keys: a client repeats its own batch, never
+    /// the combination it was coalesced into. Each outcome is bit-identical to what
+    /// the batch would get alone (a query is scored and selected on its own); when
+    /// the shared join is degraded, so is every batch it answered.
+    ///
+    /// # Panics
+    /// As [`Self::knn_join_subset_report`].
+    pub fn knn_join_batches(
+        &self,
+        batches: &[&[Vec<f32>]],
+        k: usize,
+        shards: Option<&[usize]>,
+    ) -> Vec<JoinOutcome> {
+        // Scan counters describe one join at a time on a reused handle; cache counters
+        // keep accumulating (see `RoutingReport`).
+        self.counters.reset_scan();
+        let scope: Vec<usize> = match shards {
+            None => (0..self.shards.len()).collect(),
+            Some(subset) => {
+                let mut subset = subset.to_vec();
+                subset.sort_unstable();
+                subset.dedup();
+                if let Some(&bad) = subset.iter().find(|&&s| s >= self.shards.len()) {
+                    panic!(
+                        "ShardedCosineIndex::knn_join_subset_report: shard position {bad} \
+                         out of range (index has {} shards)",
+                        self.shards.len()
+                    );
+                }
+                subset
+            }
+        };
+        let mut outcomes = vec![JoinOutcome::default(); batches.len()];
+        if k == 0 || self.is_empty() || scope.is_empty() {
+            return outcomes;
+        }
+        // The query-batch cache, consulted ahead of routing: a repeated batch answers
+        // without touching a single shard (see `crate::cache` for keying and the
+        // epoch-invalidation argument). Disabled (capacity 0) by default. Only
+        // non-degraded results are ever inserted, so a hit is always a complete answer.
+        let epoch = self.epoch();
+        let mut misses = Vec::new();
+        for (i, batch) in batches.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+            let key = self
+                .cache
+                .is_enabled()
+                .then(|| fingerprint(batch, k, self.dim, &scope));
+            match key.and_then(|key| self.cache.lookup(key, epoch)) {
+                Some(hit) => {
+                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    outcomes[i].pairs = hit;
+                }
+                None => {
+                    if key.is_some() {
+                        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    misses.push((i, key));
+                }
+            }
+        }
+        let missed: Vec<&[Vec<f32>]> = misses.iter().map(|&(i, _)| batches[i]).collect();
+        let computed = join_concatenated(&missed, |queries| self.join_shards(queries, k, &scope));
+        for ((i, key), outcome) in misses.into_iter().zip(computed) {
+            if let (Some(key), false) = (key, outcome.degraded) {
+                self.cache.insert(key, epoch, outcome.pairs.clone());
+            }
+            outcomes[i] = outcome;
+        }
+        outcomes
+    }
+
+    /// The join every entry point runs: query tiles in parallel, each scanning the
     /// `shards` positions best-bound-first ([`Self::offer_shards_routed`]); the outcome is
     /// degraded when any of `shards` is quarantined.
     fn join_shards(&self, queries: &[Vec<f32>], k: usize, shards: &[usize]) -> JoinOutcome {

@@ -185,15 +185,79 @@ fn blocking_api_exposes_the_cache_only_on_the_sharded_layout() {
     let expected = dense.knn_join(&queries, 5);
     assert_eq!(sharded.knn_join(&queries, 5), expected, "miss");
     assert_eq!(sharded.knn_join(&queries, 5), expected, "hit");
-    assert_eq!(
-        sharded.cached_knn_join(&queries, 5),
-        Some(expected.clone()),
-        "peek sees the cached batch"
-    );
-    assert_eq!(
-        dense.cached_knn_join(&queries, 5),
-        None,
-        "dense never caches"
-    );
+    let BlockingIndex::Sharded(inner) = &sharded else {
+        unreachable!("built with a shard capacity")
+    };
+    let report = inner.routing_report();
+    assert_eq!((report.cache_misses, report.cache_hits), (1, 1));
     assert_eq!(dense.knn_join(&queries, 5), expected);
+}
+
+#[test]
+fn subset_joins_are_cached_under_their_own_scope() {
+    let corpus = vectors(80, 6, 11);
+    let queries = vectors(9, 6, 12);
+    let uncached = ShardedCosineIndex::from_vectors(&corpus, 16);
+    let mut index = ShardedCosineIndex::from_vectors(&corpus, 16);
+    index.set_query_cache_capacity(8);
+    assert_eq!(index.num_shards(), 5);
+    let counts = |index: &ShardedCosineIndex| {
+        let report = index.routing_report();
+        (report.cache_misses, report.cache_hits)
+    };
+
+    let subset = uncached.knn_join_subset_report(&queries, 4, &[2, 0]);
+    assert_eq!(index.knn_join_subset_report(&queries, 4, &[2, 0]), subset);
+    assert_eq!(
+        index.knn_join_subset_report(&queries, 4, &[0, 2, 2]),
+        subset,
+        "the same subset, unsorted or repeated, is the same entry"
+    );
+    assert_eq!(counts(&index), (1, 1));
+
+    // The whole index is a different scope from any proper subset...
+    let whole = uncached.knn_join_report(&queries, 4);
+    assert_ne!(whole.pairs, subset.pairs);
+    assert_eq!(index.knn_join_report(&queries, 4), whole);
+    assert_eq!(counts(&index), (2, 1));
+    // ...and the same scope as a subset that names every shard.
+    assert_eq!(
+        index.knn_join_subset_report(&queries, 4, &[4, 3, 2, 1, 0]),
+        whole
+    );
+    assert_eq!(counts(&index), (2, 2));
+    assert_eq!(index.query_cache_len(), 2);
+}
+
+#[test]
+fn coalesced_batches_are_looked_up_and_cached_one_by_one() {
+    let corpus = vectors(100, 8, 13);
+    let batches: Vec<Vec<Vec<f32>>> = (0..3).map(|s| vectors(5 + s as usize, 8, 30 + s)).collect();
+    let uncached = ShardedCosineIndex::from_vectors(&corpus, 16);
+    let mut index = ShardedCosineIndex::from_vectors(&corpus, 16);
+    index.set_query_cache_capacity(3);
+    index.knn_join(&batches[1], 4); // warm one of the three
+
+    let views: Vec<&[Vec<f32>]> = batches.iter().map(Vec::as_slice).collect();
+    let outcomes = index.knn_join_batches(&views, 4, None);
+    for (batch, outcome) in batches.iter().zip(&outcomes) {
+        assert_eq!(
+            *outcome,
+            uncached.knn_join_report(batch, 4),
+            "split == alone"
+        );
+    }
+    let report = index.routing_report();
+    assert_eq!(
+        (report.cache_misses, report.cache_hits),
+        (3, 1),
+        "one lookup per batch: the warm-up miss, then one hit and two misses"
+    );
+    // Each batch is cached under its own key and nothing else: the three fit the
+    // capacity, so every one of them now hits.
+    assert_eq!(index.query_cache_len(), 3);
+    for batch in &batches {
+        index.knn_join(batch, 4);
+    }
+    assert_eq!(index.routing_report().cache_hits, 4);
 }

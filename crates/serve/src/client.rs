@@ -341,9 +341,10 @@ impl ServeClient {
     /// the same top-k selector the index uses, which reconstructs the whole-index
     /// join bit-identically when the subsets partition the snapshot.
     ///
-    /// Subset joins bypass the server's batcher and query cache (the cache key has
-    /// no subset component), so every call pays a real join — scatter large batches.
-    /// Transport failures and `BUSY` responses are retried like
+    /// Subset joins queue, coalesce and hit the server's query cache like
+    /// [`ServeClient::knn_join`]: the cache keys the subset, and concurrent calls for
+    /// the same subset and `k` share one join. Transport failures and `BUSY`
+    /// responses (a full admission queue sheds subsets too) are retried like
     /// [`ServeClient::knn_join`]; a coordinator doing replica failover typically
     /// sets `max_retries: 0` and fails over to another replica itself instead.
     ///

@@ -19,7 +19,7 @@
 //!   sockets plus a loopback-pair [`reactor::Waker`].
 //! * [`Server`] — a fixed pool of readiness-polled I/O workers (idle connections
 //!   cost zero wakeups; thousands of sockets per thread) plus a join worker that
-//!   **coalesces concurrent requests into one `knn_join`** (server-side request
+//!   **coalesces concurrent requests into one index call** (server-side request
 //!   batching: N clients landing together cost one GEMM pass per visited shard,
 //!   not N). `PING` and `STATS` answer inline on the I/O workers.
 //! * [`ServeClient`] — a synchronous client handle; results are identical (ids,
@@ -38,9 +38,9 @@
 //! frame (`KNN_SUBSET`, [`ServeClient::knn_join_subset`]): a coordinator (the
 //! `sudowoodo-coord` crate) scatters one query batch to the replicas owning each
 //! shard subset and merges the per-subset top-k — bit-identical to a single-process
-//! `knn_join` because top-k selection is order-independent. Subset joins are never
-//! coalesced or cached and bypass the admission queue (see the [`server`] docs for
-//! why).
+//! `knn_join` because top-k selection is order-independent. A subset join is one
+//! more join job: admitted, coalesced with joins of the same subset and `k`, and
+//! cached under a key that covers the subset (see the [`server`] docs).
 //!
 //! The serving layer is built to survive faults and overload (see the [`server`]
 //! module docs): bounded admission with `BUSY` load shedding, per-request deadlines,

@@ -134,20 +134,22 @@ pub struct ServerStats {
     pub spilled_shards: u64,
     /// Total requests answered since the server started (all opcodes).
     pub served_requests: u64,
-    /// `knn_join` executions that served more than one client request at once —
-    /// the request batcher's coalescing at work.
+    /// Index calls that answered more than one queued join request at once — the
+    /// request batcher's coalescing at work. Each request in such a group is still
+    /// one query-cache lookup; only the misses are joined.
     pub batched_joins: u64,
     /// Query-cache hits observed by the served index (sharded layout; 0 otherwise).
     pub cache_hits: u64,
     /// Query-cache misses observed by the served index (sharded layout; 0 otherwise).
     pub cache_misses: u64,
-    /// `KNN` requests answered with [`STATUS_BUSY`] because the admission queue was
-    /// full — the server shed load instead of queueing without bound.
+    /// Requests (joins and model tasks) answered with [`STATUS_BUSY`] because the
+    /// admission queue was full — the server shed load instead of queueing without
+    /// bound.
     pub busy_rejections: u64,
-    /// `KNN` requests whose per-request deadline expired while they waited in the
-    /// admission queue (also answered with [`STATUS_BUSY`]; the join never ran).
+    /// Requests whose per-request deadline expired while they waited in the
+    /// admission queue (also answered with [`STATUS_BUSY`]; they never ran).
     pub deadline_expirations: u64,
-    /// `knn_join` executions that returned degraded (quarantined shards skipped).
+    /// Index calls that returned degraded (quarantined shards skipped).
     pub degraded_joins: u64,
 }
 

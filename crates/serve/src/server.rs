@@ -12,35 +12,34 @@
 //!   spent one thread per connection, each waking ten times a second to poll the
 //!   stop flag — a core's worth of timer churn well before 10k idle sockets.)
 //! * Each worker runs the byte work — framing, decoding, encoding — as a
-//!   per-connection state machine and hands every decoded `KNN` request to the
-//!   shared **batcher** instead of calling the index directly; the connection
-//!   parks (its read side goes quiet) until the reply comes back through the
-//!   worker's inbox.
-//! * One **join worker** drains the batcher: requests that arrived while the
-//!   previous join was running are coalesced — their query batches are
-//!   concatenated and answered by a *single* `knn_join` (one GEMM pass over each
-//!   visited shard instead of one per request), then split back per request. Under
-//!   light load the queue holds a single request and the worker degenerates to a
-//!   plain call, which keeps the query-cache fingerprint of a lone repeated batch
-//!   stable — exactly the case the cache exists for.
+//!   per-connection state machine and hands every decoded `KNN`, `KNN_SUBSET`,
+//!   `EMBED` and `MATCH` request to the shared **batcher** instead of calling the
+//!   index or the model directly; the connection parks (its read side goes quiet)
+//!   until the reply comes back through the worker's inbox.
+//! * One **join worker** drains the batcher's one FIFO queue. A join at the front
+//!   takes every queued join that shares its `k` and its shard scope (the whole
+//!   index for `KNN`, the listed positions for `KNN_SUBSET`) along with it, and the
+//!   group goes to the index as **one** [`BlockingIndex::knn_join_batches`] call:
+//!   one GEMM pass over each visited shard instead of one per request, then split
+//!   back per request. Under light load the group holds a single request and the
+//!   call degenerates to a plain join.
 //!
-//! `PING` and `STATS` answer inline on the I/O worker; only `KNN` pays the batcher
-//! hop. `KNN_SUBSET` — the scatter-gather frame a coordinator sends — also runs on
-//! the join worker, but as its own never-coalesced join that bypasses the
-//! admission queue and deadlines: coalescing two different shard subsets into one
-//! join would change both answers, and the query cache must not see subset joins
-//! at all (its fingerprint covers queries and `k` but not the subset, so a cached
-//! subset result would alias a whole-index one). Each subset request therefore
-//! pays its own join; the coordinator already amortizes by scattering one large
-//! batch per replica.
+//! The index owns the query cache and is its only reader and writer: it looks each
+//! request's batch up on its own, joins only the misses, and caches each computed
+//! batch under its own key, which covers the shard scope. A `KNN` and a `KNN_SUBSET`
+//! naming every shard therefore share an entry, and a subset answer can never alias
+//! a whole-index one. `PING` and `STATS` answer inline on the I/O worker; every other
+//! request pays the batcher hop and shares its admission bound and deadline, the
+//! scatter-gather frame a coordinator sends included (a coordinator fails a `BUSY`
+//! subset over to the shard's next replica).
 //!
 //! ## Model requests (`EMBED` / `MATCH`)
 //!
 //! A server spawned with [`Server::spawn_with_model`] also owns a trained
 //! [`ModelBackend`] and answers `EMBED` and `MATCH` frames. Model requests run on
 //! the join worker too (encoder inference is the same scarce compute as a join),
-//! subject to the admission queue and per-request deadlines like `KNN`, but they
-//! are **never coalesced and never cached**:
+//! in the same queue as the joins, but they are **never coalesced and never
+//! cached**:
 //!
 //! * No coalescing — served answers must be bit-identical to calling the model
 //!   in-process on the same batch, and the model chunks each batch internally
@@ -84,9 +83,9 @@
 //! silently drop a connection:
 //!
 //! * **Bounded admission** ([`ServerConfig::admission_queue_depth`]): when the
-//!   batcher's queue is full, new `KNN` requests are answered immediately with a
-//!   `BUSY` frame instead of queueing without bound (load shedding). The connection
-//!   stays usable; clients retry after backoff.
+//!   batcher's queue is full, new requests are answered immediately with a `BUSY`
+//!   frame instead of queueing without bound (load shedding). The connection stays
+//!   usable; clients retry after backoff.
 //! * **Per-request deadlines** ([`ServerConfig::request_deadline`]): a request whose
 //!   deadline passes while it waits in the queue is answered `BUSY` without running —
 //!   under overload the server spends its joins on requests whose clients are still
@@ -120,7 +119,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sudowoodo_faults as faults;
-use sudowoodo_index::BlockingIndex;
+use sudowoodo_index::{BlockingIndex, JoinOutcome};
 
 use crate::model::ModelBackend;
 use crate::protocol::{Request, Response, ServerStats, MAX_FRAME_LEN};
@@ -134,7 +133,8 @@ const OUTBOX_KEEP: usize = 256 * 1024;
 /// overload") for the behavior each one buys.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Most `KNN` requests allowed to wait in the admission queue at once; requests
+    /// Most requests (joins and model tasks) allowed to wait in the admission queue
+    /// at once; requests
     /// beyond it are answered `BUSY` immediately (load shedding). `0` sheds every
     /// request — useful only for tests.
     pub admission_queue_depth: usize,
@@ -179,19 +179,6 @@ impl ServedIndex {
     }
 }
 
-/// What the join worker tells an I/O worker about a `KNN` request.
-enum JoinReply {
-    /// The join ran; `degraded` is `true` when quarantined shards were skipped.
-    Done {
-        pairs: Vec<(usize, usize, f32)>,
-        degraded: bool,
-    },
-    /// The deadline expired before the join ran; answer `BUSY` (safe to retry).
-    Expired,
-    /// The join panicked; answer an error frame with this message.
-    Failed(String),
-}
-
 /// Where a response goes when the join worker finishes: back to the owning I/O
 /// worker's inbox, keyed by connection token, with a waker kick.
 struct ReplyHandle {
@@ -200,46 +187,48 @@ struct ReplyHandle {
 }
 
 impl ReplyHandle {
-    /// Encodes a join reply and delivers it (see [`ReplyHandle::send_raw`]).
-    fn send(&self, reply: JoinReply) {
-        let response = match reply {
-            JoinReply::Done { pairs, degraded } => Response::Knn { pairs, degraded },
-            JoinReply::Expired => Response::Busy,
-            JoinReply::Failed(message) => Response::Error(message),
-        };
-        self.send_raw(response.encode());
-    }
-
-    /// Queues an already-encoded response on the owning worker's inbox and wakes
-    /// it. If the connection died meanwhile, the worker drops the response by
-    /// token mismatch — delivery is always safe, never blocking.
-    fn send_raw(&self, response: Vec<u8>) {
+    /// Encodes `response`, queues it on the owning worker's inbox and wakes it. If
+    /// the connection died meanwhile, the worker drops the response by token
+    /// mismatch — delivery is always safe, never blocking.
+    fn send(&self, response: &Response) {
         self.worker
             .inbox
             .lock()
             .unwrap()
             .completed
-            .push((self.token, response));
+            .push((self.token, response.encode()));
         self.worker.waker.wake();
     }
 }
 
-/// One decoded `KNN` request waiting for the join worker.
-struct Pending {
+/// A decoded `KNN` (`shards: None`) or `KNN_SUBSET` request.
+struct JoinJob {
     queries: Vec<Vec<f32>>,
     k: usize,
-    enqueued_at: Instant,
-    reply: ReplyHandle,
+    /// The shard positions to score, sorted and deduplicated at dispatch so that
+    /// equal subsets coalesce; `None` scores the whole index.
+    shards: Option<Vec<usize>>,
 }
 
-/// One decoded `KNN_SUBSET` request waiting for the join worker. Subsets skip the
-/// admission queue and deadlines (PR 6 contract: the coordinator applies its own
-/// retry/failover policy) and are never coalesced or cached.
-struct SubsetPending {
-    queries: Vec<Vec<f32>>,
-    k: usize,
-    shards: Vec<usize>,
-    reply: ReplyHandle,
+impl JoinJob {
+    /// `true` when both jobs can be answered by one index call.
+    fn joins_with(&self, other: &JoinJob) -> bool {
+        self.k == other.k && self.shards == other.shards
+    }
+
+    /// The response frame for this job's share of a join.
+    fn answer(&self, outcome: JoinOutcome) -> Response {
+        match self.shards {
+            None => Response::Knn {
+                pairs: outcome.pairs,
+                degraded: outcome.degraded,
+            },
+            Some(_) => Response::KnnSubset {
+                pairs: outcome.pairs,
+                missing_shards: outcome.quarantined_shards,
+            },
+        }
+    }
 }
 
 /// The model half of a queued `EMBED`/`MATCH` request.
@@ -254,18 +243,21 @@ enum ModelTask {
     },
 }
 
-/// One decoded `EMBED`/`MATCH` request waiting for the join worker. Model tasks
-/// share the admission queue and deadlines with `KNN` (they compete for the same
-/// compute) but are never coalesced or cached — see the module docs.
-struct TaskPending {
-    task: ModelTask,
+/// What a queued request asks of the join worker.
+enum Job {
+    Join(JoinJob),
+    Model(ModelTask),
+}
+
+/// When a queued request was admitted, and where its response goes.
+struct Ticket {
     enqueued_at: Instant,
     reply: ReplyHandle,
 }
 
 /// The outcome of offering a request to the admission queue.
 enum Admission {
-    /// Queued; a [`JoinReply`] will arrive through the reply handle.
+    /// Queued; a response will arrive through the reply handle.
     Queued,
     /// The queue is full; the caller answers `BUSY` itself.
     Busy,
@@ -275,27 +267,23 @@ enum Admission {
 
 /// What the join worker picked up next.
 enum Work {
-    /// A same-`k` group of `KNN` requests to coalesce.
-    Group(Vec<Pending>),
-    /// One scatter-gather subset join (never grouped).
-    Subset(SubsetPending),
+    /// Joins sharing `k` and a shard scope, in queue order: one index call.
+    Joins(Vec<(JoinJob, Ticket)>),
     /// One model task (never grouped — coalescing would move the model's internal
     /// chunk boundaries and break bit-identity with in-process inference).
-    Task(TaskPending),
-    /// Stop requested and every queue is drained.
+    Model(ModelTask, Ticket),
+    /// Stop requested and the queue is drained.
     Shutdown,
 }
 
 /// The queue state behind the batcher's mutex. `stopped` lives under the same lock as
-/// the queues so a push can never race the worker's exit: the worker marks `stopped`
+/// the queue so a push can never race the worker's exit: the worker marks `stopped`
 /// while holding the lock, so every later push observes it and is rejected — a
 /// request can never be enqueued with nobody left to answer it (which would leave its
 /// connection parked forever waiting for a reply).
 #[derive(Default)]
 struct BatchQueue {
-    queue: VecDeque<Pending>,
-    subsets: VecDeque<SubsetPending>,
-    tasks: VecDeque<TaskPending>,
+    queue: VecDeque<(Job, Ticket)>,
     stopped: bool,
 }
 
@@ -319,7 +307,7 @@ impl Batcher {
     /// at depth (load shed); [`Admission::Stopped`] when the worker has already
     /// exited (server shutting down) — either way the caller answers the request
     /// itself instead of waiting for a reply that will never come.
-    fn push(&self, pending: Pending) -> Admission {
+    fn push(&self, job: Job, reply: ReplyHandle) -> Admission {
         let mut state = self.state.lock().unwrap();
         if state.stopped {
             return Admission::Stopped;
@@ -327,79 +315,46 @@ impl Batcher {
         if state.queue.len() >= self.depth {
             return Admission::Busy;
         }
-        state.queue.push_back(pending);
+        let ticket = Ticket {
+            enqueued_at: Instant::now(),
+            reply,
+        };
+        state.queue.push_back((job, ticket));
         self.ready.notify_one();
         Admission::Queued
     }
 
-    /// Offers a subset join. Not admission-limited (the coordinator owns retry
-    /// policy); `false` only when the worker already exited.
-    fn push_subset(&self, pending: SubsetPending) -> bool {
-        let mut state = self.state.lock().unwrap();
-        if state.stopped {
-            return false;
-        }
-        state.subsets.push_back(pending);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Offers a model task to the admission queue. Tasks share the `KNN` depth
-    /// budget — they compete for the same join-worker compute, so under overload
-    /// both shed the same way.
-    fn push_task(&self, pending: TaskPending) -> Admission {
-        let mut state = self.state.lock().unwrap();
-        if state.stopped {
-            return Admission::Stopped;
-        }
-        if state.queue.len() + state.tasks.len() >= self.depth {
-            return Admission::Busy;
-        }
-        state.tasks.push_back(pending);
-        self.ready.notify_one();
-        Admission::Queued
-    }
-
-    /// Blocks until work is queued (or `stop` is set). Subset joins are served
-    /// first — they sit on a coordinator's critical path — then model tasks (one
-    /// at a time, never grouped), then every queued `KNN` request sharing the
-    /// front request's `k` is drained as one group (requests with another `k`
-    /// keep their order for the next round). Already-queued work is always served
+    /// Blocks until work is queued (or `stop` is set) and takes the front request.
+    /// A join takes every queued join it [`JoinJob::joins_with`] along; everything
+    /// else keeps its order for the next round. Already-queued work is always served
     /// before the stop flag is honoured; [`Work::Shutdown`] marks the queue
     /// `stopped` under the lock (see [`BatchQueue`]).
     fn next_work(&self, stop: &AtomicBool) -> Work {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(subset) = state.subsets.pop_front() {
-                if !state.subsets.is_empty() || !state.tasks.is_empty() || !state.queue.is_empty() {
+            if let Some((job, ticket)) = state.queue.pop_front() {
+                let work = match job {
+                    Job::Model(task) => Work::Model(task, ticket),
+                    Job::Join(first) => {
+                        let mut group = vec![(first, ticket)];
+                        let mut rest = VecDeque::new();
+                        for (job, ticket) in state.queue.drain(..) {
+                            match job {
+                                Job::Join(join) if join.joins_with(&group[0].0) => {
+                                    group.push((join, ticket))
+                                }
+                                job => rest.push_back((job, ticket)),
+                            }
+                        }
+                        state.queue = rest;
+                        Work::Joins(group)
+                    }
+                };
+                if !state.queue.is_empty() {
                     // More work behind this one: keep the worker awake.
                     self.ready.notify_one();
                 }
-                return Work::Subset(subset);
-            }
-            if let Some(task) = state.tasks.pop_front() {
-                if !state.tasks.is_empty() || !state.queue.is_empty() {
-                    self.ready.notify_one();
-                }
-                return Work::Task(task);
-            }
-            if let Some(front) = state.queue.front() {
-                let k = front.k;
-                let mut group = Vec::new();
-                let mut rest = VecDeque::new();
-                for pending in state.queue.drain(..) {
-                    if pending.k == k {
-                        group.push(pending);
-                    } else {
-                        rest.push_back(pending);
-                    }
-                }
-                state.queue = rest;
-                if !state.queue.is_empty() {
-                    // More work behind a different k: keep the worker awake.
-                    self.ready.notify_one();
-                }
-                return Work::Group(group);
+                return work;
             }
             if stop.load(Ordering::Relaxed) {
                 state.stopped = true;
@@ -1154,91 +1109,25 @@ fn dispatch(
     batcher: &Batcher,
     reply: ReplyHandle,
 ) -> Action {
-    let error = |message: String| Action::Respond(Response::Error(message).encode());
     let request = match Request::decode(payload) {
         Ok(request) => request,
         Err(e) => return error(e.to_string()),
     };
-    match request {
-        Request::Knn { queries, k } => {
-            let dim = queries.first().map_or(0, Vec::len);
-            if !queries.is_empty() && !index.is_empty() && dim != index.dim() {
-                return error(format!(
-                    "query dimension {dim} does not match the index dimension {}",
-                    index.dim()
-                ));
-            }
-            // A protocol-legal request can still imply a response frame over the
-            // protocol limit (pairs = queries x min(k, corpus)); bound it here so
-            // the response encoder never produces an unsendable frame.
-            let response_bytes = queries
-                .len()
-                .saturating_mul(k.min(index.len()))
-                .saturating_mul(16)
-                .saturating_add(5);
-            if response_bytes > MAX_FRAME_LEN as usize {
-                return error(format!(
-                    "response would be {response_bytes} bytes, over the \
-                     {MAX_FRAME_LEN}-byte frame limit; send fewer queries per \
-                     batch or a smaller k"
-                ));
-            }
-            match batcher.push(Pending {
-                queries,
-                k,
-                enqueued_at: Instant::now(),
-                reply,
-            }) {
-                Admission::Queued => Action::AwaitReply,
-                Admission::Busy => {
-                    counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    Action::Respond(Response::Busy.encode())
-                }
-                Admission::Stopped => error("server shutting down".into()),
-            }
+    let job = match request {
+        Request::Knn { queries, k } => JoinJob {
+            queries,
+            k,
+            shards: None,
+        },
+        Request::KnnSubset { queries, k, shards } => JoinJob {
+            queries,
+            k,
+            shards: Some(shards),
+        },
+        Request::Ping => return Action::Respond(Response::Pong.encode()),
+        Request::Stats => {
+            return Action::Respond(Response::Stats(build_stats(index, counters)).encode())
         }
-        Request::KnnSubset { queries, k, shards } => {
-            let dim = queries.first().map_or(0, Vec::len);
-            if !queries.is_empty() && !index.is_empty() && dim != index.dim() {
-                return error(format!(
-                    "query dimension {dim} does not match the index dimension {}",
-                    index.dim()
-                ));
-            }
-            let num_shards = index.num_shards();
-            if let Some(&bad) = shards.iter().find(|&&s| s >= num_shards) {
-                return error(format!(
-                    "shard position {bad} is out of range: the served snapshot has \
-                     {num_shards} shards (is the coordinator's placement built from \
-                     a different snapshot epoch?)"
-                ));
-            }
-            let response_bytes = queries
-                .len()
-                .saturating_mul(k.min(index.len()))
-                .saturating_mul(16)
-                .saturating_add(shards.len().saturating_mul(4))
-                .saturating_add(9);
-            if response_bytes > MAX_FRAME_LEN as usize {
-                return error(format!(
-                    "response would be {response_bytes} bytes, over the \
-                     {MAX_FRAME_LEN}-byte frame limit; send fewer queries per \
-                     batch or a smaller k"
-                ));
-            }
-            if batcher.push_subset(SubsetPending {
-                queries,
-                k,
-                shards,
-                reply,
-            }) {
-                Action::AwaitReply
-            } else {
-                error("server shutting down".into())
-            }
-        }
-        Request::Ping => Action::Respond(Response::Pong.encode()),
-        Request::Stats => Action::Respond(Response::Stats(build_stats(index, counters)).encode()),
         Request::Embed { texts } => {
             let Some(model) = model else {
                 return error(
@@ -1260,7 +1149,12 @@ fn dispatch(
                      {MAX_FRAME_LEN}-byte frame limit; send fewer texts per batch"
                 ));
             }
-            enqueue_task(batcher, counters, ModelTask::Embed(texts), reply)
+            return admit(
+                batcher,
+                counters,
+                Job::Model(ModelTask::Embed(texts)),
+                reply,
+            );
         }
         Request::MatchPairs { lefts, rights } => {
             if model.is_none() {
@@ -1278,32 +1172,74 @@ fn dispatch(
                     rights.len()
                 ));
             }
-            enqueue_task(batcher, counters, ModelTask::Match { lefts, rights }, reply)
+            let task = ModelTask::Match { lefts, rights };
+            return admit(batcher, counters, Job::Model(task), reply);
         }
+    };
+    match check_join(index, job) {
+        Ok(job) => admit(batcher, counters, Job::Join(job), reply),
+        Err(message) => error(message),
     }
 }
 
-/// Offers a model task to the admission queue, translating the outcome exactly
-/// like a `KNN` push (`BUSY` on shed, error on shutdown).
-fn enqueue_task(
-    batcher: &Batcher,
-    counters: &Counters,
-    task: ModelTask,
-    reply: ReplyHandle,
-) -> Action {
-    match batcher.push_task(TaskPending {
-        task,
-        enqueued_at: Instant::now(),
-        reply,
-    }) {
+fn error(message: String) -> Action {
+    Action::Respond(Response::Error(message).encode())
+}
+
+/// Rejects a join the served index cannot answer in one frame, and sorts and
+/// deduplicates a subset's positions so that equal subsets coalesce.
+fn check_join(index: &BlockingIndex, mut job: JoinJob) -> Result<JoinJob, String> {
+    let dim = job.queries.first().map_or(0, Vec::len);
+    if !job.queries.is_empty() && !index.is_empty() && dim != index.dim() {
+        return Err(format!(
+            "query dimension {dim} does not match the index dimension {}",
+            index.dim()
+        ));
+    }
+    if let Some(shards) = &mut job.shards {
+        shards.sort_unstable();
+        shards.dedup();
+        let num_shards = index.num_shards();
+        if let Some(&bad) = shards.iter().find(|&&s| s >= num_shards) {
+            return Err(format!(
+                "shard position {bad} is out of range: the served snapshot has \
+                 {num_shards} shards (is the coordinator's placement built from \
+                 a different snapshot epoch?)"
+            ));
+        }
+    }
+    // A protocol-legal request can still imply a response frame over the protocol
+    // limit (pairs = queries x min(k, corpus), plus a subset's missing-shard list);
+    // bound it here so the response encoder never produces an unsendable frame.
+    let header = job
+        .shards
+        .as_ref()
+        .map_or(5, |shards| shards.len().saturating_mul(4).saturating_add(9));
+    let response_bytes = job
+        .queries
+        .len()
+        .saturating_mul(job.k.min(index.len()))
+        .saturating_mul(16)
+        .saturating_add(header);
+    if response_bytes > MAX_FRAME_LEN as usize {
+        return Err(format!(
+            "response would be {response_bytes} bytes, over the \
+             {MAX_FRAME_LEN}-byte frame limit; send fewer queries per \
+             batch or a smaller k"
+        ));
+    }
+    Ok(job)
+}
+
+/// Offers a request to the admission queue: `BUSY` on shed, an error on shutdown.
+fn admit(batcher: &Batcher, counters: &Counters, job: Job, reply: ReplyHandle) -> Action {
+    match batcher.push(job, reply) {
         Admission::Queued => Action::AwaitReply,
         Admission::Busy => {
             counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
             Action::Respond(Response::Busy.encode())
         }
-        Admission::Stopped => {
-            Action::Respond(Response::Error("server shutting down".into()).encode())
-        }
+        Admission::Stopped => error("server shutting down".into()),
     }
 }
 
@@ -1311,93 +1247,9 @@ fn enqueue_task(
 // Join worker
 // ---------------------------------------------------------------------------
 
-/// Runs one `knn_join_report` with panic containment: a panicking join (a poisoned
-/// lock, an index bug, an injected fault escaping its retry budget) becomes an
-/// error message for the requester instead of killing the worker thread — which
-/// would strand every queued and future request.
-fn run_join(
-    index: &BlockingIndex,
-    queries: &[Vec<f32>],
-    k: usize,
-) -> Result<sudowoodo_index::JoinOutcome, String> {
-    catch_unwind(AssertUnwindSafe(|| index.knn_join_report(queries, k))).map_err(|payload| {
-        let reason = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("internal error: knn_join panicked: {reason}")
-    })
-}
-
-/// Serves one scatter-gather subset join (never coalesced, never cached, not
-/// admission-limited — the coordinator owns retry and failover policy).
-fn serve_subset(index: &BlockingIndex, counters: &Counters, sub: SubsetPending) {
-    // Chaos hook: `serve.subset.stall` wedges the scatter-gather path long enough
-    // (1 s) to trip a coordinator's read timeout, so failover tests can prove a
-    // stalled replica is routed around — unlike `serve.write.stall`, whose 25 ms
-    // is deliberate sub-timeout jitter.
-    if faults::fires("serve.subset.stall") {
-        std::thread::sleep(Duration::from_millis(1000));
-    }
-    let response = match catch_unwind(AssertUnwindSafe(|| {
-        index.knn_join_subset_report(&sub.queries, sub.k, &sub.shards)
-    })) {
-        Ok(outcome) => {
-            if outcome.degraded {
-                counters.degraded_joins.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::KnnSubset {
-                pairs: outcome.pairs,
-                missing_shards: outcome.quarantined_shards,
-            }
-            .encode()
-        }
-        Err(_) => Response::Error("internal error: request handler panicked".into()).encode(),
-    };
-    sub.reply.send_raw(response);
-}
-
-/// Serves one model task (never coalesced, never cached — see the module docs).
-/// Tasks honour the same deadline as `KNN`: a request whose client has given up
-/// is answered `BUSY` without spending encoder compute on it. `model` is `None`
-/// only if dispatch raced a misconfiguration — it rejects model opcodes up front
-/// on model-less servers — so the error arm here is pure defense.
-fn serve_task(
-    model: Option<&Arc<dyn ModelBackend>>,
-    counters: &Counters,
-    config: &ServerConfig,
-    task: TaskPending,
-) {
-    if let Some(deadline) = config.request_deadline {
-        if task.enqueued_at.elapsed() >= deadline {
-            counters
-                .deadline_expirations
-                .fetch_add(1, Ordering::Relaxed);
-            task.reply.send_raw(Response::Busy.encode());
-            return;
-        }
-    }
-    let Some(model) = model else {
-        task.reply
-            .send_raw(Response::Error("this server has no model loaded".into()).encode());
-        return;
-    };
-    let response = match catch_unwind(AssertUnwindSafe(|| match &task.task {
-        ModelTask::Embed(texts) => Response::Embeddings(model.embed(texts)),
-        ModelTask::Match { lefts, rights } => {
-            Response::MatchScores(model.match_scores(lefts, rights))
-        }
-    })) {
-        Ok(response) => response,
-        Err(_) => Response::Error("internal error: request handler panicked".into()),
-    };
-    task.reply.send_raw(response.encode());
-}
-
-/// The join worker: coalesce queued requests, run one `knn_join`, split the results.
+/// The join worker: take the next unit of work from the queue and answer it.
 ///
-/// Each unit of work loads the currently published index once and runs wholly
+/// Each group of joins loads the currently published index once and runs wholly
 /// against it — a concurrent [`Server::publish_index`] affects the next unit, so
 /// a coalesced group is never answered half-old-epoch, half-new.
 fn join_worker(
@@ -1408,141 +1260,105 @@ fn join_worker(
     batcher: &Batcher,
     config: ServerConfig,
 ) {
+    // A request whose deadline passed while it waited is answered `BUSY`: its client
+    // has given up (or will momentarily), so running it spends the server's scarcest
+    // resource on nobody. The request never ran, so a retry is always safe.
+    let expired = |ticket: &Ticket| {
+        let expired = config
+            .request_deadline
+            .is_some_and(|deadline| ticket.enqueued_at.elapsed() >= deadline);
+        if expired {
+            counters
+                .deadline_expirations
+                .fetch_add(1, Ordering::Relaxed);
+            ticket.reply.send(&Response::Busy);
+        }
+        expired
+    };
     loop {
-        let group = match batcher.next_work(stop) {
-            Work::Shutdown => return, // stop requested and the queues are drained
-            Work::Subset(sub) => {
-                serve_subset(&served.current(), counters, sub);
-                continue;
-            }
-            Work::Task(task) => {
-                serve_task(model, counters, &config, task);
-                continue;
-            }
-            Work::Group(group) => group,
-        };
-        let index = served.current();
-        let index = index.as_ref();
-        // Expire requests whose deadline passed while they waited: their client has
-        // given up (or will momentarily), so running the join for them spends the
-        // server's scarcest resource on nobody. They get `BUSY` — the request never
-        // ran, so a retry is always safe.
-        let group: Vec<Pending> = match config.request_deadline {
-            None => group,
-            Some(deadline) => group
-                .into_iter()
-                .filter_map(|pending| {
-                    if pending.enqueued_at.elapsed() >= deadline {
-                        counters
-                            .deadline_expirations
-                            .fetch_add(1, Ordering::Relaxed);
-                        pending.reply.send(JoinReply::Expired);
-                        None
-                    } else {
-                        Some(pending)
-                    }
-                })
-                .collect(),
-        };
-        // Answer cache-hitting requests individually first: merging a hit into a
-        // bigger batch would change the cache fingerprint and recompute work the
-        // cache already holds. Only the misses are coalesced. A lone request skips
-        // the peek — `knn_join` runs its own cache lookup, so peeking here would
-        // just fingerprint the batch twice. Cache entries are only ever written by
-        // complete joins, so a hit is always non-degraded.
-        let mut group: Vec<Pending> = if group.len() == 1 {
-            group
-        } else {
-            group
-                .into_iter()
-                .filter_map(
-                    |pending| match index.cached_knn_join(&pending.queries, pending.k) {
-                        Some(hit) => {
-                            pending.reply.send(JoinReply::Done {
-                                pairs: hit,
-                                degraded: false,
-                            });
-                            None
-                        }
-                        None => Some(pending),
-                    },
-                )
-                .collect()
-        };
-        match group.len() {
-            0 => {} // every request hit the cache (or expired)
-            1 => {
-                let pending = group.pop().expect("length checked");
-                match run_join(index, &pending.queries, pending.k) {
-                    Ok(outcome) => {
-                        if outcome.degraded {
-                            counters.degraded_joins.fetch_add(1, Ordering::Relaxed);
-                        }
-                        pending.reply.send(JoinReply::Done {
-                            pairs: outcome.pairs,
-                            degraded: outcome.degraded,
-                        });
-                    }
-                    Err(message) => {
-                        pending.reply.send(JoinReply::Failed(message));
-                    }
+        match batcher.next_work(stop) {
+            Work::Shutdown => return, // stop requested and the queue is drained
+            Work::Model(task, ticket) => {
+                if !expired(&ticket) {
+                    ticket.reply.send(&serve_task(model, &task));
                 }
             }
-            _ => {
-                counters.batched_joins.fetch_add(1, Ordering::Relaxed);
-                // Concatenate the batches, remembering each request's query range.
-                let mut merged = Vec::new();
-                let mut offsets = Vec::with_capacity(group.len() + 1);
-                for pending in &group {
-                    offsets.push(merged.len());
-                    merged.extend(pending.queries.iter().cloned());
-                }
-                offsets.push(merged.len());
-                let k = group[0].k;
-                let outcome = match run_join(index, &merged, k) {
-                    Ok(outcome) => outcome,
-                    Err(message) => {
-                        for pending in group {
-                            pending.reply.send(JoinReply::Failed(message.clone()));
-                        }
-                        continue;
-                    }
-                };
-                if outcome.degraded {
-                    counters.degraded_joins.fetch_add(1, Ordering::Relaxed);
-                }
-                let pairs = outcome.pairs;
-                // `knn_join` output is ordered by query index, so one forward walk
-                // splits it; subtracting the offset restores request-local indices.
-                let mut cursor = 0;
-                for (i, pending) in group.into_iter().enumerate() {
-                    let (lo, hi) = (offsets[i], offsets[i + 1]);
-                    let mut own = Vec::new();
-                    while cursor < pairs.len() && pairs[cursor].0 < hi {
-                        let (q, id, score) = pairs[cursor];
-                        own.push((q - lo, id, score));
-                        cursor += 1;
-                    }
-                    // Cache the split under ITS OWN fingerprint: clients repeat their
-                    // individual batches, not whatever combination this merge was, so
-                    // the merged-batch entry alone would never serve them. Degraded
-                    // splits are never cached — a cache entry must stay exact.
-                    if !outcome.degraded {
-                        index.cache_join_result(&pending.queries, k, own.clone());
-                    }
-                    pending.reply.send(JoinReply::Done {
-                        pairs: own,
-                        degraded: outcome.degraded,
-                    });
+            Work::Joins(mut group) => {
+                group.retain(|(_, ticket)| !expired(ticket));
+                if !group.is_empty() {
+                    serve_joins(&served.current(), counters, group);
                 }
             }
         }
     }
 }
 
+/// Answers a group of joins that share `k` and a shard scope with one
+/// [`BlockingIndex::knn_join_batches`] call, under panic containment: a panicking
+/// join (a poisoned lock, an index bug, an injected fault escaping its retry budget)
+/// becomes an error frame for every requester instead of killing the worker thread —
+/// which would strand every queued and future request.
+fn serve_joins(index: &BlockingIndex, counters: &Counters, group: Vec<(JoinJob, Ticket)>) {
+    let (k, shards) = (group[0].0.k, group[0].0.shards.as_deref());
+    // Chaos hook: `serve.subset.stall` wedges the scatter-gather path long enough
+    // (1 s) to trip a coordinator's read timeout, so failover tests can prove a
+    // stalled replica is routed around — unlike `serve.write.stall`, whose 25 ms
+    // is deliberate sub-timeout jitter.
+    if shards.is_some() && faults::fires("serve.subset.stall") {
+        std::thread::sleep(Duration::from_millis(1000));
+    }
+    if group.len() > 1 {
+        counters.batched_joins.fetch_add(1, Ordering::Relaxed);
+    }
+    let batches: Vec<&[Vec<f32>]> = group
+        .iter()
+        .map(|(job, _)| job.queries.as_slice())
+        .collect();
+    match catch_unwind(AssertUnwindSafe(|| {
+        index.knn_join_batches(&batches, k, shards)
+    })) {
+        Ok(outcomes) => {
+            if outcomes.iter().any(|outcome| outcome.degraded) {
+                counters.degraded_joins.fetch_add(1, Ordering::Relaxed);
+            }
+            for ((job, ticket), outcome) in group.iter().zip(outcomes) {
+                ticket.reply.send(&job.answer(outcome));
+            }
+        }
+        Err(payload) => {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let failed = Response::Error(format!("internal error: knn_join panicked: {reason}"));
+            for (_, ticket) in &group {
+                ticket.reply.send(&failed);
+            }
+        }
+    }
+}
+
+/// Runs one model task (never coalesced, never cached — see the module docs).
+/// `model` is `None` only if dispatch raced a misconfiguration — it rejects model
+/// opcodes up front on model-less servers — so that arm is pure defense.
+fn serve_task(model: Option<&Arc<dyn ModelBackend>>, task: &ModelTask) -> Response {
+    let Some(model) = model else {
+        return Response::Error("this server has no model loaded".into());
+    };
+    catch_unwind(AssertUnwindSafe(|| match task {
+        ModelTask::Embed(texts) => Response::Embeddings(model.embed(texts)),
+        ModelTask::Match { lefts, rights } => {
+            Response::MatchScores(model.match_scores(lefts, rights))
+        }
+    }))
+    .unwrap_or_else(|_| Response::Error("internal error: request handler panicked".into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{is_busy, ClientConfig, RetryPolicy, ServeClient};
     use crate::protocol::STATUS_OK;
 
     fn encode_knn_request(queries: &[Vec<f32>], k: usize) -> Vec<u8> {
@@ -1687,5 +1503,92 @@ mod tests {
             "the server kept serving a reader stalled past the budget ({drained} bytes)"
         );
         server.shutdown();
+    }
+
+    /// Every `KNN` request is one query-cache lookup, coalesced or not, and a
+    /// coalesced group caches each request's own batch and nothing else: the merged
+    /// batch, which no client ever repeats, must not take a slot and evict a live
+    /// entry.
+    #[test]
+    fn a_coalesced_group_is_one_cache_lookup_per_request() {
+        let _faults = faults::arm_scope();
+        let mut index = BlockingIndex::build(vectors(200, 4, 7), Some(16));
+        index.set_query_cache_capacity(3);
+        let server = Server::spawn(Arc::new(index), "127.0.0.1:0").expect("spawn");
+        let addr = server.addr();
+        let batches: Vec<Vec<Vec<f32>>> = (0..3).map(|s| vectors(4, 4, 40 + s)).collect();
+        let mut client = ServeClient::connect(addr).expect("connect");
+        client.knn_join(&batches[0], 5).expect("warm-up join");
+
+        // Hold the join worker in a stalled subset join while two more batches
+        // queue behind it, so that they run as one coalesced group. The subset is
+        // empty, so it caches nothing itself.
+        faults::arm("serve.subset.stall", faults::Policy::Once);
+        let blocker = std::thread::spawn(move || {
+            let mut client = ServeClient::connect(addr).expect("connect");
+            client
+                .knn_join_subset(&[vec![1.0; 4]], 5, &[])
+                .expect("stalled subset")
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        let queued: Vec<_> = batches[1..]
+            .iter()
+            .cloned()
+            .map(|batch| {
+                std::thread::spawn(move || {
+                    let mut client = ServeClient::connect(addr).expect("connect");
+                    client.knn_join(&batch, 5).expect("queued join")
+                })
+            })
+            .collect();
+        blocker.join().expect("blocker");
+        for join in queued {
+            join.join().expect("queued client");
+        }
+        assert_eq!(
+            server.stats().batched_joins,
+            1,
+            "the queued batches coalesced"
+        );
+
+        // Three batches fit a three-entry cache: the warm-up batch is still there.
+        client.knn_join(&batches[0], 5).expect("repeat");
+        let stats = server.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (3, 1), "{stats:?}");
+        server.shutdown();
+    }
+
+    /// Subset joins are admitted like every other request: a full queue sheds them
+    /// and a passed deadline expires them, each with `BUSY`, which a coordinator
+    /// fails over to the shard's next replica.
+    #[test]
+    fn subset_joins_are_shed_and_expired_like_every_join() {
+        let config = ClientConfig {
+            retry: RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            ..ClientConfig::default()
+        };
+        let full = ServerConfig {
+            admission_queue_depth: 0,
+            ..ServerConfig::default()
+        };
+        let expired = ServerConfig {
+            request_deadline: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        };
+        for server_config in [full, expired] {
+            let server = small_server(server_config);
+            let mut client =
+                ServeClient::connect_with_config(server.addr(), config).expect("connect");
+            let err = client
+                .knn_join_subset(&vectors(2, 4, 9), 3, &[0, 1])
+                .unwrap_err();
+            assert!(is_busy(&err), "got: {err}");
+            let stats = server.stats();
+            assert_eq!(stats.busy_rejections + stats.deadline_expirations, 1);
+            server.shutdown();
+        }
     }
 }

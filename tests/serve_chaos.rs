@@ -438,8 +438,9 @@ fn a_stalled_replica_is_routed_around_exactly() {
 #[derive(Clone, Copy)]
 enum SubsetScript {
     /// Answer the first subset join with a wire `STATUS_BUSY`, forward the rest:
-    /// a healthy process load-shedding exactly once. (No server config can do
-    /// this — subsets bypass the admission queue — hence the proxy.)
+    /// a healthy process load-shedding exactly once. (No server config sheds
+    /// exactly the first subset — the admission bound is a queue depth, not a
+    /// count — hence the proxy.)
     BusyOnce,
     /// Drop the connection on every subset join: a transport failure
     /// mid-protocol, while still looking healthy at connect time.
