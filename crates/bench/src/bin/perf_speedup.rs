@@ -83,8 +83,10 @@ const PROBES: &[Probe] = &[
         floor: Some(4.0),
         measure: matmul_512,
     },
-    // AVX-512 8x4 tile: 0.49-0.55 of the peak. A share of the peak, unlike a speedup over
-    // the reference, compares an AVX2 runner with an AVX-512 one.
+    // `matmul_transpose_b`: B packed transposed into the GEMM tile's panels, then the 8x32
+    // AVX-512 tile, ~0.55 of the peak here (the dot-product tiles it replaced read
+    // 0.49-0.55). A share of the peak, unlike a speedup over the reference, compares an
+    // AVX2 runner with an AVX-512 one.
     Probe {
         name: "abt_kernel 256x4096x64, one core",
         unit: "share of FMA peak",
@@ -101,7 +103,7 @@ const PROBES: &[Probe] = &[
         measure: atb_kernel,
     },
     // The reason the i8 tier exists: its first stage must score pairs at least as fast as
-    // the exact kernel it spares (VNNI arm: 4-5x).
+    // the exact kernel it spares (VNNI arm: ~4x the GEMM tile at this shape).
     Probe {
         name: "i8_tile 256x4096x64, one core",
         unit: "x f32 abt_kernel pairs/s",
@@ -567,8 +569,10 @@ fn fma_peak() -> (fn(usize) -> f32, f64) {
     (run, (2 * lanes * FMA_CHAINS * FMA_ITERS) as f64)
 }
 
-/// The `A * Bᵀ` kernel at the join's shape, a 256-query block against a 4096-row, 64-wide
-/// shard, as a share of the FMA peak timed beside it (~5 s of repetitions).
+/// `matmul_transpose_b` at the join's shape, a 256-query block against a 4096-row, 64-wide
+/// shard — the shard transposed into the GEMM tile's panels, then the tile — as a share
+/// of the FMA peak timed beside it (~5 s of repetitions). The joins themselves pack the
+/// query block instead and stream the shard through the same tile.
 fn abt_kernel(_: &mut Fixtures) -> f64 {
     let (m, n, k) = (256usize, 4096usize, 64usize);
     let mut rng = StdRng::seed_from_u64(6);

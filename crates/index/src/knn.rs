@@ -3,49 +3,42 @@
 //! Sudowoodo's blocking stage vectorizes every data item with the learned embedding model
 //! and retrieves, for each left-table item, the `k` nearest right-table items as the
 //! candidate set (§II-C step 2). The search is exact: the corpus is stored as **one
-//! row-major matrix** of L2-normalized rows, and [`CosineIndex::knn_join`] walks it in
-//! cache-sized strips: each query block (parallel over blocks) is scored against one
-//! strip at a time through the fused `A * Bᵀ` kernel
-//! ([`MatrixView::matmul_transpose_b_into`]) into one reused `block x strip` tile, and
-//! every tile row is offered to that query's persistent [`TopK`] selector before the
-//! next strip is touched — the corpus streams through cache once per block and no
-//! `block x n` score matrix ever exists. Single-query [`CosineIndex::top_k`] is the
-//! same walk with a one-row block.
+//! row-major matrix** of L2-normalized rows, and [`CosineIndex::knn_join`] packs each
+//! query block (parallel over blocks) once into a [`PackedTranspose`] and streams the
+//! corpus through the GEMM tile as its `A` operand, read in place, strip by strip: each
+//! strip becomes one corpus-major `strip x block` score tile, read back row by row
+//! against a per-query vector of current `k`-th best scores before the next strip is
+//! touched — no `block x n` score matrix ever exists. Single-query
+//! [`CosineIndex::top_k`] is the same walk with a one-row block.
+//!
+//! Every score is one fused multiply-add chain over the dimensions, ascending, so its
+//! bits do not depend on the block, the strip, the tile width or where the row sits:
+//! the same as `q.matmul(&corpus.transpose())` and as [`crate::ShardedCosineIndex`]'s
+//! scores, which is why the two layouts return identical neighbors even on exact ties.
 //!
 //! Neighbor selection is **deterministic**: ties on score break toward the smaller id, so
 //! blocking candidate sets are bit-for-bit reproducible regardless of thread count.
-//!
-//! The corpus matrix is zero-padded to a multiple of the SIMD row-quad width, and strips
-//! are whole row-quads, so every real row is scored in the kernel's `dot4` order whatever
-//! the corpus size and wherever a strip boundary falls; this keeps per-row scores
-//! bit-identical to [`crate::ShardedCosineIndex`] (which pads its shards the same way),
-//! so the two layouts return identical neighbors even on exact ties.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
-use sudowoodo_nn::matrix::{Matrix, MatrixView};
+use sudowoodo_nn::matrix::{Matrix, MatrixView, PackedTranspose};
 
 /// Number of query rows per block in [`CosineIndex::knn_join`]: the unit of
-/// parallelism, and how many times each corpus strip is reused while it is hot.
+/// parallelism, and how many times each corpus row is reused while it is in registers.
 const QUERY_TILE: usize = 256;
 
-/// Corpus bytes per strip of the dense walk — the kernel's own strip length, so one call
-/// is one pass over an L2-resident strip. At dim 64 that is 1024 rows and a 1 MiB
-/// `256 x strip` score tile per block. Measured on the benchmark host (2 MiB L2, 100k x
-/// 64 corpus, 512-query batches) 64 KiB to 2 MiB strips are within run-to-run noise of
-/// each other and 32 KiB is slower; the constant is not a tuning knob.
-const STRIP_BYTES: usize = 256 << 10;
+/// Bytes of the corpus-major score tile one strip of a join fills before selection
+/// reads it back: `TILE_BYTES / 4 / queries` corpus rows per strip, so the tile stays in
+/// L2 between the product that writes it and the filter that reads it (256 rows for a
+/// 256-query block, a whole 4096-row shard for a 16-query batch).
+const TILE_BYTES: usize = 256 << 10;
 
-/// Row-group width of the `A * B^T` microkernel: it scores corpus rows four at a time
-/// (`dot4` order) and a trailing `n % 4` rows in a different order (`dot`). The corpus
-/// matrix is padded with zero rows to a multiple of this so every real row is scored in
-/// the four-at-a-time order regardless of corpus size — which keeps scores bit-identical
-/// to the sharded index (whose shards are padded the same way) and independent of where
-/// a row sits. It stays 4 however tall the kernel's register tiles get: it is the
-/// *corpus-side* width of every tile, and changing it would change which rows fall in
-/// the differently-rounded tail.
+/// Row-group width the corpus matrices are zero-padded to. The padding no longer decides
+/// any bit — every score is one multiply-add chain whatever row group it falls in, and
+/// only real rows are scored — but it stays in both layouts so that dense and sharded
+/// matrices, snapshots and spill files keep their byte layout.
 pub(crate) const ROW_GROUP: usize = 4;
 
 /// A searchable collection of L2-normalized dense vectors.
@@ -142,42 +135,6 @@ impl TopK {
         }
     }
 
-    /// Offers one row of raw kernel scores: candidate `i` has id `id_of(i)` and score
-    /// `scores[i] * inv`, and is skipped when `deleted` marks it. Exactly the per-score
-    /// [`TopK::offer`] loop — same survivors, same heap — but once the selector is full
-    /// a score is first compared with a local copy of the current worst, sixteen at a
-    /// time without branches, and only a chunk holding a score that reaches it goes on
-    /// to the heap; in a long scan that is almost no chunk. A NaN score, or a NaN worst,
-    /// fails `>=` and is rejected, exactly as [`TopK::offer`] rejects it.
-    pub(crate) fn offer_scaled_row(
-        &mut self,
-        scores: &[f32],
-        inv: f32,
-        id_of: impl Fn(usize) -> usize,
-        deleted: Option<&[bool]>,
-    ) {
-        const CHUNK: usize = 16;
-        if self.k == 0 {
-            return;
-        }
-        let mut worst = self.worst_score_when_full();
-        for (chunk_idx, chunk) in scores.chunks(CHUNK).enumerate() {
-            if let Some(w) = worst {
-                if !chunk.iter().fold(false, |hit, &raw| hit | (raw * inv >= w)) {
-                    continue;
-                }
-            }
-            for (j, &raw) in chunk.iter().enumerate() {
-                let i = chunk_idx * CHUNK + j;
-                let score = raw * inv;
-                if worst.is_none_or(|w| score >= w) && !deleted.is_some_and(|d| d[i]) {
-                    self.offer(id_of(i), score);
-                    worst = self.worst_score_when_full();
-                }
-            }
-        }
-    }
-
     /// The retention capacity `k` this selector was created with.
     pub fn capacity(&self) -> usize {
         self.k
@@ -192,6 +149,23 @@ impl TopK {
             self.heap.peek().map(|e| e.score)
         } else {
             None
+        }
+    }
+
+    /// The filter threshold of [`offer_corpus_rows`]: the `k`-th best score, or NaN
+    /// while fewer than `k` candidates are held — no score is below NaN, so every score
+    /// passes until the selector is full.
+    pub(crate) fn threshold(&self) -> f32 {
+        self.worst_score_when_full().unwrap_or(f32::NAN)
+    }
+
+    /// [`TopK::offer`] behind the filter of [`offer_corpus_rows`]: `score` is offered
+    /// unless it is below `threshold`, the caller's copy of [`TopK::threshold`], which
+    /// an offer refreshes.
+    pub(crate) fn offer_reaching(&mut self, threshold: &mut f32, id: usize, score: f32) {
+        if not_below(score, *threshold) {
+            self.offer(id, score);
+            *threshold = self.threshold();
         }
     }
 
@@ -232,10 +206,129 @@ pub(crate) fn check_row_dim(context: &str, index: usize, actual: usize, expected
     }
 }
 
-/// Pads a row count up to the kernel row-group width — the one expression behind the
-/// dense/sharded score-equivalence invariant, so it lives in exactly one place.
+/// Pads a row count up to [`ROW_GROUP`] — the one expression behind both layouts' byte
+/// layout, so it lives in exactly one place.
 pub(crate) fn padded_rows(rows: usize) -> usize {
     rows.div_ceil(ROW_GROUP) * ROW_GROUP
+}
+
+/// `score` is not below `threshold`: true when either is NaN, so a NaN threshold lets
+/// every score through and a NaN score passes every threshold.
+#[inline(always)]
+fn not_below(score: f32, threshold: f32) -> bool {
+    score.partial_cmp(&threshold) != Some(Ordering::Less)
+}
+
+/// Offers a corpus-major score tile to one selector per query: row `i` of `tile` holds
+/// corpus row `i`'s raw scores against every query (`tile[i * n + r]` for query `r` of
+/// `n = selectors.len()`), the row has id `id_of(i)` and is skipped whole when `deleted`
+/// marks it, and query `r` is offered `raw * inv_norms[r]`.
+///
+/// Exactly the per-score [`TopK::offer`] loop over the tile in row-major order — same
+/// survivors, same heaps — but each score is first compared with its query's threshold,
+/// sixteen queries at a time without branches, and only a group holding a score that is
+/// not below its threshold goes on to the heaps; in a long scan that is almost no group.
+/// The threshold is the selector's `k`-th best score, or NaN while it holds fewer than
+/// `k`: no score is below NaN, so an unfilled selector is offered every score, NaN
+/// included, as `offer` would take it. A NaN score (or a NaN `k`-th best) passes the
+/// filter too, and `offer` decides.
+pub(crate) fn offer_corpus_rows(
+    selectors: &mut [TopK],
+    inv_norms: &[f32],
+    tile: &[f32],
+    id_of: impl Fn(usize) -> usize,
+    deleted: Option<&[bool]>,
+) {
+    const GROUP: usize = 16;
+    let n = selectors.len();
+    if n == 0 {
+        return;
+    }
+    assert_eq!(
+        inv_norms.len(),
+        n,
+        "offer_corpus_rows: one inverse norm per query"
+    );
+    let mut thresholds: Vec<f32> = selectors.iter().map(TopK::threshold).collect();
+    let full = n - n % GROUP;
+    for (i, row) in tile.chunks_exact(n).enumerate() {
+        if deleted.is_some_and(|d| d[i]) {
+            continue;
+        }
+        for g in (0..full).step_by(GROUP) {
+            let raw: &[f32; GROUP] = row[g..g + GROUP].try_into().expect("a group");
+            let inv: &[f32; GROUP] = inv_norms[g..g + GROUP].try_into().expect("a group");
+            let t: &[f32; GROUP] = thresholds[g..g + GROUP].try_into().expect("a group");
+            let mut hit = 0u32;
+            for l in 0..GROUP {
+                hit |= u32::from(not_below(raw[l] * inv[l], t[l]));
+            }
+            if hit != 0 {
+                offer_row(
+                    g..g + GROUP,
+                    row,
+                    inv_norms,
+                    id_of(i),
+                    selectors,
+                    &mut thresholds,
+                );
+            }
+        }
+        offer_row(
+            full..n,
+            row,
+            inv_norms,
+            id_of(i),
+            selectors,
+            &mut thresholds,
+        );
+    }
+}
+
+/// The per-score half of [`offer_corpus_rows`] for the queries `range` of one tile row.
+fn offer_row(
+    range: std::ops::Range<usize>,
+    row: &[f32],
+    inv_norms: &[f32],
+    id: usize,
+    selectors: &mut [TopK],
+    thresholds: &mut [f32],
+) {
+    for r in range {
+        selectors[r].offer_reaching(&mut thresholds[r], id, row[r] * inv_norms[r]);
+    }
+}
+
+/// Scores the rows of `corpus` against the packed query block `queries` and offers every
+/// row `deleted` does not mark to the per-query `selectors` ([`offer_corpus_rows`]; row
+/// `i` has id `id_of(i)`). The corpus is read in place as the GEMM tile's `A` operand,
+/// in strips whose corpus-major score tile (`tile`, reused) fills [`TILE_BYTES`]. The
+/// walk of both layouts: a dense corpus, a resident shard, a mapped spilled one.
+pub(crate) fn score_and_offer(
+    corpus: &MatrixView<'_>,
+    queries: &PackedTranspose,
+    inv_norms: &[f32],
+    selectors: &mut [TopK],
+    id_of: impl Fn(usize) -> usize,
+    deleted: Option<&[bool]>,
+    tile: &mut Vec<f32>,
+) {
+    let (dim, n) = (corpus.cols(), queries.rows());
+    let strip = (TILE_BYTES / 4 / n.max(1)).max(1);
+    for start in (0..corpus.rows()).step_by(strip) {
+        let rows = strip.min(corpus.rows() - start);
+        let rows_view =
+            MatrixView::new(rows, dim, &corpus.data()[start * dim..(start + rows) * dim]);
+        tile.resize(rows * n, 0.0);
+        queries.multiply_into(&rows_view, tile);
+        offer_corpus_rows(
+            selectors,
+            inv_norms,
+            tile,
+            |i| id_of(start + i),
+            deleted.map(|d| &d[start..start + rows]),
+        );
+    }
 }
 
 /// Flattens one query block into a `block x dim` matrix plus per-query inverse norms
@@ -290,7 +383,7 @@ impl CosineIndex {
         let dim = first.len();
         let len = vectors.len();
         // Pad the flat buffer directly while flattening — unlike `from_matrix`, no
-        // second full-corpus copy is needed to reach the row-quad kernel width.
+        // second full-corpus copy is needed to reach the row group.
         let padded = padded_rows(len);
         let mut data = Vec::with_capacity(padded * dim);
         for (i, v) in vectors.iter().enumerate() {
@@ -305,13 +398,12 @@ impl CosineIndex {
 
     /// Builds an index directly from an `n x dim` matrix of row vectors (one copy saved
     /// versus [`CosineIndex::build`] when embeddings already live in a matrix, unless
-    /// `n` needs padding to the kernel row-group width).
+    /// `n` needs padding to the row-group width).
     pub fn from_matrix(mut matrix: Matrix) -> Self {
         matrix.l2_normalize_rows_mut(); // in place: no second full-corpus allocation
         let len = matrix.rows();
         if !len.is_multiple_of(ROW_GROUP) {
-            // Zero-pad so every real row is scored by the row-quad SIMD kernel (pad rows
-            // never surface: selection only reads the first `len` similarity columns).
+            // Zero-pad to the row group (pad rows are never scored).
             let padded = padded_rows(len);
             let mut data = matrix.data().to_vec();
             data.resize(padded * matrix.cols(), 0.0);
@@ -343,8 +435,8 @@ impl CosineIndex {
         self.matrix.cols()
     }
 
-    /// The normalized corpus matrix. Rows `len()..` (fewer than the kernel row-group
-    /// width) are zero padding, not corpus rows.
+    /// The normalized corpus matrix. Rows `len()..` (fewer than four) are zero padding,
+    /// not corpus rows.
     pub fn matrix(&self) -> &Matrix {
         &self.matrix
     }
@@ -358,8 +450,8 @@ impl CosineIndex {
         check_row_dim("CosineIndex::top_k (query)", 0, query.len(), self.dim());
         let qnorm: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
         let inv = if qnorm > 1e-12 { 1.0 / qnorm } else { 0.0 };
-        // The strip walk of `knn_join` with a one-row block: same kernel order per
-        // score, so both APIs return identical neighbors on near-ties.
+        // The walk of `knn_join` with a one-row block: same score bits, so both APIs
+        // return identical neighbors on near-ties.
         let mut selector = [TopK::new(k)];
         self.offer_strips(
             &MatrixView::new(1, self.dim(), query),
@@ -370,43 +462,29 @@ impl CosineIndex {
         selector.into_sorted()
     }
 
-    /// Scores the query block `q` against the corpus strip by strip and offers every
-    /// real row to the per-query `selectors` (`inv_norms[r]` scales query `r`'s scores).
+    /// Scores the query block `q` against every real corpus row and offers the scores to
+    /// the per-query `selectors` (`inv_norms[r]` scales query `r`'s scores).
     fn offer_strips(&self, q: &MatrixView<'_>, inv_norms: &[f32], selectors: &mut [TopK]) {
         let dim = self.dim();
-        let padded = self.matrix.rows();
-        let strip = (STRIP_BYTES / 4 / dim.max(1))
-            .max(1)
-            .next_multiple_of(ROW_GROUP);
-        let mut tile = vec![0.0f32; q.rows() * strip.min(padded)];
-        for start in (0..self.len).step_by(strip) {
-            // Strips end on a row-quad (or on the padded end), so the kernel sees no
-            // `n % 4` tail and scores every real row in the same order.
-            let rows = strip.min(padded - start);
-            let corpus = MatrixView::new(
-                rows,
-                dim,
-                &self.matrix.data()[start * dim..(start + rows) * dim],
-            );
-            let tile = &mut tile[..q.rows() * rows];
-            q.matmul_transpose_b_into(&corpus, tile);
-            let real = rows.min(self.len - start);
-            for ((selector, &inv), scores) in selectors
-                .iter_mut()
-                .zip(inv_norms)
-                .zip(tile.chunks_exact(rows))
-            {
-                selector.offer_scaled_row(&scores[..real], inv, |i| start + i, None);
-            }
-        }
+        let corpus = MatrixView::new(self.len, dim, &self.matrix.data()[..self.len * dim]);
+        score_and_offer(
+            &corpus,
+            &PackedTranspose::new(q),
+            inv_norms,
+            selectors,
+            |i| i,
+            None,
+            &mut Vec::new(),
+        );
     }
 
     /// Retrieves, for every query vector, its `k` nearest indexed vectors, returning the
     /// candidate pair list `(query_index, indexed_index, score)`.
     ///
     /// Queries are processed as `QUERY_TILE` (256)-row blocks that fan out across
-    /// threads; each block walks the corpus in cache-sized strips, scoring
-    /// `Q_block * stripᵀ` and offering the scores to one persistent selector per query.
+    /// threads; each block is packed once and walks the corpus in cache-sized strips,
+    /// scoring `strip * Q_blockᵀ` and offering the scores to one persistent selector per
+    /// query.
     /// Results are ordered by query index, then descending score (ascending id on
     /// ties) — identical to running [`CosineIndex::top_k`] per query.
     ///
@@ -593,17 +671,34 @@ mod tests {
     }
 
     #[test]
-    fn bulk_offer_selects_exactly_what_per_score_offers_select() {
+    fn corpus_major_offer_selects_exactly_what_per_score_offers_select() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(21);
+        // Heavy exact ties, NaN, both infinities (an inverse norm of 0 turns them into
+        // NaN too), -0.0 against 0.0.
+        let palette = [
+            0.25f32,
+            0.5,
+            0.5,
+            -0.0,
+            0.0,
+            0.75,
+            f32::NAN,
+            -1.0,
+            1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
         for case in 0..400 {
-            let n = rng.gen_range(1usize..90);
-            // Scores from a handful of values: heavy exact ties, some NaN, -0.0 vs 0.0.
-            let palette = [0.25f32, 0.5, 0.5, -0.0, 0.0, 0.75, f32::NAN, -1.0, 1.0];
-            let rows: Vec<Vec<f32>> = (0..rng.gen_range(1usize..5))
+            // Query counts below, at and past the 16-wide filter group, with tails.
+            let n = rng.gen_range(1usize..40);
+            let inv: Vec<f32> = (0..n)
+                .map(|_| [1.0f32, 0.37, 0.0][rng.gen_range(0..3)])
+                .collect();
+            let strips: Vec<Vec<f32>> = (0..rng.gen_range(1usize..4))
                 .map(|_| {
-                    (0..n)
+                    (0..rng.gen_range(1usize..30) * n)
                         .map(|_| {
                             if case % 3 == 0 {
                                 rng.gen_range(-1.0f32..1.0)
@@ -614,29 +709,47 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // Ids in no particular order (a query's rescore list), distinct per row.
-            let mut ids: Vec<usize> = (0..n * rows.len()).map(|i| i * 3 + 1).collect();
+            let rows: usize = strips.iter().map(|strip| strip.len() / n).sum();
+            // Ids in no particular order (a rescore list), distinct across strips.
+            let mut ids: Vec<usize> = (0..rows).map(|i| i * 3 + 1).collect();
             for i in (1..ids.len()).rev() {
                 ids.swap(i, rng.gen_range(0..=i));
             }
-            let deleted: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4) == 0).collect();
-            let mask = (case % 2 == 0).then_some(deleted.as_slice());
-            let inv = [1.0f32, 0.37, 0.0][case % 3];
-            for k in [0usize, 1, 20, n * rows.len() + 5] {
-                let mut bulk = TopK::new(k);
-                let mut single = TopK::new(k);
-                // Several rows into one selector, like the strips of a corpus: later
-                // rows meet a full heap and take the pre-filtered path.
-                for (r, row) in rows.iter().enumerate() {
-                    let row_ids = &ids[r * n..(r + 1) * n];
-                    bulk.offer_scaled_row(row, inv, |i| row_ids[i], mask);
-                    for (i, &raw) in row.iter().enumerate() {
-                        if !mask.is_some_and(|d| d[i]) {
-                            single.offer(row_ids[i], raw * inv);
-                        }
+            let deleted: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..4) == 0).collect();
+            for k in [0usize, 1, 3, 20, rows + 5] {
+                let mut bulk: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
+                let mut single: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
+                // Selectors at different fill levels before the first strip.
+                for r in 0..n {
+                    for j in 0..rng.gen_range(0..k + 2) {
+                        let score = palette[rng.gen_range(0..palette.len())];
+                        bulk[r].offer(usize::MAX - j, score);
+                        single[r].offer(usize::MAX - j, score);
                     }
                 }
-                assert_eq!(sorted_bits(bulk), sorted_bits(single), "case {case}, k {k}");
+                let mut base = 0;
+                for strip in &strips {
+                    let strip_rows = strip.len() / n;
+                    let strip_ids = &ids[base..base + strip_rows];
+                    let mask = (case % 2 == 0).then_some(&deleted[base..base + strip_rows]);
+                    offer_corpus_rows(&mut bulk, &inv, strip, |i| strip_ids[i], mask);
+                    for (i, scores) in strip.chunks_exact(n).enumerate() {
+                        if mask.is_some_and(|d| d[i]) {
+                            continue;
+                        }
+                        for (r, &raw) in scores.iter().enumerate() {
+                            single[r].offer(strip_ids[i], raw * inv[r]);
+                        }
+                    }
+                    base += strip_rows;
+                }
+                for (r, (bulk, single)) in bulk.into_iter().zip(single).enumerate() {
+                    assert_eq!(
+                        sorted_bits(bulk),
+                        sorted_bits(single),
+                        "case {case}, k {k}, query {r} of {n}"
+                    );
+                }
             }
         }
     }

@@ -23,10 +23,10 @@
 //!
 //! * The bound is evaluated in `f64` against the exact `f32` centroid/radius, then
 //!   padded by [`RoutingStats::prune_slack`] before comparison. The slack grows with
-//!   the vector dimension because the `f32` accumulation error of the scoring kernels
-//!   does too (~`dim · 2⁻²⁴/4` worst case for normalized rows); the slack keeps a
-//!   greater-than-6x margin over that at every dimension, so a kernel-computed score
-//!   can never exceed its shard's padded bound.
+//!   the vector dimension because the `f32` accumulation error of the scoring kernel
+//!   does too (~`dim · 2⁻²⁴` worst case for normalized rows, one multiply-add chain of
+//!   length `dim`); the slack keeps a greater-than-6x margin over that at every
+//!   dimension, so a kernel-computed score can never exceed its shard's padded bound.
 //! * Skipping uses a **strict** `<` against the current worst retained score: a row
 //!   tying the worst score could still displace it via the smaller-id tie-break, so
 //!   ties are never pruned.
@@ -93,15 +93,17 @@ impl RoutingStats {
     /// scores, as a function of the vector dimension.
     ///
     /// Cosine scores live in `[-1, 1]`, so an absolute pad works. The floor of `1e-4`
-    /// dominates every constant-size rounding step in the bound itself; the `1e-7`
-    /// per-dimension term covers the scoring kernels' accumulation error, whose worst
-    /// case for normalized rows grows like `dim · 2⁻²⁴/4 ≈ dim · 1.5e-8` — a margin of
-    /// more than 6x at any dimension (TF-IDF corpora route vectors with tens of
-    /// thousands of dimensions through this bound). The cost is pruning power nobody
-    /// misses: a shard within `1e-4 + dim·1e-7` of the top-k threshold was going to be
-    /// scored anyway on realistic score gaps.
+    /// dominates every constant-size rounding step in the bound itself; the `4e-7`
+    /// per-dimension term covers the scoring kernel's accumulation error. A score is one
+    /// fused multiply-add chain of length `dim`, each step rounding by at most half an
+    /// ulp of a partial sum whose magnitude stays at most 1 for normalized rows, so the
+    /// worst case grows like `dim · 2⁻²⁴ ≈ dim · 6e-8` — a margin of more than 6x at any
+    /// dimension (TF-IDF corpora route vectors with tens of thousands of dimensions
+    /// through this bound). The cost is pruning power nobody misses: a shard within
+    /// `1e-4 + dim·4e-7` of the top-k threshold was going to be scored anyway on
+    /// realistic score gaps.
     pub fn prune_slack(dim: usize) -> f32 {
-        1e-4 + dim as f32 * 1e-7
+        1e-4 + dim as f32 * 4e-7
     }
 
     /// Computes exact statistics over the live rows of a shard matrix.
@@ -353,9 +355,10 @@ mod tests {
     fn prune_slack_scales_with_dimension() {
         assert!(RoutingStats::prune_slack(0) >= 1e-4);
         // The slack must keep a >6x margin over the kernel's worst-case accumulation
-        // error (~dim * 2^-24 / 4) at every dimension, including TF-IDF-sized ones.
+        // error (~dim * 2^-24, one multiply-add chain of length dim over normalized
+        // rows) at every dimension, including TF-IDF-sized ones.
         for dim in [4usize, 64, 1024, 50_000, 1_000_000] {
-            let kernel_error = dim as f32 * (2.0f32.powi(-24) / 4.0);
+            let kernel_error = dim as f32 * 2.0f32.powi(-24);
             assert!(
                 RoutingStats::prune_slack(dim) > 6.0 * kernel_error,
                 "slack too small at dim {dim}"

@@ -12,10 +12,11 @@
 //!
 //! [`ShardedCosineIndex`] answers both: the corpus is partitioned into fixed-capacity
 //! **shards**, each a small row-major matrix that reuses the exact GEMM tile path of the
-//! dense index. `knn_join` computes per-shard `query-tile x shardᵀ` products (rayon
-//! parallel) and merges per-shard candidates through the same bounded-heap top-k selector
-//! as the dense path, so results are **deterministic and identical** to a dense index over
-//! the same rows. Ingestion is incremental: [`ShardedCosineIndex::add_batch`] appends
+//! dense index. `knn_join` streams each shard through the GEMM tile against the packed
+//! query tile (query tiles in parallel) and offers the corpus-major scores to the same
+//! bounded-heap top-k selectors as the dense path, so results are **deterministic and
+//! identical** to a dense index over the same rows. Ingestion is incremental:
+//! [`ShardedCosineIndex::add_batch`] appends
 //! (normalizing only the new rows), [`ShardedCosineIndex::remove`] tombstones, and
 //! [`ShardedCosineIndex::compact`] repacks shards to drop tombstones.
 //!
@@ -37,12 +38,11 @@
 //!
 //! 1. every row is L2-normalized exactly once, with the same per-row op the dense index
 //!    uses ([`Matrix::l2_normalize_rows_mut`]);
-//! 2. both layouts pad their matrices with zero rows to a multiple of the `dot4` row
-//!    group width, so every live row is scored by the same SIMD microkernel regardless
-//!    of corpus size or where a shard boundary falls (the `dot4` accumulators are
-//!    per-row independent, so grouping does not affect the value — only which kernel
-//!    runs does); spilling preserves the matrix bit-for-bit, so a faulted shard scores
-//!    identically to a resident one;
+//! 2. every score is one fused multiply-add chain over the dimensions, ascending — the
+//!    GEMM tile's contract — so it does not depend on which shard, strip, tile or batch
+//!    computed it, nor on which other rows or queries were in the product; spilling
+//!    preserves the matrix bit-for-bit, so a faulted shard scores identically to a
+//!    resident one;
 //! 3. all candidates flow through the crate's single top-k selector, whose (score
 //!    descending, id ascending) total order is insertion-order independent, so the
 //!    order shards are visited in cannot matter; routing skips only shards whose best
@@ -56,16 +56,17 @@
 use std::cmp::Reverse;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
-use sudowoodo_nn::matrix::{I8Tile, Matrix};
+use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView, PackedTranspose};
 
 use crate::cache::{fingerprint, QueryCache};
-use crate::knn::{check_row_dim, pack_query_block, padded_rows, Neighbor, TopK};
+use crate::knn::{check_row_dim, pack_query_block, padded_rows, score_and_offer, Neighbor, TopK};
 use crate::routing::RoutingStats;
 use crate::snapshot;
 use crate::storage::{QuantizedBlock, QuantizedMatrix, ShardStorage, SpillDir};
@@ -272,8 +273,8 @@ pub struct JoinOutcome {
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// Row-major buffer (resident or spilled); rows `0..ids.len()` are real (already
-    /// normalized), trailing rows — row-quad padding plus geometric growth slack — are
-    /// zero and never surface in results.
+    /// normalized), trailing rows — row-group padding plus geometric growth slack — are
+    /// zero and never scored.
     pub(crate) storage: ShardStorage,
     /// Stable id of each real row, ascending (insertion order is preserved shard-to-shard).
     pub(crate) ids: Vec<usize>,
@@ -321,13 +322,14 @@ impl Shard {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Scores `q_block x shardᵀ` and offers every live row to the per-query selectors.
+    /// Streams the shard's real rows through the GEMM tile against the packed query tile
+    /// and offers every live row to the per-query selectors ([`score_and_offer`]).
     ///
-    /// `inv_norms[r]` is the query-row inverse norm; the scale is applied at offer time
-    /// exactly like the dense path (`s * inv`). A spilled shard matrix is scored
-    /// straight out of its shared memory mapping (established, CRC-checked once, with
-    /// the storage layer's retry backoff for transient I/O faults) — the OS page
-    /// cache, not a per-process heap copy, is the working set.
+    /// The query-row inverse norms scale the scores at offer time exactly like the dense
+    /// path (`s * inv`). A spilled shard is read straight out of its shared memory
+    /// mapping (established, CRC-checked once, with the storage layer's retry backoff
+    /// for transient I/O faults) — the OS page cache, not a per-process heap copy, is
+    /// the working set.
     ///
     /// # Errors
     /// The shard's storage stayed unreadable through the retries; no candidate was
@@ -335,44 +337,104 @@ impl Shard {
     /// degrades the join instead of failing it.
     fn offer_into(
         &self,
-        q_block: &Matrix,
-        inv_norms: &[f32],
+        queries: &QueryTile<'_>,
         selectors: &mut [TopK],
+        tile: &mut Vec<f32>,
     ) -> Result<(), crate::storage::StorageError> {
         if self.live == 0 {
             return Ok(());
         }
-        // The query path borrows the payload (resident memory or the shared CRC-
-        // verified mapping) instead of faulting a heap copy per tile; the kernels
-        // are identical either way, so scores stay bit-identical.
-        let sims = self
-            .storage
-            .with_exact(|payload| q_block.matmul_transpose_b_view(&payload))?;
-        for (r, selector) in selectors.iter_mut().enumerate() {
-            let scores = &sims.row(r)[..self.ids.len()];
-            selector.offer_scaled_row(scores, inv_norms[r], |i| self.ids[i], Some(&self.deleted));
-        }
-        Ok(())
+        self.storage.with_exact(|payload| {
+            let (rows, dim) = (self.ids.len(), payload.cols());
+            score_and_offer(
+                &MatrixView::new(rows, dim, &payload.data()[..rows * dim]),
+                queries.packed(),
+                queries.inv_norms,
+                selectors,
+                |i| self.ids[i],
+                Some(&self.deleted),
+                tile,
+            )
+        })
     }
 }
 
+/// Queries per group of the quantized rescore: a group's kept rows are scored once,
+/// against the group's packed panel, by the narrowest GEMM tile (16 columns).
+/// [`QueryTile::groups`] puts similar queries together.
+const RESCORE_GROUP: usize = 16;
+
 /// One query tile as the shard scans see it: the packed f32 block, its inverse norms,
-/// and the tile's i8 codes — quantized at most once per tile and only when a quantized
-/// shard is actually scanned, so a fully dense index never pays for them. Shared across
-/// the tile's shard visits through the `OnceLock`.
-struct QuantQueries<'a> {
+/// and what each scan derives from them once per tile and only when it runs — the
+/// block's transpose packed for the f32 scan, the rescore's groups of similar queries,
+/// each packed on its own, and the block's i8 codes — so a fully dense index never pays
+/// for the quantized scan's parts. Shared across the tile's shard visits through
+/// `OnceLock`s.
+struct QueryTile<'a> {
     q_block: &'a Matrix,
     inv_norms: &'a [f32],
+    packed: OnceLock<PackedTranspose>,
+    groups: OnceLock<Vec<(Vec<usize>, PackedTranspose)>>,
     codes: OnceLock<QuantizedBlock>,
 }
 
-impl<'a> QuantQueries<'a> {
+impl<'a> QueryTile<'a> {
     fn new(q_block: &'a Matrix, inv_norms: &'a [f32]) -> Self {
-        QuantQueries {
+        QueryTile {
             q_block,
             inv_norms,
+            packed: OnceLock::new(),
+            groups: OnceLock::new(),
             codes: OnceLock::new(),
         }
+    }
+
+    /// The whole block, packed as the right operand of the f32 scan.
+    fn packed(&self) -> &PackedTranspose {
+        self.packed
+            .get_or_init(|| PackedTranspose::new(&self.q_block.view()))
+    }
+
+    /// The block in groups of at most [`RESCORE_GROUP`] queries, each group's tile rows
+    /// with their panel packed on its own. A group is its lowest ungrouped query and the
+    /// ungrouped queries most similar to it (cosine, through the packed block): similar
+    /// queries keep the same rows, so a group's union of survivors — what the rescore
+    /// reads and scores — stays close to one query's list instead of growing with the
+    /// group. The grouping decides work only; every query is offered its own rows.
+    fn groups(&self) -> &[(Vec<usize>, PackedTranspose)] {
+        self.groups.get_or_init(|| {
+            let (n, dim) = self.q_block.shape();
+            let mut sims = vec![0.0f32; n * n];
+            self.packed().multiply_into(&self.q_block.view(), &mut sims);
+            let mut free = vec![true; n];
+            let mut groups = Vec::with_capacity(n.div_ceil(RESCORE_GROUP));
+            let mut others = Vec::with_capacity(n);
+            for seed in 0..n {
+                if !free[seed] {
+                    continue;
+                }
+                others.clear();
+                others.extend((seed + 1..n).filter(|&j| free[j]));
+                let similarity = |j: usize| sims[seed * n + j] * self.inv_norms[j];
+                let take = others.len().min(RESCORE_GROUP - 1);
+                if take < others.len() {
+                    others.select_nth_unstable_by(take, |&a, &b| {
+                        similarity(b).total_cmp(&similarity(a))
+                    });
+                }
+                let mut members = vec![seed];
+                members.extend_from_slice(&others[..take]);
+                members.sort_unstable();
+                let mut rows = Vec::with_capacity(members.len() * dim);
+                for &m in &members {
+                    free[m] = false;
+                    rows.extend_from_slice(self.q_block.row(m));
+                }
+                let panel = PackedTranspose::new(&MatrixView::new(members.len(), dim, &rows));
+                groups.push((members, panel));
+            }
+            groups
+        })
     }
 
     /// The tile's rows quantized as `q * inv_norm` — the normalized vectors whose dots
@@ -383,10 +445,10 @@ impl<'a> QuantQueries<'a> {
     }
 }
 
-/// Shard rows per strip of the quantized first stage: the `256 x strip` i32 tile
-/// (512 KiB) and the strip's packed codes stay in L2 while every query sweeps its row.
-/// Measured on the benchmark host, 256 x 4096 x 64 on the VNNI arm: 256 and 512 rows
-/// 0.29 ms, 1024 0.32, 2048 0.45.
+/// Shard rows per strip of the quantized first stage. The strip's packed codes stay in
+/// L2 while the i8 product runs band by band, and each band (six queries on the VNNI
+/// arm: 12 KiB of dots) is swept while it is in L1. Measured on the benchmark host,
+/// 256 x 4096 x 64 on the VNNI arm: 256 and 512 rows 0.29 ms, 1024 0.32, 2048 0.45.
 const QUANT_STRIP_ROWS: usize = 512;
 
 /// Kept rows below which a [`QuantLane`] does not re-select. Re-selecting is linear in
@@ -404,7 +466,9 @@ const QUANT_MIN_KEPT: usize = 128;
 /// so the running threshold never exceeds the final one and no survivor is lost. `kept`
 /// always holds exactly the seen live rows at or above the running threshold — an upper
 /// set of the approximate scores, so whenever it holds `k_wide` rows its `k_wide`-th
-/// best *is* the `k_wide`-th best of everything seen, ties included.
+/// best *is* the `k_wide`-th best of everything seen, ties included. A lane with no
+/// threshold yet may instead start from a guessed `a_ref` that `k_wide` seen rows reach
+/// ([`QuantLane::sweep_from_guess`]): that is at most the final `a_ref` too.
 #[derive(Debug, Default)]
 struct QuantLane {
     /// The query's reconstruction scale.
@@ -419,6 +483,8 @@ struct QuantLane {
     kept: Vec<(f64, usize)>,
     /// `kept.len()` at which the next [`QuantLane::tighten`] runs.
     tighten_at: usize,
+    /// The `a_ref` guess [`QuantLane::sweep_from_guess`] tries first; NaN for none.
+    guess: f64,
 }
 
 impl QuantLane {
@@ -441,7 +507,8 @@ impl QuantLane {
     /// approximate score is `scale · row_scale · dot` in f64, as the rule specifies;
     /// the kernel layer's vectorised scan lists the rows that reach the running
     /// threshold into `hits`, and only those are looked at one by one (tombstones
-    /// drop out there).
+    /// drop out there). A lane that has no threshold yet first tries to guess one
+    /// ([`QuantLane::sweep_from_guess`]).
     fn sweep(
         &mut self,
         dots: &[i32],
@@ -451,6 +518,12 @@ impl QuantLane {
         k_wide: Option<usize>,
         hits: &mut Vec<usize>,
     ) {
+        let strip = (dots, row_scales, &deleted[base..base + dots.len()], base);
+        if let (f64::NEG_INFINITY, Some(k_wide)) = (self.threshold, k_wide) {
+            if self.sweep_from_guess(strip, k_wide, hits) {
+                return;
+            }
+        }
         // While nothing filters yet every row is a hit: take the strip in pieces so
         // `kept` is re-selected before it holds a strip's worth of rows per query.
         let piece = if self.threshold == f64::NEG_INFINITY {
@@ -459,27 +532,102 @@ impl QuantLane {
             dots.len()
         };
         for start in (0..dots.len()).step_by(piece.max(1)) {
-            let end = dots.len().min(start + piece);
-            hits.clear();
-            I8Tile::scaled_at_least(
-                &dots[start..end],
-                &row_scales[start..end],
-                self.scale,
-                self.threshold,
-                hits,
-            );
-            for j in hits
-                .iter()
-                .map(|&j| start + j)
-                .filter(|&j| !deleted[base + j])
-            {
-                let approx = self.scale * row_scales[j] * dots[j] as f64;
-                self.kept.push((approx, base + j));
-            }
+            self.scan(strip, start..dots.len().min(start + piece), hits);
             if self.kept.len() >= self.tighten_at {
                 self.tighten(k_wide);
             }
         }
+    }
+
+    /// Keeps the live rows of `range` that reach the running threshold; `strip` is
+    /// the strip's dots, row scales, tombstones and first shard row.
+    fn scan(&mut self, strip: Strip<'_>, range: Range<usize>, hits: &mut Vec<usize>) {
+        let (dots, row_scales, deleted, base) = strip;
+        let (scale, start) = (self.scale, range.start);
+        hits.clear();
+        I8Tile::scaled_at_least(
+            &dots[range.clone()],
+            &row_scales[range],
+            scale,
+            self.threshold,
+            hits,
+        );
+        for j in hits.iter().map(|&j| start + j).filter(|&j| !deleted[j]) {
+            self.kept
+                .push((scale * row_scales[j] * dots[j] as f64, base + j));
+        }
+    }
+
+    /// A strip of a lane without a threshold yet, swept at a guessed one. A guess `t`
+    /// that `k_wide` live rows seen so far reach is at most the shard's `a_ref`, so
+    /// `threshold_for(t)` is a valid running threshold, and the rows at or above it are
+    /// exactly what `kept` must hold. The first guess tried is [`QuantLane::guess`],
+    /// which the caller sets to the one a neighbouring query's lane kept; the next is
+    /// the approximate score that a sample of every fourth row puts `2·k_wide` rows of
+    /// the strip above on average. Returns `false`, with `kept` and the threshold as
+    /// they were, when neither is reached by `k_wide` rows; the caller then sweeps
+    /// from `−∞`.
+    fn sweep_from_guess(&mut self, strip: Strip<'_>, k_wide: usize, hits: &mut Vec<usize>) -> bool {
+        const STRIDE: usize = 4;
+        if self.guess.is_finite() && self.try_guess(self.guess, strip, k_wide, hits) {
+            return true;
+        }
+        let (dots, row_scales, deleted, _) = strip;
+        let rank = (2 * k_wide).div_ceil(STRIDE);
+        let (scale, before) = (self.scale, self.kept.len());
+        // The sample is drawn in `kept`'s own spare room, which the sweep fills next.
+        self.kept.extend(
+            (0..dots.len())
+                .step_by(STRIDE)
+                .filter(|&j| !deleted[j])
+                .map(|j| (scale * row_scales[j] * dots[j] as f64, j))
+                .filter(|(approx, _)| !approx.is_nan()),
+        );
+        let sample = &mut self.kept[before..];
+        if sample.len() < rank {
+            self.kept.truncate(before);
+            return false;
+        }
+        let (_, &mut (guess, _), _) =
+            sample.select_nth_unstable_by(rank - 1, |a, b| b.0.total_cmp(&a.0));
+        self.kept.truncate(before);
+        self.try_guess(guess, strip, k_wide, hits)
+    }
+
+    /// Sweeps a strip at `threshold_for(guess)` and keeps the guess if `k_wide` rows
+    /// seen so far reach it; otherwise restores `kept` and the threshold and returns
+    /// `false`. A guess that kept more than `4·k_wide` rows is not passed on
+    /// ([`QuantLane::guess`] becomes NaN), so one low guess does not loosen every lane
+    /// after it.
+    fn try_guess(
+        &mut self,
+        guess: f64,
+        strip: Strip<'_>,
+        k_wide: usize,
+        hits: &mut Vec<usize>,
+    ) -> bool {
+        let before = self.kept.len();
+        self.threshold = self.threshold_for(guess);
+        self.scan(strip, 0..strip.0.len(), hits);
+        if self
+            .kept
+            .iter()
+            .filter(|&&(approx, _)| approx >= guess)
+            .count()
+            < k_wide
+        {
+            self.kept.truncate(before);
+            self.threshold = f64::NEG_INFINITY;
+            return false;
+        }
+        self.guess = if self.kept.len() > 4 * k_wide {
+            f64::NAN
+        } else {
+            guess
+        };
+        // Also drops what earlier strips kept at `−∞`.
+        self.tighten(Some(k_wide));
+        true
     }
 
     /// Raises the threshold to what the rows seen so far justify and drops the kept
@@ -502,24 +650,30 @@ impl QuantLane {
     }
 }
 
+/// One strip as a [`QuantLane`] scans it: one query's dots, the strip's row scales, its
+/// rows' tombstones and its first shard row.
+type Strip<'a> = (&'a [i32], &'a [f64], &'a [bool], usize);
+
 /// Scratch of the quantized scan owned by one worker for one query tile and reused
 /// across its shard visits, so a visit allocates nothing once the buffers have grown.
 #[derive(Debug, Default)]
 struct QuantScratch {
     /// The tile's codes prepared for the i8 kernel, and its `queries x strip` tile.
     tile: Option<I8Tile>,
-    /// The current strip's row scales, widened once for every query's sweep.
-    row_scales: Vec<f64>,
     /// One filter per query of the tile.
     lanes: Vec<QuantLane>,
+    /// The strip's row scales, widened once for every query's sweep.
+    row_scales: Vec<f64>,
     /// Strip positions one query's sweep has to look at.
     hits: Vec<usize>,
     /// Per shard row: some query kept it (counts the distinct rows rescored).
     candidate: Vec<bool>,
-    /// One query's kept rows, the second stage's rescore list.
+    /// Per shard row: its position in `rows`, or `u32::MAX`.
+    position: Vec<u32>,
+    /// The union of one rescore group's kept rows: the second stage's rescore list.
     rows: Vec<usize>,
-    /// Their exact kernel scores.
-    exact: Vec<f32>,
+    /// The corpus-major f32 score tile: a strip of the f32 scan, or a rescore list.
+    scores: Vec<f32>,
 }
 
 /// Stage 1 of the quantized scan (the rule is on
@@ -541,9 +695,10 @@ fn quant_survivors(
     let (rows, dim) = (shard.ids.len(), quant.cols());
     // No surplus to select from: every live row passes the `a_ref` half of the rule.
     let k_wide = (k_wide > 0 && shard.live > k_wide).then_some(k_wide);
-    scratch
-        .lanes
-        .resize_with(selectors.len(), QuantLane::default);
+    scratch.lanes.resize_with(selectors.len(), || QuantLane {
+        kept: Vec::with_capacity(2 * QUANT_MIN_KEPT),
+        ..QuantLane::default()
+    });
     for (r, (lane, selector)) in scratch.lanes.iter_mut().zip(selectors).enumerate() {
         let eps = RoutingStats::quant_scan_epsilon(
             queries.norms[r],
@@ -554,30 +709,34 @@ fn quant_survivors(
         );
         lane.begin(queries.scales[r], eps, selector.worst_score_when_full());
     }
-    let tile = scratch
-        .tile
-        .get_or_insert_with(|| I8Tile::new(&queries.codes, dim));
+    let QuantScratch {
+        tile,
+        lanes,
+        row_scales,
+        hits,
+        ..
+    } = scratch;
+    let tile = tile.get_or_insert_with(|| I8Tile::new(&queries.codes, dim));
     for start in (0..rows).step_by(QUANT_STRIP_ROWS) {
         let strip = QUANT_STRIP_ROWS.min(rows - start);
-        let dots = tile.multiply_transpose_b(&quant.codes()[start * dim..(start + strip) * dim]);
-        scratch.row_scales.clear();
-        scratch.row_scales.extend(
+        row_scales.clear();
+        row_scales.extend(
             quant.scales()[start..start + strip]
                 .iter()
                 .map(|&s| s as f64),
         );
-        for (lane, dots) in scratch.lanes.iter_mut().zip(dots.chunks_exact(strip)) {
-            lane.sweep(
-                dots,
-                &scratch.row_scales,
-                &shard.deleted,
-                start,
-                k_wide,
-                &mut scratch.hits,
-            );
-        }
+        // Lanes without a threshold start from the guess of the lane before them.
+        let mut guess = f64::NAN;
+        let codes = &quant.codes()[start * dim..(start + strip) * dim];
+        tile.multiply_transpose_b_bands(codes, |band, dots| {
+            for (lane, dots) in lanes[band].iter_mut().zip(dots.chunks_exact(strip)) {
+                lane.guess = guess;
+                lane.sweep(dots, row_scales, &shard.deleted, start, k_wide, hits);
+                guess = lane.guess;
+            }
+        });
     }
-    for lane in &mut scratch.lanes {
+    for lane in lanes.iter_mut() {
         lane.tighten(k_wide);
     }
 }
@@ -1089,9 +1248,7 @@ impl ShardedCosineIndex {
                 .unwrap_or_else(|e| panic!("ShardedCosineIndex::add_batch: {e}"));
             if needed > matrix.rows() {
                 // Grow geometrically (capped at the shard capacity) so per-row appends
-                // amortize; the slack rows are zero, which the scoring kernel treats as
-                // more padding (skipped in selection, and `dot4` scores each row
-                // independently, so real-row scores are unaffected).
+                // amortize; the slack rows are zero padding, which is never scored.
                 let grown = padded_rows(
                     (matrix.rows() * 2).clamp(needed, padded_rows(self.shard_capacity).max(needed)),
                 );
@@ -1536,9 +1693,9 @@ impl ShardedCosineIndex {
                 let base = block_idx * QUERY_TILE;
                 let (q_block, inv_norms) =
                     pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
-                let quant_queries = QuantQueries::new(&q_block, &inv_norms);
+                let queries = QueryTile::new(&q_block, &inv_norms);
                 let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                self.offer_shards_routed(block, &quant_queries, &mut selectors, stamp, shards);
+                self.offer_shards_routed(block, &queries, &mut selectors, stamp, shards);
                 let mut pairs = Vec::with_capacity(block.len() * k);
                 for (r, selector) in selectors.into_iter().enumerate() {
                     pairs.extend(
@@ -1581,15 +1738,15 @@ impl ShardedCosineIndex {
         }
     }
 
-    /// Scores one shard against a query tile: dense storage goes through the exact
-    /// [`Shard::offer_into`] GEMM; quantized storage through the two-stage scan of
+    /// Scores one shard against a query tile: dense storage goes through the f32
+    /// [`Shard::offer_into`] scan; quantized storage through the two-stage scan of
     /// [`Self::offer_shard_quantized`]. Either way every score a selector receives is
     /// an exact f32 kernel score, which is what keeps the shard-level routing prune
     /// (and the results) identical to the dense build.
     fn offer_shard(
         &self,
         shard: &Shard,
-        queries: &QuantQueries<'_>,
+        queries: &QueryTile<'_>,
         selectors: &mut [TopK],
         scratch: &mut QuantScratch,
     ) -> Result<(), crate::storage::StorageError> {
@@ -1603,7 +1760,7 @@ impl ShardedCosineIndex {
             Some(Ok(quant)) if self.dim <= I8Tile::MAX_K => {
                 self.offer_shard_quantized(shard, quant, queries, selectors, scratch)
             }
-            _ => shard.offer_into(queries.q_block, queries.inv_norms, selectors),
+            _ => shard.offer_into(queries, selectors, &mut scratch.scores),
         }
     }
 
@@ -1624,17 +1781,20 @@ impl ShardedCosineIndex {
     ///
     /// Ties with the threshold are kept (`>=`), and all comparisons run in f64.
     ///
-    /// **Stage 2** scores each query against its own survivors only, straight from the
-    /// exact f32 tier, and offers them to that query's selector. The scores come from
-    /// [`dot4_rows`](sudowoodo_nn::matrix::MatrixView::dot4_rows), the per-row-independent
-    /// `dot4` microkernel of a full-shard scan, so they are bit-identical. A row the
-    /// query dropped cannot be in its top-k after this visit, so every selector ends the
-    /// visit holding what the dense path leaves in it.
+    /// **Stage 2** scores, per group of similar queries ([`QueryTile::groups`]), the
+    /// union of the rows its queries kept once, straight from the exact f32 tier: the
+    /// rows are the GEMM tile's `A` operand, read in place, against the group's packed
+    /// panel. Each
+    /// query is then offered the rows *it* kept, through the threshold filter of a full
+    /// scan ([`TopK::offer_reaching`]). Each score is the multiply-add chain a
+    /// full-shard scan computes, so it is bit-identical; a row the query dropped cannot
+    /// be in its top-k after this visit, so every selector ends the visit holding what
+    /// the dense path leaves in it.
     fn offer_shard_quantized(
         &self,
         shard: &Shard,
         quant: &QuantizedMatrix,
-        queries: &QuantQueries<'_>,
+        queries: &QueryTile<'_>,
         selectors: &mut [TopK],
         scratch: &mut QuantScratch,
     ) -> Result<(), crate::storage::StorageError> {
@@ -1651,15 +1811,27 @@ impl ShardedCosineIndex {
         let QuantScratch {
             lanes,
             candidate,
+            position,
             rows,
-            exact,
+            scores,
             ..
         } = scratch;
         candidate.clear();
         candidate.resize(shard.ids.len(), false);
+        position.clear();
+        position.resize(shard.ids.len(), u32::MAX);
         let mut distinct = 0;
         for &(_, row) in lanes.iter().flat_map(|lane| &lane.kept) {
             distinct += u64::from(!std::mem::replace(&mut candidate[row], true));
+        }
+        // A selector that is not yet full takes its `k` best approximate rows first, so
+        // the rows after them mostly fall below its threshold instead of cycling
+        // through its heap.
+        for (lane, selector) in lanes.iter_mut().zip(selectors.iter()) {
+            if k > 0 && lane.kept.len() > k && selector.worst_score_when_full().is_none() {
+                lane.kept
+                    .select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
+            }
         }
         self.counters.quant_scans.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -1671,17 +1843,28 @@ impl ShardedCosineIndex {
         // For a spilled shard this reads exact rows through the shared mapping (page
         // cache, not heap) — the resident scanning footprint stays the i8 tier.
         shard.storage.with_exact(|view| {
-            for ((r, selector), lane) in selectors.iter_mut().enumerate().zip(lanes.iter()) {
+            for (members, panel) in queries.groups() {
                 rows.clear();
-                rows.extend(lane.kept.iter().map(|&(_, row)| row));
-                exact.resize(rows.len(), 0.0);
-                view.dot4_rows(queries.q_block.row(r), rows, exact);
-                selector.offer_scaled_row(
-                    exact,
-                    queries.inv_norms[r],
-                    |j| shard.ids[rows[j]],
-                    None,
-                );
+                for &(_, row) in members.iter().flat_map(|&m| &lanes[m].kept) {
+                    if position[row] == u32::MAX {
+                        position[row] = rows.len() as u32;
+                        rows.push(row);
+                    }
+                }
+                let width = panel.rows();
+                scores.resize(rows.len() * width, 0.0);
+                panel.multiply_rows_into(&view, rows, scores);
+                for (column, &m) in members.iter().enumerate() {
+                    let (selector, inv) = (&mut selectors[m], queries.inv_norms[m]);
+                    let mut threshold = selector.threshold();
+                    for &(_, row) in &lanes[m].kept {
+                        let raw = scores[position[row] as usize * width + column];
+                        selector.offer_reaching(&mut threshold, shard.ids[row], raw * inv);
+                    }
+                }
+                for &row in rows.iter() {
+                    position[row] = u32::MAX;
+                }
             }
         })
     }
@@ -1695,7 +1878,7 @@ impl ShardedCosineIndex {
     fn offer_shards_routed(
         &self,
         block: &[Vec<f32>],
-        queries: &QuantQueries<'_>,
+        queries: &QueryTile<'_>,
         selectors: &mut [TopK],
         stamp: u64,
         candidates: &[usize],
@@ -1850,9 +2033,9 @@ mod tests {
 
     #[test]
     fn duplicate_rows_in_odd_sized_corpus_match_dense_exactly() {
-        // 5 identical rows (n % 4 != 0): without the shared row-quad padding, the dense
-        // index would score row 4 through a different kernel than rows 0..4 and a 1-ulp
-        // difference could beat the id tie-break. Both layouts must agree bit-for-bit.
+        // 5 identical rows (n % 4 != 0), split differently across shards and strips: a
+        // 1-ulp difference between two copies' scores would beat the id tie-break, so
+        // both layouts must score every copy with the same bits.
         // Duplicate rows are also the adversarial case for routing: the shard radius is
         // ~0 and every bound ties the true score, so only the strict `<` keeps pruning
         // admissible.

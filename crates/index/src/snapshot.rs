@@ -37,7 +37,7 @@
 //! ## Equivalence contract
 //!
 //! A snapshot round trip is **bit-identical**: payloads are the shard matrices
-//! bit-for-bit (including the row-quad zero padding), ids/tombstones/routing statistics
+//! bit-for-bit (including the row-group zero padding), ids/tombstones/routing statistics
 //! are preserved exactly, so a loaded index returns id- and score-identical `knn_join`
 //! results to the index that was saved — spilled, routed, compacted, or not. The
 //! `snapshot_roundtrip` integration tests pin this on the 2k×10k fixture with spill
@@ -219,7 +219,7 @@ pub(crate) fn write_shard_record(w: &mut Vec<u8>, shard: &Shard) -> io::Result<(
 
 /// One shard's manifest record, parsed and validated but not yet bound to a payload.
 pub(crate) struct ShardRecord {
-    /// Payload matrix row count (including the row-quad zero padding).
+    /// Payload matrix row count (including the row-group zero padding).
     pub rows: usize,
     /// Payload matrix column count (== the index dimension).
     pub cols: usize,

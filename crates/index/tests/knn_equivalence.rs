@@ -127,11 +127,11 @@ fn knn_join_is_deterministic_across_runs() {
 }
 
 /// The retired dense join, kept as the oracle of the strip walk: one full
-/// `queries x corpus` score matrix through the frozen row-at-a-time kernel reference,
-/// then one `TopK::offer` per score.
+/// `queries x corpus` score matrix through `matmul` against the transposed corpus, then
+/// one `TopK::offer` per score.
 fn full_tile_join(index: &CosineIndex, queries: &[Vec<f32>], k: usize) -> Vec<(usize, usize, f32)> {
     let q = Matrix::from_rows(queries);
-    let sims = q.matmul_transpose_b_reference(&index.matrix().view());
+    let sims = q.matmul(&index.matrix().transpose());
     let mut pairs = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
         let norm: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();

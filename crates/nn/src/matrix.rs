@@ -10,17 +10,20 @@
 //! < Avx512Vnni`), detected once per process: a public entry reads it once and hands it
 //! down, and row bands on other threads receive it as an argument.
 //!
-//! * [`Matrix::matmul`] — one register-tile family (`8×32` AVX-512, `4×16` AVX2, `4×16`
-//!   scalar) behind one loop nest: row bands × column panels of `B`, packed from a size
-//!   threshold up. Edge rows and columns run the same tile into a spare tile, so on
-//!   every FMA arm each output is one fused multiply-add chain over `k`, ascending, from
-//!   zero — the same bits whatever the arm, the output's position or the thread split.
+//! * [`Matrix::matmul`] — one register-tile family (`8×32` AVX-512, `8×16` AVX-512 for
+//!   products at most 16 columns wide, `4×16` AVX2, `4×16` scalar) behind one loop nest:
+//!   row bands × column panels of `B`, packed from a size threshold up. Edge rows and
+//!   columns run the same tile into a spare tile, so on every FMA arm each output is one
+//!   fused multiply-add chain over `k`, ascending, from zero — the same bits whatever the
+//!   arm, the tile width, the output's position or the thread split.
 //!   [`Matrix::matmul_transpose_a`] (`Aᵀ·B`) is a blocked transpose feeding it.
-//! * [`Matrix::matmul_transpose_b`] — fused `A·Bᵀ` (similarity matrices, cosine scoring):
-//!   `8×4` (AVX-512) or `2×4` (AVX2) tiles of 8-lane accumulators walking `B` in
-//!   L2-sized strips, bit-identical per element to the row-at-a-time
-//!   [`Matrix::matmul_transpose_b_reference`] on the same arm;
-//!   [`MatrixView::matmul_transpose_b_into`] is the same kernel into a reused buffer.
+//! * [`Matrix::matmul_transpose_b`] (`A·Bᵀ`: similarity matrices, cosine scoring, the
+//!   `A`-gradient of `matmul`) is the same tile against `B` transposed into its panels
+//!   ([`PackedTranspose`]), so it equals `a.matmul(&b.transpose())` bit for bit. A
+//!   multiply-add commutes, so `(B·Aᵀ)ᵀ` has those bits too: the joins stream their
+//!   corpus through [`PackedTranspose::multiply_into`] as the tile's `A` operand, read in
+//!   place, against the query tile packed once, and the quantized rescore passes listed
+//!   rows ([`PackedTranspose::multiply_rows_into`]).
 //! * [`I8Tile`] — i8 codes × codesᵀ into a reused `i32` tile, the first stage of the
 //!   quantized index scan: `6×64` AVX-512 VNNI `vpdpbusd` / AVX-512 `madd_epi16`, `4×16`
 //!   AVX2, scalar — integer-exact, so every arm equals [`Matrix::dot_i8`];
@@ -28,17 +31,17 @@
 //! * AXPY (`kernels::axpy4` / `axpy1`) for attention and the optimizer, and the GELU and
 //!   softmax maps of [`crate::tape`], on the same arm.
 //!
-//! `matmul_naive`, `matmul_transpose_b_reference` and `dot_i8` are the frozen references
-//! the tests compare against. New work slots in as a tile in `kernels` and one more
-//! `match` arm on [`Arm`]; a new product reuses the band split and the edge handling.
+//! `matmul_naive` and `dot_i8` are the frozen references the tests compare against. New
+//! work slots in as a tile in `kernels` and one more `match` arm on [`Arm`]; a new
+//! product reuses the band split, the edge handling and the packed operands.
 
 use std::cell::Cell;
 
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Multiply-adds (`m * k * n`) from which [`Matrix::matmul`] and the `A * B^T` driver split
-/// their output rows across threads — the one "go parallel?" rule, see [`fans_out`].
+/// Multiply-adds (`m * k * n`) from which the GEMM loop nest of every f32 product splits
+/// its output rows across threads — the one "go parallel?" rule, see [`fans_out`].
 ///
 /// The arithmetic, measured on the benchmark host (2 vCPUs that are siblings of one
 /// core): the rayon shim has no pool, so a fan-out is a `thread::scope` that spawns and
@@ -55,8 +58,8 @@ use rayon::prelude::*;
 const PAR_FLOPS: usize = 1 << 25;
 
 /// The rule itself: a product of `m` output rows and `m * k * n` multiply-adds is worth
-/// splitting across threads from `PAR_FLOPS` up, a single row never. Both GEMM drivers
-/// ask it through [`for_each_band`], whose bands compute every output in the same order
+/// splitting across threads from `PAR_FLOPS` up, a single row never. The GEMM loop nest
+/// asks it through [`for_each_band`], whose bands compute every output in the same order
 /// as the inline loop, so crossing the threshold never changes a bit of the result.
 /// Public only so `tests/kernel_props.rs` can find shapes on either side of it on any
 /// host.
@@ -72,13 +75,6 @@ pub fn fans_out(m: usize, k: usize, n: usize) -> bool {
 /// copied: the training graphs are full of tiny products where a whole-`B` copy and its
 /// allocation would dominate.
 const PACK_FLOPS: usize = 1 << 14;
-
-/// Bytes of `B` one strip of the `A * B^T` kernel covers: every row tile of `A` is run
-/// against a strip before the next strip is touched, so `B` comes from L2 for all but
-/// the first tile of a band instead of streaming from memory once per tile. Measured on
-/// the benchmark host (2 MiB L2) at 256 x 100k x 64: 32 KiB strips 59 GFLOP/s, 256 KiB
-/// 84, 1 MiB 71, unblocked 60–66.
-const ABT_STRIP_BYTES: usize = 256 << 10;
 
 /// The instruction set a kernel runs on, slowest first; every kernel of this module is
 /// a `match` on it.
@@ -151,7 +147,7 @@ pub fn for_each_supported_arm(mut f: impl FnMut(Arm)) {
 
 /// Runs `run(rows, band)` over the `m x n` row-major `out`: as one band per thread, each
 /// a whole number of `tile`-row tiles, when [`fans_out`] says so, else as one band
-/// inline. The band split of `matmul` and `A * B^T`.
+/// inline. The band split of every f32 product.
 fn for_each_band(
     (m, k, n): (usize, usize, usize),
     tile: usize,
@@ -281,14 +277,16 @@ pub(crate) mod kernels {
         }
     }
 
-    /// [`GemmTile`] of [`Arm::Avx512`]: `MR x 32`, two `zmm` accumulators per row — at
-    /// `MR = 8` sixteen of them, which halves the re-streaming of `B` against four rows.
+    /// [`GemmTile`] of [`Arm::Avx512`]: `MR x 16·NV`, `NV` `zmm` accumulators per row — at
+    /// `MR = 8, NV = 2` sixteen of them, which halves the re-streaming of `B` against four
+    /// rows; `NV = 1` serves products at most 16 columns wide without computing a
+    /// discarded half.
     ///
     /// # Safety
     /// See [`GemmTile`]; needs AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_tile_avx512<const MR: usize>(
+    pub unsafe fn gemm_tile_avx512<const MR: usize, const NV: usize>(
         a: &[*const f32; MR],
         k: usize,
         b: *const f32,
@@ -296,10 +294,13 @@ pub(crate) mod kernels {
         out: *mut f32,
         ldo: usize,
     ) {
-        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+        let mut acc = [[_mm512_setzero_ps(); NV]; MR];
         for kk in 0..k {
             let brow = b.add(kk * ldb);
-            let bv = [_mm512_loadu_ps(brow), _mm512_loadu_ps(brow.add(16))];
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for (c, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(brow.add(16 * c));
+            }
             for (row, &ar) in acc.iter_mut().zip(a) {
                 let x = _mm512_set1_ps(*ar.add(kk));
                 for (sum, &y) in row.iter_mut().zip(&bv) {
@@ -315,16 +316,30 @@ pub(crate) mod kernels {
     }
 
     /// Packs columns `from..` of the row-major `k x n` matrix `b` into contiguous
-    /// `W`-column panels, the last one zero-padded: panel `p` holds columns
-    /// `from + p*W ..` as `k` consecutive groups of `W` floats.
-    pub fn pack_b_panels<const W: usize>(b: &[f32], k: usize, n: usize, from: usize) -> Vec<f32> {
+    /// `w`-column panels, the last one zero-padded: panel `p` holds columns
+    /// `from + p*w ..` as `k` consecutive groups of `w` floats.
+    pub fn pack_b_panels(b: &[f32], k: usize, n: usize, from: usize, w: usize) -> Vec<f32> {
         debug_assert_eq!(b.len(), k * n);
-        let mut packed = vec![0.0; (n - from).div_ceil(W) * W * k];
-        for (p, panel) in packed.chunks_exact_mut(k * W).enumerate() {
-            let j = from + p * W;
-            let w = W.min(n - j);
-            for (kk, dst) in panel.chunks_exact_mut(W).enumerate() {
-                dst[..w].copy_from_slice(&b[kk * n + j..][..w]);
+        let mut packed = vec![0.0; (n - from).div_ceil(w) * w * k];
+        for (p, panel) in packed.chunks_exact_mut(k * w).enumerate() {
+            let j = from + p * w;
+            let cols = w.min(n - j);
+            for (kk, dst) in panel.chunks_exact_mut(w).enumerate() {
+                dst[..cols].copy_from_slice(&b[kk * n + j..][..cols]);
+            }
+        }
+        packed
+    }
+
+    /// The same panels of the transpose of the row-major `n x k` matrix `bt`, without
+    /// materialising it: row `j` of `bt` becomes column `j % w` of panel `j / w`.
+    pub fn pack_transposed_panels(bt: &[f32], n: usize, k: usize, w: usize) -> Vec<f32> {
+        debug_assert_eq!(bt.len(), n * k);
+        let mut packed = vec![0.0; n.div_ceil(w) * w * k];
+        for (j, row) in bt.chunks_exact(k).enumerate() {
+            let panel = &mut packed[(j - j % w) * k..];
+            for (kk, &v) in row.iter().enumerate() {
+                panel[kk * w + j % w] = v;
             }
         }
         packed
@@ -419,293 +434,11 @@ pub(crate) mod kernels {
         }
     }
 
-    /// Four simultaneous dot products of `a` against `b0..b3` — the row-at-a-time
-    /// `A * B^T` kernel and the per-element order every `A * B^T` tile reproduces.
-    #[inline]
-    pub fn dot4(arm: Arm, a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let k = a.len();
-        assert!(b0.len() >= k && b1.len() >= k && b2.len() >= k && b3.len() >= k);
-        assert!(arm <= Arm::detected());
-        #[cfg(target_arch = "x86_64")]
-        if arm >= Arm::Avx2 {
-            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
-            // supported; each `b` holds at least `a.len()` floats (both asserted above).
-            return unsafe { dot4_avx2(a, b0, b1, b2, b3) };
-        }
-        let mut acc = [0.0f32; 4];
-        for (j, &aj) in a.iter().enumerate() {
-            acc[0] += aj * b0[j];
-            acc[1] += aj * b1[j];
-            acc[2] += aj * b2[j];
-            acc[3] += aj * b3[j];
-        }
-        acc
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2 and FMA; every `b` holds at least `a.len()` floats.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot4_avx2(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let n = a.len();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let va = _mm256_loadu_ps(a.as_ptr().add(j));
-            acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b0.as_ptr().add(j)), acc0);
-            acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b1.as_ptr().add(j)), acc1);
-            acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b2.as_ptr().add(j)), acc2);
-            acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b3.as_ptr().add(j)), acc3);
-            j += 8;
-        }
-        let mut out = [hsum256(acc0), hsum256(acc1), hsum256(acc2), hsum256(acc3)];
-        while j < n {
-            out[0] += a[j] * b0[j];
-            out[1] += a[j] * b1[j];
-            out[2] += a[j] * b2[j];
-            out[3] += a[j] * b3[j];
-            j += 1;
-        }
-        out
-    }
-
-    /// Single dot product (tail columns of the `A * B^T` kernel).
-    #[inline]
-    pub fn dot(arm: Arm, a: &[f32], b: &[f32]) -> f32 {
-        assert!(b.len() >= a.len());
-        assert!(arm <= Arm::detected());
-        #[cfg(target_arch = "x86_64")]
-        if arm >= Arm::Avx2 {
-            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
-            // supported; `b` holds at least `a.len()` floats (both asserted above).
-            return unsafe { dot_avx2(a, b) };
-        }
-        a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2 and FMA; `b` holds at least `a.len()` floats.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        let n = a.len();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 16 <= n {
-            acc0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j)),
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-                acc0,
-            );
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j + 8)),
-                _mm256_loadu_ps(b.as_ptr().add(j + 8)),
-                acc1,
-            );
-            j += 16;
-        }
-        while j + 8 <= n {
-            acc0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(j)),
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-                acc0,
-            );
-            j += 8;
-        }
-        let mut sum = hsum256(_mm256_add_ps(acc0, acc1));
-        while j < n {
-            sum += a[j] * b[j];
-            j += 1;
-        }
-        sum
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256(v: __m256) -> f32 {
-        let hi = _mm256_extractf128_ps(v, 1);
-        let lo = _mm256_castps256_ps128(v);
-        let sum4 = _mm_add_ps(lo, hi);
-        let sum2 = _mm_add_ps(sum4, _mm_movehl_ps(sum4, sum4));
-        let sum1 = _mm_add_ss(sum2, _mm_shuffle_ps(sum2, sum2, 0b01));
-        _mm_cvtss_f32(sum1)
-    }
-
-    /// One `mr x 4` tile of `A * B^T`: `out[r * ldo + c] = a_r · b_c` for the `mr` (8 on
-    /// the AVX-512 arms, else 2) rows of `a` and the 4 rows of `b`, all of length `k` and
-    /// contiguous.
-    ///
-    /// Each output is computed exactly as [`dot4`] computes it: one 8-lane accumulator
-    /// per output, fused multiply-adds over the 8-wide chunks of `k` in ascending order,
-    /// the `hsum256` reduction tree (`(l0+l4 + l2+l6) + (l1+l5 + l3+l7)`, same operand
-    /// order at every add), then the `k % 8` tail as unfused multiply and add. The tile
-    /// only shares operand loads between outputs and reduces four accumulators per
-    /// shuffle sequence; no output's arithmetic changes, so results are bit-identical
-    /// to the row-at-a-time path.
-    ///
-    /// # Panics
-    /// Panics when a slice is shorter than the tile, or when `arm` has no `mr x 4` tile.
-    pub fn abt_tile(
-        arm: Arm,
-        mr: usize,
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        out: &mut [f32],
-        ldo: usize,
-    ) {
-        assert!(
-            a.len() >= mr * k && b.len() >= 4 * k && out.len() >= (mr - 1) * ldo + 4,
-            "abt_tile: slices shorter than a {mr}x4 tile of {k}-wide rows"
-        );
-        assert!(arm <= Arm::detected());
-        match (mr, arm) {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the AVX-512 arms have AVX-512F, AVX2 and FMA, and the asserts above
-            // prove the caller's arm is supported, the reads of 8 rows of `k` floats of
-            // `a` and 4 of `b`, and the writes of 4 floats at each `r * ldo`, `r < 8`.
-            (8, Arm::Avx512 | Arm::Avx512Vnni) => unsafe {
-                abt_tile8x4_avx512(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above for AVX2 and FMA, which every arm from `Avx2` up has,
-            // and a tile of 2 rows.
-            (2, Arm::Avx2 | Arm::Avx512 | Arm::Avx512Vnni) => unsafe {
-                abt_tile2x4_avx2(a.as_ptr(), b.as_ptr(), k, out.as_mut_ptr(), ldo)
-            },
-            _ => panic!("abt_tile: no {mr}x4 tile on the {arm:?} arm"),
-        }
-        for j in k - k % 8..k {
-            for r in 0..mr {
-                for c in 0..4 {
-                    out[r * ldo + c] += a[r * k + j] * b[c * k + j];
-                }
-            }
-        }
-    }
-
-    /// Four [`hsum256`] reductions at once: lane `c` of the result is `hsum256(v[c])`,
-    /// add for add (low half + high half, then lanes `0,1` + lanes `2,3`, then lane 0 +
-    /// lane 1 — first operand first each time).
-    ///
-    /// # Safety
-    /// The CPU supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256x4(v: [__m256; 4]) -> __m128 {
-        let mut s = [_mm_setzero_ps(); 4];
-        for (half_sum, x) in s.iter_mut().zip(v) {
-            *half_sum = _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps(x, 1));
-        }
-        let p01 = _mm_add_ps(_mm_movelh_ps(s[0], s[1]), _mm_movehl_ps(s[1], s[0]));
-        let p23 = _mm_add_ps(_mm_movelh_ps(s[2], s[3]), _mm_movehl_ps(s[3], s[2]));
-        _mm_add_ps(
-            _mm_shuffle_ps(p01, p23, 0b10_00_10_00),
-            _mm_shuffle_ps(p01, p23, 0b11_01_11_01),
-        )
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2 and FMA; `a` is readable for `2 * k` floats, `b` for
-    /// `4 * k`, and `out` writable for 4 floats at offsets `0` and `ldo`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn abt_tile2x4_avx2(a: *const f32, b: *const f32, k: usize, out: *mut f32, ldo: usize) {
-        let mut acc = [[_mm256_setzero_ps(); 4]; 2];
-        let mut j = 0;
-        while j + 8 <= k {
-            let mut vb = [_mm256_setzero_ps(); 4];
-            for (c, vbc) in vb.iter_mut().enumerate() {
-                *vbc = _mm256_loadu_ps(b.add(c * k + j));
-            }
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let va = _mm256_loadu_ps(a.add(r * k + j));
-                for (sum, &vbc) in acc_row.iter_mut().zip(&vb) {
-                    *sum = _mm256_fmadd_ps(va, vbc, *sum);
-                }
-            }
-            j += 8;
-        }
-        for (r, acc_row) in acc.into_iter().enumerate() {
-            _mm_storeu_ps(out.add(r * ldo), hsum256x4(acc_row));
-        }
-    }
-
-    /// # Safety
-    /// The CPU supports AVX-512F, AVX2 and FMA; `a` is readable for `8 * k` floats, `b`
-    /// for `4 * k`, and `out` writable for 4 floats at each offset `r * ldo`, `r < 8`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    unsafe fn abt_tile8x4_avx512(
-        a: *const f32,
-        b: *const f32,
-        k: usize,
-        out: *mut f32,
-        ldo: usize,
-    ) {
-        // acc[p][c]: low 256 bits = the 8-lane accumulator of (row 2p, col c), high 256
-        // bits = that of (row 2p+1, col c). A 512-bit FMA is two independent 8-lane FMAs,
-        // so each half accumulates exactly as `dot4` does.
-        let mut acc = [[_mm512_setzero_ps(); 4]; 4];
-        let mut j = 0;
-        while j + 8 <= k {
-            let mut vb = [_mm512_setzero_ps(); 4];
-            for (c, vbc) in vb.iter_mut().enumerate() {
-                let chunk = _mm256_castps_pd(_mm256_loadu_ps(b.add(c * k + j)));
-                *vbc = _mm512_castpd_ps(_mm512_broadcast_f64x4(chunk));
-            }
-            for (p, acc_pair) in acc.iter_mut().enumerate() {
-                let lo = _mm256_castps_pd(_mm256_loadu_ps(a.add(2 * p * k + j)));
-                let hi = _mm256_castps_pd(_mm256_loadu_ps(a.add((2 * p + 1) * k + j)));
-                let va = _mm512_castpd_ps(_mm512_insertf64x4(_mm512_castpd256_pd512(lo), hi, 1));
-                for (sum, &vbc) in acc_pair.iter_mut().zip(&vb) {
-                    *sum = _mm512_fmadd_ps(va, vbc, *sum);
-                }
-            }
-            j += 8;
-        }
-        // `hsum256x4` on sixteen accumulators at a time, one per 128-bit lane: lane `q`
-        // of every vector below belongs to row `4h + q`.
-        for h in 0..2 {
-            let mut s = [_mm512_setzero_ps(); 4];
-            for (c, half_sum) in s.iter_mut().enumerate() {
-                let (x, y) = (acc[2 * h][c], acc[2 * h + 1][c]);
-                *half_sum = _mm512_add_ps(
-                    _mm512_shuffle_f32x4(x, y, 0b10_00_10_00), // low halves of 4 rows
-                    _mm512_shuffle_f32x4(x, y, 0b11_01_11_01), // high halves
-                );
-            }
-            let p01 = _mm512_add_ps(
-                _mm512_shuffle_ps(s[0], s[1], 0b01_00_01_00),
-                _mm512_shuffle_ps(s[0], s[1], 0b11_10_11_10),
-            );
-            let p23 = _mm512_add_ps(
-                _mm512_shuffle_ps(s[2], s[3], 0b01_00_01_00),
-                _mm512_shuffle_ps(s[2], s[3], 0b11_10_11_10),
-            );
-            let sums = _mm512_add_ps(
-                _mm512_shuffle_ps(p01, p23, 0b10_00_10_00),
-                _mm512_shuffle_ps(p01, p23, 0b11_01_11_01),
-            );
-            let row = out.add(4 * h * ldo);
-            _mm_storeu_ps(row, _mm512_castps512_ps128(sums));
-            _mm_storeu_ps(row.add(ldo), _mm512_extractf32x4_ps(sums, 1));
-            _mm_storeu_ps(row.add(2 * ldo), _mm512_extractf32x4_ps(sums, 2));
-            _mm_storeu_ps(row.add(3 * ldo), _mm512_extractf32x4_ps(sums, 3));
-        }
-    }
-
     /// Appends to `hits`, ascending, every `j` whose `scale * scales[j] * dots[j] as f64`
     /// is `>= threshold` (evaluated left to right in f64, so a NaN on either side never
-    /// matches). The vector arms evaluate the same two IEEE multiplications and the
-    /// same ordered comparison per element, sixteen (AVX-512) or eight (AVX2) per step,
-    /// so every arm appends the same indices.
+    /// matches). The vector arms evaluate the same widening, the same two IEEE
+    /// multiplications and the same ordered comparison per element, sixteen (AVX-512)
+    /// or eight (AVX2) per step, so every arm appends the same indices.
     #[inline]
     pub fn scaled_ge_indices(
         arm: Arm,
@@ -874,7 +607,7 @@ pub(crate) mod kernels {
     /// [`I8Micro`] of [`Arm::Avx512Vnni`]: `panel` holds biased unsigned code quads.
     /// Measured on the benchmark host at 256 x 4096 x 64 in 512-row strips, packing
     /// included: 0.29 ms against 0.84 for the `madd` tile of [`Arm::Avx512`] (AVX2 1.16,
-    /// scalar 14.3, the f32 `abt_tile` kernel 1.37).
+    /// scalar 14.3; the f32 GEMM tile runs the same shape in about 1.0).
     ///
     /// # Safety
     /// See [`I8Micro`]; needs AVX-512F, BW and VNNI.
@@ -1056,153 +789,215 @@ impl<'a> MatrixView<'a> {
     pub fn to_matrix(&self) -> Matrix {
         Matrix::from_vec(self.rows, self.cols, self.data.to_vec())
     }
+}
 
-    /// Fused product `self * other^T` written into a caller-owned row-major
-    /// `self.rows() x other.rows()` buffer — [`Matrix::matmul_transpose_b_view`] without
-    /// the allocation, for callers that score one operand against many (the strips of a
-    /// corpus) and reuse the tile. Every element of `out` is overwritten.
+/// The right operand of `A * B^T`: `B` transposed once into the column panels of
+/// [`Matrix::matmul`]'s register tile, on this thread's [`Arm`]. A join packs its query
+/// tile once and scores every corpus strip, shard and survivor list against it, the
+/// corpus read in place as the tile's `A` operand.
+///
+/// Every product is `matmul`'s tile, so each output is one multiply-add chain over `k`
+/// ascending from zero: entry `(i, j)` has the bits of `a.matmul(&b.transpose())`
+/// whichever rows `a` brings, in whatever order and number, and however many rows `B`
+/// has. A multiply-add commutes, so the corpus-major `C * Q^T` of a join holds, entry for
+/// entry, the bits of `Q * C^T`.
+///
+/// # Examples
+/// ```
+/// use sudowoodo_nn::matrix::{Matrix, MatrixView, PackedTranspose};
+///
+/// let queries = Matrix::from_vec(2, 2, vec![1.0, 0.0, 3.0, 4.0]);
+/// let corpus = [0.0f32, 1.0, 1.0, 0.0, 3.0, 4.0]; // 3 x 2, read in place
+/// let packed = PackedTranspose::new(&queries.view());
+/// let mut scores = vec![0.0; 3 * 2]; // one row per corpus row, one column per query
+/// packed.multiply_into(&MatrixView::new(3, 2, &corpus), &mut scores);
+/// assert_eq!(scores, [0.0, 4.0, 1.0, 3.0, 3.0, 25.0]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct PackedTranspose {
+    arm: Arm,
+    /// The `(MR, W)` tile every product runs ([`tile_shape`]).
+    shape: (usize, usize),
+    n: usize,
+    k: usize,
+    /// `B^T` in `W`-column panels, the last one zero-padded.
+    panels: Vec<f32>,
+}
+
+impl PackedTranspose {
+    /// Packs the transpose of the row-major `b` for the arm this thread dispatches to,
+    /// which every product of the operand then runs on.
+    pub fn new(b: &MatrixView<'_>) -> PackedTranspose {
+        let arm = Arm::current();
+        let (n, k) = (b.rows, b.cols);
+        let shape = tile_shape(arm, n);
+        let panels = if k == 0 {
+            Vec::new()
+        } else {
+            kernels::pack_transposed_panels(b.data, n, k, shape.1)
+        };
+        PackedTranspose {
+            arm,
+            shape,
+            n,
+            k,
+            panels,
+        }
+    }
+
+    /// Rows of `B`: the columns of every product.
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// Columns of `B`: the contraction length.
+    pub fn cols(&self) -> usize {
+        self.k
+    }
+
+    /// `out = a * B^T`, row-major `a.rows() x self.rows()`, every element overwritten;
+    /// parallel over row bands when [`fans_out`] says so.
     ///
     /// # Panics
-    /// Panics when the column counts disagree or `out` has the wrong length.
-    pub fn matmul_transpose_b_into(&self, other: &MatrixView<'_>, out: &mut [f32]) {
+    /// Panics when `a` is not `cols()` wide or `out` has the wrong length.
+    pub fn multiply_into(&self, a: &MatrixView<'_>, out: &mut [f32]) {
+        self.check(a, a.rows, out);
+        self.run(a.rows, |i| a.row(i), out);
+    }
+
+    /// `out = a[rows] * B^T`: row `i` of the row-major `rows.len() x self.rows()` output
+    /// scores row `rows[i]` of `a`, read in place. Rows may be listed in any order and
+    /// more than once; each output has the bits the whole product gives it.
+    ///
+    /// # Panics
+    /// As [`Self::multiply_into`], and when a listed row is out of range.
+    pub fn multiply_rows_into(&self, a: &MatrixView<'_>, rows: &[usize], out: &mut [f32]) {
+        self.check(a, rows.len(), out);
+        if let Some(&bad) = rows.iter().find(|&&r| r >= a.rows) {
+            panic!("multiply_rows_into: row {bad} of a {}-row view", a.rows);
+        }
+        self.run(rows.len(), |i| a.row(rows[i]), out);
+    }
+
+    fn check(&self, a: &MatrixView<'_>, m: usize, out: &[f32]) {
         assert_eq!(
-            self.cols, other.cols,
+            a.cols, self.k,
             "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
-            self.rows, self.cols, other.rows, other.cols
+            a.rows, a.cols, self.n, self.k
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
         assert_eq!(
             out.len(),
-            m * n,
-            "matmul_transpose_b: output is not {m}x{n}"
+            m * self.n,
+            "matmul_transpose_b: output is not {m}x{}",
+            self.n
         );
-        let arm = Arm::current();
-        for_each_band((m, k, n), 8, out, |rows, band| {
-            abt_band(
-                arm,
-                &self.data[rows.start * k..rows.end * k],
-                rows.len(),
-                other,
-                band,
-            );
-        });
     }
 
-    /// Scores one row `a` against the listed rows of this view, `out[i] = a · row(rows[i])`,
-    /// four rows at a time through the `A * B^T` kernel's `dot4`; a short last group
-    /// repeats its last row (`dot4`'s lanes are independent). Every score therefore has
-    /// the bits [`Self::matmul_transpose_b_into`] gives that row in a product against a
-    /// matrix padded to whole row quads, while only the listed rows are read. Rows may be
-    /// listed in any order and more than once.
-    ///
-    /// # Panics
-    /// Panics when `a` is not `cols()` long, `out` is not `rows.len()` long, or a listed
-    /// row is out of range.
-    pub fn dot4_rows(&self, a: &[f32], rows: &[usize], out: &mut [f32]) {
-        assert!(
-            a.len() == self.cols && out.len() == rows.len(),
-            "dot4_rows: expected a {}-wide row and one output per listed row",
-            self.cols
-        );
-        let arm = Arm::current();
-        for (group, out) in rows.chunks(4).zip(out.chunks_mut(4)) {
-            let row = |i: usize| self.row(group[i.min(group.len() - 1)]);
-            let scores = kernels::dot4(arm, a, row(0), row(1), row(2), row(3));
-            out.copy_from_slice(&scores[..group.len()]);
+    fn run<'a>(&self, m: usize, a_row: impl Fn(usize) -> &'a [f32] + Sync, out: &mut [f32]) {
+        if m == 0 || self.n == 0 {
+            return;
+        }
+        if self.k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let (k, w) = (self.k, self.shape.1);
+        // SAFETY: every `a_row(i)` is a `k`-float row of a view whose width `check`
+        // asserted, and the panel of columns `j..j + w` is the `k * w` floats of
+        // `panels` from `j * k` on.
+        unsafe {
+            gemm_on(
+                self.arm,
+                self.shape,
+                (k, self.n),
+                a_row,
+                |j| (self.panels[j * k..].as_ptr(), w),
+                out,
+            )
         }
     }
 }
 
-/// One band of `A * B^T`: the `m` rows of `a` against all of `b`, strip by strip. Row
-/// pairs run through the register tiles — eight rows at a time on the AVX-512 arms —
-/// and the rest, and every row on the scalar arm, through `dot_row`.
-///
-/// Output `(i, j)` is `dot4` of its two rows when `j` falls in a full group of four
-/// corpus rows and `dot` in the `n % 4` tail, whichever tile computes it — so the result
-/// does not depend on the tile, the band split or the strip length, only on whether the
-/// arm has FMA.
-fn abt_band(arm: Arm, a: &[f32], m: usize, b: &MatrixView<'_>, out: &mut [f32]) {
-    let (n, k) = (b.rows, b.cols);
-    let full = n - n % 4;
-    let strip = (ABT_STRIP_BYTES / 4 / k.max(1)).max(1).next_multiple_of(4);
-    let (tiled, tallest) = match arm {
-        Arm::Scalar => (0, 2),
-        Arm::Avx2 => (m - m % 2, 2),
-        Arm::Avx512 | Arm::Avx512Vnni => (m - m % 2, 8),
-    };
-    for strip_start in (0..full).step_by(strip) {
-        let strip_end = (strip_start + strip).min(full);
-        let mut i = 0;
-        while i < tiled {
-            let mr = if i + tallest <= tiled { tallest } else { 2 };
-            for j in (strip_start..strip_end).step_by(4) {
-                kernels::abt_tile(
-                    arm,
-                    mr,
-                    &a[i * k..(i + mr) * k],
-                    &b.data[j * k..(j + 4) * k],
-                    k,
-                    &mut out[i * n + j..(i + mr - 1) * n + j + 4],
-                    n,
-                );
-            }
-            i += mr;
-        }
-    }
-    for i in 0..tiled {
-        for j in full..n {
-            out[i * n + j] = kernels::dot(arm, &a[i * k..(i + 1) * k], b.row(j));
-        }
-    }
-    for i in tiled..m {
-        Matrix::dot_row(arm, &a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
+/// The `(MR, W)` register tile `arm` runs for a product `n` columns wide: `8 x 32` on the
+/// AVX-512 arms, `8 x 16` there when `n <= 16` (a 16-query batch computes no discarded
+/// half), `4 x 16` on the others. Every shape computes each output the same way, so the
+/// choice moves no bit.
+fn tile_shape(arm: Arm, n: usize) -> (usize, usize) {
+    match arm {
+        Arm::Avx512 | Arm::Avx512Vnni if n > 16 => (8, 32),
+        Arm::Avx512 | Arm::Avx512Vnni => (8, 16),
+        Arm::Avx2 | Arm::Scalar => (4, 16),
     }
 }
 
-/// The one GEMM loop nest: `out = a * b` for the row-major `a` (`out.len() / n x k`), `b`
-/// (`k x n`) and `out`, through `tile` in row bands of whole `MR`-row tiles
-/// ([`for_each_band`]) and `W`-column panels of `b`. From [`PACK_FLOPS`] up, with more
-/// than one row tile, every panel is packed contiguous; otherwise the full panels are
-/// read in place and only the ragged last one is packed. Rows and columns past the
-/// edge run on a spare tile ([`tile_window`]), so every output is computed by the
-/// same tile in the same order, wherever it sits.
+/// [`gemm`] on `arm`'s tile of `shape` (from [`tile_shape`]).
 ///
 /// # Safety
-/// The CPU supports `tile`'s instructions.
-unsafe fn gemm<const MR: usize, const W: usize>(
-    tile: kernels::GemmTile<MR>,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
+/// As [`gemm`] with `W = shape.1`; the arm's instructions are asserted here.
+unsafe fn gemm_on<'a>(
+    arm: Arm,
+    shape: (usize, usize),
+    dims: (usize, usize),
+    a_row: impl Fn(usize) -> &'a [f32] + Sync,
+    panel: impl Fn(usize) -> (*const f32, usize) + Sync,
     out: &mut [f32],
 ) {
-    let n = b.len() / k;
+    assert!(arm <= Arm::detected());
+    match (arm, shape) {
+        #[cfg(target_arch = "x86_64")]
+        (Arm::Avx512 | Arm::Avx512Vnni, (8, 32)) => {
+            gemm::<8, 32>(kernels::gemm_tile_avx512::<8, 2>, dims, a_row, panel, out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        (Arm::Avx512 | Arm::Avx512Vnni, (8, 16)) => {
+            gemm::<8, 16>(kernels::gemm_tile_avx512::<8, 1>, dims, a_row, panel, out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        (Arm::Avx2, (4, 16)) => {
+            gemm::<4, 16>(kernels::gemm_tile_avx2::<4>, dims, a_row, panel, out)
+        }
+        (Arm::Scalar, (4, 16)) => {
+            gemm::<4, 16>(kernels::gemm_tile_scalar::<4, 16>, dims, a_row, panel, out)
+        }
+        _ => unreachable!("no {shape:?} tile on the {arm:?} arm"),
+    }
+}
+
+/// The one GEMM loop nest: `out = A * B` for the `out.len() / n` rows `a_row(i)` of `A`
+/// and the `k x n` `B`, through `tile` in row bands of whole `MR`-row tiles
+/// ([`for_each_band`]) and `W`-column panels of `B`: the panel of columns `j..j + W`
+/// starts at `panel(j).0` and advances `panel(j).1` floats per row of `B`. Rows and
+/// columns past the edge run on a spare tile ([`tile_window`]), so every output is
+/// computed by the same tile in the same order, wherever it sits.
+///
+/// # Safety
+/// The CPU supports `tile`'s instructions; every `a_row(i)`, `i < m`, is at least `k`
+/// long; and every `panel(j)`, `j` a multiple of `W` below `n`, is readable for `W`
+/// floats at each offset `kk * panel(j).1`, `kk < k`.
+unsafe fn gemm<'a, const MR: usize, const W: usize>(
+    tile: kernels::GemmTile<MR>,
+    (k, n): (usize, usize),
+    a_row: impl Fn(usize) -> &'a [f32] + Sync,
+    panel: impl Fn(usize) -> (*const f32, usize) + Sync,
+    out: &mut [f32],
+) {
     let m = out.len() / n;
-    let from = if m > MR && m * k * n >= PACK_FLOPS {
-        0
-    } else {
-        n - n % W
-    };
-    let packed = kernels::pack_b_panels::<W>(b, k, n, from);
     for_each_band((m, k, n), MR, out, |rows, band| {
         let mut edge = [[0.0f32; W]; MR];
         for i in (0..rows.len()).step_by(MR) {
             let a_rows: [*const f32; MR] = std::array::from_fn(|r| {
-                a[(rows.start + (i + r).min(rows.len() - 1)) * k..].as_ptr()
+                let row = a_row(rows.start + (i + r).min(rows.len() - 1));
+                debug_assert!(row.len() >= k);
+                row.as_ptr()
             });
             for j in (0..n).step_by(W) {
-                let (panel, ldb) = if j < from {
-                    (b[j..].as_ptr(), n)
-                } else {
-                    (packed[(j - from) * k..].as_ptr(), W)
-                };
+                let (b, ldb) = panel(j);
                 tile_window(band, (rows.len(), n), (i, j), &mut edge, |dst, ldo| {
-                    // SAFETY: the caller guarantees `tile`'s instructions; each
-                    // `a_rows[r]` starts a `k`-float row of `a`; an in-place panel has
-                    // `W` columns of `b` left in each of its `k` rows (`j + W <= from <=
-                    // n`), a packed one `k * W` floats; and `tile_window` hands out `W`
-                    // writable floats at each `r * ldo`, `r < MR`.
-                    unsafe { tile(&a_rows, k, panel, ldb, dst, ldo) }
+                    // SAFETY: the caller guarantees `tile`'s instructions, `k` floats
+                    // behind each `a_rows[r]` and `W` behind each `b + kk * ldb`; and
+                    // `tile_window` hands out `W` writable floats at each `r * ldo`,
+                    // `r < MR`.
+                    unsafe { tile(&a_rows, k, b, ldb, dst, ldo) }
                 });
             }
         }
@@ -1246,6 +1041,8 @@ pub struct I8Tile {
     /// Initial accumulator value per row of `A`.
     a_init: Vec<i32>,
     packed: Vec<i8>,
+    /// The `MR`-row band of the product being handed out.
+    band: Vec<i32>,
     out: Vec<i32>,
 }
 
@@ -1278,6 +1075,7 @@ impl I8Tile {
             a_words: Vec::new(),
             a_init: vec![0; m],
             packed: Vec::new(),
+            band: Vec::new(),
             out: Vec::new(),
         };
         if arm == Arm::Scalar {
@@ -1319,44 +1117,65 @@ impl I8Tile {
     /// # Panics
     /// Panics when `k` does not divide `b.len()`.
     pub fn multiply_transpose_b(&mut self, b: &[i8]) -> &[i32] {
-        let (m, k) = (self.m, self.k);
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        self.multiply_transpose_b_bands(b, |_, band| out.extend_from_slice(band));
+        self.out = out;
+        &self.out
+    }
+
+    /// [`I8Tile::multiply_transpose_b`] one band of `A`'s rows at a time: `band(rows,
+    /// dots)` is called for consecutive ranges of rows, ascending, with the row-major
+    /// `rows.len() x n` dot products of those rows, computed just before the call — a
+    /// caller that consumes each band at once reads it from L1, not from a whole tile.
+    ///
+    /// # Panics
+    /// Panics when `k` does not divide `b.len()`.
+    pub fn multiply_transpose_b_bands(
+        &mut self,
+        b: &[i8],
+        mut band: impl FnMut(std::ops::Range<usize>, &[i32]),
+    ) {
+        let k = self.k;
         assert!(
             b.len().is_multiple_of(k),
             "I8Tile: {} codes are not rows of {k}",
             b.len()
         );
         let n = b.len() / k;
-        self.out.resize(m * n, 0);
         match self.arm {
             Arm::Scalar => {
-                for (a_row, out_row) in self.a.chunks_exact(k).zip(self.out.chunks_exact_mut(n)) {
-                    for (b_row, out) in b.chunks_exact(k).zip(out_row) {
+                self.band.resize(n, 0);
+                for (i, a_row) in self.a.chunks_exact(k).enumerate() {
+                    for (b_row, out) in b.chunks_exact(k).zip(self.band.iter_mut()) {
                         *out = a_row
                             .iter()
                             .zip(b_row)
                             .map(|(&x, &y)| x as i32 * y as i32)
                             .sum();
                     }
+                    band(i..i + 1, &self.band);
                 }
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.arm` came from `Arm::current` in `new`, so this CPU supports
             // it, and the micro-kernel is that arm's.
-            Arm::Avx2 => unsafe { self.run_tiles::<2, 4, 16>(b, n, 0, kernels::i8_micro_avx2) },
+            Arm::Avx2 => unsafe {
+                self.run_bands::<2, 4, 16>(b, n, 0, kernels::i8_micro_avx2, &mut band)
+            },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
             Arm::Avx512 => unsafe {
-                self.run_tiles::<2, 6, 64>(b, n, 0, kernels::i8_micro_avx512bw)
+                self.run_bands::<2, 6, 64>(b, n, 0, kernels::i8_micro_avx512bw, &mut band)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above; `vpdpbusd` takes the codes of `b` biased by `0x80`.
             Arm::Avx512Vnni => unsafe {
-                self.run_tiles::<4, 6, 64>(b, n, 0x80, kernels::i8_micro_vnni)
+                self.run_bands::<4, 6, 64>(b, n, 0x80, kernels::i8_micro_vnni, &mut band)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("only the scalar arm is supported off x86-64"),
         }
-        &self.out
     }
 
     /// Appends to `hits`, ascending, every position `j` of one tile row whose scaled
@@ -1378,38 +1197,50 @@ impl I8Tile {
 
     /// Packs the `n` rows of `b` into `W`-row panels of `G`-code lane groups (`G` being
     /// the group `new` prepared `A` in; each code XORed with `flip`) and runs `micro`
-    /// over every `MR x W` register tile of the product. A tile that overhangs the `m x
-    /// n` output repeats the last row of `A` and lands in a spare tile
-    /// ([`tile_window`]).
+    /// over the `MR`-row bands of `A`, each against every panel, into a band buffer
+    /// `n.div_ceil(W) * W` words wide; each band goes to `band` as soon as it is done.
+    /// The last band repeats the last row of `A` in its spare rows.
     ///
     /// # Safety
     /// The CPU supports `micro`'s instructions.
     #[cfg(target_arch = "x86_64")]
-    unsafe fn run_tiles<const G: usize, const MR: usize, const W: usize>(
+    unsafe fn run_bands<const G: usize, const MR: usize, const W: usize>(
         &mut self,
         b: &[i8],
         n: usize,
         flip: u8,
         micro: kernels::I8Micro<MR>,
+        band: &mut impl FnMut(std::ops::Range<usize>, &[i32]),
     ) {
         debug_assert_eq!(G, i8_group(self.arm));
-        let (m, kg) = (self.m, self.k.div_ceil(G));
+        let (m, kg, ldo) = (self.m, self.k.div_ceil(G), n.div_ceil(W) * W);
         kernels::pack_i8_panels::<G>(b, n, self.k, W, flip, &mut self.packed);
-        let mut edge = [[0i32; W]; MR];
-        for (p, panel) in self.packed.chunks_exact(kg * W * G).enumerate() {
-            for i in (0..m).step_by(MR) {
-                let row_of = |r: usize| (i + r).min(m - 1);
-                let a: [*const i32; MR] =
-                    std::array::from_fn(|r| self.a_words[row_of(r) * kg..][..kg].as_ptr());
-                let init: [i32; MR] = std::array::from_fn(|r| self.a_init[row_of(r)]);
-                tile_window(&mut self.out, (m, n), (i, p * W), &mut edge, |dst, ldo| {
-                    // SAFETY: the caller guarantees `micro`'s instructions; each `a[r]` is
-                    // a `kg`-word row of `a_words`, `panel` holds `kg * W` lane groups,
-                    // and `tile_window` hands out `W` writable words at each `r * ldo`,
-                    // `r < MR`.
-                    unsafe { micro(&a, &init, panel.as_ptr(), kg, dst, ldo) }
-                });
+        self.band.resize(MR * ldo, 0);
+        for i in (0..m).step_by(MR) {
+            let row_of = |r: usize| (i + r).min(m - 1);
+            let a: [*const i32; MR] =
+                std::array::from_fn(|r| self.a_words[row_of(r) * kg..][..kg].as_ptr());
+            let init: [i32; MR] = std::array::from_fn(|r| self.a_init[row_of(r)]);
+            for (p, panel) in self.packed.chunks_exact(kg * W * G).enumerate() {
+                // SAFETY: the caller guarantees `micro`'s instructions; each `a[r]` is a
+                // `kg`-word row of `a_words`, `panel` holds `kg * W` lane groups, and the
+                // band buffer has `MR` rows of `ldo` words, `W` of them from `p * W` on.
+                unsafe {
+                    micro(
+                        &a,
+                        &init,
+                        panel.as_ptr(),
+                        kg,
+                        self.band.as_mut_ptr().add(p * W),
+                        ldo,
+                    )
+                }
             }
+            let rows = MR.min(m - i);
+            for r in 1..rows {
+                self.band.copy_within(r * ldo..r * ldo + n, r * n);
+            }
+            band(i..i + rows, &self.band[..rows * n]);
         }
     }
 }
@@ -1710,20 +1541,38 @@ impl Matrix {
         if m == 0 || k == 0 || n == 0 {
             return out;
         }
-        let (a, b, c) = (&self.data, &other.data, &mut out.data);
-        // SAFETY: each tile is the one of the arm it is matched on, and `Arm::current`
-        // only returns arms this CPU supports.
-        unsafe {
-            match Arm::current() {
-                #[cfg(target_arch = "x86_64")]
-                Arm::Avx512 | Arm::Avx512Vnni => {
-                    gemm::<8, 32>(kernels::gemm_tile_avx512::<8>, a, b, k, c)
-                }
-                #[cfg(target_arch = "x86_64")]
-                Arm::Avx2 => gemm::<4, 16>(kernels::gemm_tile_avx2::<4>, a, b, k, c),
-                _ => gemm::<4, 16>(kernels::gemm_tile_scalar::<4, 16>, a, b, k, c),
+        let (a, b) = (&self.data, &other.data);
+        let arm = Arm::current();
+        let (mr, w) = tile_shape(arm, n);
+        // From `PACK_FLOPS` up, with more than one row tile, every panel is packed
+        // contiguous; otherwise the full panels are read in place and only the ragged
+        // last one is packed.
+        let from = if m > mr && m * k * n >= PACK_FLOPS {
+            0
+        } else {
+            n - n % w
+        };
+        let packed = kernels::pack_b_panels(b, k, n, from, w);
+        let panel = |j: usize| {
+            if j < from {
+                (b[j..].as_ptr(), n)
+            } else {
+                (packed[(j - from) * k..].as_ptr(), w)
             }
-        }
+        };
+        // SAFETY: every row of `a` is `k` long; an in-place panel has `w` columns of `b`
+        // left in each of its `k` rows (`j + w <= from <= n`), a packed one `k * w`
+        // floats.
+        unsafe {
+            gemm_on(
+                arm,
+                (mr, w),
+                (k, n),
+                |i| &a[i * k..][..k],
+                panel,
+                &mut out.data,
+            )
+        };
         out
     }
 
@@ -1790,60 +1639,13 @@ impl Matrix {
     /// Panics when the column counts disagree.
     pub fn matmul_transpose_b_view(&self, other: &MatrixView<'_>) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows());
-        self.view().matmul_transpose_b_into(other, &mut out.data);
-        out
-    }
-
-    /// Reference `self * other^T`: the original row-at-a-time `dot_row` loop,
-    /// single-threaded and untiled. Kept frozen as the ground truth the tiled kernel
-    /// must match **bit for bit** (`crates/nn/tests/kernel_props.rs`) and as the
-    /// baseline of the speedup report, like [`Matrix::matmul_naive`] for `matmul`.
-    ///
-    /// # Panics
-    /// Panics when the column counts disagree.
-    pub fn matmul_transpose_b_reference(&self, other: &MatrixView<'_>) -> Matrix {
-        assert_eq!(
-            self.cols,
-            other.cols(),
-            "matmul_transpose_b: contraction mismatch"
-        );
-        let arm = Arm::current();
-        let mut out = Matrix::zeros(self.rows, other.rows());
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * other.rows()..(i + 1) * other.rows()];
-            Self::dot_row(arm, self.row(i), other, out_row);
-        }
+        PackedTranspose::new(other).multiply_into(&self.view(), &mut out.data);
         out
     }
 
     /// This matrix as a borrowed [`MatrixView`].
     pub fn view(&self) -> MatrixView<'_> {
         MatrixView::new(self.rows, self.cols, &self.data)
-    }
-
-    /// One output row of `matmul_transpose_b`: dots of `a_row` against all rows of `other`,
-    /// four at a time. This is the order every tile of the kernel reproduces per element;
-    /// it stays the path of single and leftover rows and the frozen reference.
-    #[inline]
-    fn dot_row(arm: Arm, a_row: &[f32], other: &MatrixView<'_>, out_row: &mut [f32]) {
-        let n = other.rows();
-        let mut j = 0;
-        while j + 4 <= n {
-            let d = kernels::dot4(
-                arm,
-                a_row,
-                other.row(j),
-                other.row(j + 1),
-                other.row(j + 2),
-                other.row(j + 3),
-            );
-            out_row[j..j + 4].copy_from_slice(&d);
-            j += 4;
-        }
-        while j < n {
-            out_row[j] = kernels::dot(arm, a_row, other.row(j));
-            j += 1;
-        }
     }
 
     /// Product `self^T * other`: the contraction runs over the *rows* of both operands
@@ -2336,32 +2138,52 @@ mod tests {
     #[test]
     fn scaled_ge_arms_agree_with_the_scalar_definition() {
         let mut rng = StdRng::seed_from_u64(9);
-        let dots: Vec<i32> = (0..70).map(|_| rng.gen_range(-40_000i32..40_000)).collect();
-        let scales: Vec<f64> = (0..70).map(|_| rng.gen_range(0.0f64..0.01)).collect();
-        let scale = 0.003f64;
-        let approx: Vec<f64> = dots
-            .iter()
-            .zip(&scales)
-            .map(|(&d, &s)| scale * s * d as f64)
-            .collect();
-        // Thresholds that tie an entry exactly, that nothing reaches, that everything
-        // reaches, and NaN — from every start so each block and tail position is hit.
-        let mut thresholds = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0];
-        thresholds.extend(approx.iter().copied());
-        for &threshold in &thresholds {
-            for start in 0..dots.len() {
-                let (d, s) = (&dots[start..], &scales[start..]);
-                let expected: Vec<usize> = (0..d.len())
-                    .filter(|&j| approx[start + j] >= threshold)
-                    .collect();
-                let mut hits = Vec::new();
-                kernels::scaled_ge_indices_scalar(d, s, scale, threshold, 0, &mut hits);
-                assert_eq!(hits, expected, "scalar from {start} at {threshold}");
-                for_each_supported_arm(|arm| {
-                    let mut hits = vec![usize::MAX]; // appended to, not cleared
-                    I8Tile::scaled_at_least(d, s, scale, threshold, &mut hits);
-                    assert_eq!(hits[1..], expected, "{arm:?} from {start} at {threshold}");
-                });
+        let mut dots: Vec<i32> = (0..70).map(|_| rng.gen_range(-40_000i32..40_000)).collect();
+        let mut scales: Vec<f64> = (0..70).map(|_| rng.gen_range(0.0f64..0.01)).collect();
+        // Extremes: products that are huge, vanishing, infinite or NaN, and a -0.0 scale.
+        dots[3] = i32::MAX;
+        dots[20] = i32::MIN;
+        dots[41] = 0;
+        scales[20] = f64::MAX;
+        scales[41] = f64::INFINITY;
+        scales[42] = f64::NAN;
+        scales[43] = f64::MIN_POSITIVE / 8.0;
+        scales[44] = -0.0;
+        for scale in [0.003f64, 1e-30, 0.0, 3e9, 1e10, f64::NAN] {
+            let approx: Vec<f64> = dots
+                .iter()
+                .zip(&scales)
+                .map(|(&d, &s)| scale * s * d as f64)
+                .collect();
+            // Thresholds that tie an entry exactly or miss it by one ulp either way, that
+            // nothing or everything reaches, beyond the first pass's range, and NaN.
+            let mut thresholds = vec![
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::NAN,
+                0.0,
+                -1e300,
+                1e300,
+            ];
+            for &x in approx.iter().filter(|x| x.is_finite()) {
+                thresholds.extend([x, x.next_up(), x.next_down()]);
+            }
+            for &threshold in &thresholds {
+                for start in 0..dots.len() {
+                    let (d, s) = (&dots[start..], &scales[start..]);
+                    let expected: Vec<usize> = (0..d.len())
+                        .filter(|&j| approx[start + j] >= threshold)
+                        .collect();
+                    let mut hits = Vec::new();
+                    kernels::scaled_ge_indices_scalar(d, s, scale, threshold, 0, &mut hits);
+                    let what = format!("scale {scale} from {start} at {threshold}");
+                    assert_eq!(hits, expected, "scalar, {what}");
+                    for_each_supported_arm(|arm| {
+                        let mut hits = vec![usize::MAX]; // appended to, not cleared
+                        I8Tile::scaled_at_least(d, s, scale, threshold, &mut hits);
+                        assert_eq!(hits[1..], expected, "{arm:?}, {what}");
+                    });
+                }
             }
         }
     }

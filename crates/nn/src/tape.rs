@@ -29,8 +29,9 @@ enum Op {
     Sub(VarId, VarId),
     Mul(VarId, VarId),
     MatMul(VarId, VarId),
-    /// Fused `A * B^T` (similarity-matrix shape) — no transpose is materialized in either
-    /// the forward or the backward pass.
+    /// Fused `A * B^T` (similarity-matrix shape) — no transposed matrix is allocated in
+    /// either the forward or the backward pass: `B` is packed straight into the GEMM
+    /// tile's panels.
     MatMulTransposeB(VarId, VarId),
     Scale(VarId, f32),
     AddScalar(VarId),

@@ -7,12 +7,13 @@
 //! within a tolerance of `1e-5` scaled by the contraction magnitude (the FMA kernels
 //! round less than the reference, so exact bit equality is not the contract).
 //!
-//! `A * B^T` is held to a stricter contract: its register-tiled arms must match the
-//! frozen row-at-a-time reference (`Matrix::matmul_transpose_b_reference`) **bit for
-//! bit**, because the dense, sharded and distributed joins are proven identical on
-//! the assumption that a score does not depend on which tile computed it. For the same
-//! reason `MatrixView::dot4_rows`, which scores a list of rows, gives each row the bits
-//! of the whole product.
+//! `A * B^T` is held to a stricter contract: on every arm it must equal
+//! `a.matmul(&b.transpose())` **bit for bit** — it is the same tile against a packed
+//! transpose — because the dense, sharded and distributed joins are proven identical on
+//! the assumption that a score does not depend on which product computed it. For the
+//! same reason `PackedTranspose::multiply_rows_into`, which scores a list of rows (the
+//! quantized rescore), gives each row the bits of the whole product, and a row of `B`
+//! (a query) scores the same alone, in a 16-row operand and in a 256-row one.
 //!
 //! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
 //! every arm returns `Matrix::dot_i8` of the two rows for every output.
@@ -25,7 +26,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sudowoodo_nn::matrix::{for_each_supported_arm, Arm, I8Tile, Matrix, MatrixView};
+use sudowoodo_nn::matrix::{
+    for_each_supported_arm, Arm, I8Tile, Matrix, MatrixView, PackedTranspose,
+};
 
 /// Absolute tolerance for one output entry of a `k`-term contraction of values bounded
 /// by `amax * bmax`: `1e-5` relative to the worst-case accumulated magnitude.
@@ -116,22 +119,22 @@ fn assert_bits_match(result: &Matrix, reference: &Matrix, what: &str) {
     }
 }
 
-/// Asserts every kernel arm's `a * b^T` equals the frozen reference computed on the same
-/// arm bit for bit, and that the FMA arms agree with each other.
+/// Asserts every kernel arm's `a * b^T` equals `a.matmul(&b.transpose())` computed on the
+/// same arm bit for bit, and that the FMA arms agree with each other.
 fn assert_arms_match_reference(a: &Matrix, b: &MatrixView<'_>, what: &str) {
+    let bt = b.to_matrix().transpose();
     let mut fma: Option<Matrix> = None;
     for_each_supported_arm(|arm| {
         let result = a.matmul_transpose_b_view(b);
         let what = format!("{what} [{arm:?}]");
-        assert_bits_match(&result, &a.matmul_transpose_b_reference(b), &what);
+        assert_bits_match(&result, &a.matmul(&bt), &what);
         if arm >= Arm::Avx2 {
             assert_bits_match(&result, fma.get_or_insert_with(|| result.clone()), &what);
         }
     });
-    let reference = a.matmul_transpose_b_reference(b);
     assert_bits_match(
         &a.matmul_transpose_b_view(b),
-        &reference,
+        &a.matmul(&bt),
         &format!("{what} [dispatched]"),
     );
 }
@@ -157,9 +160,9 @@ fn offset_operand(rows: usize, cols: usize, rng: &mut StdRng) -> (Vec<f32>, usiz
 }
 
 #[test]
-fn tiled_transpose_b_is_bit_identical_to_the_row_reference_on_every_arm() {
-    // Every tile-height remainder (8, 2, 1 rows), every corpus-row remainder mod 4,
-    // and contraction lengths on both sides of each 8-lane chunk boundary.
+fn transpose_b_is_bit_identical_to_matmul_of_the_transpose_on_every_arm() {
+    // Every tile-height remainder (8 and 4 rows), `n` on both sides of the 16- and
+    // 32-column tiles, and contraction lengths on both sides of each 8-lane chunk.
     let mut rng = StdRng::seed_from_u64(13);
     for &k in &[1usize, 7, 8, 9, 31, 32, 64, 65, 130] {
         let (a_buf, a_off) = offset_operand(37, k, &mut rng);
@@ -175,10 +178,10 @@ fn tiled_transpose_b_is_bit_identical_to_the_row_reference_on_every_arm() {
 }
 
 #[test]
-fn tiled_transpose_b_matches_the_reference_across_strips_and_bands() {
-    // Wide enough for several 256 KiB strips (k = 64: 1024 rows each); sizes off every
-    // tile multiple. The last shape is the first odd row count past the parallel
-    // threshold, so on a multi-core host it runs the band-parallel split.
+fn transpose_b_matches_matmul_of_the_transpose_across_bands() {
+    // Long operands, sizes off every tile multiple. The last shape is the first odd row
+    // count past the parallel threshold, so on a multi-core host it runs the
+    // band-parallel split.
     let mut rng = StdRng::seed_from_u64(14);
     let banded = (1..).find(|&m| sudowoodo_nn::matrix::fans_out(m, 72, 1_030));
     for &(m, n, k) in &[
@@ -196,7 +199,7 @@ fn tiled_transpose_b_matches_the_reference_across_strips_and_bands() {
 }
 
 #[test]
-fn tiled_transpose_b_matches_the_reference_on_non_finite_and_denormal_rows() {
+fn transpose_b_matches_matmul_of_the_transpose_on_non_finite_and_denormal_rows() {
     let mut rng = StdRng::seed_from_u64(15);
     let (m, n, k) = (19usize, 23usize, 21usize);
     let specials = [
@@ -222,41 +225,74 @@ fn tiled_transpose_b_matches_the_reference_on_non_finite_and_denormal_rows() {
 }
 
 #[test]
-fn dot4_rows_has_the_bits_of_the_padded_product_on_every_arm() {
-    // The per-query rescore: each listed row must score exactly as it does in a product
-    // against the whole matrix padded to row quads, for a query alone and for each
-    // query of a 9-row block (the 8-row tile and a leftover row). Every list length up
-    // to 9 (each short last group), rows unsorted and repeated, at contraction lengths
-    // on both sides of the 8-lane chunk.
+fn listed_rows_have_the_bits_of_the_whole_product_on_every_arm() {
+    // The quantized rescore: rows of a view listed unsorted and repeated, read in place,
+    // against operands narrower and wider than the 16-column tile, must score exactly as
+    // they do in the whole product — for every list length up to 11 (each tile-height
+    // remainder) and contraction lengths on both sides of the 8-lane chunk.
     let mut rng = StdRng::seed_from_u64(17);
-    let (n, padded) = (23usize, 24usize);
-    let list = [17usize, 3, 3, 22, 0, 9, 17, 5, 21];
+    let n = 23usize;
+    let list = [17usize, 3, 3, 22, 0, 9, 17, 5, 21, 1, 8];
     for &k in &[1usize, 7, 8, 31, 64, 67] {
-        let (mut b_buf, b_off) = offset_operand(padded, k, &mut rng);
-        b_buf[b_off + n * k..b_off + padded * k].fill(0.0);
-        let b = MatrixView::new(padded, k, &b_buf[b_off..b_off + padded * k]);
-        let block = Matrix::random_uniform(9, k, 1.0, &mut rng);
-        for_each_supported_arm(|arm| {
-            for a in [block.slice_rows(0, 1), block.clone()] {
-                let full = a.matmul_transpose_b_view(&b);
-                for r in 0..a.rows() {
-                    for len in 1..=list.len() {
-                        let rows = &list[..len];
-                        let mut out = vec![f32::NAN; len];
-                        b.dot4_rows(a.row(r), rows, &mut out);
-                        let want: Vec<u32> =
-                            rows.iter().map(|&j| full.get(r, j).to_bits()).collect();
-                        let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-                        let m = a.rows();
-                        assert_eq!(
-                            got, want,
-                            "k = {k}, query {r} of {m}, rows {rows:?} [{arm:?}]"
-                        );
-                    }
+        let (a_buf, a_off) = offset_operand(n, k, &mut rng);
+        let a = MatrixView::new(n, k, &a_buf[a_off..a_off + n * k]);
+        for rows_b in [1usize, 9, 16, 17, 40] {
+            let b = Matrix::random_uniform(rows_b, k, 1.0, &mut rng);
+            for_each_supported_arm(|arm| {
+                let full = a.to_matrix().matmul(&b.transpose());
+                let packed = PackedTranspose::new(&b.view());
+                for len in 1..=list.len() {
+                    let rows = &list[..len];
+                    let mut out = vec![f32::NAN; len * rows_b];
+                    packed.multiply_rows_into(&a, rows, &mut out);
+                    let listed = Matrix::from_vec(len, rows_b, out);
+                    assert_bits_match(
+                        &listed,
+                        &full.gather_rows(rows),
+                        &format!("k = {k}, {rows_b} columns, rows {rows:?} [{arm:?}]"),
+                    );
                 }
-            }
-        });
+            });
+        }
     }
+}
+
+#[test]
+fn a_row_of_b_scores_the_same_alone_in_16_and_in_256_rows() {
+    // A join's query scores the same however it was batched: alone (the 16-column tile
+    // on AVX-512), in a 16-query batch, and in a 256-query tile (the 32-column tile),
+    // against a corpus streamed as the left operand; and the corpus-major product holds
+    // the bits of the query-major `Q * C^T`.
+    let mut rng = StdRng::seed_from_u64(18);
+    let (n, k) = (45usize, 64usize);
+    let queries = Matrix::random_uniform(256, k, 1.0, &mut rng);
+    let (c_buf, c_off) = offset_operand(n, k, &mut rng);
+    let corpus = MatrixView::new(n, k, &c_buf[c_off..c_off + n * k]);
+    for_each_supported_arm(|arm| {
+        let column_of = |batch: std::ops::Range<usize>, r: usize| -> Vec<u32> {
+            let b = queries.slice_rows(batch.start, batch.end);
+            let mut out = vec![0.0; n * b.rows()];
+            PackedTranspose::new(&b.view()).multiply_into(&corpus, &mut out);
+            let at = r - batch.start;
+            (0..n).map(|i| out[i * b.rows() + at].to_bits()).collect()
+        };
+        let query_major = queries.matmul_transpose_b_view(&corpus);
+        for r in [0usize, 7, 15, 16, 100, 255] {
+            let whole = column_of(0..256, r);
+            let group = r - r % 16;
+            assert_eq!(column_of(r..r + 1, r), whole, "query {r} alone [{arm:?}]");
+            assert_eq!(
+                column_of(group..group + 16, r),
+                whole,
+                "query {r} in 16 [{arm:?}]"
+            );
+            let row: Vec<u32> = query_major.row(r).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(
+                row, whole,
+                "query {r}: (C * Q^T)^T against Q * C^T [{arm:?}]"
+            );
+        }
+    });
 }
 
 /// `rows x k` random codes (both extremes included) starting at an odd address inside
