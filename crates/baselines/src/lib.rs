@@ -1,7 +1,10 @@
 //! # sudowoodo-baselines
 //!
 //! Re-implementations of the systems the paper compares against, at the
-//! algorithmic-idea level (see DESIGN.md for the substitution table):
+//! algorithmic-idea level: each keeps the idea that sets the original system apart and
+//! substitutes this workspace's own parts for the rest — the from-scratch encoder of
+//! `sudowoodo-core` for a pre-trained language model, and in-repo models for external
+//! libraries:
 //!
 //! * [`supervised`] — Ditto-like, Rotom-like, and DeepMatcher-like supervised matchers
 //!   (Tables V / XVIII);

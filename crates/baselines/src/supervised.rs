@@ -1,8 +1,10 @@
 //! Supervised / semi-supervised deep EM baselines: Ditto-like, Rotom-like, and
 //! DeepMatcher-like matchers.
 //!
-//! All three baselines hold the encoder architecture constant with Sudowoodo (see DESIGN.md)
-//! and differ only in how the paper's corresponding systems differ from Sudowoodo:
+//! All three baselines use Sudowoodo's own from-scratch [`Encoder`] in place of the
+//! pre-trained language model the original systems fine-tune, so the encoder architecture
+//! is held constant and they differ only in how the paper's corresponding systems differ
+//! from Sudowoodo:
 //!
 //! * **Ditto-like** — no contrastive pre-training (randomly initialized encoder) and the
 //!   default sequence-pair fine-tuning head (concatenation only, no `|Z_x − Z_y|` features).

@@ -165,6 +165,15 @@ const PROBES: &[Probe] = &[
         floor: None,
         measure: |f| f.train_step().ms,
     },
+    // Attention's six products run per (sequence, head) on the GEMM tile, whose
+    // products here are 32 wide and 16 or 32 deep.
+    Probe {
+        name: "attention fwd+bwd",
+        unit: "share of FMA peak",
+        better: Higher,
+        floor: None,
+        measure: attention,
+    },
     // ~17x on 2k x 10k joins.
     Probe {
         name: "knn_join 2k x 10k dense",
@@ -822,6 +831,30 @@ fn transformer_forward_flops(config: &EncoderConfig, n: usize, len: usize) -> f6
     let (d, f) = (config.dim, config.ff_hidden);
     let per_token = 2 * (4 * d * d + 2 * d * f) + 4 * len * d;
     (config.layers * n * len * per_token) as f64
+}
+
+/// Masked multi-head attention, forward and backward, at `em_pipeline`'s encoder shape
+/// (32 sequences of 32 tokens, dim 32, 2 heads) on one core: scores, masked softmax and
+/// context on a tape, then its backward, as a share of the FMA peak timed beside it. The
+/// FLOPs counted are the six products': `4·batch·seq²·dim` forward, twice that backward.
+fn attention(_: &mut Fixtures) -> f64 {
+    let (batch, seq, dim, heads) = (32usize, 32usize, 32usize, 2usize);
+    let mut rng = StdRng::seed_from_u64(10);
+    let qkv = [(); 3].map(|_| Matrix::random_normal(batch * seq, dim, 1.0, &mut rng));
+    let valid = vec![seq; batch * heads * seq];
+    let scale = 1.0 / ((dim / heads) as f32).sqrt();
+    let step = || {
+        let mut tape = Tape::new();
+        let [q, k, v] = qkv.clone().map(|m| tape.constant(m));
+        let scores = tape.attention_scores(q, k, heads, seq, scale);
+        let weights = tape.masked_row_softmax(scores, &valid);
+        let context = tape.attention_context(weights, v, heads, seq);
+        let loss = tape.sum_all(context);
+        tape.backward(loss)
+    };
+    let (peak, peak_flops) = fma_peak();
+    let peak_over_step_secs = on_one_core(|| best_ratio(201, || peak(black_box(FMA_ITERS)), step));
+    peak_over_step_secs * (12 * batch * seq * seq * dim) as f64 / peak_flops
 }
 
 /// The three `train_step` rows, read from one run.

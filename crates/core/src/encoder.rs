@@ -2,8 +2,9 @@
 //!
 //! The encoder maps a serialized data item to an L2-normalized `dim`-dimensional vector.
 //! The paper uses a pre-trained RoBERTa/DistilBERT; this reproduction trains a compact
-//! encoder from scratch (see DESIGN.md for the substitution rationale). Two architectures
-//! are provided behind [`EncoderKind`]:
+//! encoder from scratch instead, so that it builds and runs offline on a CPU with no
+//! pre-trained weights, and contrastive pre-training on the task's own corpus is the only
+//! pre-training the model gets. Two architectures are provided behind [`EncoderKind`]:
 //!
 //! * `MeanPool` — token embeddings, mean pooling, a two-layer MLP;
 //! * `Transformer` — token + positional embeddings, `layers` pre-norm Transformer blocks,

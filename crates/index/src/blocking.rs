@@ -2,14 +2,14 @@
 //!
 //! Pipelines choose the corpus layout with a single configuration value (dense for
 //! static in-memory corpora, sharded for streaming/very large ones) and call the same
-//! `knn_join` / `top_k` either way. Both layouts share normalization, kernels, and the
+//! `knn_join` either way. Both layouts share normalization, kernels, and the
 //! deterministic top-k selection contract, so switching layouts never changes results —
 //! only the memory/ingestion profile.
 
 use std::io;
 use std::path::Path;
 
-use crate::knn::{CosineIndex, Neighbor};
+use crate::knn::CosineIndex;
 use crate::sharded::{join_concatenated, JoinOutcome, QuantSpec, RemoveError, ShardedCosineIndex};
 use crate::snapshot;
 
@@ -160,15 +160,6 @@ impl BlockingIndex {
         self.len() == 0
     }
 
-    /// Returns the `k` most similar indexed vectors to `query` (descending score,
-    /// ascending id on ties).
-    pub fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            BlockingIndex::Dense(index) => index.top_k(query, k),
-            BlockingIndex::Sharded(index) => index.top_k(query, k),
-        }
-    }
-
     /// Retrieves, for every query, its `k` nearest indexed vectors as
     /// `(query_index, id, score)` candidate pairs.
     pub fn knn_join(&self, queries: &[Vec<f32>], k: usize) -> Vec<(usize, usize, f32)> {
@@ -268,8 +259,8 @@ mod tests {
         assert_eq!(dense.len(), sharded.len());
         assert!(!dense.is_empty());
         assert_eq!(dense.knn_join(&queries, 5), sharded.knn_join(&queries, 5));
-        for q in &queries {
-            assert_eq!(dense.top_k(q, 3), sharded.top_k(q, 3));
+        for q in queries.chunks(1) {
+            assert_eq!(dense.knn_join(q, 3), sharded.knn_join(q, 3));
         }
     }
 

@@ -8,8 +8,8 @@
 //! corpus through the GEMM tile as its `A` operand, read in place, strip by strip: each
 //! strip becomes one corpus-major `strip x block` score tile, read back row by row
 //! against a per-query vector of current `k`-th best scores before the next strip is
-//! touched — no `block x n` score matrix ever exists. Single-query
-//! [`CosineIndex::top_k`] is the same walk with a one-row block.
+//! touched — no `block x n` score matrix ever exists. A single query is a one-row
+//! block.
 //!
 //! Every score is one fused multiply-add chain over the dimensions, ascending, so its
 //! bits do not depend on the block, the strip, the tile width or where the row sits:
@@ -373,8 +373,8 @@ impl CosineIndex {
     /// ]);
     /// assert_eq!(index.len(), 3);
     ///
-    /// let hits = index.top_k(&[1.0, 0.1], 2);
-    /// assert_eq!(hits[0].id, 0); // closest direction wins
+    /// let hits = index.knn_join(&[vec![1.0, 0.1]], 2);
+    /// assert_eq!(hits[0].1, 0); // (query, corpus id, score): the closest direction wins
     /// ```
     pub fn build(vectors: Vec<Vec<f32>>) -> Self {
         let Some(first) = vectors.first() else {
@@ -441,43 +441,6 @@ impl CosineIndex {
         &self.matrix
     }
 
-    /// Returns the `k` most similar indexed vectors to `query`, sorted by decreasing
-    /// score (ties broken by ascending id).
-    pub fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        check_row_dim("CosineIndex::top_k (query)", 0, query.len(), self.dim());
-        let qnorm: f32 = query.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let inv = if qnorm > 1e-12 { 1.0 / qnorm } else { 0.0 };
-        // The walk of `knn_join` with a one-row block: same score bits, so both APIs
-        // return identical neighbors on near-ties.
-        let mut selector = [TopK::new(k)];
-        self.offer_strips(
-            &MatrixView::new(1, self.dim(), query),
-            &[inv],
-            &mut selector,
-        );
-        let [selector] = selector;
-        selector.into_sorted()
-    }
-
-    /// Scores the query block `q` against every real corpus row and offers the scores to
-    /// the per-query `selectors` (`inv_norms[r]` scales query `r`'s scores).
-    fn offer_strips(&self, q: &MatrixView<'_>, inv_norms: &[f32], selectors: &mut [TopK]) {
-        let dim = self.dim();
-        let corpus = MatrixView::new(self.len, dim, &self.matrix.data()[..self.len * dim]);
-        score_and_offer(
-            &corpus,
-            &PackedTranspose::new(q),
-            inv_norms,
-            selectors,
-            |i| i,
-            None,
-            &mut Vec::new(),
-        );
-    }
-
     /// Retrieves, for every query vector, its `k` nearest indexed vectors, returning the
     /// candidate pair list `(query_index, indexed_index, score)`.
     ///
@@ -486,7 +449,7 @@ impl CosineIndex {
     /// scoring `strip * Q_blockᵀ` and offering the scores to one persistent selector per
     /// query.
     /// Results are ordered by query index, then descending score (ascending id on
-    /// ties) — identical to running [`CosineIndex::top_k`] per query.
+    /// ties); a query's results do not depend on the other queries of the call.
     ///
     /// # Examples
     /// ```
@@ -504,6 +467,7 @@ impl CosineIndex {
             return Vec::new();
         }
         let dim = self.dim();
+        let corpus = MatrixView::new(self.len, dim, &self.matrix.data()[..self.len * dim]);
         let per_block: Vec<Vec<(usize, usize, f32)>> = queries
             .par_chunks(QUERY_TILE)
             .enumerate()
@@ -512,7 +476,15 @@ impl CosineIndex {
                 let (q_block, inv_norms) =
                     pack_query_block("CosineIndex::knn_join (query)", base, block, dim);
                 let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                self.offer_strips(&q_block.view(), &inv_norms, &mut selectors);
+                score_and_offer(
+                    &corpus,
+                    &PackedTranspose::new(&q_block.view()),
+                    &inv_norms,
+                    &mut selectors,
+                    |i| i,
+                    None,
+                    &mut Vec::new(),
+                );
                 let mut pairs = Vec::with_capacity(block.len() * k);
                 for (r, selector) in selectors.into_iter().enumerate() {
                     let hits = selector.into_sorted();
@@ -574,24 +546,24 @@ mod tests {
     }
 
     #[test]
-    fn top_k_returns_nearest_by_cosine() {
+    fn a_one_query_join_returns_nearest_by_cosine() {
         let index = CosineIndex::build(vec![
             unit(&[1.0, 0.0]),
             unit(&[0.0, 1.0]),
             unit(&[0.7, 0.7]),
         ]);
-        let hits = index.top_k(&[1.0, 0.1], 2);
+        let hits = index.knn_join(&[vec![1.0, 0.1]], 2);
         assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].id, 0);
-        assert_eq!(hits[1].id, 2);
-        assert!(hits[0].score > hits[1].score);
+        assert_eq!((hits[0].0, hits[0].1), (0, 0));
+        assert_eq!((hits[1].0, hits[1].1), (0, 2));
+        assert!(hits[0].2 > hits[1].2);
     }
 
     #[test]
-    fn top_k_handles_k_larger_than_collection() {
+    fn a_one_query_join_handles_k_larger_than_collection() {
         let index = CosineIndex::build(vec![unit(&[1.0, 0.0]), unit(&[0.0, 1.0])]);
-        assert_eq!(index.top_k(&[1.0, 1.0], 10).len(), 2);
-        assert_eq!(index.top_k(&[1.0, 1.0], 0).len(), 0);
+        assert_eq!(index.knn_join(&[vec![1.0, 1.0]], 10).len(), 2);
+        assert_eq!(index.knn_join(&[vec![1.0, 1.0]], 0).len(), 0);
         assert_eq!(index.len(), 2);
         assert_eq!(index.dim(), 2);
         assert!(!index.is_empty());
@@ -601,7 +573,6 @@ mod tests {
     fn empty_index_returns_nothing() {
         let index = CosineIndex::build(Vec::new());
         assert!(index.is_empty());
-        assert!(index.top_k(&[1.0], 3).is_empty());
         assert!(index.knn_join(&[vec![1.0]], 3).is_empty());
     }
 
@@ -638,8 +609,8 @@ mod tests {
     #[test]
     fn zero_query_scores_zero() {
         let index = CosineIndex::build(vec![unit(&[1.0, 0.0])]);
-        let hits = index.top_k(&[0.0, 0.0], 1);
-        assert_eq!(hits[0].score, 0.0);
+        let hits = index.knn_join(&[vec![0.0, 0.0]], 1);
+        assert_eq!(hits[0].2, 0.0);
     }
 
     #[test]
@@ -658,8 +629,6 @@ mod tests {
         // that the *smallest ids* survive, in ascending order.
         let v = unit(&[0.6, 0.8]);
         let index = CosineIndex::build(vec![v.clone(), v.clone(), v.clone(), v.clone()]);
-        let hits = index.top_k(&v, 2);
-        assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![0, 1]);
         let pairs = index.knn_join(&[v], 2);
         assert_eq!(pairs.iter().map(|p| p.1).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -760,7 +729,8 @@ mod tests {
         let a = CosineIndex::build(rows.clone());
         let m = Matrix::from_rows(&[rows[0].clone(), rows[1].clone()]);
         let b = CosineIndex::from_matrix(m);
-        assert_eq!(a.top_k(&[1.0, 1.0], 2), b.top_k(&[1.0, 1.0], 2));
+        let query = [vec![1.0, 1.0]];
+        assert_eq!(a.knn_join(&query, 2), b.knn_join(&query, 2));
     }
 
     #[test]

@@ -66,7 +66,7 @@ use rayon::prelude::*;
 use sudowoodo_nn::matrix::{I8Tile, Matrix, MatrixView, PackedTranspose};
 
 use crate::cache::{fingerprint, QueryCache};
-use crate::knn::{check_row_dim, pack_query_block, padded_rows, score_and_offer, Neighbor, TopK};
+use crate::knn::{check_row_dim, pack_query_block, padded_rows, score_and_offer, TopK};
 use crate::routing::RoutingStats;
 use crate::snapshot;
 use crate::storage::{QuantizedBlock, QuantizedMatrix, ShardStorage, SpillDir};
@@ -1510,30 +1510,6 @@ impl ShardedCosineIndex {
         self.spill_dir = dir;
     }
 
-    /// Returns the `k` most similar live vectors to `query`, sorted by descending score
-    /// (ties broken by ascending stable id) — the dense [`crate::CosineIndex::top_k`]
-    /// contract.
-    ///
-    /// Delegates to [`Self::knn_join`] with a single query (one shard-scoring/merge
-    /// implementation to keep correct), so the shards still fan out across threads and
-    /// routing-based skipping applies.
-    pub fn top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        check_row_dim(
-            "ShardedCosineIndex::top_k (query)",
-            0,
-            query.len(),
-            self.dim,
-        );
-        let queries = [query.to_vec()];
-        self.knn_join(&queries, k)
-            .into_iter()
-            .map(|(_, id, score)| Neighbor { id, score })
-            .collect()
-    }
-
     /// Retrieves, for every query vector, its `k` nearest live vectors, returning the
     /// candidate pair list `(query_index, stable_id, score)`.
     ///
@@ -1962,7 +1938,6 @@ mod tests {
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);
         assert_eq!(index.dim(), 0);
-        assert!(index.top_k(&[1.0], 3).is_empty());
         assert!(index.knn_join(&[vec![1.0]], 3).is_empty());
     }
 
@@ -2004,14 +1979,14 @@ mod tests {
                 dense.knn_join(&queries, 6),
                 "capacity {capacity} diverged from dense"
             );
-            for q in &queries {
-                assert_eq!(sharded.top_k(q, 6), dense.top_k(q, 6));
+            for q in queries.chunks(1) {
+                assert_eq!(sharded.knn_join(q, 6), dense.knn_join(q, 6));
             }
         }
     }
 
     #[test]
-    fn top_k_and_knn_join_agree() {
+    fn a_query_joined_alone_gets_its_results_in_the_batch() {
         let corpus = vectors(40, 12, 5);
         let queries = vectors(10, 12, 6);
         let index = ShardedCosineIndex::from_vectors(&corpus, 7);
@@ -2023,9 +1998,9 @@ mod tests {
                 .map(|&(_, id, s)| (id, s))
                 .collect();
             let from_single: Vec<(usize, f32)> = index
-                .top_k(q, 4)
+                .knn_join(std::slice::from_ref(q), 4)
                 .into_iter()
-                .map(|h| (h.id, h.score))
+                .map(|(_, id, s)| (id, s))
                 .collect();
             assert_eq!(from_join, from_single, "query {qi}");
         }
@@ -2050,16 +2025,15 @@ mod tests {
                 dense.knn_join(queries, 3),
                 "capacity {capacity}"
             );
-            assert_eq!(
-                sharded.top_k(&v, 3),
-                dense.top_k(&v, 3),
-                "capacity {capacity}"
-            );
         }
         // The tie-break contract itself: smallest ids survive, in order, with no pad rows.
-        let ids: Vec<usize> = dense.top_k(&v, 3).iter().map(|h| h.id).collect();
+        let ids: Vec<usize> = dense.knn_join(queries, 3).iter().map(|p| p.1).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(dense.top_k(&v, 10).len(), 5, "pad rows must never surface");
+        assert_eq!(
+            dense.knn_join(queries, 10).len(),
+            5,
+            "pad rows must never surface"
+        );
     }
 
     #[test]
@@ -2085,8 +2059,6 @@ mod tests {
         let v = vec![0.6f32, 0.8];
         let mut index = ShardedCosineIndex::new(2);
         index.add_batch(&[v.clone(), v.clone(), v.clone(), v.clone(), v.clone()]);
-        let hits = index.top_k(&v, 3);
-        assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         let pairs = index.knn_join(&[v], 3);
         assert_eq!(pairs.iter().map(|p| p.1).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
@@ -2635,7 +2607,7 @@ mod tests {
         let (q_block, inv_norms) = pack_query_block("quant_fixture", 0, &queries, dim);
         let codes = QuantizedBlock::from_scaled_rows(&q_block, &inv_norms);
         let mut selectors: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-        let exact = CosineIndex::build(corpus.clone()).top_k(&queries[4], 3)[2].score;
+        let exact = CosineIndex::build(corpus.clone()).knn_join(&queries[4..], 3)[2].2;
         for i in 0..k {
             if i < k / 2 {
                 selectors[1].offer(usize::MAX - i, 0.5);

@@ -56,7 +56,7 @@ fn reference_knn(corpus: &[Vec<f32>], queries: &[Vec<f32>], k: usize) -> Vec<Vec
 }
 
 #[test]
-fn gemm_tiled_knn_join_matches_scalar_top_k() {
+fn gemm_tiled_knn_join_matches_one_query_joins_across_query_tiles() {
     let mut rng = StdRng::seed_from_u64(5);
     // 700 corpus rows x 300 queries crosses several 256-row query tiles.
     let corpus = random_vectors(700, 32, &mut rng);
@@ -74,9 +74,9 @@ fn gemm_tiled_knn_join_matches_scalar_top_k() {
             .map(|&(_, id, s)| (id, s))
             .collect();
         let from_scalar: Vec<(usize, f32)> = index
-            .top_k(q, k)
+            .knn_join(std::slice::from_ref(q), k)
             .into_iter()
-            .map(|h| (h.id, h.score))
+            .map(|(_, id, s)| (id, s))
             .collect();
 
         let join_ids: Vec<usize> = from_join.iter().map(|p| p.0).collect();
@@ -188,19 +188,19 @@ fn strip_walk_matches_the_full_tile_join_with_a_tie_across_a_strip_boundary() {
             .map(|p| (p.1, p.2.to_bits()))
             .collect();
         let single: Vec<(usize, u32)> = index
-            .top_k(q, k)
+            .knn_join(std::slice::from_ref(q), k)
             .into_iter()
-            .map(|h| (h.id, h.score.to_bits()))
+            .map(|(_, id, s)| (id, s.to_bits()))
             .collect();
         assert_eq!(
             from_join, single,
-            "query {qi}: top_k diverged from knn_join"
+            "query {qi}: joined alone diverged from the batch join"
         );
     }
 }
 
 #[test]
-fn top_k_equals_knn_join_bit_for_bit_on_a_10k_corpus() {
+fn one_query_joins_equal_the_batch_join_bit_for_bit_on_a_10k_corpus() {
     let mut rng = StdRng::seed_from_u64(9);
     let corpus = random_vectors(10_000, 32, &mut rng);
     let queries = random_vectors(40, 32, &mut rng);
@@ -211,9 +211,9 @@ fn top_k_equals_knn_join_bit_for_bit_on_a_10k_corpus() {
         .enumerate()
         .flat_map(|(qi, q)| {
             index
-                .top_k(q, 20)
+                .knn_join(std::slice::from_ref(q), 20)
                 .into_iter()
-                .map(move |h| (qi, h.id, h.score))
+                .map(move |(_, id, score)| (qi, id, score))
         })
         .collect();
     assert_eq!(bits(&joined), bits(&singles));

@@ -144,7 +144,7 @@ fn quantized_spilled_and_routed_knn_join_matches_dense_2k_x_10k() {
 }
 
 #[test]
-fn sharded_top_k_matches_dense_single_queries() {
+fn sharded_single_query_joins_match_dense() {
     let mut rng = StdRng::seed_from_u64(12);
     let corpus = random_vectors(500, 24, &mut rng);
     let queries = random_vectors(40, 24, &mut rng);
@@ -152,16 +152,11 @@ fn sharded_top_k_matches_dense_single_queries() {
     for capacity in [1usize, 7, 64, corpus.len()] {
         let sharded = ShardedCosineIndex::from_vectors(&corpus, capacity);
         for (qi, q) in queries.iter().enumerate() {
-            let d: Vec<(usize, f32)> = dense
-                .top_k(q, 9)
-                .into_iter()
-                .map(|h| (h.id, h.score))
-                .collect();
-            let s: Vec<(usize, f32)> = sharded
-                .top_k(q, 9)
-                .into_iter()
-                .map(|h| (h.id, h.score))
-                .collect();
+            let one = std::slice::from_ref(q);
+            let hits = |pairs: Vec<(usize, usize, f32)>| -> Vec<(usize, f32)> {
+                pairs.into_iter().map(|(_, id, s)| (id, s)).collect()
+            };
+            let (d, s) = (hits(dense.knn_join(one, 9)), hits(sharded.knn_join(one, 9)));
             assert_eq!(
                 d.iter().map(|p| p.0).collect::<Vec<_>>(),
                 s.iter().map(|p| p.0).collect::<Vec<_>>(),

@@ -369,8 +369,9 @@ impl MultiHeadSelfAttention {
 
     /// Batched masked forward over a packed `[batch*max_len, dim]` row-block holding
     /// `lens.len()` sequences padded to `max_len` rows each. The Q/K/V/O projections run
-    /// as single whole-batch GEMMs; the scores of all heads of all sequences are fused
-    /// `A * B^T` GEMM tiles ([`Tape::attention_scores`]); padding keys are masked out of
+    /// as single whole-batch GEMMs; the scores and context of every `(sequence, head)`
+    /// pair are one GEMM-tile product each ([`Tape::attention_scores`],
+    /// [`Tape::attention_context`]); padding keys are masked out of
     /// the softmax ([`Tape::masked_row_softmax`]), so the rows of every sequence attend
     /// exactly as in the per-sequence [`MultiHeadSelfAttention::forward`] oracle.
     pub fn forward_batch(

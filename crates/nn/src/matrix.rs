@@ -28,8 +28,15 @@
 //!   quantized index scan: `6×64` AVX-512 VNNI `vpdpbusd` / AVX-512 `madd_epi16`, `4×16`
 //!   AVX2, scalar — integer-exact, so every arm equals [`Matrix::dot_i8`];
 //!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row.
-//! * AXPY (`kernels::axpy4` / `axpy1`) for attention and the optimizer, and the GELU and
-//!   softmax maps of [`crate::tape`], on the same arm.
+//! * Attention's products — scores, context and their four backward products in
+//!   [`crate::tape`] — are the same tile, one product per `(sequence, head)`: `A` is read
+//!   as rows of the head's column slice and `B` packed from the strided head slice
+//!   (`PackedTranspose::from_fn`), so each block has the bits of `matmul` of the sliced
+//!   operands.
+//!
+//! Beyond the two tile families there are only element-wise maps: the GELU and softmax
+//! maps of [`crate::tape`] on the same arm, and plain loops for gradient accumulation
+//! ([`Matrix::add_scaled`]) and the optimizer.
 //!
 //! `matmul_naive` and `dot_i8` are the frozen references the tests compare against. New
 //! work slots in as a tile in `kernels` and one more `match` arm on [`Arm`]; a new
@@ -188,7 +195,7 @@ fn tile_window<T: Copy, const MR: usize, const W: usize>(
     }
 }
 
-pub(crate) mod kernels {
+mod kernels {
     //! Register tiles and SIMD microkernels, one per [`Arm`].
     //!
     //! The safe wrappers take the caller's arm and assert that this CPU supports it
@@ -329,109 +336,6 @@ pub(crate) mod kernels {
             }
         }
         packed
-    }
-
-    /// The same panels of the transpose of the row-major `n x k` matrix `bt`, without
-    /// materialising it: row `j` of `bt` becomes column `j % w` of panel `j / w`.
-    pub fn pack_transposed_panels(bt: &[f32], n: usize, k: usize, w: usize) -> Vec<f32> {
-        debug_assert_eq!(bt.len(), n * k);
-        let mut packed = vec![0.0; n.div_ceil(w) * w * k];
-        for (j, row) in bt.chunks_exact(k).enumerate() {
-            let panel = &mut packed[(j - j % w) * k..];
-            for (kk, &v) in row.iter().enumerate() {
-                panel[kk * w + j % w] = v;
-            }
-        }
-        packed
-    }
-
-    /// `out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]` — the 4-way k-unrolled AXPY
-    /// of the attention kernels: four rows are consumed per pass over the output row,
-    /// quartering the load/store traffic on `out`.
-    #[inline]
-    pub fn axpy4(
-        arm: Arm,
-        out: &mut [f32],
-        a: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = out.len();
-        assert!(b0.len() >= n && b1.len() >= n && b2.len() >= n && b3.len() >= n);
-        assert!(arm <= Arm::detected());
-        #[cfg(target_arch = "x86_64")]
-        if arm >= Arm::Avx2 {
-            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
-            // supported; each `b` holds at least `out.len()` floats (both asserted above).
-            unsafe { axpy4_avx2(out, a, [b0, b1, b2, b3]) };
-            return;
-        }
-        for (j, o) in out.iter_mut().enumerate() {
-            *o += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
-        }
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2 and FMA; every `b` holds at least `out.len()` floats.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn axpy4_avx2(out: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
-        let n = out.len();
-        let va = a.map(|x| _mm256_set1_ps(x));
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(out.as_ptr().add(j));
-            for (&x, row) in va.iter().zip(b) {
-                acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(row.as_ptr().add(j)), acc);
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            j += 8;
-        }
-        for (j, o) in out.iter_mut().enumerate().skip(j) {
-            *o += a[0] * b[0][j] + a[1] * b[1][j] + a[2] * b[2][j] + a[3] * b[3][j];
-        }
-    }
-
-    /// `out[j] += a * b[j]` — the remainder AXPY for `k % 4` tail rows, and gradient
-    /// accumulation.
-    #[inline]
-    pub fn axpy1(arm: Arm, out: &mut [f32], a: f32, b: &[f32]) {
-        assert!(b.len() >= out.len());
-        assert!(arm <= Arm::detected());
-        #[cfg(target_arch = "x86_64")]
-        if arm >= Arm::Avx2 {
-            // SAFETY: every arm from `Avx2` up has AVX2 and FMA, and the caller's arm is
-            // supported; `b` holds at least `out.len()` floats (both asserted above).
-            unsafe { axpy1_avx2(out, a, b) };
-            return;
-        }
-        for (o, &bj) in out.iter_mut().zip(b.iter()) {
-            *o += a * bj;
-        }
-    }
-
-    /// # Safety
-    /// The CPU supports AVX2 and FMA; `b` holds at least `out.len()` floats.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn axpy1_avx2(out: &mut [f32], a: f32, b: &[f32]) {
-        let n = out.len();
-        let va = _mm256_set1_ps(a);
-        let mut j = 0;
-        while j + 8 <= n {
-            let acc = _mm256_fmadd_ps(
-                va,
-                _mm256_loadu_ps(b.as_ptr().add(j)),
-                _mm256_loadu_ps(out.as_ptr().add(j)),
-            );
-            _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
-            j += 8;
-        }
-        for (o, &bj) in out[j..].iter_mut().zip(&b[j..]) {
-            *o += a * bj;
-        }
     }
 
     /// Appends to `hits`, ascending, every `j` whose `scale * scales[j] * dots[j] as f64`
@@ -828,14 +732,24 @@ impl PackedTranspose {
     /// Packs the transpose of the row-major `b` for the arm this thread dispatches to,
     /// which every product of the operand then runs on.
     pub fn new(b: &MatrixView<'_>) -> PackedTranspose {
+        PackedTranspose::from_fn(b.rows, b.cols, |j, kk| b.data[j * b.cols + kk])
+    }
+
+    /// [`Self::new`] of the `n x k` matrix whose entry `(j, kk)` is `b(j, kk)`, read
+    /// straight into the panels: an operand no row-major buffer holds, such as one
+    /// attention head's columns of a packed row block, pre-scaled or transposed.
+    pub(crate) fn from_fn(n: usize, k: usize, b: impl Fn(usize, usize) -> f32) -> PackedTranspose {
         let arm = Arm::current();
-        let (n, k) = (b.rows, b.cols);
         let shape = tile_shape(arm, n);
-        let panels = if k == 0 {
-            Vec::new()
-        } else {
-            kernels::pack_transposed_panels(b.data, n, k, shape.1)
-        };
+        let w = shape.1;
+        // Row `j` of `B` becomes column `j % w` of panel `j / w`.
+        let mut panels = vec![0.0; n.div_ceil(w) * w * k];
+        for j in 0..n {
+            let panel = &mut panels[(j - j % w) * k..];
+            for kk in 0..k {
+                panel[kk * w + j % w] = b(j, kk);
+            }
+        }
         PackedTranspose {
             arm,
             shape,
@@ -861,8 +775,8 @@ impl PackedTranspose {
     /// # Panics
     /// Panics when `a` is not `cols()` wide or `out` has the wrong length.
     pub fn multiply_into(&self, a: &MatrixView<'_>, out: &mut [f32]) {
-        self.check(a, a.rows, out);
-        self.run(a.rows, |i| a.row(i), out);
+        self.check_width(a);
+        self.multiply_with(a.rows, |i| a.row(i), out);
     }
 
     /// `out = a[rows] * B^T`: row `i` of the row-major `rows.len() x self.rows()` output
@@ -872,28 +786,39 @@ impl PackedTranspose {
     /// # Panics
     /// As [`Self::multiply_into`], and when a listed row is out of range.
     pub fn multiply_rows_into(&self, a: &MatrixView<'_>, rows: &[usize], out: &mut [f32]) {
-        self.check(a, rows.len(), out);
+        self.check_width(a);
         if let Some(&bad) = rows.iter().find(|&&r| r >= a.rows) {
             panic!("multiply_rows_into: row {bad} of a {}-row view", a.rows);
         }
-        self.run(rows.len(), |i| a.row(rows[i]), out);
+        self.multiply_with(rows.len(), |i| a.row(rows[i]), out);
     }
 
-    fn check(&self, a: &MatrixView<'_>, m: usize, out: &[f32]) {
+    fn check_width(&self, a: &MatrixView<'_>) {
         assert_eq!(
             a.cols, self.k,
             "matmul_transpose_b: contraction mismatch ({}x{} * ({}x{})^T)",
             a.rows, a.cols, self.n, self.k
         );
+    }
+
+    /// `out = A * B^T` for the `m` rows `a_row(i)` of `A`, each at least `cols()` long
+    /// (the first `cols()` floats are read): the entry for an `A` no [`MatrixView`]
+    /// describes. Every element of the row-major `m x rows()` `out` is overwritten.
+    ///
+    /// # Panics
+    /// Panics when `out` is not `m * rows()` long or a row is shorter than `cols()`.
+    pub(crate) fn multiply_with<'a>(
+        &self,
+        m: usize,
+        a_row: impl Fn(usize) -> &'a [f32] + Sync,
+        out: &mut [f32],
+    ) {
         assert_eq!(
             out.len(),
             m * self.n,
             "matmul_transpose_b: output is not {m}x{}",
             self.n
         );
-    }
-
-    fn run<'a>(&self, m: usize, a_row: impl Fn(usize) -> &'a [f32] + Sync, out: &mut [f32]) {
         if m == 0 || self.n == 0 {
             return;
         }
@@ -902,9 +827,8 @@ impl PackedTranspose {
             return;
         }
         let (k, w) = (self.k, self.shape.1);
-        // SAFETY: every `a_row(i)` is a `k`-float row of a view whose width `check`
-        // asserted, and the panel of columns `j..j + w` is the `k * w` floats of
-        // `panels` from `j * k` on.
+        // SAFETY: the panel of columns `j..j + w` is the `k * w` floats of `panels` from
+        // `j * k` on (`gemm` asserts the length of every row of `A`).
         unsafe {
             gemm_on(
                 self.arm,
@@ -971,9 +895,11 @@ unsafe fn gemm_on<'a>(
 /// computed by the same tile in the same order, wherever it sits.
 ///
 /// # Safety
-/// The CPU supports `tile`'s instructions; every `a_row(i)`, `i < m`, is at least `k`
-/// long; and every `panel(j)`, `j` a multiple of `W` below `n`, is readable for `W`
-/// floats at each offset `kk * panel(j).1`, `kk < k`.
+/// The CPU supports `tile`'s instructions, and every `panel(j)`, `j` a multiple of `W`
+/// below `n`, is readable for `W` floats at each offset `kk * panel(j).1`, `kk < k`.
+///
+/// # Panics
+/// Panics when an `a_row(i)`, `i < m`, is shorter than `k`.
 unsafe fn gemm<'a, const MR: usize, const W: usize>(
     tile: kernels::GemmTile<MR>,
     (k, n): (usize, usize),
@@ -987,16 +913,16 @@ unsafe fn gemm<'a, const MR: usize, const W: usize>(
         for i in (0..rows.len()).step_by(MR) {
             let a_rows: [*const f32; MR] = std::array::from_fn(|r| {
                 let row = a_row(rows.start + (i + r).min(rows.len() - 1));
-                debug_assert!(row.len() >= k);
+                assert!(row.len() >= k, "a row of A is shorter than k = {k}");
                 row.as_ptr()
             });
             for j in (0..n).step_by(W) {
                 let (b, ldb) = panel(j);
                 tile_window(band, (rows.len(), n), (i, j), &mut edge, |dst, ldo| {
-                    // SAFETY: the caller guarantees `tile`'s instructions, `k` floats
-                    // behind each `a_rows[r]` and `W` behind each `b + kk * ldb`; and
-                    // `tile_window` hands out `W` writable floats at each `r * ldo`,
-                    // `r < MR`.
+                    // SAFETY: the caller guarantees `tile`'s instructions and `W` floats
+                    // behind each `b + kk * ldb`; `k` floats are behind each `a_rows[r]`
+                    // (asserted above); and `tile_window` hands out `W` writable floats
+                    // at each `r * ldo`, `r < MR`.
                     unsafe { tile(&a_rows, k, b, ldb, dst, ldo) }
                 });
             }
@@ -1493,7 +1419,9 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add_scaled(&mut self, other: &Matrix, s: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
-        kernels::axpy1(Arm::current(), &mut self.data, s, &other.data);
+        for (o, &b) in self.data.iter_mut().zip(&other.data) {
+            *o += s * b;
+        }
     }
 
     /// In-place fused element-wise accumulation: `self += a ⊙ b` (no temporary).

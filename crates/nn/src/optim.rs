@@ -91,10 +91,12 @@ fn sum_sources<'a>(sources: &[Source<'a>]) -> Summed<'a> {
     Summed::Rows { rows, grads: acc }
 }
 
-/// `acc += g` (an AXPY with factor 1: the fused multiply-add rounds exactly like the sum).
+/// `acc += g`, element by element.
 fn add_into(acc: &mut [f32], g: &[f32]) {
     assert_eq!(acc.len(), g.len(), "AdamW: gradient shape mismatch");
-    crate::matrix::kernels::axpy1(crate::matrix::Arm::current(), acc, 1.0, g);
+    for (a, &b) in acc.iter_mut().zip(g) {
+        *a += b;
+    }
 }
 
 /// Sum of squares in eight interleaved partial sums: a fixed order, so the value is the

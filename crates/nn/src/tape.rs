@@ -14,7 +14,7 @@
 //! by the property tests in `tests/gradcheck_props.rs` and the checks in
 //! [`crate::gradcheck`].
 
-use crate::matrix::{kernels, Arm, Matrix};
+use crate::matrix::{Arm, Matrix, PackedTranspose};
 use crate::param::Param;
 
 /// Index of a node in a [`Tape`].
@@ -469,8 +469,10 @@ impl Tape {
     /// Batched multi-head attention scores: `q` and `k` are packed `[batch*seq, dim]`
     /// row-blocks and the result stacks the `seq x seq` tile `scale * Q_bh * K_bh^T` of
     /// every `(sequence, head)` pair into a `[batch*heads*seq, seq]` matrix (tile `(b, h)`
-    /// starts at row `(b*heads + h) * seq`). Each tile goes through the fused
-    /// [`Matrix::matmul_transpose_b`] GEMM kernel.
+    /// starts at row `(b*heads + h) * seq`). Each tile, and each tile of the backward
+    /// products, is one product on [`Matrix::matmul`]'s GEMM tile, so it has the bits of
+    /// `matmul` of the sliced operands, `scale` applied to `K` (forward) and `dS`
+    /// (backward).
     ///
     /// # Panics
     /// Panics when the shapes of `q` and `k` differ, when their row count is not a
@@ -856,53 +858,24 @@ impl Tape {
                 scale,
             } => {
                 // S_bh = scale * Q_bh K_bh^T per tile:
-                // dQ_bh = scale * dS_bh K_bh ; dK_bh = scale * dS_bh^T Q_bh.
+                // dQ_bh = (scale * dS_bh) K_bh ; dK_bh = (scale * dS_bh)^T Q_bh.
                 let (heads, seq) = (*heads, *seq);
                 let qv = &self.nodes[*q].value;
                 let kv = &self.nodes[*k].value;
-                let batch = qv.rows() / seq;
                 let head_dim = qv.cols() / heads;
                 let mut dq = Matrix::zeros(qv.rows(), qv.cols());
                 let mut dk = Matrix::zeros(kv.rows(), kv.cols());
-                // dQ_bh = scale * dS_bh K_bh ; dK_bh = scale * dS_bh^T Q_bh — both as
-                // row-wise AXPY accumulation against a scaled (and, for dK, transposed)
-                // scratch copy of the dS tile, mirroring the forward kernels.
-                let arm = Arm::current();
-                let mut srow = vec![0.0f32; seq];
-                let mut st = vec![0.0f32; seq * seq];
-                for b in 0..batch {
-                    for h in 0..heads {
-                        let c0 = h * head_dim;
-                        let r0 = (b * heads + h) * seq;
-                        for t in 0..seq {
-                            let g_row = grad.row(r0 + t);
-                            for s in 0..seq {
-                                let g = g_row[s] * scale;
-                                srow[s] = g;
-                                st[s * seq + t] = g;
-                            }
-                            context_row(
-                                arm,
-                                &srow,
-                                kv,
-                                b * seq,
-                                c0,
-                                head_dim,
-                                &mut dq.row_mut(b * seq + t)[c0..c0 + head_dim],
-                            );
-                        }
-                        for s in 0..seq {
-                            context_row(
-                                arm,
-                                &st[s * seq..(s + 1) * seq],
-                                qv,
-                                b * seq,
-                                c0,
-                                head_dim,
-                                &mut dk.row_mut(b * seq + s)[c0..c0 + head_dim],
-                            );
-                        }
-                    }
+                let mut block = vec![0.0f32; seq * head_dim];
+                for (tile, ds) in grad.data().chunks_exact(seq * seq).enumerate() {
+                    let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
+                    let ds_t = transposed(ds, seq, *scale);
+                    let ds: Vec<f32> = ds.iter().map(|&g| g * scale).collect();
+                    let keys = head_cols(kv, (row0, c0), (seq, head_dim));
+                    keys.multiply_with(seq, |t| &ds[t * seq..(t + 1) * seq], &mut block);
+                    put_head(&mut dq, (row0, c0), &block, head_dim);
+                    let queries = head_cols(qv, (row0, c0), (seq, head_dim));
+                    queries.multiply_with(seq, |s| &ds_t[s * seq..(s + 1) * seq], &mut block);
+                    put_head(&mut dk, (row0, c0), &block, head_dim);
                 }
                 add_to(grads, *q, dq);
                 add_to(grads, *k, dk);
@@ -936,40 +909,19 @@ impl Tape {
                 let (heads, seq) = (*heads, *seq);
                 let av = &self.nodes[*attn].value;
                 let vv = &self.nodes[*v].value;
-                let batch = vv.rows() / seq;
                 let head_dim = vv.cols() / heads;
                 let mut da = Matrix::zeros(av.rows(), av.cols());
                 let mut dv = Matrix::zeros(vv.rows(), vv.cols());
-                // dA_bh = dC_bh V_bh^T (score-shaped, via the transposed-value pack) and
-                // dV_bh = A_bh^T dC_bh (context-shaped, via a transposed attention tile).
-                let arm = Arm::current();
-                let mut vt = vec![0.0f32; head_dim * seq];
-                let mut at = vec![0.0f32; seq * seq];
-                for b in 0..batch {
-                    for h in 0..heads {
-                        let c0 = h * head_dim;
-                        let r0 = (b * heads + h) * seq;
-                        pack_kt(vv, b * seq, c0, head_dim, seq, 1.0, &mut vt);
-                        for t in 0..seq {
-                            let g_slice = &grad.row(b * seq + t)[c0..c0 + head_dim];
-                            score_row_kt(arm, g_slice, &vt, seq, da.row_mut(r0 + t));
-                            let a_row = av.row(r0 + t);
-                            for s in 0..seq {
-                                at[s * seq + t] = a_row[s];
-                            }
-                        }
-                        for s in 0..seq {
-                            context_row(
-                                arm,
-                                &at[s * seq..(s + 1) * seq],
-                                grad,
-                                b * seq,
-                                c0,
-                                head_dim,
-                                &mut dv.row_mut(b * seq + s)[c0..c0 + head_dim],
-                            );
-                        }
-                    }
+                let mut block = vec![0.0f32; seq * head_dim];
+                let tiles = da.data_mut().chunks_exact_mut(seq * seq);
+                for (tile, (da, a)) in tiles.zip(av.data().chunks_exact(seq * seq)).enumerate() {
+                    let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
+                    let values = head_rows(vv, (row0, c0), (seq, head_dim), 1.0);
+                    values.multiply_with(seq, head_slice(grad, (row0, c0), head_dim), da);
+                    let a_t = transposed(a, seq, 1.0);
+                    let dc = head_cols(grad, (row0, c0), (seq, head_dim));
+                    dc.multiply_with(seq, |s| &a_t[s * seq..(s + 1) * seq], &mut block);
+                    put_head(&mut dv, (row0, c0), &block, head_dim);
                 }
                 add_to(grads, *attn, da);
                 add_to(grads, *v, dv);
@@ -1167,102 +1119,63 @@ pub fn attention_scores(q: &Matrix, k: &Matrix, heads: usize, seq: usize, scale:
     );
     let batch = q.rows() / seq;
     let head_dim = q.cols() / heads;
-    let arm = Arm::current();
     let mut out = Matrix::zeros(batch * heads * seq, seq);
-    let mut kt = vec![0.0f32; head_dim * seq];
-    for b in 0..batch {
-        for h in 0..heads {
-            let c0 = h * head_dim;
-            pack_kt(k, b * seq, c0, head_dim, seq, scale, &mut kt);
-            for t in 0..seq {
-                let q_slice = &q.row(b * seq + t)[c0..c0 + head_dim];
-                let dst = out.row_mut((b * heads + h) * seq + t);
-                score_row_kt(arm, q_slice, &kt, seq, dst);
-            }
-        }
+    for (tile, dst) in out.data_mut().chunks_exact_mut(seq * seq).enumerate() {
+        let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
+        let keys = head_rows(k, (row0, c0), (seq, head_dim), scale);
+        keys.multiply_with(seq, head_slice(q, (row0, c0), head_dim), dst);
     }
     out
 }
 
-/// Packs (and pre-scales) the key tile `k[row0..row0+keys][c0..c0+head_dim]` transposed
-/// into `kt` (`head_dim` rows of `keys` floats). One transposed copy per tile turns every
-/// score row into pure vertical AXPY accumulation — no horizontal reductions, which
-/// dominate dot-product kernels at attention's tiny tile widths.
-fn pack_kt(
-    k: &Matrix,
-    row0: usize,
-    c0: usize,
-    head_dim: usize,
-    keys: usize,
+/// `scale` times the `rows x head_dim` block of `m` at `(row0, c0)` — one head's slice of
+/// a packed row block — as the right operand of `A * B^T`, so the product against it
+/// has the bits of `a.matmul(&block.scale(scale).transpose())`.
+fn head_rows(
+    m: &Matrix,
+    (row0, c0): (usize, usize),
+    (rows, head_dim): (usize, usize),
     scale: f32,
-    kt: &mut [f32],
-) {
-    for s in 0..keys {
-        let src = &k.row(row0 + s)[c0..c0 + head_dim];
-        for (j, &v) in src.iter().enumerate() {
-            kt[j * keys + s] = v * scale;
+) -> PackedTranspose {
+    PackedTranspose::from_fn(rows, head_dim, |j, kk| scale * m.row(row0 + j)[c0 + kk])
+}
+
+/// The transpose of the `rows x head_dim` block of `m` at `(row0, c0)` as the right
+/// operand of `A * B^T`, so the product against it has the bits of `a.matmul(&block)`.
+fn head_cols(
+    m: &Matrix,
+    (row0, c0): (usize, usize),
+    (rows, head_dim): (usize, usize),
+) -> PackedTranspose {
+    PackedTranspose::from_fn(head_dim, rows, |j, kk| m.row(row0 + kk)[c0 + j])
+}
+
+/// Row `t` of the `head_dim`-wide head slice of `m` at `(row0, c0)`.
+fn head_slice<'a>(
+    m: &'a Matrix,
+    (row0, c0): (usize, usize),
+    head_dim: usize,
+) -> impl Fn(usize) -> &'a [f32] + Sync {
+    move |t| &m.row(row0 + t)[c0..c0 + head_dim]
+}
+
+/// Copies the row-major `rows x head_dim` `block` into the head slice of `m` at
+/// `(row0, c0)`.
+fn put_head(m: &mut Matrix, (row0, c0): (usize, usize), block: &[f32], head_dim: usize) {
+    for (t, src) in block.chunks_exact(head_dim).enumerate() {
+        m.row_mut(row0 + t)[c0..c0 + head_dim].copy_from_slice(src);
+    }
+}
+
+/// The transpose of the row-major `n x n` `block`, each entry times `scale`.
+fn transposed(block: &[f32], n: usize, scale: f32) -> Vec<f32> {
+    let mut out = vec![0.0; n * n];
+    for (t, row) in block.chunks_exact(n).enumerate() {
+        for (s, &x) in row.iter().enumerate() {
+            out[s * n + t] = scale * x;
         }
     }
-}
-
-/// One score row against a packed transposed key tile:
-/// `dst[s] = sum_j q_slice[j] * kt[j][s]` via the 4-way k-unrolled AXPY kernel. `dst`
-/// must be zeroed by the caller.
-fn score_row_kt(arm: Arm, q_slice: &[f32], kt: &[f32], keys: usize, dst: &mut [f32]) {
-    let head_dim = q_slice.len();
-    let mut j = 0;
-    while j + 4 <= head_dim {
-        kernels::axpy4(
-            arm,
-            dst,
-            [q_slice[j], q_slice[j + 1], q_slice[j + 2], q_slice[j + 3]],
-            &kt[j * keys..(j + 1) * keys],
-            &kt[(j + 1) * keys..(j + 2) * keys],
-            &kt[(j + 2) * keys..(j + 3) * keys],
-            &kt[(j + 3) * keys..(j + 4) * keys],
-        );
-        j += 4;
-    }
-    while j < head_dim {
-        kernels::axpy1(arm, dst, q_slice[j], &kt[j * keys..(j + 1) * keys]);
-        j += 1;
-    }
-}
-
-/// One context row: `dst += sum_s attn[s] * v[row0 + s][c0..c0+head_dim]` through the
-/// 4-way k-unrolled AXPY kernel.
-fn context_row(
-    arm: Arm,
-    attn: &[f32],
-    v: &Matrix,
-    row0: usize,
-    c0: usize,
-    head_dim: usize,
-    dst: &mut [f32],
-) {
-    let seq = attn.len();
-    let mut s = 0;
-    while s + 4 <= seq {
-        let v0 = &v.row(row0 + s)[c0..c0 + head_dim];
-        let v1 = &v.row(row0 + s + 1)[c0..c0 + head_dim];
-        let v2 = &v.row(row0 + s + 2)[c0..c0 + head_dim];
-        let v3 = &v.row(row0 + s + 3)[c0..c0 + head_dim];
-        kernels::axpy4(
-            arm,
-            dst,
-            [attn[s], attn[s + 1], attn[s + 2], attn[s + 3]],
-            v0,
-            v1,
-            v2,
-            v3,
-        );
-        s += 4;
-    }
-    while s < seq {
-        let vs = &v.row(row0 + s)[c0..c0 + head_dim];
-        kernels::axpy1(arm, dst, attn[s], vs);
-        s += 1;
-    }
+    out
 }
 
 /// Forward pass of [`Tape::masked_row_softmax`]: numerically stable softmax over the
@@ -1297,13 +1210,14 @@ pub fn masked_row_softmax(x: &Matrix, valid: &[usize]) -> Matrix {
 }
 
 /// Fused tape-free masked multi-head attention: scores, masked softmax, and context of
-/// every `(sequence, head)` tile in one pass, with one stack-local score row instead of
-/// the two `[batch*heads*seq, seq]` intermediates the tape path must keep for backward.
-/// `valid[b]` is the number of real keys of sequence `b` (its leading rows); query rows
-/// of an empty sequence produce zero rows. This is what
-/// [`crate::layers::MultiHeadSelfAttention::infer_batch`] runs; the composed helpers
-/// ([`attention_scores`] → [`masked_row_softmax`] → [`attention_context`]) remain the
-/// reference the equivalence tests pin it against.
+/// every `(sequence, head)` tile in one pass over its valid keys, reusing one score tile
+/// instead of the two `[batch*heads*seq, seq]` intermediates the tape path must keep
+/// for backward. `valid[b]` is the number of real keys of sequence `b` (its leading
+/// rows); query rows of an empty sequence produce zero rows. This is what
+/// [`crate::layers::MultiHeadSelfAttention::infer_batch`] runs. Both products are the
+/// GEMM tile's, so every valid row has the bits of the composed helpers
+/// ([`attention_scores`] → [`masked_row_softmax`] → [`attention_context`]), whose
+/// padding keys only add zero-weighted terms after the valid ones.
 ///
 /// # Panics
 /// Panics on inconsistent packing, mirroring [`attention_scores`] /
@@ -1338,31 +1252,23 @@ pub fn masked_attention_infer(
     let head_dim = dim / heads;
     let arm = Arm::current();
     let mut out = Matrix::zeros(q.rows(), dim);
-    let mut row = vec![0.0f32; seq];
-    let mut kt = vec![0.0f32; head_dim * seq];
+    let (mut scores, mut context) = (Vec::new(), vec![0.0f32; seq * head_dim]);
     for (b, &count) in valid.iter().enumerate() {
         let n = count.min(seq);
         if n == 0 {
             continue;
         }
-        for h in 0..heads {
-            let c0 = h * head_dim;
-            pack_kt(k, b * seq, c0, head_dim, n, scale, &mut kt[..head_dim * n]);
-            for t in 0..seq {
-                let q_slice = &q.row(b * seq + t)[c0..c0 + head_dim];
-                row[..n].fill(0.0);
-                score_row_kt(arm, q_slice, &kt[..head_dim * n], n, &mut row[..n]);
-                softmax_in_place(arm, &mut row[..n]);
-                context_row(
-                    arm,
-                    &row[..n],
-                    v,
-                    b * seq,
-                    c0,
-                    head_dim,
-                    &mut out.row_mut(b * seq + t)[c0..c0 + head_dim],
-                );
+        let row0 = b * seq;
+        scores.resize(seq * n, 0.0);
+        for c0 in (0..dim).step_by(head_dim) {
+            let keys = head_rows(k, (row0, c0), (n, head_dim), scale);
+            keys.multiply_with(seq, head_slice(q, (row0, c0), head_dim), &mut scores);
+            for row in scores.chunks_exact_mut(n) {
+                softmax_in_place(arm, row);
             }
+            let values = head_cols(v, (row0, c0), (n, head_dim));
+            values.multiply_with(seq, |t| &scores[t * n..(t + 1) * n], &mut context);
+            put_head(&mut out, (row0, c0), &context, head_dim);
         }
     }
     out
@@ -1436,25 +1342,13 @@ pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) ->
         "attention_context: attention tile stack has the wrong shape"
     );
     let head_dim = v.cols() / heads;
-    let arm = Arm::current();
     let mut out = Matrix::zeros(v.rows(), v.cols());
-    for b in 0..batch {
-        for h in 0..heads {
-            let c0 = h * head_dim;
-            for t in 0..seq {
-                let a_row = attn.row((b * heads + h) * seq + t);
-                let (dst_row, dst_range) = (b * seq + t, c0..c0 + head_dim);
-                context_row(
-                    arm,
-                    a_row,
-                    v,
-                    b * seq,
-                    c0,
-                    head_dim,
-                    &mut out.row_mut(dst_row)[dst_range],
-                );
-            }
-        }
+    let mut context = vec![0.0f32; seq * head_dim];
+    for tile in 0..batch * heads {
+        let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
+        let values = head_cols(v, (row0, c0), (seq, head_dim));
+        values.multiply_with(seq, |t| attn.row(tile * seq + t), &mut context);
+        put_head(&mut out, (row0, c0), &context, head_dim);
     }
     out
 }

@@ -15,6 +15,11 @@
 //! quantized rescore), gives each row the bits of the whole product, and a row of `B`
 //! (a query) scores the same alone, in a 16-row operand and in a 256-row one.
 //!
+//! Attention's products are the same tile, one product per `(sequence, head)`: every
+//! block of the forward and backward products equals `matmul` of the sliced operands,
+//! and the fused inference path (`masked_attention_infer`) equals the tape's composition
+//! on every valid row.
+//!
 //! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
 //! every arm returns `Matrix::dot_i8` of the two rows for every output.
 //!
@@ -29,6 +34,7 @@ use rand::{Rng, SeedableRng};
 use sudowoodo_nn::matrix::{
     for_each_supported_arm, Arm, I8Tile, Matrix, MatrixView, PackedTranspose,
 };
+use sudowoodo_nn::tape::{masked_attention_infer, Tape};
 
 /// Absolute tolerance for one output entry of a `k`-term contraction of values bounded
 /// by `amax * bmax`: `1e-5` relative to the worst-case accumulated magnitude.
@@ -532,9 +538,9 @@ fn matmul_associativity_sanity_against_double_precision() {
 #[test]
 fn matmul_multiplies_every_entry_whatever_the_row_count() {
     // IEEE semantics on every arm and at every height: a zero in `A` against an infinite
-    // row of `B` is `0 * inf = NaN`, alone as in an 8-row product. The AXPY row path this
-    // loop nest replaced skipped zeros in its `k % 4` tail and returned 512 finite values
-    // for the single row.
+    // row of `B` is `0 * inf = NaN`, alone as in an 8-row product. The row-at-a-time path
+    // this loop nest replaced skipped zeros in its `k % 4` tail and returned 512 finite
+    // values for the single row.
     let b = Matrix::from_fn(5, 512, |r, c| {
         if r == 4 {
             f32::INFINITY
@@ -617,6 +623,85 @@ fn matmul_is_position_invariant_and_its_fma_arms_agree_bit_for_bit() {
                 assert!(
                     *first == bits(&full),
                     "{what}: differs from the first FMA arm"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn attention_products_are_matmul_of_their_head_slices_on_every_arm() {
+    // Every `(sequence, head)` block of attention's two forward and four backward
+    // products has the bits of `matmul` of the sliced operands, `scale` on the operand it
+    // multiplies (K forward, dS backward); and the fused inference path has the bits of
+    // the tape's scores → masked softmax → context composition. Shapes are dim / heads /
+    // tokens, with ragged and empty sequences.
+    for (case, &(dim, heads, seq)) in [(8, 2, 6), (32, 2, 32), (48, 2, 40)].iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(5100 + case as u64);
+        let lens = [seq, seq / 2 + 1, 1, 0, seq - 1];
+        let rows = lens.len() * seq;
+        let head_dim = dim / heads;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let (q, k, v, dc) = (
+            Matrix::random_normal(rows, dim, 1.0, &mut rng),
+            Matrix::random_normal(rows, dim, 1.0, &mut rng),
+            Matrix::random_normal(rows, dim, 1.0, &mut rng),
+            Matrix::random_normal(rows, dim, 1.0, &mut rng),
+        );
+        let valid: Vec<usize> = lens
+            .iter()
+            .flat_map(|&n| std::iter::repeat_n(n, heads * seq))
+            .collect();
+        for_each_supported_arm(|arm| {
+            let mut tape = Tape::new();
+            let (qi, ki, vi, wi) = (
+                tape.constant(q.clone()),
+                tape.constant(k.clone()),
+                tape.constant(v.clone()),
+                tape.constant(dc.clone()),
+            );
+            let s = tape.attention_scores(qi, ki, heads, seq, scale);
+            let p = tape.masked_row_softmax(s, &valid);
+            let c = tape.attention_context(p, vi, heads, seq);
+            let weighted = tape.mul(c, wi);
+            let loss = tape.sum_all(weighted);
+            let grads = tape.backward(loss);
+            let grad = |id| grads.get(id).expect("a gradient reaches every input");
+            let (pv, ds) = (tape.value(p), grad(s));
+            assert_bits_match(grad(c), &dc, "dC is the loss weights");
+            for b in 0..lens.len() {
+                for h in 0..heads {
+                    let what = format!("{dim}/{heads}/{seq}, sequence {b}, head {h} [{arm:?}]");
+                    let head = |m: &Matrix| {
+                        let c0 = h * head_dim;
+                        m.slice_rows(b * seq, (b + 1) * seq)
+                            .slice_cols(c0, c0 + head_dim)
+                    };
+                    let tile = |m: &Matrix| {
+                        let r0 = (b * heads + h) * seq;
+                        m.slice_rows(r0, r0 + seq)
+                    };
+                    let (qh, kh, vh, dch) = (head(&q), head(&k), head(&v), head(&dc));
+                    let (ph, dsh) = (tile(pv), tile(ds).scale(scale));
+                    let scores = qh.matmul(&kh.scale(scale).transpose());
+                    assert_bits_match(&tile(tape.value(s)), &scores, &format!("S {what}"));
+                    assert_bits_match(&head(tape.value(c)), &ph.matmul(&vh), &format!("C {what}"));
+                    assert_bits_match(&head(grad(qi)), &dsh.matmul(&kh), &format!("dQ {what}"));
+                    let dk = dsh.transpose().matmul(&qh);
+                    assert_bits_match(&head(grad(ki)), &dk, &format!("dK {what}"));
+                    let da = dch.matmul(&vh.transpose());
+                    assert_bits_match(&tile(grad(p)), &da, &format!("dA {what}"));
+                    let dv = ph.transpose().matmul(&dch);
+                    assert_bits_match(&head(grad(vi)), &dv, &format!("dV {what}"));
+                }
+            }
+            let fused = masked_attention_infer(&q, &k, &v, heads, seq, scale, &lens);
+            for (b, &n) in lens.iter().enumerate() {
+                let rows = |m: &Matrix| m.slice_rows(b * seq, b * seq + n);
+                assert_bits_match(
+                    &rows(&fused),
+                    &rows(tape.value(c)),
+                    &format!("inference, {dim}/{heads}/{seq}, sequence {b} [{arm:?}]"),
                 );
             }
         });

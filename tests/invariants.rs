@@ -105,16 +105,17 @@ fn knn_results_are_sorted_and_self_is_nearest() {
             .collect();
         let index = CosineIndex::build(vectors.clone());
         for (i, query) in vectors.iter().enumerate() {
-            let hits = index.top_k(query, 3);
+            // (query, id, score) triples of a one-query join.
+            let hits = index.knn_join(std::slice::from_ref(query), 3);
             assert!(!hits.is_empty());
             // Scores sorted descending.
             for pair in hits.windows(2) {
-                assert!(pair[0].score >= pair[1].score - 1e-6, "seed {seed}");
+                assert!(pair[0].2 >= pair[1].2 - 1e-6, "seed {seed}");
             }
             // The vector itself must be among the top hits with cosine ~1.
             assert!(
                 hits.iter()
-                    .any(|h| h.id == i || (h.score - hits[0].score).abs() < 1e-5),
+                    .any(|h| h.1 == i || (h.2 - hits[0].2).abs() < 1e-5),
                 "seed {seed}: self not among nearest"
             );
         }
