@@ -56,7 +56,6 @@
 use std::cmp::Reverse;
 use std::fmt;
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -445,16 +444,15 @@ impl<'a> QueryTile<'a> {
     }
 }
 
-/// Shard rows per strip of the quantized first stage. The strip's packed codes stay in
-/// L2 while the i8 product runs band by band, and each band (six queries on the VNNI
-/// arm: 12 KiB of dots) is swept while it is in L1. Measured on the benchmark host,
-/// 256 x 4096 x 64 on the VNNI arm: 256 and 512 rows 0.29 ms, 1024 0.32, 2048 0.45.
-const QUANT_STRIP_ROWS: usize = 512;
+/// Shard rows per strip of the quantized first stage: the lanes tighten their thresholds
+/// between strips, and a lane with no threshold yet keeps its first strip whole. On the
+/// benchmark host `join_spilled_q8` ran ~4 % faster at 256 than at 512 (3 of 4 pairs),
+/// with 3 MB less peak RSS from the smaller first strips.
+const QUANT_STRIP_ROWS: usize = 256;
 
 /// Kept rows below which a [`QuantLane`] does not re-select. Re-selecting is linear in
 /// the kept rows and doubles its own trigger, so this only bounds how often it runs
-/// while few rows are kept; the join's throughput is flat from 48 to 512 on the
-/// benchmark host.
+/// while few rows are kept.
 const QUANT_MIN_KEPT: usize = 128;
 
 /// One query's streaming candidate filter over one quantized shard visit.
@@ -466,13 +464,10 @@ const QUANT_MIN_KEPT: usize = 128;
 /// so the running threshold never exceeds the final one and no survivor is lost. `kept`
 /// always holds exactly the seen live rows at or above the running threshold — an upper
 /// set of the approximate scores, so whenever it holds `k_wide` rows its `k_wide`-th
-/// best *is* the `k_wide`-th best of everything seen, ties included. A lane with no
-/// threshold yet may instead start from a guessed `a_ref` that `k_wide` seen rows reach
-/// ([`QuantLane::sweep_from_guess`]): that is at most the final `a_ref` too.
+/// best *is* the `k_wide`-th best of everything seen, ties included, and the survivors
+/// left by the last [`QuantLane::tighten`] do not depend on when the earlier ones ran.
 #[derive(Debug, Default)]
 struct QuantLane {
-    /// The query's reconstruction scale.
-    scale: f64,
     /// The admissible error band of this (query, shard) pair.
     eps: f64,
     /// `worst − eps` of the query's selector when the visit began, else `−∞`.
@@ -483,8 +478,6 @@ struct QuantLane {
     kept: Vec<(f64, usize)>,
     /// `kept.len()` at which the next [`QuantLane::tighten`] runs.
     tighten_at: usize,
-    /// The `a_ref` guess [`QuantLane::sweep_from_guess`] tries first; NaN for none.
-    guess: f64,
 }
 
 impl QuantLane {
@@ -493,141 +486,12 @@ impl QuantLane {
         self.floor.max(a_ref - 2.0 * self.eps)
     }
 
-    fn begin(&mut self, scale: f32, eps: f64, worst: Option<f32>) {
-        self.scale = scale as f64;
+    fn begin(&mut self, eps: f64, worst: Option<f32>) {
         self.eps = eps;
         self.floor = worst.map_or(f64::NEG_INFINITY, |w| w as f64 - eps);
         self.threshold = self.threshold_for(f64::NEG_INFINITY);
         self.kept.clear();
         self.tighten_at = QUANT_MIN_KEPT;
-    }
-
-    /// Offers shard rows `base..base + dots.len()`: `dots[j]` is the integer dot of the
-    /// query's codes with row `base + j`'s, `row_scales[j]` that row's scale. A row's
-    /// approximate score is `scale · row_scale · dot` in f64, as the rule specifies;
-    /// the kernel layer's vectorised scan lists the rows that reach the running
-    /// threshold into `hits`, and only those are looked at one by one (tombstones
-    /// drop out there). A lane that has no threshold yet first tries to guess one
-    /// ([`QuantLane::sweep_from_guess`]).
-    fn sweep(
-        &mut self,
-        dots: &[i32],
-        row_scales: &[f64],
-        deleted: &[bool],
-        base: usize,
-        k_wide: Option<usize>,
-        hits: &mut Vec<usize>,
-    ) {
-        let strip = (dots, row_scales, &deleted[base..base + dots.len()], base);
-        if let (f64::NEG_INFINITY, Some(k_wide)) = (self.threshold, k_wide) {
-            if self.sweep_from_guess(strip, k_wide, hits) {
-                return;
-            }
-        }
-        // While nothing filters yet every row is a hit: take the strip in pieces so
-        // `kept` is re-selected before it holds a strip's worth of rows per query.
-        let piece = if self.threshold == f64::NEG_INFINITY {
-            QUANT_MIN_KEPT
-        } else {
-            dots.len()
-        };
-        for start in (0..dots.len()).step_by(piece.max(1)) {
-            self.scan(strip, start..dots.len().min(start + piece), hits);
-            if self.kept.len() >= self.tighten_at {
-                self.tighten(k_wide);
-            }
-        }
-    }
-
-    /// Keeps the live rows of `range` that reach the running threshold; `strip` is
-    /// the strip's dots, row scales, tombstones and first shard row.
-    fn scan(&mut self, strip: Strip<'_>, range: Range<usize>, hits: &mut Vec<usize>) {
-        let (dots, row_scales, deleted, base) = strip;
-        let (scale, start) = (self.scale, range.start);
-        hits.clear();
-        I8Tile::scaled_at_least(
-            &dots[range.clone()],
-            &row_scales[range],
-            scale,
-            self.threshold,
-            hits,
-        );
-        for j in hits.iter().map(|&j| start + j).filter(|&j| !deleted[j]) {
-            self.kept
-                .push((scale * row_scales[j] * dots[j] as f64, base + j));
-        }
-    }
-
-    /// A strip of a lane without a threshold yet, swept at a guessed one. A guess `t`
-    /// that `k_wide` live rows seen so far reach is at most the shard's `a_ref`, so
-    /// `threshold_for(t)` is a valid running threshold, and the rows at or above it are
-    /// exactly what `kept` must hold. The first guess tried is [`QuantLane::guess`],
-    /// which the caller sets to the one a neighbouring query's lane kept; the next is
-    /// the approximate score that a sample of every fourth row puts `2·k_wide` rows of
-    /// the strip above on average. Returns `false`, with `kept` and the threshold as
-    /// they were, when neither is reached by `k_wide` rows; the caller then sweeps
-    /// from `−∞`.
-    fn sweep_from_guess(&mut self, strip: Strip<'_>, k_wide: usize, hits: &mut Vec<usize>) -> bool {
-        const STRIDE: usize = 4;
-        if self.guess.is_finite() && self.try_guess(self.guess, strip, k_wide, hits) {
-            return true;
-        }
-        let (dots, row_scales, deleted, _) = strip;
-        let rank = (2 * k_wide).div_ceil(STRIDE);
-        let (scale, before) = (self.scale, self.kept.len());
-        // The sample is drawn in `kept`'s own spare room, which the sweep fills next.
-        self.kept.extend(
-            (0..dots.len())
-                .step_by(STRIDE)
-                .filter(|&j| !deleted[j])
-                .map(|j| (scale * row_scales[j] * dots[j] as f64, j))
-                .filter(|(approx, _)| !approx.is_nan()),
-        );
-        let sample = &mut self.kept[before..];
-        if sample.len() < rank {
-            self.kept.truncate(before);
-            return false;
-        }
-        let (_, &mut (guess, _), _) =
-            sample.select_nth_unstable_by(rank - 1, |a, b| b.0.total_cmp(&a.0));
-        self.kept.truncate(before);
-        self.try_guess(guess, strip, k_wide, hits)
-    }
-
-    /// Sweeps a strip at `threshold_for(guess)` and keeps the guess if `k_wide` rows
-    /// seen so far reach it; otherwise restores `kept` and the threshold and returns
-    /// `false`. A guess that kept more than `4·k_wide` rows is not passed on
-    /// ([`QuantLane::guess`] becomes NaN), so one low guess does not loosen every lane
-    /// after it.
-    fn try_guess(
-        &mut self,
-        guess: f64,
-        strip: Strip<'_>,
-        k_wide: usize,
-        hits: &mut Vec<usize>,
-    ) -> bool {
-        let before = self.kept.len();
-        self.threshold = self.threshold_for(guess);
-        self.scan(strip, 0..strip.0.len(), hits);
-        if self
-            .kept
-            .iter()
-            .filter(|&&(approx, _)| approx >= guess)
-            .count()
-            < k_wide
-        {
-            self.kept.truncate(before);
-            self.threshold = f64::NEG_INFINITY;
-            return false;
-        }
-        self.guess = if self.kept.len() > 4 * k_wide {
-            f64::NAN
-        } else {
-            guess
-        };
-        // Also drops what earlier strips kept at `−∞`.
-        self.tighten(Some(k_wide));
-        true
     }
 
     /// Raises the threshold to what the rows seen so far justify and drops the kept
@@ -650,22 +514,16 @@ impl QuantLane {
     }
 }
 
-/// One strip as a [`QuantLane`] scans it: one query's dots, the strip's row scales, its
-/// rows' tombstones and its first shard row.
-type Strip<'a> = (&'a [i32], &'a [f64], &'a [bool], usize);
-
 /// Scratch of the quantized scan owned by one worker for one query tile and reused
 /// across its shard visits, so a visit allocates nothing once the buffers have grown.
 #[derive(Debug, Default)]
 struct QuantScratch {
-    /// The tile's codes prepared for the i8 kernel, and its `queries x strip` tile.
+    /// The tile's codes packed for the i8 kernel.
     tile: Option<I8Tile>,
     /// One filter per query of the tile.
     lanes: Vec<QuantLane>,
-    /// The strip's row scales, widened once for every query's sweep.
-    row_scales: Vec<f64>,
-    /// Strip positions one query's sweep has to look at.
-    hits: Vec<usize>,
+    /// The lanes' running thresholds, the per-query vector of the kernel's test.
+    thresholds: Vec<f64>,
     /// Per shard row: some query kept it (counts the distinct rows rescored).
     candidate: Vec<bool>,
     /// Per shard row: its position in `rows`, or `u32::MAX`.
@@ -676,14 +534,41 @@ struct QuantScratch {
     scores: Vec<f32>,
 }
 
+/// Offers shard rows `base..` (the codes `codes` with scales `scales`) to every lane:
+/// the i8 tile scores each row against every query and tests it against the lanes'
+/// running thresholds in its epilogue, and a live row that passes is kept by the
+/// query's lane (tombstones drop out here). Lanes that have kept enough re-select.
+fn offer_strip(
+    tile: &mut I8Tile,
+    lanes: &mut [QuantLane],
+    thresholds: &mut Vec<f64>,
+    (codes, scales): (&[i8], &[f32]),
+    deleted: &[bool],
+    base: usize,
+    k_wide: Option<usize>,
+) {
+    thresholds.clear();
+    thresholds.extend(lanes.iter().map(|lane| lane.threshold));
+    tile.scan(codes, scales, thresholds, |row, query, approx| {
+        if !deleted[base + row] {
+            lanes[query].kept.push((approx, base + row));
+        }
+    });
+    for lane in lanes.iter_mut() {
+        if lane.kept.len() >= lane.tighten_at {
+            lane.tighten(k_wide);
+        }
+    }
+}
+
 /// Stage 1 of the quantized scan (the rule is on
 /// [`ShardedCosineIndex::offer_shard_quantized`]): leaves in `scratch.lanes[r].kept`
 /// exactly the live rows of `shard` that query `r` must rescore.
 ///
-/// The shard's codes are walked in strips of [`QUANT_STRIP_ROWS`]: one i8 tile product
-/// per strip gives every (query, row) integer dot, and each query's [`QuantLane`]
-/// sweeps its row of the tile. Tombstoned rows are scored with the strip (their codes
-/// sit between live ones) and dropped by the sweep; `k_wide` is `alpha * k`.
+/// The shard's codes — resident, or the decoded cache of a spilled shard — stream
+/// through the query tile's [`I8Tile`] in place, in strips of [`QUANT_STRIP_ROWS`]
+/// ([`offer_strip`]); tombstoned rows are scored with the strip (their codes sit
+/// between live ones) and dropped as they are kept. `k_wide` is `alpha * k`.
 fn quant_survivors(
     shard: &Shard,
     quant: &QuantizedMatrix,
@@ -695,10 +580,9 @@ fn quant_survivors(
     let (rows, dim) = (shard.ids.len(), quant.cols());
     // No surplus to select from: every live row passes the `a_ref` half of the rule.
     let k_wide = (k_wide > 0 && shard.live > k_wide).then_some(k_wide);
-    scratch.lanes.resize_with(selectors.len(), || QuantLane {
-        kept: Vec::with_capacity(2 * QUANT_MIN_KEPT),
-        ..QuantLane::default()
-    });
+    scratch
+        .lanes
+        .resize_with(selectors.len(), QuantLane::default);
     for (r, (lane, selector)) in scratch.lanes.iter_mut().zip(selectors).enumerate() {
         let eps = RoutingStats::quant_scan_epsilon(
             queries.norms[r],
@@ -707,34 +591,30 @@ fn quant_survivors(
             quant.max_row_norm(),
             dim,
         );
-        lane.begin(queries.scales[r], eps, selector.worst_score_when_full());
+        lane.begin(eps, selector.worst_score_when_full());
     }
     let QuantScratch {
         tile,
         lanes,
-        row_scales,
-        hits,
+        thresholds,
         ..
     } = scratch;
-    let tile = tile.get_or_insert_with(|| I8Tile::new(&queries.codes, dim));
+    let tile = tile.get_or_insert_with(|| I8Tile::new(&queries.codes, dim, &queries.scales));
     for start in (0..rows).step_by(QUANT_STRIP_ROWS) {
-        let strip = QUANT_STRIP_ROWS.min(rows - start);
-        row_scales.clear();
-        row_scales.extend(
-            quant.scales()[start..start + strip]
-                .iter()
-                .map(|&s| s as f64),
+        let end = rows.min(start + QUANT_STRIP_ROWS);
+        let strip = (
+            &quant.codes()[start * dim..end * dim],
+            &quant.scales()[start..end],
         );
-        // Lanes without a threshold start from the guess of the lane before them.
-        let mut guess = f64::NAN;
-        let codes = &quant.codes()[start * dim..(start + strip) * dim];
-        tile.multiply_transpose_b_bands(codes, |band, dots| {
-            for (lane, dots) in lanes[band].iter_mut().zip(dots.chunks_exact(strip)) {
-                lane.guess = guess;
-                lane.sweep(dots, row_scales, &shard.deleted, start, k_wide, hits);
-                guess = lane.guess;
-            }
-        });
+        offer_strip(
+            tile,
+            lanes,
+            thresholds,
+            strip,
+            &shard.deleted,
+            start,
+            k_wide,
+        );
     }
     for lane in lanes.iter_mut() {
         lane.tighten(k_wide);
@@ -1914,6 +1794,7 @@ impl ShardedCosineIndex {
 mod tests {
     use super::*;
     use crate::CosineIndex;
+    use sudowoodo_nn::matrix::for_each_supported_arm;
 
     fn vectors(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         // Cheap deterministic pseudo-random values without pulling a dev-dependency in.
@@ -2584,48 +2465,56 @@ mod tests {
             .collect()
     }
 
-    /// A one-shard quantized index over `rows` vectors drawn from `distinct` distinct
-    /// ones (so approximate scores tie exactly, at `a_ref` included), the packed codes
-    /// of `n_queries` queries, and selectors in every fill state: empty, part-full,
-    /// full with a worst score nothing in the shard reaches, full with one everything
-    /// reaches, and full at the exact score of a corpus row.
-    fn quant_fixture(
-        rows: usize,
-        distinct: usize,
-        dim: usize,
-        k: usize,
-    ) -> (ShardedCosineIndex, Vec<Vec<f32>>, QuantizedBlock, Vec<TopK>) {
+    /// `rows` vectors drawn from `distinct` distinct ones, so approximate scores tie
+    /// exactly, at `a_ref` included.
+    fn repeating_corpus(rows: usize, distinct: usize, dim: usize) -> Vec<Vec<f32>> {
         let base = vectors(distinct, dim, 91);
-        let corpus: Vec<Vec<f32>> = (0..rows)
+        (0..rows)
             .map(|i| base[(i * 7 + i / 5) % distinct].clone())
-            .collect();
+            .collect()
+    }
+
+    /// A one-shard quantized index over `corpus`, the packed codes of `n_queries`
+    /// queries, and selectors in every fill state, query `q` in state `q % 5`: empty,
+    /// part-full, full with a worst score nothing in the shard reaches, full with one
+    /// everything reaches, and full at the exact score of a corpus row.
+    fn quant_fixture(
+        corpus: Vec<Vec<f32>>,
+        k: usize,
+        n_queries: usize,
+    ) -> (ShardedCosineIndex, Vec<Vec<f32>>, QuantizedBlock, Vec<TopK>) {
+        let (rows, dim) = (corpus.len(), corpus[0].len());
         let mut index = ShardedCosineIndex::from_vectors(&corpus, rows);
         index.set_quantization(Some(QuantSpec::default()));
         index.compact();
         assert_eq!((index.num_shards(), index.num_quantized_shards()), (1, 1));
-        let queries = vectors(5, dim, 92);
+        let queries = vectors(n_queries, dim, 92);
         let (q_block, inv_norms) = pack_query_block("quant_fixture", 0, &queries, dim);
         let codes = QuantizedBlock::from_scaled_rows(&q_block, &inv_norms);
         let mut selectors: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-        let exact = CosineIndex::build(corpus.clone()).knn_join(&queries[4..], 3)[2].2;
-        for i in 0..k {
-            if i < k / 2 {
-                selectors[1].offer(usize::MAX - i, 0.5);
+        let third_best = CosineIndex::build(corpus.clone()).knn_join(&queries, 3);
+        for (q, selector) in selectors.iter_mut().enumerate() {
+            for i in 0..k {
+                match q % 5 {
+                    1 if i < k / 2 => selector.offer(usize::MAX - i, 0.5),
+                    2 => selector.offer(usize::MAX - i, 2.0),
+                    3 => selector.offer(usize::MAX - i, -2.0),
+                    4 => selector.offer(usize::MAX - i, third_best[3 * q + 2].2),
+                    _ => {}
+                }
             }
-            selectors[2].offer(usize::MAX - i, 2.0);
-            selectors[3].offer(usize::MAX - i, -2.0);
-            selectors[4].offer(usize::MAX - i, exact);
         }
         (index, corpus, codes, selectors)
     }
 
     #[test]
     fn lane_keeps_rows_tied_with_either_threshold() {
-        // Unit scales and integer dots make the approximate scores small integers, and
-        // `eps = 0.5` is exact: both `a_ref − 2·eps` and `worst − eps` land exactly on
-        // other rows' scores, so `>=` against `>` decides rows in every case below.
-        let dots: Vec<i32> = (0..700).map(|i| (i * 37) % 23 - 4).collect();
-        let row_scales = vec![1.0f64; dots.len()];
+        // A one-code query `1` at unit scales makes the approximate scores the shard's
+        // codes, small integers, and `eps = 0.5` is exact: both `a_ref − 2·eps` and
+        // `worst − eps` land exactly on other rows' scores, so `>=` against `>` decides
+        // rows in every case below.
+        let dots: Vec<i8> = (0..700).map(|i| ((i * 37) % 23 - 4) as i8).collect();
+        let row_scales = vec![1.0f32; dots.len()];
         let deleted: Vec<bool> = (0..dots.len()).map(|i| i % 11 == 3).collect();
         let live: Vec<(f64, usize)> = (0..dots.len())
             .filter(|&row| !deleted[row])
@@ -2641,30 +2530,70 @@ mod tests {
             (None, Some(10.5)),
             (None, None),
         ];
-        for (k_wide, worst) in cases {
-            let mut lane = QuantLane::default();
-            let mut hits = Vec::new();
-            lane.begin(1.0, 0.5, worst);
-            for (strip, chunk) in dots.chunks(150).enumerate() {
-                let scales = &row_scales[..chunk.len()];
-                lane.sweep(chunk, scales, &deleted, strip * 150, k_wide, &mut hits);
+        for_each_supported_arm(|arm| {
+            for (k_wide, worst) in cases {
+                let mut tile = I8Tile::new(&[1], 1, &[1.0]);
+                let (mut lanes, mut thresholds) = (vec![QuantLane::default()], Vec::new());
+                lanes[0].begin(0.5, worst);
+                let strips = dots.chunks(150).zip(row_scales.chunks(150));
+                for (strip, codes) in strips.enumerate() {
+                    let base = strip * 150;
+                    offer_strip(
+                        &mut tile,
+                        &mut lanes,
+                        &mut thresholds,
+                        codes,
+                        &deleted,
+                        base,
+                        k_wide,
+                    );
+                }
+                lanes[0].tighten(k_wide);
+                let a_ref = k_wide.map_or(f64::NEG_INFINITY, |k_wide| descending[k_wide - 1]);
+                let floor = worst.map_or(f64::NEG_INFINITY, |w| w as f64 - 0.5);
+                let threshold = floor.max(a_ref - 1.0);
+                let expected: Vec<usize> = live
+                    .iter()
+                    .filter(|&&(approx, _)| approx >= threshold)
+                    .map(|&(_, row)| row)
+                    .collect();
+                assert!(
+                    threshold == f64::NEG_INFINITY || live.iter().any(|&(a, _)| a == threshold),
+                    "the case must put rows exactly on the threshold"
+                );
+                let mut got: Vec<usize> = lanes[0].kept.iter().map(|&(_, row)| row).collect();
+                got.sort_unstable();
+                assert_eq!(
+                    got, expected,
+                    "k_wide {k_wide:?}, worst {worst:?} [{arm:?}]"
+                );
             }
-            lane.tighten(k_wide);
-            let a_ref = k_wide.map_or(f64::NEG_INFINITY, |k_wide| descending[k_wide - 1]);
-            let floor = worst.map_or(f64::NEG_INFINITY, |w| w as f64 - 0.5);
-            let threshold = floor.max(a_ref - 1.0);
-            let expected: Vec<usize> = live
-                .iter()
-                .filter(|&&(approx, _)| approx >= threshold)
-                .map(|&(_, row)| row)
-                .collect();
-            assert!(
-                threshold == f64::NEG_INFINITY || live.iter().any(|&(a, _)| a == threshold),
-                "the case must put rows exactly on the threshold"
-            );
-            let mut got: Vec<usize> = lane.kept.iter().map(|&(_, row)| row).collect();
-            got.sort_unstable();
-            assert_eq!(got, expected, "k_wide {k_wide:?}, worst {worst:?}");
+        });
+    }
+
+    #[test]
+    fn quant_survivors_match_the_oracle_on_every_arm_across_two_panels() {
+        // 70 queries: two 64-query panels on the AVX-512 arms, the last ragged. `dim` 13
+        // ends mid lane group, so the VNNI arm cannot read the codes in place. All-zero
+        // rows and tombstones, across the strip boundary too, sit among the shard's.
+        let (rows, dim, k) = (QUANT_STRIP_ROWS + 77, 13, 4);
+        let mut corpus = repeating_corpus(rows, 40, dim);
+        for row in corpus.iter_mut().skip(3).step_by(61) {
+            row.fill(0.0);
+        }
+        let (mut index, _, codes, selectors) = quant_fixture(corpus, k, 70);
+        for id in [0, 5, 64, QUANT_STRIP_ROWS - 1, QUANT_STRIP_ROWS, rows - 1] {
+            index.remove(id).unwrap();
+        }
+        let shard = &index.shards[0];
+        let quant = shard.storage.quant().unwrap().unwrap();
+        for k_wide in [k, 2 * k, 50 * k, usize::MAX] {
+            let expected = quant_survivors_oracle(shard, quant, &codes, &selectors, k_wide);
+            for_each_supported_arm(|arm| {
+                let mut scratch = QuantScratch::default();
+                let got = quant_survivor_rows(shard, &codes, &selectors, k_wide, &mut scratch);
+                assert_eq!(got, expected, "k_wide = {k_wide} [{arm:?}]");
+            });
         }
     }
 
@@ -2673,7 +2602,7 @@ mod tests {
         // More rows than two strips, few distinct vectors: every approximate score is
         // shared by dozens of rows, so `a_ref` always sits on a tie.
         let (rows, k) = (2 * QUANT_STRIP_ROWS + 77, 6);
-        let (index, _, codes, selectors) = quant_fixture(rows, 40, 12, k);
+        let (index, _, codes, selectors) = quant_fixture(repeating_corpus(rows, 40, 12), k, 5);
         let shard = &index.shards[0];
         let quant = shard.storage.quant().unwrap().unwrap();
         let mut scratch = QuantScratch::default();
@@ -2702,7 +2631,7 @@ mod tests {
         // One shard and one query tile: every selector is empty when the shard is
         // visited, and the rescore reads each row some query kept exactly once.
         let (rows, k) = (QUANT_STRIP_ROWS + 40, 4);
-        let (index, _, codes, _) = quant_fixture(rows, 300, 8, k);
+        let (index, _, codes, _) = quant_fixture(repeating_corpus(rows, 300, 8), k, 5);
         let shard = &index.shards[0];
         let quant = shard.storage.quant().unwrap().unwrap();
         let empty: Vec<TopK> = (0..codes.scales.len()).map(|_| TopK::new(k)).collect();
@@ -2724,7 +2653,8 @@ mod tests {
     #[test]
     fn quantized_scan_skips_tombstones_across_a_strip_boundary() {
         let (rows, k) = (QUANT_STRIP_ROWS + 40, 4);
-        let (mut index, corpus, codes, selectors) = quant_fixture(rows, 300, 8, k);
+        let (mut index, corpus, codes, selectors) =
+            quant_fixture(repeating_corpus(rows, 300, 8), k, 5);
         // Tombstones on both sides of the first strip's last row, the strip's first
         // and the shard's last row among them.
         let mut removed: Vec<usize> = (QUANT_STRIP_ROWS - 9..QUANT_STRIP_ROWS + 9).collect();

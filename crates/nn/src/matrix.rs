@@ -24,10 +24,11 @@
 //!   corpus through [`PackedTranspose::multiply_into`] as the tile's `A` operand, read in
 //!   place, against the query tile packed once, and the quantized rescore passes listed
 //!   rows ([`PackedTranspose::multiply_rows_into`]).
-//! * [`I8Tile`] — i8 codes × codesᵀ into a reused `i32` tile, the first stage of the
-//!   quantized index scan: `6×64` AVX-512 VNNI `vpdpbusd` / AVX-512 `madd_epi16`, `4×16`
-//!   AVX2, scalar — integer-exact, so every arm equals [`Matrix::dot_i8`];
-//!   [`I8Tile::scaled_at_least`] is the vectorised threshold scan over a tile row.
+//! * [`I8Tile`] — the first stage of the quantized index scan, turned round like the
+//!   joins: a query tile's i8 codes packed once as `B` panels, a shard's codes streamed
+//!   through in place as `A`, and the survivor test in the tile's epilogue. `6×64`
+//!   AVX-512 VNNI `vpdpbusd` / AVX-512 `madd_epi16`, `4×16` AVX2, scalar — integer-exact,
+//!   so every arm scores a pair with [`Matrix::dot_i8`] and keeps the same pairs.
 //! * Attention's products — scores, context and their four backward products in
 //!   [`crate::tape`] — are the same tile, one product per `(sequence, head)`: `A` is read
 //!   as rows of the head's column slice and `B` packed from the strided head slice
@@ -198,11 +199,11 @@ fn tile_window<T: Copy, const MR: usize, const W: usize>(
 mod kernels {
     //! Register tiles and SIMD microkernels, one per [`Arm`].
     //!
-    //! The safe wrappers take the caller's arm and assert that this CPU supports it
-    //! ([`Arm::current`] never returns another arm), and assert the slice lengths their
-    //! `unsafe` callees rely on. The `unsafe` functions state their preconditions in a
-    //! `# Safety` section.
+    //! Each `unsafe` function states its preconditions in a `# Safety` section; its callers hold
+    //! an arm this CPU supports ([`Arm::current`] never returns another) and the slice
+    //! lengths it relies on.
 
+    #[cfg(doc)]
     use super::Arm;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
@@ -338,180 +339,30 @@ mod kernels {
         packed
     }
 
-    /// Appends to `hits`, ascending, every `j` whose `scale * scales[j] * dots[j] as f64`
-    /// is `>= threshold` (evaluated left to right in f64, so a NaN on either side never
-    /// matches). The vector arms evaluate the same widening, the same two IEEE
-    /// multiplications and the same ordered comparison per element, sixteen (AVX-512)
-    /// or eight (AVX2) per step, so every arm appends the same indices.
-    #[inline]
-    pub fn scaled_ge_indices(
-        arm: Arm,
-        dots: &[i32],
-        scales: &[f64],
-        scale: f64,
-        threshold: f64,
-        hits: &mut Vec<usize>,
-    ) {
-        let n = dots.len().min(scales.len());
-        let (dots, scales) = (&dots[..n], &scales[..n]);
-        assert!(arm <= Arm::detected());
-        let scanned = match arm {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the AVX-512 arms have AVX-512F and the caller's arm is supported
-            // (asserted above); both slices hold `n` elements.
-            Arm::Avx512 | Arm::Avx512Vnni => unsafe {
-                scaled_ge_indices_avx512(dots, scales, scale, threshold, hits)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above for AVX2.
-            Arm::Avx2 => unsafe { scaled_ge_indices_avx2(dots, scales, scale, threshold, hits) },
-            _ => 0,
-        };
-        scaled_ge_indices_scalar(dots, scales, scale, threshold, scanned, hits);
-    }
-
-    /// The definition of [`scaled_ge_indices`] from element `from` on — the whole scan
-    /// without vector units, the `n % 16` tail with them.
-    pub fn scaled_ge_indices_scalar(
-        dots: &[i32],
-        scales: &[f64],
-        scale: f64,
-        threshold: f64,
-        from: usize,
-        hits: &mut Vec<usize>,
-    ) {
-        for (j, (&dot, &s)) in dots.iter().zip(scales).enumerate().skip(from) {
-            if scale * s * dot as f64 >= threshold {
-                hits.push(j);
-            }
-        }
-    }
-
-    /// Appends the set bits of `mask`, lowest first, as indices from `base`.
-    #[inline(always)]
-    fn push_mask_bits(mut mask: u32, base: usize, hits: &mut Vec<usize>) {
-        while mask != 0 {
-            hits.push(base + mask.trailing_zeros() as usize);
-            mask &= mask - 1;
-        }
-    }
-
-    /// [`scaled_ge_indices`] over the whole 16-element blocks; returns how many
-    /// elements that covered.
+    /// One `MR x W` register tile of an i8 arm (6×64 AVX-512, 4×16 AVX2) and its survivor
+    /// pre-test. Row `r` of the tile is row `r` of `A` (`a[r]`, `kg` lane-group words)
+    /// against the `W` queries of `panel` (lane group `g` of query `c` at word
+    /// `g * W + c`): `dots[r][c] = init[r] + Σ_g a[r][g] ⊙ panel[g][c]`, `⊙` being the
+    /// arm's lane-group dot product, and bit `c` of the returned `masks[r]` is set
+    /// exactly when `dots[r][c] as f32 * s[r] >= bounds[c]` in f32 (a NaN never passes).
     ///
     /// # Safety
-    /// The CPU supports AVX-512F; `scales` is at least as long as `dots`.
+    /// The CPU supports the arm's instructions; every `a[r]` is readable (unaligned) for
+    /// `kg` words, `panel` for `kg * W` words, and `bounds` for `W` floats.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn scaled_ge_indices_avx512(
-        dots: &[i32],
-        scales: &[f64],
-        scale: f64,
-        threshold: f64,
-        hits: &mut Vec<usize>,
-    ) -> usize {
-        let (vs, vt) = (_mm512_set1_pd(scale), _mm512_set1_pd(threshold));
-        let mut j = 0;
-        while j + 16 <= dots.len() {
-            let mut mask = 0u32;
-            for half in 0..2 {
-                let at = j + 8 * half;
-                let d = _mm256_loadu_si256(dots.as_ptr().add(at) as *const __m256i);
-                let s = _mm512_loadu_pd(scales.as_ptr().add(at));
-                let approx = _mm512_mul_pd(_mm512_mul_pd(vs, s), _mm512_cvtepi32_pd(d));
-                mask |= (_mm512_cmp_pd_mask::<_CMP_GE_OQ>(approx, vt) as u32) << (8 * half);
-            }
-            push_mask_bits(mask, j, hits);
-            j += 16;
-        }
-        j
-    }
-
-    /// As [`scaled_ge_indices_avx512`] on 8-element blocks.
-    ///
-    /// # Safety
-    /// The CPU supports AVX2; `scales` is at least as long as `dots`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scaled_ge_indices_avx2(
-        dots: &[i32],
-        scales: &[f64],
-        scale: f64,
-        threshold: f64,
-        hits: &mut Vec<usize>,
-    ) -> usize {
-        let (vs, vt) = (_mm256_set1_pd(scale), _mm256_set1_pd(threshold));
-        let mut j = 0;
-        while j + 8 <= dots.len() {
-            let mut mask = 0u32;
-            for half in 0..2 {
-                let at = j + 4 * half;
-                let d = _mm_loadu_si128(dots.as_ptr().add(at) as *const __m128i);
-                let s = _mm256_loadu_pd(scales.as_ptr().add(at));
-                let approx = _mm256_mul_pd(_mm256_mul_pd(vs, s), _mm256_cvtepi32_pd(d));
-                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(approx, vt);
-                mask |= (_mm256_movemask_pd(ge) as u32) << (4 * half);
-            }
-            push_mask_bits(mask, j, hits);
-            j += 8;
-        }
-        j
-    }
-
-    /// Packs the row-major `n x k` codes `b` into panels of `w` rows: panel `p`, lane
-    /// group `g`, row `l` holds codes `g*G .. g*G+G` of row `p*w + l` at byte
-    /// `((p*kg + g)*w + l)*G` — one vector load per 16 (or 8) rows per group, no
-    /// horizontal reduction afterwards. `flip` is XORed into every code (`0x80` turns a
-    /// signed code into the biased unsigned operand of `vpdpbusd`). Bytes past `n` and
-    /// past `k` keep whatever `out` held: padding rows are never stored, and padding
-    /// codes meet the zero padding of the prepared `A`.
-    pub fn pack_i8_panels<const G: usize>(
-        b: &[i8],
-        n: usize,
-        k: usize,
-        w: usize,
-        flip: u8,
-        out: &mut Vec<i8>,
-    ) {
-        let kg = k.div_ceil(G);
-        out.resize(n.div_ceil(w) * kg * w * G, 0);
-        let flip = [flip as i8; G];
-        for (p, panel) in out.chunks_exact_mut(kg * w * G).enumerate() {
-            let (groups, _) = panel.as_chunks_mut::<G>();
-            for l in 0..w.min(n - p * w) {
-                let row = &b[(p * w + l) * k..][..k];
-                let (full, tail) = row.as_chunks::<G>();
-                for (g, codes) in full.iter().enumerate() {
-                    groups[g * w + l] = std::array::from_fn(|t| codes[t] ^ flip[t]);
-                }
-                for (t, &code) in tail.iter().enumerate() {
-                    groups[full.len() * w + l][t] = code ^ flip[t];
-                }
-            }
-        }
-    }
-
-    /// One `MR x W` register tile of an i8 arm (6×64, AVX2 4×16): `out[r * ldo + c] =
-    /// init[r] + Σ_g a[r][g] ⊙ panel[g][c]`, `⊙` being the arm's lane-group dot product.
-    ///
-    /// # Safety
-    /// The CPU supports the arm's instructions; every `a[r]` is readable for `kg`
-    /// words, `panel` for `kg * W` lane groups, and `out` writable for `W` words at
-    /// each offset `r * ldo`.
-    #[cfg(target_arch = "x86_64")]
-    pub type I8Micro<const MR: usize> = unsafe fn(
+    pub type I8Micro<const MR: usize, const W: usize> = unsafe fn(
         a: &[*const i32; MR],
         init: &[i32; MR],
-        panel: *const i8,
         kg: usize,
-        out: *mut i32,
-        ldo: usize,
-    );
+        panel: *const i32,
+        s: &[f32; MR],
+        bounds: *const f32,
+        dots: &mut [[i32; W]; MR],
+    ) -> [u64; MR];
 
-    /// [`I8Micro`] of [`Arm::Avx512Vnni`]: `panel` holds biased unsigned code quads.
-    /// Measured on the benchmark host at 256 x 4096 x 64 in 512-row strips, packing
-    /// included: 0.29 ms against 0.84 for the `madd` tile of [`Arm::Avx512`] (AVX2 1.16,
-    /// scalar 14.3; the f32 GEMM tile runs the same shape in about 1.0).
+    /// [`I8Micro`] of [`Arm::Avx512Vnni`]: `panel` holds the queries' codes biased by
+    /// `+128` (the unsigned operand of `vpdpbusd`), `a` four signed codes per word, and
+    /// `init[r]` is `-128 · Σ a[r]`, which cancels the bias.
     ///
     /// # Safety
     /// See [`I8Micro`]; needs AVX-512F, BW and VNNI.
@@ -520,17 +371,18 @@ mod kernels {
     pub unsafe fn i8_micro_vnni(
         a: &[*const i32; 6],
         init: &[i32; 6],
-        panel: *const i8,
         kg: usize,
-        out: *mut i32,
-        ldo: usize,
-    ) {
+        panel: *const i32,
+        s: &[f32; 6],
+        bounds: *const f32,
+        dots: &mut [[i32; 64]; 6],
+    ) -> [u64; 6] {
         let mut acc = [[_mm512_setzero_si512(); 4]; 6];
-        for (row, &bias) in acc.iter_mut().zip(init) {
-            *row = [_mm512_set1_epi32(bias); 4];
+        for (row, &init) in acc.iter_mut().zip(init) {
+            *row = [_mm512_set1_epi32(init); 4];
         }
         for g in 0..kg {
-            let p = panel.add(g * 256) as *const __m512i;
+            let p = panel.add(g * 64) as *const __m512i;
             let b = [
                 _mm512_loadu_si512(p),
                 _mm512_loadu_si512(p.add(1)),
@@ -538,21 +390,17 @@ mod kernels {
                 _mm512_loadu_si512(p.add(3)),
             ];
             for (row, &ar) in acc.iter_mut().zip(a) {
-                let quad = _mm512_set1_epi32(*ar.add(g));
+                let quad = _mm512_set1_epi32(ar.add(g).read_unaligned());
                 for (sum, &bc) in row.iter_mut().zip(&b) {
                     *sum = _mm512_dpbusd_epi32(*sum, bc, quad);
                 }
             }
         }
-        for (r, row) in acc.iter().enumerate() {
-            for (c, &sum) in row.iter().enumerate() {
-                _mm512_storeu_si512(out.add(r * ldo + c * 16) as *mut __m512i, sum);
-            }
-        }
+        survivors_avx512(&acc, s, bounds, dots)
     }
 
-    /// [`I8Micro`] of [`Arm::Avx512`]: `panel` holds signed code pairs, `a` pairs of
-    /// sign-extended `i16`.
+    /// [`I8Micro`] of [`Arm::Avx512`]: `panel` and `a` hold pairs of codes sign-extended
+    /// to `i16`.
     ///
     /// # Safety
     /// See [`I8Micro`]; needs AVX-512F and BW.
@@ -561,35 +409,60 @@ mod kernels {
     pub unsafe fn i8_micro_avx512bw(
         a: &[*const i32; 6],
         init: &[i32; 6],
-        panel: *const i8,
         kg: usize,
-        out: *mut i32,
-        ldo: usize,
-    ) {
+        panel: *const i32,
+        s: &[f32; 6],
+        bounds: *const f32,
+        dots: &mut [[i32; 64]; 6],
+    ) -> [u64; 6] {
         let mut acc = [[_mm512_setzero_si512(); 4]; 6];
-        for (row, &bias) in acc.iter_mut().zip(init) {
-            *row = [_mm512_set1_epi32(bias); 4];
+        for (row, &init) in acc.iter_mut().zip(init) {
+            *row = [_mm512_set1_epi32(init); 4];
         }
         for g in 0..kg {
-            let p = panel.add(g * 128) as *const __m256i;
+            let p = panel.add(g * 64) as *const __m512i;
             let b = [
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p)),
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(1))),
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(2))),
-                _mm512_cvtepi8_epi16(_mm256_loadu_si256(p.add(3))),
+                _mm512_loadu_si512(p),
+                _mm512_loadu_si512(p.add(1)),
+                _mm512_loadu_si512(p.add(2)),
+                _mm512_loadu_si512(p.add(3)),
             ];
             for (row, &ar) in acc.iter_mut().zip(a) {
-                let pair = _mm512_set1_epi32(*ar.add(g));
+                let pair = _mm512_set1_epi32(ar.add(g).read_unaligned());
                 for (sum, &bc) in row.iter_mut().zip(&b) {
                     *sum = _mm512_add_epi32(*sum, _mm512_madd_epi16(pair, bc));
                 }
             }
         }
+        survivors_avx512(&acc, s, bounds, dots)
+    }
+
+    /// The survivor pre-test of the 6×64 AVX-512 tiles ([`I8Micro`]): stores each
+    /// accumulator row to `dots` and returns its mask, sixteen lanes at a time.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `bounds` is readable for 64 floats.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn survivors_avx512(
+        acc: &[[__m512i; 4]; 6],
+        s: &[f32; 6],
+        bounds: *const f32,
+        dots: &mut [[i32; 64]; 6],
+    ) -> [u64; 6] {
+        let mut masks = [0u64; 6];
         for (r, row) in acc.iter().enumerate() {
+            let sr = _mm512_set1_ps(s[r]);
             for (c, &sum) in row.iter().enumerate() {
-                _mm512_storeu_si512(out.add(r * ldo + c * 16) as *mut __m512i, sum);
+                _mm512_storeu_si512(dots[r][16 * c..].as_mut_ptr().cast(), sum);
+                let approx = _mm512_mul_ps(_mm512_cvtepi32_ps(sum), sr);
+                let bound = _mm512_loadu_ps(bounds.add(16 * c));
+                let pass = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(approx, bound);
+                masks[r] |= (pass as u64) << (16 * c);
             }
         }
+        masks
     }
 
     /// [`I8Micro`] of [`Arm::Avx2`]: as [`i8_micro_avx512bw`] on a 4×16 tile.
@@ -601,33 +474,38 @@ mod kernels {
     pub unsafe fn i8_micro_avx2(
         a: &[*const i32; 4],
         init: &[i32; 4],
-        panel: *const i8,
         kg: usize,
-        out: *mut i32,
-        ldo: usize,
-    ) {
+        panel: *const i32,
+        s: &[f32; 4],
+        bounds: *const f32,
+        dots: &mut [[i32; 16]; 4],
+    ) -> [u64; 4] {
         let mut acc = [[_mm256_setzero_si256(); 2]; 4];
-        for (row, &bias) in acc.iter_mut().zip(init) {
-            *row = [_mm256_set1_epi32(bias); 2];
+        for (row, &init) in acc.iter_mut().zip(init) {
+            *row = [_mm256_set1_epi32(init); 2];
         }
         for g in 0..kg {
-            let p = panel.add(g * 32) as *const __m128i;
-            let b = [
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(p)),
-                _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(1))),
-            ];
+            let p = panel.add(g * 16) as *const __m256i;
+            let b = [_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1))];
             for (row, &ar) in acc.iter_mut().zip(a) {
-                let pair = _mm256_set1_epi32(*ar.add(g));
+                let pair = _mm256_set1_epi32(ar.add(g).read_unaligned());
                 for (sum, &bc) in row.iter_mut().zip(&b) {
                     *sum = _mm256_add_epi32(*sum, _mm256_madd_epi16(pair, bc));
                 }
             }
         }
+        let mut masks = [0u64; 4];
         for (r, row) in acc.iter().enumerate() {
+            let sr = _mm256_set1_ps(s[r]);
             for (c, &sum) in row.iter().enumerate() {
-                _mm256_storeu_si256(out.add(r * ldo + c * 8) as *mut __m256i, sum);
+                _mm256_storeu_si256(dots[r][8 * c..].as_mut_ptr().cast(), sum);
+                let approx = _mm256_mul_ps(_mm256_cvtepi32_ps(sum), sr);
+                let bound = _mm256_loadu_ps(bounds.add(8 * c));
+                let pass = _mm256_cmp_ps::<_CMP_GE_OQ>(approx, bound);
+                masks[r] |= (_mm256_movemask_ps(pass) as u64) << (8 * c);
             }
         }
+        masks
     }
 }
 
@@ -930,46 +808,66 @@ unsafe fn gemm<'a, const MR: usize, const W: usize>(
     });
 }
 
-/// The integer-exact `A * B^T` of i8 code matrices into a reused `i32` tile — the first
-/// stage of the quantized index scan, where `A` is one query tile's codes and `B` walks
-/// a shard's codes strip by strip.
+/// The first stage of the quantized index scan: a query tile's i8 codes packed once, and
+/// every shard row scored against them and tested in the same register tile.
 ///
-/// `A` is prepared once for the arm [`I8Tile::new`] dispatches to (AVX-512 VNNI
-/// `vpdpbusd`, AVX-512 or AVX2 `madd_epi16`, scalar): its codes are regrouped into the
-/// 32-bit lane groups the arm broadcasts (zero-padded to a whole group), and for `vpdpbusd` —
-/// whose first operand is unsigned — each row's `-128 * Σ a` is kept as the
-/// accumulator's initial value, cancelling the `+128` bias packed into `B`. Each
-/// [`I8Tile::multiply_transpose_b`] packs its `B` into panels of 64 (AVX2: 16) rows,
-/// lane group by lane group, and runs 6×64 (4×16) register tiles that keep sixteen
-/// (eight) rows of `B` per vector, so no output needs a horizontal reduction.
+/// The queries are `B`, packed by [`I8Tile::new`] into panels of 64 (AVX2: 16) queries,
+/// lane group by lane group, for the arm it dispatches to: four codes biased by `+128`
+/// per 32-bit word for AVX-512 VNNI `vpdpbusd` (whose first operand is unsigned), two
+/// codes sign-extended to `i16` for AVX-512 or AVX2 `madd_epi16`, the plain codes for
+/// the scalar arm. [`I8Tile::scan`] streams a shard's codes through the tile as its `A`
+/// operand, corpus-major: on the VNNI arm the rows are read in place, four codes per
+/// broadcast, each row's accumulators starting at `−128·Σc` to cancel the bias; the
+/// `madd` arms widen each 6-row (AVX2: 4-row) band into a scratch first. A tile's
+/// output row is one shard row against 64 (16) queries, and its epilogue is the
+/// survivor test, so only set bits leave the registers.
 ///
-/// Integer sums have no rounding: every arm returns, for every output, exactly
-/// [`Matrix::dot_i8`] of the two rows (`crates/nn/tests/kernel_props.rs`).
+/// The test is the rule `t·s·dot ≥ T` — query scale `t`, row scale `s`, threshold `T`,
+/// both products and the comparison in f64, in that order — in two steps. The epilogue
+/// compares `dot·s` in f32 against a per-query bound a little below `T / t`, which
+/// every pair the rule keeps reaches: f32 rounding moves the product by at most 2⁻²³
+/// relative, and the bound leaves 2⁻²⁰ (a query whose `t` is not positive or whose
+/// `T / t` is out of f32's comfortable range gets `−∞`). The few pairs that pass are
+/// decided by the f64 rule itself, from the tile's dot.
+///
+/// Integer sums have no rounding: every arm scores every pair with exactly
+/// [`Matrix::dot_i8`] of the two rows, and every arm keeps exactly the pairs the f64
+/// rule keeps, with its approximate scores (`crates/nn/tests/kernel_props.rs`).
 ///
 /// # Examples
 /// ```
 /// use sudowoodo_nn::matrix::I8Tile;
 ///
 /// let queries: [i8; 4] = [1, -2, 3, 4]; // 2 x 2
-/// let shard: [i8; 6] = [5, 6, -7, 8, 127, -128]; // 3 x 2
-/// let mut tile = I8Tile::new(&queries, 2);
-/// assert_eq!(tile.multiply_transpose_b(&shard), &[-7, -23, 383, 39, 11, -131]);
+/// let shard: [i8; 6] = [5, 6, -7, 8, 127, -128]; // 3 x 2, read in place
+/// let mut tile = I8Tile::new(&queries, 2, &[1.0, 1.0]);
+/// let mut kept = Vec::new();
+/// // Query 0 keeps everything, query 1 what reaches 0.
+/// tile.scan(&shard, &[1.0, 0.5, 2.0], &[f64::NEG_INFINITY, 0.0], |row, query, approx| {
+///     kept.push((row, query, approx))
+/// });
+/// kept.sort_by_key(|&(row, query, _)| (row, query));
+/// assert_eq!(
+///     kept,
+///     [(0, 0, -7.0), (0, 1, 39.0), (1, 0, -11.5), (1, 1, 5.5), (2, 0, 766.0)]
+/// );
 /// ```
 #[derive(Clone, Debug)]
 pub struct I8Tile {
     arm: Arm,
-    m: usize,
+    n: usize,
     k: usize,
-    /// `A` itself (scalar arm) or nothing.
-    a: Vec<i8>,
-    /// `A` regrouped for the vector arms: `k.div_ceil(group)` words per row.
-    a_words: Vec<i32>,
-    /// Initial accumulator value per row of `A`.
-    a_init: Vec<i32>,
-    packed: Vec<i8>,
-    /// The `MR`-row band of the product being handed out.
+    /// The queries' codes, row-major, on the scalar arm; their panels on the others:
+    /// query `l` of panel `p` has lane group `g` at word `(p * kg + g) * W + l`.
+    codes: Vec<i8>,
+    panels: Vec<i32>,
+    /// Per query: its scale, widened.
+    scales: Vec<f64>,
+    /// Per query, padded to whole panels with NaN, which nothing reaches: the f32 bound
+    /// of the current scan's pre-test ([`pretest_bound`]).
+    bounds: Vec<f32>,
+    /// Lane-group words of the `A` band when it is not read in place.
     band: Vec<i32>,
-    out: Vec<i32>,
 }
 
 impl I8Tile {
@@ -979,195 +877,201 @@ impl I8Tile {
     /// `+128` bias of the VNNI arm included) can perturb a result whose true value fits.
     pub const MAX_K: usize = (1 << 17) - 1;
 
-    /// Prepares the row-major `a.len() / k x k` left operand for this thread's [`Arm`],
-    /// which every product of the tile then runs on.
+    /// Packs the row-major `scales.len() x k` query codes `b`, and their scales, for this
+    /// thread's [`Arm`], which every scan of the tile then runs on.
     ///
     /// # Panics
-    /// Panics when `k` is zero or above [`I8Tile::MAX_K`], or does not divide `a.len()`.
-    pub fn new(a: &[i8], k: usize) -> I8Tile {
+    /// Panics when `k` is zero or above [`I8Tile::MAX_K`], or `b` is not `scales.len()`
+    /// rows of `k` codes.
+    pub fn new(b: &[i8], k: usize, scales: &[f32]) -> I8Tile {
         let arm = Arm::current();
+        let n = scales.len();
         assert!(
-            (1..=Self::MAX_K).contains(&k) && a.len().is_multiple_of(k),
-            "I8Tile: {} codes are not rows of 1..={} codes (k = {k})",
-            a.len(),
+            (1..=Self::MAX_K).contains(&k) && b.len() == n * k,
+            "I8Tile: {} codes are not {n} rows of 1..={} codes (k = {k})",
+            b.len(),
             Self::MAX_K
         );
-        let m = a.len() / k;
+        let (group, w) = (i8_group(arm), i8_tile_shape(arm).1);
+        let padded = n.next_multiple_of(w);
         let mut tile = I8Tile {
             arm,
-            m,
+            n,
             k,
-            a: Vec::new(),
-            a_words: Vec::new(),
-            a_init: vec![0; m],
-            packed: Vec::new(),
+            codes: Vec::new(),
+            panels: Vec::new(),
+            scales: scales.iter().map(|&t| t as f64).collect(),
+            bounds: vec![f32::NAN; padded],
             band: Vec::new(),
-            out: Vec::new(),
         };
         if arm == Arm::Scalar {
-            tile.a = a.to_vec();
+            tile.codes = b.to_vec();
             return tile;
         }
-        if arm == Arm::Avx512Vnni {
-            for (init, row) in tile.a_init.iter_mut().zip(a.chunks_exact(k)) {
-                *init = -128 * row.iter().map(|&x| x as i32).sum::<i32>();
+        let (kg, bias) = (k.div_ceil(group), if group == 4 { 0x80 } else { 0 });
+        tile.panels = vec![0; padded * kg];
+        for (j, row) in b.chunks_exact(k).enumerate() {
+            let panel = &mut tile.panels[(j - j % w) * kg..];
+            for (g, codes) in row.chunks(group).enumerate() {
+                panel[g * w + j % w] = lane_word(codes, group, bias);
             }
-        }
-        // One little-endian word per lane group: four code bytes, or two codes
-        // sign-extended to `i16`; a short last group is zero-padded.
-        let group = i8_group(arm);
-        tile.a_words.reserve(m * k.div_ceil(group));
-        for row in a.chunks_exact(k) {
-            tile.a_words.extend(row.chunks(group).map(|codes| {
-                let mut word = [0u8; 4];
-                for (t, &code) in codes.iter().enumerate() {
-                    let bytes = 4 / group;
-                    word[bytes * t..bytes * (t + 1)]
-                        .copy_from_slice(&(code as i16).to_le_bytes()[..bytes]);
-                }
-                i32::from_le_bytes(word)
-            }));
         }
         tile
     }
 
-    /// Rows of the prepared left operand — the height of every tile.
-    pub fn rows(&self) -> usize {
-        self.m
+    /// Queries in the tile — the width of every product.
+    pub fn queries(&self) -> usize {
+        self.n
     }
 
-    /// `A * b^T` for the row-major `b.len() / k x k` codes `b`: the row-major
-    /// `rows() x n` tile of exact `i32` dot products, valid until the next call (the
-    /// buffer, like the packing scratch, is reused).
+    /// Scores every row of the row-major `row_scales.len() x k` codes `a`, read in
+    /// place, against every query, and calls `hit(row, query, approx)` for each pair
+    /// whose approximate score `approx = scale[query] * row_scales[row] * dot` reaches
+    /// `thresholds[query]`: `dot` is the exact integer dot of the two code rows, and
+    /// both products and the comparison run in f64, in that order (a NaN reaches
+    /// nothing, and nothing reaches a NaN threshold). Pairs come in no set order.
     ///
     /// # Panics
-    /// Panics when `k` does not divide `b.len()`.
-    pub fn multiply_transpose_b(&mut self, b: &[i8]) -> &[i32] {
-        let mut out = std::mem::take(&mut self.out);
-        out.clear();
-        self.multiply_transpose_b_bands(b, |_, band| out.extend_from_slice(band));
-        self.out = out;
-        &self.out
-    }
-
-    /// [`I8Tile::multiply_transpose_b`] one band of `A`'s rows at a time: `band(rows,
-    /// dots)` is called for consecutive ranges of rows, ascending, with the row-major
-    /// `rows.len() x n` dot products of those rows, computed just before the call — a
-    /// caller that consumes each band at once reads it from L1, not from a whole tile.
-    ///
-    /// # Panics
-    /// Panics when `k` does not divide `b.len()`.
-    pub fn multiply_transpose_b_bands(
+    /// Panics when `a` is not `row_scales.len()` rows of `k` codes or `thresholds` does
+    /// not hold one threshold per query.
+    pub fn scan(
         &mut self,
-        b: &[i8],
-        mut band: impl FnMut(std::ops::Range<usize>, &[i32]),
+        a: &[i8],
+        row_scales: &[f32],
+        thresholds: &[f64],
+        mut hit: impl FnMut(usize, usize, f64),
     ) {
-        let k = self.k;
+        let (k, n, m) = (self.k, self.n, row_scales.len());
         assert!(
-            b.len().is_multiple_of(k),
-            "I8Tile: {} codes are not rows of {k}",
-            b.len()
+            a.len() == m * k && thresholds.len() == n,
+            "I8Tile::scan: {} codes are not {m} rows of {k}, or {} thresholds are not {n}",
+            a.len(),
+            thresholds.len()
         );
-        let n = b.len() / k;
+        if self.arm != Arm::Scalar {
+            let queries = self.scales.iter().zip(thresholds);
+            for (bound, (&t, &threshold)) in self.bounds.iter_mut().zip(queries) {
+                *bound = pretest_bound(t, threshold);
+            }
+        }
+        let mut band = std::mem::take(&mut self.band);
+        let mut keep = |row: usize, q: usize, s: f32, dot: i32| {
+            let approx = self.scales[q] * s as f64 * dot as f64;
+            if approx >= thresholds[q] {
+                hit(row, q, approx);
+            }
+        };
         match self.arm {
             Arm::Scalar => {
-                self.band.resize(n, 0);
-                for (i, a_row) in self.a.chunks_exact(k).enumerate() {
-                    for (b_row, out) in b.chunks_exact(k).zip(self.band.iter_mut()) {
-                        *out = a_row
-                            .iter()
-                            .zip(b_row)
-                            .map(|(&x, &y)| x as i32 * y as i32)
-                            .sum();
+                for (r, (row, &s)) in a.chunks_exact(k).zip(row_scales).enumerate() {
+                    for (q, query) in self.codes.chunks_exact(k).enumerate() {
+                        let dot = row.iter().zip(query).map(|(&x, &y)| x as i32 * y as i32);
+                        keep(r, q, s, dot.sum());
                     }
-                    band(i..i + 1, &self.band);
                 }
             }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.arm` came from `Arm::current` in `new`, so this CPU supports
             // it, and the micro-kernel is that arm's.
             Arm::Avx2 => unsafe {
-                self.run_bands::<2, 4, 16>(b, n, 0, kernels::i8_micro_avx2, &mut band)
+                self.run_tiles::<4, 16>(kernels::i8_micro_avx2, a, row_scales, &mut band, &mut keep)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
             Arm::Avx512 => unsafe {
-                self.run_bands::<2, 6, 64>(b, n, 0, kernels::i8_micro_avx512bw, &mut band)
+                self.run_tiles::<6, 64>(
+                    kernels::i8_micro_avx512bw,
+                    a,
+                    row_scales,
+                    &mut band,
+                    &mut keep,
+                )
             },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; `vpdpbusd` takes the codes of `b` biased by `0x80`.
+            // SAFETY: as above.
             Arm::Avx512Vnni => unsafe {
-                self.run_bands::<4, 6, 64>(b, n, 0x80, kernels::i8_micro_vnni, &mut band)
+                self.run_tiles::<6, 64>(kernels::i8_micro_vnni, a, row_scales, &mut band, &mut keep)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("only the scalar arm is supported off x86-64"),
         }
+        self.band = band;
     }
 
-    /// Appends to `hits`, ascending, every position `j` of one tile row whose scaled
-    /// value reaches a threshold: `scale * scales[j] * dots[j] as f64 >= threshold`,
-    /// both products and the comparison in f64 in that order (a NaN never reaches
-    /// anything). How a scan over approximate scores skips the rows that cannot
-    /// matter: vectorised, and the same positions on every CPU.
-    ///
-    /// Only the first `min(dots.len(), scales.len())` entries are looked at.
-    pub fn scaled_at_least(
-        dots: &[i32],
-        scales: &[f64],
-        scale: f64,
-        threshold: f64,
-        hits: &mut Vec<usize>,
-    ) {
-        kernels::scaled_ge_indices(Arm::current(), dots, scales, scale, threshold, hits);
-    }
-
-    /// Packs the `n` rows of `b` into `W`-row panels of `G`-code lane groups (`G` being
-    /// the group `new` prepared `A` in; each code XORed with `flip`) and runs `micro`
-    /// over the `MR`-row bands of `A`, each against every panel, into a band buffer
-    /// `n.div_ceil(W) * W` words wide; each band goes to `band` as soon as it is done.
-    /// The last band repeats the last row of `A` in its spare rows.
+    /// Runs `micro` over the `MR`-row bands of `a`, each against every `W`-query panel,
+    /// and hands each pair that passes the pre-test to `keep(row, query, row scale,
+    /// dot)`. The last band repeats the last row of `a` in its spare rows, whose bits
+    /// are dropped.
     ///
     /// # Safety
     /// The CPU supports `micro`'s instructions.
     #[cfg(target_arch = "x86_64")]
-    unsafe fn run_bands<const G: usize, const MR: usize, const W: usize>(
-        &mut self,
-        b: &[i8],
-        n: usize,
-        flip: u8,
-        micro: kernels::I8Micro<MR>,
-        band: &mut impl FnMut(std::ops::Range<usize>, &[i32]),
+    unsafe fn run_tiles<const MR: usize, const W: usize>(
+        &self,
+        micro: kernels::I8Micro<MR, W>,
+        a: &[i8],
+        row_scales: &[f32],
+        band: &mut Vec<i32>,
+        keep: &mut impl FnMut(usize, usize, f32, i32),
     ) {
-        debug_assert_eq!(G, i8_group(self.arm));
-        let (m, kg, ldo) = (self.m, self.k.div_ceil(G), n.div_ceil(W) * W);
-        kernels::pack_i8_panels::<G>(b, n, self.k, W, flip, &mut self.packed);
-        self.band.resize(MR * ldo, 0);
+        let (k, m, group) = (self.k, row_scales.len(), i8_group(self.arm));
+        let kg = k.div_ceil(group);
+        // `vpdpbusd` words are four codes as stored: whole ones are read in place.
+        let in_place = group == 4 && k % 4 == 0;
+        let mut dots = [[0i32; W]; MR];
         for i in (0..m).step_by(MR) {
-            let row_of = |r: usize| (i + r).min(m - 1);
-            let a: [*const i32; MR] =
-                std::array::from_fn(|r| self.a_words[row_of(r) * kg..][..kg].as_ptr());
-            let init: [i32; MR] = std::array::from_fn(|r| self.a_init[row_of(r)]);
-            for (p, panel) in self.packed.chunks_exact(kg * W * G).enumerate() {
-                // SAFETY: the caller guarantees `micro`'s instructions; each `a[r]` is a
-                // `kg`-word row of `a_words`, `panel` holds `kg * W` lane groups, and the
-                // band buffer has `MR` rows of `ldo` words, `W` of them from `p * W` on.
-                unsafe {
-                    micro(
-                        &a,
-                        &init,
-                        panel.as_ptr(),
-                        kg,
-                        self.band.as_mut_ptr().add(p * W),
-                        ldo,
-                    )
+            let rows = MR.min(m - i);
+            let row = |r: usize| &a[(i + r.min(rows - 1)) * k..][..k];
+            if !in_place {
+                band.clear();
+                for r in 0..MR {
+                    push_words(row(r), group, band);
                 }
             }
-            let rows = MR.min(m - i);
-            for r in 1..rows {
-                self.band.copy_within(r * ldo..r * ldo + n, r * n);
+            let words: [*const i32; MR] = std::array::from_fn(|r| match in_place {
+                true => row(r).as_ptr().cast(),
+                false => band[r * kg..].as_ptr(),
+            });
+            // `vpdpbusd` meets the queries' `+128` bias: each row starts at `-128 · Σc`.
+            let init: [i32; MR] = std::array::from_fn(|r| match group {
+                4 => -128 * row(r).iter().map(|&c| c as i32).sum::<i32>(),
+                _ => 0,
+            });
+            let s: [f32; MR] = std::array::from_fn(|r| row_scales[i + r.min(rows - 1)]);
+            for (p, panel) in self.panels.chunks_exact(kg * W).enumerate() {
+                let bounds = self.bounds[p * W..].as_ptr();
+                // SAFETY: the caller guarantees `micro`'s instructions; each `words[r]` is
+                // a row of `k` codes read in place (`k` a multiple of four) or `kg` words
+                // of the band scratch; `panel` is `kg * W` words, and `bounds` is padded
+                // to whole panels.
+                let masks =
+                    unsafe { micro(&words, &init, kg, panel.as_ptr(), &s, bounds, &mut dots) };
+                for (r, (mut mask, dots)) in masks.into_iter().zip(&dots).enumerate().take(rows) {
+                    while mask != 0 {
+                        let c = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        keep(i + r, p * W + c, s[r], dots[c]);
+                    }
+                }
             }
-            band(i..i + rows, &self.band[..rows * n]);
         }
+    }
+}
+
+/// The f32 bound that a query of scale `t` and threshold `threshold` sets in the tile's
+/// pre-test ([`I8Tile`]). When `t > 0`, a pair the f64 rule keeps has a real `s·dot` no
+/// lower than `u = threshold / t` less 2⁻⁵⁰ of `|u|` (three f64 roundings). While
+/// `|u| ≥ 2⁻¹⁰⁰`, the tile's f32 `dot·s` is a normal number within 2⁻²³ of the real
+/// product, or too large or too small in magnitude to fall below a bound that far from
+/// zero. So `u − |u|·2⁻²⁰`, rounded down, is reached by every kept pair. Any other query
+/// gets `−∞`: every product but NaN reaches it, and a NaN product means a NaN
+/// approximate score, which the rule drops too.
+fn pretest_bound(t: f64, threshold: f64) -> f32 {
+    let u = threshold / t;
+    if t > 0.0 && (2f64.powi(-100)..f32::MAX as f64 / 2.0).contains(&u.abs()) {
+        ((u - u.abs() * 2f64.powi(-20)) as f32).next_down()
+    } else {
+        f32::NEG_INFINITY
     }
 }
 
@@ -1178,6 +1082,45 @@ fn i8_group(arm: Arm) -> usize {
         Arm::Avx512Vnni => 4,
         _ => 2,
     }
+}
+
+/// The `(MR, W)` register tile of `arm`'s i8 kernel: shard rows by queries.
+fn i8_tile_shape(arm: Arm) -> (usize, usize) {
+    match arm {
+        Arm::Avx512 | Arm::Avx512Vnni => (6, 64),
+        Arm::Avx2 => (4, 16),
+        Arm::Scalar => (1, 1),
+    }
+}
+
+/// Appends the lane-group words of the row `codes` (see [`lane_word`], unbiased) to
+/// `out`: whole groups in a loop the compiler vectorises, then the short last one.
+fn push_words(codes: &[i8], group: usize, out: &mut Vec<i32>) {
+    let full = codes.len() - codes.len() % group;
+    if group == 4 {
+        let quads = codes[..full].chunks_exact(4);
+        out.extend(quads.map(|q| i32::from_le_bytes([q[0], q[1], q[2], q[3]].map(|c| c as u8))));
+    } else {
+        let pairs = codes[..full].chunks_exact(2);
+        out.extend(
+            pairs.map(|p| (p[0] as i16 as u16 as u32 | (p[1] as i16 as u16 as u32) << 16) as i32),
+        );
+    }
+    if full < codes.len() {
+        out.push(lane_word(&codes[full..], group, 0));
+    }
+}
+
+/// The lane-group word of `codes`, at most `group` of them (the last group of a row may
+/// be short): four bytes XORed with `bias`, or two codes sign-extended to `i16`;
+/// little-endian, zero-padded.
+fn lane_word(codes: &[i8], group: usize, bias: u8) -> i32 {
+    let (mut word, bytes) = ([0u8; 4], 4 / group);
+    for (t, &code) in codes.iter().enumerate() {
+        let wide = (code as i16 ^ bias as i16).to_le_bytes();
+        word[bytes * t..bytes * (t + 1)].copy_from_slice(&wide[..bytes]);
+    }
+    i32::from_le_bytes(word)
 }
 
 /// A dense, row-major matrix of `f32` values.
@@ -2061,59 +2004,6 @@ mod tests {
         assert!((Matrix::cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
         assert!(Matrix::cosine(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
         assert!((Matrix::cosine(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scaled_ge_arms_agree_with_the_scalar_definition() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut dots: Vec<i32> = (0..70).map(|_| rng.gen_range(-40_000i32..40_000)).collect();
-        let mut scales: Vec<f64> = (0..70).map(|_| rng.gen_range(0.0f64..0.01)).collect();
-        // Extremes: products that are huge, vanishing, infinite or NaN, and a -0.0 scale.
-        dots[3] = i32::MAX;
-        dots[20] = i32::MIN;
-        dots[41] = 0;
-        scales[20] = f64::MAX;
-        scales[41] = f64::INFINITY;
-        scales[42] = f64::NAN;
-        scales[43] = f64::MIN_POSITIVE / 8.0;
-        scales[44] = -0.0;
-        for scale in [0.003f64, 1e-30, 0.0, 3e9, 1e10, f64::NAN] {
-            let approx: Vec<f64> = dots
-                .iter()
-                .zip(&scales)
-                .map(|(&d, &s)| scale * s * d as f64)
-                .collect();
-            // Thresholds that tie an entry exactly or miss it by one ulp either way, that
-            // nothing or everything reaches, beyond the first pass's range, and NaN.
-            let mut thresholds = vec![
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                f64::NAN,
-                0.0,
-                -1e300,
-                1e300,
-            ];
-            for &x in approx.iter().filter(|x| x.is_finite()) {
-                thresholds.extend([x, x.next_up(), x.next_down()]);
-            }
-            for &threshold in &thresholds {
-                for start in 0..dots.len() {
-                    let (d, s) = (&dots[start..], &scales[start..]);
-                    let expected: Vec<usize> = (0..d.len())
-                        .filter(|&j| approx[start + j] >= threshold)
-                        .collect();
-                    let mut hits = Vec::new();
-                    kernels::scaled_ge_indices_scalar(d, s, scale, threshold, 0, &mut hits);
-                    let what = format!("scale {scale} from {start} at {threshold}");
-                    assert_eq!(hits, expected, "scalar, {what}");
-                    for_each_supported_arm(|arm| {
-                        let mut hits = vec![usize::MAX]; // appended to, not cleared
-                        I8Tile::scaled_at_least(d, s, scale, threshold, &mut hits);
-                        assert_eq!(hits[1..], expected, "{arm:?}, {what}");
-                    });
-                }
-            }
-        }
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! on every valid row.
 //!
 //! The i8 tile (`I8Tile`) is integer arithmetic, so its contract is plain equality:
-//! every arm returns `Matrix::dot_i8` of the two rows for every output.
+//! every arm scores every pair with `Matrix::dot_i8` of the two rows, on shard rows read
+//! in place whatever their length, and its fused survivor test keeps exactly the pairs
+//! the scalar f64 rule keeps, with the same approximate scores.
 //!
 //! `matmul` is held to position invariance: on every arm a row or a column block of a
 //! product has the same bits as the product of that row or block alone, and the FMA
@@ -317,11 +319,43 @@ fn offset_codes(rows: usize, k: usize, rng: &mut StdRng) -> Vec<i8> {
     buf
 }
 
+/// Every `(query, row)` integer dot of `tile` against the row-major codes `rows`, query
+/// by query, through [`I8Tile::scan`] at unit scales and a threshold nothing misses: each
+/// pair's approximate score is then its dot, exactly. Fails on a pair scanned twice.
+fn scanned_dots(tile: &mut I8Tile, rows: &[i8], k: usize) -> Vec<i64> {
+    let (m, n) = (tile.queries(), rows.len() / k);
+    let mut dots = vec![None; m * n];
+    tile.scan(
+        rows,
+        &vec![1.0; n],
+        &vec![f64::NEG_INFINITY; m],
+        |row, query, approx| {
+            let old = dots[query * n + row].replace(approx as i64);
+            assert!(old.is_none(), "row {row}, query {query} scanned twice");
+            assert_eq!(
+                approx, approx as i64 as f64,
+                "unit scales give the dot itself"
+            );
+        },
+    );
+    dots.into_iter()
+        .map(|dot| dot.expect("a pair no threshold can miss was dropped"))
+        .collect()
+}
+
+/// `I8Tile::new` on every arm the host supports, then once more on the dispatched one.
+fn tiles_on_every_arm(a: &[i8], k: usize, scales: &[f32]) -> Vec<(String, I8Tile)> {
+    let mut tiles = Vec::new();
+    for_each_supported_arm(|arm| tiles.push((format!("{arm:?}"), I8Tile::new(a, k, scales))));
+    tiles.push(("dispatched".to_string(), I8Tile::new(a, k, scales)));
+    tiles
+}
+
 #[test]
 fn i8_tile_equals_dot_i8_on_every_arm() {
     // Every register-tile remainder in both directions, and contraction lengths on
     // both sides of the 2- and 4-code lane groups and of a 64-byte row. `n` descends,
-    // so each product after the first packs into a buffer holding stale panels.
+    // so each scan after the first reuses a band scratch holding stale words.
     let mut rng = StdRng::seed_from_u64(16);
     let (max_m, max_n) = (37usize, 67usize);
     for &k in &[1usize, 7, 31, 32, 33, 63, 64, 65, 130, 4096] {
@@ -344,20 +378,15 @@ fn i8_tile_equals_dot_i8_on_every_arm() {
             }
         };
         for m in edges(max_m, &[1, 3, 4, 5, 6, 7, 12, 13, 37]) {
-            let mut tiles = Vec::new();
-            for_each_supported_arm(|arm| {
-                tiles.push((format!("{arm:?}"), I8Tile::new(&a[..m * k], k)))
-            });
-            tiles.push(("dispatched".to_string(), I8Tile::new(&a[..m * k], k)));
-            for (arm, tile) in &mut tiles {
-                assert_eq!(tile.rows(), m);
+            for (arm, tile) in &mut tiles_on_every_arm(&a[..m * k], k, &vec![1.0; m]) {
+                assert_eq!(tile.queries(), m);
                 for n in edges(max_n, &[1, 15, 16, 17, 63, 64, 65, 67]) {
-                    let out = tile.multiply_transpose_b(&b[..n * k]);
+                    let out = scanned_dots(tile, &b[..n * k], k);
                     assert_eq!(out.len(), m * n, "{m}x{k} * ({n}x{k})^T [{arm}]: shape");
                     for (idx, &got) in out.iter().enumerate() {
                         let (i, j) = (idx / n, idx % n);
                         assert_eq!(
-                            got as i64,
+                            got,
                             reference[i * max_n + j],
                             "{m}x{k} * ({n}x{k})^T [{arm}]: entry ({i}, {j})"
                         );
@@ -375,16 +404,96 @@ fn i8_tile_is_exact_at_the_code_extremes() {
     for &k in &[64usize, 4096] {
         for &(x, y) in &[(-128i8, -128i8), (127, 127), (-128, 127), (127, -128)] {
             let (a, b) = (vec![x; 7 * k], vec![y; 70 * k]);
-            let mut tiles = Vec::new();
-            for_each_supported_arm(|arm| tiles.push((format!("{arm:?}"), I8Tile::new(&a, k))));
-            tiles.push(("dispatched".to_string(), I8Tile::new(&a, k)));
-            for (arm, tile) in &mut tiles {
+            for (arm, tile) in &mut tiles_on_every_arm(&a, k, &[1.0; 7]) {
                 let expected = k as i32 * x as i32 * y as i32;
                 assert_eq!(expected as i64, Matrix::dot_i8(&a[..k], &b[..k]));
                 assert!(
-                    tile.multiply_transpose_b(&b).iter().all(|&v| v == expected),
+                    scanned_dots(tile, &b, k)
+                        .iter()
+                        .all(|&v| v == expected as i64),
                     "{x} x {y}, k = {k} [{arm}]"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn i8_tile_reads_ragged_shard_rows_in_place_on_every_arm() {
+    // Query counts around the 16- and 64-query panels, shard rows around the 4- and
+    // 6-row bands, contractions that end mid lane group. Each shard is a buffer of
+    // exactly its codes, so the last row ends where the allocation does.
+    let mut rng = StdRng::seed_from_u64(17);
+    for &k in &[1usize, 3, 5, 63, 65] {
+        for &m in &[1usize, 17, 63, 65, 255] {
+            let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i8..=127)).collect();
+            for &n in &[1usize, 5, 7, 13] {
+                let b: Vec<i8> = (0..n * k).map(|_| rng.gen_range(-128i8..=127)).collect();
+                assert_eq!(b.capacity(), n * k);
+                for (arm, tile) in &mut tiles_on_every_arm(&a, k, &vec![1.0; m]) {
+                    let out = scanned_dots(tile, &b, k);
+                    for (idx, &got) in out.iter().enumerate() {
+                        let (i, j) = (idx / n, idx % n);
+                        let want = Matrix::dot_i8(&a[i * k..][..k], &b[j * k..][..k]);
+                        assert_eq!(got, want, "{m}x{k} * ({n}x{k})^T [{arm}]: ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn i8_tile_keeps_exactly_what_the_scalar_rule_keeps_at_the_edges() {
+    // The survivor test is `t * s * dot >= T` in f64, evaluated left to right, on
+    // every arm: scales that vanish, overflow or are NaN on either side, and per query
+    // thresholds that tie a pair exactly, miss it by one ulp either way, are infinite
+    // or NaN. 70 queries span two AVX-512 panels, the last ragged.
+    let mut rng = StdRng::seed_from_u64(18);
+    let (m, n, k) = (70usize, 9usize, 13usize);
+    let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(-128i8..=127)).collect();
+    let mut b: Vec<i8> = (0..n * k).map(|_| rng.gen_range(-128i8..=127)).collect();
+    b[k..2 * k].fill(0); // a zero row
+    b[2 * k..3 * k].fill(-128);
+    let mut row_scales: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0f32..0.01)).collect();
+    row_scales[3] = f32::MAX;
+    row_scales[4] = f32::INFINITY;
+    row_scales[5] = f32::NAN;
+    row_scales[6] = f32::MIN_POSITIVE / 8.0;
+    row_scales[7] = -0.0;
+    let dots: Vec<i64> = (0..m * n)
+        .map(|idx| Matrix::dot_i8(&a[idx / n * k..][..k], &b[idx % n * k..][..k]))
+        .collect();
+    for t in [0.003f32, 1e-30, 0.0, 3e9, f32::MAX, f32::NAN] {
+        let approx = |idx: usize| t as f64 * row_scales[idx % n] as f64 * dots[idx] as f64;
+        let mut thresholds = vec![
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            0.0,
+            -1e300,
+            1e300,
+        ];
+        for x in (0..m * n).map(approx).filter(|x| x.is_finite()) {
+            thresholds.extend([x, x.next_up(), x.next_down()]);
+        }
+        for (arm, tile) in &mut tiles_on_every_arm(&a, k, &vec![t; m]) {
+            // Each scan gives every query a different threshold of the list.
+            for start in (0..thresholds.len()).step_by(7) {
+                let per_query: Vec<f64> = (0..m)
+                    .map(|q| thresholds[(start + q) % thresholds.len()])
+                    .collect();
+                let mut expected: Vec<(usize, usize, u64)> = (0..m * n)
+                    .filter(|&idx| approx(idx) >= per_query[idx / n])
+                    .map(|idx| (idx % n, idx / n, approx(idx).to_bits()))
+                    .collect();
+                let mut got = Vec::new();
+                tile.scan(&b, &row_scales, &per_query, |row, query, approx| {
+                    got.push((row, query, approx.to_bits()))
+                });
+                got.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(got, expected, "scale {t}, thresholds from {start} [{arm}]");
             }
         }
     }
