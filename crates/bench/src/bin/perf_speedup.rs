@@ -738,7 +738,7 @@ impl<'a> SeedEncoder<'a> {
     /// One graph per text of a chunk, stacked: the seed's batch.
     fn stacked_chunk(&self, tape: &mut Tape, chunk: &[String]) -> VarId {
         let rows: Vec<VarId> = chunk.iter().map(|t| self.encode_text(tape, t)).collect();
-        tape.stack_rows(&rows)
+        tape.concat_rows(&rows)
     }
 
     /// The seed's `embed_all`: one tape per 64-text chunk.

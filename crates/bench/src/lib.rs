@@ -3,7 +3,7 @@
 //! The experiment harness: one function per table and figure of the paper's evaluation
 //! section ([`experiments`]), run by id through the `paper` binary, which prints the rows
 //! the paper reports and writes a JSON copy under `target/experiments/`. The crate's other
-//! binary, `perf_speedup`, is the CI perf gate; `benches/` holds the microbenchmarks.
+//! binary, `perf_speedup`, is the CI perf gate.
 //!
 //! Runtime is controlled by environment variables (a malformed value is an error):
 //!

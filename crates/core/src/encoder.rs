@@ -21,7 +21,7 @@ use rayon::prelude::*;
 
 use sudowoodo_augment::{CutoffKind, CutoffPlan};
 use sudowoodo_nn::layers::{
-    Embedding, FeedForward, Layer, LayerNorm, PositionalEmbedding, TransformerBlock,
+    padded_ranges, Embedding, FeedForward, Layer, LayerNorm, PositionalEmbedding, TransformerBlock,
 };
 use sudowoodo_nn::matrix::Matrix;
 use sudowoodo_nn::param::Param;
@@ -59,10 +59,35 @@ impl Encoder {
 
     /// Creates an encoder with an existing vocabulary.
     pub fn with_vocab(config: EncoderConfig, vocab: Vocab, seed: u64) -> Self {
+        let parts = (config.max_len, config.layers, config.ff_hidden);
+        Self::build(config, vocab, seed, parts)
+    }
+
+    /// An encoder of `config`'s shape holding only the parameters `config.kind` stores
+    /// and runs (a MeanPool model has no positional table or blocks, a Transformer no
+    /// pooling MLP), for a model file to overwrite: it allocates nothing the file does
+    /// not carry.
+    pub(crate) fn skeleton(config: EncoderConfig, vocab: Vocab) -> Self {
+        let parts = match config.kind {
+            EncoderKind::MeanPool => (0, 0, config.ff_hidden),
+            EncoderKind::Transformer => (config.max_len, config.layers, 0),
+        };
+        Self::build(config, vocab, 0, parts)
+    }
+
+    /// Draws the parts from one seeded stream in a fixed order: the token table, a
+    /// positional table of `max_len` rows, `layers` blocks and a pooling MLP
+    /// `pool_hidden` wide.
+    fn build(
+        config: EncoderConfig,
+        vocab: Vocab,
+        seed: u64,
+        (max_len, layers, pool_hidden): (usize, usize, usize),
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let embedding = Embedding::new("encoder.embedding", vocab.size(), config.dim, &mut rng);
-        let positional = PositionalEmbedding::new("encoder", config.max_len, config.dim, &mut rng);
-        let blocks = (0..config.layers)
+        let positional = PositionalEmbedding::new("encoder", max_len, config.dim, &mut rng);
+        let blocks = (0..layers)
             .map(|i| {
                 TransformerBlock::new(
                     &format!("encoder.block{i}"),
@@ -73,7 +98,7 @@ impl Encoder {
                 )
             })
             .collect();
-        let pool_mlp = FeedForward::new("encoder.pool_mlp", config.dim, config.ff_hidden, &mut rng);
+        let pool_mlp = FeedForward::new("encoder.pool_mlp", config.dim, pool_hidden, &mut rng);
         let output_norm = LayerNorm::new("encoder.output_norm", config.dim);
         Encoder {
             config,
@@ -228,10 +253,18 @@ impl Encoder {
             tape.mul(embedded, mask_node)
         };
 
-        // Segment-mean pooling: one fused op at O(total x dim) (empty items pool to the
-        // zero vector, matching `mean_rows` on an empty matrix).
-        let lens: Vec<usize> = ids_per_text.iter().map(|ids| ids.len()).collect();
-        let mean = tape.segment_mean_rows(masked, &lens); // n x dim
+        // Segment-mean pooling over the items laid end to end: one fused op at
+        // O(total x dim) (empty items pool to the zero vector, matching `mean_rows` on an
+        // empty matrix).
+        let mut start = 0;
+        let ranges: Vec<(usize, usize)> = ids_per_text
+            .iter()
+            .map(|ids| {
+                start += ids.len();
+                (start - ids.len(), ids.len())
+            })
+            .collect();
+        let mean = tape.segment_mean_rows(masked, &ranges); // n x dim
 
         let lifted = self.pool_mlp.forward(tape, mean);
         let summed = tape.add(mean, lifted);
@@ -297,7 +330,7 @@ impl Encoder {
         for block in &self.blocks {
             x = block.forward_batch(tape, x, &lens, max_len);
         }
-        let pooled = tape.padded_segment_mean_rows(x, &lens, max_len);
+        let pooled = tape.segment_mean_rows(x, &padded_ranges(&lens, max_len));
         let normed = self.output_norm.forward(tape, pooled);
         tape.l2_normalize_rows(normed)
     }
@@ -381,7 +414,7 @@ impl Encoder {
                 for block in &self.blocks {
                     x = block.infer_batch(&x, &lens, max_len);
                 }
-                sudowoodo_nn::tape::padded_segment_mean_rows(&x, &lens, max_len)
+                sudowoodo_nn::tape::segment_mean_rows(&x, &padded_ranges(&lens, max_len))
             }
         };
         let normed = self.output_norm.infer(&pooled);
@@ -389,8 +422,8 @@ impl Encoder {
     }
 
     /// The retired per-sequence inference loop, kept verbatim as the frozen oracle for the
-    /// batched-attention equivalence tests and the `microbench` baseline (the role
-    /// [`Matrix::matmul_naive`] plays for the GEMM kernels). Do not optimize this.
+    /// batched-attention equivalence tests (the role [`Matrix::matmul_naive`] plays for the
+    /// GEMM kernels). Do not optimize this.
     pub fn infer_chunk_reference(&self, texts: &[String]) -> Matrix {
         let n = texts.len();
         let dim = self.config.dim;
@@ -527,7 +560,7 @@ mod tests {
                 .iter()
                 .map(|t| encoder.encode_text(&mut row_tape, t, &CutoffPlan::noop()))
                 .collect();
-            let per_row = row_tape.stack_rows(&rows);
+            let per_row = row_tape.concat_rows(&rows);
             let per_row = row_tape.value(per_row).clone();
 
             let inferred = encoder.infer_chunk(&corpus);
@@ -635,7 +668,7 @@ mod tests {
             .iter()
             .map(|t| encoder.encode_text(&mut row_tape, t, &CutoffPlan::noop()))
             .collect();
-        let per_row = row_tape.stack_rows(&rows);
+        let per_row = row_tape.concat_rows(&rows);
         let per_row = row_tape.value(per_row).clone();
 
         assert!(batched.approx_eq(&per_row, 1e-4));

@@ -23,7 +23,7 @@ pub fn nt_xent_loss(tape: &mut Tape, z_ori: VarId, z_aug: VarId, temperature: f3
         "nt_xent_loss: temperature must be positive"
     );
 
-    let z = tape.concat_rows(z_ori, z_aug); // 2n x d
+    let z = tape.concat_rows(&[z_ori, z_aug]); // 2n x d
     let z = tape.l2_normalize_rows(z);
     let sim = tape.matmul_transpose_b(z, z); // 2n x 2n cosine similarities, fused Z*Z^T
     let sim = tape.scale(sim, 1.0 / temperature);

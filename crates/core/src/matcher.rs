@@ -345,7 +345,7 @@ mod tests {
                 tape.concat_cols(z_xy, abs_diff)
             })
             .collect();
-        let features = tape.stack_rows(&rows);
+        let features = tape.concat_rows(&rows);
         matcher.head.forward(tape, features)
     }
 

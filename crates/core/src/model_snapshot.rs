@@ -174,8 +174,9 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 /// I/O failures, and [`std::io::ErrorKind::InvalidData`] for a torn, truncated, or
-/// corrupted file (bad magic, CRC mismatch, unknown fields, parameter sets that do
-/// not line up with the stored configuration).
+/// corrupted file (bad magic, CRC mismatch, unknown fields, a configuration no encoder
+/// can be built from or whose weights outgrow the file, parameter sets that do not
+/// line up with the stored configuration).
 pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -213,6 +214,15 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
         ff_hidden: r.u32("encoder ff_hidden")?,
         max_len: r.u32("encoder max_len")?,
     };
+    if config.layers > 0 && (config.heads == 0 || !config.dim.is_multiple_of(config.heads)) {
+        return Err(corrupt(
+            path,
+            format!("{} heads cannot split dim {}", config.heads, config.dim),
+        ));
+    }
+    if config.dim == 0 || config.max_len == 0 {
+        return Err(corrupt(path, "dim and max_len must be positive"));
+    }
     let use_diff_head = match r.u8("use_diff_head")? {
         0 => false,
         1 => true,
@@ -227,10 +237,30 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
     let hash_buckets = r.u32("vocab hash_buckets")?;
     let vocab = Vocab::from_parts(tokens, hash_buckets);
 
-    // The seed only shapes the random init, and every parameter is overwritten
-    // below — any value rebuilds the same skeleton.
-    let encoder = Encoder::with_vocab(config, vocab, 0);
-    let matcher = PairMatcher::new(encoder, use_diff_head, 0);
+    // Every parameter the kind stores carries its full data, so weights that outgrow
+    // the rest of the file mean a corrupt header — caught before anything is allocated.
+    // Both kinds store the token table and the output norm's gain and bias.
+    let weights = (|| {
+        let (d, f) = (config.dim, config.ff_hidden);
+        let table = vocab.size().checked_add(2)?.checked_mul(d)?;
+        let ff = d.checked_mul(f)?.checked_mul(2)?;
+        match kind {
+            EncoderKind::MeanPool => table.checked_add(ff),
+            EncoderKind::Transformer => {
+                let block = d.checked_mul(d)?.checked_mul(4)?.checked_add(ff)?;
+                let blocks = config.layers.checked_mul(block)?;
+                table
+                    .checked_add(config.max_len.checked_mul(d)?)?
+                    .checked_add(blocks)
+            }
+        }
+    })();
+    if weights.is_none_or(|n| n > (body.len() - r.at) / 4) {
+        return Err(corrupt(path, "the header's weights outgrow the file"));
+    }
+
+    // Every parameter is overwritten below, so the skeleton's random init is moot.
+    let matcher = PairMatcher::new(Encoder::skeleton(config, vocab), use_diff_head, 0);
 
     let num_params = r.u32("parameter count")?;
     let skeleton = matcher.params();
@@ -248,10 +278,11 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
         let name = r.string("parameter name")?;
         let rows = r.u32("parameter rows")?;
         let cols = r.u32("parameter cols")?;
-        let elements = rows
+        let bytes = rows
             .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| corrupt(path, format!("parameter {name}: shape overflows")))?;
-        let raw = r.take(elements * 4, "parameter data")?;
+        let raw = r.take(bytes, "parameter data")?;
         let data: Vec<f32> = raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
@@ -323,6 +354,14 @@ mod tests {
             "sudowoodo-model-{tag}-{}-{n}.swmodel",
             std::process::id()
         ))
+    }
+
+    /// `bytes` with the trailing CRC recomputed, so that only an edit to the body is wrong.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let at = bytes.len() - 4;
+        let crc = crc32(&bytes[..at]);
+        bytes[at..].copy_from_slice(&crc.to_le_bytes());
+        bytes
     }
 
     fn trained_matcher() -> PairMatcher {
@@ -411,17 +450,66 @@ mod tests {
         let err = load_matcher(&path).expect_err("truncation must fail the load");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        // Wrong magic.
+        // Wrong magic, the CRC re-sealed so only the magic is wrong.
         let mut wrong = bytes.clone();
         wrong[0] = b'X';
-        // Re-seal the CRC so only the magic is wrong.
-        let crc = crc32(&wrong[..wrong.len() - 4]);
-        let at = wrong.len() - 4;
-        wrong[at..].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &wrong).expect("write bad magic");
+        std::fs::write(&path, resealed(wrong)).expect("write bad magic");
         let err = load_matcher(&path).expect_err("bad magic must fail the load");
         assert!(err.to_string().contains("magic"), "got: {err}");
 
+        // Headers no model can be built from, CRC re-sealed: zero heads (byte 17), and a
+        // dim (byte 9) whose token table alone would take gigabytes. Both fail typed
+        // before the skeleton is built.
+        for (at, value) in [(17, 0u32), (9, 1 << 28)] {
+            let mut header = bytes.clone();
+            header[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, resealed(header)).expect("write bad header");
+            let err = load_matcher(&path).expect_err("a bad header must fail the load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got: {err}");
+        }
+
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn seeded_header_corruption_sweep_fails_typed() {
+        // One byte of the header or the vocabulary flipped and the CRC re-sealed, 100
+        // times for each encoder kind, every other flip in the 22-byte header: every
+        // load is a clean `Ok` or a typed `InvalidData`, never a panic or a runaway
+        // allocation.
+        let corpus: Vec<String> = (0..8)
+            .map(|i| format!("[COL] title [VAL] canon printer model m{i}"))
+            .collect();
+        let path = tmp_path("sweep");
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for kind in [EncoderKind::MeanPool, EncoderKind::Transformer] {
+            let config = EncoderConfig {
+                kind,
+                ..EncoderConfig::tiny()
+            };
+            let encoder = Encoder::from_corpus(config, &corpus, 5);
+            // Header: kind, five u32 fields, use_diff_head; then the token count, the
+            // length-prefixed tokens and hash_buckets.
+            let tokens: usize = encoder.vocab().parts().0.iter().map(|t| 4 + t.len()).sum();
+            let region = 22 + 4 + tokens + 4;
+            save_matcher(&PairMatcher::new(encoder, true, 5), &path).expect("save");
+            let original = std::fs::read(&path).expect("read back");
+            for case in 0..100 {
+                let mut bytes = original.clone();
+                let at = MAGIC.len() + next(if case % 2 == 0 { 22 } else { region });
+                bytes[at] ^= 1 + next(255) as u8;
+                std::fs::write(&path, resealed(bytes)).expect("write mutant");
+                if let Err(err) = load_matcher(&path) {
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?}: {err}");
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

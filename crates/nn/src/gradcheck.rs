@@ -124,6 +124,7 @@ pub fn assert_gradients_close(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::padded_ranges;
 
     #[test]
     fn detects_correct_gradient_of_quadratic() {
@@ -176,26 +177,29 @@ mod tests {
     }
 
     #[test]
-    fn padded_segment_mean_rows_gradients_match_finite_differences() {
-        // Three blocks of stride 3 with lengths {2, 0, 3}: padding rows and the empty
-        // block must stay gradient-free, pooled rows scale by 1/len.
-        let lens = [2usize, 0, 3];
+    fn segment_mean_rows_gradients_match_finite_differences() {
+        // Ragged segments laid end to end, and three blocks of stride 3 with lengths
+        // {2, 0, 3}: rows outside every range and the empty segment must stay
+        // gradient-free, pooled rows scale by 1/len.
         let p = Param::new(
             "packed",
             Matrix::from_fn(9, 2, |r, c| 0.3 * r as f32 - 0.2 * c as f32),
         );
-        let p_handle = p.clone();
-        assert_gradients_close(
-            std::slice::from_ref(&p),
-            move |tape| {
-                let w = tape.param(&p_handle);
-                let pooled = tape.padded_segment_mean_rows(w, &lens, 3);
-                let sq = tape.pow2(pooled);
-                tape.sum_all(sq)
-            },
-            1e-3,
-            1e-2,
-        );
+        let consecutive = vec![(0, 2), (2, 0), (2, 3), (5, 4)];
+        for ranges in [consecutive, padded_ranges(&[2, 0, 3], 3)] {
+            let p_handle = p.clone();
+            assert_gradients_close(
+                std::slice::from_ref(&p),
+                move |tape| {
+                    let w = tape.param(&p_handle);
+                    let pooled = tape.segment_mean_rows(w, &ranges);
+                    let sq = tape.pow2(pooled);
+                    tape.sum_all(sq)
+                },
+                1e-3,
+                1e-2,
+            );
+        }
     }
 
     #[test]
@@ -259,7 +263,7 @@ mod tests {
                 let scores = tape.attention_scores(qv, kv, heads, seq, 0.5);
                 let attn = tape.masked_row_softmax(scores, &valid);
                 let ctx = tape.attention_context(attn, vv, heads, seq);
-                let pooled = tape.padded_segment_mean_rows(ctx, &lens, seq);
+                let pooled = tape.segment_mean_rows(ctx, &padded_ranges(&lens, seq));
                 let sq = tape.pow2(pooled);
                 tape.sum_all(sq)
             },

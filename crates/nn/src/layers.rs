@@ -22,6 +22,15 @@ pub fn padded_row_validity(lens: &[usize], max_len: usize) -> Vec<bool> {
     valid
 }
 
+/// The `(start, len)` row range of each sequence of a packed `[batch*max_len, d]`
+/// row-block, `(b*max_len, lens[b])`: what [`Tape::segment_mean_rows`] pools.
+pub fn padded_ranges(lens: &[usize], max_len: usize) -> Vec<(usize, usize)> {
+    lens.iter()
+        .enumerate()
+        .map(|(b, &len)| (b * max_len, len))
+        .collect()
+}
+
 /// Per-row valid-key counts of the `[batch*heads*max_len, max_len]` attention-score tile
 /// stack: every query row of tile `(b, h)` may attend to the `lens[b]` real keys of its
 /// own sequence, so its softmax is masked after `lens[b]` columns.
@@ -191,20 +200,15 @@ impl LayerNorm {
         }
     }
 
-    /// Applies layer normalization.
+    /// Applies layer normalization: [`LayerNorm::forward_batch`] with every row valid.
     pub fn forward(&self, tape: &mut Tape, x: VarId) -> VarId {
-        let standardized = tape.standardize_rows(x, self.eps);
-        let g = tape.param(&self.gain);
-        let scaled = tape.mul_row_broadcast(standardized, g);
-        let b = tape.param(&self.bias);
-        tape.add_row_broadcast(scaled, b)
+        let valid = vec![true; tape.value(x).rows()];
+        self.forward_batch(tape, x, &valid)
     }
 
-    /// Inference-only forward (no tape).
+    /// Inference-only forward (no tape): [`LayerNorm::infer_batch`] with every row valid.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let standardized = crate::tape::standardize_rows(x, self.eps);
-        let scaled = self.gain.with_value(|g| standardized.mul_row_broadcast(g));
-        self.bias.with_value(|b| scaled.add_row_broadcast(b))
+        self.infer_batch(x, &vec![true; x.rows()])
     }
 
     /// Padding-aware forward over a packed `[batch*max_len, d]` row-block: rows flagged

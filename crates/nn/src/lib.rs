@@ -11,9 +11,11 @@
 //!   products, an i8 tile, and rayon row-band parallelism above a FLOP threshold.
 //!   `matmul_naive` is kept as the reference implementation for the kernel-equivalence
 //!   property tests.
-//! * [`tape::Tape`] — reverse-mode automatic differentiation with a compact op set
-//!   (dense algebra, fused transpose matmul, softmax, layer norm, L2 normalization,
-//!   softmax cross-entropy); gradient accumulation is in-place.
+//! * [`tape::Tape`] — reverse-mode automatic differentiation over the 27 ops the models
+//!   record (dense algebra, fused transpose matmul, softmax with an optional padding
+//!   mask, padding-aware layer norm, segment-mean pooling over row ranges, batched
+//!   attention, L2 normalization, softmax cross-entropy); gradient accumulation is
+//!   in-place.
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head self-attention,
 //!   Transformer blocks, positional embeddings — each with a tape-free, thread-safe
 //!   `infer()` fast path for batched inference.

@@ -540,7 +540,8 @@ mod tests {
         let mut tape = Tape::new();
         let w = tape.param(&param);
         let huge = tape.scale(w, 1e6);
-        let shifted = tape.add_scalar(huge, 1e6);
+        let offset = tape.constant(Matrix::full(1, 1, 1e6));
+        let shifted = tape.add(huge, offset);
         let loss = tape.sum_all(shifted);
         let grads = tape.backward(loss);
         opt.step(&tape, &grads);

@@ -7,12 +7,12 @@
 //! The op set is intentionally small and matched to what the Sudowoodo models need:
 //! dense layers, layer normalization, multi-head attention, the SimCLR contrastive loss,
 //! the Barlow Twins redundancy-regularization loss, and the pairwise fine-tuning head.
-//! Fused ops (`StandardizeRows`, `L2NormalizeRows`, `SoftmaxCrossEntropy`, and the
-//! batched masked-attention family `AttentionScores` / `MaskedRowSoftmax` /
-//! `AttentionContext` / `MaskedStandardizeRows` / `PaddedSegmentMeanRows`) keep graphs
-//! small and their hand-written backward passes are validated against finite differences
-//! by the property tests in `tests/gradcheck_props.rs` and the checks in
-//! [`crate::gradcheck`].
+//! Fused ops (`L2NormalizeRows`, `SoftmaxCrossEntropy`, the padding-aware
+//! `MaskedStandardizeRows`, `SegmentMeanRows` over explicit row ranges, and the batched
+//! attention pair `AttentionScores` / `AttentionContext` around a `RowSoftmax` that may
+//! mask each row's suffix) keep graphs small and their hand-written backward passes are
+//! validated against finite differences by the property tests in
+//! `tests/gradcheck_props.rs` and the checks in [`crate::gradcheck`].
 
 use crate::matrix::{Arm, Matrix, PackedTranspose};
 use crate::param::Param;
@@ -34,38 +34,32 @@ enum Op {
     /// tile's panels.
     MatMulTransposeB(VarId, VarId),
     Scale(VarId, f32),
-    AddScalar(VarId),
     Transpose(VarId),
-    Relu(VarId),
     Gelu(VarId),
-    Tanh(VarId),
-    Sigmoid(VarId),
-    Exp(VarId),
-    Ln(VarId),
     Pow2(VarId),
     Abs(VarId),
     SumAll(VarId),
     MeanAll(VarId),
+    /// Row softmax, plain ([`Tape::row_softmax`]) or over a valid prefix of each row
+    /// ([`Tape::masked_row_softmax`]). The backward needs just the output, whose masked
+    /// entries are already zero, so one arm serves both forwards.
     RowSoftmax(VarId),
     /// `x (n x d)` + `b (1 x d)` broadcast over rows.
     AddRowBroadcast(VarId, VarId),
     /// `x (n x d)` * `g (1 x d)` broadcast over rows.
     MulRowBroadcast(VarId, VarId),
     ConcatCols(VarId, VarId),
-    ConcatRows(VarId, VarId),
-    /// Stack many `1 x d` row vectors into an `n x d` matrix.
-    StackRows(Vec<VarId>),
+    /// The rows of each part in turn.
+    ConcatRows(Vec<VarId>),
     /// Gather rows of the parent by index (embedding lookup). Gradient scatter-adds.
     GatherRows(VarId, Vec<usize>),
     SliceCols(VarId, usize, usize),
     /// Mean over rows: `n x d -> 1 x d`.
     MeanRows(VarId),
-    /// Per-segment mean over consecutive row blocks: rows are split into segments of the
-    /// given lengths and each segment pools to one output row (batched mean pooling).
-    /// Empty segments pool to the zero row.
-    SegmentMeanRows(VarId, Vec<usize>),
-    /// Per-row standardization `(x - mean) / sqrt(var + eps)` (LayerNorm core).
-    StandardizeRows(VarId, f32),
+    /// Per-segment mean over `(start, len)` row ranges: each range pools to one output
+    /// row (batched mean pooling); rows outside every range are ignored and empty ranges
+    /// pool to the zero row.
+    SegmentMeanRows(VarId, Vec<(usize, usize)>),
     /// Per-row L2 normalization.
     L2NormalizeRows(VarId),
     /// Mean negative log-likelihood of a row-wise softmax against integer targets.
@@ -85,11 +79,6 @@ enum Op {
         /// Score scale (`1/sqrt(head_dim)`).
         scale: f32,
     },
-    /// Row softmax over a valid prefix of each row (see [`Tape::masked_row_softmax`]);
-    /// the masked suffix behaves as an additive `-inf` padding mask (weight exactly 0,
-    /// zero gradient). The valid counts are consumed by the forward pass only — the
-    /// backward formula needs just the output, whose masked entries are already zero.
-    MaskedRowSoftmax(VarId),
     /// Batched attention application `attn_bh * V_bh` over every `(sequence, head)` tile,
     /// producing the packed `[batch*seq, dim]` context (see [`attention_context`]).
     AttentionContext {
@@ -102,13 +91,10 @@ enum Op {
         /// Padded per-sequence length.
         seq: usize,
     },
-    /// Per-row standardization that skips padding rows: rows flagged `false` are forced to
-    /// zero in the forward pass and receive zero gradient.
+    /// Per-row standardization `(x - mean) / sqrt(var + eps)` (the LayerNorm core) that
+    /// skips padding rows: rows flagged `false` are forced to zero in the forward pass
+    /// and receive zero gradient.
     MaskedStandardizeRows(VarId, f32, Vec<bool>),
-    /// Mean pooling over the leading `lens[b]` rows of each fixed-stride `max_len` row
-    /// block: `[batch*max_len, d] -> [batch, d]`. Padding rows are excluded; empty
-    /// sequences pool to the zero row.
-    PaddedSegmentMeanRows(VarId, Vec<usize>, usize),
 }
 
 struct Node {
@@ -256,12 +242,6 @@ impl Tape {
         self.push(v, Op::Scale(a, s))
     }
 
-    /// Addition of a scalar constant to every element.
-    pub fn add_scalar(&mut self, a: VarId, s: f32) -> VarId {
-        let v = self.value(a).map(|x| x + s);
-        self.push(v, Op::AddScalar(a))
-    }
-
     /// Transpose.
     pub fn transpose(&mut self, a: VarId) -> VarId {
         let v = self.value(a).transpose();
@@ -270,41 +250,11 @@ impl Tape {
 
     // ---- activations ---------------------------------------------------------------------
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(v, Op::Relu(a))
-    }
-
     /// Gaussian error linear unit (tanh approximation, vectorized via [`gelu_slice`]).
     pub fn gelu(&mut self, a: VarId) -> VarId {
         let mut v = self.value(a).clone();
         gelu_slice(v.data_mut());
         self.push(v, Op::Gelu(a))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(f32::tanh);
-        self.push(v, Op::Tanh(a))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(sigmoid);
-        self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Element-wise exponential.
-    pub fn exp(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(f32::exp);
-        self.push(v, Op::Exp(a))
-    }
-
-    /// Element-wise natural logarithm (inputs are clamped to `1e-12` for stability).
-    pub fn ln(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(|x| x.max(1e-12).ln());
-        self.push(v, Op::Ln(a))
     }
 
     /// Element-wise square.
@@ -339,36 +289,19 @@ impl Tape {
         self.push(v, Op::MeanRows(a))
     }
 
-    /// Per-segment mean pooling: the rows of `a` are split into consecutive segments of
-    /// `lens[i]` rows and each segment averages into output row `i` (`sum(lens) x d ->
-    /// lens.len() x d`). Empty segments produce the zero row. This is the batched
-    /// equivalent of one [`Tape::mean_rows`] per item at `O(total * d)` cost — no dense
-    /// pooling matrix, no gradient computed for one.
+    /// Per-segment mean pooling: output row `i` averages the `len` rows of `a` from
+    /// `start`, for `ranges[i] = (start, len)`; rows outside every range are ignored and
+    /// receive zero gradient, and an empty range pools to the zero row. Consecutive
+    /// ranges pool ragged items laid end to end, ranges at a fixed stride pool padded
+    /// blocks ([`crate::layers::padded_ranges`]). This is the batched equivalent of one
+    /// [`Tape::mean_rows`] per item at `O(total * d)` cost — no dense pooling matrix, no
+    /// gradient computed for one.
     ///
     /// # Panics
-    /// Panics when `lens` does not sum to the row count of `a`.
-    pub fn segment_mean_rows(&mut self, a: VarId, lens: &[usize]) -> VarId {
-        let av = self.value(a);
-        assert_eq!(
-            lens.iter().sum::<usize>(),
-            av.rows(),
-            "segment_mean_rows: segment lengths must sum to the row count"
-        );
-        let mut out = Matrix::zeros(lens.len(), av.cols());
-        let mut offset = 0;
-        for (i, &len) in lens.iter().enumerate() {
-            if len > 0 {
-                let inv = 1.0 / len as f32;
-                for t in offset..offset + len {
-                    let src = av.row(t);
-                    for (o, &v) in out.row_mut(i).iter_mut().zip(src.iter()) {
-                        *o += v * inv;
-                    }
-                }
-            }
-            offset += len;
-        }
-        self.push(out, Op::SegmentMeanRows(a, lens.to_vec()))
+    /// Panics when a range starts before the previous one ends or runs past the last row.
+    pub fn segment_mean_rows(&mut self, a: VarId, ranges: &[(usize, usize)]) -> VarId {
+        let v = segment_mean_rows(self.value(a), ranges);
+        self.push(v, Op::SegmentMeanRows(a, ranges.to_vec()))
     }
 
     // ---- structured / fused ops --------------------------------------------------------------
@@ -397,21 +330,14 @@ impl Tape {
         self.push(v, Op::ConcatCols(a, b))
     }
 
-    /// Vertical concatenation (stacking `b` below `a`).
-    pub fn concat_rows(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = Matrix::vstack(&[self.value(a), self.value(b)]);
-        self.push(v, Op::ConcatRows(a, b))
-    }
-
-    /// Stacks many `1 x d` row vectors into an `n x d` matrix.
-    pub fn stack_rows(&mut self, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "stack_rows: empty input");
+    /// Vertical concatenation: the rows of each of `parts` in turn.
+    ///
+    /// # Panics
+    /// Panics when `parts` is empty or the parts differ in width.
+    pub fn concat_rows(&mut self, parts: &[VarId]) -> VarId {
         let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-        for m in &mats {
-            assert_eq!(m.rows(), 1, "stack_rows: every part must be 1 x d");
-        }
         let v = Matrix::vstack(&mats);
-        self.push(v, Op::StackRows(parts.to_vec()))
+        self.push(v, Op::ConcatRows(parts.to_vec()))
     }
 
     /// Gathers rows of `a` by index (embedding lookup). Gradients scatter-add.
@@ -424,12 +350,6 @@ impl Tape {
     pub fn slice_cols(&mut self, a: VarId, start: usize, end: usize) -> VarId {
         let v = self.value(a).slice_cols(start, end);
         self.push(v, Op::SliceCols(a, start, end))
-    }
-
-    /// Per-row standardization `(x - mean) / sqrt(var + eps)` (the core of LayerNorm).
-    pub fn standardize_rows(&mut self, a: VarId, eps: f32) -> VarId {
-        let v = standardize_rows(self.value(a), eps);
-        self.push(v, Op::StandardizeRows(a, eps))
     }
 
     /// Per-row L2 normalization.
@@ -507,7 +427,7 @@ impl Tape {
     /// Panics when `valid.len()` differs from the row count or a count exceeds the width.
     pub fn masked_row_softmax(&mut self, a: VarId, valid: &[usize]) -> VarId {
         let v = masked_row_softmax(self.value(a), valid);
-        self.push(v, Op::MaskedRowSoftmax(a))
+        self.push(v, Op::RowSoftmax(a))
     }
 
     /// Batched attention application: `attn` stacks `[batch*heads*seq, seq]` attention
@@ -530,29 +450,15 @@ impl Tape {
         )
     }
 
-    /// Per-row standardization that is aware of padding rows: rows flagged `true` in
-    /// `valid` are standardized exactly like [`Tape::standardize_rows`]; rows flagged
-    /// `false` are forced to zero and receive zero gradient.
+    /// Per-row standardization `(x - mean) / sqrt(var + eps)` (the core of LayerNorm)
+    /// that is aware of padding rows: rows flagged `true` in `valid` are standardized,
+    /// rows flagged `false` are forced to zero and receive zero gradient.
     ///
     /// # Panics
     /// Panics when `valid.len()` differs from the row count of `a`.
     pub fn masked_standardize_rows(&mut self, a: VarId, eps: f32, valid: &[bool]) -> VarId {
         let v = masked_standardize_rows(self.value(a), eps, valid);
         self.push(v, Op::MaskedStandardizeRows(a, eps, valid.to_vec()))
-    }
-
-    /// Padding-aware segment mean pooling: the rows of `a` are fixed-stride `max_len`
-    /// blocks of `lens.len()` packed sequences, and output row `b` averages the leading
-    /// `lens[b]` rows of block `b` (`[batch*max_len, d] -> [batch, d]`). Padding rows are
-    /// excluded from the mean and receive zero gradient; empty sequences pool to the zero
-    /// row, matching [`Tape::segment_mean_rows`] on an empty segment.
-    ///
-    /// # Panics
-    /// Panics when `a` does not have `lens.len() * max_len` rows or any `lens[b]` exceeds
-    /// `max_len`.
-    pub fn padded_segment_mean_rows(&mut self, a: VarId, lens: &[usize], max_len: usize) -> VarId {
-        let v = padded_segment_mean_rows(self.value(a), lens, max_len);
-        self.push(v, Op::PaddedSegmentMeanRows(a, lens.to_vec(), max_len))
     }
 
     // ---- backward pass --------------------------------------------------------------------
@@ -635,35 +541,10 @@ impl Tape {
                 add_to(grads, *b, grad.matmul_transpose_a(av));
             }
             Op::Scale(a, s) => add_scaled_to(grads, *a, grad, *s),
-            Op::AddScalar(a) => add_scaled_to(grads, *a, grad, 1.0),
             Op::Transpose(a) => add_to(grads, *a, grad.transpose()),
-            Op::Relu(a) => {
-                let av = &self.nodes[*a].value;
-                add_to(
-                    grads,
-                    *a,
-                    grad.zip_map(av, |g, x| if x > 0.0 { g } else { 0.0 }),
-                );
-            }
             Op::Gelu(a) => {
                 let av = &self.nodes[*a].value;
                 add_to(grads, *a, grad.zip_map(av, |g, x| g * gelu_grad(x)));
-            }
-            Op::Tanh(a) => {
-                let yv = &node.value;
-                add_to(grads, *a, grad.zip_map(yv, |g, y| g * (1.0 - y * y)));
-            }
-            Op::Sigmoid(a) => {
-                let yv = &node.value;
-                add_to(grads, *a, grad.zip_map(yv, |g, y| g * y * (1.0 - y)));
-            }
-            Op::Exp(a) => {
-                let yv = &node.value;
-                add_hadamard_to(grads, *a, grad, yv);
-            }
-            Op::Ln(a) => {
-                let av = &self.nodes[*a].value;
-                add_to(grads, *a, grad.zip_map(av, |g, x| g / x.max(1e-12)));
             }
             Op::Pow2(a) => {
                 let av = &self.nodes[*a].value;
@@ -698,21 +579,18 @@ impl Tape {
                 }
                 add_to(grads, *a, out);
             }
-            Op::SegmentMeanRows(a, lens) => {
-                // Each input row t in segment i receives grad_row(i) / len_i.
+            Op::SegmentMeanRows(a, ranges) => {
+                // Each row of range i receives grad_row(i) / len_i; the ranges are disjoint
+                // (the forward pass checked), and rows outside every range receive zero.
                 let av = &self.nodes[*a].value;
                 let mut out = Matrix::zeros(av.rows(), av.cols());
-                let mut offset = 0;
-                for (i, &len) in lens.iter().enumerate() {
-                    if len > 0 {
-                        let inv = 1.0 / len as f32;
-                        for t in offset..offset + len {
-                            for (o, &g) in out.row_mut(t).iter_mut().zip(grad.row(i).iter()) {
-                                *o = g * inv;
-                            }
+                for (i, &(start, len)) in ranges.iter().enumerate() {
+                    let inv = 1.0 / len as f32;
+                    for t in start..start + len {
+                        for (o, &g) in out.row_mut(t).iter_mut().zip(grad.row(i).iter()) {
+                            *o = g * inv;
                         }
                     }
-                    offset += len;
                 }
                 add_to(grads, *a, out);
             }
@@ -764,14 +642,12 @@ impl Tape {
                 add_to(grads, *a, grad.slice_cols(0, a_cols));
                 add_to(grads, *b, grad.slice_cols(a_cols, grad.cols()));
             }
-            Op::ConcatRows(a, b) => {
-                let a_rows = self.nodes[*a].value.rows();
-                add_to(grads, *a, grad.slice_rows(0, a_rows));
-                add_to(grads, *b, grad.slice_rows(a_rows, grad.rows()));
-            }
-            Op::StackRows(parents) => {
-                for (r, &pid) in parents.iter().enumerate() {
-                    add_to(grads, pid, grad.slice_rows(r, r + 1));
+            Op::ConcatRows(parts) => {
+                let mut r0 = 0;
+                for &pid in parts {
+                    let rows = self.nodes[pid].value.rows();
+                    add_to(grads, pid, grad.slice_rows(r0, r0 + rows));
+                    r0 += rows;
                 }
             }
             Op::GatherRows(a, indices) => {
@@ -789,37 +665,6 @@ impl Tape {
                 for r in 0..av.rows() {
                     for (c, col) in (*start..*end).enumerate() {
                         out.set(r, col, grad.get(r, c));
-                    }
-                }
-                add_to(grads, *a, out);
-            }
-            Op::StandardizeRows(a, eps) => {
-                // y = (x - mu) / sigma with sigma = sqrt(var + eps)
-                // dx = (dy - mean(dy) - y * mean(dy * y)) / sigma
-                let av = &self.nodes[*a].value;
-                let y = &node.value;
-                let d = av.cols() as f32;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
-                for r in 0..av.rows() {
-                    let mean: f32 = av.row(r).iter().sum::<f32>() / d;
-                    let var: f32 = av
-                        .row(r)
-                        .iter()
-                        .map(|x| (x - mean) * (x - mean))
-                        .sum::<f32>()
-                        / d;
-                    let sigma = (var + eps).sqrt();
-                    let mean_dy: f32 = grad.row(r).iter().sum::<f32>() / d;
-                    let mean_dyy: f32 = grad
-                        .row(r)
-                        .iter()
-                        .zip(y.row(r).iter())
-                        .map(|(&g, &yy)| g * yy)
-                        .sum::<f32>()
-                        / d;
-                    for c in 0..av.cols() {
-                        let v = (grad.get(r, c) - mean_dy - y.get(r, c) * mean_dyy) / sigma;
-                        out.set(r, c, v);
                     }
                 }
                 add_to(grads, *a, out);
@@ -880,25 +725,6 @@ impl Tape {
                 add_to(grads, *q, dq);
                 add_to(grads, *k, dk);
             }
-            Op::MaskedRowSoftmax(a) => {
-                // Identical to the RowSoftmax backward: the masked entries of y are exactly
-                // zero, so dx = y * (dy - sum_j dy_j y_j) vanishes on the padding suffix
-                // (and on fully masked rows) without any extra masking.
-                let y = &node.value;
-                let mut out = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let dot: f32 = y
-                        .row(r)
-                        .iter()
-                        .zip(grad.row(r).iter())
-                        .map(|(&yy, &gg)| yy * gg)
-                        .sum();
-                    for c in 0..y.cols() {
-                        out.set(r, c, y.get(r, c) * (grad.get(r, c) - dot));
-                    }
-                }
-                add_to(grads, *a, out);
-            }
             Op::AttentionContext {
                 attn,
                 v,
@@ -927,7 +753,8 @@ impl Tape {
                 add_to(grads, *v, dv);
             }
             Op::MaskedStandardizeRows(a, eps, valid) => {
-                // Valid rows follow the StandardizeRows backward; padding rows get zero.
+                // y = (x - mu) / sigma with sigma = sqrt(var + eps)
+                // dx = (dy - mean(dy) - y * mean(dy * y)) / sigma; padding rows get zero.
                 let av = &self.nodes[*a].value;
                 let y = &node.value;
                 let d = av.cols() as f32;
@@ -955,28 +782,6 @@ impl Tape {
                     for c in 0..av.cols() {
                         let v = (grad.get(r, c) - mean_dy - y.get(r, c) * mean_dyy) / sigma;
                         out.set(r, c, v);
-                    }
-                }
-                add_to(grads, *a, out);
-            }
-            Op::PaddedSegmentMeanRows(a, lens, max_len) => {
-                // Row t < lens[b] of block b receives grad_row(b) / lens[b]; padding rows
-                // receive zero.
-                let av = &self.nodes[*a].value;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
-                for (b, &len) in lens.iter().enumerate() {
-                    if len == 0 {
-                        continue;
-                    }
-                    let inv = 1.0 / len as f32;
-                    for t in 0..len {
-                        for (o, &g) in out
-                            .row_mut(b * max_len + t)
-                            .iter_mut()
-                            .zip(grad.row(b).iter())
-                        {
-                            *o = g * inv;
-                        }
                     }
                 }
                 add_to(grads, *a, out);
@@ -1074,11 +879,6 @@ pub fn gelu_grad(x: f32) -> f32 {
     let t = fast_tanh(u);
     let du = C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-/// Logistic sigmoid.
-pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Numerically stable row-wise softmax over a plain matrix.
@@ -1381,55 +1181,28 @@ pub fn masked_standardize_rows(x: &Matrix, eps: f32, valid: &[bool]) -> Matrix {
     out
 }
 
-/// Forward pass of [`Tape::padded_segment_mean_rows`]: averages the leading `lens[b]`
-/// rows of every fixed-stride `max_len` block (`[batch*max_len, d] -> [batch, d]`);
-/// empty sequences pool to the zero row.
+/// Forward pass of [`Tape::segment_mean_rows`]: output row `i` averages the `len` rows
+/// of `x` from `start`, for `ranges[i] = (start, len)`; an empty range pools to the zero
+/// row. Shared by the tape op and the tape-free inference path so the two cannot drift.
 ///
 /// # Panics
-/// Panics on inconsistent packing (see [`Tape::padded_segment_mean_rows`]).
-pub fn padded_segment_mean_rows(x: &Matrix, lens: &[usize], max_len: usize) -> Matrix {
-    assert_eq!(
-        x.rows(),
-        lens.len() * max_len,
-        "padded_segment_mean_rows: expected {} blocks of {} rows",
-        lens.len(),
-        max_len
-    );
-    let mut out = Matrix::zeros(lens.len(), x.cols());
-    for (b, &len) in lens.iter().enumerate() {
+/// Panics when a range starts before the previous one ends or runs past the last row.
+pub fn segment_mean_rows(x: &Matrix, ranges: &[(usize, usize)]) -> Matrix {
+    let mut out = Matrix::zeros(ranges.len(), x.cols());
+    let mut end = 0;
+    for (i, &(start, len)) in ranges.iter().enumerate() {
         assert!(
-            len <= max_len,
-            "padded_segment_mean_rows: length {len} exceeds the block stride {max_len}"
+            start >= end && start + len <= x.rows(),
+            "segment_mean_rows: range {start}..{} is out of order or past row {}",
+            start + len,
+            x.rows()
         );
-        if len == 0 {
-            continue;
-        }
+        end = start + len;
         let inv = 1.0 / len as f32;
-        for t in 0..len {
-            let src = x.row(b * max_len + t);
-            for (o, &v) in out.row_mut(b).iter_mut().zip(src.iter()) {
+        for t in start..end {
+            for (o, &v) in out.row_mut(i).iter_mut().zip(x.row(t).iter()) {
                 *o += v * inv;
             }
-        }
-    }
-    out
-}
-
-/// Per-row standardization used by LayerNorm.
-pub fn standardize_rows(x: &Matrix, eps: f32) -> Matrix {
-    let d = x.cols() as f32;
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        let mean: f32 = out.row(r).iter().sum::<f32>() / d;
-        let var: f32 = out
-            .row(r)
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / d;
-        let sigma = (var + eps).sqrt();
-        for v in out.row_mut(r) {
-            *v = (*v - mean) / sigma;
         }
     }
     out
@@ -1579,13 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_masks_negative_gradients() {
-        let x = Matrix::from_rows(&[vec![-1.0, 2.0]]);
-        let (_, grad) = scalar_tape(|t, x| t.relu(x), x);
-        assert_eq!(grad.data(), &[0.0, 1.0]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-5.0, 0.0, 5.0]]);
         let s = row_softmax(&x);
@@ -1609,8 +1375,10 @@ mod tests {
 
     #[test]
     fn standardize_rows_has_zero_mean_unit_variance() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]);
-        let y = standardize_rows(&x, 1e-5);
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]));
+        let y = tape.masked_standardize_rows(x, 1e-5, &[true]);
+        let y = tape.value(y);
         let mean: f32 = y.row(0).iter().sum::<f32>() / 4.0;
         let var: f32 = y.row(0).iter().map(|v| v * v).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
@@ -1635,37 +1403,57 @@ mod tests {
     #[test]
     fn segment_mean_rows_matches_per_segment_mean_rows() {
         // Forward and gradient must agree with slicing + mean_rows per segment (the
-        // per-row pooling the batched op replaces), including an empty segment.
+        // per-row pooling the batched op replaces), including an empty segment, both for
+        // ragged segments laid end to end and for the same items padded to stride 2,
+        // whose padding rows must neither pool nor receive gradient.
         let x = Matrix::from_rows(&[
             vec![1.0, 2.0],
             vec![3.0, 4.0],
             vec![5.0, 6.0],
             vec![-1.0, 0.5],
         ]);
-        let lens = [2usize, 0, 1, 1];
-
-        let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let pooled = tape.segment_mean_rows(xv, &lens);
-        assert_eq!(tape.value(pooled).shape(), (4, 2));
-        assert_eq!(tape.value(pooled).row(0), &[2.0, 3.0]);
-        assert_eq!(tape.value(pooled).row(1), &[0.0, 0.0]); // empty segment
-        assert_eq!(tape.value(pooled).row(2), &[5.0, 6.0]);
-        let sq = tape.pow2(pooled);
-        let loss = tape.sum_all(sq);
-        let grads = tape.backward(loss);
-        let g = grads.get(xv).unwrap();
-        // d/dx sum((mean)^2): row t in segment i gets 2 * mean_i / len_i.
-        assert!((g.row(0)[0] - 2.0).abs() < 1e-6 && (g.row(0)[1] - 3.0).abs() < 1e-6);
-        assert_eq!(g.row(2), &[10.0, 12.0]);
+        let pad = vec![9.0, 9.0];
+        let padded = Matrix::from_rows(&[
+            x.row(0).to_vec(),
+            x.row(1).to_vec(),
+            pad.clone(),
+            pad.clone(),
+            x.row(2).to_vec(),
+            pad.clone(),
+            x.row(3).to_vec(),
+            pad,
+        ]);
+        let layouts = [
+            (x, vec![(0, 2), (2, 0), (2, 1), (3, 1)]),
+            (padded, crate::layers::padded_ranges(&[2, 0, 1, 1], 2)),
+        ];
+        for (x, ranges) in layouts {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x);
+            let pooled = tape.segment_mean_rows(xv, &ranges);
+            assert_eq!(tape.value(pooled).shape(), (4, 2));
+            assert_eq!(tape.value(pooled).row(0), &[2.0, 3.0]);
+            assert_eq!(tape.value(pooled).row(1), &[0.0, 0.0]); // empty segment
+            assert_eq!(tape.value(pooled).row(2), &[5.0, 6.0]);
+            let sq = tape.pow2(pooled);
+            let loss = tape.sum_all(sq);
+            let grads = tape.backward(loss);
+            let g = grads.get(xv).unwrap();
+            // d/dx sum((mean)^2): row t in segment i gets 2 * mean_i / len_i.
+            let (first, third) = (g.row(ranges[0].0), g.row(ranges[2].0));
+            assert!((first[0] - 2.0).abs() < 1e-6 && (first[1] - 3.0).abs() < 1e-6);
+            assert_eq!(third, &[10.0, 12.0]);
+            // Exactly the 4 pooled rows carry gradient.
+            assert_eq!(g.data().iter().filter(|&&v| v != 0.0).count(), 8);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "segment lengths must sum")]
+    #[should_panic(expected = "is out of order or past row 3")]
     fn segment_mean_rows_rejects_bad_lengths() {
         let mut tape = Tape::new();
         let x = tape.constant(Matrix::zeros(3, 2));
-        let _ = tape.segment_mean_rows(x, &[2, 2]);
+        let _ = tape.segment_mean_rows(x, &[(0, 2), (2, 2)]);
     }
 
     #[test]
@@ -1681,11 +1469,13 @@ mod tests {
     }
 
     #[test]
-    fn stack_rows_routes_gradients_to_parts() {
+    fn concat_rows_routes_gradients_to_parts() {
         let mut tape = Tape::new();
         let a = tape.constant(Matrix::row_vector(&[1.0, 2.0]));
         let b = tape.constant(Matrix::row_vector(&[3.0, 4.0]));
-        let stacked = tape.stack_rows(&[a, b]);
+        let c = tape.constant(Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]));
+        let stacked = tape.concat_rows(&[a, b, c]);
+        assert_eq!(tape.value(stacked).row(3), &[7.0, 8.0]);
         let scaled = tape.scale(stacked, 2.0);
         let loss = tape.sum_all(scaled);
         let grads = tape.backward(loss);
@@ -1697,6 +1487,10 @@ mod tests {
             .get(b)
             .unwrap()
             .approx_eq(&Matrix::row_vector(&[2.0, 2.0]), 1e-6));
+        assert!(grads
+            .get(c)
+            .unwrap()
+            .approx_eq(&Matrix::full(2, 2, 2.0), 1e-6));
     }
 
     #[test]

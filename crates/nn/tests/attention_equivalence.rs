@@ -13,7 +13,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sudowoodo_nn::layers::{padded_row_validity, Layer, MultiHeadSelfAttention, TransformerBlock};
+use sudowoodo_nn::layers::{
+    padded_ranges, padded_row_validity, Layer, MultiHeadSelfAttention, TransformerBlock,
+};
 use sudowoodo_nn::matrix::{for_each_supported_arm, Matrix};
 use sudowoodo_nn::param::Param;
 use sudowoodo_nn::tape::{Gradients, Tape, VarId};
@@ -76,7 +78,7 @@ fn param_grad(tape: &Tape, grads: &Gradients, param: &Param) -> Matrix {
 /// Scalar loss over a packed attention output: padding-aware mean pooling then sum, so
 /// padding rows contribute nothing (the same pooling the encoder uses).
 fn packed_loss(tape: &mut Tape, y: VarId, lens: &[usize]) -> VarId {
-    let pooled = tape.padded_segment_mean_rows(y, lens, MAX_LEN);
+    let pooled = tape.segment_mean_rows(y, &padded_ranges(lens, MAX_LEN));
     tape.sum_all(pooled)
 }
 
@@ -316,7 +318,7 @@ fn fully_padded_batch_is_defined_and_gradient_free() {
     let x = tape.constant(packed.clone());
     let y = attn.forward_batch(&mut tape, x, &lens, MAX_LEN);
     assert!(tape.value(y).data().iter().all(|v| v.is_finite()));
-    let pooled = tape.padded_segment_mean_rows(y, &lens, MAX_LEN);
+    let pooled = tape.segment_mean_rows(y, &padded_ranges(&lens, MAX_LEN));
     assert_eq!(tape.value(pooled).shape(), (3, DIM));
     assert!(tape.value(pooled).data().iter().all(|&v| v == 0.0));
     let loss = tape.sum_all(pooled);

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use sudowoodo_nn::gradcheck::check_gradients;
 use sudowoodo_nn::layers::{
-    FeedForward, Layer, LayerNorm, Linear, MultiHeadSelfAttention, TransformerBlock,
+    padded_ranges, FeedForward, Layer, LayerNorm, Linear, MultiHeadSelfAttention, TransformerBlock,
 };
 use sudowoodo_nn::matrix::{for_each_supported_arm, Matrix};
 use sudowoodo_nn::param::Param;
@@ -164,7 +164,7 @@ fn batched_masked_attention_gradients_match() {
                 |tape| {
                     let input = tape.constant(x.clone());
                     let y = attn.forward_batch(tape, input, &lens, max_len);
-                    let pooled = tape.padded_segment_mean_rows(y, &lens, max_len);
+                    let pooled = tape.segment_mean_rows(y, &padded_ranges(&lens, max_len));
                     let sq = tape.pow2(pooled);
                     tape.mean_all(sq)
                 },
@@ -197,7 +197,7 @@ fn batched_transformer_block_gradients_match() {
                 |tape| {
                     let input = tape.constant(x.clone());
                     let y = block.forward_batch(tape, input, &lens, max_len);
-                    let pooled = tape.padded_segment_mean_rows(y, &lens, max_len);
+                    let pooled = tape.segment_mean_rows(y, &padded_ranges(&lens, max_len));
                     let sq = tape.pow2(pooled);
                     tape.mean_all(sq)
                 },
