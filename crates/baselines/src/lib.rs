@@ -6,8 +6,8 @@
 //! `sudowoodo-core` for a pre-trained language model, and in-repo models for external
 //! libraries:
 //!
-//! * [`supervised`] — Ditto-like, Rotom-like, and DeepMatcher-like supervised matchers
-//!   (Tables V / XVIII);
+//! * [`supervised`] — Ditto-like and Rotom-like supervised matchers; Ditto without a
+//!   label budget is the fully supervised reference (Tables V / XVIII);
 //! * [`unsupervised`] — ZeroER (Gaussian-mixture over pair similarities) and
 //!   Auto-FuzzyJoin-like matchers (Table VI);
 //! * [`dlblock`] — a DL-Block-like kNN blocker over TF-IDF representations
@@ -30,5 +30,5 @@ pub use columns::{
     run_column_baseline, run_column_baseline_grid, ColumnFeaturizer, PairClassifier,
 };
 pub use dlblock::{run_dlblock, run_dlblock_curve, BlockingRun};
-pub use supervised::{run_deepmatcher_full, run_ditto, run_rotom, SupervisedBaselineResult};
+pub use supervised::{run_ditto, run_rotom, SupervisedBaselineResult};
 pub use unsupervised::{run_auto_fuzzy_join, run_zeroer, UnsupervisedBaselineResult};

@@ -1,18 +1,17 @@
-//! Supervised / semi-supervised deep EM baselines: Ditto-like, Rotom-like, and
-//! DeepMatcher-like matchers.
+//! Supervised / semi-supervised deep EM baselines: Ditto-like and Rotom-like matchers.
 //!
-//! All three baselines use Sudowoodo's own from-scratch [`Encoder`] in place of the
+//! Both baselines use Sudowoodo's own from-scratch [`Encoder`] in place of the
 //! pre-trained language model the original systems fine-tune, so the encoder architecture
 //! is held constant and they differ only in how the paper's corresponding systems differ
 //! from Sudowoodo:
 //!
 //! * **Ditto-like** — no contrastive pre-training (randomly initialized encoder) and the
 //!   default sequence-pair fine-tuning head (concatenation only, no `|Z_x − Z_y|` features).
+//!   Without a label budget it trains on the complete train+valid label set, the fully
+//!   supervised reference point of Tables V / XVIII.
 //! * **Rotom-like** — Ditto-like plus training-set augmentation: every labeled pair is
 //!   expanded with DA-distorted copies, standing in for Rotom's meta-learned augmentation
 //!   policy.
-//! * **DeepMatcher-like** — the fully supervised reference point: trained on the complete
-//!   train+valid label set.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,11 +19,10 @@ use rand::SeedableRng;
 use sudowoodo_augment::{augment, DaOp};
 use sudowoodo_core::config::SudowoodoConfig;
 use sudowoodo_core::encoder::Encoder;
-use sudowoodo_core::matcher::{FineTuneConfig, PairMatcher, TrainPair};
-use sudowoodo_core::pipeline::em::{evaluate_matcher, EmPipeline};
-use sudowoodo_datasets::em::{EmDataset, LabeledPair};
-use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
-use sudowoodo_text::serialize::serialize_record;
+use sudowoodo_core::matcher::{PairMatcher, TrainPair};
+use sudowoodo_core::pipeline::em::{evaluate_matcher, labeled_train_pairs, EmPipeline};
+use sudowoodo_datasets::em::EmDataset;
+use sudowoodo_ml::metrics::PrF1;
 
 /// Result of a supervised baseline run.
 #[derive(Clone, Debug)]
@@ -41,65 +39,46 @@ pub struct SupervisedBaselineResult {
     pub seconds: f64,
 }
 
-fn labeled_to_pairs(dataset: &EmDataset, labeled: &[LabeledPair]) -> Vec<TrainPair> {
-    labeled
-        .iter()
-        .map(|p| {
-            TrainPair::new(
-                serialize_record(&dataset.table_a[p.a]),
-                serialize_record(&dataset.table_b[p.b]),
-                p.label,
-            )
-        })
-        .collect()
-}
-
+/// Fine-tunes a randomly initialized matcher with the concatenation-only head on
+/// `train_pairs`, whose first `labels_used` pairs are the labeled ones the threshold is
+/// tuned on (the Sudowoodo pipeline's protocol), and evaluates it on the test split.
 fn train_and_evaluate(
     dataset: &EmDataset,
-    labeled: &[LabeledPair],
+    labels_used: usize,
     train_pairs: &[TrainPair],
     config: &SudowoodoConfig,
-    use_diff_head: bool,
-    method: &str,
+    method: String,
 ) -> SupervisedBaselineResult {
     let start = std::time::Instant::now();
     // Randomly initialized encoder: vocabulary from the corpus, no contrastive pre-training.
     let encoder = Encoder::from_corpus(config.encoder, &dataset.corpus(), config.seed);
-    let mut matcher = PairMatcher::new(encoder, use_diff_head, config.seed);
-    matcher.fine_tune(
-        train_pairs,
-        &FineTuneConfig {
-            epochs: config.finetune_epochs,
-            batch_size: config.finetune_batch_size,
-            learning_rate: config.finetune_lr,
-            seed: config.seed,
-        },
-    );
-    // Threshold tuned on the labeled pairs (same protocol as the Sudowoodo pipeline).
-    let threshold = if labeled.is_empty() {
-        0.5
-    } else {
-        let inputs: Vec<(String, String)> = labeled
-            .iter()
-            .map(|p| {
-                (
-                    serialize_record(&dataset.table_a[p.a]),
-                    serialize_record(&dataset.table_b[p.b]),
-                )
-            })
-            .collect();
-        let scores = matcher.predict_scores(&inputs);
-        let gold: Vec<bool> = labeled.iter().map(|p| p.label).collect();
-        best_f1_threshold(&scores, &gold).0
-    };
+    let mut matcher = PairMatcher::new(encoder, false, config.seed);
+    matcher.fine_tune(train_pairs, &config.fine_tune_config());
+    let threshold = matcher.best_threshold(&train_pairs[..labels_used]);
     let matching = evaluate_matcher(&matcher, dataset, &dataset.test, threshold);
     SupervisedBaselineResult {
-        method: method.to_string(),
+        method,
         dataset: dataset.name.clone(),
-        labels_used: labeled.len(),
+        labels_used,
         matching,
         seconds: start.elapsed().as_secs_f64(),
     }
+}
+
+/// The labeled pairs a label budget samples (`None` = every train+valid label), and the
+/// method name with the budget in it.
+fn sample(
+    dataset: &EmDataset,
+    label_budget: Option<usize>,
+    config: &SudowoodoConfig,
+    system: &str,
+) -> (Vec<TrainPair>, String) {
+    let labeled = EmPipeline::new(config.clone()).sample_labels(dataset, label_budget);
+    let name = match label_budget {
+        Some(n) => format!("{system} ({n})"),
+        None => format!("{system} (full)"),
+    };
+    (labeled_train_pairs(dataset, &labeled), name)
 }
 
 /// Runs the Ditto-like baseline with a label budget (`None` = all train+valid labels).
@@ -108,13 +87,8 @@ pub fn run_ditto(
     label_budget: Option<usize>,
     config: &SudowoodoConfig,
 ) -> SupervisedBaselineResult {
-    let labeled = EmPipeline::new(config.clone()).sample_labels(dataset, label_budget);
-    let pairs = labeled_to_pairs(dataset, &labeled);
-    let name = match label_budget {
-        Some(n) => format!("Ditto ({n})"),
-        None => "Ditto (full)".to_string(),
-    };
-    train_and_evaluate(dataset, &labeled, &pairs, config, false, &name)
+    let (pairs, name) = sample(dataset, label_budget, config, "Ditto");
+    train_and_evaluate(dataset, pairs.len(), &pairs, config, name)
 }
 
 /// Runs the Rotom-like baseline: Ditto plus DA-based training-set expansion.
@@ -123,8 +97,8 @@ pub fn run_rotom(
     label_budget: Option<usize>,
     config: &SudowoodoConfig,
 ) -> SupervisedBaselineResult {
-    let labeled = EmPipeline::new(config.clone()).sample_labels(dataset, label_budget);
-    let mut pairs = labeled_to_pairs(dataset, &labeled);
+    let (mut pairs, name) = sample(dataset, label_budget, config, "Rotom");
+    let labels_used = pairs.len();
     // Expand every labeled pair with augmented copies (one per operator family), standing in
     // for Rotom's learned augmentation-selection policy.
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(17));
@@ -140,28 +114,7 @@ pub fn run_rotom(
         }
     }
     pairs.extend(augmented);
-    let name = match label_budget {
-        Some(n) => format!("Rotom ({n})"),
-        None => "Rotom (full)".to_string(),
-    };
-    train_and_evaluate(dataset, &labeled, &pairs, config, false, &name)
-}
-
-/// Runs the DeepMatcher-like fully supervised reference (all train+valid labels).
-pub fn run_deepmatcher_full(
-    dataset: &EmDataset,
-    config: &SudowoodoConfig,
-) -> SupervisedBaselineResult {
-    let labeled = EmPipeline::new(config.clone()).sample_labels(dataset, None);
-    let pairs = labeled_to_pairs(dataset, &labeled);
-    train_and_evaluate(
-        dataset,
-        &labeled,
-        &pairs,
-        config,
-        false,
-        "DeepMatcher (full)",
-    )
+    train_and_evaluate(dataset, labels_used, &pairs, config, name)
 }
 
 #[cfg(test)]
@@ -184,7 +137,7 @@ mod tests {
         assert!(budgeted.method.starts_with("Ditto"));
         assert!(budgeted.matching.f1 >= 0.0 && budgeted.matching.f1 <= 1.0);
         let full = run_ditto(&dataset, None, &config);
-        assert!(full.labels_used > budgeted.labels_used);
+        assert_eq!(full.labels_used, dataset.train.len() + dataset.valid.len());
         assert_eq!(full.method, "Ditto (full)");
     }
 
@@ -195,16 +148,5 @@ mod tests {
         assert_eq!(result.labels_used, 20);
         assert!(result.matching.f1 >= 0.0);
         assert!(result.seconds > 0.0);
-    }
-
-    #[test]
-    fn deepmatcher_uses_all_labels() {
-        let (dataset, config) = tiny_setup();
-        let result = run_deepmatcher_full(&dataset, &config);
-        assert_eq!(
-            result.labels_used,
-            dataset.train.len() + dataset.valid.len()
-        );
-        assert_eq!(result.method, "DeepMatcher (full)");
     }
 }

@@ -3,21 +3,29 @@
 //! Every function returns a [`TableResult`] that the `paper` binary prints and persists as
 //! JSON. The functions honour [`HarnessConfig::quick`] by restricting sweeps to
 //! representative subsets.
+//!
+//! The F1 comparisons (Tables V, VI, VIII, XVIII) are data: a list of rows, each a label
+//! and the `Method` it runs, scored over a list of datasets by one `grid`.
 
 use serde::Serialize;
 
 use sudowoodo_baselines::{
-    run_auto_fuzzy_join, run_baran, run_column_baseline_grid, run_deepmatcher_full, run_ditto,
-    run_dlblock_curve, run_rotom, run_zeroer, ErrorDetection,
+    run_auto_fuzzy_join, run_baran, run_column_baseline_grid, run_ditto, run_dlblock_curve,
+    run_rotom, run_zeroer, ErrorDetection,
 };
 use sudowoodo_core::config::SudowoodoConfig;
+use sudowoodo_core::pipeline::em::labeled_train_pairs;
 use sudowoodo_core::pipeline::{CleaningPipeline, ColumnPipeline, EmPipeline};
-use sudowoodo_datasets::cleaning::CleaningProfile;
+use sudowoodo_datasets::cleaning::{CleaningDataset, CleaningProfile};
 use sudowoodo_datasets::columns::{sample_labeled_pairs, ColumnProfile};
 use sudowoodo_datasets::difficulty::difficulty_levels;
-use sudowoodo_datasets::em::{EmDataset, EmProfile};
+use sudowoodo_datasets::em::{EmDataset, EmProfile, LabeledPair};
+use sudowoodo_ml::metrics::PrF1;
 
 use crate::harness::{pct, print_table, HarnessConfig};
+
+/// Rows labeled per cleaning dataset (the paper's 20).
+const LABELED_ROWS: usize = 20;
 
 /// A printed table in machine-readable form.
 #[derive(Clone, Debug, Serialize)]
@@ -46,16 +54,127 @@ impl TableResult {
     }
 }
 
-fn em_profiles(config: &HarnessConfig) -> Vec<EmProfile> {
+fn generate(profiles: Vec<EmProfile>, config: &HarnessConfig) -> Vec<EmDataset> {
+    profiles
+        .iter()
+        .map(|p| p.generate(config.scale, config.seed))
+        .collect()
+}
+
+/// The semi-supervised suite, or two of its datasets in quick mode.
+fn em_datasets(config: &HarnessConfig) -> Vec<EmDataset> {
     if config.quick {
-        vec![EmProfile::dblp_acm(), EmProfile::walmart_amazon()]
+        generate(
+            vec![EmProfile::dblp_acm(), EmProfile::walmart_amazon()],
+            config,
+        )
     } else {
-        EmProfile::semi_supervised_suite()
+        generate(EmProfile::semi_supervised_suite(), config)
     }
 }
 
-fn generate(profile: &EmProfile, config: &HarnessConfig) -> EmDataset {
-    profile.generate(config.scale, config.seed)
+/// A compared system of an F1 table: what it runs on and the F1 it scores there.
+trait Method {
+    /// The kind of dataset the system runs on.
+    type Dataset;
+    /// The column header of a dataset.
+    fn dataset_name(dataset: &Self::Dataset) -> &str;
+    /// The F1 the system scores on one dataset; `base` is the harness configuration the
+    /// baselines train with.
+    fn f1(&self, dataset: &Self::Dataset, base: &SudowoodoConfig) -> f32;
+}
+
+/// A compared EM system. A label budget of `None` is every train+valid label.
+enum EmMethod {
+    /// The Ditto-like baseline ([`run_ditto`]).
+    Ditto(Option<usize>),
+    /// The Rotom-like baseline ([`run_rotom`]).
+    Rotom(Option<usize>),
+    /// ZeroER ([`run_zeroer`]).
+    ZeroEr,
+    /// Auto-FuzzyJoin ([`run_auto_fuzzy_join`]).
+    AutoFuzzyJoin,
+    /// The Sudowoodo pipeline ([`EmPipeline`]) in one configuration.
+    Sudowoodo(Box<SudowoodoConfig>, Option<usize>),
+}
+
+impl Method for EmMethod {
+    type Dataset = EmDataset;
+
+    fn dataset_name(dataset: &EmDataset) -> &str {
+        &dataset.name
+    }
+
+    fn f1(&self, dataset: &EmDataset, base: &SudowoodoConfig) -> f32 {
+        match self {
+            EmMethod::Ditto(budget) => run_ditto(dataset, *budget, base).matching.f1,
+            EmMethod::Rotom(budget) => run_rotom(dataset, *budget, base).matching.f1,
+            EmMethod::ZeroEr => run_zeroer(dataset, base.seed).matching.f1,
+            EmMethod::AutoFuzzyJoin => run_auto_fuzzy_join(dataset).matching.f1,
+            EmMethod::Sudowoodo(config, budget) => {
+                EmPipeline::new(SudowoodoConfig::clone(config))
+                    .run(dataset, *budget)
+                    .matching
+                    .f1
+            }
+        }
+    }
+}
+
+/// A compared error-correction system, trained on [`LABELED_ROWS`] rows.
+enum CleaningMethod {
+    /// The Baran-like corrector ([`run_baran`]) behind one error detector.
+    Baran(ErrorDetection),
+    /// The Sudowoodo cleaning pipeline ([`CleaningPipeline`]) in one configuration.
+    Sudowoodo(Box<SudowoodoConfig>),
+}
+
+impl Method for CleaningMethod {
+    type Dataset = CleaningDataset;
+
+    fn dataset_name(dataset: &CleaningDataset) -> &str {
+        &dataset.name
+    }
+
+    fn f1(&self, dataset: &CleaningDataset, base: &SudowoodoConfig) -> f32 {
+        match self {
+            CleaningMethod::Baran(detection) => {
+                run_baran(dataset, *detection, LABELED_ROWS, base.seed)
+                    .correction
+                    .f1
+            }
+            CleaningMethod::Sudowoodo(config) => {
+                CleaningPipeline::new(SudowoodoConfig::clone(config))
+                    .run(dataset, LABELED_ROWS)
+                    .correction
+                    .f1
+            }
+        }
+    }
+}
+
+/// F1 of every method on every dataset: one row per method, one column per dataset, and
+/// an `average` column.
+fn grid<M: Method>(
+    id: &str,
+    methods: Vec<(String, M)>,
+    datasets: &[M::Dataset],
+    base: &SudowoodoConfig,
+) -> TableResult {
+    let mut header = vec!["Method"];
+    header.extend(datasets.iter().map(M::dataset_name));
+    header.push("average");
+    let rows = methods
+        .into_iter()
+        .map(|(label, method)| {
+            let scores: Vec<f32> = datasets.iter().map(|d| method.f1(d, base)).collect();
+            let mut row = vec![label];
+            row.extend(scores.iter().map(|&f1| pct(f1)));
+            row.push(pct(scores.iter().sum::<f32>() / scores.len().max(1) as f32));
+            row
+        })
+        .collect();
+    TableResult::new(id, &header, rows)
 }
 
 /// Table II / XVII — EM dataset statistics.
@@ -83,152 +202,62 @@ pub fn table02_em_datasets(config: &HarnessConfig) -> TableResult {
 pub fn table05_semi_supervised(config: &HarnessConfig) -> TableResult {
     let base = config.sudowoodo_config();
     let budget = config.label_budget;
-    let datasets: Vec<EmDataset> = em_profiles(config)
-        .iter()
-        .map(|p| generate(p, config))
-        .collect();
-
-    // (name, runner) pairs; each runner returns the test F1 for one dataset.
-    type Runner<'a> = Box<dyn Fn(&EmDataset) -> f32 + 'a>;
-    let mut methods: Vec<(String, Runner)> = Vec::new();
-    if !config.quick {
-        let b = base.clone();
-        methods.push((
-            "DeepMatcher (full)".to_string(),
-            Box::new(move |d| run_deepmatcher_full(d, &b).matching.f1),
-        ));
-        let b = base.clone();
-        methods.push((
-            format!("Ditto ({budget})"),
-            Box::new(move |d| run_ditto(d, Some(budget), &b).matching.f1),
-        ));
-        let b = base.clone();
-        let larger = budget + budget / 2;
-        methods.push((
-            format!("Ditto ({larger})"),
-            Box::new(move |d| run_ditto(d, Some(larger), &b).matching.f1),
-        ));
-        let b = base.clone();
-        methods.push((
-            format!("Rotom ({budget})"),
-            Box::new(move |d| run_rotom(d, Some(budget), &b).matching.f1),
-        ));
+    let ditto = |budget| (format!("Ditto ({budget})"), EmMethod::Ditto(Some(budget)));
+    let (mut methods, variants) = if config.quick {
+        (
+            vec![ditto(budget)],
+            vec![
+                base.clone().simclr(),
+                base.clone().without("PL"),
+                base.clone(),
+            ],
+        )
     } else {
-        let b = base.clone();
-        methods.push((
-            format!("Ditto ({budget})"),
-            Box::new(move |d| run_ditto(d, Some(budget), &b).matching.f1),
-        ));
-    }
-
-    let variants: Vec<SudowoodoConfig> = if config.quick {
-        vec![
-            base.clone().simclr(),
-            base.clone().without("PL"),
-            base.clone(),
-        ]
-    } else {
-        vec![
-            base.clone().simclr(),
-            base.clone().without("cut").without("RR").without("cls"),
-            base.clone().without("cut").without("RR"),
-            base.clone().without("cut"),
-            base.clone().without("PL"),
-            base.clone().without("RR"),
-            base.clone().without("cls"),
-            base.clone(),
-        ]
+        (
+            vec![
+                ("Ditto (full)".to_string(), EmMethod::Ditto(None)),
+                ditto(budget),
+                ditto(budget + budget / 2),
+                (format!("Rotom ({budget})"), EmMethod::Rotom(Some(budget))),
+            ],
+            vec![
+                base.clone().simclr(),
+                base.clone().without("cut").without("RR").without("cls"),
+                base.clone().without("cut").without("RR"),
+                base.clone().without("cut"),
+                base.clone().without("PL"),
+                base.clone().without("RR"),
+                base.clone().without("cls"),
+                base.clone(),
+            ],
+        )
     };
-    for variant in variants {
-        let name = variant.variant_name();
-        methods.push((
-            name,
-            Box::new(move |d| {
-                EmPipeline::new(variant.clone())
-                    .run(d, Some(budget))
-                    .matching
-                    .f1
-            }),
-        ));
-    }
-
-    let mut header: Vec<String> = vec!["Method".to_string()];
-    header.extend(datasets.iter().map(|d| d.name.clone()));
-    header.push("average".to_string());
-    let mut rows = Vec::new();
-    for (name, runner) in methods {
-        let mut row = vec![name];
-        let mut scores = Vec::new();
-        for dataset in &datasets {
-            let f1 = runner(dataset);
-            scores.push(f1);
-            row.push(pct(f1));
-        }
-        row.push(pct(scores.iter().sum::<f32>() / scores.len().max(1) as f32));
-        rows.push(row);
-    }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    TableResult::new("table05", &header_refs, rows)
+    methods.extend(variants.into_iter().map(|v| {
+        (
+            v.variant_name(),
+            EmMethod::Sudowoodo(v.into(), Some(budget)),
+        )
+    }));
+    grid("table05", methods, &em_datasets(config), &base)
 }
 
 /// Table VI — F1 for unsupervised matching.
 pub fn table06_unsupervised(config: &HarnessConfig) -> TableResult {
     let base = config.sudowoodo_config();
-    let datasets: Vec<EmDataset> = em_profiles(config)
-        .iter()
-        .map(|p| generate(p, config))
-        .collect();
-    let mut header: Vec<String> = vec!["Method".to_string()];
-    header.extend(datasets.iter().map(|d| d.name.clone()));
-    header.push("average".to_string());
-
-    type Runner<'a> = Box<dyn Fn(&EmDataset) -> f32 + 'a>;
-    let seed = config.seed;
-    let simple_variant = base.clone().without("cut").without("RR").without("cls");
-    let full_variant = base.clone();
-    let methods: Vec<(String, Runner)> = vec![
-        (
-            "ZeroER".to_string(),
-            Box::new(move |d| run_zeroer(d, seed).matching.f1),
-        ),
-        (
-            "Auto-FuzzyJoin".to_string(),
-            Box::new(|d| run_auto_fuzzy_join(d).matching.f1),
-        ),
+    let simple = base.clone().without("cut").without("RR").without("cls");
+    let methods = vec![
+        ("ZeroER".to_string(), EmMethod::ZeroEr),
+        ("Auto-FuzzyJoin".to_string(), EmMethod::AutoFuzzyJoin),
         (
             "Sudowoodo (-cut,-RR,-cls)".to_string(),
-            Box::new(move |d| {
-                EmPipeline::new(simple_variant.clone())
-                    .run(d, Some(0))
-                    .matching
-                    .f1
-            }),
+            EmMethod::Sudowoodo(simple.into(), Some(0)),
         ),
         (
             "Sudowoodo".to_string(),
-            Box::new(move |d| {
-                EmPipeline::new(full_variant.clone())
-                    .run(d, Some(0))
-                    .matching
-                    .f1
-            }),
+            EmMethod::Sudowoodo(base.clone().into(), Some(0)),
         ),
     ];
-
-    let mut rows = Vec::new();
-    for (name, runner) in methods {
-        let mut row = vec![name];
-        let mut scores = Vec::new();
-        for dataset in &datasets {
-            let f1 = runner(dataset);
-            scores.push(f1);
-            row.push(pct(f1));
-        }
-        row.push(pct(scores.iter().sum::<f32>() / scores.len().max(1) as f32));
-        rows.push(row);
-    }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    TableResult::new("table06", &header_refs, rows)
+    grid("table06", methods, &em_datasets(config), &base)
 }
 
 /// Table VII + Figure 7 — blocking quality (recall / candidate counts / CSSR curves).
@@ -240,8 +269,7 @@ pub fn table07_fig07_blocking(config: &HarnessConfig) -> TableResult {
         vec![1, 2, 5, 10, 15, 20]
     };
     let mut rows = Vec::new();
-    for profile in em_profiles(config) {
-        let dataset = generate(&profile, config);
+    for dataset in em_datasets(config) {
         let dlblock = run_dlblock_curve(&dataset, &ks);
         let sudowoodo = EmPipeline::new(base.clone()).blocking_curve(&dataset, &ks);
         for (dl, sw) in dlblock.iter().zip(sudowoodo.iter()) {
@@ -280,61 +308,38 @@ pub fn table08_cleaning(config: &HarnessConfig) -> TableResult {
     } else {
         CleaningProfile::suite()
     };
-    let labeled_rows = 20;
     let base = config.sudowoodo_config();
-    let mut no_pretrain = base.clone();
-    no_pretrain.pretrain_epochs = 0; // the "RoBERTa-base" analog: fine-tuning only
-
-    let mut header = vec!["Method".to_string()];
-    header.extend(profiles.iter().map(|p| p.name.to_string()));
-    header.push("average".to_string());
-    let mut table: Vec<(String, Vec<f32>)> = vec![
-        ("Raha + Baran".to_string(), Vec::new()),
-        ("Perfect ED + Baran".to_string(), Vec::new()),
-        ("RoBERTa-base (no pre-training)".to_string(), Vec::new()),
-        ("Sudowoodo".to_string(), Vec::new()),
+    let methods = vec![
+        (
+            "Raha + Baran".to_string(),
+            CleaningMethod::Baran(ErrorDetection::RahaLike),
+        ),
+        (
+            "Perfect ED + Baran".to_string(),
+            CleaningMethod::Baran(ErrorDetection::Perfect),
+        ),
+        (
+            "RoBERTa-base (no pre-training)".to_string(),
+            CleaningMethod::Sudowoodo(without_pretraining(&base).into()),
+        ),
+        (
+            "Sudowoodo".to_string(),
+            CleaningMethod::Sudowoodo(base.clone().into()),
+        ),
     ];
-    for profile in &profiles {
-        let dataset = profile.generate(config.scale, config.seed);
-        table[0].1.push(
-            run_baran(
-                &dataset,
-                ErrorDetection::RahaLike,
-                labeled_rows,
-                config.seed,
-            )
-            .correction
-            .f1,
-        );
-        table[1].1.push(
-            run_baran(&dataset, ErrorDetection::Perfect, labeled_rows, config.seed)
-                .correction
-                .f1,
-        );
-        table[2].1.push(
-            CleaningPipeline::new(no_pretrain.clone())
-                .run(&dataset, labeled_rows)
-                .correction
-                .f1,
-        );
-        table[3].1.push(
-            CleaningPipeline::new(base.clone())
-                .run(&dataset, labeled_rows)
-                .correction
-                .f1,
-        );
-    }
-    let rows = table
-        .into_iter()
-        .map(|(name, scores)| {
-            let mut row = vec![name];
-            row.extend(scores.iter().map(|&f| pct(f)));
-            row.push(pct(scores.iter().sum::<f32>() / scores.len().max(1) as f32));
-            row
-        })
+    let datasets: Vec<CleaningDataset> = profiles
+        .iter()
+        .map(|p| p.generate(config.scale, config.seed))
         .collect();
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    TableResult::new("table08", &header_refs, rows)
+    grid("table08", methods, &datasets, &base)
+}
+
+/// The "RoBERTa-base" analog of the cleaning experiments: fine-tuning only.
+fn without_pretraining(base: &SudowoodoConfig) -> SudowoodoConfig {
+    SudowoodoConfig {
+        pretrain_epochs: 0,
+        ..base.clone()
+    }
 }
 
 fn column_setup(
@@ -366,29 +371,20 @@ fn column_setup(
 /// Tables X / XII — column matching: Sherlock/Sato × classifiers versus Sudowoodo.
 pub fn table10_12_column_matching(config: &HarnessConfig) -> TableResult {
     let (corpus, train, valid, test) = column_setup(config);
-    let mut rows = Vec::new();
-    for result in run_column_baseline_grid(&corpus, &train, &valid, &test, config.seed) {
-        rows.push(vec![
-            result.method,
-            pct(result.valid.precision),
-            pct(result.valid.recall),
-            pct(result.valid.f1),
-            pct(result.test.precision),
-            pct(result.test.recall),
-            pct(result.test.f1),
-        ]);
-    }
-    let pipeline = ColumnPipeline::new(config.sudowoodo_config());
-    let sw = pipeline.run(&corpus, &train, &valid, &test);
-    rows.push(vec![
-        "Sudowoodo".to_string(),
-        pct(sw.valid.precision),
-        pct(sw.valid.recall),
-        pct(sw.valid.f1),
-        pct(sw.test.precision),
-        pct(sw.test.recall),
-        pct(sw.test.f1),
-    ]);
+    let mut results: Vec<(String, PrF1, PrF1)> =
+        run_column_baseline_grid(&corpus, &train, &valid, &test, config.seed)
+            .into_iter()
+            .map(|r| (r.method, r.valid, r.test))
+            .collect();
+    let sw = ColumnPipeline::new(config.sudowoodo_config()).run(&corpus, &train, &valid, &test);
+    results.push(("Sudowoodo".to_string(), sw.valid, sw.test));
+    let rows = results
+        .into_iter()
+        .map(|(method, v, t)| {
+            let cells = [v.precision, v.recall, v.f1, t.precision, t.recall, t.f1];
+            [vec![method], cells.map(pct).to_vec()].concat()
+        })
+        .collect();
     TableResult::new(
         "table10_12",
         &[
@@ -401,35 +397,22 @@ pub fn table10_12_column_matching(config: &HarnessConfig) -> TableResult {
 /// Tables IX / XIII — discovered column clusters: counts, purity, and example clusters.
 pub fn table09_13_column_clusters(config: &HarnessConfig) -> TableResult {
     let (corpus, train, valid, test) = column_setup(config);
-    let pipeline = ColumnPipeline::new(config.sudowoodo_config());
-    let result = pipeline.run(&corpus, &train, &valid, &test);
-    let mut rows = vec![
-        vec!["#columns".to_string(), corpus.len().to_string()],
-        vec![
-            "#labeled pairs (train)".to_string(),
-            result.labeled_pairs.to_string(),
-        ],
-        vec![
-            "#clusters discovered".to_string(),
-            result.num_clusters.to_string(),
-        ],
-        vec![
-            "#multi-column clusters".to_string(),
+    let result = ColumnPipeline::new(config.sudowoodo_config()).run(&corpus, &train, &valid, &test);
+    let mut rows: Vec<Vec<String>> = [
+        ("#columns", corpus.len().to_string()),
+        ("#labeled pairs (train)", result.labeled_pairs.to_string()),
+        ("#clusters discovered", result.num_clusters.to_string()),
+        (
+            "#multi-column clusters",
             result.num_multi_clusters.to_string(),
-        ],
-        vec![
-            "cluster purity".to_string(),
-            format!("{:.1}%", result.purity * 100.0),
-        ],
-        vec![
-            "blocking time (s)".to_string(),
-            format!("{:.2}", result.blocking_secs),
-        ],
-        vec![
-            "matching time (s)".to_string(),
-            format!("{:.2}", result.matching_secs),
-        ],
-    ];
+        ),
+        ("cluster purity", format!("{:.1}%", result.purity * 100.0)),
+        ("blocking time (s)", format!("{:.2}", result.blocking_secs)),
+        ("matching time (s)", format!("{:.2}", result.matching_secs)),
+    ]
+    .into_iter()
+    .map(|(quantity, value)| vec![quantity.to_string(), value])
+    .collect();
     // Example fine-grained subtypes present in the corpus (Table IX flavour).
     for fine in ["central eu city", "baseball in-game event", "company name"] {
         if let Some(fine_idx) = corpus.fine_names.iter().position(|n| n == fine) {
@@ -454,19 +437,14 @@ pub fn table09_13_column_clusters(config: &HarnessConfig) -> TableResult {
 pub fn table11_pseudo_quality(config: &HarnessConfig) -> TableResult {
     let base = config.sudowoodo_config();
     let mut rows = Vec::new();
-    for profile in em_profiles(config) {
-        let dataset = generate(&profile, config);
+    for dataset in em_datasets(config) {
+        // SimCLR with pseudo labels re-enabled to measure raw label quality.
+        let simclr = SudowoodoConfig {
+            use_pseudo_labels: true,
+            ..base.clone().simclr()
+        };
         for (name, variant, budget) in [
-            (
-                "SimCLR",
-                {
-                    // SimCLR with pseudo labels re-enabled to measure raw label quality.
-                    let mut v = base.clone().simclr();
-                    v.use_pseudo_labels = true;
-                    v
-                },
-                Some(config.label_budget),
-            ),
+            ("SimCLR", simclr, Some(config.label_budget)),
             ("Sudowoodo", base.clone(), Some(config.label_budget)),
             ("Sudowoodo (no label)", base.clone(), Some(0)),
         ] {
@@ -491,55 +469,47 @@ pub fn table11_pseudo_quality(config: &HarnessConfig) -> TableResult {
 
 /// Figure 8 — hyper-parameter sensitivity sweeps on one dataset.
 pub fn fig08_sensitivity(config: &HarnessConfig) -> TableResult {
-    let profile = EmProfile::abt_buy();
-    let dataset = generate(&profile, config);
+    let dataset = EmProfile::abt_buy().generate(config.scale, config.seed);
     let base = config.sudowoodo_config();
-    let budget = Some(config.label_budget);
+    // (hyper-parameter, quick values, full values, setter); counts are whole floats.
+    type Setter = fn(&mut SudowoodoConfig, f32);
+    let sweeps: [(&str, &[f32], &[f32], Setter); 4] = [
+        (
+            "cutoff_ratio",
+            &[0.01, 0.05],
+            &[0.01, 0.03, 0.05, 0.08],
+            |c, v| c.cutoff_ratio = v,
+        ),
+        (
+            "num_clusters",
+            &[4.0, 16.0],
+            &[4.0, 8.0, 16.0, 32.0],
+            |c, v| c.num_clusters = v as usize,
+        ),
+        (
+            "alpha_bt",
+            &[1e-3, 1e-1],
+            &[1e-4, 1e-3, 1e-2, 1e-1],
+            |c, v| c.bt_alpha = v,
+        ),
+        (
+            "multiplier",
+            &[2.0, 8.0],
+            &[2.0, 4.0, 6.0, 8.0, 10.0],
+            |c, v| c.pseudo_multiplier = v as usize,
+        ),
+    ];
     let mut rows = Vec::new();
-
-    let cutoff_ratios: Vec<f32> = if config.quick {
-        vec![0.01, 0.05]
-    } else {
-        vec![0.01, 0.03, 0.05, 0.08]
-    };
-    for r in cutoff_ratios {
-        let mut v = base.clone();
-        v.cutoff_ratio = r;
-        let f1 = EmPipeline::new(v).run(&dataset, budget).matching.f1;
-        rows.push(vec!["cutoff_ratio".into(), format!("{r}"), pct(f1)]);
-    }
-    let cluster_counts: Vec<usize> = if config.quick {
-        vec![4, 16]
-    } else {
-        vec![4, 8, 16, 32]
-    };
-    for k in cluster_counts {
-        let mut v = base.clone();
-        v.num_clusters = k;
-        let f1 = EmPipeline::new(v).run(&dataset, budget).matching.f1;
-        rows.push(vec!["num_clusters".into(), k.to_string(), pct(f1)]);
-    }
-    let alphas: Vec<f32> = if config.quick {
-        vec![1e-3, 1e-1]
-    } else {
-        vec![1e-4, 1e-3, 1e-2, 1e-1]
-    };
-    for a in alphas {
-        let mut v = base.clone();
-        v.bt_alpha = a;
-        let f1 = EmPipeline::new(v).run(&dataset, budget).matching.f1;
-        rows.push(vec!["alpha_bt".into(), format!("{a}"), pct(f1)]);
-    }
-    let multipliers: Vec<usize> = if config.quick {
-        vec![2, 8]
-    } else {
-        vec![2, 4, 6, 8, 10]
-    };
-    for m in multipliers {
-        let mut v = base.clone();
-        v.pseudo_multiplier = m;
-        let f1 = EmPipeline::new(v).run(&dataset, budget).matching.f1;
-        rows.push(vec!["multiplier".into(), m.to_string(), pct(f1)]);
+    for (name, quick, full, set) in sweeps {
+        for &value in if config.quick { quick } else { full } {
+            let mut variant = base.clone();
+            set(&mut variant, value);
+            let f1 = EmPipeline::new(variant)
+                .run(&dataset, Some(config.label_budget))
+                .matching
+                .f1;
+            rows.push(vec![name.to_string(), value.to_string(), pct(f1)]);
+        }
     }
     TableResult::new("fig08", &["Hyper-parameter", "Value", "F1 (Abt-Buy)"], rows)
 }
@@ -549,19 +519,18 @@ pub fn fig09_11_runtime(config: &HarnessConfig) -> TableResult {
     let base = config.sudowoodo_config();
     let budget = Some(config.label_budget);
     let mut rows = Vec::new();
-    for profile in em_profiles(config) {
-        let dataset = generate(&profile, config);
+    for dataset in em_datasets(config) {
         let simclr = EmPipeline::new(base.clone().simclr()).run(&dataset, budget);
         let sudowoodo = EmPipeline::new(base.clone()).run(&dataset, budget);
         let ditto = run_ditto(&dataset, budget, &base);
-        let dm = run_deepmatcher_full(&dataset, &base);
+        let ditto_full = run_ditto(&dataset, None, &base);
         rows.push(vec![
             "EM (Fig 9)".into(),
             dataset.name.clone(),
             format!("{:.2}", simclr.timings.total_secs),
             format!("{:.2}", ditto.seconds),
             format!("{:.2}", sudowoodo.timings.total_secs),
-            format!("{:.2}", dm.seconds),
+            format!("{:.2}", ditto_full.seconds),
         ]);
         rows.push(vec![
             "Blocking (Fig 10)".into(),
@@ -577,12 +546,10 @@ pub fn fig09_11_runtime(config: &HarnessConfig) -> TableResult {
     } else {
         CleaningProfile::suite()
     };
-    let mut no_pretrain = base.clone();
-    no_pretrain.pretrain_epochs = 0;
     for profile in cleaning_profiles {
         let dataset = profile.generate(config.scale, config.seed);
-        let plain = CleaningPipeline::new(no_pretrain.clone()).run(&dataset, 20);
-        let sudowoodo = CleaningPipeline::new(base.clone()).run(&dataset, 20);
+        let plain = CleaningPipeline::new(without_pretraining(&base)).run(&dataset, LABELED_ROWS);
+        let sudowoodo = CleaningPipeline::new(base.clone()).run(&dataset, LABELED_ROWS);
         rows.push(vec![
             "Cleaning (Fig 11)".into(),
             dataset.name.clone(),
@@ -600,7 +567,7 @@ pub fn fig09_11_runtime(config: &HarnessConfig) -> TableResult {
             "SimCLR/RoBERTa (s)",
             "Ditto (s)",
             "Sudowoodo (s)",
-            "DeepMatcher full (s)",
+            "Ditto full (s)",
         ],
         rows,
     )
@@ -632,7 +599,7 @@ pub fn table14_15_cleaning_detail(config: &HarnessConfig) -> TableResult {
             base.clone(),
         ] {
             let name = variant.variant_name();
-            let result = CleaningPipeline::new(variant).run(&dataset, 20);
+            let result = CleaningPipeline::new(variant).run(&dataset, LABELED_ROWS);
             rows.push(vec![
                 "ablation (Table XV)".into(),
                 stats.name.clone(),
@@ -663,8 +630,7 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
             EmProfile::dblp_acm(),
         ]
     };
-    for profile in profiles {
-        let dataset = generate(&profile, config);
+    for dataset in generate(profiles, config) {
         // Train both systems once, then evaluate per difficulty level.
         let pipeline = EmPipeline::new(base.clone());
         let (encoder, _) = pipeline.pretrain_encoder(&dataset);
@@ -675,28 +641,19 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
             base.pseudo_positive_ratio,
             labeled.len() * base.pseudo_multiplier.saturating_sub(1),
         );
-        let fine_tune = sudowoodo_core::FineTuneConfig {
-            epochs: base.finetune_epochs,
-            batch_size: base.finetune_batch_size,
-            learning_rate: base.finetune_lr,
-            seed: base.seed,
-        };
-        let texts_a: Vec<String> = dataset
-            .table_a
+        let fine_tune = base.fine_tune_config();
+        let pseudo: Vec<LabeledPair> = pseudo
+            .labels
             .iter()
-            .map(sudowoodo_text::serialize_record)
+            .map(|p| LabeledPair {
+                a: p.a,
+                b: p.b,
+                label: p.label,
+            })
             .collect();
-        let texts_b: Vec<String> = dataset
-            .table_b
-            .iter()
-            .map(sudowoodo_text::serialize_record)
-            .collect();
-        let pair = |a: usize, b: usize, label: bool| {
-            sudowoodo_core::TrainPair::new(texts_a[a].clone(), texts_b[b].clone(), label)
-        };
-        let labeled_pairs: Vec<_> = labeled.iter().map(|p| pair(p.a, p.b, p.label)).collect();
+        let labeled_pairs = labeled_train_pairs(&dataset, &labeled);
         let mut train_pairs = labeled_pairs.clone();
-        train_pairs.extend(pseudo.labels.iter().map(|p| pair(p.a, p.b, p.label)));
+        train_pairs.extend(labeled_train_pairs(&dataset, &pseudo));
         let mut sudowoodo_matcher =
             sudowoodo_core::PairMatcher::new(encoder, base.use_diff_head, base.seed);
         sudowoodo_matcher.fine_tune(&train_pairs, &fine_tune);
@@ -707,18 +664,9 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
         ditto_matcher.fine_tune(&labeled_pairs, &fine_tune);
 
         for level in difficulty_levels(&dataset, &dataset.test, 5) {
-            let sw = sudowoodo_core::pipeline::em::evaluate_matcher(
-                &sudowoodo_matcher,
-                &dataset,
-                &level.pairs,
-                0.5,
-            );
-            let ditto = sudowoodo_core::pipeline::em::evaluate_matcher(
-                &ditto_matcher,
-                &dataset,
-                &level.pairs,
-                0.5,
-            );
+            let pairs = labeled_train_pairs(&dataset, &level.pairs);
+            let sw = sudowoodo_matcher.evaluate(&pairs, 0.5);
+            let ditto = ditto_matcher.evaluate(&pairs, 0.5);
             rows.push(vec![
                 dataset.name.clone(),
                 level.level.to_string(),
@@ -749,7 +697,7 @@ pub fn table16_difficulty(config: &HarnessConfig) -> TableResult {
     )
 }
 
-/// Table XVIII — fully supervised EM.
+/// Table XVIII — fully supervised EM: one row per dataset, one column per method.
 pub fn table18_full_supervised(config: &HarnessConfig) -> TableResult {
     let base = config.sudowoodo_config();
     let profiles = if config.quick {
@@ -757,37 +705,27 @@ pub fn table18_full_supervised(config: &HarnessConfig) -> TableResult {
     } else {
         EmProfile::full_suite()
     };
-    let mut rows = Vec::new();
-    for profile in profiles {
-        let dataset = generate(&profile, config);
-        let dm = run_deepmatcher_full(&dataset, &base).matching.f1;
-        let ditto = run_ditto(&dataset, None, &base).matching.f1;
-        let mut no_pl = base.clone().without("PL"); // full supervision: no pseudo labels
-        no_pl.use_pseudo_labels = false;
-        let without_rr = EmPipeline::new(no_pl.clone().without("RR"))
-            .run(&dataset, None)
-            .matching
-            .f1;
-        let full = EmPipeline::new(no_pl).run(&dataset, None).matching.f1;
-        rows.push(vec![
-            dataset.name.clone(),
-            pct(dm),
-            pct(ditto),
-            pct(without_rr),
-            pct(full),
-        ]);
-    }
-    TableResult::new(
-        "table18",
-        &[
-            "Dataset",
-            "DeepMatcher",
-            "Ditto",
+    // Full supervision: every train+valid label and no pseudo labels.
+    let no_pl = base.clone().without("PL");
+    let methods = [
+        ("Ditto", EmMethod::Ditto(None)),
+        (
             "Sudowoodo (w/o RR)",
-            "Sudowoodo",
-        ],
-        rows,
-    )
+            EmMethod::Sudowoodo(no_pl.clone().without("RR").into(), None),
+        ),
+        ("Sudowoodo", EmMethod::Sudowoodo(no_pl.into(), None)),
+    ];
+    let mut header = vec!["Dataset"];
+    header.extend(methods.iter().map(|(label, _)| *label));
+    let rows = generate(profiles, config)
+        .iter()
+        .map(|dataset| {
+            let mut row = vec![dataset.name.clone()];
+            row.extend(methods.iter().map(|(_, m)| pct(m.f1(dataset, &base))));
+            row
+        })
+        .collect();
+    TableResult::new("table18", &header, rows)
 }
 
 #[cfg(test)]
@@ -821,6 +759,16 @@ mod tests {
         let t = table06_unsupervised(&tiny_harness());
         assert_eq!(t.rows.len(), 4);
         assert_eq!(t.header.len(), 2 + 2); // Method + 2 datasets + average
+    }
+
+    #[test]
+    fn full_supervision_table_has_one_column_per_distinct_method() {
+        let t = table18_full_supervised(&tiny_harness());
+        assert_eq!(
+            t.header,
+            ["Dataset", "Ditto", "Sudowoodo (w/o RR)", "Sudowoodo"]
+        );
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

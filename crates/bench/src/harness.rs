@@ -66,25 +66,27 @@ impl HarnessConfig {
     /// full experiment sweep finishes on a laptop CPU; the *relative* comparisons between
     /// variants are what the harness reports.
     pub fn sudowoodo_config(&self) -> sudowoodo_core::SudowoodoConfig {
-        let mut c = sudowoodo_core::SudowoodoConfig::test_config();
-        c.encoder = sudowoodo_core::EncoderConfig {
-            kind: sudowoodo_core::EncoderKind::MeanPool,
-            dim: 32,
-            layers: 1,
-            heads: 2,
-            ff_hidden: 64,
-            max_len: 32,
-        };
-        c.projector_dim = 32;
-        c.pretrain_epochs = if self.quick { 2 } else { 3 };
-        c.batch_size = 16;
-        c.max_corpus_size = 2_000;
-        c.finetune_epochs = if self.quick { 4 } else { 6 };
-        c.finetune_batch_size = 16;
-        c.num_clusters = 12;
-        c.blocking_k = 10;
-        c.seed = self.seed;
-        c
+        sudowoodo_core::SudowoodoConfig {
+            encoder: sudowoodo_core::EncoderConfig {
+                kind: sudowoodo_core::EncoderKind::MeanPool,
+                dim: 32,
+                layers: 1,
+                heads: 2,
+                ff_hidden: 64,
+                max_len: 32,
+            },
+            projector_dim: 32,
+            pretrain_epochs: if self.quick { 2 } else { 3 },
+            batch_size: 16,
+            max_corpus_size: 2_000,
+            finetune_epochs: if self.quick { 4 } else { 6 },
+            finetune_batch_size: 16,
+            num_clusters: 12,
+            pseudo_multiplier: 4,
+            blocking_k: 10,
+            seed: self.seed,
+            ..sudowoodo_core::SudowoodoConfig::default()
+        }
     }
 }
 
@@ -175,6 +177,10 @@ mod tests {
         assert!(!c.quick);
         let sc = c.sudowoodo_config();
         assert!(sc.max_corpus_size <= 2_000);
+        // Built from the defaults, so no test-only knob (SUDOWOODO_TEST_QUANT) reaches it.
+        assert_eq!(sc.pseudo_multiplier, 4);
+        assert_eq!(sc.blocking_shard_capacity, None);
+        assert_eq!(sc.shard_quantization, None);
     }
 
     #[test]

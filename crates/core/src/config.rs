@@ -5,9 +5,10 @@
 //! `use_pseudo_labels`) correspond exactly to the ablation variants of Tables V / VI / XV:
 //! turning all four off recovers the plain SimCLR baseline.
 
-use serde::Serialize;
 use sudowoodo_augment::{CutoffKind, DaOp};
 use sudowoodo_index::QuantSpec;
+
+use crate::matcher::FineTuneConfig;
 
 /// Which encoder architecture the embedding model uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,183 +61,6 @@ impl EncoderConfig {
             ff_hidden: 32,
             max_len: 24,
         }
-    }
-}
-
-/// Shape of a scatter-gather serving cluster over the published blocking-index
-/// snapshot (the `sudowoodo-coord` crate): how many serve processes to run and how
-/// shards are replicated onto them. Carried on [`ServeConfig::cluster`] (under
-/// [`SudowoodoConfig::serve`]); `None` keeps serving single-process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct ClusterSpec {
-    /// Serve processes in the cluster (each cold-loads the full snapshot).
-    pub processes: usize,
-    /// Replicas per shard (primary + backups) on the placement ring. Capped at
-    /// `processes`; with `2`, any single process loss is invisible to queries.
-    pub replication: usize,
-    /// Virtual nodes per endpoint on the consistent-hash ring (more smooths the
-    /// load spread across processes).
-    pub virtual_nodes: usize,
-}
-
-impl Default for ClusterSpec {
-    fn default() -> Self {
-        ClusterSpec {
-            processes: 3,
-            replication: 2,
-            virtual_nodes: 64,
-        }
-    }
-}
-
-impl ClusterSpec {
-    /// Parses a `processes[xreplication[xvirtual_nodes]]` spec, e.g. `"3"`,
-    /// `"3x2"`, `"5x2x128"` — the shape used by benches and CLI flags. Omitted
-    /// fields take the [`ClusterSpec::default`] values.
-    ///
-    /// # Errors
-    /// A descriptive message on malformed input or zero fields.
-    pub fn parse(spec: &str) -> Result<ClusterSpec, String> {
-        let mut out = ClusterSpec::default();
-        let mut parts = spec.split('x');
-        let fields: [&mut usize; 3] = [
-            &mut out.processes,
-            &mut out.replication,
-            &mut out.virtual_nodes,
-        ];
-        for (name, field) in ["processes", "replication", "virtual_nodes"]
-            .into_iter()
-            .zip(fields)
-        {
-            let Some(part) = parts.next() else { break };
-            *field = part
-                .trim()
-                .parse()
-                .map_err(|_| format!("cluster spec {spec:?}: bad {name} field {part:?}"))?;
-            if *field == 0 {
-                return Err(format!("cluster spec {spec:?}: {name} must be at least 1"));
-            }
-        }
-        if parts.next().is_some() {
-            return Err(format!(
-                "cluster spec {spec:?}: expected at most processes x replication x \
-                 virtual_nodes"
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Decodes the [`serde::Value`] tree produced by `Serialize` back into a spec
-    /// (the serde shim has no `Deserialize` half, so decoding is by hand).
-    ///
-    /// # Errors
-    /// A descriptive message on missing fields or wrong JSON types.
-    pub fn from_value(value: &serde::Value) -> Result<ClusterSpec, String> {
-        Ok(ClusterSpec {
-            processes: field_usize(value, "processes")?,
-            replication: field_usize(value, "replication")?,
-            virtual_nodes: field_usize(value, "virtual_nodes")?,
-        })
-    }
-}
-
-/// Serving-side knobs of the framework, grouped: admission control, deadlines,
-/// client retries, socket workers, and the optional scatter-gather cluster shape.
-///
-/// Carried on [`SudowoodoConfig::serve`]. These were flat `serve_*` fields on
-/// [`SudowoodoConfig`] before; the nesting keeps serving concerns in one place and
-/// gives them one (de)serialization boundary — [`Serialize`] via the serde shim and
-/// [`ServeConfig::from_value`] for the way back.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
-pub struct ServeConfig {
-    /// Admission-queue depth of a query server spawned over the blocking index (maps
-    /// to `sudowoodo_serve::ServerConfig::admission_queue_depth`): requests beyond
-    /// this many waiting are answered with a `BUSY` frame instead of queueing without
-    /// bound — the server sheds load rather than building unbounded latency.
-    pub queue_depth: usize,
-    /// Per-request deadline, in milliseconds (maps to
-    /// `sudowoodo_serve::ServerConfig::request_deadline`): a request that waited
-    /// longer than this in the admission queue is answered `BUSY` without running.
-    /// `None` (the default) disables deadlines.
-    pub deadline_ms: Option<u64>,
-    /// Client-side retries for idempotent requests (maps to
-    /// `sudowoodo_serve::RetryPolicy::max_retries`): transport failures and `BUSY`
-    /// load-shed responses are retried this many times with exponential backoff and
-    /// deterministic jitter; server error responses are never retried. A *degraded*
-    /// response (quarantined shards skipped server-side) is a success with an
-    /// explicit flag, not a retry trigger.
-    pub retry_max: u32,
-    /// I/O worker threads of the server (maps to
-    /// `sudowoodo_serve::ServerConfig::worker_threads`): a fixed pool of
-    /// readiness-polled workers multiplexes every connection, so this bounds
-    /// socket-I/O parallelism — join compute runs on its own thread either way. `0`
-    /// (the default) sizes the pool from the machine's available parallelism.
-    pub worker_threads: usize,
-    /// Shape of a distributed scatter-gather serving cluster (see [`ClusterSpec`]
-    /// and the `sudowoodo-coord` crate). `None` (the default) keeps serving
-    /// single-process.
-    pub cluster: Option<ClusterSpec>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            queue_depth: 256,
-            deadline_ms: None,
-            retry_max: 3,
-            worker_threads: 0,
-            cluster: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Decodes the [`serde::Value`] tree produced by `Serialize` back into a config
-    /// (the serde shim has no `Deserialize` half, so decoding is by hand). Inverse
-    /// of `to_value`: `from_value(&c.to_value()) == Ok(c)` for every config.
-    ///
-    /// # Errors
-    /// A descriptive message on missing fields or wrong JSON types.
-    pub fn from_value(value: &serde::Value) -> Result<ServeConfig, String> {
-        let deadline_ms = match field(value, "deadline_ms")? {
-            serde::Value::Null => None,
-            serde::Value::Number(n) => Some(*n as u64),
-            other => return Err(format!("serve config: deadline_ms is {other:?}")),
-        };
-        let cluster = match field(value, "cluster")? {
-            serde::Value::Null => None,
-            nested @ serde::Value::Object(_) => Some(ClusterSpec::from_value(nested)?),
-            other => return Err(format!("serve config: cluster is {other:?}")),
-        };
-        Ok(ServeConfig {
-            queue_depth: field_usize(value, "queue_depth")?,
-            deadline_ms,
-            retry_max: field_usize(value, "retry_max")? as u32,
-            worker_threads: field_usize(value, "worker_threads")?,
-            cluster,
-        })
-    }
-}
-
-/// Looks up one field of a [`serde::Value::Object`].
-fn field<'v>(value: &'v serde::Value, name: &str) -> Result<&'v serde::Value, String> {
-    let serde::Value::Object(entries) = value else {
-        return Err(format!("expected a JSON object, got {value:?}"));
-    };
-    entries
-        .iter()
-        .find(|(key, _)| key == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {name:?}"))
-}
-
-/// Looks up one numeric field and converts it to `usize`.
-fn field_usize(value: &serde::Value, name: &str) -> Result<usize, String> {
-    match field(value, name)? {
-        serde::Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-        other => Err(format!(
-            "field {name:?} is not a non-negative integer: {other:?}"
-        )),
     }
 }
 
@@ -342,14 +166,6 @@ pub struct SudowoodoConfig {
     /// never pipeline failures.
     pub snapshot_dir: Option<std::path::PathBuf>,
 
-    // ---- serving -------------------------------------------------------------------------
-    /// Serving-side knobs, grouped (see [`ServeConfig`]): admission control,
-    /// deadlines, client retries, socket workers, and the optional scatter-gather
-    /// cluster shape. These replaced the flat `serve_queue_depth` /
-    /// `serve_deadline_ms` / `serve_retry_max` / `serve_worker_threads` /
-    /// `cluster_spec` fields.
-    pub serve: ServeConfig,
-
     /// Random seed controlling every stochastic choice.
     pub seed: u64,
 }
@@ -386,7 +202,6 @@ impl Default for SudowoodoConfig {
             shard_quantization: None,
             blocking_query_cache: 8,
             snapshot_dir: None,
-            serve: ServeConfig::default(),
             seed: 42,
         }
     }
@@ -437,6 +252,17 @@ impl SudowoodoConfig {
             pseudo_multiplier: 4,
             blocking_k: 5,
             ..SudowoodoConfig::default()
+        }
+    }
+
+    /// The fine-tuning hyper-parameters of the pairwise matcher: the `finetune_*` fields
+    /// and the seed.
+    pub fn fine_tune_config(&self) -> FineTuneConfig {
+        FineTuneConfig {
+            epochs: self.finetune_epochs,
+            batch_size: self.finetune_batch_size,
+            learning_rate: self.finetune_lr,
+            seed: self.seed,
         }
     }
 
@@ -525,73 +351,5 @@ mod tests {
     #[should_panic(expected = "unknown optimization")]
     fn unknown_ablation_name_panics() {
         let _ = SudowoodoConfig::default().without("bogus");
-    }
-
-    #[test]
-    fn cluster_spec_parses_partial_and_full_forms() {
-        assert_eq!(ClusterSpec::parse("3").unwrap(), ClusterSpec::default());
-        assert_eq!(
-            ClusterSpec::parse("5x1").unwrap(),
-            ClusterSpec {
-                processes: 5,
-                replication: 1,
-                ..ClusterSpec::default()
-            }
-        );
-        assert_eq!(
-            ClusterSpec::parse(" 4 x 2 x 128 ").unwrap(),
-            ClusterSpec {
-                processes: 4,
-                replication: 2,
-                virtual_nodes: 128,
-            }
-        );
-    }
-
-    #[test]
-    fn cluster_spec_rejects_malformed_input() {
-        for bad in ["", "three", "3x", "0x2", "3x0", "3x2x0", "3x2x64x9"] {
-            let err = ClusterSpec::parse(bad).unwrap_err();
-            assert!(err.contains("cluster spec"), "{bad:?} -> {err}");
-        }
-    }
-
-    #[test]
-    fn cluster_serving_is_off_by_default() {
-        assert_eq!(SudowoodoConfig::default().serve.cluster, None);
-    }
-
-    #[test]
-    fn serve_config_round_trips_through_serde_value() {
-        for config in [
-            ServeConfig::default(),
-            ServeConfig {
-                queue_depth: 16,
-                deadline_ms: Some(750),
-                retry_max: 7,
-                worker_threads: 2,
-                cluster: Some(ClusterSpec {
-                    processes: 5,
-                    replication: 2,
-                    virtual_nodes: 128,
-                }),
-            },
-        ] {
-            let value = config.to_value();
-            assert_eq!(ServeConfig::from_value(&value), Ok(config));
-        }
-    }
-
-    #[test]
-    fn serve_config_decode_rejects_malformed_trees() {
-        let err = ServeConfig::from_value(&serde::Value::Null).unwrap_err();
-        assert!(err.contains("expected a JSON object"), "{err}");
-
-        let mut value = ServeConfig::default().to_value();
-        if let serde::Value::Object(entries) = &mut value {
-            entries.retain(|(key, _)| key != "retry_max");
-        }
-        let err = ServeConfig::from_value(&value).unwrap_err();
-        assert!(err.contains("retry_max"), "{err}");
     }
 }

@@ -47,7 +47,7 @@ pub mod pipeline;
 pub mod pretrain;
 pub mod pseudo;
 
-pub use config::{ClusterSpec, EncoderConfig, EncoderKind, SudowoodoConfig};
+pub use config::{EncoderConfig, EncoderKind, SudowoodoConfig};
 pub use encoder::Encoder;
 pub use matcher::{FineTuneConfig, PairMatcher, TrainPair};
 pub use pipeline::{CleaningPipeline, ColumnPipeline, EmPipeline};

@@ -20,6 +20,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use sudowoodo_augment::CutoffPlan;
+use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
 use sudowoodo_nn::layers::{Layer, Linear};
 use sudowoodo_nn::matrix::Matrix;
 use sudowoodo_nn::optim::AdamW;
@@ -204,6 +205,22 @@ impl PairMatcher {
             .collect()
     }
 
+    /// The decision threshold that maximizes F1 on a labeled pair set; 0.5 when the set
+    /// is empty.
+    pub fn best_threshold(&self, pairs: &[TrainPair]) -> f32 {
+        if pairs.is_empty() {
+            return 0.5;
+        }
+        let (inputs, gold) = split_labels(pairs);
+        best_f1_threshold(&self.predict_scores(&inputs), &gold).0
+    }
+
+    /// Precision / recall / F1 of the predictions at `threshold` on a labeled pair set.
+    pub fn evaluate(&self, pairs: &[TrainPair], threshold: f32) -> PrF1 {
+        let (inputs, gold) = split_labels(pairs);
+        PrF1::from_predictions(&self.predict_labels(&inputs, threshold), &gold)
+    }
+
     /// Hard predictions at a given probability threshold.
     pub fn predict_labels(&self, pairs: &[(String, String)], threshold: f32) -> Vec<bool> {
         self.predict_scores(pairs)
@@ -231,6 +248,14 @@ impl PairMatcher {
                 .map(|p| p.num_elements())
                 .sum::<usize>()
     }
+}
+
+/// The `(left, right)` inputs and the gold labels of a labeled pair set.
+fn split_labels(pairs: &[TrainPair]) -> (Vec<(String, String)>, Vec<bool>) {
+    pairs
+        .iter()
+        .map(|p| ((p.left.clone(), p.right.clone()), p.label))
+        .unzip()
 }
 
 #[cfg(test)]
@@ -479,5 +504,7 @@ mod tests {
         let mut matcher = tiny_matcher(&corpus, true);
         let losses = matcher.fine_tune(&[], &FineTuneConfig::default());
         assert!(losses.is_empty());
+        // No labeled pairs to calibrate on: the default threshold.
+        assert_eq!(matcher.best_threshold(&[]), 0.5);
     }
 }

@@ -17,7 +17,7 @@ use sudowoodo_ml::metrics::PrF1;
 use sudowoodo_text::serialize::{serialize_cell_in_context, serialize_record};
 
 use crate::config::SudowoodoConfig;
-use crate::matcher::{FineTuneConfig, PairMatcher, TrainPair};
+use crate::matcher::{PairMatcher, TrainPair};
 use crate::pretrain::pretrain;
 
 /// Result of one data-cleaning run.
@@ -115,29 +115,11 @@ impl CleaningPipeline {
             train_pairs.extend(Self::row_pairs(dataset, row));
         }
         let mut matcher = PairMatcher::new(encoder, self.config.use_diff_head, self.config.seed);
-        matcher.fine_tune(
-            &train_pairs,
-            &FineTuneConfig {
-                epochs: self.config.finetune_epochs,
-                batch_size: self.config.finetune_batch_size,
-                learning_rate: self.config.finetune_lr,
-                seed: self.config.seed,
-            },
-        );
+        matcher.fine_tune(&train_pairs, &self.config.fine_tune_config());
         super::persist_matcher(&self.config, &matcher);
         // Candidate sets are heavily imbalanced (at most one correct candidate per cell), so
         // calibrate the acceptance threshold on the labeled rows rather than using 0.5.
-        let acceptance_threshold = if train_pairs.is_empty() {
-            0.5
-        } else {
-            let inputs: Vec<(String, String)> = train_pairs
-                .iter()
-                .map(|p| (p.left.clone(), p.right.clone()))
-                .collect();
-            let scores = matcher.predict_scores(&inputs);
-            let gold: Vec<bool> = train_pairs.iter().map(|p| p.label).collect();
-            sudowoodo_ml::metrics::best_f1_threshold(&scores, &gold).0
-        };
+        let acceptance_threshold = matcher.best_threshold(&train_pairs);
 
         // Propose corrections on the evaluated rows.
         let mut corrections: Vec<(usize, usize, String)> = Vec::new();

@@ -10,10 +10,10 @@ use std::time::Instant;
 
 use sudowoodo_cluster::{cluster_purity, connected_components};
 use sudowoodo_datasets::columns::{ColumnCorpus, ColumnPair};
-use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
+use sudowoodo_ml::metrics::PrF1;
 
 use crate::config::SudowoodoConfig;
-use crate::matcher::{FineTuneConfig, PairMatcher, TrainPair};
+use crate::matcher::{PairMatcher, TrainPair};
 use crate::pretrain::pretrain;
 
 /// Maximum number of column values included in a serialization.
@@ -100,43 +100,16 @@ impl ColumnPipeline {
         let matching_start = Instant::now();
         let to_train_pair =
             |p: &ColumnPair| TrainPair::new(texts[p.left].clone(), texts[p.right].clone(), p.label);
-        let train_pairs: Vec<TrainPair> = train.iter().map(to_train_pair).collect();
+        let [train_pairs, valid_pairs, test_pairs]: [Vec<TrainPair>; 3] =
+            [train, valid, test].map(|split| split.iter().map(to_train_pair).collect());
         let mut matcher = PairMatcher::new(encoder, self.config.use_diff_head, self.config.seed);
-        matcher.fine_tune(
-            &train_pairs,
-            &FineTuneConfig {
-                epochs: self.config.finetune_epochs,
-                batch_size: self.config.finetune_batch_size,
-                learning_rate: self.config.finetune_lr,
-                seed: self.config.seed,
-            },
-        );
+        matcher.fine_tune(&train_pairs, &self.config.fine_tune_config());
         super::persist_matcher(&self.config, &matcher);
 
         // Threshold selected on the validation split, evaluation on both splits.
-        let score_split = |pairs: &[ColumnPair]| -> (Vec<f32>, Vec<bool>) {
-            let inputs: Vec<(String, String)> = pairs
-                .iter()
-                .map(|p| (texts[p.left].clone(), texts[p.right].clone()))
-                .collect();
-            (
-                matcher.predict_scores(&inputs),
-                pairs.iter().map(|p| p.label).collect(),
-            )
-        };
-        let (valid_scores, valid_gold) = score_split(valid);
-        let (threshold, _) = if valid.is_empty() {
-            (0.5, 0.0)
-        } else {
-            best_f1_threshold(&valid_scores, &valid_gold)
-        };
-        let evaluate = |scores: &[f32], gold: &[bool]| {
-            let predicted: Vec<bool> = scores.iter().map(|&s| s >= threshold).collect();
-            PrF1::from_predictions(&predicted, gold)
-        };
-        let valid_metrics = evaluate(&valid_scores, &valid_gold);
-        let (test_scores, test_gold) = score_split(test);
-        let test_metrics = evaluate(&test_scores, &test_gold);
+        let threshold = matcher.best_threshold(&valid_pairs);
+        let valid_metrics = matcher.evaluate(&valid_pairs, threshold);
+        let test_metrics = matcher.evaluate(&test_pairs, threshold);
 
         // Cluster discovery: predicted matches over all blocking candidates become edges.
         let candidate_inputs: Vec<(String, String)> = candidates

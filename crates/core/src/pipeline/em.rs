@@ -10,12 +10,12 @@ use rand::SeedableRng;
 
 use sudowoodo_datasets::em::{EmDataset, LabeledPair};
 use sudowoodo_index::{evaluate_blocking, BlockingQuality};
-use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
+use sudowoodo_ml::metrics::PrF1;
 use sudowoodo_text::serialize::serialize_record;
 
 use crate::config::SudowoodoConfig;
 use crate::encoder::Encoder;
-use crate::matcher::{FineTuneConfig, PairMatcher, TrainPair};
+use crate::matcher::{PairMatcher, TrainPair};
 use crate::pretrain::{pretrain, PretrainReport};
 use crate::pseudo::{generate_pseudo_labels, PseudoLabelSet, ScoredPair};
 
@@ -224,42 +224,19 @@ impl EmPipeline {
         let num_pseudo_labels = pseudo.labels.len();
 
         let mut matcher = PairMatcher::new(encoder, self.config.use_diff_head, self.config.seed);
-        matcher.fine_tune(
-            &train_pairs,
-            &FineTuneConfig {
-                epochs: self.config.finetune_epochs,
-                batch_size: self.config.finetune_batch_size,
-                learning_rate: self.config.finetune_lr,
-                seed: self.config.seed,
-            },
-        );
+        matcher.fine_tune(&train_pairs, &self.config.fine_tune_config());
         super::persist_matcher(&self.config, &matcher);
 
         // 5. Select the decision threshold on the labeled pairs (paper: best epoch/threshold
         //    on the validation split). In the unsupervised setting the pseudo labels play the
         //    role of the validation set (self-training calibration); without either, use 0.5.
-        let threshold = if labeled.is_empty() {
-            if pseudo.labels.is_empty() {
-                0.5
-            } else {
-                let eval_pairs: Vec<(String, String)> = pseudo
-                    .labels
-                    .iter()
-                    .map(|p| (texts_a[p.a].clone(), texts_b[p.b].clone()))
-                    .collect();
-                let scores = matcher.predict_scores(&eval_pairs);
-                let gold_labels: Vec<bool> = pseudo.labels.iter().map(|p| p.label).collect();
-                best_f1_threshold(&scores, &gold_labels).0
-            }
+        //    `train_pairs` holds the labeled pairs first, then the pseudo labels.
+        let calibration = if labeled.is_empty() {
+            &train_pairs[..]
         } else {
-            let eval_pairs: Vec<(String, String)> = labeled
-                .iter()
-                .map(|p| (texts_a[p.a].clone(), texts_b[p.b].clone()))
-                .collect();
-            let scores = matcher.predict_scores(&eval_pairs);
-            let gold_labels: Vec<bool> = labeled.iter().map(|p| p.label).collect();
-            best_f1_threshold(&scores, &gold_labels).0
+            &train_pairs[..labeled.len()]
         };
+        let threshold = matcher.best_threshold(calibration);
         let finetune_secs = finetune_start.elapsed().as_secs_f64();
 
         // 6. Evaluate on the held-out test pairs.
@@ -285,6 +262,20 @@ impl EmPipeline {
     }
 }
 
+/// The serialized form of labeled pairs of a dataset, as the matcher trains on them.
+pub fn labeled_train_pairs(dataset: &EmDataset, pairs: &[LabeledPair]) -> Vec<TrainPair> {
+    pairs
+        .iter()
+        .map(|p| {
+            TrainPair::new(
+                serialize_record(&dataset.table_a[p.a]),
+                serialize_record(&dataset.table_b[p.b]),
+                p.label,
+            )
+        })
+        .collect()
+}
+
 /// Evaluates a fine-tuned matcher on a set of labeled pairs of a dataset.
 pub fn evaluate_matcher(
     matcher: &PairMatcher,
@@ -292,18 +283,7 @@ pub fn evaluate_matcher(
     pairs: &[LabeledPair],
     threshold: f32,
 ) -> PrF1 {
-    let eval_pairs: Vec<(String, String)> = pairs
-        .iter()
-        .map(|p| {
-            (
-                serialize_record(&dataset.table_a[p.a]),
-                serialize_record(&dataset.table_b[p.b]),
-            )
-        })
-        .collect();
-    let predicted = matcher.predict_labels(&eval_pairs, threshold);
-    let gold: Vec<bool> = pairs.iter().map(|p| p.label).collect();
-    PrF1::from_predictions(&predicted, &gold)
+    matcher.evaluate(&labeled_train_pairs(dataset, pairs), threshold)
 }
 
 #[cfg(test)]

@@ -1712,38 +1712,6 @@ impl Matrix {
         }
     }
 
-    /// Adds a `1 x d` row vector to every row, producing a new matrix.
-    ///
-    /// # Panics
-    /// Panics when `bias` is not `1 x cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows, 1, "add_row_broadcast: bias must be 1 x d");
-        assert_eq!(self.cols, bias.cols, "add_row_broadcast: width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(bias.data.iter()) {
-                *v += b;
-            }
-        }
-        out
-    }
-
-    /// Multiplies every row element-wise by a `1 x d` row vector, producing a new matrix.
-    ///
-    /// # Panics
-    /// Panics when `gain` is not `1 x cols`.
-    pub fn mul_row_broadcast(&self, gain: &Matrix) -> Matrix {
-        assert_eq!(gain.rows, 1, "mul_row_broadcast: gain must be 1 x d");
-        assert_eq!(self.cols, gain.cols, "mul_row_broadcast: width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, &g) in out.row_mut(r).iter_mut().zip(gain.data.iter()) {
-                *v *= g;
-            }
-        }
-        out
-    }
-
     /// Returns a copy with every row L2-normalized; rows with near-zero norm are left
     /// unchanged.
     ///

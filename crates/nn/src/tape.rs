@@ -314,13 +314,15 @@ impl Tape {
 
     /// Adds a `1 x d` row vector to every row of an `n x d` matrix.
     pub fn add_row_broadcast(&mut self, x: VarId, bias: VarId) -> VarId {
-        let out = self.value(x).add_row_broadcast(self.value(bias));
+        let mut out = self.value(x).clone();
+        out.add_row_broadcast_mut(self.value(bias));
         self.push(out, Op::AddRowBroadcast(x, bias))
     }
 
     /// Multiplies every row of an `n x d` matrix element-wise by a `1 x d` row vector.
     pub fn mul_row_broadcast(&mut self, x: VarId, gain: VarId) -> VarId {
-        let out = self.value(x).mul_row_broadcast(self.value(gain));
+        let mut out = self.value(x).clone();
+        out.mul_row_broadcast_mut(self.value(gain));
         self.push(out, Op::MulRowBroadcast(x, gain))
     }
 
