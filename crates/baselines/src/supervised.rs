@@ -122,31 +122,38 @@ mod tests {
     use super::*;
     use sudowoodo_datasets::em::EmProfile;
 
-    fn tiny_setup() -> (EmDataset, SudowoodoConfig) {
+    /// Runs `f` once per encoder kind of the test configurations. The baselines build no
+    /// blocking index, so the layout axis would only repeat a run.
+    fn for_each_tiny_setup(mut f: impl FnMut(&EmDataset, SudowoodoConfig)) {
         let dataset = EmProfile::dblp_acm().generate(0.06, 5);
-        let mut config = SudowoodoConfig::test_config();
-        config.finetune_epochs = 2;
-        (dataset, config)
+        SudowoodoConfig::for_each_test_config(|mut config| {
+            if config.blocking_shard_capacity.is_none() {
+                config.finetune_epochs = 2;
+                f(&dataset, config);
+            }
+        });
     }
 
     #[test]
     fn ditto_runs_with_budget_and_full_labels() {
-        let (dataset, config) = tiny_setup();
-        let budgeted = run_ditto(&dataset, Some(30), &config);
-        assert_eq!(budgeted.labels_used, 30);
-        assert!(budgeted.method.starts_with("Ditto"));
-        assert!(budgeted.matching.f1 >= 0.0 && budgeted.matching.f1 <= 1.0);
-        let full = run_ditto(&dataset, None, &config);
-        assert_eq!(full.labels_used, dataset.train.len() + dataset.valid.len());
-        assert_eq!(full.method, "Ditto (full)");
+        for_each_tiny_setup(|dataset, config| {
+            let budgeted = run_ditto(dataset, Some(30), &config);
+            assert_eq!(budgeted.labels_used, 30);
+            assert!(budgeted.method.starts_with("Ditto"));
+            assert!(budgeted.matching.f1 >= 0.0 && budgeted.matching.f1 <= 1.0);
+            let full = run_ditto(dataset, None, &config);
+            assert_eq!(full.labels_used, dataset.train.len() + dataset.valid.len());
+            assert_eq!(full.method, "Ditto (full)");
+        });
     }
 
     #[test]
     fn rotom_expands_the_training_set() {
-        let (dataset, config) = tiny_setup();
-        let result = run_rotom(&dataset, Some(20), &config);
-        assert_eq!(result.labels_used, 20);
-        assert!(result.matching.f1 >= 0.0);
-        assert!(result.seconds > 0.0);
+        for_each_tiny_setup(|dataset, config| {
+            let result = run_rotom(dataset, Some(20), &config);
+            assert_eq!(result.labels_used, 20);
+            assert!(result.matching.f1 >= 0.0);
+            assert!(result.seconds > 0.0);
+        });
     }
 }

@@ -177,7 +177,7 @@ mod tests {
         assert!(!c.quick);
         let sc = c.sudowoodo_config();
         assert!(sc.max_corpus_size <= 2_000);
-        // Built from the defaults, so no test-only knob (SUDOWOODO_TEST_QUANT) reaches it.
+        // Built from the defaults, not from the test configuration: dense, unquantized.
         assert_eq!(sc.pseudo_multiplier, 4);
         assert_eq!(sc.blocking_shard_capacity, None);
         assert_eq!(sc.shard_quantization, None);

@@ -208,40 +208,11 @@ impl Default for SudowoodoConfig {
 }
 
 impl SudowoodoConfig {
-    /// A small configuration for unit/integration tests (tiny encoder, one epoch).
-    ///
-    /// The encoder architecture honours the `SUDOWOODO_TEST_ENCODER` environment variable
-    /// (`meanpool` | `transformer`, case-insensitive): CI runs the workspace test suite
-    /// once per encoder kind so the batched Transformer path cannot silently rot while
-    /// the default (`MeanPool`) tier stays fast.
-    ///
-    /// `SUDOWOODO_TEST_QUANT=1` routes blocking through the sharded layout with i8
-    /// shard quantization enabled, giving CI a leg where every pipeline join runs the
-    /// quantized two-stage scan. Because the quantized join is bit-identical to the
-    /// dense one, every test must pass unchanged on that leg.
+    /// A small configuration for unit/integration tests (tiny `MeanPool` encoder, dense
+    /// blocking, one pre-training epoch).
     pub fn test_config() -> Self {
-        let mut encoder = EncoderConfig::tiny();
-        match std::env::var("SUDOWOODO_TEST_ENCODER")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "transformer" => encoder.kind = EncoderKind::Transformer,
-            "meanpool" | "" => {}
-            other => panic!("SUDOWOODO_TEST_ENCODER: unknown encoder kind {other:?}"),
-        }
-        let quant = match std::env::var("SUDOWOODO_TEST_QUANT")
-            .unwrap_or_default()
-            .as_str()
-        {
-            "1" => true,
-            "" | "0" => false,
-            other => panic!("SUDOWOODO_TEST_QUANT: expected 0 or 1, got {other:?}"),
-        };
         SudowoodoConfig {
-            encoder,
-            blocking_shard_capacity: quant.then_some(64),
-            shard_quantization: quant.then(QuantSpec::default),
+            encoder: EncoderConfig::tiny(),
             projector_dim: 16,
             pretrain_epochs: 1,
             batch_size: 8,
@@ -252,6 +223,27 @@ impl SudowoodoConfig {
             pseudo_multiplier: 4,
             blocking_k: 5,
             ..SudowoodoConfig::default()
+        }
+    }
+
+    /// Test hook: runs `f` on [`test_config`](Self::test_config) under both encoder kinds
+    /// ({`MeanPool`, `Transformer`}) crossed with both blocking layouts (dense, and sharded
+    /// by 64 rows with i8 shard quantization), so one test run covers the batched
+    /// Transformer path and the quantized two-stage join beside the defaults. The
+    /// quantized join is bit-identical to the dense one, so a test's assertions hold on
+    /// every layout unchanged.
+    #[doc(hidden)]
+    pub fn for_each_test_config(mut f: impl FnMut(SudowoodoConfig)) {
+        for kind in [EncoderKind::MeanPool, EncoderKind::Transformer] {
+            for quant in [false, true] {
+                let mut config = SudowoodoConfig::test_config();
+                config.encoder.kind = kind;
+                config.blocking_shard_capacity = quant.then_some(64);
+                config.shard_quantization = quant.then(QuantSpec::default);
+                // Captured by the test harness and shown only when `f` fails.
+                eprintln!("test config: {kind:?} encoder, quantized shards: {quant}");
+                f(config);
+            }
         }
     }
 
@@ -344,6 +336,31 @@ mod tests {
                 .without("RR")
                 .variant_name(),
             "Sudowoodo (-cut,-RR)"
+        );
+    }
+
+    /// The hook's matrix cannot shrink unnoticed: exactly four configurations, one per
+    /// (encoder, layout), each `test_config()` apart from those two axes.
+    #[test]
+    fn for_each_test_config_yields_both_encoders_on_both_layouts() {
+        let mut axes = Vec::new();
+        SudowoodoConfig::for_each_test_config(|mut c| {
+            let (kind, capacity) = (c.encoder.kind, c.blocking_shard_capacity);
+            axes.push((kind, capacity, c.shard_quantization.is_some()));
+            c.encoder.kind = EncoderKind::MeanPool;
+            c.blocking_shard_capacity = None;
+            c.shard_quantization = None;
+            assert_eq!(c, SudowoodoConfig::test_config(), "{kind:?}, {capacity:?}");
+        });
+        use EncoderKind::{MeanPool, Transformer};
+        assert_eq!(
+            axes,
+            [
+                (MeanPool, None, false),
+                (MeanPool, Some(64), true),
+                (Transformer, None, false),
+                (Transformer, Some(64), true),
+            ]
         );
     }
 

@@ -61,7 +61,7 @@ impl ColumnPipeline {
     /// `config.shard_memory_budget` (cold shards spill to disk), the
     /// `config.blocking_query_cache` batch cache, and `config.snapshot_dir` persistence
     /// (see `pipeline::build_blocking_index`); results are identical.
-    pub fn block(&self, corpus: &ColumnCorpus, embeddings: &[Vec<f32>]) -> Vec<(usize, usize)> {
+    pub fn block(&self, embeddings: &[Vec<f32>]) -> Vec<(usize, usize)> {
         let index = crate::pipeline::build_blocking_index(&self.config, embeddings.to_vec());
         // One batched self-join (identical per-query results to `top_k`, proven by the
         // index tests): the query tiles are the parallel axis, where a per-embedding
@@ -76,7 +76,6 @@ impl ColumnPipeline {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let _ = corpus;
         pairs
     }
 
@@ -94,7 +93,7 @@ impl ColumnPipeline {
 
         let blocking_start = Instant::now();
         let embeddings = encoder.embed_all(&texts);
-        let candidates = self.block(corpus, &embeddings);
+        let candidates = self.block(&embeddings);
         let blocking_secs = blocking_start.elapsed().as_secs_f64();
 
         let matching_start = Instant::now();
@@ -147,13 +146,19 @@ mod tests {
     use super::*;
     use sudowoodo_datasets::columns::{sample_labeled_pairs, ColumnProfile};
 
-    fn tiny_config() -> SudowoodoConfig {
-        let mut c = SudowoodoConfig::test_config();
+    /// Shrinks a test configuration to this module's corpora.
+    fn tiny_config(mut c: SudowoodoConfig) -> SudowoodoConfig {
         c.pretrain_epochs = 1;
         c.finetune_epochs = 2;
         c.max_corpus_size = 80;
         c.blocking_k = 3;
         c
+    }
+
+    /// Runs `f` on [`tiny_config`] under every test configuration (both encoders, both
+    /// blocking layouts).
+    fn for_each_tiny_config(mut f: impl FnMut(SudowoodoConfig)) {
+        SudowoodoConfig::for_each_test_config(|c| f(tiny_config(c)));
     }
 
     #[test]
@@ -164,17 +169,18 @@ mod tests {
             max_values: 8,
         }
         .generate(1.0, 3);
-        let pipeline = ColumnPipeline::new(tiny_config());
         // Candidate pairs for labeling: adjacent columns (cheap, mixes types).
         let candidates: Vec<(usize, usize)> = (0..corpus.len() - 1).map(|i| (i, i + 1)).collect();
         let (train, valid, test) = sample_labeled_pairs(&corpus, &candidates, 40, 5);
-        let result = pipeline.run(&corpus, &train, &valid, &test);
-        assert_eq!(result.labeled_pairs, train.len());
-        assert!(result.test.f1 >= 0.0 && result.test.f1 <= 1.0);
-        assert!(result.num_clusters >= 1);
-        assert!(result.num_clusters <= corpus.len());
-        assert!(result.purity >= 0.0 && result.purity <= 1.0);
-        assert!(result.blocking_secs >= 0.0 && result.matching_secs > 0.0);
+        for_each_tiny_config(|config| {
+            let result = ColumnPipeline::new(config).run(&corpus, &train, &valid, &test);
+            assert_eq!(result.labeled_pairs, train.len());
+            assert!(result.test.f1 >= 0.0 && result.test.f1 <= 1.0);
+            assert!(result.num_clusters >= 1);
+            assert!(result.num_clusters <= corpus.len());
+            assert!(result.purity >= 0.0 && result.purity <= 1.0);
+            assert!(result.blocking_secs >= 0.0 && result.matching_secs > 0.0);
+        });
     }
 
     #[test]
@@ -185,19 +191,21 @@ mod tests {
             max_values: 6,
         }
         .generate(1.0, 11);
-        let dense_pipeline = ColumnPipeline::new(tiny_config());
-        let mut sharded_config = tiny_config();
-        sharded_config.blocking_shard_capacity = Some(5);
-        let sharded_pipeline = ColumnPipeline::new(sharded_config.clone());
-        let mut spilled_config = sharded_config;
-        spilled_config.shard_memory_budget = Some(0); // every shard on disk
-        let spilled_pipeline = ColumnPipeline::new(spilled_config);
         let texts = corpus.corpus(MAX_COLUMN_VALUES);
-        let (encoder, _) = pretrain(&texts, &dense_pipeline.config);
-        let embeddings = encoder.embed_all(&texts);
-        let dense_pairs = dense_pipeline.block(&corpus, &embeddings);
-        assert_eq!(dense_pairs, sharded_pipeline.block(&corpus, &embeddings));
-        assert_eq!(dense_pairs, spilled_pipeline.block(&corpus, &embeddings));
+        for_each_tiny_config(|config| {
+            let dense_pipeline = ColumnPipeline::new(config.clone());
+            let mut sharded_config = config;
+            sharded_config.blocking_shard_capacity = Some(5);
+            let sharded_pipeline = ColumnPipeline::new(sharded_config.clone());
+            let mut spilled_config = sharded_config;
+            spilled_config.shard_memory_budget = Some(0); // every shard on disk
+            let spilled_pipeline = ColumnPipeline::new(spilled_config);
+            let (encoder, _) = pretrain(&texts, &dense_pipeline.config);
+            let embeddings = encoder.embed_all(&texts);
+            let dense_pairs = dense_pipeline.block(&embeddings);
+            assert_eq!(dense_pairs, sharded_pipeline.block(&embeddings));
+            assert_eq!(dense_pairs, spilled_pipeline.block(&embeddings));
+        });
     }
 
     #[test]
@@ -208,21 +216,23 @@ mod tests {
             max_values: 6,
         }
         .generate(1.0, 7);
-        let pipeline = ColumnPipeline::new(tiny_config());
         let texts = corpus.corpus(MAX_COLUMN_VALUES);
-        let (encoder, _) = pretrain(&texts, &pipeline.config);
-        let embeddings = encoder.embed_all(&texts);
-        let pairs = pipeline.block(&corpus, &embeddings);
-        assert!(!pairs.is_empty());
-        for w in pairs.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "pairs must be strictly increasing (sorted + deduped)"
-            );
-        }
-        for &(i, j) in &pairs {
-            assert!(i < j);
-            assert!(j < corpus.len());
-        }
+        for_each_tiny_config(|config| {
+            let pipeline = ColumnPipeline::new(config);
+            let (encoder, _) = pretrain(&texts, &pipeline.config);
+            let embeddings = encoder.embed_all(&texts);
+            let pairs = pipeline.block(&embeddings);
+            assert!(!pairs.is_empty());
+            for w in pairs.windows(2) {
+                assert!(
+                    w[0] < w[1],
+                    "pairs must be strictly increasing (sorted + deduped)"
+                );
+            }
+            for &(i, j) in &pairs {
+                assert!(i < j);
+                assert!(j < corpus.len());
+            }
+        });
     }
 }

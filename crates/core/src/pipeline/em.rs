@@ -295,8 +295,8 @@ mod tests {
         EmProfile::dblp_acm().generate(0.08, 3)
     }
 
-    fn tiny_config() -> SudowoodoConfig {
-        let mut c = SudowoodoConfig::test_config();
+    /// Shrinks a test configuration to this module's dataset.
+    fn tiny_config(mut c: SudowoodoConfig) -> SudowoodoConfig {
         c.pretrain_epochs = 1;
         c.finetune_epochs = 2;
         c.max_corpus_size = 120;
@@ -304,84 +304,99 @@ mod tests {
         c
     }
 
+    /// Runs `f` on [`tiny_config`] under every test configuration (both encoders, both
+    /// blocking layouts).
+    fn for_each_tiny_config(mut f: impl FnMut(SudowoodoConfig)) {
+        SudowoodoConfig::for_each_test_config(|c| f(tiny_config(c)));
+    }
+
     #[test]
     fn full_pipeline_runs_and_produces_sane_metrics() {
         let dataset = tiny_dataset();
-        let pipeline = EmPipeline::new(tiny_config());
-        let result = pipeline.run(&dataset, Some(60));
-        assert_eq!(result.dataset, "DBLP-ACM");
-        assert_eq!(result.variant, "Sudowoodo");
-        assert!(result.labels_used <= 60);
-        assert!(result.matching.f1 >= 0.0 && result.matching.f1 <= 1.0);
-        assert!(result.blocking.recall >= 0.0 && result.blocking.recall <= 1.0);
-        assert!(result.blocking.num_candidates > 0);
-        assert!(
-            result.num_pseudo_labels > 0,
-            "pseudo labels should be generated"
-        );
-        assert!(result.pseudo_quality.is_some());
-        assert!(result.timings.total_secs > 0.0);
-        assert!(result.timings.pretrain_secs > 0.0);
+        for_each_tiny_config(|config| {
+            let result = EmPipeline::new(config).run(&dataset, Some(60));
+            assert_eq!(result.dataset, "DBLP-ACM");
+            assert_eq!(result.variant, "Sudowoodo");
+            assert!(result.labels_used <= 60);
+            assert!(result.matching.f1 >= 0.0 && result.matching.f1 <= 1.0);
+            assert!(result.blocking.recall >= 0.0 && result.blocking.recall <= 1.0);
+            assert!(result.blocking.num_candidates > 0);
+            assert!(
+                result.num_pseudo_labels > 0,
+                "pseudo labels should be generated"
+            );
+            assert!(result.pseudo_quality.is_some());
+            assert!(result.timings.total_secs > 0.0);
+            assert!(result.timings.pretrain_secs > 0.0);
+        });
     }
 
     #[test]
     fn unsupervised_run_uses_no_labels() {
         let dataset = tiny_dataset();
-        let pipeline = EmPipeline::new(tiny_config());
-        let result = pipeline.run(&dataset, Some(0));
-        assert_eq!(result.labels_used, 0);
-        // Without manual labels the threshold is calibrated on the pseudo labels.
-        assert!((0.0..=1.0).contains(&result.threshold));
-        assert!(result.num_pseudo_labels > 0);
+        for_each_tiny_config(|config| {
+            let result = EmPipeline::new(config).run(&dataset, Some(0));
+            assert_eq!(result.labels_used, 0);
+            // Without manual labels the threshold is calibrated on the pseudo labels.
+            assert!((0.0..=1.0).contains(&result.threshold));
+            assert!(result.num_pseudo_labels > 0);
+        });
     }
 
     #[test]
     fn disabling_pseudo_labels_removes_them() {
         let dataset = tiny_dataset();
-        let pipeline = EmPipeline::new(tiny_config().without("PL"));
-        let result = pipeline.run(&dataset, Some(40));
-        assert_eq!(result.num_pseudo_labels, 0);
-        assert!(result.pseudo_quality.is_none());
-        assert_eq!(result.variant, "Sudowoodo (-PL)");
+        for_each_tiny_config(|config| {
+            let result = EmPipeline::new(config.without("PL")).run(&dataset, Some(40));
+            assert_eq!(result.num_pseudo_labels, 0);
+            assert!(result.pseudo_quality.is_none());
+            assert_eq!(result.variant, "Sudowoodo (-PL)");
+        });
     }
 
     #[test]
     fn blocking_curve_recall_is_monotone_in_k() {
         let dataset = tiny_dataset();
-        let pipeline = EmPipeline::new(tiny_config());
-        let curve = pipeline.blocking_curve(&dataset, &[1, 3, 8]);
-        assert_eq!(curve.len(), 3);
-        assert!(curve[0].1.recall <= curve[1].1.recall + 1e-6);
-        assert!(curve[1].1.recall <= curve[2].1.recall + 1e-6);
-        assert!(curve[0].1.num_candidates < curve[2].1.num_candidates);
+        for_each_tiny_config(|config| {
+            let curve = EmPipeline::new(config).blocking_curve(&dataset, &[1, 3, 8]);
+            assert_eq!(curve.len(), 3);
+            assert!(curve[0].1.recall <= curve[1].1.recall + 1e-6);
+            assert!(curve[1].1.recall <= curve[2].1.recall + 1e-6);
+            assert!(curve[0].1.num_candidates < curve[2].1.num_candidates);
+        });
     }
 
     #[test]
     fn sharded_blocking_produces_identical_candidates() {
         let dataset = tiny_dataset();
-        let dense_pipeline = EmPipeline::new(tiny_config());
-        let (encoder, _) = dense_pipeline.pretrain_encoder(&dataset);
-        let mut sharded_config = tiny_config();
-        sharded_config.blocking_shard_capacity = Some(17);
-        let sharded_pipeline = EmPipeline::new(sharded_config.clone());
-        // Same encoder through both layouts: candidate sets and quality must coincide.
-        let (dense_candidates, dense_quality) = dense_pipeline.block(&encoder, &dataset, 4);
-        let (sharded_candidates, sharded_quality) = sharded_pipeline.block(&encoder, &dataset, 4);
-        assert_eq!(dense_candidates, sharded_candidates);
-        assert_eq!(dense_quality, sharded_quality);
-        // Forcing every shard to spill to disk must also be invisible in results.
-        let mut spilled_config = sharded_config;
-        spilled_config.shard_memory_budget = Some(0);
-        let spilled_pipeline = EmPipeline::new(spilled_config);
-        let (spilled_candidates, spilled_quality) = spilled_pipeline.block(&encoder, &dataset, 4);
-        assert_eq!(dense_candidates, spilled_candidates);
-        assert_eq!(dense_quality, spilled_quality);
+        for_each_tiny_config(|config| {
+            let dense_pipeline = EmPipeline::new(config.clone());
+            let (encoder, _) = dense_pipeline.pretrain_encoder(&dataset);
+            let mut sharded_config = config;
+            sharded_config.blocking_shard_capacity = Some(17);
+            let sharded_pipeline = EmPipeline::new(sharded_config.clone());
+            // Same encoder through both layouts: candidate sets and quality must coincide.
+            let (dense_candidates, dense_quality) = dense_pipeline.block(&encoder, &dataset, 4);
+            let (sharded_candidates, sharded_quality) =
+                sharded_pipeline.block(&encoder, &dataset, 4);
+            assert_eq!(dense_candidates, sharded_candidates);
+            assert_eq!(dense_quality, sharded_quality);
+            // Forcing every shard to spill to disk must also be invisible in results.
+            let mut spilled_config = sharded_config;
+            spilled_config.shard_memory_budget = Some(0);
+            let spilled_pipeline = EmPipeline::new(spilled_config);
+            let (spilled_candidates, spilled_quality) =
+                spilled_pipeline.block(&encoder, &dataset, 4);
+            assert_eq!(dense_candidates, spilled_candidates);
+            assert_eq!(dense_quality, spilled_quality);
+        });
     }
 
+    /// Label sampling reads only the seed, so one configuration covers it.
     #[test]
     fn label_sampling_respects_budget_and_none_means_all() {
         let dataset = tiny_dataset();
-        let pipeline = EmPipeline::new(tiny_config());
+        let pipeline = EmPipeline::new(tiny_config(SudowoodoConfig::test_config()));
         assert_eq!(pipeline.sample_labels(&dataset, Some(10)).len(), 10);
         assert_eq!(
             pipeline.sample_labels(&dataset, None).len(),

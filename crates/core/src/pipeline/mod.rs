@@ -82,6 +82,7 @@ mod tests {
     use crate::encoder::Encoder;
     use crate::matcher::PairMatcher;
 
+    /// `persist_matcher` reads only `snapshot_dir`, so one configuration covers it.
     #[test]
     fn persist_matcher_writes_a_loadable_model_beside_the_index_snapshot() {
         let corpus: Vec<String> = (0..4).map(|i| format!("[COL] t [VAL] item {i}")).collect();

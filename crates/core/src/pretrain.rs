@@ -169,25 +169,37 @@ mod tests {
         corpus
     }
 
+    /// Runs `f` once per encoder kind of the test configurations. `pretrain` never builds
+    /// a blocking index, so their layout axis would only repeat a run.
+    fn for_each_encoder(mut f: impl FnMut(SudowoodoConfig)) {
+        SudowoodoConfig::for_each_test_config(|config| {
+            if config.blocking_shard_capacity.is_none() {
+                f(config)
+            }
+        });
+    }
+
     #[test]
     fn pretraining_reduces_the_contrastive_loss() {
-        let mut config = SudowoodoConfig::test_config();
-        config.pretrain_epochs = 4;
-        config.batch_size = 8;
-        // First-vs-last epoch loss on a 48-item toy corpus is noisy; the default seed (42)
-        // happens to draw an unusually easy first epoch under the in-repo rand stream and
-        // then hovers. Seeds 0..8 all show a clear monotone-ish decrease; pin one.
-        config.seed = 0;
-        let (_, report) = pretrain(&toy_corpus(), &config);
-        assert_eq!(report.epoch_losses.len(), 4);
-        assert!(report.steps > 0);
-        assert!(report.corpus_size == 48);
-        let first = report.epoch_losses[0];
-        let last = *report.epoch_losses.last().unwrap();
-        assert!(
-            last < first,
-            "loss should decrease over epochs: first {first}, last {last}"
-        );
+        for_each_encoder(|mut config| {
+            config.pretrain_epochs = 4;
+            config.batch_size = 8;
+            // First-vs-last epoch loss on a 48-item toy corpus is noisy; the default seed
+            // (42) happens to draw an unusually easy first epoch under the in-repo rand
+            // stream and then hovers. Seeds 0..8 all show a clear monotone-ish decrease;
+            // pin one.
+            config.seed = 0;
+            let (_, report) = pretrain(&toy_corpus(), &config);
+            assert_eq!(report.epoch_losses.len(), 4);
+            assert!(report.steps > 0);
+            assert!(report.corpus_size == 48);
+            let first = report.epoch_losses[0];
+            let last = *report.epoch_losses.last().unwrap();
+            assert!(
+                last < first,
+                "loss should decrease over epochs: first {first}, last {last}"
+            );
+        });
     }
 
     #[test]
@@ -195,57 +207,63 @@ mod tests {
         // After pre-training, an item should be closer to another item of its own group than
         // to an item of the other group (on average).
         let corpus = toy_corpus();
-        let mut config = SudowoodoConfig::test_config();
-        config.pretrain_epochs = 4;
-        config.batch_size = 8;
-        let (encoder, _) = pretrain(&corpus, &config);
-        let embeddings = encoder.embed_all(&corpus);
-        // Even indices are printers, odd are papers.
-        let mut same = 0.0f32;
-        let mut cross = 0.0f32;
-        let mut count = 0;
-        for i in (0..corpus.len()).step_by(2).take(10) {
-            same += cosine(&embeddings[i], &embeddings[(i + 2) % corpus.len()]);
-            cross += cosine(&embeddings[i], &embeddings[i + 1]);
-            count += 1;
-        }
-        same /= count as f32;
-        cross /= count as f32;
-        assert!(
-            same > cross,
-            "within-group similarity ({same}) should exceed cross-group similarity ({cross})"
-        );
+        for_each_encoder(|mut config| {
+            config.pretrain_epochs = 4;
+            config.batch_size = 8;
+            let (encoder, _) = pretrain(&corpus, &config);
+            let embeddings = encoder.embed_all(&corpus);
+            // Even indices are printers, odd are papers.
+            let mut same = 0.0f32;
+            let mut cross = 0.0f32;
+            let mut count = 0;
+            for i in (0..corpus.len()).step_by(2).take(10) {
+                same += cosine(&embeddings[i], &embeddings[(i + 2) % corpus.len()]);
+                cross += cosine(&embeddings[i], &embeddings[i + 1]);
+                count += 1;
+            }
+            same /= count as f32;
+            cross /= count as f32;
+            assert!(
+                same > cross,
+                "within-group similarity ({same}) should exceed cross-group similarity ({cross})"
+            );
+        });
     }
 
     #[test]
     fn all_ablation_variants_run() {
         let corpus = toy_corpus();
-        for variant in [
-            SudowoodoConfig::test_config(),
-            SudowoodoConfig::test_config().simclr(),
-            SudowoodoConfig::test_config().without("cut"),
-            SudowoodoConfig::test_config().without("cls"),
-            SudowoodoConfig::test_config().without("RR"),
-        ] {
-            let (_, report) = pretrain(&corpus, &variant);
-            assert!(
-                report.steps > 0,
-                "variant {} did not train",
-                variant.variant_name()
-            );
-            assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
-        }
+        for_each_encoder(|config| {
+            for variant in [
+                config.clone(),
+                config.clone().simclr(),
+                config.clone().without("cut"),
+                config.clone().without("cls"),
+                config.clone().without("RR"),
+            ] {
+                let (_, report) = pretrain(&corpus, &variant);
+                assert!(
+                    report.steps > 0,
+                    "variant {} did not train",
+                    variant.variant_name()
+                );
+                assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
+            }
+        });
     }
 
     #[test]
     fn corpus_cap_is_respected() {
-        let mut config = SudowoodoConfig::test_config();
-        config.max_corpus_size = 16;
-        config.pretrain_epochs = 1;
-        let (_, report) = pretrain(&toy_corpus(), &config);
-        assert_eq!(report.corpus_size, 16);
+        for_each_encoder(|mut config| {
+            config.max_corpus_size = 16;
+            config.pretrain_epochs = 1;
+            let (_, report) = pretrain(&toy_corpus(), &config);
+            assert_eq!(report.corpus_size, 16);
+        });
     }
 
+    /// The empty-corpus assertion fires before `pretrain` reads any field, so one
+    /// configuration covers it.
     #[test]
     #[should_panic(expected = "empty corpus")]
     fn empty_corpus_panics() {

@@ -228,57 +228,59 @@ fn dense_snapshots_serve_too() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Under every test configuration, with the shard capacity pinned to 16: both encoders,
+/// and plain f32 shards beside i8-quantized ones.
 #[test]
 fn pipeline_snapshot_dir_feeds_a_serving_process() {
     use sudowoodo::datasets::em::EmProfile;
-    use sudowoodo::prelude::{EmPipeline, SudowoodoConfig};
+    use sudowoodo::prelude::EmPipeline;
 
-    // Builder role: a tiny EM pipeline with `snapshot_dir` set persists its blocking
-    // index as a side effect of blocking.
-    let dir = snapshot_dir("pipeline");
-    let mut config = SudowoodoConfig::test_config();
-    config.blocking_shard_capacity = Some(16);
-    config.blocking_query_cache = 4;
-    config.snapshot_dir = Some(dir.clone());
     let dataset = EmProfile::abt_buy().generate(0.3, 7);
-    let pipeline = EmPipeline::new(config);
-    let (encoder, _) = pipeline.pretrain_encoder(&dataset);
-    let (candidates, _) = pipeline.block(&encoder, &dataset, 5);
-    assert!(!candidates.is_empty());
-    assert!(
-        dir.join("MANIFEST.swidx").exists(),
-        "pipeline must snapshot"
-    );
-
-    // Server role: load the pipeline's snapshot cold and answer the same queries the
-    // pipeline asked, identically.
-    let loaded = BlockingIndex::load_snapshot(&dir).unwrap();
-    let server = Server::spawn(Arc::new(loaded), "127.0.0.1:0").unwrap();
-    let mut client = ServeClient::connect(server.addr()).unwrap();
     let texts_a: Vec<String> = dataset
         .table_a
         .iter()
         .map(sudowoodo::text::serialize::serialize_record)
         .collect();
-    let emb_a = encoder.embed_all(&texts_a);
-    let served = client.knn_join(&emb_a, 5).unwrap();
-    assert_eq!(
-        served, candidates,
-        "served pairs == the pipeline's candidates"
-    );
+    SudowoodoConfig::for_each_test_config(|mut config| {
+        // Builder role: a tiny EM pipeline with `snapshot_dir` set persists its blocking
+        // index as a side effect of blocking.
+        let dir = snapshot_dir("pipeline");
+        config.blocking_shard_capacity = Some(16);
+        config.blocking_query_cache = 4;
+        config.snapshot_dir = Some(dir.clone());
+        let pipeline = EmPipeline::new(config);
+        let (encoder, _) = pipeline.pretrain_encoder(&dataset);
+        let (candidates, _) = pipeline.block(&encoder, &dataset, 5);
+        assert!(!candidates.is_empty());
+        assert!(
+            dir.join("MANIFEST.swidx").exists(),
+            "pipeline must snapshot"
+        );
 
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
+        // Server role: load the pipeline's snapshot cold and answer the same queries the
+        // pipeline asked, identically.
+        let loaded = BlockingIndex::load_snapshot(&dir).unwrap();
+        let server = Server::spawn(Arc::new(loaded), "127.0.0.1:0").unwrap();
+        let mut client = ServeClient::connect(server.addr()).unwrap();
+        let emb_a = encoder.embed_all(&texts_a);
+        let served = client.knn_join(&emb_a, 5).unwrap();
+        assert_eq!(
+            served, candidates,
+            "served pairs == the pipeline's candidates"
+        );
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
 }
 
-/// Trains a tiny matcher on the configured test encoder (`SUDOWOODO_TEST_ENCODER`
-/// switches the architecture in CI) — the in-process oracle for the model tests.
-fn trained_matcher() -> PairMatcher {
+/// Runs `f` on a tiny trained matcher — the in-process oracle for the model tests — once
+/// per encoder kind of the test configurations. The matcher reads only their encoder, so
+/// the layout axis would only repeat a run.
+fn for_each_trained_matcher(mut f: impl FnMut(PairMatcher)) {
     let corpus: Vec<String> = (0..10)
         .map(|i| format!("[COL] title [VAL] acme widget model w{i}"))
         .collect();
-    let encoder = Encoder::from_corpus(SudowoodoConfig::test_config().encoder, &corpus, 11);
-    let mut matcher = PairMatcher::new(encoder, true, 11);
     let pairs: Vec<TrainPair> = (0..6)
         .map(|i| {
             TrainPair::new(
@@ -288,16 +290,23 @@ fn trained_matcher() -> PairMatcher {
             )
         })
         .collect();
-    matcher.fine_tune(
-        &pairs,
-        &FineTuneConfig {
-            epochs: 1,
-            batch_size: 4,
-            learning_rate: 1e-3,
-            seed: 11,
-        },
-    );
-    matcher
+    SudowoodoConfig::for_each_test_config(|config| {
+        if config.blocking_shard_capacity.is_some() {
+            return;
+        }
+        let encoder = Encoder::from_corpus(config.encoder, &corpus, 11);
+        let mut matcher = PairMatcher::new(encoder, true, 11);
+        matcher.fine_tune(
+            &pairs,
+            &FineTuneConfig {
+                epochs: 1,
+                batch_size: 4,
+                learning_rate: 1e-3,
+                seed: 11,
+            },
+        );
+        f(matcher)
+    });
 }
 
 /// Spawns a server over a small index plus a **cold-loaded** copy of `matcher` —
@@ -322,90 +331,93 @@ fn spawn_model_server(matcher: &PairMatcher) -> Server {
 
 #[test]
 fn embed_and_match_answers_are_bit_identical_over_a_cold_model_snapshot() {
-    let matcher = trained_matcher();
-    let server = spawn_model_server(&matcher);
-    let mut client = ServeClient::connect(server.addr()).unwrap();
+    for_each_trained_matcher(|matcher| {
+        let server = spawn_model_server(&matcher);
+        let mut client = ServeClient::connect(server.addr()).unwrap();
 
-    let texts: Vec<String> = (0..7)
-        .map(|i| format!("[COL] title [VAL] acme widget model w{i}"))
-        .collect();
+        let texts: Vec<String> = (0..7)
+            .map(|i| format!("[COL] title [VAL] acme widget model w{i}"))
+            .collect();
 
-    // EMBED == the in-process encoder, bit for bit.
-    let served = client.embed(&texts).unwrap();
-    let expected = matcher.encoder.embed_all(&texts);
-    assert_eq!(served.len(), expected.len());
-    for (a, b) in served.iter().zip(expected.iter()) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "served embedding bits diverged");
+        // EMBED == the in-process encoder, bit for bit.
+        let served = client.embed(&texts).unwrap();
+        let expected = matcher.encoder.embed_all(&texts);
+        assert_eq!(served.len(), expected.len());
+        for (a, b) in served.iter().zip(expected.iter()) {
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "served embedding bits diverged");
+            }
         }
-    }
 
-    // MATCH == the in-process matcher, bit for bit.
-    let pairs: Vec<(String, String)> = texts
-        .iter()
-        .cloned()
-        .zip(texts.iter().rev().cloned())
-        .collect();
-    let served = client.match_pairs(&pairs).unwrap();
-    let expected = matcher.predict_scores(&pairs);
-    assert_eq!(served.len(), expected.len());
-    for (x, y) in served.iter().zip(expected.iter()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "served match-score bits diverged");
-    }
+        // MATCH == the in-process matcher, bit for bit.
+        let pairs: Vec<(String, String)> = texts
+            .iter()
+            .cloned()
+            .zip(texts.iter().rev().cloned())
+            .collect();
+        let served = client.match_pairs(&pairs).unwrap();
+        let expected = matcher.predict_scores(&pairs);
+        assert_eq!(served.len(), expected.len());
+        for (x, y) in served.iter().zip(expected.iter()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "served match-score bits diverged");
+        }
 
-    // The same connection still serves the index workload.
-    assert!(!client
-        .knn_join(&vectors(3, matcher.encoder.dim(), 14), 2)
-        .unwrap()
-        .is_empty());
-    server.shutdown();
+        // The same connection still serves the index workload.
+        assert!(!client
+            .knn_join(&vectors(3, matcher.encoder.dim(), 14), 2)
+            .unwrap()
+            .is_empty());
+        server.shutdown();
+    });
 }
 
 #[test]
 fn oversized_embed_reply_is_rejected_and_the_connection_survives() {
-    let matcher = trained_matcher();
-    let dim = matcher.encoder.dim();
-    let server = spawn_model_server(&matcher);
-    let mut client = ServeClient::connect(server.addr()).unwrap();
+    for_each_trained_matcher(|matcher| {
+        let dim = matcher.encoder.dim();
+        let server = spawn_model_server(&matcher);
+        let mut client = ServeClient::connect(server.addr()).unwrap();
 
-    // Protocol-legal batch whose *reply* (num × dim f32 rows) cannot be framed:
-    // rejected up front with a typed error, before any embedding runs.
-    let num = (64 * 1024 * 1024) / (dim * 4) + 1;
-    let huge = vec!["a".to_string(); num];
-    let err = client.embed(&huge).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("frame limit"), "got: {err}");
+        // Protocol-legal batch whose *reply* (num × dim f32 rows) cannot be framed:
+        // rejected up front with a typed error, before any embedding runs.
+        let num = (64 * 1024 * 1024) / (dim * 4) + 1;
+        let huge = vec!["a".to_string(); num];
+        let err = client.embed(&huge).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("frame limit"), "got: {err}");
 
-    // The connection is still usable for both model and index traffic.
-    assert_eq!(client.embed(&huge[..2]).unwrap().len(), 2);
-    assert!(!client.knn_join(&vectors(2, dim, 15), 2).unwrap().is_empty());
-    server.shutdown();
+        // The connection is still usable for both model and index traffic.
+        assert_eq!(client.embed(&huge[..2]).unwrap().len(), 2);
+        assert!(!client.knn_join(&vectors(2, dim, 15), 2).unwrap().is_empty());
+        server.shutdown();
+    });
 }
 
 #[test]
 fn mismatched_match_batch_answers_a_typed_error() {
-    let matcher = trained_matcher();
-    let server = spawn_model_server(&matcher);
-    let mut client = ServeClient::connect(server.addr()).unwrap();
+    for_each_trained_matcher(|matcher| {
+        let server = spawn_model_server(&matcher);
+        let mut client = ServeClient::connect(server.addr()).unwrap();
 
-    // Wire-legal but semantically broken: 2 lefts vs 1 right. The typed client
-    // wrapper cannot produce this, so speak the protocol directly.
-    let err = client
-        .request(&Request::MatchPairs {
-            lefts: vec!["a".into(), "b".into()],
-            rights: vec!["c".into()],
-        })
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("misaligned"), "got: {err}");
+        // Wire-legal but semantically broken: 2 lefts vs 1 right. The typed client
+        // wrapper cannot produce this, so speak the protocol directly.
+        let err = client
+            .request(&Request::MatchPairs {
+                lefts: vec!["a".into(), "b".into()],
+                rights: vec!["c".into()],
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("misaligned"), "got: {err}");
 
-    // The connection survives and the aligned form works.
-    let scores = client
-        .match_pairs(&[("a".to_string(), "c".to_string())])
-        .unwrap();
-    assert_eq!(scores.len(), 1);
-    server.shutdown();
+        // The connection survives and the aligned form works.
+        let scores = client
+            .match_pairs(&[("a".to_string(), "c".to_string())])
+            .unwrap();
+        assert_eq!(scores.len(), 1);
+        server.shutdown();
+    });
 }
 
 #[test]

@@ -33,6 +33,8 @@ fn bits(xs: impl IntoIterator<Item = f32>) -> Vec<u32> {
     xs.into_iter().map(f32::to_bits).collect()
 }
 
+/// Training never builds a blocking index, so only the encoder kind of the test
+/// configurations is varied here, by the callers.
 fn train(kind: EncoderKind) -> Trained {
     let mut config = SudowoodoConfig::test_config();
     config.encoder.kind = kind;
