@@ -47,7 +47,7 @@ use sudowoodo_nn::layers::{
     Embedding, FeedForward, Layer, LayerNorm, Linear, PositionalEmbedding, TransformerBlock,
 };
 use sudowoodo_nn::matrix::{for_each_supported_arm, Arm, I8Tile, Matrix, PackedTranspose};
-use sudowoodo_nn::optim::AdamW;
+use sudowoodo_nn::optim::{AdamW, Trainer};
 use sudowoodo_nn::tape::{Tape, VarId};
 use sudowoodo_serve::{ServeClient, Server};
 
@@ -140,8 +140,9 @@ const PROBES: &[Probe] = &[
         floor: Some(3.0),
         measure: |f| encode_batch_speedup(f.texts(), true),
     },
-    // The step's products are small (`k` = 32) and half of it is softmax, layer norms and
-    // allocation: 0.09 of the peak.
+    // The step's products are small (`k` = 32), and softmax, layer norms and the other
+    // element-wise arms are much of the rest: 0.12-0.14 of the peak on the trainer's tape,
+    // which reuses its buffers (0.11 when every op allocated its own).
     Probe {
         name: "train_step forward + backward",
         unit: "share of FMA peak",
@@ -149,8 +150,9 @@ const PROBES: &[Probe] = &[
         floor: Some(0.05),
         measure: |f| f.train_step().forward_backward_share,
     },
-    // 0.17-0.18 here: the update touches every parameter once and must stay the small part
-    // of a step whose forward and backward touch every activation several times.
+    // 0.24 here (0.21 before the tape reused its buffers, which sped up forward and backward
+    // but not the update): the update touches every parameter once and must stay the small
+    // part of a step whose forward and backward touch every activation several times.
     Probe {
         name: "train_step optimizer",
         unit: "share of step",
@@ -883,7 +885,8 @@ struct TrainStep {
 }
 
 /// One 16-item, two-view Transformer pretraining step (the loop body of
-/// `core::pretrain` without sampling and augmentation) over the text fixture: ~406k
+/// `core::pretrain` without sampling and augmentation, on one [`Trainer`] as there)
+/// over the text fixture: ~406k
 /// parameters, 96 % of them the embedding table. 41 repetitions of 20 steps (~2 s), each
 /// followed by one FMA-peak run. Forward + backward is the best
 /// repetition's rate over the dense products ([`transformer_forward_flops`], backward
@@ -894,28 +897,24 @@ fn train_step(texts: &[String]) -> TrainStep {
     let encoder = Encoder::from_corpus(config, texts, 7);
     let mut rng = StdRng::seed_from_u64(9);
     let projector = Linear::new("projector", config.dim, 32, &mut rng);
-    let mut optimizer = AdamW::new(1e-3);
+    let mut trainer = Trainer::new(AdamW::new(1e-3));
     let plan = CutoffPlan::sample(CutoffKind::Span, 0.05, config.dim, &mut rng);
     let mut batches = texts.chunks(16).cycle();
     // Forward, backward and optimizer seconds into `stages`; returns the step's FLOPs.
     let mut step = |stages: &mut [f64; 3]| {
         let batch = batches.next().expect("cycling a non-empty corpus");
         let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
-        let start = Instant::now();
-        let mut tape = Tape::new();
-        let z_ori = encoder.encode_batch(&mut tape, &batch, &CutoffPlan::noop());
-        let z_ori = projector.forward(&mut tape, z_ori);
-        let z_aug = encoder.encode_batch(&mut tape, &batch, &plan);
-        let z_aug = projector.forward(&mut tape, z_aug);
-        let loss = combined_loss(&mut tape, z_ori, z_aug, 0.07, 3.9e-3, 0.5);
-        let built = Instant::now();
-        let grads = tape.backward(loss);
-        let differentiated = Instant::now();
-        optimizer.step(&tape, &grads);
-        let stepped = Instant::now();
-        stages[0] += (built - start).as_secs_f64();
-        stages[1] += (differentiated - built).as_secs_f64();
-        stages[2] += (stepped - differentiated).as_secs_f64();
+        trainer.step(|tape| {
+            let z_ori = encoder.encode_batch(tape, &batch, &CutoffPlan::noop());
+            let z_ori = projector.forward(tape, z_ori);
+            let z_aug = encoder.encode_batch(tape, &batch, &plan);
+            let z_aug = projector.forward(tape, z_aug);
+            combined_loss(tape, z_ori, z_aug, 0.07, 3.9e-3, 0.5)
+        });
+        let times = trainer.times();
+        stages[0] += times.forward.as_secs_f64();
+        stages[1] += times.backward.as_secs_f64();
+        stages[2] += times.update.as_secs_f64();
         let tokens = |t: &&str| encoder.vocab().encode(t, config.max_len).len();
         let padded = batch.iter().map(tokens).max().unwrap_or(0);
         // Two views; forward and backward together are three products per forward one.

@@ -308,7 +308,7 @@ impl Encoder {
         // ragged padding the multiply would be the identity, so it is skipped.
         let needs_mask = cutoff.kind() != CutoffKind::None || lens.iter().any(|&len| len < max_len);
         let masked = if needs_mask {
-            let mut mask = Matrix::zeros(lens.len() * max_len, dim);
+            let mut mask = tape.zeros(lens.len() * max_len, dim);
             for (b, ids) in ids_per_text.iter().enumerate() {
                 if ids.is_empty() {
                     continue;

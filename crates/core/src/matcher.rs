@@ -23,7 +23,7 @@ use sudowoodo_augment::CutoffPlan;
 use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
 use sudowoodo_nn::layers::{Layer, Linear};
 use sudowoodo_nn::matrix::Matrix;
-use sudowoodo_nn::optim::AdamW;
+use sudowoodo_nn::optim::{AdamW, Trainer};
 use sudowoodo_nn::tape::{row_softmax, Tape, VarId};
 use sudowoodo_text::serialize::serialize_pair;
 
@@ -165,7 +165,7 @@ impl PairMatcher {
             return Vec::new();
         }
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut optimizer = AdamW::new(config.learning_rate);
+        let mut trainer = Trainer::new(AdamW::new(config.learning_rate));
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         let mut epoch_losses = Vec::with_capacity(config.epochs);
         for _ in 0..config.epochs {
@@ -179,12 +179,10 @@ impl PairMatcher {
                     .collect();
                 let targets: Vec<usize> =
                     chunk.iter().map(|&i| usize::from(pairs[i].label)).collect();
-                let mut tape = Tape::new();
-                let logits = self.batch_logits(&mut tape, &batch);
-                let loss = tape.softmax_cross_entropy(logits, &targets);
-                let grads = tape.backward(loss);
-                optimizer.step(&tape, &grads);
-                epoch_loss += tape.scalar(loss);
+                epoch_loss += trainer.step(|tape| {
+                    let logits = self.batch_logits(tape, &batch);
+                    tape.softmax_cross_entropy(logits, &targets)
+                });
                 batches += 1;
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f32);

@@ -24,6 +24,10 @@
 //! crc      CRC-32 over every preceding byte (u32)
 //! ```
 //!
+//! A header may carry at most [`MAX_LAYERS`] layers, [`MAX_HEADS`] heads and a
+//! `max_len` of [`MAX_LEN`], whichever the kind: a `MeanPool` encoder stores no weight
+//! these shape, so nothing else in the file bounds them.
+//!
 //! Writes are atomic (tmp file + rename), so a crash mid-write leaves either the old
 //! model or none — never a torn file; the CRC turns silent corruption into a typed
 //! load error instead of silently-wrong scores. The file is a *sibling* of the index
@@ -46,6 +50,14 @@ const MAGIC: &[u8; 8] = b"SWMODEL1";
 
 /// Conventional file name of the model snapshot inside an index snapshot directory.
 pub const MODEL_SNAPSHOT_FILE: &str = "model.swmodel";
+
+/// The most Transformer layers a model snapshot may declare. Every configuration this
+/// repository builds has at most 2 layers, 4 heads and a `max_len` of 40.
+pub const MAX_LAYERS: usize = 64;
+/// The most attention heads a model snapshot may declare.
+pub const MAX_HEADS: usize = 64;
+/// The longest `max_len` a model snapshot may declare.
+pub const MAX_LEN: usize = 4096;
 
 // CRC-32 (IEEE, the same polynomial the index snapshot uses). Reimplemented here
 // because the index crate keeps its checksum internal — 12 lines beat a new
@@ -222,6 +234,16 @@ pub fn load_matcher(path: &Path) -> io::Result<PairMatcher> {
     }
     if config.dim == 0 || config.max_len == 0 {
         return Err(corrupt(path, "dim and max_len must be positive"));
+    }
+    if config.layers > MAX_LAYERS || config.heads > MAX_HEADS || config.max_len > MAX_LEN {
+        return Err(corrupt(
+            path,
+            format!(
+                "{} layers, {} heads or max_len {} is past the cap of \
+                 {MAX_LAYERS}, {MAX_HEADS} and {MAX_LEN}",
+                config.layers, config.heads, config.max_len
+            ),
+        ));
     }
     let use_diff_head = match r.u8("use_diff_head")? {
         0 => false,
@@ -468,6 +490,60 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got: {err}");
         }
 
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn headers_past_the_caps_fail_typed_for_both_kinds() {
+        // A MeanPool header stores no weight its layers, heads or max_len shape, so only
+        // the caps reject these (CRC re-sealed): byte 13 is layers, 17 heads, 25 max_len.
+        // The caps themselves load, and a Transformer past a cap fails as well.
+        let corpus: Vec<String> = (0..8)
+            .map(|i| format!("[COL] title [VAL] canon printer model m{i}"))
+            .collect();
+        let path = tmp_path("caps");
+        // (kind, header patches as (byte offset, value), loads)
+        type Case = (EncoderKind, &'static [(usize, u32)], bool);
+        let cases: [Case; 6] = [
+            (EncoderKind::MeanPool, &[(13, MAX_LAYERS as u32 + 1)], false),
+            (
+                EncoderKind::MeanPool,
+                &[(13, 0), (17, MAX_HEADS as u32 + 1)],
+                false,
+            ),
+            (EncoderKind::MeanPool, &[(25, MAX_LEN as u32 + 1)], false),
+            (
+                EncoderKind::MeanPool,
+                &[(13, MAX_LAYERS as u32), (25, MAX_LEN as u32)],
+                true,
+            ),
+            (
+                EncoderKind::MeanPool,
+                &[(13, 0), (17, MAX_HEADS as u32)],
+                true,
+            ),
+            (EncoderKind::Transformer, &[(25, MAX_LEN as u32 + 1)], false),
+        ];
+        for (kind, patches, loads) in cases {
+            let config = EncoderConfig {
+                kind,
+                ..EncoderConfig::tiny()
+            };
+            let encoder = Encoder::from_corpus(config, &corpus, 5);
+            save_matcher(&PairMatcher::new(encoder, true, 5), &path).expect("save");
+            let mut bytes = std::fs::read(&path).expect("read back");
+            for &(at, value) in patches {
+                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            std::fs::write(&path, resealed(bytes)).expect("write patched header");
+            match load_matcher(&path) {
+                Ok(_) => assert!(loads, "{kind:?} {patches:?} loaded"),
+                Err(err) => {
+                    assert!(!loads, "{kind:?} {patches:?}: {err}");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "got: {err}");
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

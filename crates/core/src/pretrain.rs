@@ -21,8 +21,7 @@ use rand::SeedableRng;
 use sudowoodo_augment::{augment, CutoffKind, CutoffPlan};
 use sudowoodo_cluster::{BatchSampler, BatchStrategy};
 use sudowoodo_nn::layers::{Layer, Linear};
-use sudowoodo_nn::optim::AdamW;
-use sudowoodo_nn::tape::Tape;
+use sudowoodo_nn::optim::{AdamW, Trainer};
 
 use crate::config::SudowoodoConfig;
 use crate::encoder::Encoder;
@@ -74,7 +73,7 @@ pub fn pretrain(corpus: &[String], config: &SudowoodoConfig) -> (Encoder, Pretra
         BatchStrategy::Uniform
     };
     let sampler = BatchSampler::new(&items, strategy, config.batch_size, &mut rng);
-    let mut optimizer = AdamW::new(config.pretrain_lr);
+    let mut trainer = Trainer::new(AdamW::new(config.pretrain_lr));
 
     let cutoff_kind = if config.use_cutoff {
         config.cutoff
@@ -112,22 +111,20 @@ pub fn pretrain(corpus: &[String], config: &SudowoodoConfig) -> (Encoder, Pretra
                 &mut rng,
             );
 
-            let mut tape = Tape::new();
-            let z_ori = encoder.encode_batch(&mut tape, &originals, &CutoffPlan::noop());
-            let z_ori = projector.forward(&mut tape, z_ori);
-            let z_aug = encoder.encode_batch(&mut tape, &augmented_refs, &plan);
-            let z_aug = projector.forward(&mut tape, z_aug);
-            let loss = combined_loss(
-                &mut tape,
-                z_ori,
-                z_aug,
-                config.temperature,
-                config.bt_lambda,
-                bt_alpha,
-            );
-            let grads = tape.backward(loss);
-            optimizer.step(&tape, &grads);
-            epoch_loss += tape.scalar(loss);
+            epoch_loss += trainer.step(|tape| {
+                let z_ori = encoder.encode_batch(tape, &originals, &CutoffPlan::noop());
+                let z_ori = projector.forward(tape, z_ori);
+                let z_aug = encoder.encode_batch(tape, &augmented_refs, &plan);
+                let z_aug = projector.forward(tape, z_aug);
+                combined_loss(
+                    tape,
+                    z_ori,
+                    z_aug,
+                    config.temperature,
+                    config.bt_lambda,
+                    bt_alpha,
+                )
+            });
             epoch_batches += 1;
             steps += 1;
         }

@@ -19,7 +19,8 @@
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head self-attention,
 //!   Transformer blocks, positional embeddings — each with a tape-free, thread-safe
 //!   `infer()` fast path for batched inference.
-//! * [`optim`] — AdamW (as used in the paper).
+//! * [`optim`] — AdamW (as used in the paper), and `Trainer`, the one training step:
+//!   a tape kept from step to step, whose buffers are reused, and the optimizer.
 //! * [`gradcheck`] — finite-difference validation used extensively in tests.
 //!
 //! The crate is CPU-only. A tape is single-threaded, but parameters are `Arc<RwLock<..>>`
@@ -31,24 +32,22 @@
 //! ```
 //! use sudowoodo_nn::matrix::Matrix;
 //! use sudowoodo_nn::layers::{Layer, Linear};
-//! use sudowoodo_nn::optim::AdamW;
-//! use sudowoodo_nn::tape::Tape;
+//! use sudowoodo_nn::optim::{AdamW, Trainer};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let layer = Linear::new("probe", 4, 1, &mut rng);
-//! let mut opt = AdamW::new(0.05);
+//! let mut trainer = Trainer::new(AdamW::new(0.05));
 //! // Learn y = sum(x) from a few synthetic examples.
 //! for _ in 0..200 {
-//!     let mut tape = Tape::new();
-//!     let x = tape.constant(Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]));
-//!     let target = tape.constant(Matrix::from_rows(&[vec![10.0]]));
-//!     let y = layer.forward(&mut tape, x);
-//!     let diff = tape.sub(y, target);
-//!     let sq = tape.pow2(diff);
-//!     let loss = tape.sum_all(sq);
-//!     let grads = tape.backward(loss);
-//!     opt.step(&tape, &grads);
+//!     trainer.step(|tape| {
+//!         let x = tape.constant(Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]));
+//!         let target = tape.constant(Matrix::from_rows(&[vec![10.0]]));
+//!         let y = layer.forward(tape, x);
+//!         let diff = tape.sub(y, target);
+//!         let sq = tape.pow2(diff);
+//!         tape.sum_all(sq)
+//!     });
 //! }
 //! assert!(layer.params().len() == 2);
 //! ```

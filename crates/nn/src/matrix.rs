@@ -324,11 +324,18 @@ mod kernels {
     }
 
     /// Packs columns `from..` of the row-major `k x n` matrix `b` into contiguous
-    /// `w`-column panels, the last one zero-padded: panel `p` holds columns
-    /// `from + p*w ..` as `k` consecutive groups of `w` floats.
-    pub fn pack_b_panels(b: &[f32], k: usize, n: usize, from: usize, w: usize) -> Vec<f32> {
+    /// `w`-column panels in `packed` (its old contents and length discarded), the last
+    /// one zero-padded: panel `p` holds columns `from + p*w ..` as `k` consecutive groups
+    /// of `w` floats.
+    pub fn pack_b_panels(
+        b: &[f32],
+        (k, n): (usize, usize),
+        (from, w): (usize, usize),
+        packed: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(b.len(), k * n);
-        let mut packed = vec![0.0; (n - from).div_ceil(w) * w * k];
+        packed.clear();
+        packed.resize((n - from).div_ceil(w) * w * k, 0.0);
         for (p, panel) in packed.chunks_exact_mut(k * w).enumerate() {
             let j = from + p * w;
             let cols = w.min(n - j);
@@ -336,7 +343,6 @@ mod kernels {
                 dst[..cols].copy_from_slice(&b[kk * n + j..][..cols]);
             }
         }
-        packed
     }
 
     /// One `MR x W` register tile of an i8 arm (6×64 AVX-512, 4×16 AVX2) and its survivor
@@ -1123,6 +1129,51 @@ fn lane_word(codes: &[i8], group: usize, bias: u8) -> i32 {
     i32::from_le_bytes(word)
 }
 
+/// `out = A * B` for the row-major `m x k` `a` and `b`, every element of the row-major
+/// `m x n` `out` overwritten, on this thread's [`Arm`] (the body of [`Matrix::matmul`]).
+/// `B`'s packed panels are built in `panels`.
+///
+/// # Panics
+/// Panics when `out` is not `m * b.cols()` long.
+fn gemm_into(
+    a: &[f32],
+    (m, k): (usize, usize),
+    b: &Matrix,
+    out: &mut [f32],
+    panels: &mut Vec<f32>,
+) {
+    let n = b.cols;
+    assert_eq!(out.len(), m * n, "matmul: output is not {m}x{n}");
+    if m == 0 || k == 0 || n == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let b = &b.data;
+    let arm = Arm::current();
+    let (mr, w) = tile_shape(arm, n);
+    // From `PACK_FLOPS` up, with more than one row tile, every panel is packed
+    // contiguous; otherwise the full panels are read in place and only the ragged
+    // last one is packed.
+    let from = if m > mr && m * k * n >= PACK_FLOPS {
+        0
+    } else {
+        n - n % w
+    };
+    kernels::pack_b_panels(b, (k, n), (from, w), panels);
+    let packed = &panels[..];
+    let panel = |j: usize| {
+        if j < from {
+            (b[j..].as_ptr(), n)
+        } else {
+            (packed[(j - from) * k..].as_ptr(), w)
+        }
+    };
+    // SAFETY: every row of `a` is `k` long; an in-place panel has `w` columns of `b`
+    // left in each of its `k` rows (`j + w <= from <= n`), a packed one `k * w`
+    // floats.
+    unsafe { gemm_on(arm, (mr, w), (k, n), |i| &a[i * k..][..k], panel, out) };
+}
+
 /// A dense, row-major matrix of `f32` values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
@@ -1259,6 +1310,11 @@ impl Matrix {
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
+    }
+
+    /// The underlying row-major buffer, for reuse.
+    pub(crate) fn into_data(self) -> Vec<f32> {
+        self.data
     }
 
     /// Element accessor.
@@ -1402,49 +1458,25 @@ impl Matrix {
     /// assert!(a.matmul(&a).approx_eq(&a.matmul_naive(&a), 1e-6));
     /// ```
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out.data, &mut Vec::new());
+        out
+    }
+
+    /// [`Matrix::matmul`] into the row-major `self.rows() x other.cols()` slice `out`,
+    /// every element overwritten, with `B`'s packed panels built in `panels` (its
+    /// contents discarded): a caller that keeps `panels` packs without allocating once
+    /// it has grown to the largest product. Same bits as `matmul`.
+    ///
+    /// # Panics
+    /// Panics when inner dimensions disagree or `out` has the wrong length.
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut [f32], panels: &mut Vec<f32>) {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimension mismatch ({}x{} * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if m == 0 || k == 0 || n == 0 {
-            return out;
-        }
-        let (a, b) = (&self.data, &other.data);
-        let arm = Arm::current();
-        let (mr, w) = tile_shape(arm, n);
-        // From `PACK_FLOPS` up, with more than one row tile, every panel is packed
-        // contiguous; otherwise the full panels are read in place and only the ragged
-        // last one is packed.
-        let from = if m > mr && m * k * n >= PACK_FLOPS {
-            0
-        } else {
-            n - n % w
-        };
-        let packed = kernels::pack_b_panels(b, k, n, from, w);
-        let panel = |j: usize| {
-            if j < from {
-                (b[j..].as_ptr(), n)
-            } else {
-                (packed[(j - from) * k..].as_ptr(), w)
-            }
-        };
-        // SAFETY: every row of `a` is `k` long; an in-place panel has `w` columns of `b`
-        // left in each of its `k` rows (`j + w <= from <= n`), a packed one `k * w`
-        // floats.
-        unsafe {
-            gemm_on(
-                arm,
-                (mr, w),
-                (k, n),
-                |i| &a[i * k..][..k],
-                panel,
-                &mut out.data,
-            )
-        };
-        out
+        gemm_into(&self.data, (self.rows, self.cols), other, out, panels);
     }
 
     /// Reference matrix product: the original cache-aware triple loop, single-threaded and
@@ -1535,12 +1567,33 @@ impl Matrix {
     /// # Panics
     /// Panics when the row counts disagree.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        self.matmul_transpose_a_into(other, &mut out.data, &mut Vec::new(), &mut Vec::new());
+        out
+    }
+
+    /// [`Matrix::matmul_transpose_a`] into the row-major `self.cols() x other.cols()`
+    /// slice `out`, every element overwritten, with `self`'s transpose built in
+    /// `transposed` and `other`'s packed panels in `panels` (both their contents
+    /// discarded). Same bits as `matmul_transpose_a`.
+    ///
+    /// # Panics
+    /// Panics when the row counts disagree or `out` has the wrong length.
+    pub(crate) fn matmul_transpose_a_into(
+        &self,
+        other: &Matrix,
+        out: &mut [f32],
+        transposed: &mut Vec<f32>,
+        panels: &mut Vec<f32>,
+    ) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_transpose_a: contraction mismatch (({}x{})^T * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        self.transpose().matmul(other)
+        transposed.resize(self.len(), 0.0);
+        self.transpose_into(transposed);
+        gemm_into(transposed, (self.cols, self.rows), other, out, panels);
     }
 
     /// Transpose, copied in panels of sixteen source rows: every step writes one whole
@@ -1548,14 +1601,25 @@ impl Matrix {
     /// so neither side is touched one element per cache line as a plain row sweep does
     /// (7 vs 50 µs at `512 x 32`; allocation is the rest).
     pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out.data);
+        out
+    }
+
+    /// [`Matrix::transpose`] into the row-major `self.cols() x self.rows()` slice `out`,
+    /// every element overwritten.
+    ///
+    /// # Panics
+    /// Panics when `out` has the wrong length.
+    pub(crate) fn transpose_into(&self, out: &mut [f32]) {
         const PANEL: usize = 16;
         let (rows, cols) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(cols, rows);
+        assert_eq!(out.len(), rows * cols, "transpose_into: output length");
         let paneled = rows - rows % PANEL;
         for r0 in (0..paneled).step_by(PANEL) {
             let panel = &self.data[r0 * cols..(r0 + PANEL) * cols];
             for c in 0..cols {
-                let dst = &mut out.data[c * rows + r0..][..PANEL];
+                let dst = &mut out[c * rows + r0..][..PANEL];
                 for (i, d) in dst.iter_mut().enumerate() {
                     *d = panel[i * cols + c];
                 }
@@ -1563,10 +1627,9 @@ impl Matrix {
         }
         for r in paneled..rows {
             for (c, &v) in self.row(r).iter().enumerate() {
-                out.data[c * rows + r] = v;
+                out[c * rows + r] = v;
             }
         }
-        out
     }
 
     /// Sum of all elements.

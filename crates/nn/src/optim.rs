@@ -14,12 +14,19 @@
 //! where `Tape::backward` left it, a table bound by rows ([`Tape::param_rows`]) keeps its
 //! gradient as the distinct touched rows, and the moment / weight update is one fused
 //! loop over slices.
+//!
+//! [`Trainer`] is the one training step every loop runs: a tape kept from step to step,
+//! so its buffers are reused, and the `AdamW` that updates what the step bound on it.
 
 use std::borrow::Cow;
+use std::time::{Duration, Instant};
 
 use crate::matrix::Matrix;
 use crate::param::Param;
-use crate::tape::{Gradients, Tape};
+use crate::tape::{Gradients, Tape, VarId};
+
+/// The buffers of one row-sparse sum ([`Summed::Rows`]), kept for the next step.
+type RowBuffers = (Vec<usize>, Vec<f32>);
 
 /// The summed gradient of one distinct parameter.
 enum Summed<'a> {
@@ -36,7 +43,12 @@ type Source<'a> = (&'a Matrix, Option<&'a [usize]>);
 
 /// Every distinct parameter of `tape` that received a gradient, in first-binding order,
 /// with its gradients summed in binding order.
-fn summed_gradients<'a>(tape: &'a Tape, grads: &'a Gradients) -> Vec<(&'a Param, Summed<'a>)> {
+/// A row-sparse sum is built in buffers taken from `spare`.
+fn summed_gradients<'a>(
+    tape: &'a Tape,
+    grads: &'a Gradients,
+    spare: &mut Vec<RowBuffers>,
+) -> Vec<(&'a Param, Summed<'a>)> {
     let whole = tape.bindings().iter().map(|(n, p)| (n, p, None));
     let by_rows = tape
         .row_bindings()
@@ -54,11 +66,11 @@ fn summed_gradients<'a>(tape: &'a Tape, grads: &'a Gradients) -> Vec<(&'a Param,
     }
     bound
         .into_iter()
-        .map(|(param, sources)| (param, sum_sources(&sources)))
+        .map(|(param, sources)| (param, sum_sources(&sources, spare)))
         .collect()
 }
 
-fn sum_sources<'a>(sources: &[Source<'a>]) -> Summed<'a> {
+fn sum_sources<'a>(sources: &[Source<'a>], spare: &mut Vec<RowBuffers>) -> Summed<'a> {
     if sources.iter().all(|(_, rows)| rows.is_none()) {
         let mut acc = Cow::Borrowed(sources[0].0.data());
         for (g, _) in &sources[1..] {
@@ -78,7 +90,9 @@ fn sum_sources<'a>(sources: &[Source<'a>]) -> Summed<'a> {
     }
     parts.sort_by_key(|&(r, _)| r);
     let cols = sources[0].0.cols();
-    let (mut rows, mut acc) = (Vec::new(), Vec::new());
+    let (mut rows, mut acc) = spare.pop().unwrap_or_default();
+    rows.clear();
+    acc.clear();
     for (r, g) in parts {
         if rows.last() == Some(&r) {
             let start = acc.len() - cols;
@@ -147,6 +161,8 @@ pub struct AdamW {
     pub max_grad_norm: Option<f32>,
     /// Step counter (used for bias correction).
     t: u64,
+    /// The buffers of the last step's row-sparse sums.
+    spare: Vec<RowBuffers>,
 }
 
 impl AdamW {
@@ -161,6 +177,7 @@ impl AdamW {
             weight_decay: 0.01,
             max_grad_norm: Some(5.0),
             t: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -183,7 +200,7 @@ impl AdamW {
 
     /// Applies one update to every parameter bound on `tape` that received a gradient.
     pub fn step(&mut self, tape: &Tape, grads: &Gradients) {
-        let summed = summed_gradients(tape, grads);
+        let summed = summed_gradients(tape, grads, &mut self.spare);
         if summed.is_empty() {
             return;
         }
@@ -228,6 +245,12 @@ impl AdamW {
                 }
             });
         }
+        // Handed back last first, so each table takes the same buffers next step.
+        for (_, g) in summed.into_iter().rev() {
+            if let Summed::Rows { rows, grads } = g {
+                self.spare.push((rows, grads));
+            }
+        }
     }
 
     /// The fused AdamW update of one parameter (or one row of it) with gradient
@@ -257,6 +280,69 @@ struct StepScalars {
     scale: f32,
     bias1: f32,
     bias2: f32,
+}
+
+/// One training step, written once: a [`Tape`] kept from step to step and the [`AdamW`]
+/// that updates the parameters each step binds on it.
+///
+/// Each step resets the tape, so every node value, gradient and backward temporary is
+/// a buffer the tape already holds once the largest step has run; the gradient of
+/// every node that is not a leaf goes back to the tape as soon as its backward arm has
+/// run.
+pub struct Trainer {
+    tape: Tape,
+    optimizer: AdamW,
+    times: StepTimes,
+}
+
+/// Where the last [`Trainer::step`] spent its time.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StepTimes {
+    /// Recording the loss on the tape: the forward pass.
+    pub forward: Duration,
+    /// Differentiating it.
+    pub backward: Duration,
+    /// The optimizer update.
+    pub update: Duration,
+}
+
+impl Trainer {
+    /// A trainer that updates with `optimizer`.
+    pub fn new(optimizer: AdamW) -> Self {
+        Trainer {
+            tape: Tape::new(),
+            optimizer,
+            times: StepTimes::default(),
+        }
+    }
+
+    /// One step: records the loss `build` returns on the reset tape, differentiates it,
+    /// updates every parameter bound on the tape that received a gradient, and returns
+    /// the loss.
+    ///
+    /// # Panics
+    /// Panics when the loss is not a `1 x 1` node.
+    pub fn step(&mut self, build: impl FnOnce(&mut Tape) -> VarId) -> f32 {
+        let start = Instant::now();
+        self.tape.reset();
+        let loss = build(&mut self.tape);
+        let built = Instant::now();
+        let grads = self.tape.backward_to_leaves(loss);
+        let differentiated = Instant::now();
+        self.optimizer.step(&self.tape, &grads);
+        self.tape.recycle(grads);
+        self.times = StepTimes {
+            forward: built - start,
+            backward: differentiated - built,
+            update: differentiated.elapsed(),
+        };
+        self.tape.scalar(loss)
+    }
+
+    /// Where the last step spent its time.
+    pub fn times(&self) -> StepTimes {
+        self.times
+    }
 }
 
 #[cfg(test)]
@@ -348,7 +434,7 @@ mod tests {
         let s = tape.add(a, b);
         let loss = tape.sum_all(s);
         let grads = tape.backward(loss);
-        let collected = summed_gradients(&tape, &grads);
+        let collected = summed_gradients(&tape, &grads, &mut Vec::new());
         assert_eq!(collected.len(), 1);
         assert!(matches!(&collected[0].1, Summed::Dense(g) if g[..] == [2.0]));
     }
@@ -405,7 +491,7 @@ mod tests {
     fn reference_step(opt: &mut AdamW, tape: &Tape, grads: &Gradients, params: &[&Param]) {
         let mut scale = 1.0;
         if let Some(max_norm) = opt.max_grad_norm {
-            let norm = global_norm(&summed_gradients(tape, grads));
+            let norm = global_norm(&summed_gradients(tape, grads, &mut Vec::new()));
             if norm > max_norm && norm > 0.0 {
                 scale = max_norm / norm;
             }
@@ -472,7 +558,7 @@ mod tests {
             let mut tape = Tape::new();
             let loss = bind_many(&mut tape, &table, &weight, times, &mut rng);
             let grads = tape.backward(loss);
-            let summed = summed_gradients(&tape, &grads);
+            let summed = summed_gradients(&tape, &grads, &mut Vec::new());
             assert_eq!(summed.len(), 2);
             let mut dense_norm = 0.0f32;
             for (param, g) in &summed {
@@ -519,7 +605,7 @@ mod tests {
         let b = tape.sum_all(rows);
         let loss = tape.add(a, b);
         let grads = tape.backward(loss);
-        let summed = summed_gradients(&tape, &grads);
+        let summed = summed_gradients(&tape, &grads, &mut Vec::new());
         let expected = param_gradient(&tape, &grads, &table);
         assert_eq!(expected.data(), &[1.0, 1.0, 1.0, 1.0, 3.0, 3.0]);
         match &summed[0].1 {

@@ -13,6 +13,11 @@
 //! mask each row's suffix) keep graphs small and their hand-written backward passes are
 //! validated against finite differences by the property tests in
 //! `tests/gradcheck_props.rs` and the checks in [`crate::gradcheck`].
+//!
+//! A tape keeps its buffers. Every node value, gradient and large backward temporary
+//! is drawn from the tape's pool, and a reset hands them all back, so a tape
+//! reused for one training step after another ([`crate::optim::Trainer`]) stops going
+//! to the system allocator for them once it has seen its largest step.
 
 use crate::matrix::{Arm, Matrix, PackedTranspose};
 use crate::param::Param;
@@ -121,7 +126,123 @@ impl Gradients {
     }
 }
 
-/// The autodiff tape. Create one per forward/backward pass.
+/// The buffers a [`Tape`] hands out and takes back.
+#[derive(Default)]
+struct Pool {
+    /// Free buffers, ascending by capacity, each with the [`Pool::epoch`] at which it
+    /// was last handed back.
+    free: Vec<(usize, Vec<f32>)>,
+    /// Number of resets so far.
+    epoch: usize,
+    /// Scratch of the products: `A^T` of a `matmul_transpose_a`, and `B`'s packed panels.
+    transposed: Vec<f32>,
+    panels: Vec<f32>,
+}
+
+impl Pool {
+    /// A buffer of `len` floats: the smallest free one large enough, its contents
+    /// stale, or else a new zeroed one. The caller overwrites every element.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let at = self.free.partition_point(|(_, b)| b.capacity() < len);
+        if at == self.free.len() {
+            return vec![0.0; len];
+        }
+        let mut buf = self.free.remove(at).1;
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// A `rows x cols` matrix whose every element `fill` writes.
+    fn filled(&mut self, (rows, cols): (usize, usize), fill: impl FnOnce(&mut [f32])) -> Matrix {
+        let mut buf = self.take(rows * cols);
+        fill(&mut buf);
+        Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// `f` of every element of `a`.
+    fn map(&mut self, a: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
+        self.filled(a.shape(), |out| {
+            for (o, &x) in out.iter_mut().zip(a.data()) {
+                *o = f(x);
+            }
+        })
+    }
+
+    /// `f` of every pair of elements of `a` and `b`.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    fn zip(&mut self, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        assert_eq!(a.shape(), b.shape(), "zip_map: shape mismatch");
+        self.filled(a.shape(), |out| {
+            for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
+                *o = f(x, y);
+            }
+        })
+    }
+
+    /// A zero `rows x cols` matrix.
+    fn zeros(&mut self, shape: (usize, usize)) -> Matrix {
+        self.filled(shape, |out| out.fill(0.0))
+    }
+
+    /// A copy of `a`.
+    fn copy(&mut self, a: &Matrix) -> Matrix {
+        self.filled(a.shape(), |out| out.copy_from_slice(a.data()))
+    }
+
+    /// `a * b` ([`Matrix::matmul`]).
+    fn product(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = self.take(a.rows() * b.cols());
+        a.matmul_into(b, &mut out, &mut self.panels);
+        Matrix::from_vec(a.rows(), b.cols(), out)
+    }
+
+    /// `a^T * b` ([`Matrix::matmul_transpose_a`]).
+    fn product_transpose_a(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = self.take(a.cols() * b.cols());
+        a.matmul_transpose_a_into(b, &mut out, &mut self.transposed, &mut self.panels);
+        Matrix::from_vec(a.cols(), b.cols(), out)
+    }
+
+    /// `a * b^T` ([`Matrix::matmul_transpose_b`]).
+    fn product_transpose_b(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
+        let packed = PackedTranspose::new(&b.view());
+        self.filled((a.rows(), b.rows()), |out| {
+            packed.multiply_into(&a.view(), out)
+        })
+    }
+
+    /// Hands a buffer back.
+    fn give(&mut self, buf: Vec<f32>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        let at = self
+            .free
+            .partition_point(|(_, b)| b.capacity() < buf.capacity());
+        self.free.insert(at, (self.epoch, buf));
+    }
+
+    /// Hands many buffers back at once.
+    fn give_all(&mut self, bufs: impl Iterator<Item = Vec<f32>>) {
+        let epoch = self.epoch;
+        let bufs = bufs.filter(|b| b.capacity() > 0).map(|b| (epoch, b));
+        self.free.extend(bufs);
+        self.free.sort_unstable_by_key(|(_, b)| b.capacity());
+    }
+
+    /// Drops every free buffer that was not handed back since the last reset, so the
+    /// pool never holds more than one step's buffers.
+    fn drop_idle(&mut self) {
+        let epoch = self.epoch;
+        self.free.retain(|(handed_back, _)| *handed_back == epoch);
+    }
+}
+
+/// The autodiff tape. Create one per forward/backward pass; a
+/// [`Trainer`](crate::optim::Trainer) keeps one and resets it between steps, reusing its
+/// buffers.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
@@ -129,12 +250,37 @@ pub struct Tape {
     bindings: Vec<(VarId, Param)>,
     /// `(leaf node, parameter, gathered rows)` bindings recorded by [`Tape::param_rows`].
     row_bindings: Vec<(VarId, Param, Vec<usize>)>,
+    pool: Pool,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// Forgets every node and binding and keeps their buffers for the next pass. The
+    /// pool then holds exactly the buffers the pass just ended used: one it left idle
+    /// is freed here.
+    pub(crate) fn reset(&mut self) {
+        self.pool.drop_idle();
+        let values = self.nodes.drain(..).map(|node| node.value.into_data());
+        self.pool.give_all(values);
+        self.bindings.clear();
+        self.row_bindings.clear();
+        self.pool.epoch += 1;
+    }
+
+    /// Hands the buffers of `grads` back to the tape.
+    pub(crate) fn recycle(&mut self, grads: Gradients) {
+        let grads = grads.grads.into_iter().flatten();
+        self.pool.give_all(grads.map(Matrix::into_data));
+    }
+
+    /// A zeroed `rows x cols` matrix on one of the tape's buffers: the way to build a
+    /// large constant the caller fills and then records with [`Tape::constant`].
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.pool.zeros((rows, cols))
     }
 
     /// Number of recorded nodes.
@@ -185,7 +331,8 @@ impl Tape {
     /// Binds a trainable parameter as a leaf and remembers the binding so that an optimizer
     /// can later collect its gradient.
     pub fn param(&mut self, param: &Param) -> VarId {
-        let id = self.push(param.value(), Op::Leaf);
+        let value = param.with_value(|v| self.pool.copy(v));
+        let id = self.push(value, Op::Leaf);
         self.bindings.push((id, param.clone()));
         id
     }
@@ -196,7 +343,16 @@ impl Tape {
     /// `rows x dim` gradient: the leaf's own gradient together with `indices` (see
     /// [`Tape::row_bindings`]) is what the optimizer scatter-adds.
     pub fn param_rows(&mut self, param: &Param, indices: &[usize]) -> VarId {
-        let id = self.push(param.with_value(|t| t.gather_rows(indices)), Op::Leaf);
+        let value = param.with_value(|t| {
+            let cols = t.cols();
+            self.pool.filled((indices.len(), cols), |out| {
+                for (i, &idx) in indices.iter().enumerate() {
+                    assert!(idx < t.rows(), "gather_rows: index {} out of range", idx);
+                    out[i * cols..(i + 1) * cols].copy_from_slice(t.row(idx));
+                }
+            })
+        });
+        let id = self.push(value, Op::Leaf);
         self.row_bindings
             .push((id, param.clone(), indices.to_vec()));
         id
@@ -206,25 +362,33 @@ impl Tape {
 
     /// Element-wise sum.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.value(a).add(self.value(b));
+        let v = self
+            .pool
+            .zip(&self.nodes[a].value, &self.nodes[b].value, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     /// Element-wise difference `a - b`.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.value(a).sub(self.value(b));
+        let v = self
+            .pool
+            .zip(&self.nodes[a].value, &self.nodes[b].value, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
     /// Element-wise product.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.value(a).hadamard(self.value(b));
+        let v = self
+            .pool
+            .zip(&self.nodes[a].value, &self.nodes[b].value, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.value(a).matmul(self.value(b));
+        let v = self
+            .pool
+            .product(&self.nodes[a].value, &self.nodes[b].value);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -238,13 +402,16 @@ impl Tape {
 
     /// Multiplication by a scalar constant.
     pub fn scale(&mut self, a: VarId, s: f32) -> VarId {
-        let v = self.value(a).scale(s);
+        let v = self.pool.map(&self.nodes[a].value, |x| x * s);
         self.push(v, Op::Scale(a, s))
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).transpose();
+        let av = &self.nodes[a].value;
+        let v = self
+            .pool
+            .filled((av.cols(), av.rows()), |out| av.transpose_into(out));
         self.push(v, Op::Transpose(a))
     }
 
@@ -252,20 +419,23 @@ impl Tape {
 
     /// Gaussian error linear unit (tanh approximation, vectorized via [`gelu_slice`]).
     pub fn gelu(&mut self, a: VarId) -> VarId {
-        let mut v = self.value(a).clone();
-        gelu_slice(v.data_mut());
+        let av = &self.nodes[a].value;
+        let v = self.pool.filled(av.shape(), |out| {
+            out.copy_from_slice(av.data());
+            gelu_slice(out);
+        });
         self.push(v, Op::Gelu(a))
     }
 
     /// Element-wise square.
     pub fn pow2(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(|x| x * x);
+        let v = self.pool.map(&self.nodes[a].value, |x| x * x);
         self.push(v, Op::Pow2(a))
     }
 
     /// Element-wise absolute value.
     pub fn abs(&mut self, a: VarId) -> VarId {
-        let v = self.value(a).map(f32::abs);
+        let v = self.pool.map(&self.nodes[a].value, f32::abs);
         self.push(v, Op::Abs(a))
     }
 
@@ -273,13 +443,15 @@ impl Tape {
 
     /// Sum of every element, as a `1 x 1` matrix.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
-        let v = Matrix::from_vec(1, 1, vec![self.value(a).sum()]);
+        let sum = self.value(a).sum();
+        let v = self.pool.filled((1, 1), |out| out[0] = sum);
         self.push(v, Op::SumAll(a))
     }
 
     /// Mean of every element, as a `1 x 1` matrix.
     pub fn mean_all(&mut self, a: VarId) -> VarId {
-        let v = Matrix::from_vec(1, 1, vec![self.value(a).mean()]);
+        let mean = self.value(a).mean();
+        let v = self.pool.filled((1, 1), |out| out[0] = mean);
         self.push(v, Op::MeanAll(a))
     }
 
@@ -314,15 +486,15 @@ impl Tape {
 
     /// Adds a `1 x d` row vector to every row of an `n x d` matrix.
     pub fn add_row_broadcast(&mut self, x: VarId, bias: VarId) -> VarId {
-        let mut out = self.value(x).clone();
-        out.add_row_broadcast_mut(self.value(bias));
+        let mut out = self.pool.copy(&self.nodes[x].value);
+        out.add_row_broadcast_mut(&self.nodes[bias].value);
         self.push(out, Op::AddRowBroadcast(x, bias))
     }
 
     /// Multiplies every row of an `n x d` matrix element-wise by a `1 x d` row vector.
     pub fn mul_row_broadcast(&mut self, x: VarId, gain: VarId) -> VarId {
-        let mut out = self.value(x).clone();
-        out.mul_row_broadcast_mut(self.value(gain));
+        let mut out = self.pool.copy(&self.nodes[x].value);
+        out.mul_row_broadcast_mut(&self.nodes[gain].value);
         self.push(out, Op::MulRowBroadcast(x, gain))
     }
 
@@ -407,7 +579,11 @@ impl Tape {
         seq: usize,
         scale: f32,
     ) -> VarId {
-        let v = attention_scores(self.value(q), self.value(k), heads, seq, scale);
+        let (qv, kv) = (&self.nodes[q].value, &self.nodes[k].value);
+        let shape = attention_scores_shape(qv, kv, heads, seq);
+        let v = self.pool.filled(shape, |out| {
+            attention_scores_into(qv, kv, heads, seq, scale, out);
+        });
         self.push(
             v,
             Op::AttentionScores {
@@ -428,7 +604,10 @@ impl Tape {
     /// # Panics
     /// Panics when `valid.len()` differs from the row count or a count exceeds the width.
     pub fn masked_row_softmax(&mut self, a: VarId, valid: &[usize]) -> VarId {
-        let v = masked_row_softmax(self.value(a), valid);
+        let av = &self.nodes[a].value;
+        let v = self
+            .pool
+            .filled(av.shape(), |out| masked_row_softmax_into(av, valid, out));
         self.push(v, Op::RowSoftmax(a))
     }
 
@@ -440,7 +619,11 @@ impl Tape {
     /// # Panics
     /// Panics when the tile layout of `attn` is inconsistent with `v`, `heads`, and `seq`.
     pub fn attention_context(&mut self, attn: VarId, v: VarId, heads: usize, seq: usize) -> VarId {
-        let out = attention_context(self.value(attn), self.value(v), heads, seq);
+        let (av, vv) = (&self.nodes[attn].value, &self.nodes[v].value);
+        check_attention_context(av, vv, heads, seq);
+        let out = self.pool.filled(vv.shape(), |out| {
+            attention_context_into(av, vv, heads, seq, out);
+        });
         self.push(
             out,
             Op::AttentionContext {
@@ -459,7 +642,10 @@ impl Tape {
     /// # Panics
     /// Panics when `valid.len()` differs from the row count of `a`.
     pub fn masked_standardize_rows(&mut self, a: VarId, eps: f32, valid: &[bool]) -> VarId {
-        let v = masked_standardize_rows(self.value(a), eps, valid);
+        let av = &self.nodes[a].value;
+        let v = self.pool.filled(av.shape(), |out| {
+            masked_standardize_rows_into(av, eps, valid, out);
+        });
         self.push(v, Op::MaskedStandardizeRows(a, eps, valid.to_vec()))
     }
 
@@ -469,123 +655,174 @@ impl Tape {
     ///
     /// # Panics
     /// Panics when `loss` is not a `1 x 1` node.
-    pub fn backward(&self, loss: VarId) -> Gradients {
+    pub fn backward(&mut self, loss: VarId) -> Gradients {
+        self.backward_from(loss, true)
+    }
+
+    /// [`Tape::backward`] for a training step: the gradient of a node that is not a leaf
+    /// goes back to the pool as soon as its own arm has run, so only the leaves'
+    /// gradients, which the optimizer reads, are returned.
+    pub(crate) fn backward_to_leaves(&mut self, loss: VarId) -> Gradients {
+        self.backward_from(loss, false)
+    }
+
+    fn backward_from(&mut self, loss: VarId, keep_interior: bool) -> Gradients {
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
             "backward: loss node must be a 1x1 scalar"
         );
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss] = Some(Matrix::from_vec(1, 1, vec![1.0]));
-
+        let mut pass = Backward {
+            nodes: &self.nodes,
+            grads: vec![None; self.nodes.len()],
+            pool: &mut self.pool,
+        };
+        pass.grads[loss] = Some(pass.pool.filled((1, 1), |g| g[0] = 1.0));
         for id in (0..=loss).rev() {
-            let grad = match grads[id].take() {
-                Some(g) => g,
-                None => continue,
+            let Some(grad) = pass.grads[id].take() else {
+                continue;
             };
-            self.accumulate_parents(id, &grad, &mut grads);
-            grads[id] = Some(grad);
+            pass.arm(id, &grad);
+            if keep_interior || matches!(pass.nodes[id].op, Op::Leaf) {
+                pass.grads[id] = Some(grad);
+            } else {
+                pass.pool.give(grad.into_data());
+            }
         }
-        Gradients { grads }
+        Gradients { grads: pass.grads }
+    }
+}
+
+/// One backward pass: the nodes it reads, the gradients it accumulates, and the pool
+/// their buffers come from.
+struct Backward<'a> {
+    nodes: &'a [Node],
+    grads: Vec<Option<Matrix>>,
+    pool: &'a mut Pool,
+}
+
+/// The rows of the row-major `data`, `cols` wide.
+fn rows(data: &[f32], cols: usize) -> std::slice::ChunksExact<'_, f32> {
+    data.chunks_exact(cols.max(1))
+}
+
+/// The rows of the row-major `data`, `cols` wide, mutably.
+fn rows_mut(data: &mut [f32], cols: usize) -> std::slice::ChunksExactMut<'_, f32> {
+    data.chunks_exact_mut(cols.max(1))
+}
+
+impl Backward<'_> {
+    /// `grads[pid] += delta`: `delta` becomes the gradient, or is added to it and its
+    /// buffer goes back to the pool.
+    fn add_to(&mut self, pid: VarId, delta: Matrix) {
+        match &mut self.grads[pid] {
+            Some(existing) => {
+                existing.add_assign(&delta);
+                self.pool.give(delta.into_data());
+            }
+            slot @ None => *slot = Some(delta),
+        }
     }
 
-    fn accumulate_parents(&self, id: VarId, grad: &Matrix, grads: &mut [Option<Matrix>]) {
-        let node = &self.nodes[id];
-        let add_to = |grads: &mut [Option<Matrix>], pid: VarId, delta: Matrix| match &mut grads[pid]
-        {
-            Some(existing) => existing.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
-        };
-        // In-place accumulation `grads[pid] += s * src`: the common ops (Add, Sub, Scale,
-        // broadcasts) reuse the existing gradient buffer instead of allocating per op.
-        let add_scaled_to = |grads: &mut [Option<Matrix>], pid: VarId, src: &Matrix, s: f32| {
-            match &mut grads[pid] {
-                Some(existing) => existing.add_scaled(src, s),
-                slot @ None => *slot = Some(if s == 1.0 { src.clone() } else { src.scale(s) }),
-            }
-        };
-        // In-place fused accumulation `grads[pid] += g ⊙ v` (element-wise products).
-        let add_hadamard_to = |grads: &mut [Option<Matrix>], pid: VarId, g: &Matrix, v: &Matrix| {
-            match &mut grads[pid] {
-                Some(existing) => existing.add_hadamard(g, v),
-                slot @ None => *slot = Some(g.hadamard(v)),
-            }
-        };
+    /// `grads[pid] += s * src`, in place when `pid` already has a gradient.
+    fn add_scaled_to(&mut self, pid: VarId, src: &Matrix, s: f32) {
+        match &mut self.grads[pid] {
+            Some(existing) => existing.add_scaled(src, s),
+            slot @ None if s == 1.0 => *slot = Some(self.pool.copy(src)),
+            slot @ None => *slot = Some(self.pool.map(src, |x| x * s)),
+        }
+    }
+
+    /// `grads[pid] += g ⊙ v`, in place when `pid` already has a gradient.
+    fn add_hadamard_to(&mut self, pid: VarId, g: &Matrix, v: &Matrix) {
+        match &mut self.grads[pid] {
+            Some(existing) => existing.add_hadamard(g, v),
+            slot @ None => *slot = Some(self.pool.zip(g, v, |a, b| a * b)),
+        }
+    }
+
+    /// Runs the backward arm of node `id`, whose gradient is `grad`: adds its
+    /// contribution to the gradient of each of its parents.
+    fn arm(&mut self, id: VarId, grad: &Matrix) {
+        let nodes = self.nodes;
+        let node = &nodes[id];
+        let value = |id: &VarId| &nodes[*id].value;
         match &node.op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                add_scaled_to(grads, *a, grad, 1.0);
-                add_scaled_to(grads, *b, grad, 1.0);
+                self.add_scaled_to(*a, grad, 1.0);
+                self.add_scaled_to(*b, grad, 1.0);
             }
             Op::Sub(a, b) => {
-                add_scaled_to(grads, *a, grad, 1.0);
-                add_scaled_to(grads, *b, grad, -1.0);
+                self.add_scaled_to(*a, grad, 1.0);
+                self.add_scaled_to(*b, grad, -1.0);
             }
             Op::Mul(a, b) => {
-                let av = &self.nodes[*a].value;
-                let bv = &self.nodes[*b].value;
-                add_hadamard_to(grads, *a, grad, bv);
-                add_hadamard_to(grads, *b, grad, av);
+                self.add_hadamard_to(*a, grad, value(b));
+                self.add_hadamard_to(*b, grad, value(a));
             }
             Op::MatMul(a, b) => {
-                let av = &self.nodes[*a].value;
-                let bv = &self.nodes[*b].value;
-                // dA = dC * B^T and dB = A^T * dC through the fused kernels — no transpose
-                // is materialized.
-                add_to(grads, *a, grad.matmul_transpose_b(bv));
-                add_to(grads, *b, av.matmul_transpose_a(grad));
+                // dA = dC * B^T and dB = A^T * dC on the GEMM tile.
+                let da = self.pool.product_transpose_b(grad, value(b));
+                self.add_to(*a, da);
+                let db = self.pool.product_transpose_a(value(a), grad);
+                self.add_to(*b, db);
             }
             Op::MatMulTransposeB(a, b) => {
                 // C = A * B^T: dA = dC * B, dB = dC^T * A.
-                let av = &self.nodes[*a].value;
-                let bv = &self.nodes[*b].value;
-                add_to(grads, *a, grad.matmul(bv));
-                add_to(grads, *b, grad.matmul_transpose_a(av));
+                let da = self.pool.product(grad, value(b));
+                self.add_to(*a, da);
+                let db = self.pool.product_transpose_a(grad, value(a));
+                self.add_to(*b, db);
             }
-            Op::Scale(a, s) => add_scaled_to(grads, *a, grad, *s),
-            Op::Transpose(a) => add_to(grads, *a, grad.transpose()),
+            Op::Scale(a, s) => self.add_scaled_to(*a, grad, *s),
+            Op::Transpose(a) => {
+                let t = self
+                    .pool
+                    .filled((grad.cols(), grad.rows()), |out| grad.transpose_into(out));
+                self.add_to(*a, t);
+            }
             Op::Gelu(a) => {
-                let av = &self.nodes[*a].value;
-                add_to(grads, *a, grad.zip_map(av, |g, x| g * gelu_grad(x)));
+                let d = self.pool.zip(grad, value(a), |g, x| g * gelu_grad(x));
+                self.add_to(*a, d);
             }
             Op::Pow2(a) => {
-                let av = &self.nodes[*a].value;
-                add_to(grads, *a, grad.zip_map(av, |g, x| 2.0 * x * g));
+                let d = self.pool.zip(grad, value(a), |g, x| 2.0 * x * g);
+                self.add_to(*a, d);
             }
             Op::Abs(a) => {
-                let av = &self.nodes[*a].value;
-                add_to(
-                    grads,
-                    *a,
-                    grad.zip_map(av, |g, x| if x >= 0.0 { g } else { -g }),
-                );
+                let d = self
+                    .pool
+                    .zip(grad, value(a), |g, x| if x >= 0.0 { g } else { -g });
+                self.add_to(*a, d);
             }
             Op::SumAll(a) => {
-                let av = &self.nodes[*a].value;
                 let g = grad.get(0, 0);
-                add_to(grads, *a, Matrix::full(av.rows(), av.cols(), g));
+                let d = self.pool.filled(value(a).shape(), |out| out.fill(g));
+                self.add_to(*a, d);
             }
             Op::MeanAll(a) => {
-                let av = &self.nodes[*a].value;
+                let av = value(a);
                 let g = grad.get(0, 0) / av.len() as f32;
-                add_to(grads, *a, Matrix::full(av.rows(), av.cols(), g));
+                let d = self.pool.filled(av.shape(), |out| out.fill(g));
+                self.add_to(*a, d);
             }
             Op::MeanRows(a) => {
-                let av = &self.nodes[*a].value;
+                let av = value(a);
                 let n = av.rows() as f32;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
-                for r in 0..av.rows() {
-                    for c in 0..av.cols() {
-                        out.set(r, c, grad.get(0, c) / n);
+                let d = self.pool.filled(av.shape(), |out| {
+                    for row in rows_mut(out, av.cols()) {
+                        for (o, &g) in row.iter_mut().zip(grad.row(0)) {
+                            *o = g / n;
+                        }
                     }
-                }
-                add_to(grads, *a, out);
+                });
+                self.add_to(*a, d);
             }
             Op::SegmentMeanRows(a, ranges) => {
                 // Each row of range i receives grad_row(i) / len_i; the ranges are disjoint
                 // (the forward pass checked), and rows outside every range receive zero.
-                let av = &self.nodes[*a].value;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
+                let mut out = self.pool.zeros(value(a).shape());
                 for (i, &(start, len)) in ranges.iter().enumerate() {
                     let inv = 1.0 / len as f32;
                     for t in start..start + len {
@@ -594,67 +831,65 @@ impl Tape {
                         }
                     }
                 }
-                add_to(grads, *a, out);
+                self.add_to(*a, out);
             }
             Op::RowSoftmax(a) => {
                 // dx = y * (dy - sum_j dy_j y_j) per row
-                let y = &node.value;
-                let mut out = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let dot: f32 = y
-                        .row(r)
-                        .iter()
-                        .zip(grad.row(r).iter())
-                        .map(|(&yy, &gg)| yy * gg)
-                        .sum();
-                    for c in 0..y.cols() {
-                        out.set(r, c, y.get(r, c) * (grad.get(r, c) - dot));
+                let (y, cols) = (&node.value, grad.cols());
+                let dx = self.pool.filled(y.shape(), |out| {
+                    let inputs = rows(y.data(), cols).zip(rows(grad.data(), cols));
+                    for (out, (y, g)) in rows_mut(out, cols).zip(inputs) {
+                        let dot: f32 = y.iter().zip(g).map(|(&yy, &gg)| yy * gg).sum();
+                        for ((o, &yy), &gg) in out.iter_mut().zip(y).zip(g) {
+                            *o = yy * (gg - dot);
+                        }
                     }
-                }
-                add_to(grads, *a, out);
+                });
+                self.add_to(*a, dx);
             }
             Op::AddRowBroadcast(x, bias) => {
-                add_scaled_to(grads, *x, grad, 1.0);
-                let mut bias_grad = Matrix::zeros(1, grad.cols());
-                for r in 0..grad.rows() {
-                    for c in 0..grad.cols() {
-                        let v = bias_grad.get(0, c) + grad.get(r, c);
-                        bias_grad.set(0, c, v);
+                self.add_scaled_to(*x, grad, 1.0);
+                let mut db = self.pool.zeros((1, grad.cols()));
+                for g in rows(grad.data(), grad.cols()) {
+                    for (s, &v) in db.data_mut().iter_mut().zip(g) {
+                        *s += v;
                     }
                 }
-                add_to(grads, *bias, bias_grad);
+                self.add_to(*bias, db);
             }
             Op::MulRowBroadcast(x, gain) => {
-                let xv = &self.nodes[*x].value;
-                let gv = &self.nodes[*gain].value;
-                let mut x_grad = Matrix::zeros(xv.rows(), xv.cols());
-                let mut g_grad = Matrix::zeros(1, xv.cols());
-                for r in 0..xv.rows() {
-                    for c in 0..xv.cols() {
-                        x_grad.set(r, c, grad.get(r, c) * gv.get(0, c));
-                        let v = g_grad.get(0, c) + grad.get(r, c) * xv.get(r, c);
-                        g_grad.set(0, c, v);
+                let (xv, gv) = (value(x), value(gain));
+                let cols = xv.cols();
+                let mut dg = self.pool.zeros((1, cols));
+                let dx = self.pool.filled(xv.shape(), |out| {
+                    let inputs = rows(grad.data(), cols).zip(rows(xv.data(), cols));
+                    for (out, (g, x)) in rows_mut(out, cols).zip(inputs) {
+                        let gain = gv.data().iter().zip(dg.data_mut());
+                        for (((o, &g), &x), (&w, s)) in out.iter_mut().zip(g).zip(x).zip(gain) {
+                            *o = g * w;
+                            *s += g * x;
+                        }
                     }
-                }
-                add_to(grads, *x, x_grad);
-                add_to(grads, *gain, g_grad);
+                });
+                self.add_to(*x, dx);
+                self.add_to(*gain, dg);
             }
             Op::ConcatCols(a, b) => {
-                let a_cols = self.nodes[*a].value.cols();
-                add_to(grads, *a, grad.slice_cols(0, a_cols));
-                add_to(grads, *b, grad.slice_cols(a_cols, grad.cols()));
+                let a_cols = value(a).cols();
+                self.add_to(*a, grad.slice_cols(0, a_cols));
+                self.add_to(*b, grad.slice_cols(a_cols, grad.cols()));
             }
             Op::ConcatRows(parts) => {
                 let mut r0 = 0;
                 for &pid in parts {
-                    let rows = self.nodes[pid].value.rows();
-                    add_to(grads, pid, grad.slice_rows(r0, r0 + rows));
+                    let rows = nodes[pid].value.rows();
+                    self.add_to(pid, grad.slice_rows(r0, r0 + rows));
                     r0 += rows;
                 }
             }
             Op::GatherRows(a, indices) => {
-                let av = &self.nodes[*a].value;
-                let slot = grads[*a].get_or_insert_with(|| Matrix::zeros(av.rows(), av.cols()));
+                let shape = value(a).shape();
+                let slot = self.grads[*a].get_or_insert_with(|| self.pool.zeros(shape));
                 for (i, &idx) in indices.iter().enumerate() {
                     for (o, &g) in slot.row_mut(idx).iter_mut().zip(grad.row(i)) {
                         *o += g;
@@ -662,20 +897,19 @@ impl Tape {
                 }
             }
             Op::SliceCols(a, start, end) => {
-                let av = &self.nodes[*a].value;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
-                for r in 0..av.rows() {
+                let mut out = self.pool.zeros(value(a).shape());
+                for r in 0..out.rows() {
                     for (c, col) in (*start..*end).enumerate() {
                         out.set(r, col, grad.get(r, c));
                     }
                 }
-                add_to(grads, *a, out);
+                self.add_to(*a, out);
             }
             Op::L2NormalizeRows(a) => {
                 // y = x / ||x||; dx = (dy - y * (y . dy)) / ||x||
-                let av = &self.nodes[*a].value;
+                let av = value(a);
                 let y = &node.value;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
+                let mut out = self.pool.zeros(av.shape());
                 for r in 0..av.rows() {
                     let norm: f32 = av.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
                     if norm <= 1e-12 {
@@ -695,7 +929,7 @@ impl Tape {
                         out.set(r, c, (grad.get(r, c) - y.get(r, c) * dot) / norm);
                     }
                 }
-                add_to(grads, *a, out);
+                self.add_to(*a, out);
             }
             Op::AttentionScores {
                 q,
@@ -706,26 +940,30 @@ impl Tape {
             } => {
                 // S_bh = scale * Q_bh K_bh^T per tile:
                 // dQ_bh = (scale * dS_bh) K_bh ; dK_bh = (scale * dS_bh)^T Q_bh.
+                // Every tile writes its head's block of dQ and dK, so together they
+                // overwrite both.
                 let (heads, seq) = (*heads, *seq);
-                let qv = &self.nodes[*q].value;
-                let kv = &self.nodes[*k].value;
-                let head_dim = qv.cols() / heads;
-                let mut dq = Matrix::zeros(qv.rows(), qv.cols());
-                let mut dk = Matrix::zeros(kv.rows(), kv.cols());
+                let (qv, kv) = (value(q), value(k));
+                let (cols, head_dim) = (qv.cols(), qv.cols() / heads);
+                let mut dq = self.pool.filled(qv.shape(), |_| {});
+                let mut dk = self.pool.filled(kv.shape(), |_| {});
                 let mut block = vec![0.0f32; seq * head_dim];
-                for (tile, ds) in grad.data().chunks_exact(seq * seq).enumerate() {
+                let (mut ds, mut ds_t) = (vec![0.0f32; seq * seq], vec![0.0f32; seq * seq]);
+                for (tile, g) in grad.data().chunks_exact(seq * seq).enumerate() {
                     let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
-                    let ds_t = transposed(ds, seq, *scale);
-                    let ds: Vec<f32> = ds.iter().map(|&g| g * scale).collect();
+                    transpose_scaled(g, seq, *scale, &mut ds_t);
+                    for (d, &g) in ds.iter_mut().zip(g) {
+                        *d = g * scale;
+                    }
                     let keys = head_cols(kv, (row0, c0), (seq, head_dim));
                     keys.multiply_with(seq, |t| &ds[t * seq..(t + 1) * seq], &mut block);
-                    put_head(&mut dq, (row0, c0), &block, head_dim);
+                    put_head(dq.data_mut(), cols, (row0, c0), &block, head_dim);
                     let queries = head_cols(qv, (row0, c0), (seq, head_dim));
                     queries.multiply_with(seq, |s| &ds_t[s * seq..(s + 1) * seq], &mut block);
-                    put_head(&mut dk, (row0, c0), &block, head_dim);
+                    put_head(dk.data_mut(), cols, (row0, c0), &block, head_dim);
                 }
-                add_to(grads, *q, dq);
-                add_to(grads, *k, dk);
+                self.add_to(*q, dq);
+                self.add_to(*k, dk);
             }
             Op::AttentionContext {
                 attn,
@@ -734,62 +972,63 @@ impl Tape {
                 seq,
             } => {
                 // C_bh = A_bh V_bh per tile: dA_bh = dC_bh V_bh^T ; dV_bh = A_bh^T dC_bh.
+                // Every tile writes its block of dA and its head's block of dV, so
+                // together they overwrite both.
                 let (heads, seq) = (*heads, *seq);
-                let av = &self.nodes[*attn].value;
-                let vv = &self.nodes[*v].value;
-                let head_dim = vv.cols() / heads;
-                let mut da = Matrix::zeros(av.rows(), av.cols());
-                let mut dv = Matrix::zeros(vv.rows(), vv.cols());
+                let (av, vv) = (value(attn), value(v));
+                let (cols, head_dim) = (vv.cols(), vv.cols() / heads);
+                let mut da = self.pool.filled(av.shape(), |_| {});
+                let mut dv = self.pool.filled(vv.shape(), |_| {});
                 let mut block = vec![0.0f32; seq * head_dim];
+                let mut a_t = vec![0.0f32; seq * seq];
                 let tiles = da.data_mut().chunks_exact_mut(seq * seq);
                 for (tile, (da, a)) in tiles.zip(av.data().chunks_exact(seq * seq)).enumerate() {
                     let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
                     let values = head_rows(vv, (row0, c0), (seq, head_dim), 1.0);
                     values.multiply_with(seq, head_slice(grad, (row0, c0), head_dim), da);
-                    let a_t = transposed(a, seq, 1.0);
+                    transpose_scaled(a, seq, 1.0, &mut a_t);
                     let dc = head_cols(grad, (row0, c0), (seq, head_dim));
                     dc.multiply_with(seq, |s| &a_t[s * seq..(s + 1) * seq], &mut block);
-                    put_head(&mut dv, (row0, c0), &block, head_dim);
+                    put_head(dv.data_mut(), cols, (row0, c0), &block, head_dim);
                 }
-                add_to(grads, *attn, da);
-                add_to(grads, *v, dv);
+                self.add_to(*attn, da);
+                self.add_to(*v, dv);
             }
             Op::MaskedStandardizeRows(a, eps, valid) => {
                 // y = (x - mu) / sigma with sigma = sqrt(var + eps)
                 // dx = (dy - mean(dy) - y * mean(dy * y)) / sigma; padding rows get zero.
-                let av = &self.nodes[*a].value;
-                let y = &node.value;
-                let d = av.cols() as f32;
-                let mut out = Matrix::zeros(av.rows(), av.cols());
-                for (r, &ok) in valid.iter().enumerate() {
-                    if !ok {
-                        continue;
+                // Each row sum runs in column order from -0.0, as `Sum for f32` does; the
+                // three that do not need the mean share one pass.
+                let (av, y) = (value(a), &node.value);
+                let cols = av.cols();
+                let d = cols as f32;
+                let dx = self.pool.filled(av.shape(), |out| {
+                    let inputs = rows(av.data(), cols).zip(rows(grad.data(), cols));
+                    let inputs = inputs.zip(rows(y.data(), cols)).zip(valid);
+                    for (out, (((x, g), y), &ok)) in rows_mut(out, cols).zip(inputs) {
+                        if !ok {
+                            out.fill(0.0);
+                            continue;
+                        }
+                        let (mut sum_x, mut sum_dy, mut sum_dyy) = (-0.0f32, -0.0f32, -0.0f32);
+                        for ((&x, &g), &yy) in x.iter().zip(g).zip(y) {
+                            sum_x += x;
+                            sum_dy += g;
+                            sum_dyy += g * yy;
+                        }
+                        let mean = sum_x / d;
+                        let var: f32 = x.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d;
+                        let sigma = (var + eps).sqrt();
+                        let (mean_dy, mean_dyy) = (sum_dy / d, sum_dyy / d);
+                        for ((o, &g), &yy) in out.iter_mut().zip(g).zip(y) {
+                            *o = (g - mean_dy - yy * mean_dyy) / sigma;
+                        }
                     }
-                    let mean: f32 = av.row(r).iter().sum::<f32>() / d;
-                    let var: f32 = av
-                        .row(r)
-                        .iter()
-                        .map(|x| (x - mean) * (x - mean))
-                        .sum::<f32>()
-                        / d;
-                    let sigma = (var + eps).sqrt();
-                    let mean_dy: f32 = grad.row(r).iter().sum::<f32>() / d;
-                    let mean_dyy: f32 = grad
-                        .row(r)
-                        .iter()
-                        .zip(y.row(r).iter())
-                        .map(|(&g, &yy)| g * yy)
-                        .sum::<f32>()
-                        / d;
-                    for c in 0..av.cols() {
-                        let v = (grad.get(r, c) - mean_dy - y.get(r, c) * mean_dyy) / sigma;
-                        out.set(r, c, v);
-                    }
-                }
-                add_to(grads, *a, out);
+                });
+                self.add_to(*a, dx);
             }
             Op::SoftmaxCrossEntropy(logits, targets) => {
-                let lv = &self.nodes[*logits].value;
+                let lv = value(logits);
                 let probs = row_softmax(lv);
                 let n = targets.len() as f32;
                 let upstream = grad.get(0, 0);
@@ -798,7 +1037,7 @@ impl Tape {
                     let v = out.get(r, t) - 1.0;
                     out.set(r, t, v);
                 }
-                add_to(grads, *logits, out.scale(upstream / n));
+                self.add_to(*logits, out.scale(upstream / n));
             }
         }
     }
@@ -909,6 +1148,15 @@ pub fn row_softmax(x: &Matrix) -> Matrix {
 /// # Panics
 /// Panics on inconsistent packing (see [`Tape::attention_scores`]).
 pub fn attention_scores(q: &Matrix, k: &Matrix, heads: usize, seq: usize, scale: f32) -> Matrix {
+    let (rows, cols) = attention_scores_shape(q, k, heads, seq);
+    let mut out = Matrix::zeros(rows, cols);
+    attention_scores_into(q, k, heads, seq, scale, out.data_mut());
+    out
+}
+
+/// The shape of [`attention_scores`]' output, `[batch*heads*seq, seq]`, after its
+/// packing checks.
+fn attention_scores_shape(q: &Matrix, k: &Matrix, heads: usize, seq: usize) -> (usize, usize) {
     assert_eq!(q.shape(), k.shape(), "attention_scores: Q/K shape mismatch");
     assert!(seq > 0, "attention_scores: seq must be positive");
     assert!(
@@ -919,15 +1167,24 @@ pub fn attention_scores(q: &Matrix, k: &Matrix, heads: usize, seq: usize, scale:
         heads > 0 && q.cols().is_multiple_of(heads),
         "attention_scores: width must be divisible by heads"
     );
-    let batch = q.rows() / seq;
+    (q.rows() / seq * heads * seq, seq)
+}
+
+/// [`attention_scores`] into `out`, every element overwritten.
+fn attention_scores_into(
+    q: &Matrix,
+    k: &Matrix,
+    heads: usize,
+    seq: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
     let head_dim = q.cols() / heads;
-    let mut out = Matrix::zeros(batch * heads * seq, seq);
-    for (tile, dst) in out.data_mut().chunks_exact_mut(seq * seq).enumerate() {
+    for (tile, dst) in out.chunks_exact_mut(seq * seq).enumerate() {
         let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
         let keys = head_rows(k, (row0, c0), (seq, head_dim), scale);
         keys.multiply_with(seq, head_slice(q, (row0, c0), head_dim), dst);
     }
-    out
 }
 
 /// `scale` times the `rows x head_dim` block of `m` at `(row0, c0)` — one head's slice of
@@ -961,23 +1218,27 @@ fn head_slice<'a>(
     move |t| &m.row(row0 + t)[c0..c0 + head_dim]
 }
 
-/// Copies the row-major `rows x head_dim` `block` into the head slice of `m` at
-/// `(row0, c0)`.
-fn put_head(m: &mut Matrix, (row0, c0): (usize, usize), block: &[f32], head_dim: usize) {
+/// Copies the row-major `rows x head_dim` `block` into the head slice at `(row0, c0)` of
+/// the row-major `m`, `cols` wide.
+fn put_head(
+    m: &mut [f32],
+    cols: usize,
+    (row0, c0): (usize, usize),
+    block: &[f32],
+    head_dim: usize,
+) {
     for (t, src) in block.chunks_exact(head_dim).enumerate() {
-        m.row_mut(row0 + t)[c0..c0 + head_dim].copy_from_slice(src);
+        m[(row0 + t) * cols + c0..][..head_dim].copy_from_slice(src);
     }
 }
 
-/// The transpose of the row-major `n x n` `block`, each entry times `scale`.
-fn transposed(block: &[f32], n: usize, scale: f32) -> Vec<f32> {
-    let mut out = vec![0.0; n * n];
+/// The transpose of the row-major `n x n` `block` into `out`, each entry times `scale`.
+fn transpose_scaled(block: &[f32], n: usize, scale: f32, out: &mut [f32]) {
     for (t, row) in block.chunks_exact(n).enumerate() {
         for (s, &x) in row.iter().enumerate() {
             out[s * n + t] = scale * x;
         }
     }
-    out
 }
 
 /// Forward pass of [`Tape::masked_row_softmax`]: numerically stable softmax over the
@@ -987,28 +1248,33 @@ fn transposed(block: &[f32], n: usize, scale: f32) -> Vec<f32> {
 /// # Panics
 /// Panics when `valid.len() != x.rows()` or a count exceeds the width.
 pub fn masked_row_softmax(x: &Matrix, valid: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    masked_row_softmax_into(x, valid, out.data_mut());
+    out
+}
+
+/// [`masked_row_softmax`] into `out`, every element overwritten.
+fn masked_row_softmax_into(x: &Matrix, valid: &[usize], out: &mut [f32]) {
     assert_eq!(
         valid.len(),
         x.rows(),
         "masked_row_softmax: one valid count per row required"
     );
-    let arm = Arm::current();
-    let mut out = Matrix::zeros(x.rows(), x.cols());
+    let (arm, cols) = (Arm::current(), x.cols());
     for (r, &n) in valid.iter().enumerate() {
         assert!(
-            n <= x.cols(),
+            n <= cols,
             "masked_row_softmax: valid count {} exceeds width {}",
             n,
-            x.cols()
+            cols
         );
-        if n == 0 {
-            continue;
+        let (dst, masked) = out[r * cols..(r + 1) * cols].split_at_mut(n);
+        masked.fill(0.0);
+        if n > 0 {
+            dst.copy_from_slice(&x.row(r)[..n]);
+            softmax_in_place(arm, dst);
         }
-        let dst = &mut out.row_mut(r)[..n];
-        dst.copy_from_slice(&x.row(r)[..n]);
-        softmax_in_place(arm, dst);
     }
-    out
 }
 
 /// Fused tape-free masked multi-head attention: scores, masked softmax, and context of
@@ -1070,7 +1336,7 @@ pub fn masked_attention_infer(
             }
             let values = head_cols(v, (row0, c0), (n, head_dim));
             values.multiply_with(seq, |t| &scores[t * n..(t + 1) * n], &mut context);
-            put_head(&mut out, (row0, c0), &context, head_dim);
+            put_head(out.data_mut(), dim, (row0, c0), &context, head_dim);
         }
     }
     out
@@ -1128,6 +1394,14 @@ fn normalize_in_place(row: &mut [f32]) {
 /// # Panics
 /// Panics on inconsistent packing (see [`Tape::attention_context`]).
 pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) -> Matrix {
+    check_attention_context(attn, v, heads, seq);
+    let mut out = Matrix::zeros(v.rows(), v.cols());
+    attention_context_into(attn, v, heads, seq, out.data_mut());
+    out
+}
+
+/// The packing checks of [`attention_context`].
+fn check_attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) {
     assert!(seq > 0, "attention_context: seq must be positive");
     assert!(
         v.rows().is_multiple_of(seq),
@@ -1143,16 +1417,18 @@ pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) ->
         (batch * heads * seq, seq),
         "attention_context: attention tile stack has the wrong shape"
     );
+}
+
+/// [`attention_context`] into `out` (`v`'s shape), every element overwritten.
+fn attention_context_into(attn: &Matrix, v: &Matrix, heads: usize, seq: usize, out: &mut [f32]) {
     let head_dim = v.cols() / heads;
-    let mut out = Matrix::zeros(v.rows(), v.cols());
     let mut context = vec![0.0f32; seq * head_dim];
-    for tile in 0..batch * heads {
+    for tile in 0..v.rows() / seq * heads {
         let (row0, c0) = (tile / heads * seq, tile % heads * head_dim);
         let values = head_cols(v, (row0, c0), (seq, head_dim));
         values.multiply_with(seq, |t| attn.row(tile * seq + t), &mut context);
-        put_head(&mut out, (row0, c0), &context, head_dim);
+        put_head(out, v.cols(), (row0, c0), &context, head_dim);
     }
-    out
 }
 
 /// Forward pass of [`Tape::masked_standardize_rows`]: standardizes rows flagged `true`
@@ -1161,26 +1437,34 @@ pub fn attention_context(attn: &Matrix, v: &Matrix, heads: usize, seq: usize) ->
 /// # Panics
 /// Panics when `valid.len() != x.rows()`.
 pub fn masked_standardize_rows(x: &Matrix, eps: f32, valid: &[bool]) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    masked_standardize_rows_into(x, eps, valid, out.data_mut());
+    out
+}
+
+/// [`masked_standardize_rows`] into `out`, every element overwritten.
+fn masked_standardize_rows_into(x: &Matrix, eps: f32, valid: &[bool], out: &mut [f32]) {
     assert_eq!(
         valid.len(),
         x.rows(),
         "masked_standardize_rows: one flag per row required"
     );
-    let d = x.cols() as f32;
-    let mut out = Matrix::zeros(x.rows(), x.cols());
+    let cols = x.cols();
+    let d = cols as f32;
     for (r, &ok) in valid.iter().enumerate() {
+        let dst = &mut out[r * cols..(r + 1) * cols];
         if !ok {
+            dst.fill(0.0);
             continue;
         }
         let src = x.row(r);
         let mean: f32 = src.iter().sum::<f32>() / d;
         let var: f32 = src.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
         let sigma = (var + eps).sqrt();
-        for (o, &v) in out.row_mut(r).iter_mut().zip(src.iter()) {
+        for (o, &v) in dst.iter_mut().zip(src.iter()) {
             *o = (v - mean) / sigma;
         }
     }
-    out
 }
 
 /// Forward pass of [`Tape::segment_mean_rows`]: output row `i` averages the `len` rows
@@ -1214,6 +1498,7 @@ pub fn segment_mean_rows(x: &Matrix, ranges: &[(usize, usize)]) -> Matrix {
 mod tests {
     use super::*;
     use crate::matrix::for_each_supported_arm;
+    use rand::SeedableRng;
 
     #[test]
     fn vector_maps_have_the_bits_of_their_scalar_expression() {
@@ -1523,5 +1808,226 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.constant(Matrix::zeros(2, 2));
         let _ = tape.backward(a);
+    }
+
+    /// The backward loops of `RowSoftmax`, `AddRowBroadcast`, `MulRowBroadcast` and
+    /// `MaskedStandardizeRows` as they were before they became row-slice loops
+    /// (bounds-checked `get` / `set`, one fresh matrix per result): the oracle of the
+    /// bits of each arm. Each returns what its arm adds to the gradient of each parent.
+    mod get_set_arms {
+        use crate::matrix::Matrix;
+
+        pub fn row_softmax(y: &Matrix, grad: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(y.rows(), y.cols());
+            for r in 0..y.rows() {
+                let dot: f32 = y
+                    .row(r)
+                    .iter()
+                    .zip(grad.row(r).iter())
+                    .map(|(&yy, &gg)| yy * gg)
+                    .sum();
+                for c in 0..y.cols() {
+                    out.set(r, c, y.get(r, c) * (grad.get(r, c) - dot));
+                }
+            }
+            out
+        }
+
+        pub fn add_row_broadcast(grad: &Matrix) -> (Matrix, Matrix) {
+            let mut bias_grad = Matrix::zeros(1, grad.cols());
+            for r in 0..grad.rows() {
+                for c in 0..grad.cols() {
+                    let v = bias_grad.get(0, c) + grad.get(r, c);
+                    bias_grad.set(0, c, v);
+                }
+            }
+            (grad.clone(), bias_grad)
+        }
+
+        pub fn mul_row_broadcast(xv: &Matrix, gv: &Matrix, grad: &Matrix) -> (Matrix, Matrix) {
+            let mut x_grad = Matrix::zeros(xv.rows(), xv.cols());
+            let mut g_grad = Matrix::zeros(1, xv.cols());
+            for r in 0..xv.rows() {
+                for c in 0..xv.cols() {
+                    x_grad.set(r, c, grad.get(r, c) * gv.get(0, c));
+                    let v = g_grad.get(0, c) + grad.get(r, c) * xv.get(r, c);
+                    g_grad.set(0, c, v);
+                }
+            }
+            (x_grad, g_grad)
+        }
+
+        pub fn masked_standardize_rows(
+            av: &Matrix,
+            y: &Matrix,
+            eps: f32,
+            valid: &[bool],
+            grad: &Matrix,
+        ) -> Matrix {
+            let d = av.cols() as f32;
+            let mut out = Matrix::zeros(av.rows(), av.cols());
+            for (r, &ok) in valid.iter().enumerate() {
+                if !ok {
+                    continue;
+                }
+                let mean: f32 = av.row(r).iter().sum::<f32>() / d;
+                let var: f32 = av
+                    .row(r)
+                    .iter()
+                    .map(|x| (x - mean) * (x - mean))
+                    .sum::<f32>()
+                    / d;
+                let sigma = (var + eps).sqrt();
+                let mean_dy: f32 = grad.row(r).iter().sum::<f32>() / d;
+                let mean_dyy: f32 = grad
+                    .row(r)
+                    .iter()
+                    .zip(y.row(r).iter())
+                    .map(|(&g, &yy)| g * yy)
+                    .sum::<f32>()
+                    / d;
+                for c in 0..av.cols() {
+                    let v = (grad.get(r, c) - mean_dy - y.get(r, c) * mean_dyy) / sigma;
+                    out.set(r, c, v);
+                }
+            }
+            out
+        }
+    }
+
+    /// The gradients of `inputs` under the loss `sum(op(inputs) ⊙ u)`, so that the op's
+    /// arm receives exactly `u`. With `v`, the loss also adds `sum(inputs[0] ⊙ v)`,
+    /// whose gradient reaches `inputs[0]` first: the arm then adds into `v`.
+    fn arm_gradients(
+        inputs: &[&Matrix],
+        u: &Matrix,
+        v: Option<&Matrix>,
+        op: impl Fn(&mut Tape, &[VarId]) -> VarId,
+    ) -> Vec<Matrix> {
+        let mut tape = Tape::new();
+        let ids: Vec<VarId> = inputs.iter().map(|m| tape.constant((*m).clone())).collect();
+        let out = op(&mut tape, &ids);
+        let upstream = tape.constant(u.clone());
+        let weighted = tape.mul(out, upstream);
+        let mut loss = tape.sum_all(weighted);
+        if let Some(v) = v {
+            let v = tape.constant(v.clone());
+            let weighted = tape.mul(ids[0], v);
+            let extra = tape.sum_all(weighted);
+            loss = tape.add(loss, extra);
+        }
+        let grads = tape.backward(loss);
+        ids.iter()
+            .map(|&id| grads.get(id).unwrap().clone())
+            .collect()
+    }
+
+    fn assert_same_bits(got: &Matrix, expected: &Matrix, what: &str) {
+        assert_eq!(got.shape(), expected.shape(), "{what}: shape");
+        for (i, (g, e)) in got.data().iter().zip(expected.data()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                e.to_bits(),
+                "{what}: element {i} is {g}, not {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_slice_arms_have_the_bits_of_their_get_set_loops() {
+        // Seeded inputs at widths 1, 31 and 33, with an all -0.0 row, a constant
+        // (zero-variance) row, rows flagged invalid and fully masked softmax rows; the
+        // upstream gradients are random, all -0.0, signed zeros that make every
+        // `g * y` product -0.0, and random with an all -0.0 row. Zero rows are where a
+        // row sum's start shows: `-0.0 + -0.0` is -0.0 and `+0.0 + -0.0` is +0.0.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        let eps = 1e-5;
+        for cols in [1usize, 31, 33] {
+            let rows = 9;
+            let mut x = Matrix::random_normal(rows, cols, 1.0, &mut rng);
+            x.row_mut(1).fill(-0.0);
+            x.row_mut(2).fill(0.75);
+            let gain = Matrix::random_normal(1, cols, 1.0, &mut rng);
+            let bias = Matrix::random_normal(1, cols, 1.0, &mut rng);
+            let valid: Vec<bool> = (0..rows).map(|r| r % 4 != 3).collect();
+            let counts: Vec<usize> = (0..rows).map(|r| [0, cols, cols / 2 + 1][r % 3]).collect();
+            let standardized = masked_standardize_rows(&x, eps, &valid);
+            let softmax = masked_row_softmax(&x, &counts);
+            let mut mixed = Matrix::random_normal(rows, cols, 1.0, &mut rng);
+            mixed.row_mut(4).fill(-0.0);
+            let upstreams = [
+                Matrix::random_normal(rows, cols, 1.0, &mut rng),
+                Matrix::full(rows, cols, -0.0),
+                standardized.map(|y| if y > 0.0 { -0.0 } else { 0.0 }),
+                mixed,
+            ];
+            let earlier = Matrix::random_normal(rows, cols, 1.0, &mut rng);
+            for (case, u) in upstreams.iter().enumerate() {
+                for v in [None, Some(&earlier)] {
+                    let what = |arm: &str| format!("{arm}, width {cols}, upstream {case}, {v:?}");
+                    // A parent that already had a gradient gets the arm's result added.
+                    let plus = |delta: &Matrix| match v {
+                        Some(v) => v.add(delta),
+                        None => delta.clone(),
+                    };
+
+                    let got =
+                        arm_gradients(&[&x], u, v, |t, ids| t.masked_row_softmax(ids[0], &counts));
+                    let expected = get_set_arms::row_softmax(&softmax, u);
+                    assert_same_bits(&got[0], &plus(&expected), &what("RowSoftmax"));
+
+                    let got = arm_gradients(&[&x, &bias], u, v, |t, ids| {
+                        t.add_row_broadcast(ids[0], ids[1])
+                    });
+                    let (dx, db) = get_set_arms::add_row_broadcast(u);
+                    assert_same_bits(&got[0], &plus(&dx), &what("AddRowBroadcast x"));
+                    assert_same_bits(&got[1], &db, &what("AddRowBroadcast bias"));
+
+                    let got = arm_gradients(&[&x, &gain], u, v, |t, ids| {
+                        t.mul_row_broadcast(ids[0], ids[1])
+                    });
+                    let (dx, dg) = get_set_arms::mul_row_broadcast(&x, &gain, u);
+                    assert_same_bits(&got[0], &plus(&dx), &what("MulRowBroadcast x"));
+                    assert_same_bits(&got[1], &dg, &what("MulRowBroadcast gain"));
+
+                    let got = arm_gradients(&[&x], u, v, |t, ids| {
+                        t.masked_standardize_rows(ids[0], eps, &valid)
+                    });
+                    let expected =
+                        get_set_arms::masked_standardize_rows(&x, &standardized, eps, &valid, u);
+                    assert_same_bits(&got[0], &plus(&expected), &what("MaskedStandardizeRows"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_keeps_only_the_buffers_the_pass_before_it_used() {
+        // Passes through `depth` squarings, each trained as `Trainer::step` trains, then
+        // one more reset: the buffers the pool holds.
+        let pooled = |depths: &[usize]| {
+            let mut tape = Tape::new();
+            for &depth in depths {
+                tape.reset();
+                let mut x = tape.constant(Matrix::full(64, 4, 0.5));
+                for _ in 0..depth {
+                    x = tape.pow2(x);
+                }
+                let loss = tape.sum_all(x);
+                let grads = tape.backward_to_leaves(loss);
+                tape.recycle(grads);
+            }
+            tape.reset();
+            tape.pool.free.len()
+        };
+        // One squaring touches six buffers: the constant, the square, the loss, the seed,
+        // the square's gradient and the constant's.
+        assert_eq!(pooled(&[1]), 6);
+        assert!(pooled(&[6, 6]) > 6);
+        assert_eq!(
+            pooled(&[6, 6, 1]),
+            6,
+            "the deep passes' idle buffers stay pooled"
+        );
     }
 }
