@@ -7,8 +7,9 @@
 //! contrastively learned embeddings retrieve the same recall with a smaller candidate set
 //! than a blocker whose representation is not trained for entity similarity.
 //!
-//! Retrieval goes through [`ShardedCosineIndex`]: the right table is ingested into
-//! fixed-capacity shards and each query tile is scored shard-by-shard, so the baseline
+//! Retrieval goes through the sharded [`BlockingIndex`]: the right table is ingested into
+//! fixed-capacity shards, one shard at a time, and each query tile is scored
+//! shard-by-shard, so the baseline
 //! scales past the point where the old `|A| x |B|` score matrix would have blown memory.
 //! The index runs under a resident-memory budget ([`SHARD_MEMORY_BUDGET`]) — on corpora
 //! whose densified TF-IDF matrix exceeds it, cold shards spill to a compact on-disk
@@ -18,7 +19,7 @@
 
 use sudowoodo_cluster::tfidf::{add_into_dense, SparseVector, TfIdfVectorizer};
 use sudowoodo_datasets::em::EmDataset;
-use sudowoodo_index::{evaluate_blocking, BlockingQuality, ShardedCosineIndex};
+use sudowoodo_index::{evaluate_blocking, BlockingIndex, BlockingQuality};
 use sudowoodo_text::serialize::serialize_record;
 
 /// Above this `rows * features` element count, densifying the TF-IDF vectors would
@@ -75,10 +76,11 @@ pub fn run_dlblock_curve(dataset: &EmDataset, ks: &[usize]) -> Vec<BlockingRun> 
     if dense_ok && features > 0 {
         let corpus_b: Vec<Vec<f32>> = vec_b.iter().map(|v| densify(v, features)).collect();
         let queries_a: Vec<Vec<f32>> = vec_a.iter().map(|v| densify(v, features)).collect();
-        let index = ShardedCosineIndex::from_vectors_with_budget(
-            &corpus_b,
-            SHARD_CAPACITY,
+        let index = BlockingIndex::build_with_options(
+            corpus_b,
+            Some(SHARD_CAPACITY),
             Some(SHARD_MEMORY_BUDGET),
+            None,
         );
         neighbours.resize(vec_a.len(), Vec::new());
         // The join is ordered by query index, then descending score (ascending id ties).

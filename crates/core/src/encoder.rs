@@ -25,6 +25,7 @@ use sudowoodo_nn::layers::{
 };
 use sudowoodo_nn::matrix::Matrix;
 use sudowoodo_nn::param::Param;
+use sudowoodo_nn::pool;
 use sudowoodo_nn::tape::{Tape, VarId};
 use sudowoodo_text::{Vocab, VocabConfig};
 
@@ -365,7 +366,15 @@ impl Encoder {
     /// as chunk-wide GEMMs, scores as fused per-`(sequence, head)` `A * B^T` tiles with
     /// padding keys masked). [`Encoder::infer_chunk_reference`] keeps the retired
     /// per-sequence loop as the frozen equivalence oracle.
+    ///
+    /// The chunk is one [`pool::scope`]: its activations are buffers of this thread's
+    /// inference pool, handed back as soon as the next layer has read them, so a warm
+    /// call at the same shapes asks the system allocator for no large block.
     pub fn infer_chunk(&self, texts: &[String]) -> Matrix {
+        pool::scope(|| self.infer_chunk_scoped(texts))
+    }
+
+    fn infer_chunk_scoped(&self, texts: &[String]) -> Matrix {
         let n = texts.len();
         let dim = self.config.dim;
         if n == 0 {
@@ -398,8 +407,11 @@ impl Encoder {
                     }
                     offset += ids.len();
                 }
+                pool::recycle(embedded);
                 let lifted = self.pool_mlp.infer(&means);
-                means.add(&lifted)
+                let pooled = means.add(&lifted);
+                pool::recycle(lifted);
+                pooled
             }
             EncoderKind::Transformer => {
                 let lens: Vec<usize> = ids_per_text.iter().map(|ids| ids.len()).collect();
@@ -411,14 +423,21 @@ impl Encoder {
                 }
                 let embedded = self.embedding.lookup(&padded_ids);
                 let mut x = self.positional.infer_batch(&embedded, n, max_len);
+                pool::recycle(embedded);
                 for block in &self.blocks {
-                    x = block.infer_batch(&x, &lens, max_len);
+                    let next = block.infer_batch(&x, &lens, max_len);
+                    pool::recycle(std::mem::replace(&mut x, next));
                 }
-                sudowoodo_nn::tape::segment_mean_rows(&x, &padded_ranges(&lens, max_len))
+                let pooled =
+                    sudowoodo_nn::tape::segment_mean_rows(&x, &padded_ranges(&lens, max_len));
+                pool::recycle(x);
+                pooled
             }
         };
         let normed = self.output_norm.infer(&pooled);
-        normed.l2_normalize_rows()
+        let embeddings = normed.l2_normalize_rows();
+        pool::recycle(normed);
+        embeddings
     }
 
     /// The retired per-sequence inference loop, kept verbatim as the frozen oracle for the

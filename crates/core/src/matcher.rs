@@ -24,6 +24,7 @@ use sudowoodo_ml::metrics::{best_f1_threshold, PrF1};
 use sudowoodo_nn::layers::{Layer, Linear};
 use sudowoodo_nn::matrix::Matrix;
 use sudowoodo_nn::optim::{AdamW, Trainer};
+use sudowoodo_nn::pool;
 use sudowoodo_nn::tape::{row_softmax, Tape, VarId};
 use sudowoodo_text::serialize::serialize_pair;
 
@@ -146,16 +147,22 @@ impl PairMatcher {
             .iter()
             .map(|(l, r)| (l.as_str(), r.as_str()))
             .collect();
-        let z = self.encoder.infer_chunk(&self.encoder_inputs(&refs));
-        let features = if self.use_diff_head {
-            let abs_diff = z
-                .slice_rows(n, 2 * n)
-                .zip_map(&z.slice_rows(2 * n, 3 * n), |x, y| (x - y).abs());
-            Matrix::hstack(&[&z.slice_rows(0, n), &abs_diff])
-        } else {
-            z
-        };
-        row_softmax(&self.head.infer(&features)).col(1)
+        // One inference call: the head's logits go back to the pool the encoder used.
+        pool::scope(|| {
+            let z = self.encoder.infer_chunk(&self.encoder_inputs(&refs));
+            let features = if self.use_diff_head {
+                let abs_diff = z
+                    .slice_rows(n, 2 * n)
+                    .zip_map(&z.slice_rows(2 * n, 3 * n), |x, y| (x - y).abs());
+                Matrix::hstack(&[&z.slice_rows(0, n), &abs_diff])
+            } else {
+                z
+            };
+            let logits = self.head.infer(&features);
+            let scores = row_softmax(&logits).col(1);
+            pool::recycle(logits);
+            scores
+        })
     }
 
     /// Fine-tunes the matcher (encoder + head) on labeled pairs; returns the mean loss per

@@ -50,7 +50,9 @@ impl BlockingIndex {
 
     /// Like [`BlockingIndex::build`], additionally applying a resident-memory budget
     /// (bytes of shard matrix payload) and the i8 quantized shard tier to the sharded
-    /// layout. Cold shards beyond the budget are spilled to disk before this returns,
+    /// layout. The sharded layout is built one shard at a time, dropping each of
+    /// `vectors` once ingested; cold shards beyond the budget are spilled to disk as
+    /// the build passes them (see [`ShardedCosineIndex::from_vectors_with_budget`]),
     /// and routing statistics keep pruned shards from ever being read back during
     /// searches; see [`ShardedCosineIndex::set_quantization`] for the two-stage scan
     /// and the bit-identical-results contract. The dense layout ignores both (one
@@ -61,16 +63,11 @@ impl BlockingIndex {
         memory_budget: Option<usize>,
         quantization: Option<QuantSpec>,
     ) -> Self {
-        match shard_capacity {
-            None => BlockingIndex::Dense(CosineIndex::build(vectors)),
-            Some(capacity) => {
-                let mut index = ShardedCosineIndex::from_vectors(&vectors, capacity);
-                index.set_quantization(quantization);
-                index.set_memory_budget(memory_budget);
-                index.compact();
-                BlockingIndex::Sharded(index)
-            }
-        }
+        let Some(capacity) = shard_capacity else {
+            return Self::Dense(CosineIndex::build(vectors));
+        };
+        let index = ShardedCosineIndex::build(vectors, capacity, memory_budget, quantization);
+        Self::Sharded(index)
     }
 
     /// Removes the vector with stable id `id` (sharded layout only).

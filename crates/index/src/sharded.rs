@@ -37,7 +37,7 @@
 //! ids *and* same scores, even on exact ties (duplicate rows are normal in EM data):
 //!
 //! 1. every row is L2-normalized exactly once, with the same per-row op the dense index
-//!    uses ([`Matrix::l2_normalize_rows_mut`]);
+//!    uses ([`Matrix::l2_normalize_row`]);
 //! 2. every score is one fused multiply-add chain over the dimensions, ascending — the
 //!    GEMM tile's contract — so it does not depend on which shard, strip, tile or batch
 //!    computed it, nor on which other rows or queries were in the product; spilling
@@ -755,18 +755,50 @@ impl ShardedCosineIndex {
         index
     }
 
-    /// Builds an index and immediately applies a resident-memory budget: cold shards
-    /// beyond `memory_budget` bytes are spilled to disk before this returns.
-    ///
-    /// `memory_budget: None` is identical to [`Self::from_vectors`].
+    /// Builds an index and immediately applies a resident-memory budget: the index
+    /// [`Self::from_vectors`] → [`Self::set_memory_budget`] → [`Self::compact`] ends
+    /// with, built one shard at a time. Cold shards beyond `budget` bytes spill to disk
+    /// as the build passes them, so the build never holds more than the budget and one
+    /// shard of them.
     pub fn from_vectors_with_budget(
         vectors: &[Vec<f32>],
         shard_capacity: usize,
-        memory_budget: Option<usize>,
+        budget: Option<usize>,
     ) -> Self {
-        let mut index = Self::from_vectors(vectors, shard_capacity);
-        index.set_memory_budget(memory_budget);
-        index.compact();
+        Self::build(vectors.iter().collect(), shard_capacity, budget, None)
+    }
+
+    /// Builds an index one shard at a time, ending where `new` → [`Self::add_batch`] →
+    /// [`Self::set_quantization`] → [`Self::set_memory_budget`] → [`Self::compact`] ends,
+    /// bit for bit: each shard's rows are normalized straight into its buffer (each
+    /// caller row is dropped once copied), the shard is quantized, and the oldest resident
+    /// shard spills while the resident payload exceeds the budget. The build's shards
+    /// share one recency stamp, so compaction's LRU pass would keep the newest shards that
+    /// fit, as this does; the build's heap peaks at the corpus, one shard and the budget.
+    pub(crate) fn build<V: AsRef<[f32]>>(
+        vectors: Vec<V>,
+        shard_capacity: usize,
+        memory_budget: Option<usize>,
+        quantization: Option<QuantSpec>,
+    ) -> Self {
+        let mut index = Self::new(shard_capacity);
+        (index.memory_budget, index.quantization) = (memory_budget, quantization);
+        index.check_batch(&vectors);
+        let (mut oldest_resident, mut resident) = (0, 0);
+        let budget = memory_budget.unwrap_or(usize::MAX);
+        index.ingest(vectors.into_iter(), |index, filled| {
+            let storage = &mut index.shards[filled].storage;
+            storage.set_quantized(quantization.is_some());
+            resident += storage.payload_bytes();
+            while resident > budget {
+                // A shard whose spill fails stays resident outside the account, as
+                // compaction's pass leaves it once every newer shard is placed.
+                resident -= index.shards[oldest_resident].storage.payload_bytes();
+                index.spill_shard(oldest_resident);
+                oldest_resident += 1;
+            }
+        });
+        index.epoch.fetch_add(1, Ordering::Relaxed); // the bump `compact` makes
         index
     }
 
@@ -1072,28 +1104,37 @@ impl ShardedCosineIndex {
     /// Panics when a vector's dimension disagrees with the index dimension, naming the
     /// offending row and the expected dimension.
     pub fn add_batch(&mut self, vectors: &[Vec<f32>]) -> std::ops::Range<usize> {
-        let start = self.next_id;
-        if vectors.is_empty() {
-            return start..start;
-        }
-        if self.next_id == 0 {
+        self.check_batch(vectors);
+        self.ingest(vectors.iter(), |_, _| {})
+    }
+
+    /// Checks every row of a batch against the index dimension before any is ingested.
+    fn check_batch<V: AsRef<[f32]>>(&mut self, vectors: &[V]) {
+        if let (0, Some(first)) = (self.next_id, vectors.first()) {
             // First batch ever fixes the dimensionality — even a degenerate 0, so that a
             // later batch of different width gets the ragged-input error, not a crash.
-            self.dim = vectors[0].len();
+            self.dim = first.as_ref().len();
         }
         let dim = self.dim;
-        let mut data = Vec::with_capacity(vectors.len() * dim);
         for (i, v) in vectors.iter().enumerate() {
-            check_row_dim("ShardedCosineIndex::add_batch", i, v.len(), dim);
-            data.extend_from_slice(v);
+            check_row_dim("ShardedCosineIndex::add_batch", i, v.as_ref().len(), dim);
         }
-        // Normalize the new rows once, with the same per-row op the dense index applies.
-        let mut batch = Matrix::from_vec(vectors.len(), dim, data);
-        batch.l2_normalize_rows_mut();
+    }
 
+    /// Appends checked rows (see [`Self::add_batch`]), calling `filled(self, shard)` after
+    /// each shard that took rows.
+    fn ingest<V: AsRef<[f32]>>(
+        &mut self,
+        mut vectors: impl ExactSizeIterator<Item = V>,
+        mut filled: impl FnMut(&mut Self, usize),
+    ) -> std::ops::Range<usize> {
+        let (start, count, dim) = (self.next_id, vectors.len(), self.dim);
+        if count == 0 {
+            return start..start;
+        }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut offset = 0;
-        while offset < vectors.len() {
+        while offset < count {
             let shard_room = match self.shards.last() {
                 Some(s) if s.ids.len() < self.shard_capacity => self.shard_capacity - s.ids.len(),
                 _ => {
@@ -1112,7 +1153,7 @@ impl ShardedCosineIndex {
                     self.shard_capacity
                 }
             };
-            let take = shard_room.min(vectors.len() - offset);
+            let take = shard_room.min(count - offset);
             let shard = self.shards.last_mut().expect("shard ensured above");
             let old_filled = shard.ids.len();
             let new_filled = old_filled + take;
@@ -1137,23 +1178,26 @@ impl ShardedCosineIndex {
                 rows.resize(grown * dim, 0.0);
                 *matrix = Matrix::from_vec(grown, dim, rows);
             }
-            if dim > 0 {
-                matrix.data_mut()[old_filled * dim..new_filled * dim]
-                    .copy_from_slice(&batch.data()[offset * dim..(offset + take) * dim]);
+            // Normalize the new rows once, with the same per-row op the dense index applies
+            // (zero-width rows take no slot).
+            let slots =
+                matrix.data_mut()[old_filled * dim..new_filled * dim].chunks_exact_mut(dim.max(1));
+            for (slot, v) in slots.zip(vectors.by_ref()) {
+                slot.copy_from_slice(v.as_ref());
+                Matrix::l2_normalize_row(slot);
             }
-            for i in 0..take {
-                shard.ids.push(start + offset + i);
-                shard.deleted.push(false);
-            }
+            shard.ids.extend(start + offset..start + offset + take);
+            shard.deleted.resize(new_filled, false);
             shard.live += take;
             // New rows move the centroid, so the old radius alone is no longer a
             // bound; the incremental update folds just the new rows in.
             shard.stats.append(matrix, old_filled..new_filled);
             shard.last_used.store(stamp, Ordering::Relaxed);
+            filled(self, self.shards.len() - 1);
             offset += take;
         }
-        self.next_id = start + vectors.len();
-        self.live += vectors.len();
+        self.next_id = start + count;
+        self.live += count;
         self.epoch.fetch_add(1, Ordering::Relaxed); // invalidates cached query batches
         start..self.next_id
     }
@@ -1324,44 +1368,23 @@ impl ShardedCosineIndex {
     /// and a warning is printed (spilling is an optimization, never a correctness
     /// requirement).
     fn apply_memory_budget(&mut self) {
-        let Some(budget) = self.memory_budget else {
-            // No budget: everything belongs in memory again. An unreadable shard
-            // stays spilled with a warning — queries keep retrying it lazily.
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                if !shard.storage.is_resident() {
-                    self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = shard.storage.fault_in() {
-                        let e = e.with_shard(i);
-                        eprintln!(
-                            "warning: ShardedCosineIndex: cannot fault shard back, \
-                             keeping spilled: {e}"
-                        );
-                    }
-                }
-            }
-            return;
-        };
+        // No budget: everything belongs in memory again.
+        let budget = self.memory_budget.unwrap_or(usize::MAX);
         // Most-recently-used first; newer shards win ties so the tail shard (the one
         // ingestion appends to) tends to stay resident.
         let mut order: Vec<usize> = (0..self.shards.len()).collect();
-        order.sort_by_key(|&i| {
-            (
-                Reverse(self.shards[i].last_used.load(Ordering::Relaxed)),
-                Reverse(i),
-            )
-        });
-        let mut dir = self.spill_dir.clone();
+        order.sort_by_key(|&i| Reverse((self.shards[i].last_used.load(Ordering::Relaxed), i)));
         let mut resident = 0usize;
         for i in order {
-            let shard = &mut self.shards[i];
-            let bytes = shard.storage.payload_bytes();
+            let storage = &mut self.shards[i].storage;
+            let bytes = storage.payload_bytes();
             if resident + bytes <= budget {
                 resident += bytes;
-                if !shard.storage.is_resident() {
+                if !storage.is_resident() {
                     // The budget leaves room for this hot shard: fault it back. An
                     // unreadable shard stays spilled (queries retry it lazily).
                     self.counters.faults.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = shard.storage.fault_in() {
+                    if let Err(e) = storage.fault_in() {
                         let e = e.with_shard(i);
                         eprintln!(
                             "warning: ShardedCosineIndex: cannot fault shard back, \
@@ -1370,24 +1393,22 @@ impl ShardedCosineIndex {
                         resident -= bytes;
                     }
                 }
-            } else if shard.storage.is_resident() {
-                if dir.is_none() {
-                    match SpillDir::create() {
-                        Ok(created) => dir = Some(created),
-                        Err(e) => {
-                            eprintln!("warning: ShardedCosineIndex: cannot create spill dir: {e}");
-                            return;
-                        }
-                    }
-                }
-                let dir = dir.as_ref().expect("ensured above");
-                if let Err(e) = shard.storage.spill(dir) {
-                    eprintln!("warning: ShardedCosineIndex: spill failed, keeping resident: {e}");
-                    resident += bytes;
-                }
+            } else if storage.is_resident() && !self.spill_shard(i) {
+                resident += bytes;
             }
         }
-        self.spill_dir = dir;
+    }
+
+    /// Spills shard `i` into the spill directory, created on first use. Spilling is an
+    /// optimization, never a correctness requirement: on an I/O error the shard stays
+    /// resident with a warning and `false` is returned.
+    fn spill_shard(&mut self, i: usize) -> bool {
+        let dir = self.spill_dir.take().map_or_else(SpillDir::create, Ok);
+        let spilled = dir.and_then(|dir| self.shards[i].storage.spill(self.spill_dir.insert(dir)));
+        if let Err(e) = &spilled {
+            eprintln!("warning: ShardedCosineIndex: spill failed, keeping resident: {e}");
+        }
+        spilled.is_ok()
     }
 
     /// Retrieves, for every query vector, its `k` nearest live vectors, returning the

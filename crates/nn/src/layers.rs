@@ -1,13 +1,16 @@
 //! Neural network layers built on the autodiff [`Tape`].
 //!
 //! Every layer owns its [`Param`]s, exposes `forward(&self, &mut Tape, ...) -> VarId`, and
-//! reports its parameters through [`Layer::params`] so optimizers can update them.
+//! reports its parameters through [`Layer::params`] so optimizers can update them. The
+//! tape-free `infer` / `infer_batch` paths take their outputs from this thread's
+//! inference [`pool`] and hand their temporaries back to it.
 
 use rand::Rng;
 
 use crate::init;
 use crate::matrix::Matrix;
 use crate::param::Param;
+use crate::pool;
 use crate::tape::{Tape, VarId};
 
 /// Per-row validity flags of a packed `[batch*max_len, d]` row-block: row `b*max_len + t`
@@ -110,10 +113,12 @@ impl Linear {
 
     /// Inference-only forward: one batched GEMM straight on matrices, no tape, no
     /// gradient bookkeeping, and no parameter cloning (weights are read under a shared
-    /// lock; the bias adds in place on the GEMM output). Safe to call from many threads
-    /// at once.
+    /// lock; the bias adds in place on the GEMM output, a buffer of this thread's
+    /// inference [`pool`]). Safe to call from many threads at once.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = self.weight.with_value(|w| x.matmul(w));
+        let mut y = self
+            .weight
+            .with_value(|w| pool::with(|pool| pool.product(x, w)));
         if let Some(bias) = &self.bias {
             bias.with_value(|b| y.add_row_broadcast_mut(b));
         }
@@ -167,9 +172,11 @@ impl Embedding {
     }
 
     /// Embedding lookup without recording gradients for the table (used at inference time).
-    /// Only the requested rows are copied; the table itself is read under a shared lock.
+    /// Only the requested rows are copied, into a buffer of this thread's inference
+    /// [`pool`]; the table itself is read under a shared lock.
     pub fn lookup(&self, token_ids: &[usize]) -> Matrix {
-        self.table.with_value(|t| t.gather_rows(token_ids))
+        self.table
+            .with_value(|t| pool::with(|pool| pool.gather(t, token_ids)))
     }
 }
 
@@ -266,11 +273,16 @@ impl FeedForward {
         self.project.forward(tape, h)
     }
 
-    /// Inference-only forward (no tape): two batched GEMMs and an in-place GELU map.
+    /// Inference-only forward (no tape): two batched GEMMs and an in-place GELU map; the
+    /// hidden activation goes back to this thread's inference [`pool`].
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = self.lift.infer(x);
-        crate::tape::gelu_slice(h.data_mut());
-        self.project.infer(&h)
+        pool::scope(|| {
+            let mut h = self.lift.infer(x);
+            crate::tape::gelu_slice(h.data_mut());
+            let y = self.project.infer(&h);
+            pool::recycle(h);
+            y
+        })
     }
 }
 
@@ -410,12 +422,17 @@ impl MultiHeadSelfAttention {
         let head_dim = dim / self.num_heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
 
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let ctx =
-            crate::tape::masked_attention_infer(&q, &k, &v, self.num_heads, max_len, scale, lens);
-        self.wo.infer(&ctx)
+        pool::scope(|| {
+            let q = self.wq.infer(x);
+            let k = self.wk.infer(x);
+            let v = self.wv.infer(x);
+            let heads = self.num_heads;
+            let ctx = crate::tape::masked_attention_infer(&q, &k, &v, heads, max_len, scale, lens);
+            [q, k, v].into_iter().for_each(pool::recycle);
+            let y = self.wo.infer(&ctx);
+            pool::recycle(ctx);
+            y
+        })
     }
 }
 
@@ -498,17 +515,22 @@ impl TransformerBlock {
 
     /// Inference-only batched masked forward (no tape). Residuals accumulate in place on
     /// the owned sub-layer outputs (element-wise addition commutes, so the values match
-    /// the tape path exactly).
+    /// the tape path exactly); every temporary goes back to this thread's inference
+    /// [`pool`].
     pub fn infer_batch(&self, x: &Matrix, lens: &[usize], max_len: usize) -> Matrix {
         let valid = padded_row_validity(lens, max_len);
-        let normed = self.norm1.infer_batch(x, &valid);
-        let mut x1 = self.attention.infer_batch(&normed, lens, max_len);
-        x1.add_assign(x);
-        let mut out = self
-            .feed_forward
-            .infer(&self.norm2.infer_batch(&x1, &valid));
-        out.add_assign(&x1);
-        out
+        pool::scope(|| {
+            let normed = self.norm1.infer_batch(x, &valid);
+            let mut x1 = self.attention.infer_batch(&normed, lens, max_len);
+            pool::recycle(normed);
+            x1.add_assign(x);
+            let normed = self.norm2.infer_batch(&x1, &valid);
+            let mut out = self.feed_forward.infer(&normed);
+            pool::recycle(normed);
+            out.add_assign(&x1);
+            pool::recycle(x1);
+            out
+        })
     }
 }
 
@@ -584,10 +606,12 @@ impl PositionalEmbedding {
     }
 
     /// Inference-only batched forward (no tape); the sum accumulates in place on the
-    /// gathered position rows.
+    /// gathered position rows, a buffer of this thread's inference [`pool`].
     pub fn infer_batch(&self, x: &Matrix, batch: usize, max_len: usize) -> Matrix {
         let indices = self.padded_indices(batch, max_len);
-        let mut pos = self.table.with_value(|t| t.gather_rows(&indices));
+        let mut pos = self
+            .table
+            .with_value(|t| pool::with(|pool| pool.gather(t, &indices)));
         pos.add_assign(x);
         pos
     }

@@ -19,6 +19,8 @@
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head self-attention,
 //!   Transformer blocks, positional embeddings — each with a tape-free, thread-safe
 //!   `infer()` fast path for batched inference.
+//! * [`pool`] — the buffers a pass keeps for the next one: a tape's, and each thread's
+//!   for tape-free inference (`pool::scope`, `pool::recycle`).
 //! * [`optim`] — AdamW (as used in the paper), and `Trainer`, the one training step:
 //!   a tape kept from step to step, whose buffers are reused, and the optimizer.
 //! * [`gradcheck`] — finite-difference validation used extensively in tests.
@@ -61,6 +63,7 @@ pub mod layers;
 pub mod matrix;
 pub mod optim;
 pub mod param;
+pub mod pool;
 pub mod tape;
 
 pub use matrix::Matrix;

@@ -1796,11 +1796,17 @@ impl Matrix {
     /// left unchanged.
     pub fn l2_normalize_rows_mut(&mut self) {
         for r in 0..self.rows {
-            let norm: f32 = self.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for v in self.row_mut(r) {
-                    *v /= norm;
-                }
+            Matrix::l2_normalize_row(self.row_mut(r));
+        }
+    }
+
+    /// L2-normalizes one row in place, the per-row step of
+    /// [`Matrix::l2_normalize_rows_mut`]: a row with near-zero norm is left unchanged.
+    pub fn l2_normalize_row(row: &mut [f32]) {
+        let norm: f32 = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 1e-12 {
+            for v in row {
+                *v /= norm;
             }
         }
     }

@@ -21,6 +21,7 @@
 
 use crate::matrix::{Arm, Matrix, PackedTranspose};
 use crate::param::Param;
+use crate::pool::{self, Pool};
 
 /// Index of a node in a [`Tape`].
 pub type VarId = usize;
@@ -126,120 +127,6 @@ impl Gradients {
     }
 }
 
-/// The buffers a [`Tape`] hands out and takes back.
-#[derive(Default)]
-struct Pool {
-    /// Free buffers, ascending by capacity, each with the [`Pool::epoch`] at which it
-    /// was last handed back.
-    free: Vec<(usize, Vec<f32>)>,
-    /// Number of resets so far.
-    epoch: usize,
-    /// Scratch of the products: `A^T` of a `matmul_transpose_a`, and `B`'s packed panels.
-    transposed: Vec<f32>,
-    panels: Vec<f32>,
-}
-
-impl Pool {
-    /// A buffer of `len` floats: the smallest free one large enough, its contents
-    /// stale, or else a new zeroed one. The caller overwrites every element.
-    fn take(&mut self, len: usize) -> Vec<f32> {
-        let at = self.free.partition_point(|(_, b)| b.capacity() < len);
-        if at == self.free.len() {
-            return vec![0.0; len];
-        }
-        let mut buf = self.free.remove(at).1;
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// A `rows x cols` matrix whose every element `fill` writes.
-    fn filled(&mut self, (rows, cols): (usize, usize), fill: impl FnOnce(&mut [f32])) -> Matrix {
-        let mut buf = self.take(rows * cols);
-        fill(&mut buf);
-        Matrix::from_vec(rows, cols, buf)
-    }
-
-    /// `f` of every element of `a`.
-    fn map(&mut self, a: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
-        self.filled(a.shape(), |out| {
-            for (o, &x) in out.iter_mut().zip(a.data()) {
-                *o = f(x);
-            }
-        })
-    }
-
-    /// `f` of every pair of elements of `a` and `b`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    fn zip(&mut self, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(a.shape(), b.shape(), "zip_map: shape mismatch");
-        self.filled(a.shape(), |out| {
-            for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
-                *o = f(x, y);
-            }
-        })
-    }
-
-    /// A zero `rows x cols` matrix.
-    fn zeros(&mut self, shape: (usize, usize)) -> Matrix {
-        self.filled(shape, |out| out.fill(0.0))
-    }
-
-    /// A copy of `a`.
-    fn copy(&mut self, a: &Matrix) -> Matrix {
-        self.filled(a.shape(), |out| out.copy_from_slice(a.data()))
-    }
-
-    /// `a * b` ([`Matrix::matmul`]).
-    fn product(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = self.take(a.rows() * b.cols());
-        a.matmul_into(b, &mut out, &mut self.panels);
-        Matrix::from_vec(a.rows(), b.cols(), out)
-    }
-
-    /// `a^T * b` ([`Matrix::matmul_transpose_a`]).
-    fn product_transpose_a(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = self.take(a.cols() * b.cols());
-        a.matmul_transpose_a_into(b, &mut out, &mut self.transposed, &mut self.panels);
-        Matrix::from_vec(a.cols(), b.cols(), out)
-    }
-
-    /// `a * b^T` ([`Matrix::matmul_transpose_b`]).
-    fn product_transpose_b(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let packed = PackedTranspose::new(&b.view());
-        self.filled((a.rows(), b.rows()), |out| {
-            packed.multiply_into(&a.view(), out)
-        })
-    }
-
-    /// Hands a buffer back.
-    fn give(&mut self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let at = self
-            .free
-            .partition_point(|(_, b)| b.capacity() < buf.capacity());
-        self.free.insert(at, (self.epoch, buf));
-    }
-
-    /// Hands many buffers back at once.
-    fn give_all(&mut self, bufs: impl Iterator<Item = Vec<f32>>) {
-        let epoch = self.epoch;
-        let bufs = bufs.filter(|b| b.capacity() > 0).map(|b| (epoch, b));
-        self.free.extend(bufs);
-        self.free.sort_unstable_by_key(|(_, b)| b.capacity());
-    }
-
-    /// Drops every free buffer that was not handed back since the last reset, so the
-    /// pool never holds more than one step's buffers.
-    fn drop_idle(&mut self) {
-        let epoch = self.epoch;
-        self.free.retain(|(handed_back, _)| *handed_back == epoch);
-    }
-}
-
 /// The autodiff tape. Create one per forward/backward pass; a
 /// [`Trainer`](crate::optim::Trainer) keeps one and resets it between steps, reusing its
 /// buffers.
@@ -263,12 +150,11 @@ impl Tape {
     /// pool then holds exactly the buffers the pass just ended used: one it left idle
     /// is freed here.
     pub(crate) fn reset(&mut self) {
-        self.pool.drop_idle();
         let values = self.nodes.drain(..).map(|node| node.value.into_data());
         self.pool.give_all(values);
         self.bindings.clear();
         self.row_bindings.clear();
-        self.pool.epoch += 1;
+        self.pool.end_pass(false);
     }
 
     /// Hands the buffers of `grads` back to the tape.
@@ -343,15 +229,7 @@ impl Tape {
     /// `rows x dim` gradient: the leaf's own gradient together with `indices` (see
     /// [`Tape::row_bindings`]) is what the optimizer scatter-adds.
     pub fn param_rows(&mut self, param: &Param, indices: &[usize]) -> VarId {
-        let value = param.with_value(|t| {
-            let cols = t.cols();
-            self.pool.filled((indices.len(), cols), |out| {
-                for (i, &idx) in indices.iter().enumerate() {
-                    assert!(idx < t.rows(), "gather_rows: index {} out of range", idx);
-                    out[i * cols..(i + 1) * cols].copy_from_slice(t.row(idx));
-                }
-            })
-        });
+        let value = param.with_value(|t| self.pool.gather(t, indices));
         let id = self.push(value, Op::Leaf);
         self.row_bindings
             .push((id, param.clone(), indices.to_vec()));
@@ -1285,7 +1163,8 @@ fn masked_row_softmax_into(x: &Matrix, valid: &[usize], out: &mut [f32]) {
 /// [`crate::layers::MultiHeadSelfAttention::infer_batch`] runs. Both products are the
 /// GEMM tile's, so every valid row has the bits of the composed helpers
 /// ([`attention_scores`] → [`masked_row_softmax`] → [`attention_context`]), whose
-/// padding keys only add zero-weighted terms after the valid ones.
+/// padding keys only add zero-weighted terms after the valid ones. The output is a
+/// buffer of this thread's inference [`pool`].
 ///
 /// # Panics
 /// Panics on inconsistent packing, mirroring [`attention_scores`] /
@@ -1319,7 +1198,7 @@ pub fn masked_attention_infer(
     );
     let head_dim = dim / heads;
     let arm = Arm::current();
-    let mut out = Matrix::zeros(q.rows(), dim);
+    let mut out = pool::with(|pool| pool.zeros(q.shape()));
     let (mut scores, mut context) = (Vec::new(), vec![0.0f32; seq * head_dim]);
     for (b, &count) in valid.iter().enumerate() {
         let n = count.min(seq);
@@ -1432,14 +1311,17 @@ fn attention_context_into(attn: &Matrix, v: &Matrix, heads: usize, seq: usize, o
 }
 
 /// Forward pass of [`Tape::masked_standardize_rows`]: standardizes rows flagged `true`
-/// and forces rows flagged `false` to zero.
+/// and forces rows flagged `false` to zero, into a buffer of this thread's inference
+/// [`pool`].
 ///
 /// # Panics
 /// Panics when `valid.len() != x.rows()`.
 pub fn masked_standardize_rows(x: &Matrix, eps: f32, valid: &[bool]) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    masked_standardize_rows_into(x, eps, valid, out.data_mut());
-    out
+    pool::with(|pool| {
+        pool.filled(x.shape(), |out| {
+            masked_standardize_rows_into(x, eps, valid, out)
+        })
+    })
 }
 
 /// [`masked_standardize_rows`] into `out`, every element overwritten.
