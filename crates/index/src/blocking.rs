@@ -171,69 +171,25 @@ impl BlockingIndex {
     /// corpus in memory and has no storage faults to degrade around, so its outcome
     /// is always complete (`degraded == false`).
     pub fn knn_join_report(&self, queries: &[Vec<f32>], k: usize) -> JoinOutcome {
-        self.knn_join_batches(&[queries], k, None)
+        self.knn_join_batches(&[queries], k)
             .pop()
             .expect("one batch, one outcome")
     }
 
-    /// Number of shard positions a scatter-gather coordinator can address: the shard
-    /// count of the sharded layout, `1` for the dense layout (which serves as one
-    /// indivisible "shard 0").
-    pub fn num_shards(&self) -> usize {
+    /// Several query batches sharing `k`, answered as one job — see
+    /// [`ShardedCosineIndex::knn_join_batches`]. The dense layout has no cache: it
+    /// runs one join over the concatenated batches.
+    ///
+    /// # Panics
+    /// Panics when a query's dimension disagrees with the index dimension.
+    pub fn knn_join_batches(&self, batches: &[&[Vec<f32>]], k: usize) -> Vec<JoinOutcome> {
         match self {
-            BlockingIndex::Dense(_) => 1,
-            BlockingIndex::Sharded(index) => index.num_shards(),
+            BlockingIndex::Dense(index) => join_concatenated(batches, |queries| JoinOutcome {
+                pairs: index.knn_join(queries, k),
+                ..JoinOutcome::default()
+            }),
+            BlockingIndex::Sharded(index) => index.knn_join_batches(batches, k),
         }
-    }
-
-    /// [`BlockingIndex::knn_join_report`] restricted to a subset of shard positions —
-    /// see [`ShardedCosineIndex::knn_join_subset_report`]. The dense layout is one
-    /// indivisible shard at position `0`: a subset containing `0` answers the full
-    /// join, any other subset answers empty.
-    ///
-    /// # Panics
-    /// Panics when a subset position is `>= num_shards()`.
-    pub fn knn_join_subset_report(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        shard_subset: &[usize],
-    ) -> JoinOutcome {
-        self.knn_join_batches(&[queries], k, Some(shard_subset))
-            .pop()
-            .expect("one batch, one outcome")
-    }
-
-    /// Several query batches sharing `k` and one shard scope, answered as one job —
-    /// see [`ShardedCosineIndex::knn_join_batches`]. The dense layout has no cache: it
-    /// runs one join over the concatenated batches, or none for a subset without
-    /// position `0`.
-    ///
-    /// # Panics
-    /// As [`BlockingIndex::knn_join_subset_report`].
-    pub fn knn_join_batches(
-        &self,
-        batches: &[&[Vec<f32>]],
-        k: usize,
-        shards: Option<&[usize]>,
-    ) -> Vec<JoinOutcome> {
-        let index = match self {
-            BlockingIndex::Dense(index) => index,
-            BlockingIndex::Sharded(index) => return index.knn_join_batches(batches, k, shards),
-        };
-        if let Some(&bad) = shards.unwrap_or_default().iter().find(|&&s| s >= 1) {
-            panic!(
-                "BlockingIndex::knn_join_subset_report: shard position {bad} out of range \
-                 (dense layout has 1 shard)"
-            );
-        }
-        if shards.is_some_and(<[usize]>::is_empty) {
-            return vec![JoinOutcome::default(); batches.len()];
-        }
-        join_concatenated(batches, |queries| JoinOutcome {
-            pairs: index.knn_join(queries, k),
-            ..JoinOutcome::default()
-        })
     }
 }
 

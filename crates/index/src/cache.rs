@@ -5,17 +5,17 @@
 //! corpus barely moves. This cache sits inside [`crate::ShardedCosineIndex`] **ahead of
 //! routing**, so a repeated batch answers without touching a single shard (resident *or*
 //! spilled: a cache hit does no disk I/O and no GEMM at all). The index is its only
-//! reader and writer: every join — whole-index or shard subset, alone or coalesced with
-//! other batches through [`crate::ShardedCosineIndex::knn_join_batches`] — looks each
-//! batch up here and records each computed batch under its own key.
+//! reader and writer: every join — alone or coalesced with other batches through
+//! [`crate::ShardedCosineIndex::knn_join_batches`] — looks each batch up here and
+//! records each computed batch under its own key.
 //!
 //! ## Keying: the normalized-query fingerprint
 //!
-//! A cache key is a 128-bit FNV-1a fingerprint of `(dim, k, the scored shard positions,
-//! query count, every query's length and **normalized** row bits)`. A whole-index join
-//! scores positions `0..num_shards`, so it shares its entry with a subset join that
-//! names every shard, and no subset can alias another or the whole index. Per-row
-//! lengths delimit the stream, so a ragged batch can never alias a rectangular one.
+//! A cache key is a 128-bit FNV-1a fingerprint of `(dim, k, query count, every query's
+//! length and **normalized** row bits)`. Every join scores the whole index, and any
+//! change to the shard layout bumps the epoch (below), so the key needs no shard
+//! words. Per-row lengths delimit the stream, so a ragged batch can never alias a
+//! rectangular one.
 //! Hashing the normalized rows (`q · 1/‖q‖`, the exact scale
 //! the scoring path applies) makes the cache scale-invariant, mirroring cosine search
 //! itself: `2q` retrieves identically to `q` and shares its entry. Two independent
@@ -55,18 +55,12 @@ type JoinResult = Vec<(usize, usize, f32)>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryFingerprint(u128);
 
-/// Computes the fingerprint of a query batch for a `k`-neighbor join over the shard
-/// positions `shards` (sorted and deduplicated, as the index scores them) of a
+/// Computes the fingerprint of a query batch for a `k`-neighbor join over a
 /// `dim`-dimensional index.
 ///
 /// Queries are normalized exactly like the scoring path normalizes them (inverse norm,
 /// with the `1e-12` zero-norm guard), so scaled copies of a batch share one entry.
-pub fn fingerprint(
-    queries: &[Vec<f32>],
-    k: usize,
-    dim: usize,
-    shards: &[usize],
-) -> QueryFingerprint {
+pub fn fingerprint(queries: &[Vec<f32>], k: usize, dim: usize) -> QueryFingerprint {
     // Two independent FNV-1a streams over the same words -> one 128-bit key.
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut lo: u64 = 0xcbf2_9ce4_8422_2325; // the standard FNV-1a offset basis
@@ -77,10 +71,6 @@ pub fn fingerprint(
     };
     mix(dim as u32, &mut lo, &mut hi);
     mix(k as u32, &mut lo, &mut hi);
-    mix(shards.len() as u32, &mut lo, &mut hi);
-    for &shard in shards {
-        mix(shard as u32, &mut lo, &mut hi);
-    }
     mix(queries.len() as u32, &mut lo, &mut hi);
     for q in queries {
         // Each row's length delimits its words in the stream. Without it, a *ragged*
@@ -198,9 +188,6 @@ impl QueryCache {
 mod tests {
     use super::*;
 
-    /// The scope of a whole-index join over a two-shard index.
-    const ALL: &[usize] = &[0, 1];
-
     fn result(tag: usize) -> JoinResult {
         vec![(0, tag, 0.5)]
     }
@@ -208,7 +195,7 @@ mod tests {
     #[test]
     fn hit_requires_matching_epoch() {
         let cache = QueryCache::new(4);
-        let key = fingerprint(&[vec![1.0, 0.0]], 3, 2, ALL);
+        let key = fingerprint(&[vec![1.0, 0.0]], 3, 2);
         cache.insert(key, 7, result(1));
         assert_eq!(cache.lookup(key, 7), Some(result(1)));
         assert_eq!(cache.lookup(key, 8), None, "epoch bump must invalidate");
@@ -222,31 +209,15 @@ mod tests {
             .iter()
             .map(|v| v.iter().map(|x| x * 2.0).collect())
             .collect();
-        assert_eq!(fingerprint(&q, 5, 2, ALL), fingerprint(&doubled, 5, 2, ALL));
+        assert_eq!(fingerprint(&q, 5, 2), fingerprint(&doubled, 5, 2));
+        assert_ne!(fingerprint(&q, 5, 2), fingerprint(&q, 6, 2), "k is keyed");
         assert_ne!(
-            fingerprint(&q, 5, 2, ALL),
-            fingerprint(&q, 6, 2, ALL),
-            "k is keyed"
-        );
-        assert_ne!(
-            fingerprint(&q[..1], 5, 2, ALL),
-            fingerprint(&q, 5, 2, ALL),
+            fingerprint(&q[..1], 5, 2),
+            fingerprint(&q, 5, 2),
             "batch length is keyed"
         );
         let other = vec![vec![0.6f32, 0.8], vec![0.0, 1.0]];
-        assert_ne!(fingerprint(&q, 5, 2, ALL), fingerprint(&other, 5, 2, ALL));
-    }
-
-    #[test]
-    fn the_shard_scope_is_keyed() {
-        let q = vec![vec![0.6f32, 0.8]];
-        assert_ne!(fingerprint(&q, 5, 2, ALL), fingerprint(&q, 5, 2, &[0]));
-        assert_ne!(fingerprint(&q, 5, 2, &[0]), fingerprint(&q, 5, 2, &[1]));
-        assert_ne!(
-            fingerprint(&q, 5, 2, &[]),
-            fingerprint(&q, 5, 2, &[0]),
-            "the scope length delimits the positions"
-        );
+        assert_ne!(fingerprint(&q, 5, 2), fingerprint(&other, 5, 2));
     }
 
     #[test]
@@ -256,17 +227,14 @@ mod tests {
         // ragged batch reaches the scoring path's panic instead of a silent cache hit.
         let rect = vec![vec![1.0f32, 0.0], vec![0.0, 1.0]];
         let ragged = vec![vec![1.0f32], vec![0.0, 0.0, 1.0]];
-        assert_ne!(
-            fingerprint(&rect, 4, 2, ALL),
-            fingerprint(&ragged, 4, 2, ALL)
-        );
+        assert_ne!(fingerprint(&rect, 4, 2), fingerprint(&ragged, 4, 2));
     }
 
     #[test]
     fn lru_evicts_the_coldest_batch() {
         let cache = QueryCache::new(2);
         let keys: Vec<QueryFingerprint> = (0..3)
-            .map(|i| fingerprint(&[vec![i as f32 + 1.0, 1.0]], 1, 2, ALL))
+            .map(|i| fingerprint(&[vec![i as f32 + 1.0, 1.0]], 1, 2))
             .collect();
         cache.insert(keys[0], 0, result(0));
         cache.insert(keys[1], 0, result(1));
@@ -281,7 +249,7 @@ mod tests {
     fn zero_capacity_disables_everything() {
         let cache = QueryCache::new(0);
         assert!(!cache.is_enabled());
-        let key = fingerprint(&[vec![1.0]], 1, 1, ALL);
+        let key = fingerprint(&[vec![1.0]], 1, 1);
         cache.insert(key, 0, result(1));
         assert_eq!(cache.lookup(key, 0), None);
         assert_eq!(cache.capacity(), 0);

@@ -102,9 +102,7 @@ impl Ord for HeapEntry {
 ///
 /// Both the dense [`CosineIndex`] row selection and the sharded per-shard/merge selection
 /// go through this type, so selection semantics cannot drift between the two paths. The
-/// order in which candidates are offered does not affect the result — which is also why
-/// it is public: a scatter-gather coordinator merging per-replica top-k lists through
-/// this same selector produces results bit-identical to a single-process join.
+/// order in which candidates are offered does not affect the result.
 pub struct TopK {
     k: usize,
     heap: BinaryHeap<HeapEntry>,

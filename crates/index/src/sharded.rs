@@ -835,6 +835,17 @@ impl ShardedCosineIndex {
             .count()
     }
 
+    /// Positions of the shards whose matrix currently lives on disk (sorted; the
+    /// per-position form of [`Self::num_spilled_shards`]).
+    pub fn spilled_shards(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.storage.is_resident())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     /// Bytes of shard-matrix payload currently held in memory — the quantity the
     /// residency budget constrains.
     pub fn resident_bytes(&self) -> usize {
@@ -1444,45 +1455,14 @@ impl ShardedCosineIndex {
     /// later non-degraded join repairs the answer. [`Self::compact`] retries and then
     /// recovers or drops quarantined shards.
     pub fn knn_join_report(&self, queries: &[Vec<f32>], k: usize) -> JoinOutcome {
-        self.knn_join_batches(&[queries], k, None)
+        self.knn_join_batches(&[queries], k)
             .pop()
             .expect("one batch, one outcome")
     }
 
-    /// [`Self::knn_join_report`] restricted to a subset of **shard positions** — the
-    /// server-side half of distributed scatter-gather serving. A coordinator that
-    /// partitions `0..num_shards()` across serve processes and merges the per-subset
-    /// pairs through the same [`TopK`] selector reconstructs the whole-index join
-    /// bit-identically: selection is a total order, so splitting the corpus by shard
-    /// and merging per-subset top-k lists cannot change the surviving set.
-    ///
-    /// Shard positions refer to the current shard layout (stable for a cold-loaded
-    /// snapshot, which is the distributed deployment model). Duplicates in
-    /// `shard_subset` are ignored. The query-batch cache keys the subset, so a subset
-    /// answer is cached like a whole-index one and can never alias one (a subset that
-    /// names every shard *is* the whole index and shares its entry).
-    ///
-    /// `degraded` / `quarantined_shards` report quarantined shards *within the
-    /// subset* only, so a coordinator can attribute the loss to the owning process.
-    ///
-    /// # Panics
-    /// Panics when a subset position is out of range or a query's dimension
-    /// disagrees with the index dimension.
-    pub fn knn_join_subset_report(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        shard_subset: &[usize],
-    ) -> JoinOutcome {
-        self.knn_join_batches(&[queries], k, Some(shard_subset))
-            .pop()
-            .expect("one batch, one outcome")
-    }
-
-    /// Answers several query batches that share `k` and one shard scope (`None` for
-    /// the whole index, else a subset as in [`Self::knn_join_subset_report`]) as one
-    /// job — the entry a request coalescer, such as the `sudowoodo-serve` join
-    /// worker, hands every queued request that can share a join.
+    /// Answers several query batches that share `k` as one job — the entry a
+    /// request coalescer, such as the `sudowoodo-serve` join worker, hands every
+    /// queued request that can share a join.
     ///
     /// Each batch is looked up in the query cache on its own and counts one hit or
     /// one miss. The batches that miss are concatenated into **one** join, split
@@ -1492,34 +1472,13 @@ impl ShardedCosineIndex {
     /// the shared join is degraded, so is every batch it answered.
     ///
     /// # Panics
-    /// As [`Self::knn_join_subset_report`].
-    pub fn knn_join_batches(
-        &self,
-        batches: &[&[Vec<f32>]],
-        k: usize,
-        shards: Option<&[usize]>,
-    ) -> Vec<JoinOutcome> {
+    /// Panics when a query's dimension disagrees with the index dimension.
+    pub fn knn_join_batches(&self, batches: &[&[Vec<f32>]], k: usize) -> Vec<JoinOutcome> {
         // Scan counters describe one join at a time on a reused handle; cache counters
         // keep accumulating (see `RoutingReport`).
         self.counters.reset_scan();
-        let scope: Vec<usize> = match shards {
-            None => (0..self.shards.len()).collect(),
-            Some(subset) => {
-                let mut subset = subset.to_vec();
-                subset.sort_unstable();
-                subset.dedup();
-                if let Some(&bad) = subset.iter().find(|&&s| s >= self.shards.len()) {
-                    panic!(
-                        "ShardedCosineIndex::knn_join_subset_report: shard position {bad} \
-                         out of range (index has {} shards)",
-                        self.shards.len()
-                    );
-                }
-                subset
-            }
-        };
         let mut outcomes = vec![JoinOutcome::default(); batches.len()];
-        if k == 0 || self.is_empty() || scope.is_empty() {
+        if k == 0 || self.is_empty() {
             return outcomes;
         }
         // The query-batch cache, consulted ahead of routing: a repeated batch answers
@@ -1532,7 +1491,7 @@ impl ShardedCosineIndex {
             let key = self
                 .cache
                 .is_enabled()
-                .then(|| fingerprint(batch, k, self.dim, &scope));
+                .then(|| fingerprint(batch, k, self.dim));
             match key.and_then(|key| self.cache.lookup(key, epoch)) {
                 Some(hit) => {
                     self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1547,7 +1506,7 @@ impl ShardedCosineIndex {
             }
         }
         let missed: Vec<&[Vec<f32>]> = misses.iter().map(|&(i, _)| batches[i]).collect();
-        let computed = join_concatenated(&missed, |queries| self.join_shards(queries, k, &scope));
+        let computed = join_concatenated(&missed, |queries| self.join_shards(queries, k));
         for ((i, key), outcome) in misses.into_iter().zip(computed) {
             if let (Some(key), false) = (key, outcome.degraded) {
                 self.cache.insert(key, epoch, outcome.pairs.clone());
@@ -1558,9 +1517,9 @@ impl ShardedCosineIndex {
     }
 
     /// The join every entry point runs: query tiles in parallel, each scanning the
-    /// `shards` positions best-bound-first ([`Self::offer_shards_routed`]); the outcome is
-    /// degraded when any of `shards` is quarantined.
-    fn join_shards(&self, queries: &[Vec<f32>], k: usize, shards: &[usize]) -> JoinOutcome {
+    /// shards best-bound-first ([`Self::offer_shards_routed`]); the outcome is degraded
+    /// when any shard is quarantined.
+    fn join_shards(&self, queries: &[Vec<f32>], k: usize) -> JoinOutcome {
         let dim = self.dim;
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let per_block: Vec<Vec<(usize, usize, f32)>> = queries
@@ -1572,7 +1531,7 @@ impl ShardedCosineIndex {
                     pack_query_block("ShardedCosineIndex::knn_join (query)", base, block, dim);
                 let queries = QueryTile::new(&q_block, &inv_norms);
                 let mut selectors: Vec<TopK> = (0..block.len()).map(|_| TopK::new(k)).collect();
-                self.offer_shards_routed(block, &queries, &mut selectors, stamp, shards);
+                self.offer_shards_routed(block, &queries, &mut selectors, stamp);
                 let mut pairs = Vec::with_capacity(block.len() * k);
                 for (r, selector) in selectors.into_iter().enumerate() {
                     pairs.extend(
@@ -1588,10 +1547,12 @@ impl ShardedCosineIndex {
         let pairs: Vec<(usize, usize, f32)> = per_block.into_iter().flatten().collect();
         // Shards that were skipped as quarantined — whether they entered the join that
         // way or failed during it — made this answer incomplete.
-        let quarantined_shards: Vec<usize> = shards
+        let quarantined_shards: Vec<usize> = self
+            .shards
             .iter()
-            .copied()
-            .filter(|&i| self.shards[i].live > 0 && self.shards[i].is_quarantined())
+            .enumerate()
+            .filter(|(_, shard)| shard.live > 0 && shard.is_quarantined())
+            .map(|(i, _)| i)
             .collect();
         JoinOutcome {
             pairs,
@@ -1746,25 +1707,23 @@ impl ShardedCosineIndex {
         })
     }
 
-    /// Scores the `candidates` shard positions against one query tile with
-    /// routing-statistics skipping: shards are visited best-bound-first, and once every
-    /// selector holds `k` candidates, a shard whose bound is strictly below every
-    /// query's retained `k`-th best score (minus the float slack) is skipped without
-    /// touching its matrix. The whole-index join passes every position; the
-    /// scatter-gather subset join passes its subset.
+    /// Scores every shard against one query tile with routing-statistics skipping:
+    /// shards are visited best-bound-first, and once every selector holds `k`
+    /// candidates, a shard whose bound is strictly below every query's retained `k`-th
+    /// best score (minus the float slack) is skipped without touching its matrix.
     fn offer_shards_routed(
         &self,
         block: &[Vec<f32>],
         queries: &QueryTile<'_>,
         selectors: &mut [TopK],
         stamp: u64,
-        candidates: &[usize],
     ) {
         // Upper bound per (shard, query): one small dot against the shard centroid —
         // negligible next to the `rows x dim` GEMM it can save.
-        let mut order: Vec<(usize, f32, Vec<f32>)> = candidates
+        let mut order: Vec<(usize, f32, Vec<f32>)> = self
+            .shards
             .iter()
-            .map(|&i| (i, &self.shards[i]))
+            .enumerate()
             .filter(|(_, shard)| shard.live > 0 && !shard.is_quarantined())
             .map(|(i, shard)| {
                 let bounds: Vec<f32> = block

@@ -194,42 +194,6 @@ fn blocking_api_exposes_the_cache_only_on_the_sharded_layout() {
 }
 
 #[test]
-fn subset_joins_are_cached_under_their_own_scope() {
-    let corpus = vectors(80, 6, 11);
-    let queries = vectors(9, 6, 12);
-    let uncached = ShardedCosineIndex::from_vectors(&corpus, 16);
-    let mut index = ShardedCosineIndex::from_vectors(&corpus, 16);
-    index.set_query_cache_capacity(8);
-    assert_eq!(index.num_shards(), 5);
-    let counts = |index: &ShardedCosineIndex| {
-        let report = index.routing_report();
-        (report.cache_misses, report.cache_hits)
-    };
-
-    let subset = uncached.knn_join_subset_report(&queries, 4, &[2, 0]);
-    assert_eq!(index.knn_join_subset_report(&queries, 4, &[2, 0]), subset);
-    assert_eq!(
-        index.knn_join_subset_report(&queries, 4, &[0, 2, 2]),
-        subset,
-        "the same subset, unsorted or repeated, is the same entry"
-    );
-    assert_eq!(counts(&index), (1, 1));
-
-    // The whole index is a different scope from any proper subset...
-    let whole = uncached.knn_join_report(&queries, 4);
-    assert_ne!(whole.pairs, subset.pairs);
-    assert_eq!(index.knn_join_report(&queries, 4), whole);
-    assert_eq!(counts(&index), (2, 1));
-    // ...and the same scope as a subset that names every shard.
-    assert_eq!(
-        index.knn_join_subset_report(&queries, 4, &[4, 3, 2, 1, 0]),
-        whole
-    );
-    assert_eq!(counts(&index), (2, 2));
-    assert_eq!(index.query_cache_len(), 2);
-}
-
-#[test]
 fn coalesced_batches_are_looked_up_and_cached_one_by_one() {
     let corpus = vectors(100, 8, 13);
     let batches: Vec<Vec<Vec<f32>>> = (0..3).map(|s| vectors(5 + s as usize, 8, 30 + s)).collect();
@@ -239,7 +203,7 @@ fn coalesced_batches_are_looked_up_and_cached_one_by_one() {
     index.knn_join(&batches[1], 4); // warm one of the three
 
     let views: Vec<&[Vec<f32>]> = batches.iter().map(Vec::as_slice).collect();
-    let outcomes = index.knn_join_batches(&views, 4, None);
+    let outcomes = index.knn_join_batches(&views, 4);
     for (batch, outcome) in batches.iter().zip(&outcomes) {
         assert_eq!(
             *outcome,

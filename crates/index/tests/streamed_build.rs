@@ -46,16 +46,6 @@ fn snapshot_files(index: &ShardedCosineIndex, dir: &Path) -> Vec<(String, Vec<u8
     files
 }
 
-/// The positions of the spilled shards: a join scoped to one spilled shard faults it.
-fn spilled_shards(index: &ShardedCosineIndex, query: &[Vec<f32>]) -> Vec<usize> {
-    (0..index.num_shards())
-        .filter(|&i| {
-            index.knn_join_subset_report(query, 1, &[i]);
-            index.routing_report().spill_faults > 0
-        })
-        .collect()
-}
-
 fn assert_same_pairs(got: &[(usize, usize, f32)], want: &[(usize, usize, f32)], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: pair count");
     for (g, w) in got.iter().zip(want) {
@@ -115,13 +105,8 @@ fn one_shard_at_a_time_ends_where_build_then_spill_ended() {
                 assert_same_pairs(&new.knn_join(&queries, 7), &dense, &what);
                 assert_same_pairs(&old.knn_join(&queries, 7), &dense, &what);
 
-                let probe = &queries[..1];
-                let spilled = spilled_shards(&new, probe);
-                assert_eq!(
-                    spilled,
-                    spilled_shards(&old, probe),
-                    "{what}: spilled shards"
-                );
+                let spilled = new.spilled_shards();
+                assert_eq!(spilled, old.spilled_shards(), "{what}: spilled shards");
                 assert_eq!(spilled.len(), new.num_spilled_shards(), "{what}");
                 // The build's shards carry the recency `compact` gave them: a later budget
                 // pass picks the same shards in both.
@@ -131,8 +116,8 @@ fn one_shard_at_a_time_ends_where_build_then_spill_ended() {
                     index.compact();
                 }
                 assert_eq!(
-                    spilled_shards(&new, probe),
-                    spilled_shards(&old, probe),
+                    new.spilled_shards(),
+                    old.spilled_shards(),
                     "{what}: spilled shards after a second budget pass"
                 );
             }

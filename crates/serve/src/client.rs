@@ -7,8 +7,8 @@
 //!
 //! ## One retry loop
 //!
-//! Every typed method — [`ServeClient::knn_join`], [`ServeClient::knn_join_subset`],
-//! [`ServeClient::embed`], [`ServeClient::match_pairs`] — is a thin wrapper over one
+//! Every typed method — [`ServeClient::knn_join`], [`ServeClient::embed`],
+//! [`ServeClient::match_pairs`] — is a thin wrapper over one
 //! core, [`ServeClient::request`]: encode a [`Request`], round-trip the frame, decode
 //! the [`Response`], and apply the retry policy. Retry/backoff/reconnect therefore
 //! lives in exactly one place; a wrapper only chooses the request variant and unpacks
@@ -40,15 +40,14 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, Request, Response, ServerStats, SubsetAnswer};
+use crate::protocol::{read_frame, write_frame, Request, Response, ServerStats};
 
 /// The typed payload inside every `io::Error` this client produces for a `BUSY`
 /// (load-shed) response. The error's *kind* stays
 /// [`std::io::ErrorKind::WouldBlock`] for backward compatibility, but kind alone
 /// is ambiguous — an OS-level read timeout (`SO_RCVTIMEO`) also surfaces as
 /// `WouldBlock` on Linux. Check [`is_busy`] to distinguish "the server answered
-/// BUSY, re-probe it later" from "the transport went quiet, treat the endpoint as
-/// dead": a coordinator must not blacklist a healthy replica over a shed request.
+/// BUSY, retry it later" from "the transport went quiet".
 #[derive(Debug)]
 pub struct ServerBusy {
     message: String,
@@ -330,45 +329,6 @@ impl ServeClient {
         };
         match self.request(&request)? {
             Response::Knn { pairs, degraded } => Ok((pairs, degraded)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// The scatter-gather half of [`ServeClient::knn_join`]: joins `queries` against
-    /// only the shards at `shard_positions` (positions in the served snapshot's shard
-    /// order), returning the pairs plus the subset shards the server could **not**
-    /// cover (quarantined storage). A coordinator merges per-subset answers through
-    /// the same top-k selector the index uses, which reconstructs the whole-index
-    /// join bit-identically when the subsets partition the snapshot.
-    ///
-    /// Subset joins queue, coalesce and hit the server's query cache like
-    /// [`ServeClient::knn_join`]: the cache keys the subset, and concurrent calls for
-    /// the same subset and `k` share one join. Transport failures and `BUSY`
-    /// responses (a full admission queue sheds subsets too) are retried like
-    /// [`ServeClient::knn_join`]; a coordinator doing replica failover typically
-    /// sets `max_retries: 0` and fails over to another replica itself instead.
-    ///
-    /// # Errors
-    /// Exhausted retries, or a server-side rejection (dimension mismatch, shard
-    /// position out of range for the served snapshot) as
-    /// [`std::io::ErrorKind::InvalidInput`] — never retried.
-    pub fn knn_join_subset(
-        &mut self,
-        queries: &[Vec<f32>],
-        k: usize,
-        shard_positions: &[usize],
-    ) -> io::Result<SubsetAnswer> {
-        Self::check_rectangular(queries)?;
-        let request = Request::KnnSubset {
-            queries: queries.to_vec(),
-            k,
-            shards: shard_positions.to_vec(),
-        };
-        match self.request(&request)? {
-            Response::KnnSubset {
-                pairs,
-                missing_shards,
-            } => Ok((pairs, missing_shards)),
             other => Err(Self::unexpected(&other)),
         }
     }

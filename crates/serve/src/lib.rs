@@ -34,14 +34,6 @@
 //! ([`Server::publish_index`]) after a delta snapshot lands, for streaming-dedup
 //! deployments where records keep arriving after the initial snapshot.
 //!
-//! For distributed serving the protocol also carries a **per-shard-subset** join
-//! frame (`KNN_SUBSET`, [`ServeClient::knn_join_subset`]): a coordinator (the
-//! `sudowoodo-coord` crate) scatters one query batch to the replicas owning each
-//! shard subset and merges the per-subset top-k — bit-identical to a single-process
-//! `knn_join` because top-k selection is order-independent. A subset join is one
-//! more join job: admitted, coalesced with joins of the same subset and `k`, and
-//! cached under a key that covers the subset (see the [`server`] docs).
-//!
 //! The serving layer is built to survive faults and overload (see the [`server`]
 //! module docs): bounded admission with `BUSY` load shedding, per-request deadlines,
 //! panic containment (handler failures answer error frames instead of dropping

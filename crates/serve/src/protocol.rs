@@ -32,8 +32,6 @@
 //! KNN  (0x01): k u32 · num_queries u32 · dim u32 · queries f32×(num·dim), row-major
 //! PING (0x02): empty
 //! STATS(0x03): empty
-//! KNN_SUBSET (0x04): k u32 · num_shards u32 · shard u32×num_shards
-//!                    · num_queries u32 · dim u32 · queries f32×(num·dim), row-major
 //! EMBED (0x05): num_texts u32 · (len u32 · UTF-8 bytes)×num_texts
 //! MATCH (0x06): num_left u32 · (len u32 · UTF-8 bytes)×num_left
 //!             · num_right u32 · (len u32 · UTF-8 bytes)×num_right
@@ -43,11 +41,9 @@
 //! network amortization and the server-side query cache key, so clients should send
 //! their natural batch, not one query per frame.
 //!
-//! A `KNN_SUBSET` request is the scatter half of distributed scatter-gather: it asks
-//! for the join restricted to the named **shard positions** of the served snapshot.
-//! A coordinator that partitions the shard space across serve processes and merges
-//! the per-subset responses through the index's bounded-heap selector reconstructs
-//! the whole-corpus join bit-identically (see `sudowoodo-coord`).
+//! Opcode `0x04` is retired (it was a join restricted to named shard positions) and
+//! decodes as [`ProtocolError::UnknownOpcode`] like any opcode this version does not
+//! define.
 //!
 //! An `EMBED` request asks the served *model* (not the index) for the raw encoder
 //! vectors of a batch of serialized records; a `MATCH` request asks the served pair
@@ -65,19 +61,12 @@
 //!                · cache_hits u64 · cache_misses u64
 //!                · busy_rejections u64 · deadline_expirations u64
 //!                · degraded_joins u64
-//! ok KNN_SUBSET: 0x00 · num_missing u32 · shard u32×num_missing
-//!                     · num_pairs u32 · (query u32 · id u64 · score f32)×num_pairs
 //! ok EMBED: 0x00 · num u32 · dim u32 · vectors f32×(num·dim), row-major
 //! ok MATCH: 0x00 · num u32 · score f32×num
-//! degraded: 0x03 · same body as the ok of the same opcode (KNN/KNN_SUBSET only)
+//! degraded: 0x03 · same body as ok KNN (KNN only)
 //! busy:     0x02 · empty
 //! error:    0x01 · message_len u32 · UTF-8 message
 //! ```
-//!
-//! A `KNN_SUBSET` body leads with the **missing shards**: subset positions that were
-//! quarantined on the server and therefore contributed no rows (always empty when the
-//! status is plain ok). The coordinator needs the positions — not just a flag — to
-//! attribute the loss and to try the shard set's surviving replica.
 //!
 //! An error response answers exactly the request that caused it (a dimension
 //! mismatch, an oversized frame, an unknown opcode); the connection stays usable.
@@ -106,7 +95,6 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 const OP_KNN: u8 = 0x01;
 const OP_PING: u8 = 0x02;
 const OP_STATS: u8 = 0x03;
-const OP_KNN_SUBSET: u8 = 0x04;
 const OP_EMBED: u8 = 0x05;
 const OP_MATCH: u8 = 0x06;
 
@@ -223,8 +211,6 @@ pub enum RequestKind {
     Ping,
     /// `STATS` — server/index statistics.
     Stats,
-    /// `KNN_SUBSET` — join restricted to named shard positions.
-    KnnSubset,
     /// `EMBED` — raw encoder vectors for a text batch.
     Embed,
     /// `MATCH` — pair-matcher scores for aligned text pairs.
@@ -245,16 +231,6 @@ pub enum Request {
     Ping,
     /// Server/index statistics.
     Stats,
-    /// K-nearest-neighbor join restricted to a subset of shard positions (the
-    /// scatter half of distributed scatter-gather).
-    KnnSubset {
-        /// Query vectors (row-major on the wire; must share one dimensionality).
-        queries: Vec<Vec<f32>>,
-        /// Neighbors requested per query.
-        k: usize,
-        /// Shard positions of the served snapshot to restrict the join to.
-        shards: Vec<usize>,
-    },
     /// Raw encoder vectors for a batch of serialized records.
     Embed {
         /// The serialized records to embed.
@@ -380,7 +356,6 @@ impl Request {
             Request::Knn { .. } => RequestKind::Knn,
             Request::Ping => RequestKind::Ping,
             Request::Stats => RequestKind::Stats,
-            Request::KnnSubset { .. } => RequestKind::KnnSubset,
             Request::Embed { .. } => RequestKind::Embed,
             Request::MatchPairs { .. } => RequestKind::MatchPairs,
         }
@@ -393,7 +368,6 @@ impl Request {
             OP_KNN => Some(RequestKind::Knn),
             OP_PING => Some(RequestKind::Ping),
             OP_STATS => Some(RequestKind::Stats),
-            OP_KNN_SUBSET => Some(RequestKind::KnnSubset),
             OP_EMBED => Some(RequestKind::Embed),
             OP_MATCH => Some(RequestKind::MatchPairs),
             _ => None,
@@ -415,20 +389,6 @@ impl Request {
             }
             Request::Ping => vec![OP_PING],
             Request::Stats => vec![OP_STATS],
-            Request::KnnSubset { queries, k, shards } => {
-                let dim = queries.first().map_or(0, Vec::len);
-                let mut out = Vec::with_capacity(17 + shards.len() * 4 + queries.len() * dim * 4);
-                out.push(OP_KNN_SUBSET);
-                out.extend_from_slice(&(*k as u32).to_le_bytes());
-                out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-                for &s in shards {
-                    out.extend_from_slice(&(s as u32).to_le_bytes());
-                }
-                out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(dim as u32).to_le_bytes());
-                push_f32s(&mut out, queries);
-                out
-            }
             Request::Embed { texts } => {
                 let mut out =
                     Vec::with_capacity(5 + texts.iter().map(|t| 4 + t.len()).sum::<usize>());
@@ -475,25 +435,6 @@ impl Request {
                 Reader::new(body).finish("STATS")?;
                 Ok(Request::Stats)
             }
-            OP_KNN_SUBSET => {
-                let mut r = Reader::new(body);
-                let k = r.u32("KNN_SUBSET header")? as usize;
-                let num_shards = r.u32("KNN_SUBSET header")? as usize;
-                if num_shards.checked_mul(4).is_none_or(|b| b > r.remaining()) {
-                    return Err(ProtocolError::Malformed(format!(
-                        "KNN_SUBSET payload is {} bytes, too short for {num_shards} shards",
-                        payload.len() - 1
-                    )));
-                }
-                let mut shards = Vec::with_capacity(num_shards);
-                for _ in 0..num_shards {
-                    shards.push(r.u32("KNN_SUBSET shards")? as usize);
-                }
-                let num = r.u32("KNN_SUBSET header")? as usize;
-                let dim = r.u32("KNN_SUBSET header")? as usize;
-                let queries = r.f32_rows(num, dim, "KNN_SUBSET")?;
-                Ok(Request::KnnSubset { queries, k, shards })
-            }
             OP_EMBED => {
                 let mut r = Reader::new(body);
                 let texts = r.texts("EMBED")?;
@@ -511,10 +452,6 @@ impl Request {
         }
     }
 }
-
-/// A decoded `KNN_SUBSET` answer: `(pairs, missing shard positions)` — the pairs are
-/// exact over the subset minus the missing shards.
-pub type SubsetAnswer = (Vec<(usize, usize, f32)>, Vec<usize>);
 
 /// A decoded response — every frame a server can legally send back.
 ///
@@ -536,15 +473,6 @@ pub enum Response {
     Pong,
     /// Answer to [`Request::Stats`].
     Stats(ServerStats),
-    /// Answer to [`Request::KnnSubset`]: the pairs plus the subset positions that
-    /// were quarantined and contributed nothing (non-empty selects
-    /// [`STATUS_OK_DEGRADED`] on the wire).
-    KnnSubset {
-        /// `(query position, corpus id, cosine score)` rows over the subset.
-        pairs: Vec<(usize, usize, f32)>,
-        /// Subset positions that were quarantined on the server.
-        missing_shards: Vec<usize>,
-    },
     /// Answer to [`Request::Embed`]: one encoder vector per input text, in order.
     Embeddings(Vec<Vec<f32>>),
     /// Answer to [`Request::MatchPairs`]: one match probability per pair, in order.
@@ -621,23 +549,6 @@ impl Response {
                 }
                 out
             }
-            Response::KnnSubset {
-                pairs,
-                missing_shards,
-            } => {
-                let mut out = Vec::with_capacity(9 + missing_shards.len() * 4 + pairs.len() * 16);
-                out.push(if missing_shards.is_empty() {
-                    STATUS_OK
-                } else {
-                    STATUS_OK_DEGRADED
-                });
-                out.extend_from_slice(&(missing_shards.len() as u32).to_le_bytes());
-                for &s in missing_shards {
-                    out.extend_from_slice(&(s as u32).to_le_bytes());
-                }
-                push_pairs(&mut out, pairs);
-                out
-            }
             Response::Embeddings(vectors) => {
                 let dim = vectors.first().map_or(0, Vec::len);
                 let mut out = Vec::with_capacity(9 + vectors.len() * dim * 4);
@@ -672,7 +583,7 @@ impl Response {
     ///
     /// `kind` is the request being answered — the protocol carries no opcode in
     /// responses (they arrive in request order on a persistent connection), so the
-    /// caller supplies it. Degraded statuses are only legal for `KNN`/`KNN_SUBSET`.
+    /// caller supplies it. The degraded status is only legal for `KNN`.
     pub fn decode(payload: &[u8], kind: RequestKind) -> Result<Response, ProtocolError> {
         let (&status, body) = match payload.split_first() {
             Some(split) => split,
@@ -692,7 +603,7 @@ impl Response {
             }
             STATUS_OK => {}
             STATUS_OK_DEGRADED => {
-                if !matches!(kind, RequestKind::Knn | RequestKind::KnnSubset) {
+                if kind != RequestKind::Knn {
                     return Err(ProtocolError::Malformed(format!(
                         "degraded status is not legal for a {kind:?} response"
                     )));
@@ -735,23 +646,6 @@ impl Response {
                     deadline_expirations: field(9),
                     degraded_joins: field(10),
                 })
-            }
-            RequestKind::KnnSubset => {
-                let num_missing = r.u32("KNN_SUBSET response")? as usize;
-                if num_missing.checked_mul(4).is_none_or(|b| b > r.remaining()) {
-                    return Err(ProtocolError::Malformed(format!(
-                        "KNN_SUBSET response is {} bytes, too short for {num_missing} missing shards",
-                        body.len()
-                    )));
-                }
-                let mut missing = Vec::with_capacity(num_missing);
-                for _ in 0..num_missing {
-                    missing.push(r.u32("KNN_SUBSET response")? as usize);
-                }
-                Response::KnnSubset {
-                    pairs: read_pairs(&mut r, "KNN_SUBSET response")?,
-                    missing_shards: missing,
-                }
             }
             RequestKind::Embed => {
                 let num = r.u32("EMBED response")? as usize;
@@ -815,40 +709,6 @@ mod tests {
         let payload = resp.encode();
         assert_eq!(payload[0], STATUS_OK_DEGRADED);
         assert_eq!(Response::decode(&payload, RequestKind::Knn).unwrap(), resp);
-    }
-
-    #[test]
-    fn knn_subset_request_round_trips() {
-        let req = Request::KnnSubset {
-            queries: vec![vec![1.0f32, -2.5], vec![0.0, 3.25]],
-            k: 5,
-            shards: vec![0usize, 7, 3],
-        };
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-    }
-
-    #[test]
-    fn knn_subset_response_round_trips_and_degrades_on_missing_shards() {
-        let pairs = vec![(0usize, 42usize, 0.75f32), (1, 7, -0.25)];
-        let clean = Response::KnnSubset {
-            pairs: pairs.clone(),
-            missing_shards: vec![],
-        };
-        assert_eq!(clean.encode()[0], STATUS_OK);
-        assert_eq!(
-            Response::decode(&clean.encode(), RequestKind::KnnSubset).unwrap(),
-            clean
-        );
-
-        let degraded = Response::KnnSubset {
-            pairs,
-            missing_shards: vec![3, 9],
-        };
-        assert_eq!(degraded.encode()[0], STATUS_OK_DEGRADED);
-        assert_eq!(
-            Response::decode(&degraded.encode(), RequestKind::KnnSubset).unwrap(),
-            degraded
-        );
     }
 
     #[test]
@@ -921,40 +781,39 @@ mod tests {
         );
     }
 
+    /// Opcode `0x04` (the retired shard-subset join) is unknown: a well-formed payload
+    /// of its old layout — k=5 · shards [0, 7] · 1 query · dim 2 — is rejected by the
+    /// opcode alone, and [`Request::peek_kind`] does not classify it either.
     #[test]
-    fn peek_kind_classifies_without_decoding() {
-        let req = Request::KnnSubset {
-            queries: vec![vec![1.0, 2.0]],
-            k: 1,
-            shards: vec![0],
-        };
+    fn the_retired_subset_opcode_is_unknown() {
+        #[rustfmt::skip]
+        let former_subset: Vec<u8> = vec![
+            0x04,
+            5, 0, 0, 0,
+            2, 0, 0, 0,
+            0, 0, 0, 0,
+            7, 0, 0, 0,
+            1, 0, 0, 0,
+            2, 0, 0, 0,
+            0x00, 0x00, 0x80, 0x3F,
+            0x00, 0x00, 0x20, 0xC0,
+        ];
         assert_eq!(
-            Request::peek_kind(&req.encode()),
-            Some(RequestKind::KnnSubset)
+            Request::decode(&former_subset),
+            Err(ProtocolError::UnknownOpcode(0x04))
         );
-        assert_eq!(Request::peek_kind(&[0x7F]), None);
-        assert_eq!(Request::peek_kind(&[]), None);
+        assert_eq!(Request::peek_kind(&former_subset), None);
     }
 
     #[test]
-    fn corrupt_knn_subset_payloads_are_rejected_not_panicked() {
-        assert!(Request::decode(&[OP_KNN_SUBSET, 1, 2, 3]).is_err());
-        let mut bad = Request::KnnSubset {
+    fn peek_kind_classifies_without_decoding() {
+        let req = Request::Knn {
             queries: vec![vec![1.0, 2.0]],
             k: 1,
-            shards: vec![0],
-        }
-        .encode();
-        bad[5] = 0xFF; // inflate the shard count past the byte length
-        assert!(Request::decode(&bad).is_err());
-        assert!(Response::decode(&[STATUS_OK, 0, 0, 0], RequestKind::KnnSubset).is_err());
-        let mut torn = Response::KnnSubset {
-            pairs: vec![(0, 1, 0.5)],
-            missing_shards: vec![2],
-        }
-        .encode();
-        torn.truncate(torn.len() - 3);
-        assert!(Response::decode(&torn, RequestKind::KnnSubset).is_err());
+        };
+        assert_eq!(Request::peek_kind(&req.encode()), Some(RequestKind::Knn));
+        assert_eq!(Request::peek_kind(&[0x7F]), None);
+        assert_eq!(Request::peek_kind(&[]), None);
     }
 
     #[test]
@@ -1025,7 +884,7 @@ mod tests {
     }
 
     /// The golden-frame interop pin: the byte layout of every pre-existing frame
-    /// (KNN / PING / STATS / KNN_SUBSET requests and their responses), written out
+    /// (KNN / PING / STATS requests and their responses), written out
     /// by hand, must survive the typed-enum redesign byte for byte — an old client
     /// speaking the original free-function codec must interoperate unchanged.
     #[test]
@@ -1051,26 +910,6 @@ mod tests {
         // PING and STATS requests: a bare opcode byte.
         assert_eq!(Request::Ping.encode(), vec![0x02]);
         assert_eq!(Request::Stats.encode(), vec![0x03]);
-
-        // KNN_SUBSET request: opcode 0x04 · k=5 · shards [0, 7] · 1 query · dim 2.
-        let subset = Request::KnnSubset {
-            queries: vec![vec![1.0f32, -2.5]],
-            k: 5,
-            shards: vec![0, 7],
-        };
-        #[rustfmt::skip]
-        let subset_golden: Vec<u8> = vec![
-            0x04,
-            5, 0, 0, 0,
-            2, 0, 0, 0,
-            0, 0, 0, 0,
-            7, 0, 0, 0,
-            1, 0, 0, 0,
-            2, 0, 0, 0,
-            0x00, 0x00, 0x80, 0x3F,
-            0x00, 0x00, 0x20, 0xC0,
-        ];
-        assert_eq!(subset.encode(), subset_golden);
 
         // KNN ok response: status 0x00 · 1 pair (query=1, id=42, score=0.75).
         let knn_ok = Response::Knn {
@@ -1118,23 +957,6 @@ mod tests {
             stats_golden.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(stats.encode(), stats_golden);
-
-        // KNN_SUBSET degraded response: status 0x03 · missing [3] · 1 pair.
-        let subset_resp = Response::KnnSubset {
-            pairs: vec![(0usize, 9usize, -0.25f32)],
-            missing_shards: vec![3],
-        };
-        #[rustfmt::skip]
-        let subset_resp_golden: Vec<u8> = vec![
-            0x03,
-            1, 0, 0, 0,
-            3, 0, 0, 0,
-            1, 0, 0, 0,
-            0, 0, 0, 0,
-            9, 0, 0, 0, 0, 0, 0, 0,
-            0x00, 0x00, 0x80, 0xBE, // -0.25f32
-        ];
-        assert_eq!(subset_resp.encode(), subset_resp_golden);
 
         // BUSY: a bare status byte. ERROR: status 0x01 · length · UTF-8 message.
         assert_eq!(Response::Busy.encode(), vec![0x02]);

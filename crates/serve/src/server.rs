@@ -12,13 +12,12 @@
 //!   spent one thread per connection, each waking ten times a second to poll the
 //!   stop flag — a core's worth of timer churn well before 10k idle sockets.)
 //! * Each worker runs the byte work — framing, decoding, encoding — as a
-//!   per-connection state machine and hands every decoded `KNN`, `KNN_SUBSET`,
-//!   `EMBED` and `MATCH` request to the shared **batcher** instead of calling the
+//!   per-connection state machine and hands every decoded `KNN`, `EMBED` and
+//!   `MATCH` request to the shared **batcher** instead of calling the
 //!   index or the model directly; the connection parks (its read side goes quiet)
 //!   until the reply comes back through the worker's inbox.
 //! * One **join worker** drains the batcher's one FIFO queue. A join at the front
-//!   takes every queued join that shares its `k` and its shard scope (the whole
-//!   index for `KNN`, the listed positions for `KNN_SUBSET`) along with it, and the
+//!   takes every queued join that shares its `k` along with it, and the
 //!   group goes to the index as **one** [`BlockingIndex::knn_join_batches`] call:
 //!   one GEMM pass over each visited shard instead of one per request, then split
 //!   back per request. Under light load the group holds a single request and the
@@ -26,12 +25,8 @@
 //!
 //! The index owns the query cache and is its only reader and writer: it looks each
 //! request's batch up on its own, joins only the misses, and caches each computed
-//! batch under its own key, which covers the shard scope. A `KNN` and a `KNN_SUBSET`
-//! naming every shard therefore share an entry, and a subset answer can never alias
-//! a whole-index one. `PING` and `STATS` answer inline on the I/O worker; every other
-//! request pays the batcher hop and shares its admission bound and deadline, the
-//! scatter-gather frame a coordinator sends included (a coordinator fails a `BUSY`
-//! subset over to the shard's next replica).
+//! batch under its own key. `PING` and `STATS` answer inline on the I/O worker; every
+//! other request pays the batcher hop and shares its admission bound and deadline.
 //!
 //! ## Model requests (`EMBED` / `MATCH`)
 //!
@@ -119,7 +114,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sudowoodo_faults as faults;
-use sudowoodo_index::{BlockingIndex, JoinOutcome};
+use sudowoodo_index::BlockingIndex;
 
 use crate::model::ModelBackend;
 use crate::protocol::{Request, Response, ServerStats, MAX_FRAME_LEN};
@@ -201,33 +196,16 @@ impl ReplyHandle {
     }
 }
 
-/// A decoded `KNN` (`shards: None`) or `KNN_SUBSET` request.
+/// A decoded `KNN` request.
 struct JoinJob {
     queries: Vec<Vec<f32>>,
     k: usize,
-    /// The shard positions to score, sorted and deduplicated at dispatch so that
-    /// equal subsets coalesce; `None` scores the whole index.
-    shards: Option<Vec<usize>>,
 }
 
 impl JoinJob {
     /// `true` when both jobs can be answered by one index call.
     fn joins_with(&self, other: &JoinJob) -> bool {
-        self.k == other.k && self.shards == other.shards
-    }
-
-    /// The response frame for this job's share of a join.
-    fn answer(&self, outcome: JoinOutcome) -> Response {
-        match self.shards {
-            None => Response::Knn {
-                pairs: outcome.pairs,
-                degraded: outcome.degraded,
-            },
-            Some(_) => Response::KnnSubset {
-                pairs: outcome.pairs,
-                missing_shards: outcome.quarantined_shards,
-            },
-        }
+        self.k == other.k
     }
 }
 
@@ -267,7 +245,7 @@ enum Admission {
 
 /// What the join worker picked up next.
 enum Work {
-    /// Joins sharing `k` and a shard scope, in queue order: one index call.
+    /// Joins sharing `k`, in queue order: one index call.
     Joins(Vec<(JoinJob, Ticket)>),
     /// One model task (never grouped — coalescing would move the model's internal
     /// chunk boundaries and break bit-identity with in-process inference).
@@ -439,7 +417,7 @@ struct Conn {
     /// Encoded response bytes not yet accepted by the socket (`sent..` is pending).
     outbox: Vec<u8>,
     sent: usize,
-    /// A `KNN`/`KNN_SUBSET` request is at the join worker; reads pause until the
+    /// A request is at the join worker; reads pause until the
     /// reply lands (the wire protocol is strictly request/reply per connection).
     awaiting: bool,
     /// Close once the outbox drains (set after an unrecoverable protocol error).
@@ -605,9 +583,8 @@ impl Server {
     /// cache is part of the index value, so the old epoch's entries can never
     /// leak into the new one.
     ///
-    /// The new index must have the same dimensionality, and — when a coordinator
-    /// scatters to this server — the same shard geometry as the one it replaces;
-    /// the server does not re-handshake connected clients.
+    /// The new index must have the same dimensionality as the one it replaces; the
+    /// server does not re-handshake connected clients.
     pub fn publish_index(&self, next: Arc<BlockingIndex>) {
         self.index.publish(next);
     }
@@ -1094,7 +1071,7 @@ fn shutdown_flush(ctx: &WorkerCtx, conns: &mut [Option<Conn>]) {
 }
 
 /// Decodes one request payload and decides how it is answered; all failures
-/// become error responses. `KNN`, `KNN_SUBSET`, and the model tasks hand off to
+/// become error responses. `KNN` and the model tasks hand off to
 /// the join worker (unless rejected up front); everything else answers inline.
 ///
 /// `index` is the epoch current at dispatch time (loaded once per frame); the
@@ -1114,16 +1091,7 @@ fn dispatch(
         Err(e) => return error(e.to_string()),
     };
     let job = match request {
-        Request::Knn { queries, k } => JoinJob {
-            queries,
-            k,
-            shards: None,
-        },
-        Request::KnnSubset { queries, k, shards } => JoinJob {
-            queries,
-            k,
-            shards: Some(shards),
-        },
+        Request::Knn { queries, k } => JoinJob { queries, k },
         Request::Ping => return Action::Respond(Response::Pong.encode()),
         Request::Stats => {
             return Action::Respond(Response::Stats(build_stats(index, counters)).encode())
@@ -1186,9 +1154,8 @@ fn error(message: String) -> Action {
     Action::Respond(Response::Error(message).encode())
 }
 
-/// Rejects a join the served index cannot answer in one frame, and sorts and
-/// deduplicates a subset's positions so that equal subsets coalesce.
-fn check_join(index: &BlockingIndex, mut job: JoinJob) -> Result<JoinJob, String> {
+/// Rejects a join the served index cannot answer in one frame.
+fn check_join(index: &BlockingIndex, job: JoinJob) -> Result<JoinJob, String> {
     let dim = job.queries.first().map_or(0, Vec::len);
     if !job.queries.is_empty() && !index.is_empty() && dim != index.dim() {
         return Err(format!(
@@ -1196,31 +1163,15 @@ fn check_join(index: &BlockingIndex, mut job: JoinJob) -> Result<JoinJob, String
             index.dim()
         ));
     }
-    if let Some(shards) = &mut job.shards {
-        shards.sort_unstable();
-        shards.dedup();
-        let num_shards = index.num_shards();
-        if let Some(&bad) = shards.iter().find(|&&s| s >= num_shards) {
-            return Err(format!(
-                "shard position {bad} is out of range: the served snapshot has \
-                 {num_shards} shards (is the coordinator's placement built from \
-                 a different snapshot epoch?)"
-            ));
-        }
-    }
     // A protocol-legal request can still imply a response frame over the protocol
-    // limit (pairs = queries x min(k, corpus), plus a subset's missing-shard list);
-    // bound it here so the response encoder never produces an unsendable frame.
-    let header = job
-        .shards
-        .as_ref()
-        .map_or(5, |shards| shards.len().saturating_mul(4).saturating_add(9));
+    // limit (status byte + pair count + queries x min(k, corpus) pairs); bound it
+    // here so the response encoder never produces an unsendable frame.
     let response_bytes = job
         .queries
         .len()
         .saturating_mul(job.k.min(index.len()))
         .saturating_mul(16)
-        .saturating_add(header);
+        .saturating_add(5);
     if response_bytes > MAX_FRAME_LEN as usize {
         return Err(format!(
             "response would be {response_bytes} bytes, over the \
@@ -1293,20 +1244,13 @@ fn join_worker(
     }
 }
 
-/// Answers a group of joins that share `k` and a shard scope with one
+/// Answers a group of joins that share `k` with one
 /// [`BlockingIndex::knn_join_batches`] call, under panic containment: a panicking
 /// join (a poisoned lock, an index bug, an injected fault escaping its retry budget)
 /// becomes an error frame for every requester instead of killing the worker thread —
 /// which would strand every queued and future request.
 fn serve_joins(index: &BlockingIndex, counters: &Counters, group: Vec<(JoinJob, Ticket)>) {
-    let (k, shards) = (group[0].0.k, group[0].0.shards.as_deref());
-    // Chaos hook: `serve.subset.stall` wedges the scatter-gather path long enough
-    // (1 s) to trip a coordinator's read timeout, so failover tests can prove a
-    // stalled replica is routed around — unlike `serve.write.stall`, whose 25 ms
-    // is deliberate sub-timeout jitter.
-    if shards.is_some() && faults::fires("serve.subset.stall") {
-        std::thread::sleep(Duration::from_millis(1000));
-    }
+    let k = group[0].0.k;
     if group.len() > 1 {
         counters.batched_joins.fetch_add(1, Ordering::Relaxed);
     }
@@ -1314,15 +1258,16 @@ fn serve_joins(index: &BlockingIndex, counters: &Counters, group: Vec<(JoinJob, 
         .iter()
         .map(|(job, _)| job.queries.as_slice())
         .collect();
-    match catch_unwind(AssertUnwindSafe(|| {
-        index.knn_join_batches(&batches, k, shards)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| index.knn_join_batches(&batches, k))) {
         Ok(outcomes) => {
             if outcomes.iter().any(|outcome| outcome.degraded) {
                 counters.degraded_joins.fetch_add(1, Ordering::Relaxed);
             }
-            for ((job, ticket), outcome) in group.iter().zip(outcomes) {
-                ticket.reply.send(&job.answer(outcome));
+            for ((_, ticket), outcome) in group.iter().zip(outcomes) {
+                ticket.reply.send(&Response::Knn {
+                    pairs: outcome.pairs,
+                    degraded: outcome.degraded,
+                });
             }
         }
         Err(payload) => {
@@ -1358,8 +1303,9 @@ fn serve_task(model: Option<&Arc<dyn ModelBackend>>, task: &ModelTask) -> Respon
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{is_busy, ClientConfig, RetryPolicy, ServeClient};
-    use crate::protocol::STATUS_OK;
+    use crate::client::ServeClient;
+    use crate::protocol::{read_frame, RequestKind, STATUS_OK};
+    use std::sync::mpsc;
 
     fn encode_knn_request(queries: &[Vec<f32>], k: usize) -> Vec<u8> {
         Request::Knn {
@@ -1505,32 +1451,67 @@ mod tests {
         server.shutdown();
     }
 
+    /// A model whose `embed` holds the join worker: it reports on `entered`, then
+    /// blocks on `release` until the test sends (or drops the sender, as a failing
+    /// test does). Model jobs share the join worker's FIFO, so whatever queues
+    /// meanwhile runs after it.
+    struct GatedModel {
+        entered: mpsc::Sender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl ModelBackend for GatedModel {
+        fn dim(&self) -> usize {
+            1
+        }
+
+        fn embed(&self, texts: &[String]) -> Vec<Vec<f32>> {
+            self.entered.send(()).ok();
+            self.release.lock().unwrap().recv().ok();
+            vec![vec![0.0]; texts.len()]
+        }
+
+        fn match_scores(&self, lefts: &[String], _: &[String]) -> Vec<f32> {
+            vec![0.0; lefts.len()]
+        }
+    }
+
     /// Every `KNN` request is one query-cache lookup, coalesced or not, and a
     /// coalesced group caches each request's own batch and nothing else: the merged
     /// batch, which no client ever repeats, must not take a slot and evict a live
     /// entry.
     #[test]
     fn a_coalesced_group_is_one_cache_lookup_per_request() {
-        let _faults = faults::arm_scope();
         let mut index = BlockingIndex::build(vectors(200, 4, 7), Some(16));
         index.set_query_cache_capacity(3);
-        let server = Server::spawn(Arc::new(index), "127.0.0.1:0").expect("spawn");
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let model = Arc::new(GatedModel {
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        });
+        let server = Server::spawn_with_model(
+            Arc::new(index),
+            model,
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .expect("spawn");
         let addr = server.addr();
         let batches: Vec<Vec<Vec<f32>>> = (0..3).map(|s| vectors(4, 4, 40 + s)).collect();
         let mut client = ServeClient::connect(addr).expect("connect");
         client.knn_join(&batches[0], 5).expect("warm-up join");
 
-        // Hold the join worker in a stalled subset join while two more batches
-        // queue behind it, so that they run as one coalesced group. The subset is
-        // empty, so it caches nothing itself.
-        faults::arm("serve.subset.stall", faults::Policy::Once);
+        // Hold the join worker in a gated EMBED while two more batches queue behind
+        // it, so that they run as one coalesced group. EMBED never reaches the
+        // query cache.
         let blocker = std::thread::spawn(move || {
             let mut client = ServeClient::connect(addr).expect("connect");
-            client
-                .knn_join_subset(&[vec![1.0; 4]], 5, &[])
-                .expect("stalled subset")
+            client.embed(&["held".to_string()]).expect("gated embed")
         });
-        std::thread::sleep(Duration::from_millis(300));
+        entered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the join worker runs the gated EMBED");
         let queued: Vec<_> = batches[1..]
             .iter()
             .cloned()
@@ -1541,6 +1522,15 @@ mod tests {
                 })
             })
             .collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.batcher.state.lock().unwrap().queue.len() < 2 {
+            assert!(
+                Instant::now() < deadline,
+                "the two KNN batches never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).expect("the gated EMBED is waiting");
         blocker.join().expect("blocker");
         for join in queued {
             join.join().expect("queued client");
@@ -1558,37 +1548,44 @@ mod tests {
         server.shutdown();
     }
 
-    /// Subset joins are admitted like every other request: a full queue sheds them
-    /// and a passed deadline expires them, each with `BUSY`, which a coordinator
-    /// fails over to the shard's next replica.
+    /// Opcode `0x04` (the retired shard-subset join) answers the typed unknown-opcode
+    /// error frame, and the connection goes on to answer a `KNN` on the same socket.
     #[test]
-    fn subset_joins_are_shed_and_expired_like_every_join() {
-        let config = ClientConfig {
-            retry: RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            },
-            ..ClientConfig::default()
-        };
-        let full = ServerConfig {
-            admission_queue_depth: 0,
-            ..ServerConfig::default()
-        };
-        let expired = ServerConfig {
-            request_deadline: Some(Duration::ZERO),
-            ..ServerConfig::default()
-        };
-        for server_config in [full, expired] {
-            let server = small_server(server_config);
-            let mut client =
-                ServeClient::connect_with_config(server.addr(), config).expect("connect");
-            let err = client
-                .knn_join_subset(&vectors(2, 4, 9), 3, &[0, 1])
-                .unwrap_err();
-            assert!(is_busy(&err), "got: {err}");
-            let stats = server.stats();
-            assert_eq!(stats.busy_rejections + stats.deadline_expirations, 1);
-            server.shutdown();
+    fn the_retired_subset_opcode_answers_unknown_and_the_connection_survives() {
+        let server = small_server(ServerConfig::default());
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        // The former KNN_SUBSET layout: k=3 · shards [0, 1] · 1 query · dim 4.
+        let mut former_subset = vec![0x04];
+        for word in [3u32, 2, 0, 1, 1, 4] {
+            former_subset.extend_from_slice(&word.to_le_bytes());
         }
+        for x in [0.5f32, -0.25, 0.125, 1.0] {
+            former_subset.extend_from_slice(&x.to_le_bytes());
+        }
+        send_request(&mut stream, &former_subset);
+        let reply = read_frame(&mut stream)
+            .expect("read")
+            .expect("a reply frame");
+        assert_eq!(
+            Response::decode(&reply, RequestKind::Knn).unwrap(),
+            Response::Error("unknown opcode 0x04".into())
+        );
+
+        let queries = vectors(2, 4, 9);
+        send_request(&mut stream, &encode_knn_request(&queries, 3));
+        let reply = read_frame(&mut stream)
+            .expect("read")
+            .expect("a reply frame");
+        assert_eq!(
+            Response::decode(&reply, RequestKind::Knn).unwrap(),
+            Response::Knn {
+                pairs: server.index().knn_join(&queries, 3),
+                degraded: false,
+            }
+        );
+        server.shutdown();
     }
 }

@@ -19,7 +19,6 @@
 //! | [`core`] | `sudowoodo-core` | pre-training, pseudo labels, matcher, pipelines |
 //! | [`baselines`] | `sudowoodo-baselines` | Ditto/Rotom/ZeroER/Auto-FuzzyJoin/DL-Block/Baran/Sherlock/Sato analogs |
 //! | [`serve`] | `sudowoodo-serve` | snapshot-backed concurrent TCP query serving |
-//! | [`coord`] | `sudowoodo-coord` | scatter-gather coordination: consistent-hash placement, replica failover |
 //! | [`faults`] | `sudowoodo-faults` | deterministic failpoint registry for chaos testing |
 //!
 //! See `README.md` for a quickstart and `ARCHITECTURE.md` for crate responsibilities,
@@ -30,7 +29,6 @@
 pub use sudowoodo_augment as augment;
 pub use sudowoodo_baselines as baselines;
 pub use sudowoodo_cluster as cluster;
-pub use sudowoodo_coord as coord;
 pub use sudowoodo_core as core;
 pub use sudowoodo_datasets as datasets;
 pub use sudowoodo_faults as faults;
